@@ -24,7 +24,7 @@ import numpy as np
 
 from ._parallel import map_chunked
 from .functions import PathFunction
-from .generators import GeneratorSpec, make_coefficient, make_path
+from .generators import GeneratorSpec, iter_paths, make_coefficient
 from .paths import PathEnsemble
 
 
@@ -130,8 +130,7 @@ def _hinge_sums(lo, hi, genspec: GeneratorSpec, t_grid, x_grid):
     x_grid = np.asarray(x_grid)
     s = np.zeros((t_grid.size, x_grid.size))
     ss = np.zeros_like(s)
-    for i in range(lo, hi):
-        path = make_path(genspec, i)
+    for path in iter_paths(genspec, lo, hi):
         xt = path.eval_many(t_grid)
         h = np.maximum(xt[:, None] - x_grid[None, :], 0.0)
         s += h
@@ -236,8 +235,7 @@ def _identity_terms(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid,
     """
     theta_right = _gated(theta, t_grid[1:][:, None], x_centers[None, :])
     out = []
-    for i in range(lo, hi):
-        path = make_path(genspec, i)
+    for path in iter_paths(genspec, lo, hi):
         xt, qv_cells, drift_cells = _model_cells(genspec, path, t_grid)
         hinges = np.maximum(xt[:, None] - x_centers[None, :], 0.0)
         dh = np.diff(hinges, axis=0)
@@ -437,8 +435,7 @@ def _kink_lhs(lo, hi, genspec: GeneratorSpec, fexpr: str, t_grid):
 
     f = make_function(fexpr)
     out = []
-    for i in range(lo, hi):
-        path = make_path(genspec, i)
+    for path in iter_paths(genspec, lo, hi):
         xt, qv_cells, _ = _model_cells(genspec, path, t_grid)
         on_kink = np.asarray(f.nondiff_indicator(t_grid[:-1], xt[:-1]), dtype=bool)
         out.append(float(np.sum(qv_cells[on_kink])))

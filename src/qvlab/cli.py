@@ -25,7 +25,7 @@ from .calculus import CovariationReport, covariation_ladder, ucp_exceedance
 from .config import ExperimentConfig, apply_overrides, load_config
 from .errors import ConfigurationError, GenerationError
 from .functions import builtin_library, make_function
-from .generators import generate, make_path
+from .generators import generate
 from .partitions import ExclusionSet, RefinementLadder
 from .paths import path_from_csv
 
@@ -141,9 +141,9 @@ def cmd_decompose(cfg: ExperimentConfig) -> tuple:
         jump_threshold=cfg.jump_threshold,
         workers=cfg.workers,
     )
-    result = dec.run_suite("tanaka" if cfg.function == "abs" else "moving_kink", suite_cfg)
+    # the tanaka pipeline decomposes the configured function on Brownian paths
+    result = dec.run_suite("tanaka", suite_cfg)
     payload = result.to_dict()
-    payload["function"] = cfg.function
     payload["config"] = cfg.report_dict()
     files = {"verdict.json": _json_text(payload), "levels.csv": _verdict_csv(result.verdict)}
     return files, result.ok

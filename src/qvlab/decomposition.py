@@ -17,7 +17,7 @@ from . import calculus
 from ._parallel import map_chunked
 from .errors import ConfigurationError
 from .functions import PathFunction, dx_limsup, make_function
-from .generators import GeneratorSpec, make_path
+from .generators import GeneratorSpec, iter_paths
 from .partitions import ExclusionSet, Partition, RefinementLadder
 from .paths import SamplePath
 
@@ -243,8 +243,7 @@ def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteC
     """Per-path task: generate, decompose on the path grid, statistic per level."""
     f = make_function(fexpr)
     out = []
-    for i in range(lo, hi):
-        path = make_path(genspec, i)
+    for path in iter_paths(genspec, lo, hi):
         ladder = RefinementLadder.dyadic(path.horizon, cfg.l_min, cfg.l_max, grid_times=path.times)
         full_part = Partition(cut_times=path.times)
         result = decompose(f, path, full_part)
@@ -257,8 +256,7 @@ def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteC
 def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: SuiteConfig):
     """Negative control task: the statistic on X itself, S = its jumps."""
     out = []
-    for i in range(lo, hi):
-        path = make_path(genspec, i)
+    for path in iter_paths(genspec, lo, hi):
         ladder = RefinementLadder.dyadic(path.horizon, cfg.l_min, cfg.l_max, grid_times=path.times)
         s = ExclusionSet.from_jumps(path, threshold=cfg.jump_threshold)
         out.append(tuple(calculus.zcqv_statistic(path, part, s, path.horizon) for part in ladder))
@@ -268,9 +266,7 @@ def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: SuiteConfig):
 def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteConfig):
     """Included-cell |dZ dY| per level, S = Z's jumps; plus the S-empty column."""
     out = []
-    for i in range(lo, hi):
-        z = make_path(zspec, i)
-        y = make_path(yspec, i)
+    for z, y in zip(iter_paths(zspec, lo, hi), iter_paths(yspec, lo, hi)):
         ladder = RefinementLadder.dyadic(z.horizon, cfg.l_min, cfg.l_max, grid_times=z.times)
         s = ExclusionSet.from_jumps(z, y, threshold=cfg.jump_threshold)
         with_s = tuple(calculus.cross_statistic(z, y, part, s, z.horizon) for part in ladder)
@@ -284,9 +280,7 @@ def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteC
 def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: SuiteConfig):
     """Statistic for Z1 + Z2 with S = the union of both jump sets."""
     out = []
-    for i in range(lo, hi):
-        z1 = make_path(spec1, i)
-        z2 = make_path(spec2, i)
+    for z1, z2 in zip(iter_paths(spec1, lo, hi), iter_paths(spec2, lo, hi)):
         v = SamplePath(
             times=z1.times,
             values=z1.values + z2.values,

@@ -1,13 +1,34 @@
-"""Reproducible path generators.
+"""Reproducible path generators, built a block of paths at a time.
 
 Each path is a pure function of (spec, path index): the per-path RNG is a
 Philox counter-based stream keyed by (seed, index), so ensembles are
-identical regardless of worker count or generation order, and any single
-path can be replayed in isolation.
+identical regardless of worker count, chunking or generation order, and any
+single path can be replayed in isolation with make_path(spec, i).
+
+generate(spec, n, start) is the one way paths are built.  It returns paths
+start .. start+n-1 as row views of one read-only (n, n_steps+1) float64
+value block and one bool mark block on a shared time grid.  Each kind has
+one builder that fills the block.  Brownian rows are normals drawn in place
+and one cumulative sum; compound Poisson rows are filled from their sparse
+jump lists; Lamperti rows are a Brownian block mapped through h^{-1}.  The
+Euler and jump-diffusion builder draws every row's normals (then its jumps)
+from the row's own stream, and then runs a single time loop whose steps are
+numpy operations across the rows.  Every row sees exactly the IEEE operation
+sequence of a path stepped alone, so results are bit-identical to per-path
+construction, and a non-finite coefficient names the seed and path index.
+
+Chunked callers use iter_paths, which calls generate for at most CHUNK (64)
+consecutive indices at a time, so a chunk task holds one block of at most
+64 rows.  The time loop costs a fixed number of numpy calls per step
+whatever the row count: replaying one Euler path with make_path is a
+one-row block, several times slower than a scalar loop would be, which only
+matters for one-off replays.
 
 Coefficient callbacks (sigma, b, sigma_of_x) are selected by name from a
 small registry so that specs stay picklable and expressible in config files;
-plain Python callables are also accepted for library use.
+plain Python callables are also accepted for library use.  They are called
+with a scalar t and an array x of the block's current states; a scalar
+return is broadcast across the rows.
 """
 
 from __future__ import annotations
@@ -19,6 +40,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._parallel import CHUNK
 from .errors import ConfigurationError, GenerationError
 from .paths import PathEnsemble, SamplePath
 
@@ -242,42 +264,15 @@ def _constant_value(coef_spec):
 
 
 # ---------------------------------------------------------------------------
-# per-path construction
+# block construction
+#
+# Every builder returns a (values, marks) pair of (n, n_steps + 1) blocks
+# holding paths start .. start+n-1.  Row r draws from path_rng(seed, start+r)
+# in the same order, and goes through the same IEEE operations, as a path
+# built on its own would.
 
 
-def _brownian_path(spec: GeneratorSpec, rng) -> SamplePath:
-    dt = spec.dt
-    dw = rng.standard_normal(spec.n_steps) * math.sqrt(dt)
-    values = np.empty(spec.n_steps + 1)
-    values[0] = spec.x0
-    values[1:] = spec.x0 + np.cumsum(dw)
-    marks = np.zeros(spec.n_steps + 1, dtype=bool)
-    return SamplePath(times=spec.grid(), values=values, jump_marks=marks)
-
-
-def _euler_path(spec: GeneratorSpec, rng) -> SamplePath:
-    dt = spec.dt
-    sqdt = math.sqrt(dt)
-    sigma = make_coefficient(spec.sigma)
-    b = make_coefficient(spec.b)
-    z = rng.standard_normal(spec.n_steps)
-    times = spec.grid()
-    values = np.empty(spec.n_steps + 1)
-    x = spec.x0
-    values[0] = x
-    for i in range(spec.n_steps):
-        t = times[i]
-        s = float(sigma(t, x))
-        drift = float(b(t, x))
-        if not (math.isfinite(s) and math.isfinite(drift)):
-            raise GenerationError(f"non-finite coefficient at (t={t!r}, x={x!r})")
-        x = x + drift * dt + s * sqdt * z[i]
-        values[i + 1] = x
-    marks = np.zeros(spec.n_steps + 1, dtype=bool)
-    return SamplePath(times=times, values=values, jump_marks=marks)
-
-
-def _draw_jump_cells(spec: GeneratorSpec, rng) -> tuple:
+def _draw_jump_cells(spec: GeneratorSpec, rng, index: int) -> tuple:
     """Poisson event times snapped to grid cells, one jump per cell.
 
     A jump in (times[c-1], times[c]] is realized at grid index c; collisions
@@ -297,52 +292,97 @@ def _draw_jump_cells(spec: GeneratorSpec, rng) -> tuple:
                 cells.append(c)
                 break
         else:
-            raise GenerationError("could not place jump without cell collision")
+            raise GenerationError(
+                f"could not place jump without cell collision (seed={spec.seed}, path={index})"
+            )
     cells.sort()
     law = make_jump_law(spec.jump_law)
     sizes = [law.sample(rng) for _ in cells]
     return cells, sizes
 
 
-def _compound_poisson_path(spec: GeneratorSpec, rng) -> SamplePath:
-    n = spec.n_steps
-    cells, sizes = _draw_jump_cells(spec, rng)
-    jump_at = np.zeros(n + 1)
-    marks = np.zeros(n + 1, dtype=bool)
-    for c, j in zip(cells, sizes):
-        jump_at[c] = j
-        marks[c] = True
-    values = spec.x0 + np.cumsum(jump_at)
-    values[0] = spec.x0
-    return SamplePath(times=spec.grid(), values=values, jump_marks=marks)
+def _empty_blocks(spec: GeneratorSpec, n: int) -> tuple:
+    width = spec.n_steps + 1
+    return np.empty((n, width)), np.zeros((n, width), dtype=bool)
 
 
-def _jump_diffusion_path(spec: GeneratorSpec, rng) -> SamplePath:
-    # draw order is fixed: diffusion normals, then the Poisson stream
-    dt = spec.dt
-    sqdt = math.sqrt(dt)
+def _brownian_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
+    values, marks = _empty_blocks(spec, n)
+    for r, row in enumerate(values):
+        path_rng(spec.seed, start + r).standard_normal(out=row[1:])
+    body = values[:, 1:]
+    body *= math.sqrt(spec.dt)
+    np.cumsum(body, axis=1, out=body)
+    body += spec.x0
+    values[:, 0] = spec.x0
+    return values, marks
+
+
+def _compound_poisson_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
+    # each row holds its own jump-size array until the cumulative sum
+    values, marks = _empty_blocks(spec, n)
+    values[:] = 0.0
+    for r in range(n):
+        cells, sizes = _draw_jump_cells(spec, path_rng(spec.seed, start + r), start + r)
+        values[r, cells] = sizes
+        marks[r, cells] = True
+    np.cumsum(values, axis=1, out=values)
+    values += spec.x0
+    values[:, 0] = spec.x0
+    return values, marks
+
+
+def _euler_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
+    """euler_sde and jump_diffusion: one time loop, vectorized over the rows.
+
+    Each row's normals are drawn into the row itself, then (jump_diffusion
+    only) its Poisson stream; step i reads column i+1 as the normal and
+    overwrites it with the new state.  jump_diffusion adds the jump column on
+    every step, 0.0 off the jump cells, as the per-path recursion does.
+    """
+    values, marks = _empty_blocks(spec, n)
+    with_jumps = spec.kind == "jump_diffusion"
+    events: dict[int, tuple] = {}  # grid index -> (rows, sizes)
+    for r, row in enumerate(values):
+        rng = path_rng(spec.seed, start + r)
+        rng.standard_normal(out=row[1:])
+        if with_jumps:
+            cells, sizes = _draw_jump_cells(spec, rng, start + r)
+            marks[r, cells] = True
+            for c, j in zip(cells, sizes):
+                rows, js = events.setdefault(c, ([], []))
+                rows.append(r)
+                js.append(j)
     sigma = make_coefficient(spec.sigma)
     b = make_coefficient(spec.b)
-    z = rng.standard_normal(spec.n_steps)
-    cells, sizes = _draw_jump_cells(spec, rng)
-    jump_at = np.zeros(spec.n_steps + 1)
-    marks = np.zeros(spec.n_steps + 1, dtype=bool)
-    for c, j in zip(cells, sizes):
-        jump_at[c] = j
-        marks[c] = True
+    dt = spec.dt
+    sqdt = math.sqrt(dt)
     times = spec.grid()
-    values = np.empty(spec.n_steps + 1)
-    x = spec.x0
-    values[0] = x
+    jump_col = np.zeros(n)
+    values[:, 0] = spec.x0
     for i in range(spec.n_steps):
         t = times[i]
-        s = float(sigma(t, x))
-        drift = float(b(t, x))
-        if not (math.isfinite(s) and math.isfinite(drift)):
-            raise GenerationError(f"non-finite coefficient at (t={t!r}, x={x!r})")
-        x = x + drift * dt + s * sqdt * z[i] + jump_at[i + 1]
-        values[i + 1] = x
-    return SamplePath(times=times, values=values, jump_marks=marks)
+        x = values[:, i]
+        s = np.asarray(sigma(t, x), dtype=float)
+        drift = np.asarray(b(t, x), dtype=float)
+        if not (np.isfinite(s).all() and np.isfinite(drift).all()):
+            bad = np.broadcast_to(~(np.isfinite(s) & np.isfinite(drift)), x.shape)
+            r = int(np.argmax(bad))
+            raise GenerationError(
+                f"non-finite coefficient at (seed={spec.seed}, path={start + r}, "
+                f"t={float(t)!r}, x={float(x[r])!r})"
+            )
+        step = x + drift * dt + s * sqdt * values[:, i + 1]
+        if with_jumps:
+            ev = events.get(i + 1)
+            if ev is None:
+                step += jump_col
+            else:
+                jump_col[ev[0]] = ev[1]
+                step += jump_col
+                jump_col[ev[0]] = 0.0
+        values[:, i + 1] = step
+    return values, marks
 
 
 # ---------------------------------------------------------------------------
@@ -404,30 +444,25 @@ class LampertiResult:
     transform: MonotoneTransform
 
 
-def _lamperti_path(spec: GeneratorSpec, rng, transform: MonotoneTransform) -> tuple:
+def _lamperti_blocks(spec: GeneratorSpec, n: int, start: int, transform: MonotoneTransform) -> tuple:
+    """(X values, Y values, marks): Y Brownian from h(x0), X = h^{-1}(Y)."""
     y0 = float(transform.forward(spec.x0))
-    yspec = replace(spec, kind="brownian", x0=y0)
-    ypath = _brownian_path(yspec, rng)
-    xvals = transform.inverse(ypath.values)
-    xpath = SamplePath(times=ypath.times, values=xvals, jump_marks=np.zeros_like(ypath.jump_marks))
-    return xpath, ypath
+    y, marks = _brownian_block(replace(spec, kind="brownian", x0=y0), n, start)
+    return transform.inverse(y), y, marks
+
+
+def _lamperti_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
+    x, _, marks = _lamperti_blocks(spec, n, start, build_transform(spec))
+    return x, marks
 
 
 def gen_lamperti_dirichlet(spec: GeneratorSpec, n_paths: int) -> LampertiResult:
     """Simulate Y as Brownian motion and return both Y and X = h^{-1}(Y)."""
     spec.validate()
     transform = build_transform(spec)
-    xs, ys, seeds = [], [], []
-    for i in range(n_paths):
-        xp, yp = _lamperti_path(spec, path_rng(spec.seed, i), transform)
-        xs.append(xp)
-        ys.append(yp)
-        seeds.append((spec.seed, i))
-    meta = {"kind": spec.kind, "seed": spec.seed}
+    x, y, marks = _lamperti_blocks(spec, n_paths, 0, transform)
     return LampertiResult(
-        x=PathEnsemble(paths=tuple(xs), seeds=tuple(seeds), meta=meta),
-        y=PathEnsemble(paths=tuple(ys), seeds=tuple(seeds), meta=meta),
-        transform=transform,
+        x=_ensemble(spec, x, marks, 0), y=_ensemble(spec, y, marks, 0), transform=transform
     )
 
 
@@ -435,31 +470,43 @@ def gen_lamperti_dirichlet(spec: GeneratorSpec, n_paths: int) -> LampertiResult:
 # public entry points
 
 _BUILDERS = {
-    "brownian": _brownian_path,
-    "euler_sde": _euler_path,
-    "compound_poisson": _compound_poisson_path,
-    "jump_diffusion": _jump_diffusion_path,
+    "brownian": _brownian_block,
+    "euler_sde": _euler_block,
+    "compound_poisson": _compound_poisson_block,
+    "jump_diffusion": _euler_block,
+    "lamperti_dirichlet": _lamperti_block,
 }
 
 
-def make_path(spec: GeneratorSpec, index: int) -> SamplePath:
-    """Build path `index` of the ensemble; replay-exact for a given spec."""
-    spec.validate()
-    rng = path_rng(spec.seed, index)
-    if spec.kind == "lamperti_dirichlet":
-        transform = build_transform(spec)
-        xp, _ = _lamperti_path(spec, rng, transform)
-        return xp
-    return _BUILDERS[spec.kind](spec, rng)
+def _ensemble(spec: GeneratorSpec, values: np.ndarray, marks: np.ndarray, start: int) -> PathEnsemble:
+    # the blocks themselves are read-only, so no caller can write through .base
+    values.setflags(write=False)
+    marks.setflags(write=False)
+    times = spec.grid()
+    paths = tuple(SamplePath(times=times, values=v, jump_marks=m) for v, m in zip(values, marks))
+    seeds = tuple((spec.seed, start + r) for r in range(len(paths)))
+    return PathEnsemble(paths=paths, seeds=seeds, meta={"kind": spec.kind, "seed": spec.seed})
 
 
-def generate(spec: GeneratorSpec, n_paths: int) -> PathEnsemble:
-    """Generate an ensemble; pure function of (spec, n_paths)."""
+def generate(spec: GeneratorSpec, n_paths: int, start: int = 0) -> PathEnsemble:
+    """Paths start .. start+n_paths-1 as row views of one read-only block.
+
+    A pure function of (spec, path index): any split of an index range into
+    generate calls yields the same paths.
+    """
     spec.validate()
     if n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
-    if spec.kind == "lamperti_dirichlet":
-        return gen_lamperti_dirichlet(spec, n_paths).x
-    paths = tuple(make_path(spec, i) for i in range(n_paths))
-    seeds = tuple((spec.seed, i) for i in range(n_paths))
-    return PathEnsemble(paths=paths, seeds=seeds, meta={"kind": spec.kind, "seed": spec.seed})
+    values, marks = _BUILDERS[spec.kind](spec, n_paths, start)
+    return _ensemble(spec, values, marks, start)
+
+
+def make_path(spec: GeneratorSpec, index: int) -> SamplePath:
+    """Build path `index` of the ensemble on its own; replay-exact."""
+    return generate(spec, 1, start=index)[0]
+
+
+def iter_paths(spec: GeneratorSpec, lo: int, hi: int):
+    """Paths lo .. hi-1 in index order, generated at most CHUNK rows at a time."""
+    for b in range(lo, hi, CHUNK):
+        yield from generate(spec, min(b + CHUNK, hi) - b, start=b)

@@ -10,6 +10,8 @@ import pytest
 from qvlab.cli import main
 from qvlab.config import ExperimentConfig, apply_overrides, load_config
 from qvlab.errors import ConfigurationError
+from qvlab.functions import builtin_library
+from qvlab.generators import GeneratorSpec, generate
 
 
 def run_cli(args, env_extra=None):
@@ -158,3 +160,28 @@ def test_replay_determinism_same_config(tmp_path):
         assert rc == 0
         outs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert outs[0] == outs[1]
+
+
+def test_decompose_square_final_v_is_realized_qv(tmp_path):
+    # on the grid partition V_1 = X_1^2 - sum 2 X_{k-1} dX = sum (dX)^2 from x0 = 0
+    cfg = _small_gen_config(tmp_path, generator={"kind": "brownian", "n_steps": 1024},
+                            function="square", n_paths=8, l_min=4, l_max=10)
+    out = tmp_path / "sq"
+    main(["decompose", "--config", cfg, "--seed", "77", "--out", str(out)])
+    payload = json.loads((out / "verdict.json").read_text())
+    assert payload["experiment"] == "tanaka" and payload["function"] == "square"
+    ens = generate(GeneratorSpec(kind="brownian", n_steps=1024, seed=77), 8)
+    realized = np.mean([np.sum(np.diff(p.values) ** 2) for p in ens])
+    assert abs(payload["mean_final_v"] - realized) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(builtin_library()))
+def test_decompose_reports_the_function_it_ran(tmp_path, name):
+    cfg = _small_gen_config(tmp_path, generator={"kind": "brownian", "n_steps": 64},
+                            function=name, n_paths=2, l_min=2, l_max=6)
+    out = tmp_path / name
+    assert main(["decompose", "--config", cfg, "--out", str(out)]) in (0, 1)
+    payload = json.loads((out / "verdict.json").read_text())
+    assert payload["function"] == name
+    assert payload["experiment"] == "tanaka"
+

@@ -199,3 +199,17 @@ def test_workers_do_not_change_results():
     a = run_suite("tanaka", cfg1)
     b = run_suite("tanaka", cfg4)
     assert a.verdict == b.verdict
+
+
+def test_moving_kink_jump_suite_same_verdict_for_any_worker_count():
+    # 130 paths span three generate blocks (64, 64, 2) and three pool chunks
+    cfgs = [
+        SuiteConfig(generator=GeneratorSpec(n_steps=1024, seed=4242), n_paths=130,
+                    l_min=4, l_max=10, workers=w)
+        for w in (1, 2)
+    ]
+    a, b = (run_suite("moving_kink_jump", cfg) for cfg in cfgs)
+    assert a.details["generator"] == "jump_diffusion"
+    assert a.verdict == b.verdict
+    assert a.details == b.details
+

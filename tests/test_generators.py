@@ -1,3 +1,8 @@
+import math
+import re
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,10 +13,12 @@ from qvlab.generators import (
     build_transform,
     gen_lamperti_dirichlet,
     generate,
+    iter_paths,
     make_coefficient,
     make_jump_law,
     make_path,
     parse_expression,
+    path_rng,
 )
 
 
@@ -137,8 +144,38 @@ def test_euler_unit_sigma_matches_brownian_law():
 def test_euler_nonfinite_coefficient_names_point():
     bad = lambda t, x: np.inf
     spec = GeneratorSpec(kind="euler_sde", n_steps=4, sigma=bad, seed=0)
-    with pytest.raises(GenerationError, match="t="):
+    with pytest.raises(GenerationError, match=r"seed=0, path=0, t=0\.0, x=0\.0"):
         make_path(spec, 0)
+    with pytest.raises(GenerationError, match=r"seed=0, path=5, t="):
+        make_path(spec, 5)
+
+
+def _failing_path(exc_info) -> int:
+    return int(re.search(r"path=(\d+)", str(exc_info.value)).group(1))
+
+
+def test_block_failure_replays_on_its_own():
+    # sigma blows up once a path leaves (-0.5, 0.5): the block names the
+    # first failing row, and make_path on that index fails identically
+    sig = lambda t, x: np.where(np.abs(x) < 0.5, 1.0, np.inf)
+    spec = GeneratorSpec(kind="jump_diffusion", n_steps=256, jump_rate=3.0, sigma=sig, seed=6)
+    with pytest.raises(GenerationError, match=r"seed=6, path=\d+, t=") as block_err:
+        generate(spec, 64, start=10)
+    index = _failing_path(block_err)
+    assert 10 <= index < 74
+    with pytest.raises(GenerationError) as replay_err:
+        make_path(spec, index)
+    assert str(replay_err.value) == str(block_err.value)
+
+
+def test_jump_placement_failure_names_path():
+    # one grid cell and a 0.5 jump rate: some path draws two jumps for it
+    spec = GeneratorSpec(kind="compound_poisson", n_steps=1, jump_rate=0.5, seed=3)
+    with pytest.raises(GenerationError, match=r"could not place jump .*seed=3, path=\d+") as block_err:
+        generate(spec, 64)
+    with pytest.raises(GenerationError) as replay_err:
+        make_path(spec, _failing_path(block_err))
+    assert str(replay_err.value) == str(block_err.value)
 
 
 def test_jump_diffusion_marks_and_validate():
@@ -223,3 +260,147 @@ def test_invalid_specs_rejected():
         GeneratorSpec(horizon=-1.0).validate()
     with pytest.raises(ConfigurationError):
         GeneratorSpec(alpha=1.5).validate()
+
+
+# ---------------------------------------------------------------------------
+# scalar per-path oracle: each path built on its own, one step at a time
+
+
+def _reference_jump_cells(spec, rng):
+    n, dt = spec.n_steps, spec.dt
+    count = int(rng.poisson(spec.jump_rate * spec.horizon))
+    cells, occupied = [], set()
+    for _ in range(count):
+        for _attempt in range(1000):
+            c = min(max(int(math.ceil(rng.random() * spec.horizon / dt)), 1), n)
+            if c not in occupied:
+                occupied.add(c)
+                cells.append(c)
+                break
+    cells.sort()
+    law = make_jump_law(spec.jump_law)
+    jump_at = np.zeros(n + 1)
+    for c in cells:
+        jump_at[c] = law.sample(rng)
+    return jump_at
+
+
+def _reference_brownian(spec, rng):
+    dw = rng.standard_normal(spec.n_steps) * math.sqrt(spec.dt)
+    values = np.empty(spec.n_steps + 1)
+    values[0] = spec.x0
+    values[1:] = spec.x0 + np.cumsum(dw)
+    return values, np.zeros(spec.n_steps + 1, dtype=bool)
+
+
+def _reference_euler(spec, rng):
+    sigma, b = make_coefficient(spec.sigma), make_coefficient(spec.b)
+    dt = spec.dt
+    sqdt = math.sqrt(dt)
+    z = rng.standard_normal(spec.n_steps)
+    with_jumps = spec.kind == "jump_diffusion"
+    jump_at = _reference_jump_cells(spec, rng) if with_jumps else None
+    times = spec.grid()
+    values = np.empty(spec.n_steps + 1)
+    x = spec.x0
+    values[0] = x
+    for i in range(spec.n_steps):
+        s = float(sigma(times[i], x))
+        drift = float(b(times[i], x))
+        assert math.isfinite(s) and math.isfinite(drift)
+        if with_jumps:
+            x = x + drift * dt + s * sqdt * z[i] + jump_at[i + 1]
+        else:
+            x = x + drift * dt + s * sqdt * z[i]
+        values[i + 1] = x
+    marks = jump_at != 0.0 if with_jumps else np.zeros(spec.n_steps + 1, dtype=bool)
+    return values, marks
+
+
+def _reference_compound_poisson(spec, rng):
+    jump_at = _reference_jump_cells(spec, rng)
+    values = spec.x0 + np.cumsum(jump_at)
+    values[0] = spec.x0
+    return values, jump_at != 0.0
+
+
+def _reference_lamperti(spec, rng):
+    transform = build_transform(spec)
+    y0 = float(transform.forward(spec.x0))
+    y, marks = _reference_brownian(replace(spec, x0=y0), rng)
+    return transform.inverse(y), marks
+
+
+_REFERENCE = {
+    "brownian": _reference_brownian,
+    "euler_sde": _reference_euler,
+    "jump_diffusion": _reference_euler,
+    "compound_poisson": _reference_compound_poisson,
+    "lamperti_dirichlet": _reference_lamperti,
+}
+
+ORACLE_SPECS = {
+    "brownian": dict(kind="brownian", x0=0.25),
+    "euler_sde": dict(kind="euler_sde", sigma="abs_shift(0.5, 0.5)", b="linear(0.1, -0.5)"),
+    "euler_step": dict(kind="euler_sde", sigma="step(1, 2, 0)", b="const(0.3)"),
+    # no motion from x0 = -0.0: some Euler steps keep -0.0, which the jump
+    # term's + 0.0 would turn into +0.0
+    "euler_signed_zero": dict(kind="euler_sde", sigma="const(0.0)", b="const(-0.0)", x0=-0.0),
+    "jump_diffusion": dict(kind="jump_diffusion", jump_rate=20.0, sigma="abs_shift(0.5, 0.5)",
+                           b="const(0.1)", jump_law="uniform(-1, 3)"),
+    "jump_signed_zero": dict(kind="jump_diffusion", jump_rate=3.0, sigma="const(0.0)",
+                             b="const(-0.0)", x0=-0.0),
+    "compound_poisson": dict(kind="compound_poisson", jump_rate=40.0, x0=-0.0),
+    "lamperti_dirichlet": dict(kind="lamperti_dirichlet", sigma_of_x="abs_shift(0.5, 0.5)", alpha=0.5),
+}
+
+
+def _same_bits(path, ref) -> bool:
+    values, marks = ref
+    return path.values.tobytes() == values.tobytes() and np.array_equal(path.jump_marks, marks)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_block_generation_matches_scalar_reference(name):
+    spec = GeneratorSpec(n_steps=256, seed=2024, **ORACLE_SPECS[name])
+    ref = [_REFERENCE[spec.kind](spec, path_rng(spec.seed, i)) for i in range(130)]
+    ens = generate(spec, 130)
+    assert all(_same_bits(p, r) for p, r in zip(ens, ref))
+    # iter_paths splits at 64 and 128; make_path is a one-row block
+    assert all(_same_bits(p, r) for p, r in zip(iter_paths(spec, 0, 130), ref, strict=True))
+    for i in (0, 63, 64, 129):
+        assert _same_bits(make_path(spec, i), ref[i])
+
+
+def test_signed_zero_specs_tell_the_jump_term_apart():
+    # the oracle comparison is bitwise, so it sees whether + 0.0 ran
+    def negative_zeros(name):
+        ens = generate(GeneratorSpec(n_steps=8, seed=1, **ORACLE_SPECS[name]), 20)
+        after_start = np.concatenate([p.values[1:] for p in ens])
+        return int(np.sum((after_start == 0.0) & np.signbit(after_start)))
+
+    assert negative_zeros("euler_signed_zero") > 0
+    assert negative_zeros("jump_signed_zero") == 0
+
+
+def test_blocks_are_read_only():
+    ens = generate(GeneratorSpec(kind="jump_diffusion", n_steps=64, jump_rate=3.0, seed=2), 3)
+    values, marks = ens[0].values.base, ens[0].jump_marks.base
+    assert values.shape == (3, 65) and ens[2].values.base is values
+    for arr in (values, marks, ens[1].values, ens[1].jump_marks, ens[1].times):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
+def test_generate_peak_memory_within_twice_the_blocks():
+    spec = GeneratorSpec(kind="jump_diffusion", n_steps=4096, jump_rate=3.0,
+                         sigma="abs_shift(0.5, 0.5)", seed=12345)
+    block_bytes = 64 * 4097 * (8 + 1)  # float64 values plus bool marks
+    tracemalloc.start()
+    try:
+        ens = generate(spec, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ens) == 64
+    assert peak <= 2 * block_bytes
