@@ -3,9 +3,19 @@
 
 Scalar statistics run through the compensated kernels (ascending cell order,
 Kahan accumulation) so results are deterministic and stable up to 2^14+
-cells.  The ladder sweep over a whole t-grid uses a cumulative formulation:
-the covariation up to an arbitrary t splits exactly into full cells plus one
-boundary cell under the stopped-value semantics.
+cells.
+
+covariation_ladder sweeps a whole t-grid for every row pair of two
+ensembles at once, one ladder level at a time.  Each level slices both value
+blocks at the cut indices (a strided view when the cuts are evenly spaced
+grid times) and forms the products of increments once.  The stopped sums are
+one cumulative sum along the path axis plus one boundary cell, under the
+stopped-value semantics; the included sums zero the cells that hold a time
+of S in place and take a second cumulative sum.  S is the union of both
+paths' jump times under the threshold, read off the mark and value blocks.
+The jump sums come from one Kahan pass per path over its jump terms in time
+order: the compensated state after the last jump <= t is jump_sum at t, bit
+for bit, because Kahan summation in array order computes prefixes.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .partitions import ExclusionSet, Partition, RefinementLadder, inclusion_mask
-from .paths import SamplePath
+from .paths import PathEnsemble, SamplePath
 
 
 def _check_pair(x: SamplePath, y: SamplePath) -> None:
@@ -122,10 +132,14 @@ def ito_cumulative(integrand: np.ndarray, y: SamplePath, partition: Partition, t
 # ladder sweep and report
 
 
+_STATS = ("full", "jumps", "continuous_part", "zcqv")
+
+
 @dataclass(frozen=True)
 class CovariationReport:
-    """Per-level, per-t statistics for one (X, Y) pair.
+    """Per-path, per-level, per-t statistics for an ensemble of (X, Y) pairs.
 
+    full, jumps, continuous_part and zcqv are (n_paths, n_levels, n_t);
     full = included + excluded by construction; continuous_part = full - jumps.
     """
 
@@ -137,7 +151,21 @@ class CovariationReport:
     continuous_part: np.ndarray
     zcqv: np.ndarray
 
+    @classmethod
+    def concat(cls, reports) -> "CovariationReport":
+        """Stack reports on the same ladder and t-grid along the path axis."""
+        first = reports[0]
+        stack = {name: np.concatenate([getattr(r, name) for r in reports]) for name in _STATS}
+        return cls(levels=first.levels, meshes=first.meshes, t_grid=first.t_grid, **stack)
+
+    def median(self) -> "CovariationReport":
+        """One-row report of the per-cell medians over paths."""
+        med = {name: np.median(getattr(self, name), axis=0, keepdims=True) for name in _STATS}
+        return CovariationReport(levels=self.levels, meshes=self.meshes, t_grid=self.t_grid, **med)
+
     def to_csv(self) -> str:
+        if self.full.shape[0] != 1:
+            raise ValueError("to_csv needs a one-row report; take the median first")
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["level", "mesh", "t", "full_sum", "jump_sum", "continuous_part", "zcqv_stat"])
@@ -148,86 +176,150 @@ class CovariationReport:
                         lev,
                         repr(float(self.meshes[i])),
                         repr(float(t)),
-                        repr(float(self.full[i, j])),
-                        repr(float(self.jumps[i, j])),
-                        repr(float(self.continuous_part[i, j])),
-                        repr(float(self.zcqv[i, j])),
+                        repr(float(self.full[0, i, j])),
+                        repr(float(self.jumps[0, i, j])),
+                        repr(float(self.continuous_part[0, i, j])),
+                        repr(float(self.zcqv[0, i, j])),
                     ]
                 )
         return buf.getvalue()
 
 
-def _sweep_stopped(x: SamplePath, y: SamplePath, partition: Partition, t_grid: np.ndarray):
-    """Stopped covariation at every t in one pass.
+def _jump_grid(ens: PathEnsemble, threshold: float) -> np.ndarray:
+    """(n_paths, n_grid) mask of SamplePath.jump_times(threshold) on the grid."""
+    sel = ens.marks.copy()
+    if threshold < np.inf:  # |dX| > inf never holds for finite values
+        dx = np.diff(ens.values, axis=1)
+        sel[:, 1:] |= np.abs(dx, out=dx) > threshold
+    return sel
 
-    With tau_j <= t < tau_{j+1}, the stopped sum equals the cumulative sum
-    through cell j plus the boundary term (X_t - X_{tau_j})(Y_t - Y_{tau_j}).
+
+def _cut_index(times: np.ndarray, cut_times: np.ndarray):
+    """Grid indices of the cuts (clamped to the horizon): a slice when they
+    are evenly strided, so blocks are sliced without a copy."""
+    cuts = np.minimum(cut_times, times[-1])
+    idx = np.searchsorted(times, cuts)
+    if np.any(times[idx] != cuts):
+        raise ValueError("covariation_ladder needs every cut time on the path grid")
+    step = int(idx[1] - idx[0])
+    if step > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1, step)):
+        return idx, slice(int(idx[0]), int(idx[-1]) + 1, step)
+    return idx, idx
+
+
+def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """jump_sum(x_r, y_r, t, threshold) for every row r and t, bit for bit.
+
+    One Kahan pass per row over its jump terms in time order keeps the state
+    after each term; the value at t is the state after the last jump <= t,
+    which is the compensated sum of exactly those terms in the same order.
     """
-    cuts = np.minimum(partition.cut_times, x.horizon)
-    xv = x.eval_many(cuts)
-    yv = y.eval_many(cuts)
-    cum = np.concatenate([[0.0], np.cumsum(np.diff(xv) * np.diff(yv))])
-    j = np.searchsorted(partition.cut_times, t_grid, side="right") - 1
-    j = np.clip(j, 0, partition.n_cells)
-    xt = x.eval_many(t_grid)
-    yt = y.eval_many(t_grid)
-    boundary = np.where(j < partition.n_cells, (xt - xv[j]) * (yt - yv[j]), 0.0)
-    return cum[j] + boundary
+    rows, gs = np.nonzero(sel)  # row-major: time order within each row
+    left = np.maximum(gs - 1, 0)
+    terms = (x.values[rows, gs] - x.values[rows, left]) * (y.values[rows, gs] - y.values[rows, left])
+    prefix = [0.0]  # prefix[k + 1]: the row's state after flat term k
+    s = c = 0.0
+    prev = -1
+    for r, term in zip(rows.tolist(), terms.tolist()):
+        if r != prev:
+            s = c = 0.0
+            prev = r
+        t1 = term - c
+        t2 = s + t1
+        c = (t2 - s) - t1
+        s = t2
+        prefix.append(s)
+    prefix = np.asarray(prefix)
+    n, n_grid = sel.shape
+    # terms of row r at grid times <= t sit at flat positions [first[r], pos)
+    upto = np.searchsorted(x.times, t_grid, side="right")
+    flat = rows * n_grid + gs
+    pos = np.searchsorted(flat, np.arange(n)[:, None] * n_grid + upto[None, :])
+    first = np.searchsorted(flat, np.arange(n) * n_grid)[:, None]
+    return np.where(pos > first, prefix[pos], 0.0)
 
 
-def _sweep_included(x, y, partition: Partition, exclusions: ExclusionSet, t_grid: np.ndarray):
-    """Included-cell sums at every t: only cells with tau_k < t count, so the
-    cell ending exactly at t and any partial boundary cell are dropped."""
-    cuts = np.minimum(partition.cut_times, x.horizon)
-    xv = x.eval_many(cuts)
-    yv = y.eval_many(cuts)
-    dxdy = np.diff(xv) * np.diff(yv)
-    mask = inclusion_mask(partition, exclusions, np.inf)
-    cum = np.concatenate([[0.0], np.cumsum(np.where(mask, dxdy, 0.0))])
-    m = np.searchsorted(partition.cut_times[1:], t_grid, side="left")
-    return cum[m]
+def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_grid, sel) -> tuple:
+    """(stopped, included) sums, each (n_paths, n_levels, n_t); S is `sel`."""
+    n, times = len(x), x.times
+    full = np.empty((n, len(ladder), t_grid.size))
+    zc = np.empty_like(full)
+    excl_rows, excl_grid = np.nonzero(sel)
+    at_t = np.searchsorted(times, t_grid, side="right") - 1
+    xt = x.values[:, at_t]
+    yt = y.values[:, at_t]
+    # one pair of buffers sized for the finest level, reused by every level
+    k_max = max(part.n_cells for part in ladder)
+    prod_buf = np.empty((n, k_max))
+    cum_buf = np.empty((n, k_max + 1))
+    cum_buf[:, 0] = 0.0
+    for i, part in enumerate(ladder):
+        cut_times = part.cut_times
+        k = part.n_cells
+        idx, cut = _cut_index(times, cut_times)
+        xv = x.values[:, cut]
+        yv = y.values[:, cut]
+        prod = np.subtract(xv[:, 1:], xv[:, :-1], out=prod_buf[:, :k])
+        cum = cum_buf[:, : k + 1]
+        # dY goes through the cumulative-sum buffer before it is filled
+        prod *= np.subtract(yv[:, 1:], yv[:, :-1], out=cum[:, 1:])
+        np.cumsum(prod, axis=1, out=cum[:, 1:])
+        j = np.clip(np.searchsorted(cut_times, t_grid, side="right") - 1, 0, k)
+        boundary = (xt - xv[:, j]) * (yt - yv[:, j])
+        boundary[:, j == k] = 0.0
+        full[:, i] = cum[:, j] + boundary
+        # cell c (1-based) = (tau_{c-1}, tau_c] holds grid time g iff c is
+        # the 'left' search position of g among the cut indices
+        cell = np.searchsorted(idx, excl_grid, side="left")
+        hit = (cell >= 1) & (cell <= k)
+        prod[excl_rows[hit], cell[hit] - 1] = 0.0
+        np.cumsum(prod, axis=1, out=cum[:, 1:])
+        zc[:, i] = cum[:, np.searchsorted(cut_times[1:], t_grid, side="left")]
+    return full, zc
 
 
 def covariation_ladder(
-    x: SamplePath,
-    y: SamplePath,
+    x: PathEnsemble,
+    y: PathEnsemble,
     ladder: RefinementLadder,
-    exclusions: ExclusionSet,
     t_grid: np.ndarray,
     threshold: float = np.inf,
     levels: tuple | None = None,
 ) -> CovariationReport:
-    _check_pair(x, y)
+    """Stopped and included covariation sums of every (x_r, y_r) row pair
+    along every ladder level at every t in t_grid.
+
+    S is the union of both paths' jump times under `threshold`.  Every cut
+    must be a grid time.  Results equal the per-path scalar definitions bit
+    for bit: with tau_j <= t < tau_{j+1} the stopped sum is the cumulative
+    sum through cell j plus the boundary term (X_t - X_{tau_j})(Y_t - Y_{tau_j});
+    the included sum counts only cells with tau_k < t that miss S.
+    """
+    if threshold < 0:
+        raise ValueError("threshold must be nonnegative")
+    if x.values.shape != y.values.shape or not np.array_equal(x.times, y.times):
+        raise ValueError("ensembles must hold the same number of paths on one grid")
     t_grid = np.asarray(t_grid, dtype=float)
-    n_l, n_t = len(ladder), t_grid.size
-    full = np.empty((n_l, n_t))
-    zc = np.empty((n_l, n_t))
-    jumps = np.empty((n_l, n_t))
-    jump_row = np.asarray([jump_sum(x, y, t, threshold) for t in t_grid])
-    for i, part in enumerate(ladder):
-        full[i] = _sweep_stopped(x, y, part, t_grid)
-        zc[i] = _sweep_included(x, y, part, exclusions, t_grid)
-        jumps[i] = jump_row
-    cont = full - jumps
+    if np.any(t_grid < 0.0) or np.any(t_grid > x.horizon):
+        raise ValueError(f"time outside [0, {x.horizon}]")
+    sel = _jump_grid(x, threshold) | _jump_grid(y, threshold)
+    full, zc = _ladder_sums(x, y, ladder, t_grid, sel)
+    jumps = np.repeat(_jump_rows(x, y, sel, t_grid)[:, None, :], len(ladder), axis=1)
     return CovariationReport(
-        levels=tuple(levels) if levels is not None else tuple(range(n_l)),
+        levels=tuple(levels) if levels is not None else tuple(range(len(ladder))),
         meshes=tuple(ladder.meshes),
         t_grid=t_grid,
         full=full,
         jumps=jumps,
-        continuous_part=cont,
+        continuous_part=full - jumps,
         zcqv=zc,
     )
 
 
-def ucp_exceedance(reports: list, eps: float) -> list:
-    """Fraction of paths with sup_t |full_level - full_finest| > eps, per level."""
-    n_l = reports[0].full.shape[0]
-    out = []
-    for i in range(n_l):
-        count = 0
-        for rep in reports:
-            if np.max(np.abs(rep.full[i] - rep.full[-1])) > eps:
-                count += 1
-        out.append(count / len(reports))
-    return out
+def ucp_exceedance(full: np.ndarray, eps: float) -> list:
+    """Fraction of paths with sup_t |full_level - full_finest| > eps, per level.
+
+    full is the (n_paths, n_levels, n_t) array of a CovariationReport.
+    """
+    dev = np.max(np.abs(full - full[:, -1:, :]), axis=2)
+    return (np.count_nonzero(dev > eps, axis=0) / full.shape[0]).tolist()

@@ -25,8 +25,8 @@ from .calculus import CovariationReport, covariation_ladder, ucp_exceedance
 from .config import ExperimentConfig, apply_overrides, load_config
 from .errors import ConfigurationError, GenerationError
 from .functions import builtin_library, make_function
-from .generators import generate
-from .partitions import ExclusionSet, RefinementLadder
+from .generators import generate, iter_blocks
+from .partitions import RefinementLadder
 from .paths import path_from_csv
 
 
@@ -93,28 +93,19 @@ def cmd_simulate(cfg: ExperimentConfig) -> tuple:
 
 def cmd_qv(cfg: ExperimentConfig) -> tuple:
     spec = cfg.generator_spec()
-    ens = generate(spec, cfg.n_paths)
-    ladder = RefinementLadder.dyadic(ens.horizon, cfg.l_min, cfg.l_max, grid_times=ens[0].times)
-    t_grid = np.linspace(0.0, ens.horizon, 65)
-    reports = []
-    for path in ens:
-        s = ExclusionSet.from_jumps(path, threshold=cfg.jump_threshold)
-        reports.append(
-            covariation_ladder(
-                path, path, ladder, s, t_grid, threshold=cfg.jump_threshold,
-                levels=tuple(range(cfg.l_min, cfg.l_max + 1)),
-            )
-        )
-    median = CovariationReport(
-        levels=reports[0].levels,
-        meshes=reports[0].meshes,
-        t_grid=t_grid,
-        full=np.median([r.full for r in reports], axis=0),
-        jumps=np.median([r.jumps for r in reports], axis=0),
-        continuous_part=np.median([r.continuous_part for r in reports], axis=0),
-        zcqv=np.median([r.zcqv for r in reports], axis=0),
+    times = spec.grid()
+    horizon = float(times[-1])
+    ladder = RefinementLadder.dyadic(horizon, cfg.l_min, cfg.l_max, grid_times=times)
+    t_grid = np.linspace(0.0, horizon, 65)
+    levels = tuple(range(cfg.l_min, cfg.l_max + 1))
+    per_path = CovariationReport.concat(
+        [
+            covariation_ladder(ens, ens, ladder, t_grid, threshold=cfg.jump_threshold, levels=levels)
+            for ens in iter_blocks(spec, 0, cfg.n_paths)
+        ]
     )
-    exceed = ucp_exceedance(reports, cfg.ucp_eps)
+    median = per_path.median()
+    exceed = ucp_exceedance(per_path.full, cfg.ucp_eps)
     summary = {
         "experiment": "qv",
         "generator": spec.kind,
@@ -123,7 +114,7 @@ def cmd_qv(cfg: ExperimentConfig) -> tuple:
         "levels": list(median.levels),
         "meshes": [float(m) for m in median.meshes],
         "exceedance_fraction": exceed,
-        "final_t_median_full": [float(v) for v in median.full[:, -1]],
+        "final_t_median_full": [float(v) for v in median.full[0, :, -1]],
         "config": cfg.report_dict(),
     }
     files = {"covariation.csv": median.to_csv(), "summary.json": _json_text(summary)}
@@ -141,8 +132,7 @@ def cmd_decompose(cfg: ExperimentConfig) -> tuple:
         jump_threshold=cfg.jump_threshold,
         workers=cfg.workers,
     )
-    # the tanaka pipeline decomposes the configured function on Brownian paths
-    result = dec.run_suite("tanaka", suite_cfg)
+    result = dec.run_decompose(suite_cfg)
     payload = result.to_dict()
     payload["config"] = cfg.report_dict()
     files = {"verdict.json": _json_text(payload), "levels.csv": _verdict_csv(result.verdict)}

@@ -308,29 +308,39 @@ def _compound_poisson_spec(cfg: SuiteConfig, seed_offset: int = 0) -> GeneratorS
     return replace(spec, kind="compound_poisson", jump_rate=rate, seed=spec.seed + seed_offset)
 
 
+def _decomposition_suite(
+    name: str, cfg: SuiteConfig, genspec: GeneratorSpec, fexpr: str, extra
+) -> SuiteResult:
+    levels = _suite_levels(cfg)
+    rows = map_chunked(
+        _decomposition_stats, cfg.n_paths, cfg.workers, args=(genspec, fexpr, cfg, extra)
+    )
+    stats = np.asarray([r[0] for r in rows])
+    verdict = summarize_zcqv(stats, levels, _meshes(genspec, levels), cfg.pass_fraction)
+    kink = [r[1] for r in rows]
+    details = {
+        "generator": genspec.kind,
+        "function": fexpr,
+        "median_kink_qv_mass": float(np.median(kink)),
+        "mean_final_v": float(np.mean([r[2] for r in rows])),
+    }
+    return SuiteResult(name=name, verdict=verdict, expected_pass=True, details=details)
+
+
+def run_decompose(cfg: SuiteConfig) -> SuiteResult:
+    """The tanaka pipeline on the configured generator, not forced Brownian."""
+    return _decomposition_suite("tanaka", cfg, cfg.generator, cfg.function or "abs", np.empty(0))
+
+
 def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
     levels = _suite_levels(cfg)
 
-    if name in ("tanaka", "moving_kink", "moving_kink_jump"):
-        if name == "tanaka":
-            genspec, fexpr, extra = _brownian_spec(cfg), cfg.function or "abs", np.empty(0)
-        else:
-            fexpr = "moving_kink(k_jump=0.5)"
-            extra = np.asarray([0.5])
-            genspec = _brownian_spec(cfg) if name == "moving_kink" else _jump_diffusion_spec(cfg)
-        rows = map_chunked(
-            _decomposition_stats, cfg.n_paths, cfg.workers, args=(genspec, fexpr, cfg, extra)
-        )
-        stats = np.asarray([r[0] for r in rows])
-        verdict = summarize_zcqv(stats, levels, _meshes(genspec, levels), cfg.pass_fraction)
-        kink = [r[1] for r in rows]
-        details = {
-            "generator": genspec.kind,
-            "function": fexpr,
-            "median_kink_qv_mass": float(np.median(kink)),
-            "mean_final_v": float(np.mean([r[2] for r in rows])),
-        }
-        return SuiteResult(name=name, verdict=verdict, expected_pass=True, details=details)
+    if name == "tanaka":
+        return _decomposition_suite(name, cfg, _brownian_spec(cfg), cfg.function or "abs", np.empty(0))
+
+    if name in ("moving_kink", "moving_kink_jump"):
+        genspec = _brownian_spec(cfg) if name == "moving_kink" else _jump_diffusion_spec(cfg)
+        return _decomposition_suite(name, cfg, genspec, "moving_kink(k_jump=0.5)", np.asarray([0.5]))
 
     if name == "negative_control":
         genspec = _brownian_spec(cfg)

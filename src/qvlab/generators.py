@@ -17,12 +17,12 @@ numpy operations across the rows.  Every row sees exactly the IEEE operation
 sequence of a path stepped alone, so results are bit-identical to per-path
 construction, and a non-finite coefficient names the seed and path index.
 
-Chunked callers use iter_paths, which calls generate for at most CHUNK (64)
-consecutive indices at a time, so a chunk task holds one block of at most
-64 rows.  The time loop costs a fixed number of numpy calls per step
-whatever the row count: replaying one Euler path with make_path is a
-one-row block, several times slower than a scalar loop would be, which only
-matters for one-off replays.
+Chunked callers use iter_blocks, which calls generate for at most CHUNK (64)
+consecutive indices at a time, or iter_paths, which yields those blocks'
+rows, so a chunk task holds one block of at most 64 rows.  The time loop
+costs a fixed number of numpy calls per step whatever the row count:
+replaying one Euler path with make_path is a one-row block, several times
+slower than a scalar loop would be, which only matters for one-off replays.
 
 Coefficient callbacks (sigma, b, sigma_of_x) are selected by name from a
 small registry so that specs stay picklable and expressible in config files;
@@ -462,7 +462,9 @@ def gen_lamperti_dirichlet(spec: GeneratorSpec, n_paths: int) -> LampertiResult:
     transform = build_transform(spec)
     x, y, marks = _lamperti_blocks(spec, n_paths, 0, transform)
     return LampertiResult(
-        x=_ensemble(spec, x, marks, 0), y=_ensemble(spec, y, marks, 0), transform=transform
+        x=PathEnsemble(times=spec.grid(), values=x, marks=marks),
+        y=PathEnsemble(times=spec.grid(), values=y, marks=marks),
+        transform=transform,
     )
 
 
@@ -478,16 +480,6 @@ _BUILDERS = {
 }
 
 
-def _ensemble(spec: GeneratorSpec, values: np.ndarray, marks: np.ndarray, start: int) -> PathEnsemble:
-    # the blocks themselves are read-only, so no caller can write through .base
-    values.setflags(write=False)
-    marks.setflags(write=False)
-    times = spec.grid()
-    paths = tuple(SamplePath(times=times, values=v, jump_marks=m) for v, m in zip(values, marks))
-    seeds = tuple((spec.seed, start + r) for r in range(len(paths)))
-    return PathEnsemble(paths=paths, seeds=seeds, meta={"kind": spec.kind, "seed": spec.seed})
-
-
 def generate(spec: GeneratorSpec, n_paths: int, start: int = 0) -> PathEnsemble:
     """Paths start .. start+n_paths-1 as row views of one read-only block.
 
@@ -498,7 +490,7 @@ def generate(spec: GeneratorSpec, n_paths: int, start: int = 0) -> PathEnsemble:
     if n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
     values, marks = _BUILDERS[spec.kind](spec, n_paths, start)
-    return _ensemble(spec, values, marks, start)
+    return PathEnsemble(times=spec.grid(), values=values, marks=marks)
 
 
 def make_path(spec: GeneratorSpec, index: int) -> SamplePath:
@@ -506,7 +498,13 @@ def make_path(spec: GeneratorSpec, index: int) -> SamplePath:
     return generate(spec, 1, start=index)[0]
 
 
+def iter_blocks(spec: GeneratorSpec, lo: int, hi: int):
+    """Ensembles of paths lo .. hi-1 in index order, at most CHUNK rows each."""
+    for b in range(lo, hi, CHUNK):
+        yield generate(spec, min(b + CHUNK, hi) - b, start=b)
+
+
 def iter_paths(spec: GeneratorSpec, lo: int, hi: int):
     """Paths lo .. hi-1 in index order, generated at most CHUNK rows at a time."""
-    for b in range(lo, hi, CHUNK):
-        yield from generate(spec, min(b + CHUNK, hi) - b, start=b)
+    for ens in iter_blocks(spec, lo, hi):
+        yield from ens

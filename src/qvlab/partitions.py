@@ -96,12 +96,6 @@ class ExclusionSet:
         return cls(times=np.empty(0))
 
     @classmethod
-    def union(cls, *sets) -> "ExclusionSet":
-        if not sets:
-            return cls.empty()
-        return cls(times=np.concatenate([s.times for s in sets]))
-
-    @classmethod
     def from_jumps(cls, *paths: SamplePath, threshold: float = np.inf) -> "ExclusionSet":
         """Default S construction: the paths' jump times.
 
@@ -110,9 +104,6 @@ class ExclusionSet:
         """
         times = [p.jump_times(threshold) for p in paths]
         return cls(times=np.concatenate(times) if times else np.empty(0))
-
-    def with_times(self, extra) -> "ExclusionSet":
-        return ExclusionSet(times=np.concatenate([self.times, np.asarray(extra, dtype=float)]))
 
     def __len__(self) -> int:
         return self.times.size

@@ -142,23 +142,31 @@ def path_from_csv(text: str, jump_threshold: float | None = None) -> SamplePath:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Ordered collection of paths on a shared horizon.
+    """Paths on one shared time grid, held as read-only blocks.
 
-    Each path is reproducible from (master seed, path index); `seeds` records
-    the per-path Philox keys.
+    times is the (n_steps+1,) grid; values and marks are (n_paths, n_steps+1)
+    blocks whose row i is path i.  The row SamplePath views are built once,
+    so iterating or indexing the ensemble yields the same objects.
     """
 
-    paths: tuple
-    seeds: tuple
-    meta: dict = field(default_factory=dict)
+    times: np.ndarray
+    values: np.ndarray
+    marks: np.ndarray
+    paths: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.paths:
+        times = np.asarray(self.times, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
+        marks = np.asarray(self.marks, dtype=bool)
+        if values.ndim != 2 or values.shape[0] == 0:
             raise ValueError("ensemble must contain at least one path")
-        h = self.paths[0].horizon
-        for p in self.paths:
-            if p.horizon != h:
-                raise ValueError("all paths must share the horizon")
+        if marks.shape != values.shape or values.shape[1:] != times.shape:
+            raise ValueError("values and marks must be (n_paths, len(times)) blocks")
+        for name, arr in (("times", times), ("values", values), ("marks", marks)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        paths = tuple(SamplePath(times=times, values=v, jump_marks=m) for v, m in zip(values, marks))
+        object.__setattr__(self, "paths", paths)
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -171,4 +179,4 @@ class PathEnsemble:
 
     @property
     def horizon(self) -> float:
-        return self.paths[0].horizon
+        return float(self.times[-1])

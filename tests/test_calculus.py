@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qvlab.calculus import (
+    CovariationReport,
     covariation_ladder,
     cross_statistic,
     ito_cumulative,
@@ -11,8 +14,16 @@ from qvlab.calculus import (
     ucp_exceedance,
     zcqv_statistic,
 )
-from qvlab.generators import GeneratorSpec, generate
-from qvlab.partitions import ExclusionSet, Partition, RefinementLadder, dyadic_partition
+from qvlab.generators import GeneratorSpec, generate, iter_blocks
+from qvlab.partitions import (
+    ExclusionSet,
+    Partition,
+    RefinementLadder,
+    dyadic_partition,
+    dyadic_partition_on_grid,
+    inclusion_mask,
+)
+from qvlab.paths import PathEnsemble
 
 from conftest import toy_path
 
@@ -193,32 +204,34 @@ def test_cross_statistic_zero_when_jumps_excluded(cp_ensemble, brownian_200_l12)
         assert cross_statistic(z, y, part, s, 1.0) == 0.0
 
 
+def _rows(ens, lo, hi):
+    return PathEnsemble(times=ens.times, values=ens.values[lo:hi], marks=ens.marks[lo:hi])
+
+
 def test_covariation_ladder_report(brownian_200_l12):
-    x = brownian_200_l12[0]
+    x = _rows(brownian_200_l12, 0, 1)
     ladder = RefinementLadder.dyadic(1.0, 4, 8, grid_times=x.times)
     t_grid = np.linspace(0.0, 1.0, 17)
-    rep = covariation_ladder(x, x, ladder, ExclusionSet.empty(), t_grid,
-                             levels=tuple(range(4, 9)))
+    rep = covariation_ladder(x, x, ladder, t_grid, levels=tuple(range(4, 9)))
+    assert rep.full.shape == (1, 5, 17)
     # report consistency: sweep full sums at grid times match scalar op
     for i, part in enumerate(ladder):
         for j, t in enumerate(t_grid):
-            direct = qv_partition(x, x, part, float(t))
-            assert rep.full[i, j] == pytest.approx(direct, abs=1e-12)
-            direct_z = zcqv_statistic(x, part, ExclusionSet.empty(), float(t))
-            assert rep.zcqv[i, j] == pytest.approx(direct_z, abs=1e-12)
+            direct = qv_partition(x[0], x[0], part, float(t))
+            assert rep.full[0, i, j] == pytest.approx(direct, abs=1e-12)
+            direct_z = zcqv_statistic(x[0], part, ExclusionSet.empty(), float(t))
+            assert rep.zcqv[0, i, j] == pytest.approx(direct_z, abs=1e-12)
     assert np.all(rep.continuous_part == rep.full - rep.jumps)
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0] == "level,mesh,t,full_sum,jump_sum,continuous_part,zcqv_stat"
 
 
 def test_covariation_ladder_cp_zcqv_column_zero(cp_ensemble):
-    z = cp_ensemble[1]
-    ladder = RefinementLadder.dyadic(1.0, 8, 12, grid_times=z.times)
-    s = ExclusionSet.from_jumps(z)
-    rep = covariation_ladder(z, z, ladder, s, np.linspace(0, 1, 9), threshold=np.inf)
+    ladder = RefinementLadder.dyadic(1.0, 8, 12, grid_times=cp_ensemble.times)
+    rep = covariation_ladder(cp_ensemble, cp_ensemble, ladder, np.linspace(0, 1, 9), threshold=np.inf)
     assert np.all(rep.zcqv == 0.0)
     # continuous part = full - jumps vanishes once every cell isolates a jump
-    assert np.allclose(rep.continuous_part[-1], 0.0, atol=1e-12)
+    assert np.allclose(rep.continuous_part[:, -1], 0.0, atol=1e-12)
 
 
 def test_independent_brownians_cross_variation_small():
@@ -232,12 +245,134 @@ def test_independent_brownians_cross_variation_small():
 
 
 def test_ucp_exceedance_decreases(brownian_200_l12):
-    ladder = RefinementLadder.dyadic(1.0, 4, 12, grid_times=brownian_200_l12[0].times)
+    ladder = RefinementLadder.dyadic(1.0, 4, 12, grid_times=brownian_200_l12.times)
     t_grid = np.linspace(0.0, 1.0, 33)
-    reports = [
-        covariation_ladder(p, p, ladder, ExclusionSet.empty(), t_grid)
-        for p in list(brownian_200_l12)[:50]
-    ]
-    exc = ucp_exceedance(reports, eps=0.1)
+    ens = _rows(brownian_200_l12, 0, 50)
+    exc = ucp_exceedance(covariation_ladder(ens, ens, ladder, t_grid).full, eps=0.1)
     assert exc[-1] == 0.0
     assert exc[0] >= exc[-2]
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracle for the block ladder sweep: the per-path sweep it replaced,
+# with one jump_sum call per t
+
+
+def _reference_stopped(x, y, partition, t_grid):
+    cuts = np.minimum(partition.cut_times, x.horizon)
+    xv = x.eval_many(cuts)
+    yv = y.eval_many(cuts)
+    cum = np.concatenate([[0.0], np.cumsum(np.diff(xv) * np.diff(yv))])
+    j = np.searchsorted(partition.cut_times, t_grid, side="right") - 1
+    j = np.clip(j, 0, partition.n_cells)
+    xt = x.eval_many(t_grid)
+    yt = y.eval_many(t_grid)
+    boundary = np.where(j < partition.n_cells, (xt - xv[j]) * (yt - yv[j]), 0.0)
+    return cum[j] + boundary
+
+
+def _reference_included(x, y, partition, exclusions, t_grid):
+    cuts = np.minimum(partition.cut_times, x.horizon)
+    xv = x.eval_many(cuts)
+    yv = y.eval_many(cuts)
+    dxdy = np.diff(xv) * np.diff(yv)
+    mask = inclusion_mask(partition, exclusions, np.inf)
+    cum = np.concatenate([[0.0], np.cumsum(np.where(mask, dxdy, 0.0))])
+    return cum[np.searchsorted(partition.cut_times[1:], t_grid, side="left")]
+
+
+def _reference_ladder(x, y, ladder, t_grid, threshold):
+    """(full, jumps, continuous_part, zcqv) of one path pair, (n_levels, n_t) each."""
+    exclusions = ExclusionSet.from_jumps(x, y, threshold=threshold)
+    n_l, n_t = len(ladder), t_grid.size
+    full = np.empty((n_l, n_t))
+    zc = np.empty((n_l, n_t))
+    jumps = np.empty((n_l, n_t))
+    jump_row = np.asarray([jump_sum(x, y, t, threshold) for t in t_grid])
+    for i, part in enumerate(ladder):
+        full[i] = _reference_stopped(x, y, part, t_grid)
+        zc[i] = _reference_included(x, y, part, exclusions, t_grid)
+        jumps[i] = jump_row
+    return full, jumps, full - jumps, zc
+
+
+def _reference_ucp(fulls, eps):
+    out = []
+    for i in range(fulls[0].shape[0]):
+        count = sum(1 for f in fulls if np.max(np.abs(f[i] - f[-1])) > eps)
+        out.append(count / len(fulls))
+    return out
+
+
+ORACLE_CASES = {
+    "brownian": (dict(kind="brownian"), None, np.inf),
+    "jump_diffusion": (dict(kind="jump_diffusion", jump_rate=20.0, sigma="abs_shift(0.5, 0.5)"), None, 0.1),
+    "compound_poisson": (dict(kind="compound_poisson", jump_rate=30.0), None, np.inf),
+    "cross_pair": (
+        dict(kind="brownian"),
+        dict(kind="jump_diffusion", jump_rate=20.0, jump_law="uniform(-1, 3)", seed=99),
+        0.08,
+    ),
+}
+
+
+def _oracle_ladder(times):
+    # a partition past the horizon and an uneven one short of it exercise the
+    # gathered (not strided) cut indices; the dyadic levels are strided views
+    uneven = Partition(cut_times=times[[0, 5, 90, 300, 301, 700]])
+    beyond = Partition(cut_times=np.asarray([0.0, 0.5, 1.0, 1.5]))
+    dyadic = [dyadic_partition_on_grid(times, level) for level in range(3, 11)]
+    return RefinementLadder(levels=(beyond, uneven, *dyadic))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_covariation_ladder_matches_per_path_reference(name):
+    xkw, ykw, threshold = ORACLE_CASES[name]
+    xspec = GeneratorSpec(n_steps=1024, seed=2024, **xkw)
+    yspec = xspec if ykw is None else GeneratorSpec(n_steps=1024, **ykw)
+    times = xspec.grid()
+    ladder = _oracle_ladder(times)
+    rng = np.random.default_rng(7)
+    t_grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, 33), rng.uniform(0.0, 1.0, 16), times[[3, 301]]]))
+    blocks = []
+    for xb, yb in zip(iter_blocks(xspec, 0, 130), iter_blocks(yspec, 0, 130)):
+        y = xb if ykw is None else yb
+        blocks.append(covariation_ladder(xb, y, ladder, t_grid, threshold=threshold))
+    rep = CovariationReport.concat(blocks)
+    xs = generate(xspec, 130)
+    ys = xs if ykw is None else generate(yspec, 130)
+    ref = [_reference_ladder(x, y, ladder, t_grid, threshold) for x, y in zip(xs, ys)]
+    for k, name in enumerate(("full", "jumps", "continuous_part", "zcqv")):
+        got = getattr(rep, name)
+        assert got.shape == (130, len(ladder), t_grid.size)
+        assert got.tobytes() == np.stack([r[k] for r in ref]).tobytes(), name
+    if ykw is not None or threshold < np.inf:
+        assert np.any(rep.jumps != 0.0) and np.any(rep.zcqv != rep.full)
+    for eps in (0.01, 0.1):
+        assert ucp_exceedance(rep.full, eps) == _reference_ucp([r[0] for r in ref], eps)
+
+
+def test_covariation_ladder_needs_cuts_on_the_grid(brownian_200_l12):
+    ens = _rows(brownian_200_l12, 0, 2)
+    off_grid = RefinementLadder(levels=(Partition(cut_times=np.asarray([0.0, 0.3, 1.0])),))
+    with pytest.raises(ValueError, match="grid"):
+        covariation_ladder(ens, ens, off_grid, np.linspace(0.0, 1.0, 5))
+
+
+def test_ladder_sweep_peak_memory_within_four_value_blocks():
+    spec = GeneratorSpec(kind="brownian", n_steps=4096, seed=12345)
+    times = spec.grid()
+    ladder = RefinementLadder.dyadic(1.0, 6, 12, grid_times=times)
+    t_grid = np.linspace(0.0, 1.0, 65)
+    # a one-row run first, so lazily built module state is not counted
+    warm = generate(spec, 1)
+    covariation_ladder(warm, warm, ladder, t_grid, threshold=0.05)
+    tracemalloc.start()
+    try:
+        ens = generate(spec, 64)
+        rep = covariation_ladder(ens, ens, ladder, t_grid, threshold=0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.full.shape == (64, 7, 65)
+    assert peak <= 4 * ens.values.nbytes

@@ -218,7 +218,7 @@ def test_make_theta_validation():
 
 def test_empty_ensemble_rejected():
     with pytest.raises(ValueError):
-        PathEnsemble(paths=(), seeds=())
+        PathEnsemble(times=np.linspace(0, 1, 3), values=np.empty((0, 3)), marks=np.empty((0, 3), bool))
     spec = GeneratorSpec(kind="brownian", n_steps=8, seed=0)
     with pytest.raises(ValueError):
         estimate_call_surface(spec, np.linspace(0, 1, 3), np.linspace(-1, 1, 3), n_paths=0)

@@ -185,3 +185,17 @@ def test_decompose_reports_the_function_it_ran(tmp_path, name):
     assert payload["function"] == name
     assert payload["experiment"] == "tanaka"
 
+
+
+def test_decompose_runs_the_configured_generator(tmp_path):
+    payloads = {}
+    for kind in ("brownian", "jump_diffusion"):
+        cfg = _small_gen_config(tmp_path, generator={"kind": kind, "n_steps": 256, "jump_rate": 3.0},
+                                n_paths=4, l_min=2, l_max=6)
+        out = tmp_path / kind
+        assert main(["decompose", "--config", cfg, "--out", str(out)]) in (0, 1)
+        payloads[kind] = json.loads((out / "verdict.json").read_text())
+        assert payloads[kind]["generator"] == kind
+        assert payloads[kind]["config"]["generator"]["kind"] == kind
+    # same seed, different paths: the jumps reach V
+    assert payloads["brownian"]["mean_final_v"] != payloads["jump_diffusion"]["mean_final_v"]

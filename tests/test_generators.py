@@ -13,6 +13,7 @@ from qvlab.generators import (
     build_transform,
     gen_lamperti_dirichlet,
     generate,
+    iter_blocks,
     iter_paths,
     make_coefficient,
     make_jump_law,
@@ -366,7 +367,8 @@ def test_block_generation_matches_scalar_reference(name):
     ref = [_REFERENCE[spec.kind](spec, path_rng(spec.seed, i)) for i in range(130)]
     ens = generate(spec, 130)
     assert all(_same_bits(p, r) for p, r in zip(ens, ref))
-    # iter_paths splits at 64 and 128; make_path is a one-row block
+    # iter_blocks and iter_paths split at 64 and 128; make_path is a one-row block
+    assert [len(b) for b in iter_blocks(spec, 0, 130)] == [64, 64, 2]
     assert all(_same_bits(p, r) for p, r in zip(iter_paths(spec, 0, 130), ref, strict=True))
     for i in (0, 63, 64, 129):
         assert _same_bits(make_path(spec, i), ref[i])
@@ -385,7 +387,7 @@ def test_signed_zero_specs_tell_the_jump_term_apart():
 
 def test_blocks_are_read_only():
     ens = generate(GeneratorSpec(kind="jump_diffusion", n_steps=64, jump_rate=3.0, seed=2), 3)
-    values, marks = ens[0].values.base, ens[0].jump_marks.base
+    values, marks = ens.values, ens.marks
     assert values.shape == (3, 65) and ens[2].values.base is values
     for arr in (values, marks, ens[1].values, ens[1].jump_marks, ens[1].times):
         with pytest.raises(ValueError, match="read-only"):
