@@ -3,12 +3,11 @@
 Simulates cadlag semimartingale-type paths on finite grids, measures
 covariation along refining partitions, builds left-point Ito-sum
 decompositions of nondifferentiable functions of the path, and runs the
-call-surface and grid-calculus identity checks.  The hot partition-sum
-kernels are compiled (Cython) with a bit-identical pure-Python fallback;
-`qvlab._kernels.BACKEND` reports which one is active.
+call-surface and grid-calculus identity checks.  Every partition sum is
+accumulated by one compensated (Kahan) loop in `qvlab._kernels`, in
+ascending cell order, so results are deterministic bit for bit.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .calculus import ito_integral, jump_sum, qv_partition, zcqv_statistic
 from .decomposition import decompose, run_suite, verify_zcqv
 from .functions import builtin_library, make_function
@@ -19,7 +18,6 @@ from .paths import PathEnsemble, SamplePath, path_from_csv
 __version__ = "0.1.0"
 
 __all__ = [
-    "kernel_backend",
     "SamplePath",
     "PathEnsemble",
     "path_from_csv",

@@ -1,9 +1,9 @@
 """Partition sums: covariation approximants, jump sums, the included-cell
 (z.c.q.v.) statistic and left-point Ito sums.
 
-Scalar statistics run through the compensated kernels (ascending cell order,
-Kahan accumulation) so results are deterministic and stable up to 2^14+
-cells.
+Scalar statistics and the jump sums run through one compensated loop,
+`_kernels.kahan_cumsum` (ascending cell order, Kahan accumulation), so
+results are deterministic and stable up to 2^14+ cells.
 
 covariation_ladder sweeps a whole t-grid for every row pair of two
 ensembles at once, one ladder level at a time.  Each level slices both value
@@ -13,9 +13,9 @@ one cumulative sum along the path axis plus one boundary cell, under the
 stopped-value semantics; the included sums zero the cells that hold a time
 of S in place and take a second cumulative sum.  S is the union of both
 paths' jump times under the threshold, read off the mark and value blocks.
-The jump sums come from one Kahan pass per path over its jump terms in time
-order: the compensated state after the last jump <= t is jump_sum at t, bit
-for bit, because Kahan summation in array order computes prefixes.
+The jump sums come from one Kahan prefix pass per path over its jump terms
+in time order: the compensated state after the last jump <= t is jump_sum at
+t, bit for bit, because Kahan summation in array order computes prefixes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _check_pair(x: SamplePath, y: SamplePath) -> None:
 
 def _stopped_values(path: SamplePath, cuts: np.ndarray, t: float) -> np.ndarray:
     stopped = np.minimum(np.minimum(cuts, t), path.horizon)
-    return np.ascontiguousarray(path.eval_many(stopped))
+    return path.eval_many(stopped)
 
 
 def _require_cover(partition: Partition, t: float) -> None:
@@ -72,15 +72,8 @@ def jump_sum(x: SamplePath, y: SamplePath, t: float, threshold: float) -> float:
 
 
 def kahan_sum(terms: np.ndarray) -> float:
-    """Compensated sum in array order (same loop as the kernels)."""
-    s = 0.0
-    c = 0.0
-    for term in terms.tolist():
-        t1 = term - c
-        t2 = s + t1
-        c = (t2 - s) - t1
-        s = t2
-    return s
+    """Compensated sum in array order (the kernels' loop)."""
+    return float(_kernels.kahan_cumsum(terms)[-1])
 
 
 def zcqv_statistic(x: SamplePath, partition: Partition, exclusions: ExclusionSet, t: float) -> float:
@@ -90,8 +83,8 @@ def zcqv_statistic(x: SamplePath, partition: Partition, exclusions: ExclusionSet
     _require_cover(partition, t)
     mask = inclusion_mask(partition, exclusions, t)
     cuts = np.minimum(partition.cut_times, x.horizon)
-    xv = np.ascontiguousarray(x.eval_many(cuts))
-    return float(_kernels.masked_qv_sum(xv, xv, _as_mask(mask)))
+    xv = x.eval_many(cuts)
+    return float(_kernels.masked_qv_sum(xv, xv, mask))
 
 
 def cross_statistic(x: SamplePath, y: SamplePath, partition: Partition, exclusions: ExclusionSet, t: float) -> float:
@@ -100,13 +93,9 @@ def cross_statistic(x: SamplePath, y: SamplePath, partition: Partition, exclusio
     _require_cover(partition, t)
     mask = inclusion_mask(partition, exclusions, t)
     cuts = np.minimum(partition.cut_times, x.horizon)
-    xv = np.ascontiguousarray(x.eval_many(cuts))
-    yv = np.ascontiguousarray(y.eval_many(cuts))
-    return float(_kernels.masked_abs_sum(xv, yv, _as_mask(mask)))
-
-
-def _as_mask(mask: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(mask.astype(np.uint8))
+    xv = x.eval_many(cuts)
+    yv = y.eval_many(cuts)
+    return float(_kernels.masked_abs_sum(xv, yv, mask))
 
 
 def ito_integral(integrand: np.ndarray, y: SamplePath, partition: Partition, t: float) -> float:
@@ -119,7 +108,7 @@ def ito_integral(integrand: np.ndarray, y: SamplePath, partition: Partition, t: 
 
 def ito_cumulative(integrand: np.ndarray, y: SamplePath, partition: Partition, t: float) -> np.ndarray:
     _require_cover(partition, t)
-    eta = np.ascontiguousarray(np.asarray(integrand, dtype=np.float64))
+    eta = np.asarray(integrand, dtype=np.float64)
     if eta.size != partition.n_cells:
         raise ValueError("integrand must supply one value per partition cell")
     yv = _stopped_values(y, partition.cut_times, t)
@@ -210,33 +199,24 @@ def _cut_index(times: np.ndarray, cut_times: np.ndarray):
 def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """jump_sum(x_r, y_r, t, threshold) for every row r and t, bit for bit.
 
-    One Kahan pass per row over its jump terms in time order keeps the state
-    after each term; the value at t is the state after the last jump <= t,
-    which is the compensated sum of exactly those terms in the same order.
+    One Kahan prefix pass per row over its jump terms in time order keeps the
+    state after each term; the value at t is the state after the last jump
+    <= t, which is the compensated sum of exactly those terms in the same order.
     """
     rows, gs = np.nonzero(sel)  # row-major: time order within each row
     left = np.maximum(gs - 1, 0)
     terms = (x.values[rows, gs] - x.values[rows, left]) * (y.values[rows, gs] - y.values[rows, left])
-    prefix = [0.0]  # prefix[k + 1]: the row's state after flat term k
-    s = c = 0.0
-    prev = -1
-    for r, term in zip(rows.tolist(), terms.tolist()):
-        if r != prev:
-            s = c = 0.0
-            prev = r
-        t1 = term - c
-        t2 = s + t1
-        c = (t2 - s) - t1
-        s = t2
-        prefix.append(s)
-    prefix = np.asarray(prefix)
     n, n_grid = sel.shape
+    flat = rows * n_grid + gs
+    # row r's terms sit at flat positions [first[r], first[r + 1])
+    first = np.searchsorted(flat, np.arange(n + 1) * n_grid)
+    # prefix[k + 1]: the row's state after flat term k; every row starts at 0
+    runs = [_kernels.kahan_cumsum(terms[a:b])[1:] for a, b in zip(first[:-1], first[1:])]
+    prefix = np.concatenate([[0.0], *runs])
     # terms of row r at grid times <= t sit at flat positions [first[r], pos)
     upto = np.searchsorted(x.times, t_grid, side="right")
-    flat = rows * n_grid + gs
     pos = np.searchsorted(flat, np.arange(n)[:, None] * n_grid + upto[None, :])
-    first = np.searchsorted(flat, np.arange(n) * n_grid)[:, None]
-    return np.where(pos > first, prefix[pos], 0.0)
+    return np.where(pos > first[:-1, None], prefix[pos], 0.0)
 
 
 def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_grid, sel) -> tuple:

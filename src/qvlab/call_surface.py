@@ -39,10 +39,6 @@ class TestFunction:
     def __call__(self, t, x):
         return self.evaluate(t, x)
 
-    def integral_to(self, t, z):
-        """Theta(t, z) = int_{-inf}^z theta(t, y) dy (for the drift term)."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class BoxIndicator(TestFunction):

@@ -88,7 +88,7 @@ def decompose(f: PathFunction, x: SamplePath, partition: Partition) -> Decomposi
 
     if f.time_independent and f.lipschitz_bound is not None:
         assumptions = "certified: locally Lipschitz, time independent"
-    elif f.has_one_sided_derivatives() and f.dt_measure is not None:
+    elif f.dx_left is not None and f.dx_right is not None and f.dt_measure is not None:
         assumptions = "certified: one-sided derivatives with x-integrable time variation"
     else:
         assumptions = "assumed: differentiability conditions not certified by metadata"
@@ -188,6 +188,8 @@ def verify_zcqv(
         exclusions = [ExclusionSet.empty()] * n
     elif isinstance(exclusions, ExclusionSet):
         exclusions = [exclusions] * n
+    elif len(exclusions) != n:
+        raise ValueError(f"exclusions holds {len(exclusions)} sets for {n} paths")
     stats = np.empty((n, len(ladder)))
     for i, (vp, s) in enumerate(zip(v_paths, exclusions)):
         for j, part in enumerate(ladder):

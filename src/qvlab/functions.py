@@ -55,15 +55,6 @@ class PathFunction:
             return UNKNOWN
         return NOT_DIFFERENTIABLE if bool(self.nondiff_indicator(t, x)) else DIFFERENTIABLE
 
-    def has_one_sided_derivatives(self) -> bool:
-        return self.dx_left is not None and self.dx_right is not None
-
-    def derivative(self, t, x):
-        """Limsup-convention D_x f, preferring closed-form metadata."""
-        if self.dx_exact is not None:
-            return self.dx_exact(t, x)
-        return dx_limsup(self, t, x).value
-
 
 def nabla_a(f: PathFunction, a: float, t, x):
     """Finite difference (f(t, x+a) - f(t, x)) / a."""

@@ -124,11 +124,6 @@ def inclusion_mask(partition: Partition, exclusions: ExclusionSet, t: float) -> 
     return mask
 
 
-def index_set(partition: Partition, exclusions: ExclusionSet, t: float) -> np.ndarray:
-    """Included cell indices k (1-based), sorted."""
-    return np.flatnonzero(inclusion_mask(partition, exclusions, t)) + 1
-
-
 @dataclass(frozen=True)
 class RefinementLadder:
     levels: tuple

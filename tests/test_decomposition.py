@@ -135,6 +135,16 @@ def test_verify_zcqv_inconclusive_below_three_levels():
     assert "inconclusive" in verdict.status
 
 
+@pytest.mark.parametrize("n_sets", [1, 4])
+def test_verify_zcqv_rejects_misaligned_exclusions(brownian_200_l12, n_sets):
+    # zip would stop at the shorter sequence: paths without a set would leave
+    # their rows of the statistics array unwritten
+    paths = list(brownian_200_l12)[:3]
+    ladder = RefinementLadder.dyadic(1.0, 2, 6, grid_times=paths[0].times)
+    with pytest.raises(ValueError, match="exclusions holds"):
+        verify_zcqv(paths, ladder, [ExclusionSet.empty()] * n_sets, 1.0)
+
+
 def test_summarize_zcqv_nonstrict_zero_rule():
     stats = np.zeros((10, 4))
     verdict = summarize_zcqv(stats, (1, 2, 3, 4), (0.5, 0.25, 0.125, 0.0625), 0.1)

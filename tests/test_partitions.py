@@ -9,10 +9,15 @@ from qvlab.partitions import (
     dyadic_partition,
     dyadic_partition_on_grid,
     hitting_partition,
-    index_set,
+    inclusion_mask,
 )
 
 from conftest import toy_path
+
+
+def index_set(partition, exclusions, t):
+    """The paper's included cell indices k (1-based), sorted."""
+    return np.flatnonzero(inclusion_mask(partition, exclusions, t)) + 1
 
 
 def test_dyadic_examples():
