@@ -6,6 +6,15 @@ splits into a continuous-QV term, a drift term and a jump term.  All three
 are computed per path so the pass test compares paired Monte Carlo samples
 (3 sigma) plus an explicit, separately reported discretization budget.
 
+run_identity makes one pass over the ensemble: each chunk task generates its
+paths a block at a time and reads each path's X_t on the t-grid once.  From
+that one row it adds the path's hinges into the surface sums, forms its
+identity terms and, when a function is given, its kink-identity LHS.  The
+reports are pure functions of the pass's arrays, so the surface, the
+identity and the kink check always describe the same paths.  The chunking
+depends only on n_paths and rows are reduced in path order, so the results
+are bit-identical at any worker count.
+
 Conventions: d_t C increments over (t_i, t_{i+1}] pair with theta at the
 right endpoint (cadlag measure); model [X]^c cell increments pair with theta
 at the left endpoint (previsible evaluation).  Model QV comes from the
@@ -23,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import map_chunked
-from .functions import PathFunction
-from .generators import GeneratorSpec, iter_paths, make_coefficient
-from .paths import PathEnsemble
+from .functions import PathFunction, make_function
+from .generators import GeneratorSpec, iter_paths, make_coefficient, make_jump_law
 
 
 @dataclass(frozen=True)
@@ -120,54 +128,14 @@ class CallSurface:
         j = int(np.argmin(np.abs(self.x_grid - x)))
         return self.values[:, j]
 
-
-def _hinge_sums(lo, hi, genspec: GeneratorSpec, t_grid, x_grid):
-    t_grid = np.asarray(t_grid)
-    x_grid = np.asarray(x_grid)
-    s = np.zeros((t_grid.size, x_grid.size))
-    ss = np.zeros_like(s)
-    for path in iter_paths(genspec, lo, hi):
-        xt = path.eval_many(t_grid)
-        h = np.maximum(xt[:, None] - x_grid[None, :], 0.0)
-        s += h
-        ss += h * h
-    return [(s, ss)]
-
-
-def estimate_call_surface(ensemble_or_spec, t_grid, x_grid, n_paths=None, workers=1) -> CallSurface:
-    """Per-cell mean and standard error of (X_t - x)_+.
-
-    Accepts a PathEnsemble, or a GeneratorSpec with n_paths for the chunked
-    (optionally parallel) accumulation path.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    x_grid = np.asarray(x_grid, dtype=float)
-    if isinstance(ensemble_or_spec, PathEnsemble):
-        ens = ensemble_or_spec
-        n = len(ens)
-        s = np.zeros((t_grid.size, x_grid.size))
-        ss = np.zeros_like(s)
-        for path in ens:
-            xt = path.eval_many(t_grid)
-            h = np.maximum(xt[:, None] - x_grid[None, :], 0.0)
-            s += h
-            ss += h * h
-    else:
-        if not n_paths or n_paths < 1:
-            raise ValueError("n_paths required when estimating from a spec")
-        n = n_paths
-        sums = map_chunked(
-            _hinge_sums, n, workers=workers, chunk=_surface_chunk(n), args=(ensemble_or_spec, t_grid, x_grid)
-        )
-        s = np.zeros((t_grid.size, x_grid.size))
-        ss = np.zeros_like(s)
-        for part_s, part_ss in sums:
-            s += part_s
-            ss += part_ss
-    mean = s / n
-    var = np.maximum(ss / n - mean * mean, 0.0)
-    stderr = np.sqrt(var / max(n - 1, 1))
-    return CallSurface(t_grid=t_grid, x_grid=x_grid, values=mean, stderr=stderr, n_paths=n)
+    @classmethod
+    def from_sums(cls, t_grid, x_grid, s, ss, n: int) -> "CallSurface":
+        """Per-cell mean and standard error of (X_t - x)_+ from the sums of
+        the hinges and of their squares over n paths."""
+        mean = s / n
+        var = np.maximum(ss / n - mean * mean, 0.0)
+        stderr = np.sqrt(var / max(n - 1, 1))
+        return cls(t_grid=t_grid, x_grid=x_grid, values=mean, stderr=stderr, n_paths=n)
 
 
 def _surface_chunk(n: int) -> int:
@@ -189,28 +157,6 @@ def convexity_defect(surface: CallSurface) -> float:
 # identity machinery
 
 
-def _model_cells(genspec: GeneratorSpec, path, t_grid):
-    """Model-side cell data on the t_grid: [X]^c increments and drift increments."""
-    qv_rate = genspec.qv_rate()
-    dt = np.diff(t_grid)
-    xt = path.eval_many(t_grid)
-    if qv_rate is None:
-        raise ValueError(f"generator {genspec.kind!r} does not expose model QV")
-    qv_cells = np.asarray(qv_rate(t_grid[:-1], xt[:-1]), dtype=float) * dt
-    if genspec.kind == "brownian":
-        drift_cells = np.zeros_like(dt)
-    elif genspec.kind in ("euler_sde", "jump_diffusion"):
-        b = make_coefficient(genspec.b)
-        drift_cells = np.asarray(b(t_grid[:-1], xt[:-1]), dtype=float) * dt
-    elif genspec.kind == "compound_poisson":
-        from .generators import make_jump_law
-
-        drift_cells = make_jump_law(genspec.jump_law).mean * genspec.jump_rate * dt
-    else:
-        raise ValueError(f"generator {genspec.kind!r} does not expose a drift model")
-    return xt, qv_cells, drift_cells
-
-
 def _gated(theta: TestFunction, t, x):
     """theta clipped to its declared support box: the box is authoritative,
     so values a test function reports outside it never enter the sums."""
@@ -219,42 +165,6 @@ def _gated(theta: TestFunction, t, x):
     x = np.asarray(x, dtype=float)
     inside = (t >= t0) & (t <= t1) & (x >= lo) & (x <= hi)
     return np.where(inside, np.asarray(theta(t, x), dtype=float), 0.0)
-
-
-def _identity_terms(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_centers, dx):
-    """Per-path identity pieces.
-
-    lhs: sum_j dx sum_i theta(t_{i+1}, x_j) (hinge(t_{i+1}) - hinge(t_i))
-    qv:  1/2 sum_i theta(t_i, X_{t_i}) d[X]^c_i          (model increments)
-    drift: sum_i Theta(t_i, X_{t_i}) dA_i                 (pre-jump state)
-    jump: sum over marked jumps s <= t of int_{X_{s-}}^{X_s} (X_s-x) theta dx
-    """
-    theta_right = _gated(theta, t_grid[1:][:, None], x_centers[None, :])
-    out = []
-    for path in iter_paths(genspec, lo, hi):
-        xt, qv_cells, drift_cells = _model_cells(genspec, path, t_grid)
-        hinges = np.maximum(xt[:, None] - x_centers[None, :], 0.0)
-        dh = np.diff(hinges, axis=0)
-        lhs = float(np.sum(theta_right * dh) * dx)
-
-        th_left = _gated(theta, t_grid[:-1], xt[:-1])
-        qv_term = 0.5 * float(np.sum(th_left * qv_cells))
-
-        # drift pairs with the pre-jump state: at a marked jump time the
-        # inner integral's upper limit is the left limit
-        states = xt[:-1]
-        drift_term = float(np.sum(theta.integral_to(t_grid[:-1], states) * drift_cells))
-
-        jump_term = 0.0
-        jt = path.jump_times(np.inf)
-        jt = jt[jt <= t_grid[-1]]
-        for s in jt:
-            before = path.eval_left(s)
-            after = path.eval(s)
-            jump_term += theta.hinge_integral(float(s), float(before), float(after), float(after))
-        out.append((lhs, qv_term, drift_term, jump_term,
-                    float(np.sum(qv_cells)), float(np.sum(np.abs(drift_cells)))))
-    return out
 
 
 @dataclass(frozen=True)
@@ -290,53 +200,32 @@ class IdentityReport:
 
 
 def occupation_identity_check(
-    genspec: GeneratorSpec,
-    theta,
-    n_paths: int,
-    n_t: int = 256,
-    n_x: int = 64,
-    workers: int = 1,
-    sigma_mult: float = 3.0,
+    theta: TestFunction, terms: np.ndarray, t_grid, x_grid, sigma_mult: float = 3.0
 ) -> IdentityReport:
     """Monte Carlo check of the theta-weighted surface-increment identity.
 
-    Pass when |LHS - RHS| <= sigma_mult * stderr(paired difference) + budget;
-    the budget covers t- and x-discretization and is reported separately.
+    terms holds one row per path, as the pass builds it: (lhs, qv, drift,
+    jump, model [X]^c total, model |dA| total).  Pass when |LHS - RHS| <=
+    sigma_mult * stderr(paired difference) + budget; the budget covers t- and
+    x-discretization and is reported separately.
     """
-    theta = make_theta(theta)
-    t0, t1, x_lo, x_hi = theta.box
-    horizon = genspec.horizon
-    t_grid = np.linspace(0.0, horizon, n_t + 1)
-    edges = np.linspace(x_lo, x_hi, n_x + 1)
-    x_centers = 0.5 * (edges[:-1] + edges[1:])
-    dx = float(edges[1] - edges[0])
-
-    rows = map_chunked(
-        _identity_terms,
-        n_paths,
-        workers=workers,
-        chunk=_surface_chunk(n_paths),
-        args=(genspec, theta, t_grid, x_centers, dx),
-    )
-    arr = np.asarray(rows)
-    lhs_p, qv_p, drift_p, jump_p = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    n_paths = terms.shape[0]
+    lhs_p, qv_p, drift_p, jump_p = terms[:, 0], terms[:, 1], terms[:, 2], terms[:, 3]
     diff = lhs_p - (qv_p + drift_p + jump_p)
     stderr = float(diff.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("inf")
     lhs_stderr = float(lhs_p.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("inf")
 
-    dt = horizon / n_t
+    horizon = float(t_grid[-1])
     budget = identity_budget(
         theta,
-        dt=dt,
-        dx=dx,
+        dt=horizon / (t_grid.size - 1),
+        dx=float(x_grid[1] - x_grid[0]),
         horizon=horizon,
-        qv_total=float(arr[:, 4].mean()),
-        drift_total=float(arr[:, 5].mean()),
+        qv_total=float(terms[:, 4].mean()),
+        drift_total=float(terms[:, 5].mean()),
     )
-
-    lhs = float(lhs_p.mean())
-    report = IdentityReport(
-        lhs=lhs,
+    return IdentityReport(
+        lhs=float(lhs_p.mean()),
         rhs_qv_term=float(qv_p.mean()),
         rhs_drift_term=float(drift_p.mean()),
         rhs_jump_term=float(jump_p.mean()),
@@ -346,7 +235,6 @@ def occupation_identity_check(
         passed=bool(abs(float(diff.mean())) <= sigma_mult * stderr + budget),
         n_paths=n_paths,
     )
-    return report
 
 
 def identity_budget(theta: TestFunction, dt: float, dx: float, horizon: float, qv_total: float, drift_total: float) -> float:
@@ -426,29 +314,17 @@ class KinkIdentityReport:
         }
 
 
-def _kink_lhs(lo, hi, genspec: GeneratorSpec, fexpr: str, t_grid):
-    from .functions import make_function
-
-    f = make_function(fexpr)
-    out = []
-    for path in iter_paths(genspec, lo, hi):
-        xt, qv_cells, _ = _model_cells(genspec, path, t_grid)
-        on_kink = np.asarray(f.nondiff_indicator(t_grid[:-1], xt[:-1]), dtype=bool)
-        out.append(float(np.sum(qv_cells[on_kink])))
-    return out
-
-
 def kink_identity_check(
     genspec: GeneratorSpec,
     f: PathFunction,
     surface: CallSurface,
-    n_paths: int,
-    workers: int = 1,
+    lhs_vals,
     sigma_mult: float = 3.0,
 ) -> KinkIdentityReport:
     """Both sides of the nondifferentiability-set identity.
 
-    LHS: ensemble mean of 1{(t, X_t) on the kink set} d[X]^c (model cells).
+    LHS: ensemble mean of lhs_vals, each path's 1{(t, X_t) on the kink set}
+    d[X]^c (model cells), from the pass that built the surface.
     RHS: 2 * sum over kink columns of dx * sum_t |dC|.  For continuous laws
     both are statistically zero up to declared discretization allowances:
     the LHS budget covers kink touches that are structural rather than
@@ -460,11 +336,7 @@ def kink_identity_check(
     if f.nondiff_indicator is None:
         return KinkIdentityReport(0.0, 0.0, 0.0, 0.0, True, True)
     t_grid = surface.t_grid
-    lhs_vals = map_chunked(
-        _kink_lhs, n_paths, workers=workers, chunk=_surface_chunk(n_paths),
-        args=(genspec, f.expression or f.name, t_grid),
-    )
-    lhs_vals = np.asarray(lhs_vals)
+    n_paths = lhs_vals.size
     lhs = float(lhs_vals.mean())
     lhs_budget = float(sigma_mult * lhs_vals.std(ddof=1) / np.sqrt(max(n_paths - 1, 1))) if n_paths > 1 else 0.0
     if bool(f.nondiff_indicator(0.0, genspec.x0)):
@@ -488,3 +360,129 @@ def kink_identity_check(
 
     passed = (lhs <= lhs_budget + 1e-15) and (rhs <= rhs_budget + 1e-15)
     return KinkIdentityReport(lhs, rhs, lhs_budget, rhs_budget, bool(passed), False)
+
+
+# ---------------------------------------------------------------------------
+# the one pass
+
+
+def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_grid, fexpr):
+    """Chunk task: paths lo .. hi-1, each generated once.
+
+    Returns [(s, ss, terms, kink)]: the chunk's sums of the hinges (X_t - x)_+
+    over the surface grid and of their squares, added in path order; one
+    identity-terms row per path; and, when fexpr names a function, each
+    path's kink-identity LHS (else None).  Per path, with x_j the midpoints
+    of x_grid:
+
+    lhs: sum_j dx sum_i theta(t_{i+1}, x_j) (hinge(t_{i+1}) - hinge(t_i))
+    qv:  1/2 sum_i theta(t_i, X_{t_i}) d[X]^c_i          (model increments)
+    drift: sum_i Theta(t_i, X_{t_i}) dA_i                 (pre-jump state)
+    jump: sum over marked jumps s <= t of int_{X_{s-}}^{X_s} (X_s-x) theta dx
+    kink: sum_i 1{(t_i, X_{t_i}) on the kink set} d[X]^c_i
+    """
+    qv_rate = genspec.qv_rate()
+    if qv_rate is None:
+        raise ValueError(f"generator {genspec.kind!r} does not expose model QV")
+    t_left = t_grid[:-1]
+    dt = np.diff(t_grid)
+    b = None
+    if genspec.kind in ("euler_sde", "jump_diffusion"):
+        b = make_coefficient(genspec.b)
+    elif genspec.kind == "compound_poisson":
+        drift_cells = make_jump_law(genspec.jump_law).mean * genspec.jump_rate * dt
+    else:
+        drift_cells = np.zeros_like(dt)
+    on_kink_set = make_function(fexpr).nondiff_indicator if fexpr else None
+
+    x_centers = 0.5 * (x_grid[:-1] + x_grid[1:])
+    dx = float(x_grid[1] - x_grid[0])
+    theta_right = _gated(theta, t_grid[1:][:, None], x_centers[None, :])
+    times = genspec.grid()
+    # X_t as SamplePath.eval_many reads it, and the grid times jumps count at
+    cols = np.searchsorted(times, t_grid, side="right") - 1
+    in_range = times <= t_grid[-1]
+    s = np.zeros((t_grid.size, x_grid.size))
+    ss = np.zeros_like(s)
+    terms = np.empty((hi - lo, 6))
+    kink = np.empty(hi - lo) if on_kink_set else None
+    for i, path in enumerate(iter_paths(genspec, lo, hi)):
+        xt = path.values[cols]
+        h = np.maximum(xt[:, None] - x_grid[None, :], 0.0)
+        s += h
+        ss += h * h
+
+        qv_cells = np.asarray(qv_rate(t_left, xt[:-1]), dtype=float) * dt
+        if b is not None:
+            drift_cells = np.asarray(b(t_left, xt[:-1]), dtype=float) * dt
+        dh = np.diff(np.maximum(xt[:, None] - x_centers[None, :], 0.0), axis=0)
+        lhs = float(np.sum(theta_right * dh) * dx)
+        qv_term = 0.5 * float(np.sum(_gated(theta, t_left, xt[:-1]) * qv_cells))
+        # drift pairs with the pre-jump state: at a marked jump time the
+        # inner integral's upper limit is the left limit
+        drift_term = float(np.sum(theta.integral_to(t_left, xt[:-1]) * drift_cells))
+        jump_term = 0.0
+        for k in np.flatnonzero(path.jump_marks & in_range):
+            before, after = float(path.values[max(k - 1, 0)]), float(path.values[k])
+            jump_term += theta.hinge_integral(float(times[k]), before, after, after)
+        terms[i] = (lhs, qv_term, drift_term, jump_term,
+                    float(np.sum(qv_cells)), float(np.sum(np.abs(drift_cells))))
+        if on_kink_set is not None:
+            on_kink = np.asarray(on_kink_set(t_left, xt[:-1]), dtype=bool)
+            kink[i] = float(np.sum(qv_cells[on_kink]))
+    return [(s, ss, terms, kink)]
+
+
+def _one_pass(genspec: GeneratorSpec, theta: TestFunction, t_grid, x_grid, n_paths: int, fexpr=None, workers=1):
+    """(s, ss, terms, kink) over all n_paths: the chunk sums added in chunk
+    order, the per-path rows stacked in path order."""
+    parts = map_chunked(
+        _pass_chunk, n_paths, workers=workers, chunk=_surface_chunk(n_paths),
+        args=(genspec, theta, t_grid, x_grid, fexpr),
+    )
+    s = np.zeros((t_grid.size, x_grid.size))
+    ss = np.zeros_like(s)
+    for part_s, part_ss, _, _ in parts:
+        s += part_s
+        ss += part_ss
+    terms = np.concatenate([p[2] for p in parts])
+    kink = np.concatenate([p[3] for p in parts]) if fexpr else None
+    return s, ss, terms, kink
+
+
+@dataclass(frozen=True)
+class IdentityRun:
+    """The reports of one pass; kink is None when no function was given."""
+
+    surface: CallSurface
+    identity: IdentityReport
+    kink: KinkIdentityReport | None
+
+
+def run_identity(
+    genspec: GeneratorSpec,
+    theta,
+    n_paths: int,
+    n_t: int = 256,
+    n_x: int = 64,
+    f: PathFunction | None = None,
+    workers: int = 1,
+    sigma_mult: float = 3.0,
+) -> IdentityRun:
+    """Surface, occupation identity and (given f) kink identity from one pass.
+
+    The surface sits on n_t + 1 times over [0, horizon] and n_x + 1 points
+    spanning theta's x-range; the identity integrates over the n_x cells of
+    that x-grid.
+    """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    theta = make_theta(theta)
+    t_grid = np.linspace(0.0, genspec.horizon, n_t + 1)
+    x_grid = np.linspace(theta.box[2], theta.box[3], n_x + 1)
+    fexpr = (f.expression or f.name) if f is not None and f.nondiff_indicator is not None else None
+    s, ss, terms, kink_lhs = _one_pass(genspec, theta, t_grid, x_grid, n_paths, fexpr, workers)
+    surface = CallSurface.from_sums(t_grid, x_grid, s, ss, n_paths)
+    identity = occupation_identity_check(theta, terms, t_grid, x_grid, sigma_mult)
+    kink = None if f is None else kink_identity_check(genspec, f, surface, kink_lhs, sigma_mult)
+    return IdentityRun(surface=surface, identity=identity, kink=kink)

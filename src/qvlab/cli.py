@@ -148,32 +148,25 @@ def _verdict_csv(verdict: dec.ZcqvVerdict) -> str:
 
 def cmd_identity(cfg: ExperimentConfig) -> tuple:
     spec = cfg.generator_spec()
-    theta = cs.make_theta(cfg.theta)
-    t_grid = np.linspace(0.0, spec.horizon, cfg.n_t + 1)
-    x_grid = np.linspace(theta.box[2], theta.box[3], cfg.n_x + 1)
-    surface = cs.estimate_call_surface(spec, t_grid, x_grid, n_paths=cfg.n_paths, workers=cfg.workers)
-    mono = cs.monotonicity_check(surface, spec, sigma_mult=cfg.sigma_mult)
-    identity = cs.occupation_identity_check(
-        spec, theta, cfg.n_paths, n_t=cfg.n_t, n_x=cfg.n_x, workers=cfg.workers,
-        sigma_mult=cfg.sigma_mult,
+    run = cs.run_identity(
+        spec, cfg.theta, cfg.n_paths, n_t=cfg.n_t, n_x=cfg.n_x,
+        f=make_function(cfg.function) if cfg.function else None,
+        workers=cfg.workers, sigma_mult=cfg.sigma_mult,
     )
+    mono = cs.monotonicity_check(run.surface, spec, sigma_mult=cfg.sigma_mult)
     report = {
         "experiment": "identity",
         "generator": spec.kind,
-        "surface_convexity_defect": cs.convexity_defect(surface),
+        "surface_convexity_defect": cs.convexity_defect(run.surface),
         "monotonicity": mono.to_dict(),
-        "identity": identity.to_dict(),
+        "identity": run.identity.to_dict(),
         "config": cfg.report_dict(),
     }
-    ok = identity.passed and (mono.skipped or mono.violations == 0)
-    if cfg.function:
-        f = make_function(cfg.function)
-        kink = cs.kink_identity_check(
-            spec, f, surface, cfg.n_paths, workers=cfg.workers, sigma_mult=cfg.sigma_mult
-        )
-        report["kink_identity"] = kink.to_dict()
-        ok = ok and (kink.skipped or kink.passed)
-    files = {"surface.csv": surface.to_csv(), "identity.json": _json_text(report)}
+    ok = run.identity.passed and (mono.skipped or mono.violations == 0)
+    if run.kink is not None:
+        report["kink_identity"] = run.kink.to_dict()
+        ok = ok and (run.kink.skipped or run.kink.passed)
+    files = {"surface.csv": run.surface.to_csv(), "identity.json": _json_text(report)}
     return files, bool(ok)
 
 

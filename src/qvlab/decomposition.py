@@ -244,9 +244,9 @@ def _suite_levels(cfg: SuiteConfig):
 def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteConfig, extra_s_times):
     """Per-path task: generate, decompose on the path grid, statistic per level."""
     f = make_function(fexpr)
+    ladder = RefinementLadder.dyadic(genspec.horizon, cfg.l_min, cfg.l_max, grid_times=genspec.grid())
     out = []
     for path in iter_paths(genspec, lo, hi):
-        ladder = RefinementLadder.dyadic(path.horizon, cfg.l_min, cfg.l_max, grid_times=path.times)
         full_part = Partition(cut_times=path.times)
         result = decompose(f, path, full_part)
         s = ExclusionSet(times=np.concatenate([result.exclusion_times, extra_s_times]))
@@ -257,9 +257,9 @@ def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteC
 
 def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: SuiteConfig):
     """Negative control task: the statistic on X itself, S = its jumps."""
+    ladder = RefinementLadder.dyadic(genspec.horizon, cfg.l_min, cfg.l_max, grid_times=genspec.grid())
     out = []
     for path in iter_paths(genspec, lo, hi):
-        ladder = RefinementLadder.dyadic(path.horizon, cfg.l_min, cfg.l_max, grid_times=path.times)
         s = ExclusionSet.from_jumps(path, threshold=cfg.jump_threshold)
         out.append(tuple(calculus.zcqv_statistic(path, part, s, path.horizon) for part in ladder))
     return out
@@ -267,9 +267,9 @@ def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: SuiteConfig):
 
 def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteConfig):
     """Included-cell |dZ dY| per level, S = Z's jumps; plus the S-empty column."""
+    ladder = RefinementLadder.dyadic(zspec.horizon, cfg.l_min, cfg.l_max, grid_times=zspec.grid())
     out = []
     for z, y in zip(iter_paths(zspec, lo, hi), iter_paths(yspec, lo, hi)):
-        ladder = RefinementLadder.dyadic(z.horizon, cfg.l_min, cfg.l_max, grid_times=z.times)
         s = ExclusionSet.from_jumps(z, y, threshold=cfg.jump_threshold)
         with_s = tuple(calculus.cross_statistic(z, y, part, s, z.horizon) for part in ladder)
         no_s = tuple(
@@ -281,6 +281,7 @@ def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteC
 
 def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: SuiteConfig):
     """Statistic for Z1 + Z2 with S = the union of both jump sets."""
+    ladder = RefinementLadder.dyadic(spec1.horizon, cfg.l_min, cfg.l_max, grid_times=spec1.grid())
     out = []
     for z1, z2 in zip(iter_paths(spec1, lo, hi), iter_paths(spec2, lo, hi)):
         v = SamplePath(
@@ -288,7 +289,6 @@ def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: Sui
             values=z1.values + z2.values,
             jump_marks=z1.jump_marks | z2.jump_marks,
         )
-        ladder = RefinementLadder.dyadic(v.horizon, cfg.l_min, cfg.l_max, grid_times=v.times)
         s = ExclusionSet.from_jumps(z1, z2, threshold=cfg.jump_threshold)
         out.append(tuple(calculus.zcqv_statistic(v, part, s, v.horizon) for part in ladder))
     return out

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qvlab import generators
 from qvlab.cli import main
 from qvlab.config import ExperimentConfig, apply_overrides, load_config
 from qvlab.errors import ConfigurationError
@@ -199,3 +200,34 @@ def test_decompose_runs_the_configured_generator(tmp_path):
         assert payloads[kind]["config"]["generator"]["kind"] == kind
     # same seed, different paths: the jumps reach V
     assert payloads["brownian"]["mean_final_v"] != payloads["jump_diffusion"]["mean_final_v"]
+
+
+def _identity_config(tmp_path):
+    return _small_gen_config(tmp_path, n_paths=130, n_t=32, n_x=16, function="abs")
+
+
+def test_identity_cli_same_bytes_at_any_worker_count(tmp_path):
+    cfg = _identity_config(tmp_path)
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["identity", "--config", cfg, "--workers", workers, "--out", str(out)]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outs[0]) == ["identity.json", "surface.csv"]
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0]["identity.json"])
+    assert report["identity"]["n_paths"] == 130 and not report["kink_identity"]["skipped"]
+
+
+def test_identity_generates_each_path_once(tmp_path, monkeypatch):
+    rows = []
+    real = generators.generate
+
+    def counting(spec, n_paths, start=0):
+        rows.append(n_paths)
+        return real(spec, n_paths, start)
+
+    monkeypatch.setattr(generators, "generate", counting)
+    out = tmp_path / "once"
+    assert main(["identity", "--config", _identity_config(tmp_path), "--out", str(out)]) == 0
+    assert sum(rows) == 130
