@@ -1,55 +1,73 @@
-"""Partition-sum kernels: one compensated (Kahan) prefix-sum loop.
+"""The one compensated (Kahan) summation loop, run across the rows of a block.
 
-Every sum is accumulated in ascending cell order by `kahan_cumsum`; the four
-kernels only form their terms with numpy first.  The results equal a scalar
-loop that forms each term inside the Kahan loop bit for bit: each cell goes
-through the same binary64 operations, and dropping a masked-out cell leaves
-the compensated state exactly as skipping it does.
+`kahan_rows` walks the cells of an (n, K) block of terms once, left to
+right, and updates every row's compensated state (s, c) with numpy
+operations across the rows (a one-row block runs the same statements on
+Python floats).  Each row goes through exactly the binary64 operations of
+the scalar loop
+
+    t1 = term - c;  t2 = s + t1;  c = (t2 - s) - t1;  s = t2
+
+over its own terms in ascending cell order (Kahan, CACM 1965; Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4), so every
+row's sums equal those of summing it alone, bit for bit.  A cell that a
+row's keep mask drops leaves that row's state untouched, exactly as
+skipping the term does.  Callers supply the terms SLAB columns at a time,
+so no full-size block of terms is ever held.
 """
 
 import numpy as np
 
-BACKEND = "python"
+BACKEND = "python"  # read by the benchmark's provenance record
+
+SLAB = 512
+
+
+def kahan_rows(terms, shape, keep=None, out=None) -> np.ndarray:
+    """Compensated sums along each row of an (n, K) block of terms.
+
+    terms(a, b) returns the (n, b - a) terms of cells a .. b-1; it is called
+    for consecutive slabs of at most SLAB cells.  keep: optional (n, K) bool
+    mask of the cells each row sums.  out: optional (n, K) array; out[:, k]
+    receives each row's running sum after cell k.  Returns the (n,) totals.
+
+    A block's state is one array per quantity, updated by whole-column numpy
+    operations; a single row runs the same statements on Python floats,
+    which cost a small fraction of a numpy call per cell.
+    """
+    n, k = shape
+    keep = None if keep is None else np.asarray(keep, dtype=bool)
+    s, c = (np.zeros(n), np.zeros(n)) if n > 1 else (0.0, 0.0)
+    for a in range(0, k, SLAB):
+        b = min(a + SLAB, k)
+        slab = terms(a, b)
+        kept = None if keep is None else keep[:, a:b]
+        every = [True] * (b - a) if kept is None else kept.all(axis=0).tolist()
+        sums = []
+        for j, col in enumerate(slab.T if n > 1 else slab[0].tolist()):
+            t1 = col - c
+            t2 = s + t1
+            if every[j]:
+                c = (t2 - s) - t1
+                s = t2
+            elif n > 1:
+                # rows that drop this cell keep their (s, c) as they were
+                mask = kept[:, j]
+                c = np.where(mask, (t2 - s) - t1, c)
+                s = np.where(mask, t2, s)
+            sums.append(s)
+        if out is not None:
+            out[:, a:b] = np.array(sums).T
+    return np.atleast_1d(s)
 
 
 def kahan_cumsum(terms: np.ndarray) -> np.ndarray:
-    """Compensated running sums of `terms` in array order.
+    """Compensated running sums of the 1-D `terms`: a one-row `kahan_rows`.
 
     Returns len(terms) + 1 values: entry 0 is 0.0 and entry k the sum of the
     first k terms, so the last entry is the compensated total.
     """
-    s = 0.0
-    c = 0.0
-    out = [s]
-    for term in terms.tolist():
-        t1 = term - c
-        t2 = s + t1
-        c = (t2 - s) - t1
-        s = t2
-        out.append(s)
-    return np.array(out)
-
-
-def qv_sum(x, y):
-    """Sum of (x[k]-x[k-1])*(y[k]-y[k-1]) over k = 1..n-1."""
-    return float(kahan_cumsum(np.diff(x) * np.diff(y))[-1])
-
-
-def masked_qv_sum(x, y, mask):
-    """As qv_sum but only over cells k with mask[k-1] nonzero."""
-    return float(kahan_cumsum((np.diff(x) * np.diff(y))[np.asarray(mask, dtype=bool)])[-1])
-
-
-def masked_abs_sum(x, y, mask):
-    """Sum of |dx_k * dy_k| over cells with mask[k-1] nonzero."""
-    return float(kahan_cumsum(np.abs(np.diff(x) * np.diff(y))[np.asarray(mask, dtype=bool)])[-1])
-
-
-def ito_cumsum(eta, y, out):
-    """Left-point Riemann sums: out[k] = sum_{j<=k} eta[j-1]*(y[j]-y[j-1]).
-
-    ``out`` has length len(y); out[0] = 0.  The Kahan carry persists across
-    cells so the final entry equals the scalar compensated sum.
-    """
-    out[:] = kahan_cumsum(eta * np.diff(y))
-    return out
+    terms = np.asarray(terms, dtype=np.float64)
+    out = np.zeros((1, terms.size + 1))
+    kahan_rows(lambda a, b: terms[None, a:b], (1, terms.size), out=out[:, 1:])
+    return out[0]

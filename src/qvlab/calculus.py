@@ -1,21 +1,27 @@
 """Partition sums: covariation approximants, jump sums, the included-cell
 (z.c.q.v.) statistic and left-point Ito sums.
 
-Scalar statistics and the jump sums run through one compensated loop,
-`_kernels.kahan_cumsum` (ascending cell order, Kahan accumulation), so
-results are deterministic and stable up to 2^14+ cells.
+Every compensated sum goes through `_kernels.kahan_rows`, one loop over the
+cells of a block of paths with numpy operations across the rows, so a path
+summed in a block of 64 gets the same bits as a path summed alone.
+`cell_sums` adds dX dY (or |dX dY|) over each row's kept cells and `ito_rows`
+forms each row's left-point Ito running sums; both take (n, K+1) blocks of
+values at the cuts and form their terms a slab of columns at a time.
+`zcqv_ladder` runs the included-cell statistic of a whole block along every
+ladder level, reading the values at the cuts as a strided view.  The scalar
+functions (qv_partition, zcqv_statistic, cross_statistic, ito_integral,
+ito_cumulative, jump_sum) are one-row calls of the same code.
 
 covariation_ladder sweeps a whole t-grid for every row pair of two
 ensembles at once, one ladder level at a time.  Each level slices both value
-blocks at the cut indices (a strided view when the cuts are evenly spaced
-grid times) and forms the products of increments once.  The stopped sums are
-one cumulative sum along the path axis plus one boundary cell, under the
-stopped-value semantics; the included sums zero the cells that hold a time
-of S in place and take a second cumulative sum.  S is the union of both
-paths' jump times under the threshold, read off the mark and value blocks.
-The jump sums come from one Kahan prefix pass per path over its jump terms
-in time order: the compensated state after the last jump <= t is jump_sum at
-t, bit for bit, because Kahan summation in array order computes prefixes.
+blocks at the cut indices and forms the products of increments once.  The
+stopped sums are one cumulative sum along the path axis plus one boundary
+cell, under the stopped-value semantics; the included sums zero the cells
+that hold a time of S in place and take a second cumulative sum.  S is the
+union of both paths' jump times under the threshold, read off the mark and
+value blocks.  The jump sums come from one kernel pass over each row's jump
+terms in time order: the running sum after the last jump <= t is jump_sum
+at t, bit for bit, because Kahan summation in array order computes prefixes.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .partitions import ExclusionSet, Partition, RefinementLadder, inclusion_mask
+from .partitions import ExclusionSet, Partition, RefinementLadder, inclusion_mask, inclusion_rows
 from .paths import PathEnsemble, SamplePath
 
 
@@ -46,6 +52,73 @@ def _require_cover(partition: Partition, t: float) -> None:
         raise ValueError("partition does not cover the evaluation time")
 
 
+# ---------------------------------------------------------------------------
+# block sums
+
+
+def cell_sums(xv: np.ndarray, yv: np.ndarray, keep=None, absolute: bool = False) -> np.ndarray:
+    """Compensated sum of dX dY (|dX dY| when absolute) over each row's cells.
+
+    xv, yv: (n, K+1) values at the cuts; keep: optional (n, K) mask of the
+    cells each row sums.  Returns the (n,) sums.
+    """
+
+    def terms(a, b):
+        d = xv[:, a + 1 : b + 1] - xv[:, a:b]
+        d *= yv[:, a + 1 : b + 1] - yv[:, a:b]
+        return np.abs(d, out=d) if absolute else d
+
+    return _kernels.kahan_rows(terms, (len(xv), xv.shape[1] - 1), keep)
+
+
+def ito_rows(yv: np.ndarray, eta) -> np.ndarray:
+    """Left-point Ito running sums along each row of the (n, K+1) values yv.
+
+    eta(a, b) gives the integrand at left cuts a .. b-1, as an (n, b - a)
+    block or one row that broadcasts.  Returns (n, K+1): column 0 is 0.0 and
+    column k the sum of eta_{j-1} (Y_j - Y_{j-1}) over j <= k.
+    """
+    n, width = yv.shape
+    out = np.empty((n, width))
+    out[:, 0] = 0.0
+    terms = lambda a, b: eta(a, b) * (yv[:, a + 1 : b + 1] - yv[:, a:b])
+    _kernels.kahan_rows(terms, (n, width - 1), out=out[:, 1:])
+    return out
+
+
+def grid_index(times: np.ndarray, cut_times: np.ndarray):
+    """Grid indices of X at the cuts (clamped to the horizon), as
+    SamplePath.eval_many reads them: a slice when they are evenly strided,
+    so blocks are sliced without a copy."""
+    cuts = np.minimum(cut_times, times[-1])
+    idx = np.searchsorted(times, cuts, side="right") - 1
+    step = int(idx[1] - idx[0])
+    if step > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1, step)):
+        return idx, slice(int(idx[0]), int(idx[-1]) + 1, step)
+    return idx, idx
+
+
+def zcqv_ladder(x, times, ladder, t: float, s_rows=(), s_times=(), y=None, absolute: bool = False) -> np.ndarray:
+    """Included-cell statistic of every row at every ladder level: (n, n_levels).
+
+    x (and y) are (n, n_grid) value blocks on the grid `times`.  Row r's S
+    holds s_times[j] for each j with s_rows[j] == r.  A level's statistic is
+    the sum of dX dY (|dX dY| when absolute) over the cells with tau_k < t
+    that miss S, one kernel pass per level; without y it is sum (dX)^2.
+    """
+    y = x if y is None else y
+    out = np.empty((len(x), len(ladder)))
+    for i, part in enumerate(ladder):
+        keep = inclusion_rows(part, t, len(x), s_rows, s_times)
+        _, cut = grid_index(times, part.cut_times)
+        out[:, i] = cell_sums(x[:, cut], y[:, cut], keep, absolute)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# one-path sums
+
+
 def qv_partition(x: SamplePath, y: SamplePath, partition: Partition, t: float) -> float:
     """Covariation along the partition with stopped increments.
 
@@ -56,7 +129,7 @@ def qv_partition(x: SamplePath, y: SamplePath, partition: Partition, t: float) -
     _require_cover(partition, t)
     xv = _stopped_values(x, partition.cut_times, t)
     yv = _stopped_values(y, partition.cut_times, t)
-    return float(_kernels.qv_sum(xv, yv))
+    return float(cell_sums(xv[None], yv[None])[0])
 
 
 def jump_sum(x: SamplePath, y: SamplePath, t: float, threshold: float) -> float:
@@ -72,7 +145,7 @@ def jump_sum(x: SamplePath, y: SamplePath, t: float, threshold: float) -> float:
 
 
 def kahan_sum(terms: np.ndarray) -> float:
-    """Compensated sum in array order (the kernels' loop)."""
+    """Compensated sum in array order (the kernels' loop, one row)."""
     return float(_kernels.kahan_cumsum(terms)[-1])
 
 
@@ -82,9 +155,8 @@ def zcqv_statistic(x: SamplePath, partition: Partition, exclusions: ExclusionSet
     continuous quadratic variation once S absorbs its jumps."""
     _require_cover(partition, t)
     mask = inclusion_mask(partition, exclusions, t)
-    cuts = np.minimum(partition.cut_times, x.horizon)
-    xv = x.eval_many(cuts)
-    return float(_kernels.masked_qv_sum(xv, xv, mask))
+    xv = x.eval_many(np.minimum(partition.cut_times, x.horizon))
+    return float(cell_sums(xv[None], xv[None], mask[None])[0])
 
 
 def cross_statistic(x: SamplePath, y: SamplePath, partition: Partition, exclusions: ExclusionSet, t: float) -> float:
@@ -95,7 +167,7 @@ def cross_statistic(x: SamplePath, y: SamplePath, partition: Partition, exclusio
     cuts = np.minimum(partition.cut_times, x.horizon)
     xv = x.eval_many(cuts)
     yv = y.eval_many(cuts)
-    return float(_kernels.masked_abs_sum(xv, yv, mask))
+    return float(cell_sums(xv[None], yv[None], mask[None], absolute=True)[0])
 
 
 def ito_integral(integrand: np.ndarray, y: SamplePath, partition: Partition, t: float) -> float:
@@ -112,9 +184,7 @@ def ito_cumulative(integrand: np.ndarray, y: SamplePath, partition: Partition, t
     if eta.size != partition.n_cells:
         raise ValueError("integrand must supply one value per partition cell")
     yv = _stopped_values(y, partition.cut_times, t)
-    out = np.empty(yv.size)
-    _kernels.ito_cumsum(eta, yv, out)
-    return out
+    return ito_rows(yv[None], lambda a, b: eta[a:b])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +244,7 @@ class CovariationReport:
         return buf.getvalue()
 
 
-def _jump_grid(ens: PathEnsemble, threshold: float) -> np.ndarray:
+def jump_grid(ens: PathEnsemble, threshold: float) -> np.ndarray:
     """(n_paths, n_grid) mask of SamplePath.jump_times(threshold) on the grid."""
     sel = ens.marks.copy()
     if threshold < np.inf:  # |dX| > inf never holds for finite values
@@ -184,39 +254,39 @@ def _jump_grid(ens: PathEnsemble, threshold: float) -> np.ndarray:
 
 
 def _cut_index(times: np.ndarray, cut_times: np.ndarray):
-    """Grid indices of the cuts (clamped to the horizon): a slice when they
-    are evenly strided, so blocks are sliced without a copy."""
-    cuts = np.minimum(cut_times, times[-1])
-    idx = np.searchsorted(times, cuts)
-    if np.any(times[idx] != cuts):
+    """grid_index for cuts that must all be grid times."""
+    idx, cut = grid_index(times, cut_times)
+    if np.any(times[idx] != np.minimum(cut_times, times[-1])):
         raise ValueError("covariation_ladder needs every cut time on the path grid")
-    step = int(idx[1] - idx[0])
-    if step > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1, step)):
-        return idx, slice(int(idx[0]), int(idx[-1]) + 1, step)
-    return idx, idx
+    return idx, cut
 
 
 def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """jump_sum(x_r, y_r, t, threshold) for every row r and t, bit for bit.
 
-    One Kahan prefix pass per row over its jump terms in time order keeps the
-    state after each term; the value at t is the state after the last jump
-    <= t, which is the compensated sum of exactly those terms in the same order.
+    Row r's jump terms, in time order, fill the first cells of row r of an
+    (n, J) block, and one kernel pass keeps every row's running sums.  The
+    value at t is the running sum after the last jump <= t, which is the
+    compensated sum of exactly those terms in the same order.
     """
     rows, gs = np.nonzero(sel)  # row-major: time order within each row
     left = np.maximum(gs - 1, 0)
     terms = (x.values[rows, gs] - x.values[rows, left]) * (y.values[rows, gs] - y.values[rows, left])
     n, n_grid = sel.shape
+    counts = np.bincount(rows, minlength=n)
+    width = int(counts.max(initial=0))
+    keep = np.arange(width) < counts[:, None]
+    block = np.zeros((n, width))
+    block[keep] = terms
+    # prefix[r, m]: row r's running sum after its first m jumps
+    prefix = np.zeros((n, width + 1))
+    _kernels.kahan_rows(lambda a, b: block[:, a:b], (n, width), keep, out=prefix[:, 1:])
+    # row r's jumps at grid times <= t sit at flat positions [first[r], pos)
     flat = rows * n_grid + gs
-    # row r's terms sit at flat positions [first[r], first[r + 1])
-    first = np.searchsorted(flat, np.arange(n + 1) * n_grid)
-    # prefix[k + 1]: the row's state after flat term k; every row starts at 0
-    runs = [_kernels.kahan_cumsum(terms[a:b])[1:] for a, b in zip(first[:-1], first[1:])]
-    prefix = np.concatenate([[0.0], *runs])
-    # terms of row r at grid times <= t sit at flat positions [first[r], pos)
+    first = np.searchsorted(flat, np.arange(n) * n_grid)
     upto = np.searchsorted(x.times, t_grid, side="right")
     pos = np.searchsorted(flat, np.arange(n)[:, None] * n_grid + upto[None, :])
-    return np.where(pos > first[:-1, None], prefix[pos], 0.0)
+    return np.take_along_axis(prefix, pos - first[:, None], axis=1)
 
 
 def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_grid, sel) -> tuple:
@@ -282,7 +352,7 @@ def covariation_ladder(
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0.0) or np.any(t_grid > x.horizon):
         raise ValueError(f"time outside [0, {x.horizon}]")
-    sel = _jump_grid(x, threshold) | _jump_grid(y, threshold)
+    sel = jump_grid(x, threshold) | jump_grid(y, threshold)
     full, zc = _ladder_sums(x, y, ladder, t_grid, sel)
     jumps = np.repeat(_jump_rows(x, y, sel, t_grid)[:, None, :], len(ladder), axis=1)
     return CovariationReport(

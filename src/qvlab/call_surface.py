@@ -328,10 +328,11 @@ def kink_identity_check(
     RHS: 2 * sum over kink columns of dx * sum_t |dC|.  For continuous laws
     both are statistically zero up to declared discretization allowances:
     the LHS budget covers kink touches that are structural rather than
-    generic (x0 exactly on the kink makes the t=0 cell fire on every path,
-    worth one qv-rate * dt); the RHS budget is the kink-column total
-    variation bound (C(T,x) - C(0,x) + 2 E int |dA|) plus noise
-    rectification, times the discretized column width.
+    generic (x0 exactly on the kink makes every t-cell that starts before
+    the path's first grid step fire on every path, worth qv-rate * dt each);
+    the RHS budget is the kink-column total variation bound
+    (C(T,x) - C(0,x) + 2 E int |dA|) plus noise rectification, times the
+    discretized column width.
     """
     if f.nondiff_indicator is None:
         return KinkIdentityReport(0.0, 0.0, 0.0, 0.0, True, True)
@@ -339,11 +340,15 @@ def kink_identity_check(
     n_paths = lhs_vals.size
     lhs = float(lhs_vals.mean())
     lhs_budget = float(sigma_mult * lhs_vals.std(ddof=1) / np.sqrt(max(n_paths - 1, 1))) if n_paths > 1 else 0.0
-    if bool(f.nondiff_indicator(0.0, genspec.x0)):
-        rate = genspec.qv_rate()
-        if rate is not None:
-            dt0 = float(t_grid[1] - t_grid[0])
-            lhs_budget += float(rate(0.0, genspec.x0)) * dt0
+    rate = genspec.qv_rate()
+    if rate is not None:
+        # the path holds x0 until its first grid step, so every t-cell that
+        # starts before that step reads x0
+        t_left = t_grid[:-1]
+        early = t_left < genspec.grid()[1]
+        early[early] = np.asarray(f.nondiff_indicator(t_left[early], genspec.x0), dtype=bool)
+        if early.any():
+            lhs_budget += float(np.sum(rate(t_left[early], genspec.x0) * np.diff(t_grid)[early]))
 
     # kink columns: x-grid points on the nondifferentiability set at any t
     on_kink_cols = np.zeros(surface.x_grid.size, dtype=bool)

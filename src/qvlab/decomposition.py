@@ -1,10 +1,16 @@
 """Ito-sum decomposition of f(t, X_t) and the zero-continuous-QV verdict.
 
-decompose() realizes f(t, X_t) = sum_k D_x f(tau_{k-1}, X-state) dX + V on a
-partition; verify_zcqv() measures the included-cell squared-increment
-statistic of V across a refinement ladder and turns the decay into a
-pass/fail verdict.  The named suites orchestrate both per path over an
-ensemble, with a deterministic worker pool.
+The decomposition f(t, X_t) = sum_k D_x f(tau_{k-1}, X-state) dX + V runs
+on a block of paths at once.  The integrand state is the value itself, or
+the left limit at a marked jump; eta is f.dx_exact on the (rows x cells)
+state block, the Ito sum is one row-wise kernel pass (calculus.ito_rows) and
+V = f - integral.  The terms and f are formed a slab of columns at a time,
+so V is the only full-size array a block adds.  zcqv_ladder then measures
+the included-cell squared-increment statistic of V at every refinement
+level, one kernel pass per level, and summarize_zcqv turns the decay into a
+pass/fail verdict.  decompose() is a one-row call of the same code, and the
+named suites run it over an ensemble a block at a time, with a
+deterministic worker pool.
 """
 
 from __future__ import annotations
@@ -14,12 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import calculus
+from ._kernels import SLAB
 from ._parallel import map_chunked
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NonFiniteError
 from .functions import PathFunction, dx_limsup, make_function
-from .generators import GeneratorSpec, iter_paths
+from .generators import GeneratorSpec, iter_blocks
 from .partitions import ExclusionSet, Partition, RefinementLadder
-from .paths import SamplePath
+from .paths import PathEnsemble, SamplePath
 
 
 @dataclass(frozen=True)
@@ -36,50 +43,72 @@ class DecompositionResult:
         return float(np.max(np.abs(resid)))
 
 
-def _integrand_states(f: PathFunction, x: SamplePath, cuts: np.ndarray) -> np.ndarray:
-    """State fed to D_x f at each left cut time: the pre-jump value.
+def _integrand_states(values, marks, times, left_cuts) -> np.ndarray:
+    """State fed to D_x f at each left cut time, for every row: the pre-jump value.
 
     At generator-marked jump times the left limit is used; elsewhere the
     cadlag value itself, since between marks the underlying dynamics are
     continuous and the grid's piecewise-constant 'left limit' would lag the
     true state by one cell.
     """
-    left_cuts = cuts[:-1]
-    vals = x.eval_many(left_cuts)
-    marked = x.times[x.jump_marks]
-    if marked.size:
-        is_marked = np.isin(left_cuts, marked)
-        if np.any(is_marked):
-            vals = vals.copy()
-            vals[is_marked] = x.eval_left_many(left_cuts[is_marked])
-    return vals
+    at = np.searchsorted(times, left_cuts, side="right") - 1
+    before = np.maximum(np.searchsorted(times, left_cuts, side="left") - 1, 0)
+    marked = marks[:, at] & (times[at] == left_cuts)
+    return np.where(marked, values[:, before], values[:, at])
+
+
+def _eta(f: PathFunction, t: np.ndarray, states: np.ndarray) -> np.ndarray:
+    if f.dx_exact is not None:
+        return np.asarray(f.dx_exact(t, states), dtype=float)
+    return np.asarray(
+        [[dx_limsup(f, float(tk), float(sk)).value for tk, sk in zip(t, row)] for row in states]
+    )
+
+
+def _ito_block(f: PathFunction, values, marks, times, cuts) -> tuple:
+    """(values at the cuts, left-point Ito running sums) for every row."""
+    _, at = calculus.grid_index(times, cuts)
+    xv = values[:, at]
+    eta = lambda a, b: _eta(f, cuts[a:b], _integrand_states(values, marks, times, cuts[a:b]))
+    return xv, calculus.ito_rows(xv, eta)
+
+
+def _kink_mass(f: PathFunction, cuts, xv) -> np.ndarray:
+    """Per row: sum of (dX)^2 over the cells whose right end is on f's kink set."""
+    if f.nondiff_indicator is None:
+        return np.full(len(xv), np.nan)
+    rows, k = np.nonzero(np.asarray(f.nondiff_indicator(cuts[1:], xv[:, 1:]), dtype=bool))
+    dxsq = (xv[rows, k + 1] - xv[rows, k]) ** 2
+    bounds = np.searchsorted(rows, np.arange(len(xv) + 1))
+    return np.array([float(np.sum(dxsq[a:b])) for a, b in zip(bounds[:-1], bounds[1:])])
+
+
+def decompose_block(f: PathFunction, ens: PathEnsemble) -> tuple:
+    """(V, kink masses) for every path of the block, on the path grid.
+
+    V is (n, n_grid); row r equals decompose(f, ens[r], grid).v_path.values
+    bit for bit.
+    """
+    times = ens.times
+    _, v = _ito_block(f, ens.values, ens.marks, times, times)
+    for a in range(0, times.size, SLAB):
+        b = min(a + SLAB, times.size)
+        np.subtract(f(times[a:b], ens.values[:, a:b]), v[:, a:b], out=v[:, a:b])
+    return v, _kink_mass(f, times, ens.values)
 
 
 def decompose(f: PathFunction, x: SamplePath, partition: Partition) -> DecompositionResult:
-    """Split f(t, X_t) into the left-point Ito sum against X plus V."""
+    """Split f(t, X_t) into the left-point Ito sum against X plus V: a
+    one-row call of the block decomposition on any partition."""
     if partition.cut_times[-1] < x.horizon:
         raise ValueError("partition must cover the path horizon")
     cuts = np.minimum(partition.cut_times, x.horizon)
     cuts = cuts[np.concatenate([[True], np.diff(cuts) > 0])]
 
-    states = _integrand_states(f, x, cuts)
-    if f.dx_exact is not None:
-        eta = np.asarray(f.dx_exact(cuts[:-1], states), dtype=float)
-    else:
-        eta = np.asarray(
-            [dx_limsup(f, float(tk), float(sk)).value for tk, sk in zip(cuts[:-1], states)]
-        )
-    xv = x.eval_many(cuts)
-    integral = calculus.ito_cumulative(eta, x, Partition(cut_times=cuts), x.horizon)
+    xv, integral = _ito_block(f, x.values[None], x.jump_marks[None], x.times, cuts)
+    xv, integral = xv[0], integral[0]
     fv = np.asarray(f(cuts, xv), dtype=float)
     v = fv - integral
-
-    dxsq = np.diff(xv) ** 2
-    if f.nondiff_indicator is not None:
-        on_kink = np.asarray(f.nondiff_indicator(cuts[1:], xv[1:]), dtype=bool)
-        kink_mass = float(np.sum(dxsq[on_kink]))
-    else:
-        kink_mass = float("nan")
 
     s_times = x.jump_times(np.inf)
     if f.time_jumps:
@@ -100,7 +129,7 @@ def decompose(f: PathFunction, x: SamplePath, partition: Partition) -> Decomposi
         v_path=mk(v),
         exclusion_times=s_times,
         assumptions=assumptions,
-        kink_qv_mass=kink_mass,
+        kink_qv_mass=float(_kink_mass(f, cuts, xv[None])[0]),
     )
 
 
@@ -176,10 +205,11 @@ def verify_zcqv(
     pass_fraction: float = 0.1,
     levels=None,
 ) -> ZcqvVerdict:
-    """Per-level included-cell statistic of V across the ensemble.
+    """Per-level included-cell statistic of V across the ensemble, run as one block.
 
-    v_paths: one SamplePath or a sequence; exclusions: one ExclusionSet,
-    a sequence aligned with v_paths, or None for the empty set.
+    v_paths: a PathEnsemble, one SamplePath or a sequence of SamplePaths on
+    one time grid; exclusions: one ExclusionSet, a sequence aligned with
+    v_paths, or None for the empty set.
     """
     if isinstance(v_paths, SamplePath):
         v_paths = [v_paths]
@@ -190,10 +220,13 @@ def verify_zcqv(
         exclusions = [exclusions] * n
     elif len(exclusions) != n:
         raise ValueError(f"exclusions holds {len(exclusions)} sets for {n} paths")
-    stats = np.empty((n, len(ladder)))
-    for i, (vp, s) in enumerate(zip(v_paths, exclusions)):
-        for j, part in enumerate(ladder):
-            stats[i, j] = calculus.zcqv_statistic(vp, part, s, t)
+    times = v_paths[0].times
+    if any(not np.array_equal(p.times, times) for p in v_paths):
+        raise ValueError("paths must share one time grid")
+    values = np.stack([p.values for p in v_paths])
+    s_rows = np.repeat(np.arange(n), [len(s) for s in exclusions])
+    s_times = np.concatenate([s.times for s in exclusions])
+    stats = calculus.zcqv_ladder(values, times, ladder, t, s_rows, s_times)
     if levels is None:
         levels = tuple(range(len(ladder)))
     return summarize_zcqv(stats, levels, ladder.meshes, pass_fraction)
@@ -241,56 +274,95 @@ def _suite_levels(cfg: SuiteConfig):
     return tuple(range(cfg.l_min, cfg.l_max + 1))
 
 
+def _blocks(spec: GeneratorSpec, lo: int, hi: int):
+    """(index of the first path, block) over paths lo .. hi-1."""
+    for ens in iter_blocks(spec, lo, hi):
+        yield lo, ens
+        lo += len(ens)
+
+
+def _require_finite(block: np.ndarray, what: str, spec: GeneratorSpec, start: int) -> None:
+    """Name the seed and index of the first path whose row is not finite,
+    so make_path(spec, index) replays it."""
+    bad = ~np.isfinite(block).all(axis=1)
+    if bad.any():
+        path = start + int(np.argmax(bad))
+        raise NonFiniteError(f"non-finite {what} at (seed={spec.seed}, path={path})")
+
+
+def _grid_exclusions(sel: np.ndarray, times: np.ndarray, common=()) -> tuple:
+    """S as (rows, times) pairs: each row's selected grid times, then the
+    common times on every row."""
+    rows, grid = np.nonzero(sel)
+    common = np.asarray(common, dtype=np.float64)
+    every = np.repeat(np.arange(len(sel)), common.size)
+    return np.concatenate([rows, every]), np.concatenate([times[grid], np.tile(common, len(sel))])
+
+
+def _ladder(spec: GeneratorSpec, cfg: SuiteConfig) -> RefinementLadder:
+    return RefinementLadder.dyadic(spec.horizon, cfg.l_min, cfg.l_max, grid_times=spec.grid())
+
+
 def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteConfig, extra_s_times):
-    """Per-path task: generate, decompose on the path grid, statistic per level."""
+    """Block task: generate, decompose on the path grid, statistic per level.
+
+    S holds each path's marked jumps, the function's time jumps and the
+    suite's extra times.
+    """
     f = make_function(fexpr)
-    ladder = RefinementLadder.dyadic(genspec.horizon, cfg.l_min, cfg.l_max, grid_times=genspec.grid())
+    ladder = _ladder(genspec, cfg)
+    common = np.concatenate([[tj for tj, _ in f.time_jumps], extra_s_times])
     out = []
-    for path in iter_paths(genspec, lo, hi):
-        full_part = Partition(cut_times=path.times)
-        result = decompose(f, path, full_part)
-        s = ExclusionSet(times=np.concatenate([result.exclusion_times, extra_s_times]))
-        row = [calculus.zcqv_statistic(result.v_path, part, s, path.horizon) for part in ladder]
-        out.append((tuple(row), result.kink_qv_mass, result.v_path.values[-1]))
+    for start, ens in _blocks(genspec, lo, hi):
+        v, kink = decompose_block(f, ens)
+        _require_finite(v, "V", genspec, start)
+        s_rows, s_times = _grid_exclusions(ens.marks, ens.times, common)
+        stats = calculus.zcqv_ladder(v, ens.times, ladder, ens.horizon, s_rows, s_times)
+        _require_finite(stats, "statistic", genspec, start)
+        out.extend(zip(map(tuple, stats.tolist()), kink.tolist(), v[:, -1].tolist()))
     return out
 
 
 def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: SuiteConfig):
     """Negative control task: the statistic on X itself, S = its jumps."""
-    ladder = RefinementLadder.dyadic(genspec.horizon, cfg.l_min, cfg.l_max, grid_times=genspec.grid())
+    ladder = _ladder(genspec, cfg)
     out = []
-    for path in iter_paths(genspec, lo, hi):
-        s = ExclusionSet.from_jumps(path, threshold=cfg.jump_threshold)
-        out.append(tuple(calculus.zcqv_statistic(path, part, s, path.horizon) for part in ladder))
+    for start, ens in _blocks(genspec, lo, hi):
+        sel = calculus.jump_grid(ens, cfg.jump_threshold)
+        s_rows, s_times = _grid_exclusions(sel, ens.times)
+        stats = calculus.zcqv_ladder(ens.values, ens.times, ladder, ens.horizon, s_rows, s_times)
+        _require_finite(stats, "statistic", genspec, start)
+        out.extend(map(tuple, stats.tolist()))
     return out
 
 
 def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteConfig):
-    """Included-cell |dZ dY| per level, S = Z's jumps; plus the S-empty column."""
-    ladder = RefinementLadder.dyadic(zspec.horizon, cfg.l_min, cfg.l_max, grid_times=zspec.grid())
+    """Included-cell |dZ dY| per level, S = the jumps of Z and Y; plus the S-empty column."""
+    ladder = _ladder(zspec, cfg)
     out = []
-    for z, y in zip(iter_paths(zspec, lo, hi), iter_paths(yspec, lo, hi)):
-        s = ExclusionSet.from_jumps(z, y, threshold=cfg.jump_threshold)
-        with_s = tuple(calculus.cross_statistic(z, y, part, s, z.horizon) for part in ladder)
-        no_s = tuple(
-            calculus.cross_statistic(z, y, part, ExclusionSet.empty(), z.horizon) for part in ladder
+    for (start, z), (_, y) in zip(_blocks(zspec, lo, hi), _blocks(yspec, lo, hi)):
+        sel = calculus.jump_grid(z, cfg.jump_threshold) | calculus.jump_grid(y, cfg.jump_threshold)
+        s_rows, s_times = _grid_exclusions(sel, z.times)
+        with_s = calculus.zcqv_ladder(
+            z.values, z.times, ladder, z.horizon, s_rows, s_times, y=y.values, absolute=True
         )
-        out.append((with_s, no_s))
+        no_s = calculus.zcqv_ladder(z.values, z.times, ladder, z.horizon, y=y.values, absolute=True)
+        # with_s adds a subset of the nonnegative terms that no_s adds
+        _require_finite(no_s, "statistic", zspec, start)
+        out.extend(zip(map(tuple, with_s.tolist()), map(tuple, no_s.tolist())))
     return out
 
 
 def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: SuiteConfig):
     """Statistic for Z1 + Z2 with S = the union of both jump sets."""
-    ladder = RefinementLadder.dyadic(spec1.horizon, cfg.l_min, cfg.l_max, grid_times=spec1.grid())
+    ladder = _ladder(spec1, cfg)
     out = []
-    for z1, z2 in zip(iter_paths(spec1, lo, hi), iter_paths(spec2, lo, hi)):
-        v = SamplePath(
-            times=z1.times,
-            values=z1.values + z2.values,
-            jump_marks=z1.jump_marks | z2.jump_marks,
-        )
-        s = ExclusionSet.from_jumps(z1, z2, threshold=cfg.jump_threshold)
-        out.append(tuple(calculus.zcqv_statistic(v, part, s, v.horizon) for part in ladder))
+    for (start, z1), (_, z2) in zip(_blocks(spec1, lo, hi), _blocks(spec2, lo, hi)):
+        sel = calculus.jump_grid(z1, cfg.jump_threshold) | calculus.jump_grid(z2, cfg.jump_threshold)
+        s_rows, s_times = _grid_exclusions(sel, z1.times)
+        stats = calculus.zcqv_ladder(z1.values + z2.values, z1.times, ladder, z1.horizon, s_rows, s_times)
+        _require_finite(stats, "statistic", spec1, start)
+        out.extend(map(tuple, stats.tolist()))
     return out
 
 

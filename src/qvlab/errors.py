@@ -11,3 +11,8 @@ class GenerationError(RuntimeError):
 
 class UnsupportedFunctionError(LookupError):
     """A path function lacks the metadata required by the operation."""
+
+
+class NonFiniteError(ValueError):
+    """A computed path or statistic is not finite; the message names the
+    seed and path index that replay it."""

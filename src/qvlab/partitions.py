@@ -109,19 +109,23 @@ class ExclusionSet:
         return self.times.size
 
 
+def inclusion_rows(partition: Partition, t: float, n: int, s_rows=(), s_times=()) -> np.ndarray:
+    """(n, K) inclusion masks: row r keeps cell k = 1..K when tau_k < t and
+    (tau_{k-1}, tau_k] misses row r's S, the s_times[j] with s_rows[j] == r."""
+    cuts = partition.cut_times
+    mask = np.repeat((cuts[1:] < t)[None, :], n, axis=0)
+    # s lands in cell j iff cuts[j-1] < s <= cuts[j]; 'left' search gives
+    # the smallest j with cuts[j] >= s, which is exactly that cell
+    j = np.searchsorted(cuts, np.asarray(s_times, dtype=np.float64), side="left")
+    hit = (j >= 1) & (j <= partition.n_cells)
+    mask[np.asarray(s_rows, dtype=np.intp)[hit], j[hit] - 1] = False
+    return mask
+
+
 def inclusion_mask(partition: Partition, exclusions: ExclusionSet, t: float) -> np.ndarray:
     """Boolean mask over cells k = 1..K: tau_k < t and (tau_{k-1}, tau_k] misses S."""
-    cuts = partition.cut_times
-    mask = cuts[1:] < t
     s = exclusions.times
-    if s.size:
-        # s lands in cell j iff cuts[j-1] < s <= cuts[j]; 'left' search gives
-        # the smallest j with cuts[j] >= s, which is exactly that cell
-        j = np.searchsorted(cuts, s, side="left")
-        j = j[(j >= 1) & (j <= partition.n_cells)]
-        if j.size:
-            mask[j - 1] = False
-    return mask
+    return inclusion_rows(partition, t, 1, np.zeros(s.size, dtype=np.intp), s)[0]
 
 
 @dataclass(frozen=True)

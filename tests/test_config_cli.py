@@ -231,3 +231,23 @@ def test_identity_generates_each_path_once(tmp_path, monkeypatch):
     out = tmp_path / "once"
     assert main(["identity", "--config", _identity_config(tmp_path), "--out", str(out)]) == 0
     assert sum(rows) == 130
+
+
+def test_kink_identity_counts_every_t_cell_before_the_first_step(tmp_path):
+    # with 64 path steps under a 256-cell t-grid, the path holds x0 = 0 (on
+    # the kink of abs) for the first four t-cells; each one fires on every path
+    cfg = _small_gen_config(tmp_path, n_paths=200, function="abs")
+    out = tmp_path / "fine_t"
+    assert main(["identity", "--config", cfg, "--out", str(out)]) == 0
+    kink = json.loads((out / "identity.json").read_text())["kink_identity"]
+    assert kink["lhs"] == 4.0 / 256.0
+    assert kink["lhs"] <= kink["lhs_budget"]
+
+
+def test_decompose_names_the_path_behind_a_non_finite_v(tmp_path, capsys):
+    # f = x^2 overflows at x0 = 1e160: the error names the path to replay
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"generator": {"kind": "brownian", "n_steps": 256, "x0": 1e160},
+                               "n_paths": 4, "function": "square", "l_min": 2, "l_max": 8}))
+    assert main(["decompose", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / "o")]) == 2
+    assert "non-finite V at (seed=5, path=0)" in capsys.readouterr().err

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from qvlab.calculus import zcqv_ladder, zcqv_statistic
 from qvlab.decomposition import (
     SuiteConfig,
     decompose,
+    decompose_block,
+    run_decompose,
     run_suite,
     summarize_zcqv,
     verify_zcqv,
 )
-from qvlab.functions import make_function
-from qvlab.generators import GeneratorSpec, make_path
+from qvlab.errors import NonFiniteError
+from qvlab.functions import builtin_library, make_function
+from qvlab.generators import GeneratorSpec, generate, make_path
 from qvlab.partitions import ExclusionSet, Partition, RefinementLadder, dyadic_partition
 
 from conftest import toy_path
@@ -223,3 +227,67 @@ def test_moving_kink_jump_suite_same_verdict_for_any_worker_count():
     assert a.verdict == b.verdict
     assert a.details == b.details
 
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+BLOCK_SPECS = [
+    GeneratorSpec(kind="brownian", n_steps=1100, x0=0.25, seed=21),
+    GeneratorSpec(kind="jump_diffusion", n_steps=600, jump_rate=4.0, seed=22),
+    GeneratorSpec(kind="compound_poisson", n_steps=256, jump_rate=5.0, seed=23),
+]
+
+
+@pytest.mark.parametrize("name", sorted(builtin_library()))
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda s: s.kind)
+def test_block_decomposition_rows_equal_one_path_decompose(spec, name):
+    # more steps than one slab of the kernel, so the Kahan state and the
+    # slab-wise f, eta and states cross slab boundaries
+    f = make_function(name)
+    ens = generate(spec, 5)
+    v, kink = decompose_block(f, ens)
+    for r, path in enumerate(ens):
+        res = decompose(f, path, grid_partition(path))
+        assert _same_bits(v[r], res.v_path.values)
+        assert _same_bits(kink[r], res.kink_qv_mass)
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda s: s.kind)
+def test_zcqv_ladder_rows_equal_one_path_statistic(spec):
+    # dyadic cuts off the 1100- and 600-step grids are read as eval_many reads them
+    ens = generate(spec, 6)
+    ladder = RefinementLadder.dyadic(spec.horizon, 2, 6)
+    sets = [ExclusionSet(times=np.concatenate([p.jump_times(np.inf), [0.5, 0.0]])) for p in ens]
+    rows = np.repeat(np.arange(len(ens)), [len(s) for s in sets])
+    times = np.concatenate([s.times for s in sets])
+    for t in (spec.horizon, 0.7):
+        stats = zcqv_ladder(ens.values, ens.times, ladder, t, rows, times)
+        for r, (path, s) in enumerate(zip(ens, sets)):
+            for i, part in enumerate(ladder):
+                assert _same_bits(stats[r, i], zcqv_statistic(path, part, s, t))
+
+
+def test_verify_zcqv_accepts_an_ensemble_and_needs_one_grid(brownian_200_l12):
+    paths = list(brownian_200_l12)[:20]
+    ladder = RefinementLadder.dyadic(1.0, 4, 8, grid_times=paths[0].times)
+    assert verify_zcqv(generate(GeneratorSpec(kind="brownian", n_steps=4096, seed=12345), 20),
+                       ladder, None, 1.0) == verify_zcqv(paths, ladder, None, 1.0)
+    other = toy_path(np.arange(17) / 16.0, np.zeros(17))
+    with pytest.raises(ValueError, match="one time grid"):
+        verify_zcqv([paths[0], other], ladder, None, 1.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_v_names_the_seed_and_path(workers):
+    # jumps of size ~1e200 make f = x^2 overflow; with this seed the first
+    # such path is in the second block of 64
+    spec = GeneratorSpec(kind="compound_poisson", n_steps=64, jump_rate=0.01,
+                         jump_law="normal(0.0, 1e200)", seed=7)
+    first_bad = next(i for i in range(130) if np.max(np.abs(make_path(spec, i).values)) > 1.4e154)
+    assert first_bad >= 64
+    cfg = SuiteConfig(generator=spec, function="square", n_paths=130, l_min=2, l_max=5,
+                      workers=workers)
+    with pytest.raises(NonFiniteError, match=rf"non-finite V at \(seed=7, path={first_bad}\)"):
+        run_decompose(cfg)
