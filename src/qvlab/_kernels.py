@@ -2,9 +2,8 @@
 
 `kahan_rows` walks the cells of an (n, K) block of terms once, left to
 right, and updates every row's compensated state (s, c) with numpy
-operations across the rows (a one-row block runs the same statements on
-Python floats).  Each row goes through exactly the binary64 operations of
-the scalar loop
+operations across the rows.  Each row goes through exactly the binary64
+operations of the scalar loop
 
     t1 = term - c;  t2 = s + t1;  c = (t2 - s) - t1;  s = t2
 
@@ -30,27 +29,23 @@ def kahan_rows(terms, shape, keep=None, out=None) -> np.ndarray:
     for consecutive slabs of at most SLAB cells.  keep: optional (n, K) bool
     mask of the cells each row sums.  out: optional (n, K) array; out[:, k]
     receives each row's running sum after cell k.  Returns the (n,) totals.
-
-    A block's state is one array per quantity, updated by whole-column numpy
-    operations; a single row runs the same statements on Python floats,
-    which cost a small fraction of a numpy call per cell.
     """
     n, k = shape
     keep = None if keep is None else np.asarray(keep, dtype=bool)
-    s, c = (np.zeros(n), np.zeros(n)) if n > 1 else (0.0, 0.0)
+    s, c = np.zeros(n), np.zeros(n)
     for a in range(0, k, SLAB):
         b = min(a + SLAB, k)
         slab = terms(a, b)
         kept = None if keep is None else keep[:, a:b]
         every = [True] * (b - a) if kept is None else kept.all(axis=0).tolist()
         sums = []
-        for j, col in enumerate(slab.T if n > 1 else slab[0].tolist()):
+        for j, col in enumerate(slab.T):
             t1 = col - c
             t2 = s + t1
             if every[j]:
                 c = (t2 - s) - t1
                 s = t2
-            elif n > 1:
+            else:
                 # rows that drop this cell keep their (s, c) as they were
                 mask = kept[:, j]
                 c = np.where(mask, (t2 - s) - t1, c)
@@ -58,7 +53,7 @@ def kahan_rows(terms, shape, keep=None, out=None) -> np.ndarray:
             sums.append(s)
         if out is not None:
             out[:, a:b] = np.array(sums).T
-    return np.atleast_1d(s)
+    return s
 
 
 def kahan_cumsum(terms: np.ndarray) -> np.ndarray:

@@ -205,11 +205,10 @@ def verify_zcqv(
     pass_fraction: float = 0.1,
     levels=None,
 ) -> ZcqvVerdict:
-    """Per-level included-cell statistic of V across the ensemble, run as one block.
+    """Per-level included-cell statistic of V across the ensemble.
 
-    v_paths: a PathEnsemble, one SamplePath or a sequence of SamplePaths on
-    one time grid; exclusions: one ExclusionSet, a sequence aligned with
-    v_paths, or None for the empty set.
+    v_paths: one SamplePath or a sequence; exclusions: one ExclusionSet,
+    a sequence aligned with v_paths, or None for the empty set.
     """
     if isinstance(v_paths, SamplePath):
         v_paths = [v_paths]
@@ -220,13 +219,10 @@ def verify_zcqv(
         exclusions = [exclusions] * n
     elif len(exclusions) != n:
         raise ValueError(f"exclusions holds {len(exclusions)} sets for {n} paths")
-    times = v_paths[0].times
-    if any(not np.array_equal(p.times, times) for p in v_paths):
-        raise ValueError("paths must share one time grid")
-    values = np.stack([p.values for p in v_paths])
-    s_rows = np.repeat(np.arange(n), [len(s) for s in exclusions])
-    s_times = np.concatenate([s.times for s in exclusions])
-    stats = calculus.zcqv_ladder(values, times, ladder, t, s_rows, s_times)
+    stats = np.empty((n, len(ladder)))
+    for i, (vp, s) in enumerate(zip(v_paths, exclusions)):
+        for j, part in enumerate(ladder):
+            stats[i, j] = calculus.zcqv_statistic(vp, part, s, t)
     if levels is None:
         levels = tuple(range(len(ladder)))
     return summarize_zcqv(stats, levels, ladder.meshes, pass_fraction)

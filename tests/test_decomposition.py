@@ -269,14 +269,18 @@ def test_zcqv_ladder_rows_equal_one_path_statistic(spec):
                 assert _same_bits(stats[r, i], zcqv_statistic(path, part, s, t))
 
 
-def test_verify_zcqv_accepts_an_ensemble_and_needs_one_grid(brownian_200_l12):
+def test_verify_zcqv_accepts_an_ensemble_and_mixed_grids(brownian_200_l12):
     paths = list(brownian_200_l12)[:20]
     ladder = RefinementLadder.dyadic(1.0, 4, 8, grid_times=paths[0].times)
     assert verify_zcqv(generate(GeneratorSpec(kind="brownian", n_steps=4096, seed=12345), 20),
                        ladder, None, 1.0) == verify_zcqv(paths, ladder, None, 1.0)
-    other = toy_path(np.arange(17) / 16.0, np.zeros(17))
-    with pytest.raises(ValueError, match="one time grid"):
-        verify_zcqv([paths[0], other], ladder, None, 1.0)
+    # V paths of decompose live on their partitions' cuts, which differ here
+    f = make_function("abs")
+    vs = [decompose(f, paths[0], grid_partition(paths[0])).v_path,
+          decompose(f, paths[1], dyadic_partition(1.0, 6)).v_path]
+    assert len(vs[0].times) != len(vs[1].times)
+    stats = np.array([[zcqv_statistic(v, part, ExclusionSet.empty(), 1.0) for part in ladder] for v in vs])
+    assert verify_zcqv(vs, ladder, None, 1.0) == summarize_zcqv(stats, tuple(range(len(ladder))), ladder.meshes, 0.1)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
