@@ -6,37 +6,51 @@ decompositions of nondifferentiable functions of the path, and runs the
 call-surface and grid-calculus identity checks.  Every partition sum is
 accumulated by one compensated (Kahan) loop in `qvlab._kernels`, in
 ascending cell order, so results are deterministic bit for bit.
+
+Importing the package loads none of its layers.  Each public name is
+resolved from its submodule on first access (PEP 562), so a `qvlab`
+process loads only the modules its command runs: where bytecode writing is
+off, every imported source line is compiled again on every run.
 """
 
-from .calculus import ito_integral, jump_sum, qv_partition, zcqv_statistic
-from .decomposition import decompose, run_suite, verify_zcqv
-from .functions import builtin_library, make_function
-from .generators import GeneratorSpec, generate, make_path
-from .partitions import ExclusionSet, Partition, RefinementLadder, dyadic_partition, hitting_partition
-from .paths import PathEnsemble, SamplePath, path_from_csv
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SamplePath",
-    "PathEnsemble",
-    "path_from_csv",
-    "GeneratorSpec",
-    "generate",
-    "make_path",
-    "Partition",
-    "ExclusionSet",
-    "RefinementLadder",
-    "dyadic_partition",
-    "hitting_partition",
-    "qv_partition",
-    "jump_sum",
-    "zcqv_statistic",
-    "ito_integral",
-    "decompose",
-    "verify_zcqv",
-    "run_suite",
-    "builtin_library",
-    "make_function",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "SamplePath": "paths",
+    "PathEnsemble": "paths",
+    "path_from_csv": "paths",
+    "GeneratorSpec": "generators",
+    "generate": "generators",
+    "make_path": "generators",
+    "Partition": "partitions",
+    "ExclusionSet": "partitions",
+    "RefinementLadder": "partitions",
+    "dyadic_partition": "partitions",
+    "hitting_partition": "partitions",
+    "qv_partition": "calculus",
+    "jump_sum": "calculus",
+    "zcqv_statistic": "calculus",
+    "ito_integral": "calculus",
+    "decompose": "decomposition",
+    "verify_zcqv": "decomposition",
+    "run_suite": "decomposition",
+    "builtin_library": "functions",
+    "make_function": "functions",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

@@ -3,12 +3,11 @@
 Work is split into fixed-size chunks that depend only on the task size,
 never on the worker count, and results are concatenated in chunk order, so
 any reduction downstream sees the same sequence whether the map ran on one
-worker or many.
+worker or many.  The process-pool machinery is imported only when a pool
+is started, so a one-worker run never loads it.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
 
 CHUNK = 64
 
@@ -26,6 +25,8 @@ def map_chunked(fn, n: int, workers: int = 1, chunk: int = CHUNK, args: tuple = 
     if workers <= 1 or len(spans) <= 1:
         parts = [fn(lo, hi, *args) for lo, hi in spans]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(fn, lo, hi, *args) for lo, hi in spans]
             parts = [f.result() for f in futures]

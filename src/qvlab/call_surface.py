@@ -124,10 +124,6 @@ class CallSurface:
                             repr(float(self.values[i, j])), repr(float(self.stderr[i, j]))])
         return buf.getvalue()
 
-    def column(self, x: float) -> np.ndarray:
-        j = int(np.argmin(np.abs(self.x_grid - x)))
-        return self.values[:, j]
-
     @classmethod
     def from_sums(cls, t_grid, x_grid, s, ss, n: int) -> "CallSurface":
         """Per-cell mean and standard error of (X_t - x)_+ from the sums of

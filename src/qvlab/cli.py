@@ -5,7 +5,13 @@ Global flags: --config, --seed, --paths, --out, --format, --workers.  The
 QVLAB_OUT environment variable overrides the output directory.  Reports are
 collected in memory and written together, so a failed run leaves no partial
 outputs; exit status is 0 only when every asserted check passes (expected
-failures count as passing when they fail as expected).
+failures count as passing when they fail as expected), 2 on bad input or a
+failed write.
+
+Each command imports the layer modules it runs when it runs, and the module
+top imports only what resolving the config needs.  So a process loads only
+its own command's modules: where bytecode writing is off, every imported
+source line is compiled again on every run.
 """
 
 from __future__ import annotations
@@ -18,16 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import call_surface as cs
-from . import decomposition as dec
-from . import grid_calculus as gc
-from .calculus import CovariationReport, covariation_ladder, ucp_exceedance
 from .config import ExperimentConfig, apply_overrides, load_config
 from .errors import ConfigurationError, GenerationError
-from .functions import builtin_library, make_function
-from .generators import generate, iter_blocks
-from .partitions import RefinementLadder
-from .paths import path_from_csv
+
+SUITES = ("tanaka", "moving_kink", "moving_kink_jump", "cross_variation", "zcqv_sum", "negative_control")
 
 
 def _json_text(obj) -> str:
@@ -74,6 +74,8 @@ def _keep(cfg: ExperimentConfig, files: dict) -> dict:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> tuple:
+    from .generators import generate
+
     spec = cfg.generator_spec()
     ens = generate(spec, cfg.n_paths)
     files = {}
@@ -92,6 +94,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_qv(cfg: ExperimentConfig) -> tuple:
+    from .calculus import CovariationReport, covariation_ladder, ucp_exceedance
+    from .generators import iter_blocks
+    from .partitions import RefinementLadder
+
     spec = cfg.generator_spec()
     times = spec.grid()
     horizon = float(times[-1])
@@ -121,8 +127,10 @@ def cmd_qv(cfg: ExperimentConfig) -> tuple:
     return files, True
 
 
-def cmd_decompose(cfg: ExperimentConfig) -> tuple:
-    suite_cfg = dec.SuiteConfig(
+def _suite_config(cfg: ExperimentConfig):
+    from .decomposition import SuiteConfig
+
+    return SuiteConfig(
         generator=cfg.generator_spec(),
         function=cfg.function,
         l_min=cfg.l_min,
@@ -132,14 +140,19 @@ def cmd_decompose(cfg: ExperimentConfig) -> tuple:
         jump_threshold=cfg.jump_threshold,
         workers=cfg.workers,
     )
-    result = dec.run_decompose(suite_cfg)
+
+
+def cmd_decompose(cfg: ExperimentConfig) -> tuple:
+    from .decomposition import run_decompose
+
+    result = run_decompose(_suite_config(cfg))
     payload = result.to_dict()
     payload["config"] = cfg.report_dict()
     files = {"verdict.json": _json_text(payload), "levels.csv": _verdict_csv(result.verdict)}
     return files, result.ok
 
 
-def _verdict_csv(verdict: dec.ZcqvVerdict) -> str:
+def _verdict_csv(verdict) -> str:
     lines = ["level,mesh,median_stat,p90_stat"]
     for lv, m, md, p9 in zip(verdict.levels, verdict.meshes, verdict.median_stat, verdict.p90_stat):
         lines.append(f"{lv},{m!r},{md!r},{p9!r}")
@@ -147,6 +160,9 @@ def _verdict_csv(verdict: dec.ZcqvVerdict) -> str:
 
 
 def cmd_identity(cfg: ExperimentConfig) -> tuple:
+    from . import call_surface as cs
+    from .functions import make_function
+
     spec = cfg.generator_spec()
     run = cs.run_identity(
         spec, cfg.theta, cfg.n_paths, n_t=cfg.n_t, n_x=cfg.n_x,
@@ -183,6 +199,9 @@ def cmd_appendix(cfg: ExperimentConfig) -> tuple:
 def run_appendix_checks() -> tuple:
     """Deterministic grid-calculus corpus: parts residuals, shrinking traces
     and the kink-mass pairs over the builtin registry."""
+    from . import grid_calculus as gc
+    from .functions import builtin_library, make_function
+
     # integration by parts: f compact in (0, T) x interior band; g kinds:
     # smooth-in-t, time-jump, and a moving-kink sample
     n_t, n_x = 33, 257
@@ -246,13 +265,17 @@ def run_appendix_checks() -> tuple:
 def _trace_corpus() -> tuple:
     """Two trace ladders: a smooth pair (linear decay over a 2^11 span) and a
     kink against off-kink time variation (exactly zero once separated)."""
+    from . import grid_calculus as gc
+    from .call_surface import BoxIndicator
+    from .functions import make_function
+
     rows = []
     ok = True
 
     n_x = 32769
     x_grid = np.linspace(-4.0, 4.0, n_x)
     t_grid = np.linspace(0.0, 1.0, 5)
-    theta = cs.BoxIndicator(0.0, 1.0, -2.5, 2.5)
+    theta = BoxIndicator(0.0, 1.0, -2.5, 2.5)
     shifts = [2 ** k for k in range(11, -1, -1)]
 
     gauss = np.exp(-0.5 * x_grid**2)
@@ -287,6 +310,8 @@ def _trace_corpus() -> tuple:
 
 
 def cmd_ingest(cfg: ExperimentConfig, input_path: str) -> tuple:
+    from .paths import path_from_csv
+
     text = Path(input_path).read_text()
     thr = cfg.jump_threshold
     path = path_from_csv(text, jump_threshold=None if np.isinf(thr) else thr)
@@ -302,17 +327,9 @@ def cmd_ingest(cfg: ExperimentConfig, input_path: str) -> tuple:
 
 
 def cmd_suite(cfg: ExperimentConfig, name: str) -> tuple:
-    suite_cfg = dec.SuiteConfig(
-        generator=cfg.generator_spec(),
-        function=cfg.function,
-        l_min=cfg.l_min,
-        l_max=cfg.l_max,
-        n_paths=cfg.n_paths,
-        pass_fraction=cfg.pass_fraction,
-        jump_threshold=cfg.jump_threshold,
-        workers=cfg.workers,
-    )
-    result = dec.run_suite(name, suite_cfg)
+    from .decomposition import run_suite
+
+    result = run_suite(name, _suite_config(cfg))
     payload = result.to_dict()
     payload["config"] = cfg.report_dict()
     files = {
@@ -344,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("input", help="path CSV file (t,x,jump)")
     p_suite = sub.add_parser("suite")
     add_common(p_suite)
-    p_suite.add_argument("name", choices=list(dec.SUITES))
+    p_suite.add_argument("name", choices=list(SUITES))
     return parser
 
 
@@ -368,10 +385,10 @@ def main(argv=None) -> int:
             files, ok = cmd_suite(cfg, args.name)
         else:  # pragma: no cover
             raise ConfigurationError(f"unknown command {args.command!r}")
+        _write_outputs(cfg.out_dir, _keep(cfg, files))
     except (ConfigurationError, GenerationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_outputs(cfg.out_dir, _keep(cfg, files))
     if not ok:
         print("asserted checks failed", file=sys.stderr)
         return 1

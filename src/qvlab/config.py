@@ -1,6 +1,8 @@
 """Experiment configuration: one structured file, flag overrides on top.
 
 Supports JSON and YAML by extension; precedence is flags > file > defaults.
+The YAML parser is imported only to read a YAML file, so a run configured
+from JSON or flags never loads it.
 Configs round-trip losslessly through to_dict/from_dict, and every run
 embeds the resolved config in its report for replayability.
 """
@@ -10,8 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-
-import yaml
 
 from .errors import ConfigurationError
 from .generators import KINDS, GeneratorSpec
@@ -95,12 +95,15 @@ def load_config(path: str) -> ExperimentConfig:
     if not p.exists():
         raise ConfigurationError(f"config file not found: {path}")
     text = p.read_text()
+    if p.suffix in (".yaml", ".yml"):
+        import yaml
+
+        parse, malformed = yaml.safe_load, yaml.YAMLError
+    else:
+        parse, malformed = json.loads, json.JSONDecodeError
     try:
-        if p.suffix in (".yaml", ".yml"):
-            data = yaml.safe_load(text)
-        else:
-            data = json.loads(text)
-    except (yaml.YAMLError, json.JSONDecodeError) as exc:
+        data = parse(text)
+    except malformed as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigurationError(f"config root must be a mapping: {path}")

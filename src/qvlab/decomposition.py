@@ -448,6 +448,3 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
 
 def _meshes(genspec: GeneratorSpec, levels) -> tuple:
     return tuple(genspec.horizon * 2.0 ** -float(lv) for lv in levels)
-
-
-SUITES = ("tanaka", "moving_kink", "moving_kink_jump", "cross_variation", "zcqv_sum", "negative_control")

@@ -73,6 +73,17 @@ def test_malformed_config_no_outputs(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suffix", [".yaml", ".yml"])
+def test_malformed_yaml_config_no_outputs(tmp_path, capsys, suffix):
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_text("n_paths: [4\ngenerator: {kind: brownian\n")
+    out = tmp_path / "out"
+    rc = main(["qv", "--config", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert "malformed config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unresolved_name_nonzero_exit(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"generator": {"kind": "mystery"}}))
@@ -109,6 +120,22 @@ def test_ingest_parse_error_exit(tmp_path):
     out = tmp_path / "out"
     rc = main(["ingest", str(bad), "--out", str(out)])
     assert rc == 2 and not out.exists()
+
+
+def test_output_write_failure_exits_2_without_traceback(tmp_path):
+    cfg = _small_gen_config(tmp_path, l_min=3, l_max=6)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    r = run_cli(["qv", "--config", cfg, "--paths", "2", "--out", str(taken)])
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_unknown_suite_is_an_invalid_choice():
+    r = run_cli(["suite", "nosuch"])
+    assert r.returncode == 2
+    assert "invalid choice: 'nosuch'" in r.stderr
 
 
 def test_env_output_override(tmp_path):
