@@ -194,6 +194,24 @@ def ito_cumulative(integrand: np.ndarray, y: SamplePath, partition: Partition, t
 _STATS = ("full", "jumps", "continuous_part", "zcqv")
 
 
+def path_median(a: np.ndarray) -> np.ndarray:
+    """np.median(a, axis=0, keepdims=True), bit for bit, without numpy.ma.
+
+    numpy's median imports numpy.ma on its first call (its NaN check asks
+    np.ma.isMaskedArray), a start-up cost for every qv run.  This takes
+    numpy's own steps: partition at the middle position(s) and the last,
+    average the middle slice with np.mean (so -0.0 comes out as 0.0, as in
+    numpy), and give the last sorted value where it is NaN.
+    """
+    n = a.shape[0]
+    k = n // 2
+    part = np.partition(a, [k, -1] if n % 2 else [k - 1, k, -1], axis=0)
+    med = np.mean(part[k - 1 + n % 2 : k + 1], axis=0, keepdims=True)
+    last = part[-1:]
+    np.copyto(med, last, where=np.isnan(last))
+    return med
+
+
 @dataclass(frozen=True)
 class CovariationReport:
     """Per-path, per-level, per-t statistics for an ensemble of (X, Y) pairs.
@@ -219,7 +237,7 @@ class CovariationReport:
 
     def median(self) -> "CovariationReport":
         """One-row report of the per-cell medians over paths."""
-        med = {name: np.median(getattr(self, name), axis=0, keepdims=True) for name in _STATS}
+        med = {name: path_median(getattr(self, name)) for name in _STATS}
         return CovariationReport(levels=self.levels, meshes=self.meshes, t_grid=self.t_grid, **med)
 
     def to_csv(self) -> str:

@@ -7,13 +7,15 @@ are computed per path so the pass test compares paired Monte Carlo samples
 (3 sigma) plus an explicit, separately reported discretization budget.
 
 run_identity makes one pass over the ensemble: each chunk task generates its
-paths a block at a time and reads each path's X_t on the t-grid once.  From
-that one row it adds the path's hinges into the surface sums, forms its
-identity terms and, when a function is given, its kink-identity LHS.  The
-reports are pure functions of the pass's arrays, so the surface, the
-identity and the kink check always describe the same paths.  The chunking
-depends only on n_paths and rows are reduced in path order, so the results
-are bit-identical at any worker count.
+paths a block at a time and reads the block's X_t on the t-grid once.  The
+identity terms and, when a function is given, the kink-identity LHS are
+computed for the whole block at once; the hinges are added into the surface
+sums a row at a time (see _pass_chunk for why).  The reports are pure
+functions of the pass's arrays, so the surface, the identity and the kink
+check always describe the same paths.  The chunking depends only on n_paths,
+rows are reduced in path order and each row's sums run over a C-contiguous
+row, so the results are bit-identical to a path-by-path pass at any worker
+count.
 
 Conventions: d_t C increments over (t_i, t_{i+1}] pair with theta at the
 right endpoint (cadlag measure); model [X]^c cell increments pair with theta
@@ -25,15 +27,13 @@ independently validates realized against model QV.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._parallel import map_chunked
 from .functions import PathFunction, make_function
-from .generators import GeneratorSpec, iter_paths, make_coefficient, make_jump_law
+from .generators import GeneratorSpec, iter_blocks, make_coefficient, make_jump_law
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,15 @@ class CallSurface:
     n_paths: int
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "x", "C", "stderr"])
-        for i, t in enumerate(self.t_grid):
-            for j, xx in enumerate(self.x_grid):
-                w.writerow([repr(float(t)), repr(float(xx)),
-                            repr(float(self.values[i, j])), repr(float(self.stderr[i, j]))])
-        return buf.getvalue()
+        """One `t,x,C,stderr` line per grid cell, each number as its float repr."""
+        ts, xs, cs, es = (np.asarray(a, dtype=float).tolist()
+                          for a in (self.t_grid, self.x_grid, self.values, self.stderr))
+        xs = [repr(x) for x in xs]
+        lines = ["t,x,C,stderr"]
+        for t, c_row, e_row in zip(ts, cs, es):
+            t = repr(t)
+            lines += [f"{t},{x},{c!r},{e!r}" for x, c, e in zip(xs, c_row, e_row)]
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_sums(cls, t_grid, x_grid, s, ss, n: int) -> "CallSurface":
@@ -367,6 +368,12 @@ def kink_identity_check(
 # the one pass
 
 
+def _row_sums(a):
+    """Each row's sum, reduced over a C-contiguous row as a path summed on its
+    own is: the pairwise summation order, and so the bits, follow the layout."""
+    return np.ascontiguousarray(a).sum(axis=1)
+
+
 def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_grid, fexpr):
     """Chunk task: paths lo .. hi-1, each generated once.
 
@@ -381,6 +388,13 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_g
     drift: sum_i Theta(t_i, X_{t_i}) dA_i                 (pre-jump state)
     jump: sum over marked jumps s <= t of int_{X_{s-}}^{X_s} (X_s-x) theta dx
     kink: sum_i 1{(t_i, X_{t_i}) on the kink set} d[X]^c_i
+
+    The terms on the t-grid take one numpy call per block for all its rows;
+    each row's sums reduce over a C-contiguous row, as a path summed alone
+    does, so the bits do not depend on the block.  The hinges stay per row:
+    a row's hinge arrays are (n_t+1) x (n_x+1), so the work is bound by
+    element count and cache size, and stacking a block's rows would only
+    multiply the memory.  They are written into buffers held for the chunk.
     """
     qv_rate = genspec.qv_rate()
     if qv_rate is None:
@@ -405,32 +419,51 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_g
     in_range = times <= t_grid[-1]
     s = np.zeros((t_grid.size, x_grid.size))
     ss = np.zeros_like(s)
+    h = np.empty_like(s)
+    hc = np.empty((t_grid.size, x_centers.size))
+    dh = np.empty((dt.size, x_centers.size))
     terms = np.empty((hi - lo, 6))
     kink = np.empty(hi - lo) if on_kink_set else None
-    for i, path in enumerate(iter_paths(genspec, lo, hi)):
-        xt = path.values[cols]
-        h = np.maximum(xt[:, None] - x_grid[None, :], 0.0)
-        s += h
-        ss += h * h
+    r0 = 0
+    for ens in iter_blocks(genspec, lo, hi):
+        # X_t for the block's rows; np.take returns them C-contiguous, where
+        # values[:, cols] comes back in Fortran order and each row sum below
+        # would need a copy
+        xt = np.take(ens.values, cols, axis=1)
+        rows = slice(r0, r0 + xt.shape[0])
+        for r, row in enumerate(xt, start=r0):
+            np.subtract(row[:, None], x_grid, out=h)
+            np.maximum(h, 0.0, out=h)
+            s += h
+            h *= h  # now the squares
+            ss += h
+            np.subtract(row[:, None], x_centers, out=hc)
+            np.maximum(hc, 0.0, out=hc)
+            np.subtract(hc[1:], hc[:-1], out=dh)
+            dh *= theta_right
+            terms[r, 0] = np.sum(dh) * dx
 
-        qv_cells = np.asarray(qv_rate(t_left, xt[:-1]), dtype=float) * dt
-        if b is not None:
-            drift_cells = np.asarray(b(t_left, xt[:-1]), dtype=float) * dt
-        dh = np.diff(np.maximum(xt[:, None] - x_centers[None, :], 0.0), axis=0)
-        lhs = float(np.sum(theta_right * dh) * dx)
-        qv_term = 0.5 * float(np.sum(_gated(theta, t_left, xt[:-1]) * qv_cells))
+        x_left = xt[:, :-1]
+        # a coefficient may return a scalar, and drift cells without b are one
+        # row for all paths; broadcast both to the block
+        qv_cells = np.broadcast_to(np.asarray(qv_rate(t_left, x_left), dtype=float) * dt, x_left.shape)
+        drift = drift_cells if b is None else np.asarray(b(t_left, x_left), dtype=float) * dt
+        drift = np.broadcast_to(drift, x_left.shape)
+        terms[rows, 1] = 0.5 * _row_sums(_gated(theta, t_left, x_left) * qv_cells)
         # drift pairs with the pre-jump state: at a marked jump time the
         # inner integral's upper limit is the left limit
-        drift_term = float(np.sum(theta.integral_to(t_left, xt[:-1]) * drift_cells))
-        jump_term = 0.0
-        for k in np.flatnonzero(path.jump_marks & in_range):
-            before, after = float(path.values[max(k - 1, 0)]), float(path.values[k])
-            jump_term += theta.hinge_integral(float(times[k]), before, after, after)
-        terms[i] = (lhs, qv_term, drift_term, jump_term,
-                    float(np.sum(qv_cells)), float(np.sum(np.abs(drift_cells))))
+        terms[rows, 2] = _row_sums(theta.integral_to(t_left, x_left) * drift)
+        terms[rows, 3] = 0.0
+        for r, k in zip(*np.divmod(np.flatnonzero(ens.marks & in_range), times.size)):
+            before, after = float(ens.values[r, max(k - 1, 0)]), float(ens.values[r, k])
+            terms[r0 + r, 3] += theta.hinge_integral(float(times[k]), before, after, after)
+        terms[rows, 4] = _row_sums(qv_cells)
+        terms[rows, 5] = _row_sums(np.abs(drift))
         if on_kink_set is not None:
-            on_kink = np.asarray(on_kink_set(t_left, xt[:-1]), dtype=bool)
-            kink[i] = float(np.sum(qv_cells[on_kink]))
+            on_kink = np.asarray(on_kink_set(t_left, x_left), dtype=bool)
+            for r, (q, on) in enumerate(zip(qv_cells, on_kink), start=r0):
+                kink[r] = np.sum(q[on])
+        r0 = rows.stop
     return [(s, ss, terms, kink)]
 
 

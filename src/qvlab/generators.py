@@ -18,11 +18,12 @@ sequence of a path stepped alone, so results are bit-identical to per-path
 construction, and a non-finite coefficient names the seed and path index.
 
 Chunked callers use iter_blocks, which calls generate for at most CHUNK (64)
-consecutive indices at a time, or iter_paths, which yields those blocks'
-rows, so a chunk task holds one block of at most 64 rows.  The time loop
-costs a fixed number of numpy calls per step whatever the row count:
-replaying one Euler path with make_path is a one-row block, several times
-slower than a scalar loop would be, which only matters for one-off replays.
+consecutive indices at a time, so a chunk task holds one block of at most
+64 rows and reads it as a block; its row SamplePath views are built only
+when asked for.  The time loop costs a fixed number of numpy calls per step
+whatever the row count: replaying one Euler path with make_path is a one-row
+block, several times slower than a scalar loop would be, which only matters
+for one-off replays.
 
 Coefficient callbacks (sigma, b, sigma_of_x) are selected by name from a
 small registry so that specs stay picklable and expressible in config files;
@@ -502,9 +503,3 @@ def iter_blocks(spec: GeneratorSpec, lo: int, hi: int):
     """Ensembles of paths lo .. hi-1 in index order, at most CHUNK rows each."""
     for b in range(lo, hi, CHUNK):
         yield generate(spec, min(b + CHUNK, hi) - b, start=b)
-
-
-def iter_paths(spec: GeneratorSpec, lo: int, hi: int):
-    """Paths lo .. hi-1 in index order, generated at most CHUNK rows at a time."""
-    for ens in iter_blocks(spec, lo, hi):
-        yield from ens

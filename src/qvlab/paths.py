@@ -10,9 +10,19 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+
+def _check_grid(times: np.ndarray) -> None:
+    if times.size == 0:
+        raise ValueError("times must be a nonempty 1-d array")
+    if times[0] != 0.0:
+        raise ValueError("times must start at 0")
+    if times.size > 1 and not np.all(np.diff(times) > 0):
+        raise ValueError("times must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -32,12 +42,9 @@ class SamplePath:
         times = np.ascontiguousarray(np.asarray(self.times, dtype=np.float64))
         values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         marks = np.ascontiguousarray(np.asarray(self.jump_marks, dtype=bool))
-        if times.ndim != 1 or times.size == 0:
+        if times.ndim != 1:
             raise ValueError("times must be a nonempty 1-d array")
-        if times[0] != 0.0:
-            raise ValueError("times must start at 0")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
+        _check_grid(times)
         if values.shape != times.shape or marks.shape != times.shape:
             raise ValueError("times, values and jump_marks must have equal length")
         if not np.all(np.isfinite(values)):
@@ -145,14 +152,16 @@ class PathEnsemble:
     """Paths on one shared time grid, held as read-only blocks.
 
     times is the (n_steps+1,) grid; values and marks are (n_paths, n_steps+1)
-    blocks whose row i is path i.  The row SamplePath views are built once,
-    so iterating or indexing the ensemble yields the same objects.
+    blocks whose row i is path i.  The block is checked once, as each row
+    SamplePath would check itself: the grid starts at 0 and increases
+    strictly, and every value is finite.  The row views are built on first
+    use and then kept, so iterating or indexing the ensemble yields the same
+    objects, and a caller that reads only the blocks never builds them.
     """
 
     times: np.ndarray
     values: np.ndarray
     marks: np.ndarray
-    paths: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
@@ -162,14 +171,19 @@ class PathEnsemble:
             raise ValueError("ensemble must contain at least one path")
         if marks.shape != values.shape or values.shape[1:] != times.shape:
             raise ValueError("values and marks must be (n_paths, len(times)) blocks")
+        _check_grid(times)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         for name, arr in (("times", times), ("values", values), ("marks", marks)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        paths = tuple(SamplePath(times=times, values=v, jump_marks=m) for v, m in zip(values, marks))
-        object.__setattr__(self, "paths", paths)
+
+    @cached_property
+    def paths(self) -> tuple:
+        return tuple(SamplePath(times=self.times, values=v, jump_marks=m) for v, m in zip(self.values, self.marks))
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return self.values.shape[0]
 
     def __iter__(self):
         return iter(self.paths)

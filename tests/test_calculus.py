@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qvlab.calculus import (
+    path_median,
     CovariationReport,
     covariation_ladder,
     cross_statistic,
@@ -376,3 +377,19 @@ def test_ladder_sweep_peak_memory_within_four_value_blocks():
         tracemalloc.stop()
     assert rep.full.shape == (64, 7, 65)
     assert peak <= 4 * ens.values.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
+def test_path_median_matches_numpy_bitwise(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, 4, 12))
+    a[:, 0, :] = rng.choice([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0], size=(n, 12))
+    a[:, 1, :] = -0.0
+    a[:, 2, :6] = np.nan
+    a[0, 2, 6:] = np.nan  # one NaN per column
+    a[:, 3, 0] = np.inf
+    a[:, 3, 1] = -np.inf
+    want = np.median(a, axis=0, keepdims=True)
+    got = path_median(a)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert not np.signbit(got[0, 1]).any()  # -0.0 comes out as 0.0

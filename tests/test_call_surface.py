@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -371,3 +374,30 @@ def test_run_identity_reports_are_functions_of_the_pass():
     assert run.identity == occupation_identity_check(theta, terms, t_grid, x_grid)
     assert run.kink == kink_identity_check(spec, make_function("abs"), surface, kink)
     assert run.identity.rhs_drift_term != 0.0 and run.identity.rhs_jump_term != 0.0
+
+
+def _csv_writer_oracle(surface):
+    """CallSurface.to_csv as it was written with csv.writer."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["t", "x", "C", "stderr"])
+    for i, t in enumerate(surface.t_grid):
+        for j, xx in enumerate(surface.x_grid):
+            w.writerow([repr(float(t)), repr(float(xx)),
+                        repr(float(surface.values[i, j])), repr(float(surface.stderr[i, j]))])
+    return buf.getvalue()
+
+
+def test_surface_csv_matches_csv_writer_oracle():
+    t_grid = np.linspace(0.0, 1.0, 4)
+    x_grid = np.linspace(-1e-05, 3e-05, 5)
+    values = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-05,
+                       3.3e-05, 0.1 + 0.2, 1.0 / 3.0, 1e16, 1.7976931348623157e308,
+                       123456789.123, 1e300 * 10, 2.5e-05, 7.0, 1e-300, 6.02e23,
+                       4.9e-05, 1e22, 1e-07, 0.5])
+    values = values.reshape(t_grid.size, x_grid.size)
+    stderr = np.abs(values[::-1]) * 1e-3
+    surface = CallSurface(t_grid=t_grid, x_grid=x_grid, values=values, stderr=stderr, n_paths=2)
+    text = surface.to_csv()
+    assert text == _csv_writer_oracle(surface)
+    assert text.count("\n") == 1 + t_grid.size * x_grid.size

@@ -14,7 +14,6 @@ from qvlab.generators import (
     gen_lamperti_dirichlet,
     generate,
     iter_blocks,
-    iter_paths,
     make_coefficient,
     make_jump_law,
     make_path,
@@ -367,9 +366,11 @@ def test_block_generation_matches_scalar_reference(name):
     ref = [_REFERENCE[spec.kind](spec, path_rng(spec.seed, i)) for i in range(130)]
     ens = generate(spec, 130)
     assert all(_same_bits(p, r) for p, r in zip(ens, ref))
-    # iter_blocks and iter_paths split at 64 and 128; make_path is a one-row block
-    assert [len(b) for b in iter_blocks(spec, 0, 130)] == [64, 64, 2]
-    assert all(_same_bits(p, r) for p, r in zip(iter_paths(spec, 0, 130), ref, strict=True))
+    # iter_blocks splits at 64 and 128; make_path is a one-row block
+    blocks = list(iter_blocks(spec, 0, 130))
+    assert [len(b) for b in blocks] == [64, 64, 2]
+    rows = [p for b in blocks for p in b]
+    assert all(_same_bits(p, r) for p, r in zip(rows, ref, strict=True))
     for i in (0, 63, 64, 129):
         assert _same_bits(make_path(spec, i), ref[i])
 

@@ -55,7 +55,8 @@ def test_bare_import_loads_no_layer():
 @pytest.mark.parametrize(
     "command, absent",
     [
-        (["qv"], {"qvlab.decomposition", "qvlab.call_surface", "qvlab.grid_calculus"}),
+        # numpy's median imports numpy.ma; qv takes its medians without it
+        (["qv"], {"qvlab.decomposition", "qvlab.call_surface", "qvlab.grid_calculus", "numpy.ma"}),
         (["identity"], {"qvlab.decomposition", "qvlab.calculus", "qvlab._kernels"}),
         (["suite", "moving_kink_jump"], {"qvlab.call_surface", "qvlab.grid_calculus"}),
     ],

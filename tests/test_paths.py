@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qvlab.paths import SamplePath, path_from_csv
+from qvlab.paths import PathEnsemble, SamplePath, path_from_csv
 
 from conftest import toy_path
 
@@ -116,3 +116,38 @@ def test_csv_threshold_rederives_marks():
     text = "t,x,jump\n0.0,0.0,1\n1.0,0.05,1\n2.0,2.0,0\n"
     p = path_from_csv(text, jump_threshold=0.5)
     assert list(p.jump_marks) == [False, False, True]
+
+
+def _ensemble(times, values):
+    values = np.asarray(values, dtype=float)
+    return PathEnsemble(times=np.asarray(times, dtype=float), values=values, marks=np.zeros(values.shape, bool))
+
+
+@pytest.mark.parametrize(
+    "times, values, message",
+    [
+        ([0.0, 1.0, 2.0], [[0.0, 1.0, 2.0], [0.0, np.nan, 2.0]], "values must be finite"),
+        ([0.0, 1.0, 2.0], [[0.0, 1.0, 2.0], [0.0, 1.0, np.inf]], "values must be finite"),
+        ([0.5, 1.0, 2.0], [[0.0, 1.0, 2.0]], "times must start at 0"),
+        ([0.0, 1.0, 1.0], [[0.0, 1.0, 2.0]], "times must be strictly increasing"),
+        ([0.0, 2.0, 1.0], [[0.0, 1.0, 2.0]], "times must be strictly increasing"),
+    ],
+)
+def test_ensemble_rejects_what_a_row_path_rejects(times, values, message):
+    with pytest.raises(ValueError, match=message):
+        _ensemble(times, values)
+    with pytest.raises(ValueError, match=message):
+        for row in np.asarray(values, dtype=float):
+            SamplePath(times=np.asarray(times, dtype=float), values=row, jump_marks=np.zeros(row.size, bool))
+
+
+def test_ensemble_builds_row_views_on_demand():
+    ens = _ensemble([0.0, 1.0, 2.0], [[0.0, 1.0, 2.0], [0.0, -1.0, 3.0], [0.0, 0.5, 0.5]])
+    assert len(ens) == 3
+    assert "paths" not in vars(ens)
+    rows = list(ens)
+    assert "paths" in vars(ens)
+    assert all(ens[i] is p for i, p in enumerate(rows))
+    assert all(a is b for a, b in zip(ens, rows, strict=True))
+    assert all(np.shares_memory(p.values, ens.values) for p in rows)
+    assert [p.values.tolist() for p in rows] == ens.values.tolist()

@@ -1,11 +1,13 @@
-"""Suite and decompose reports pinned byte for byte.
+"""Suite, decompose, identity and qv reports pinned byte for byte.
 
-The digests are the sha256 of every output file at a small config
-(1024 steps, levels 4-10, 130 paths: blocks of 64, 64 and 2 rows), recorded
-from the per-path implementation before the suites ran on blocks of paths.
-They hold at any worker count.  The exit codes are pinned with them: the
-ratio gate fails on tanaka, decompose and both moving-kink suites at this
-size (an open item), and the three other suites pass.
+The digests are the sha256 of every output file at small configs
+(1024 steps, levels 4-10, 130 paths: blocks of 64, 64 and 2 rows, and
+16-path identity chunks).  The suite and decompose digests were recorded
+from the per-path implementation before the suites ran on blocks of paths,
+the identity and qv digests from the path-by-path identity pass and numpy's
+median.  They hold at any worker count.  The exit codes are pinned with
+them: the ratio gate fails on tanaka, decompose and both moving-kink suites
+at this size (an open item), and the three other suites pass.
 """
 
 import hashlib
@@ -106,3 +108,80 @@ def test_suite_and_decompose_reports_keep_their_bytes(tmp_path, seed, workers):
             got[f"{command} {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == DIGESTS[seed]
 
+
+
+# identity and qv on a Brownian config and on a jump-diffusion config with
+# drift, jumps, the abs kink and a box inside the horizon and the x-range,
+# so the drift, jump and kink terms are nonzero
+PASS_CONFIGS = {
+    "brownian": CONFIG,
+    "jump_diffusion": {
+        "generator": {"kind": "jump_diffusion", "n_steps": 1024, "jump_rate": 4.0, "b": "const(-0.25)"},
+        "n_paths": 130, "l_min": 4, "l_max": 10, "function": "abs",
+        "theta": "box(0.25, 0.75, -0.5, 1.0)",
+    },
+}
+
+# config -> seed -> "<command> <output file>" -> sha256
+PASS_DIGESTS = {
+    "brownian": {
+        12345: {
+            "identity identity.json":
+                "aaeeba37d044374cdd489c7dd5b93112efb6e777a891f57244b533ac190295bd",
+            "identity surface.csv":
+                "94ea74eb0f2e55e2096ab5bf0b2237075a9213ea62892ab8ea5d2972fc978e5b",
+            "qv covariation.csv":
+                "cdc5b40875968f350f6476356b6cb45601befc3f70fb33e0218bc8289de4f38b",
+            "qv summary.json":
+                "ecac3f76fa30c7ca9c88e805a54bf9dd538f5854664d23f55bebf1204b003ae1",
+        },
+        9091: {
+            "identity identity.json":
+                "f31f86369ef158787c3328d6273817674cf295545754afd6d1839e793c13ce10",
+            "identity surface.csv":
+                "d78d3ee647ddbb719976428cf9a1a43d7f2773f5a5380a38e98d184b29486634",
+            "qv covariation.csv":
+                "2931f6b36ac9fd41b4cec21d8ed4036cc41674966cc14de8b66305e5fdba9947",
+            "qv summary.json":
+                "106e7fd8947d00a38b28dd89b543070daaf63a4ecd7a6c00e4d328a483148b56",
+        },
+    },
+    "jump_diffusion": {
+        12345: {
+            "identity identity.json":
+                "3218c8e89421daa37769482db5d05ae7de50b3468b296ed7a1457e056d269d8d",
+            "identity surface.csv":
+                "939300b6fb920e67bc6931cf853b2be2d20bc13f3087a9ca7d93214b3d3319b1",
+            "qv covariation.csv":
+                "379349cdd1d02932ace569ccbb6f1ff293a661cf5de3b179136666e7de79d523",
+            "qv summary.json":
+                "8bdf2abef6927af30b34ca4c53e8acf9cad759e985053482eb17db403bffb61e",
+        },
+        9091: {
+            "identity identity.json":
+                "f07b0d0ad053fdbfc16f7026631b54466e62bead86395384de65b938f8e0b221",
+            "identity surface.csv":
+                "f68dab3c7ce37e0c2cb0c610337d4be4895382e6192fb7e4c1aecbb7da93526c",
+            "qv covariation.csv":
+                "36ed4d58007a852b685bcb5bbbecd56f2972e60f0d5bac71194bbdece565c85c",
+            "qv summary.json":
+                "781b2411a1b8635c579c213fc9e84c0fd01887324c87ef1cf1781d7ed3902b19",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("seed", [12345, 9091])
+@pytest.mark.parametrize("config", sorted(PASS_CONFIGS))
+def test_identity_and_qv_reports_keep_their_bytes(tmp_path, config, seed, workers):
+    cfg = tmp_path / "pinned.json"
+    cfg.write_text(json.dumps(PASS_CONFIGS[config]))
+    got = {}
+    for command in ("identity", "qv"):
+        out = tmp_path / command
+        args = [command, "--config", str(cfg), "--seed", str(seed), "--workers", workers]
+        assert main([*args, "--out", str(out)]) == 0, command
+        for path in out.iterdir():
+            got[f"{command} {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == PASS_DIGESTS[config][seed]
