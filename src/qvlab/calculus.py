@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,9 +208,40 @@ def path_median(a: np.ndarray) -> np.ndarray:
     k = n // 2
     part = np.partition(a, [k, -1] if n % 2 else [k - 1, k, -1], axis=0)
     med = np.mean(part[k - 1 + n % 2 : k + 1], axis=0, keepdims=True)
+    return _nan_where_last_is_nan(med, part)
+
+
+def path_percentile(a: np.ndarray, q: float) -> np.ndarray:
+    """np.percentile(a, q, axis=0, keepdims=True) for a Python number q,
+    bit for bit, without numpy.ma (numpy's np.unique of the partition
+    positions imports it).
+
+    numpy's linear method: virtual index v = (n-1) q/100; partition at 0,
+    the last position, floor(v) and floor(v)+1 (both the last position when
+    v >= n-1, where the weight counts from -1 as in numpy); interpolate with
+    numpy's _lerp, which works from the upper value when the weight is at
+    least 0.5; and give the last sorted value where it is NaN.
+    """
+    n = a.shape[0]
+    v = (n - 1) * (q / 100)
+    lo = -1 if v >= n - 1 else math.floor(v)
+    hi = -1 if lo == -1 else lo + 1
+    part = np.partition(a, sorted({0, -1, lo, hi}), axis=0)
+    below, above = part[[lo]], part[[hi]]
+    t = v - lo
+    diff = above - below
+    out = np.add(below, diff * t)
+    if t >= 0.5:
+        np.subtract(above, diff * (1 - t), out=out)
+    return _nan_where_last_is_nan(out, part)
+
+
+def _nan_where_last_is_nan(stat: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """numpy's NaN rule for order statistics: NaN sorts last, so a lane
+    whose last partitioned value is NaN gives that value."""
     last = part[-1:]
-    np.copyto(med, last, where=np.isnan(last))
-    return med
+    np.copyto(stat, last, where=np.isnan(last))
+    return stat
 
 
 @dataclass(frozen=True)

@@ -507,10 +507,11 @@ def run_identity(
 
     The surface sits on n_t + 1 times over [0, horizon] and n_x + 1 points
     spanning theta's x-range; the identity integrates over the n_x cells of
-    that x-grid.
+    that x-grid.  It needs n_paths >= 2: the identity's standard error, and
+    so its pass rule, is undefined for one path.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2 for the identity's standard error, got {n_paths}")
     theta = make_theta(theta)
     t_grid = np.linspace(0.0, genspec.horizon, n_t + 1)
     x_grid = np.linspace(theta.box[2], theta.box[3], n_x + 1)

@@ -171,10 +171,10 @@ def summarize_zcqv(stats: np.ndarray, levels, meshes, pass_fraction: float) -> Z
     positive.
     """
     stats = np.asarray(stats, dtype=float)
-    if stats.ndim != 2:
-        raise ValueError("expected (n_paths, n_levels) statistics")
-    med = np.median(stats, axis=0)
-    p90 = np.percentile(stats, 90, axis=0)
+    if stats.ndim != 2 or len(stats) == 0:
+        raise ValueError("expected (n_paths, n_levels) statistics with n_paths >= 1")
+    med = calculus.path_median(stats)[0]
+    p90 = calculus.path_percentile(stats, 90)[0]
     n_levels = stats.shape[1]
     if n_levels < 3:
         passed, status = None, "inconclusive: fewer than 3 levels"
@@ -391,7 +391,7 @@ def _decomposition_suite(
     details = {
         "generator": genspec.kind,
         "function": fexpr,
-        "median_kink_qv_mass": float(np.median(kink)),
+        "median_kink_qv_mass": float(calculus.path_median(np.asarray(kink))[0]),
         "mean_final_v": float(np.mean([r[2] for r in rows])),
     }
     return SuiteResult(name=name, verdict=verdict, expected_pass=True, details=details)
@@ -429,7 +429,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
         details = {
             "generator": "compound_poisson x brownian",
             "function": None,
-            "exploratory_no_exclusion_median": [float(v) for v in np.median(no_s, axis=0)],
+            "exploratory_no_exclusion_median": [float(v) for v in calculus.path_median(no_s)[0]],
         }
         return SuiteResult(name=name, verdict=verdict, expected_pass=True, details=details)
 

@@ -4,18 +4,34 @@ Each path is a pure function of (spec, path index): the per-path RNG is a
 Philox counter-based stream keyed by (seed, index), so ensembles are
 identical regardless of worker count, chunking or generation order, and any
 single path can be replayed in isolation with make_path(spec, i).
+path_rng(seed, index) builds that stream on its own.  A block builder makes
+one Philox per block and rekeys it for each row instead (_row_streams):
+a Philox stream is a function of (key, counter) alone, so key (seed, index)
+at counter 0 gives path_rng's stream without a new bit generator, whose
+constructor would first draw OS entropy that the key then overrides.  Rows
+draw strictly one after another.
 
 generate(spec, n, start) is the one way paths are built.  It returns paths
 start .. start+n-1 as row views of one read-only (n, n_steps+1) float64
 value block and one bool mark block on a shared time grid.  Each kind has
 one builder that fills the block.  Brownian rows are normals drawn in place
 and one cumulative sum; compound Poisson rows are filled from their sparse
-jump lists; Lamperti rows are a Brownian block mapped through h^{-1}.  The
-Euler and jump-diffusion builder draws every row's normals (then its jumps)
-from the row's own stream, and then runs a single time loop whose steps are
-numpy operations across the rows.  Every row sees exactly the IEEE operation
-sequence of a path stepped alone, so results are bit-identical to per-path
-construction, and a non-finite coefficient names the seed and path index.
+jump lists; Lamperti rows are a Brownian block mapped through h^{-1}.
+
+The Euler and jump-diffusion builder draws every row's normals (then its
+jumps) into the row block, copies the block once into a step-major
+(n_steps+1, n) working array, and runs a single time loop whose steps are
+numpy operations on contiguous columns; the result is transposed back into
+the row block.  Every row sees exactly the IEEE operation sequence of a path
+stepped alone, so results are bit-identical to per-path construction.  The
+loop checks finiteness once per block, not once per step: with x finite and
+dt > 0, a NaN or infinite coefficient makes x + b dt + sigma sqrt(dt) z
+non-finite, and a sum with a non-finite term stays non-finite, so the row
+is non-finite up to its last column.  A block whose last column is not
+finite, or whose fast pass raised or signalled a floating-point error, is
+replayed through the same loop with the per-step coefficient check on; the
+replay raises the per-path error naming the seed, path index, t and x, or
+warns and returns the overflowed values as a per-path loop would.
 
 Chunked callers use iter_blocks, which calls generate for at most CHUNK (64)
 consecutive indices at a time, so a chunk task holds one block of at most
@@ -54,6 +70,31 @@ def path_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based per-path stream: key = (seed, path index)."""
     key = ((seed & _MASK64) << 64) | (index & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _row_streams(seed: int, start: int, n: int):
+    """path_rng(seed, start + r) for r = 0 .. n-1: one Generator, rekeyed.
+
+    Philox(key) stores the key as the words [index, seed]; each row resets
+    the counter to 0 and empties the output buffer, so the row's stream is
+    the one path_rng builds.  A yielded stream is valid until the next one.
+    """
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    seed_word = seed & _MASK64
+    for index in range(start, start + n):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([index & _MASK64, seed_word], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +310,11 @@ def _constant_value(coef_spec):
 #
 # Every builder returns a (values, marks) pair of (n, n_steps + 1) blocks
 # holding paths start .. start+n-1.  Row r draws from path_rng(seed, start+r)
-# in the same order, and goes through the same IEEE operations, as a path
-# built on its own would.
+# (through _row_streams) in the same order, and goes through the same IEEE
+# operations, as a path built on its own would.
 
 
-def _draw_jump_cells(spec: GeneratorSpec, rng, index: int) -> tuple:
+def _draw_jump_cells(spec: GeneratorSpec, law: JumpLaw, rng, index: int) -> tuple:
     """Poisson event times snapped to grid cells, one jump per cell.
 
     A jump in (times[c-1], times[c]] is realized at grid index c; collisions
@@ -297,7 +338,6 @@ def _draw_jump_cells(spec: GeneratorSpec, rng, index: int) -> tuple:
                 f"could not place jump without cell collision (seed={spec.seed}, path={index})"
             )
     cells.sort()
-    law = make_jump_law(spec.jump_law)
     sizes = [law.sample(rng) for _ in cells]
     return cells, sizes
 
@@ -309,8 +349,8 @@ def _empty_blocks(spec: GeneratorSpec, n: int) -> tuple:
 
 def _brownian_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
     values, marks = _empty_blocks(spec, n)
-    for r, row in enumerate(values):
-        path_rng(spec.seed, start + r).standard_normal(out=row[1:])
+    for row, rng in zip(values, _row_streams(spec.seed, start, n)):
+        rng.standard_normal(out=row[1:])
     body = values[:, 1:]
     body *= math.sqrt(spec.dt)
     np.cumsum(body, axis=1, out=body)
@@ -323,8 +363,9 @@ def _compound_poisson_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
     # each row holds its own jump-size array until the cumulative sum
     values, marks = _empty_blocks(spec, n)
     values[:] = 0.0
-    for r in range(n):
-        cells, sizes = _draw_jump_cells(spec, path_rng(spec.seed, start + r), start + r)
+    law = make_jump_law(spec.jump_law)
+    for r, rng in enumerate(_row_streams(spec.seed, start, n)):
+        cells, sizes = _draw_jump_cells(spec, law, rng, start + r)
         values[r, cells] = sizes
         marks[r, cells] = True
     np.cumsum(values, axis=1, out=values)
@@ -334,56 +375,84 @@ def _compound_poisson_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
 
 
 def _euler_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
-    """euler_sde and jump_diffusion: one time loop, vectorized over the rows.
+    """euler_sde and jump_diffusion: one step-major time loop over the rows.
 
     Each row's normals are drawn into the row itself, then (jump_diffusion
-    only) its Poisson stream; step i reads column i+1 as the normal and
-    overwrites it with the new state.  jump_diffusion adds the jump column on
-    every step, 0.0 off the jump cells, as the per-path recursion does.
+    only) its Poisson stream.  The block is copied once into an
+    (n_steps+1, n) working array, where step i reads row i as the states
+    and overwrites row i+1, the normals, with the new states; jump_diffusion
+    adds the jump column on every step, 0.0 off the jump cells, as the
+    per-path recursion does.  The fast pass runs with floating-point errors
+    raised and without the per-step coefficient check; one look at the last
+    states decides for the whole block, since a non-finite coefficient
+    leaves its row non-finite from that step on (module docstring).  If the
+    last states are not all finite or the pass raised, the block is replayed
+    from its normals with the check on: the replay raises the per-path error
+    and warnings, or returns the values of a block that only overflowed.
     """
     values, marks = _empty_blocks(spec, n)
-    with_jumps = spec.kind == "jump_diffusion"
+    law = make_jump_law(spec.jump_law) if spec.kind == "jump_diffusion" else None
     events: dict[int, tuple] = {}  # grid index -> (rows, sizes)
-    for r, row in enumerate(values):
-        rng = path_rng(spec.seed, start + r)
-        rng.standard_normal(out=row[1:])
-        if with_jumps:
-            cells, sizes = _draw_jump_cells(spec, rng, start + r)
+    for r, rng in enumerate(_row_streams(spec.seed, start, n)):
+        rng.standard_normal(out=values[r, 1:])
+        if law is not None:
+            cells, sizes = _draw_jump_cells(spec, law, rng, start + r)
             marks[r, cells] = True
             for c, j in zip(cells, sizes):
                 rows, js = events.setdefault(c, ([], []))
                 rows.append(r)
                 js.append(j)
+    values[:, 0] = spec.x0
+    work = values.T.copy()
+    try:
+        with np.errstate(all="raise"):
+            _euler_steps(spec, work, events, start, checked=False)
+        finite = bool(np.isfinite(work[-1]).all())
+    except Exception:  # the checked replay raises what the per-path loop raises
+        finite = False
+    if not finite:
+        np.copyto(work, values.T)
+        _euler_steps(spec, work, events, start, checked=True)
+    values[...] = work.T
+    return values, marks
+
+
+def _euler_steps(spec: GeneratorSpec, work: np.ndarray, events: dict, start: int, checked: bool) -> None:
+    """The Euler recursion in place on the step-major block `work`.
+
+    checked: test every step's coefficients and raise GenerationError at
+    the first non-finite one, naming the first such row.
+    """
     sigma = make_coefficient(spec.sigma)
     b = make_coefficient(spec.b)
     dt = spec.dt
     sqdt = math.sqrt(dt)
     times = spec.grid()
-    jump_col = np.zeros(n)
-    values[:, 0] = spec.x0
+    jump_col = np.zeros(work.shape[1]) if spec.kind == "jump_diffusion" else None
     for i in range(spec.n_steps):
         t = times[i]
-        x = values[:, i]
+        x, z = work[i], work[i + 1]
         s = np.asarray(sigma(t, x), dtype=float)
         drift = np.asarray(b(t, x), dtype=float)
-        if not (np.isfinite(s).all() and np.isfinite(drift).all()):
+        if checked and not (np.isfinite(s).all() and np.isfinite(drift).all()):
             bad = np.broadcast_to(~(np.isfinite(s) & np.isfinite(drift)), x.shape)
             r = int(np.argmax(bad))
             raise GenerationError(
                 f"non-finite coefficient at (seed={spec.seed}, path={start + r}, "
                 f"t={float(t)!r}, x={float(x[r])!r})"
             )
-        step = x + drift * dt + s * sqdt * values[:, i + 1]
-        if with_jumps:
+        # x + drift dt + sigma sqrt(dt) z, in that order, written over z
+        head = x + drift * dt
+        np.multiply(s * sqdt, z, out=z)
+        np.add(head, z, out=z)
+        if jump_col is not None:
             ev = events.get(i + 1)
             if ev is None:
-                step += jump_col
+                z += jump_col
             else:
                 jump_col[ev[0]] = ev[1]
-                step += jump_col
+                z += jump_col
                 jump_col[ev[0]] = 0.0
-        values[:, i + 1] = step
-    return values, marks
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from qvlab.calculus import (
     path_median,
+    path_percentile,
     CovariationReport,
     covariation_ladder,
     cross_statistic,
@@ -393,3 +395,33 @@ def test_path_median_matches_numpy_bitwise(n):
     got = path_median(a)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert not np.signbit(got[0, 1]).any()  # -0.0 comes out as 0.0
+
+
+def _with_warnings(stat):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = stat()
+    return out.shape, out.tobytes(), [(w.category, str(w.message)) for w in caught]
+
+
+def test_order_statistics_match_numpy_bitwise():
+    # columns: signed zeros and infinities, all -0.0, all NaN, one NaN,
+    # +inf and -inf, a mix of +-0.0, and normals; q = 90 is the suites' p90
+    for n in range(1, 301):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, 8))
+        a[:, 0] = rng.choice([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0], size=n)
+        a[:, 1] = -0.0
+        a[:, 2] = np.nan
+        a[0, 3] = np.nan
+        a[:, 4] = np.inf
+        a[:, 5] = -np.inf
+        a[:, 6] = rng.choice([0.0, -0.0], size=n)
+        for q in (90, 0, 50, 100):
+            assert _with_warnings(lambda: path_percentile(a, q)) == _with_warnings(
+                lambda: np.percentile(a, q, axis=0, keepdims=True)
+            ), (n, q)
+        assert _with_warnings(lambda: path_median(a)) == _with_warnings(lambda: np.median(a, axis=0, keepdims=True)), n
+        # one column, as the suites' kink-mass median takes it
+        col = a[:, 0].copy()
+        assert _with_warnings(lambda: path_median(col)[0]) == _with_warnings(lambda: np.median(col)), n

@@ -19,6 +19,7 @@ from qvlab.call_surface import (
     occupation_identity_check,
     run_identity,
 )
+from qvlab.cli import main
 from qvlab.functions import make_function
 from qvlab.generators import GeneratorSpec, generate, make_coefficient, make_jump_law, make_path
 from qvlab.paths import PathEnsemble
@@ -237,11 +238,13 @@ def test_empty_ensemble_rejected():
         run_identity(spec, "box(0.0, 1.0, -1.0, 1.0)", 0, n_t=2, n_x=2)
 
 
-@pytest.mark.parametrize("n_paths", [0, -3])
-def test_identity_rejects_bad_path_count(n_paths):
+@pytest.mark.parametrize("n_paths", [0, -3, 1])
+def test_identity_rejects_bad_path_count(n_paths, tmp_path):
+    # one path has no standard error: its identity would pass by construction
     spec = GeneratorSpec(kind="brownian", n_steps=8, seed=0)
-    with pytest.raises(ValueError, match="n_paths"):
+    with pytest.raises(ValueError, match="n_paths must be >= 2"):
         run_identity(spec, "box(0.0, 1.0, -1.0, 1.0)", n_paths, n_t=2, n_x=2, f=make_function("abs"))
+    assert main(["identity", "--paths", str(n_paths), "--out", str(tmp_path / "o")]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -276,5 +276,6 @@ def test_decompose_names_the_path_behind_a_non_finite_v(tmp_path, capsys):
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps({"generator": {"kind": "brownian", "n_steps": 256, "x0": 1e160},
                                "n_paths": 4, "function": "square", "l_min": 2, "l_max": 8}))
-    assert main(["decompose", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / "o")]) == 2
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["decompose", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / "o")]) == 2
     assert "non-finite V at (seed=5, path=0)" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,9 @@ from scipy import stats
 from qvlab.errors import ConfigurationError, GenerationError
 from qvlab.generators import (
     GeneratorSpec,
+    _draw_jump_cells,
+    _euler_block,
+    _row_streams,
     build_transform,
     gen_lamperti_dirichlet,
     generate,
@@ -20,6 +24,7 @@ from qvlab.generators import (
     parse_expression,
     path_rng,
 )
+from qvlab.paths import PathEnsemble
 
 
 def test_parse_expression():
@@ -407,3 +412,141 @@ def test_generate_peak_memory_within_twice_the_blocks():
         tracemalloc.stop()
     assert len(ens) == 64
     assert peak <= 2 * block_bytes
+
+
+# ---------------------------------------------------------------------------
+# the block loop before the step-major one, kept as the oracle of its errors:
+# every row's stream from path_rng, the coefficients checked at every step
+
+
+def _checked_loop(spec, n, start):
+    values = np.empty((n, spec.n_steps + 1))
+    jumps = np.zeros_like(values)
+    for r, row in enumerate(values):
+        rng = path_rng(spec.seed, start + r)
+        rng.standard_normal(out=row[1:])
+        if spec.kind == "jump_diffusion":
+            jumps[r] = _reference_jump_cells(spec, rng)
+    sigma, b = make_coefficient(spec.sigma), make_coefficient(spec.b)
+    dt = spec.dt
+    sqdt = math.sqrt(dt)
+    times = spec.grid()
+    values[:, 0] = spec.x0
+    for i in range(spec.n_steps):
+        t = times[i]
+        x = values[:, i]
+        s = np.asarray(sigma(t, x), dtype=float)
+        drift = np.asarray(b(t, x), dtype=float)
+        if not (np.isfinite(s).all() and np.isfinite(drift).all()):
+            bad = np.broadcast_to(~(np.isfinite(s) & np.isfinite(drift)), x.shape)
+            r = int(np.argmax(bad))
+            raise GenerationError(
+                f"non-finite coefficient at (seed={spec.seed}, path={start + r}, "
+                f"t={float(t)!r}, x={float(x[r])!r})"
+            )
+        step = x + drift * dt + s * sqdt * values[:, i + 1]
+        if spec.kind == "jump_diffusion":
+            step += jumps[:, i + 1]
+        values[:, i + 1] = step
+    return values, jumps != 0.0
+
+
+def _checked_block(spec, n, start):
+    values, marks = _checked_loop(spec, n, start)
+    return PathEnsemble(times=spec.grid(), values=values, marks=marks)
+
+
+def _outcome(build):
+    """(values, marks) bytes of the built ensembles or (exception type,
+    message), and the warnings raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            blocks = build()
+            result = (b"".join(e.values.tobytes() for e in blocks), b"".join(e.marks.tobytes() for e in blocks))
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _same_outcome_as_checked_loop(spec, n_paths):
+    spans = [(lo, min(lo + 64, n_paths)) for lo in range(0, n_paths, 64)]
+    got = _outcome(lambda: list(iter_blocks(spec, 0, n_paths)))
+    assert got == _outcome(lambda: [_checked_block(spec, hi - lo, lo) for lo, hi in spans])
+    # all rows in one block: the first failing row of the block is named
+    assert _outcome(lambda: [generate(spec, n_paths)]) == _outcome(lambda: [_checked_block(spec, n_paths, 0)])
+    return got
+
+
+# with these seeds the first non-finite coefficient is at a row >= 1 of the
+# second block, at a step > 0
+NON_FINITE_AT_ROW_AND_STEP = {
+    "euler_sde": dict(kind="euler_sde", seed=0, sigma=lambda t, x: np.where(np.abs(x) < 2.8, 1.0, np.inf)),
+    "jump_diffusion": dict(kind="jump_diffusion", seed=5, jump_rate=3.0,
+                           b=lambda t, x: np.where(np.abs(x) < 6.0, 0.5, np.nan)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_AT_ROW_AND_STEP))
+def test_non_finite_coefficient_error_equals_the_checked_loop(name):
+    spec = GeneratorSpec(n_steps=256, **NON_FINITE_AT_ROW_AND_STEP[name])
+    (kind, message), warned = _same_outcome_as_checked_loop(spec, 130)
+    assert kind is GenerationError and not warned
+    path = int(re.search(r"path=(\d+)", message).group(1))
+    t = float(re.search(r"t=([^,]+),", message).group(1))
+    assert path >= 64 and path % 64 >= 1 and t > 0.0
+
+
+@pytest.mark.parametrize("kind", ["euler_sde", "jump_diffusion"])
+def test_overflow_with_finite_coefficients_keeps_the_checked_loop_values(kind):
+    # sigma and b stay finite at x = inf: the values overflow, and the
+    # ensemble rejects them
+    spec = GeneratorSpec(kind=kind, n_steps=256, x0=1.7e308, sigma="step(1.0, 1.0, 0.0)",
+                         b="step(1e308, 1e308, 0.0)", jump_rate=3.0, seed=4)
+    (kind_, message), warned = _same_outcome_as_checked_loop(spec, 130)
+    assert (kind_, message) == (ValueError, "values must be finite")
+    assert (RuntimeWarning, "overflow encountered in add") in warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        values, marks = _euler_block(spec, 130, 0)
+        want_values, want_marks = _checked_loop(spec, 130, 0)
+    assert np.isinf(values[:, -1]).all()
+    assert values.tobytes() == want_values.tobytes() and np.array_equal(marks, want_marks)
+
+
+@pytest.mark.parametrize("kind", ["euler_sde", "jump_diffusion"])
+def test_overflow_into_a_non_finite_coefficient_equals_the_checked_loop(kind):
+    # const(1.0) is 1.0 + 0.0 * x, NaN one step after x overflows
+    spec = GeneratorSpec(kind=kind, n_steps=256, x0=1.7e308, sigma="const(1.0)",
+                         b="step(1e308, 1e308, 0.0)", jump_rate=3.0, seed=4)
+    (kind_, message), warned = _same_outcome_as_checked_loop(spec, 130)
+    assert kind_ is GenerationError and "path=0, " in message and message.endswith("x=inf)")
+    assert (RuntimeWarning, "overflow encountered in add") in warned
+
+
+@pytest.mark.parametrize("seed", [7, -3, 2**64 + 5])
+def test_rekeyed_rows_draw_the_path_rng_streams(seed):
+    # rows on both sides of the 64-row boundary, each drawing its normals,
+    # its jumps and then more: a half-used 32-bit output and uniforms
+    spec = GeneratorSpec(kind="jump_diffusion", n_steps=64, jump_rate=20.0, seed=seed)
+    law = make_jump_law(spec.jump_law)
+
+    def draws(rng, index):
+        z = rng.standard_normal(spec.n_steps)
+        cells, sizes = _draw_jump_cells(spec, law, rng, index)
+        tail = rng.integers(0, 2**32, size=3, dtype=np.uint32)
+        return z.tobytes(), cells, np.asarray(sizes).tobytes(), tail.tobytes(), rng.random(2).tobytes()
+
+    for start, n in ((0, 64), (64, 3)):
+        for r, rng in enumerate(_row_streams(seed, start, n)):
+            assert draws(rng, start + r) == draws(path_rng(seed, start + r), start + r)
+
+
+def test_a_coefficient_that_warns_but_stays_finite_warns_as_the_checked_loop():
+    # exp overflows for x > 0.71, and sigma is then exactly 1.0: the values
+    # stay finite, and every step's warning is the checked loop's
+    sig = lambda t, x: 1.0 + 1.0 / (1.0 + np.exp(1000.0 * x))
+    spec = GeneratorSpec(kind="jump_diffusion", n_steps=256, sigma=sig, jump_rate=3.0, seed=9)
+    (values, _), warned = _same_outcome_as_checked_loop(spec, 130)
+    assert np.isfinite(np.frombuffer(values)).all()
+    assert warned and set(warned) == {(RuntimeWarning, "overflow encountered in exp")}
