@@ -204,13 +204,16 @@ def occupation_identity_check(
     terms holds one row per path, as the pass builds it: (lhs, qv, drift,
     jump, model [X]^c total, model |dA| total).  Pass when |LHS - RHS| <=
     sigma_mult * stderr(paired difference) + budget; the budget covers t- and
-    x-discretization and is reported separately.
+    x-discretization and is reported separately.  It needs two rows or more:
+    the standard error is undefined for one.
     """
     n_paths = terms.shape[0]
+    if n_paths < 2:
+        raise ValueError(f"the occupation identity needs >= 2 paths for its standard error, got {n_paths}")
     lhs_p, qv_p, drift_p, jump_p = terms[:, 0], terms[:, 1], terms[:, 2], terms[:, 3]
     diff = lhs_p - (qv_p + drift_p + jump_p)
-    stderr = float(diff.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("inf")
-    lhs_stderr = float(lhs_p.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else float("inf")
+    stderr = float(diff.std(ddof=1) / np.sqrt(n_paths))
+    lhs_stderr = float(lhs_p.std(ddof=1) / np.sqrt(n_paths))
 
     horizon = float(t_grid[-1])
     budget = identity_budget(
@@ -329,14 +332,17 @@ def kink_identity_check(
     the path's first grid step fire on every path, worth qv-rate * dt each);
     the RHS budget is the kink-column total variation bound
     (C(T,x) - C(0,x) + 2 E int |dA|) plus noise rectification, times the
-    discretized column width.
+    discretized column width.  A function with a kink set needs two paths or
+    more: the LHS budget's spread is undefined for one.
     """
     if f.nondiff_indicator is None:
         return KinkIdentityReport(0.0, 0.0, 0.0, 0.0, True, True)
     t_grid = surface.t_grid
     n_paths = lhs_vals.size
+    if n_paths < 2:
+        raise ValueError(f"the kink identity needs >= 2 paths for its LHS budget, got {n_paths}")
     lhs = float(lhs_vals.mean())
-    lhs_budget = float(sigma_mult * lhs_vals.std(ddof=1) / np.sqrt(max(n_paths - 1, 1))) if n_paths > 1 else 0.0
+    lhs_budget = float(sigma_mult * lhs_vals.std(ddof=1) / np.sqrt(n_paths - 1))
     rate = genspec.qv_rate()
     if rate is not None:
         # the path holds x0 until its first grid step, so every t-cell that

@@ -38,10 +38,6 @@ class DecompositionResult:
     assumptions: str
     kink_qv_mass: float
 
-    def reconstruction_error(self) -> float:
-        resid = self.f_path.values - (self.integral_path.values + self.v_path.values)
-        return float(np.max(np.abs(resid)))
-
 
 def _integrand_states(values, marks, times, left_cuts) -> np.ndarray:
     """State fed to D_x f at each left cut time, for every row: the pre-jump value.

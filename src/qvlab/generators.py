@@ -19,27 +19,38 @@ and one cumulative sum; compound Poisson rows are filled from their sparse
 jump lists; Lamperti rows are a Brownian block mapped through h^{-1}.
 
 The Euler and jump-diffusion builder draws every row's normals (then its
-jumps) into the row block, copies the block once into a step-major
-(n_steps+1, n) working array, and runs a single time loop whose steps are
-numpy operations on contiguous columns; the result is transposed back into
-the row block.  Every row sees exactly the IEEE operation sequence of a path
-stepped alone, so results are bit-identical to per-path construction.  The
-loop checks finiteness once per block, not once per step: with x finite and
-dt > 0, a NaN or infinite coefficient makes x + b dt + sigma sqrt(dt) z
-non-finite, and a sum with a non-finite term stays non-finite, so the row
-is non-finite up to its last column.  A block whose last column is not
-finite, or whose fast pass raised or signalled a floating-point error, is
-replayed through the same loop with the per-step coefficient check on; the
-replay raises the per-path error naming the seed, path index, t and x, or
-warns and returns the overflowed values as a per-path loop would.
+jumps) into the row block and runs the recursion
+x_{i+1} = ((x_i + b dt) + sigma sqrt(dt) z_i) + J_{i+1} in one of two ways.
+When sigma and b are both const(c), c finite and not -0.0 (every suite and
+the default config), the coefficients at a finite state are exactly c, so
+each row is a running sum over the interleaved terms
+[x0, b dt, sigma sqrt(dt) z_1, J_1, b dt, ...], J only for jump_diffusion:
+np.cumsum along the row, a slab of at most 512 steps at a time through one
+(n, 1 + 3 * 512) buffer, with the last state carried into the next slab.
+add.accumulate adds strictly left to right, so every state has the bits of
+the step loop.  Any other coefficients take that step loop: the block is
+copied once into a step-major (n_steps+1, n) working array, each step is a
+few numpy operations on contiguous columns, and the result is transposed
+back into the row block.  Either way every row sees exactly the IEEE
+operation sequence of a path stepped alone, so results are bit-identical to
+per-path construction.
+
+Either pass checks finiteness once per block, not once per step: with x
+finite and dt > 0, a NaN or infinite coefficient makes x + b dt +
+sigma sqrt(dt) z non-finite, and a sum with a non-finite term stays
+non-finite, so the row is non-finite up to its last column.  A block whose
+last column is not finite, or whose fast pass raised or signalled a
+floating-point error, is replayed through the step loop with the per-step
+coefficient check on; the replay raises the per-path error naming the seed,
+path index, t and x, or warns and returns the overflowed values as a
+per-path loop would.
 
 Chunked callers use iter_blocks, which calls generate for at most CHUNK (64)
 consecutive indices at a time, so a chunk task holds one block of at most
 64 rows and reads it as a block; its row SamplePath views are built only
-when asked for.  The time loop costs a fixed number of numpy calls per step
-whatever the row count: replaying one Euler path with make_path is a one-row
-block, several times slower than a scalar loop would be, which only matters
-for one-off replays.
+when asked for.  Both Euler passes cost a fixed number of numpy calls per
+step or slab whatever the row count: replaying one Euler path with make_path
+is a one-row block, which only matters for one-off replays.
 
 Coefficient callbacks (sigma, b, sigma_of_x) are selected by name from a
 small registry so that specs stay picklable and expressible in config files;
@@ -128,9 +139,18 @@ def _parse_value(s: str):
         return s.strip("'\"")
 
 
+@dataclass(frozen=True)
+class _Const:
+    """const(c): c + 0.0 * x, so a non-finite state gives NaN."""
+
+    c: float
+
+    def __call__(self, t, x):
+        return self.c + 0.0 * np.asarray(x)
+
+
 def _coef_const(c=1.0):
-    c = float(c)
-    return lambda t, x: c + 0.0 * np.asarray(x)
+    return _Const(float(c))
 
 
 def _coef_linear(a=0.0, b=1.0):
@@ -162,10 +182,15 @@ def make_coefficient(spec) -> Callable:
     """Resolve a coefficient: callable passthrough or registry expression."""
     if callable(spec):
         return spec
+    if not isinstance(spec, str):
+        raise ConfigurationError(f"coefficient must be an expression or a callable, got {spec!r}")
     name, args, kwargs = parse_expression(spec)
     if name not in _COEFFICIENTS:
         raise ConfigurationError(f"unknown coefficient {name!r}")
-    return _COEFFICIENTS[name](*args, **kwargs)
+    try:
+        return _COEFFICIENTS[name](*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad coefficient {spec!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +270,11 @@ class GeneratorSpec:
             raise ConfigurationError("jump_rate must be nonnegative")
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigurationError("alpha must lie in (0, 1]")
+        if self.kind in ("euler_sde", "jump_diffusion"):
+            make_coefficient(self.sigma)
+            make_coefficient(self.b)
+        elif self.kind == "lamperti_dirichlet":
+            make_coefficient(self.sigma_of_x)
         if self.kind in ("compound_poisson", "jump_diffusion"):
             if self.kind == "compound_poisson" and self.jump_rate <= 0:
                 raise ConfigurationError("compound_poisson requires jump_rate > 0")
@@ -295,14 +325,10 @@ class GeneratorSpec:
 
 
 def _constant_value(coef_spec):
-    if callable(coef_spec):
-        return None
-    name, args, kwargs = parse_expression(coef_spec)
-    if name != "const":
-        return None
-    if args:
-        return float(args[0])
-    return float(kwargs.get("c", 1.0))
+    """c for a const(c) coefficient, None for any other; a malformed
+    expression raises what make_coefficient raises."""
+    coef = make_coefficient(coef_spec)
+    return coef.c if isinstance(coef, _Const) else None
 
 
 # ---------------------------------------------------------------------------
@@ -375,24 +401,35 @@ def _compound_poisson_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
 
 
 def _euler_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
-    """euler_sde and jump_diffusion: one step-major time loop over the rows.
-
-    Each row's normals are drawn into the row itself, then (jump_diffusion
-    only) its Poisson stream.  The block is copied once into an
-    (n_steps+1, n) working array, where step i reads row i as the states
-    and overwrites row i+1, the normals, with the new states; jump_diffusion
-    adds the jump column on every step, 0.0 off the jump cells, as the
-    per-path recursion does.  The fast pass runs with floating-point errors
-    raised and without the per-step coefficient check; one look at the last
-    states decides for the whole block, since a non-finite coefficient
-    leaves its row non-finite from that step on (module docstring).  If the
-    last states are not all finite or the pass raised, the block is replayed
-    from its normals with the check on: the replay raises the per-path error
-    and warnings, or returns the values of a block that only overflowed.
+    """euler_sde and jump_diffusion: running sums for constant coefficients
+    (_euler_sums), else the step-major loop (_euler_steps), each as a fast
+    pass with one finiteness check; a block that fails it is replayed
+    through the checked step loop from its normals, drawn again if the sums
+    wrote over them (module docstring).
     """
+    values, marks, events = _euler_draws(spec, n, start)
+    sigma, b = _constant_value(spec.sigma), _constant_value(spec.b)
+    if _summable(sigma) and _summable(b):
+        if _passes(lambda: _euler_sums(spec, values, events, sigma, b), values[:, -1]):
+            return values, marks
+        values, marks, events = _euler_draws(spec, n, start)
+    else:
+        work = values.T.copy()
+        if _passes(lambda: _euler_steps(spec, work, events, start, checked=False), work[-1]):
+            values[...] = work.T
+            return values, marks
+    work = values.T.copy()
+    _euler_steps(spec, work, events, start, checked=True)
+    values[...] = work.T
+    return values, marks
+
+
+def _euler_draws(spec: GeneratorSpec, n: int, start: int) -> tuple:
+    """(values, marks, events): x0 and each row's normals, its jump marks,
+    and the jumps as grid index -> (rows, sizes)."""
     values, marks = _empty_blocks(spec, n)
     law = make_jump_law(spec.jump_law) if spec.kind == "jump_diffusion" else None
-    events: dict[int, tuple] = {}  # grid index -> (rows, sizes)
+    events: dict[int, tuple] = {}
     for r, rng in enumerate(_row_streams(spec.seed, start, n)):
         rng.standard_normal(out=values[r, 1:])
         if law is not None:
@@ -403,18 +440,56 @@ def _euler_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
                 rows.append(r)
                 js.append(j)
     values[:, 0] = spec.x0
-    work = values.T.copy()
+    return values, marks, events
+
+
+def _summable(c) -> bool:
+    """A constant coefficient the running sums may stand in for: finite, and
+    not -0.0, since -0.0 + 0.0 * x is +0.0 for x >= 0."""
+    return c is not None and math.isfinite(c) and (c != 0.0 or math.copysign(1.0, c) > 0.0)
+
+
+def _passes(run, last) -> bool:
+    """Run a fast pass with floating-point errors raised; True when it
+    finished and the view `last` (its final states) is all finite."""
     try:
         with np.errstate(all="raise"):
-            _euler_steps(spec, work, events, start, checked=False)
-        finite = bool(np.isfinite(work[-1]).all())
+            run()
+        return bool(np.isfinite(last).all())
     except Exception:  # the checked replay raises what the per-path loop raises
-        finite = False
-    if not finite:
-        np.copyto(work, values.T)
-        _euler_steps(spec, work, events, start, checked=True)
-    values[...] = work.T
-    return values, marks
+        return False
+
+
+_SLAB = 512  # steps per running-sum slab: the buffer stays (n, 1 + 3 * 512) at any n_steps
+
+
+def _euler_sums(spec: GeneratorSpec, values: np.ndarray, events: dict, sigma: float, b: float) -> None:
+    """The Euler recursion for constant sigma and b, in place on the rows.
+
+    A slab of k steps is laid out as [x_i, b dt, sigma sqrt(dt) z, J, b dt,
+    ...], m = 3 terms per step (2 without J), so its cumulative sum holds
+    the states at every m-th column.
+    """
+    jumps = spec.kind == "jump_diffusion"
+    m = 3 if jumps else 2
+    drift = b * spec.dt
+    scale = sigma * math.sqrt(spec.dt)
+    buf = np.empty((values.shape[0], 1 + m * min(_SLAB, spec.n_steps)))
+    buf[:, 0] = values[:, 0]
+    for i in range(0, spec.n_steps, _SLAB):
+        k = min(_SLAB, spec.n_steps - i)
+        slab = buf[:, : 1 + m * k]
+        states = values[:, i + 1 : i + 1 + k]
+        slab[:, 1::m] = drift
+        np.multiply(scale, states, out=slab[:, 2::m])
+        if jumps:
+            slab[:, 3::m] = 0.0
+            for c, (rows, sizes) in events.items():
+                if i < c <= i + k:
+                    slab[rows, m * (c - i)] = sizes
+        np.cumsum(slab, axis=1, out=slab)
+        states[...] = slab[:, m::m]
+        buf[:, 0] = slab[:, -1]
 
 
 def _euler_steps(spec: GeneratorSpec, work: np.ndarray, events: dict, start: int, checked: bool) -> None:

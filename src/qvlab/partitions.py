@@ -40,9 +40,6 @@ class Partition:
     def n_cells(self) -> int:
         return self.cut_times.size - 1
 
-    def covers(self, horizon: float) -> bool:
-        return bool(self.cut_times[-1] >= horizon)
-
 
 def dyadic_partition(horizon: float, level: int) -> Partition:
     """Cut times j * horizon * 2^-level, j = 0..2^level."""

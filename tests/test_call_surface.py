@@ -247,6 +247,19 @@ def test_identity_rejects_bad_path_count(n_paths, tmp_path):
     assert main(["identity", "--paths", str(n_paths), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_identity_checks_reject_one_row():
+    # one row: LHS 5.0 against RHS 1.0 would pass on an infinite stderr, and
+    # the kink LHS on a zero budget spread
+    theta = make_theta("box(0.0, 1.0, -1.0, 1.0)")
+    t_grid, x_grid = np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(ValueError, match="occupation identity needs >= 2 paths"):
+        occupation_identity_check(theta, np.array([[5.0, 1.0, 0.0, 0.0, 1.0, 0.0]]), t_grid, x_grid)
+    spec = GeneratorSpec(kind="brownian", n_steps=8, seed=0)
+    surface = run_identity(spec, theta, 2, n_t=2, n_x=2).surface
+    with pytest.raises(ValueError, match="kink identity needs >= 2 paths"):
+        kink_identity_check(spec, make_function("abs"), surface, np.array([0.5]))
+
+
 # ---------------------------------------------------------------------------
 # bitwise oracle: the three per-path loops the one pass replaced, each path
 # built on its own with make_path

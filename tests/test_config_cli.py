@@ -92,6 +92,18 @@ def test_unresolved_name_nonzero_exit(tmp_path):
     assert rc == 2 and not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["euler_sde", "jump_diffusion"])
+@pytest.mark.parametrize("field, expr", [("sigma", "const(foo=1)"), ("b", "const(1.0, 2.0)"), ("b", "const(abc)")])
+def test_malformed_coefficient_exits_2_naming_it(tmp_path, capsys, kind, field, expr):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"generator": {"kind": kind, "n_steps": 64, field: expr}, "n_paths": 2}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(expr) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _small_gen_config(tmp_path, **extra):
     d = {"generator": {"kind": "brownian", "n_steps": 64}, "n_paths": 2}
     d.update(extra)

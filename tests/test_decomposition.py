@@ -44,17 +44,6 @@ def test_square_on_drift_path_closed_form():
         assert res.v_path.values[-1] == 2.0 ** -level
 
 
-def test_reconstruction_to_roundoff():
-    f = make_function("abs")
-    spec = GeneratorSpec(kind="brownian", n_steps=512, seed=3)
-    p = make_path(spec, 0)
-    res = decompose(f, p, grid_partition(p))
-    # V := f - integral, so re-adding costs at most one rounding per entry
-    scale = float(np.max(np.abs(res.f_path.values)) + np.max(np.abs(res.integral_path.values)))
-    assert res.reconstruction_error() <= 4.0 * np.finfo(float).eps * max(1.0, scale)
-    assert res.f_path.values[0] == res.integral_path.values[0] + res.v_path.values[0]
-
-
 def test_tanaka_v_is_nondecreasing_and_mean_matches_oracle(brownian_200_l12):
     # E[V_1] = E|W_1| = sqrt(2/pi) exactly at every resolution (the Ito-sum
     # error has zero mean); V is the discrete local time, nondecreasing

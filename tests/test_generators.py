@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qvlab import generators
 from qvlab.errors import ConfigurationError, GenerationError
 from qvlab.generators import (
     GeneratorSpec,
+    _constant_value,
     _draw_jump_cells,
     _euler_block,
     _row_streams,
@@ -43,6 +45,30 @@ def test_coefficient_registry():
     assert lin(0.0, 3.0) == 7.0
     with pytest.raises(ConfigurationError):
         make_coefficient("nope(1)")
+
+
+@pytest.mark.parametrize("expr", ["const(foo=1)", "const(1.0, 2.0)", "const(abc)", "linear(c=1)", 1.0])
+def test_malformed_coefficient_is_a_named_configuration_error(expr):
+    with pytest.raises(ConfigurationError, match=re.escape(repr(expr))):
+        make_coefficient(expr)
+    if isinstance(expr, str) and expr.startswith("const"):
+        # the running sums trust _constant_value: it accepts only what
+        # make_coefficient accepts
+        with pytest.raises(ConfigurationError, match=re.escape(repr(expr))):
+            _constant_value(expr)
+    # validate resolves the coefficients its kind uses, and only those
+    for kind, field in (("euler_sde", "sigma"), ("jump_diffusion", "b"), ("lamperti_dirichlet", "sigma_of_x")):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(expr))):
+            GeneratorSpec(kind=kind, **{field: expr}).validate()
+    GeneratorSpec(kind="brownian", sigma=expr, b=expr, sigma_of_x=expr).validate()
+
+
+def test_constant_value_reads_const_only():
+    assert _constant_value("const(0.7)") == 0.7 and _constant_value("const(c=-1.3)") == -1.3
+    assert _constant_value("const()") == 1.0
+    assert math.copysign(1.0, _constant_value("const(-0.0)")) == -1.0
+    assert _constant_value("linear(0.0, 0.0)") is None
+    assert _constant_value(lambda t, x: 1.0) is None
 
 
 def test_brownian_initial_condition_and_determinism():
@@ -550,3 +576,64 @@ def test_a_coefficient_that_warns_but_stays_finite_warns_as_the_checked_loop():
     (values, _), warned = _same_outcome_as_checked_loop(spec, 130)
     assert np.isfinite(np.frombuffer(values)).all()
     assert warned and set(warned) == {(RuntimeWarning, "overflow encountered in exp")}
+
+
+# ---------------------------------------------------------------------------
+# the running sums for constant sigma and b, bit for bit against the oracle
+
+SUMMABLE = {
+    "b<0": dict(sigma="const(0.7)", b="const(-1.3)"),
+    "b=0": dict(sigma="const(2.0)", b="const(0.0)"),
+}
+
+
+@pytest.mark.parametrize("n_steps", [1, 511, 512, 513, 1000])
+@pytest.mark.parametrize("coefs", sorted(SUMMABLE))
+@pytest.mark.parametrize("kind", ["euler_sde", "jump_diffusion"])
+def test_running_sums_equal_the_checked_loop(monkeypatch, kind, coefs, n_steps):
+    # 0.4 jumps per cell, so the 64-row block has jumps on the first and the
+    # last cell and on both sides of every slab edge; one step holds at most
+    # one jump, and at this seed and rate no row draws two
+    rate = 0.4 * n_steps if n_steps > 1 else 0.1
+    spec = GeneratorSpec(kind=kind, n_steps=n_steps, x0=0.25, jump_rate=rate, seed=31, **SUMMABLE[coefs])
+
+    def no_step_loop(*args, **kwargs):
+        raise AssertionError("the step loop ran")
+
+    for n, start in ((1, 5), (64, 64)):
+        want_values, want_marks = _checked_loop(spec, n, start)
+        with monkeypatch.context() as m:
+            m.setattr(generators, "_euler_steps", no_step_loop)
+            values, marks = _euler_block(spec, n, start)
+        assert values.tobytes() == want_values.tobytes() and np.array_equal(marks, want_marks)
+    if kind == "jump_diffusion":
+        edges = [c for c in (1, 512, 513, n_steps) if c <= n_steps]
+        assert marks[:, edges].any(axis=0).all()
+
+
+STEP_LOOP_OUTCOMES = {
+    # -0.0 + 0.0 * x is +0.0, so -0.0 is no constant the sums may take
+    "const(-0.0)": dict(x0=-0.0, sigma="const(0.0)", b="const(-0.0)"),
+    "const(nan)": dict(sigma="const(nan)"),
+    # x overflows in the first slab, and in the second, after the sums wrote
+    # over the first slab's normals
+    "overflow": dict(x0=1.7e308, b="const(1e308)"),
+    "overflow after 512 steps": dict(x0=1.7e308, b="const(1.4e307)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_LOOP_OUTCOMES))
+@pytest.mark.parametrize("kind", ["euler_sde", "jump_diffusion"])
+def test_constant_coefficients_off_the_sums_keep_the_step_loop_outcome(kind, case):
+    spec = GeneratorSpec(kind=kind, n_steps=1000, jump_rate=3.0, seed=4, **STEP_LOOP_OUTCOMES[case])
+    result, warned = _same_outcome_as_checked_loop(spec, 70)
+    if case == "const(nan)":
+        assert result[0] is GenerationError and "path=0, t=0.0," in result[1] and not warned
+    elif case.startswith("overflow"):
+        # const(1.0) is NaN one step after x overflows
+        assert result[0] is GenerationError and result[1].endswith("x=inf)")
+        assert (RuntimeWarning, "overflow encountered in add") in warned
+        t = float(re.search(r"t=([^,]+),", result[1]).group(1))
+        assert (t > 0.512) == (case == "overflow after 512 steps")
+    else:
+        assert not generators._summable(-0.0) and not warned

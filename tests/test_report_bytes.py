@@ -7,7 +7,10 @@ from the per-path implementation before the suites ran on blocks of paths,
 the identity and qv digests from the path-by-path identity pass and numpy's
 median.  They hold at any worker count.  The exit codes are pinned with
 them: the ratio gate fails on tanaka, decompose and both moving-kink suites
-at this size (an open item), and the three other suites pass.
+at this size (an open item), and the three other suites pass.  The Euler
+digests (simulate, decompose and the jump suite on constant-coefficient
+euler_sde and jump_diffusion configs) were recorded from the step-loop
+generator, before constant coefficients took the running sums.
 """
 
 import hashlib
@@ -185,3 +188,81 @@ def test_identity_and_qv_reports_keep_their_bytes(tmp_path, config, seed, worker
         for path in out.iterdir():
             got[f"{command} {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == PASS_DIGESTS[config][seed]
+
+
+# simulate, decompose and the jump suite on Euler paths with constant
+# coefficients: 1000 steps is not a multiple of any power of two above 8, so
+# the ladder runs levels 1-3; simulate builds all 130 rows as one block
+EULER_CONFIGS = {
+    kind: {
+        "generator": {"kind": kind, "n_steps": 1000, "sigma": "const(0.7)", "b": "const(-1.3)", "x0": 0.25,
+                      **({"jump_rate": 4.0} if kind == "jump_diffusion" else {})},
+        "n_paths": 130, "l_min": 1, "l_max": 3,
+    }
+    for kind in ("euler_sde", "jump_diffusion")
+}
+
+EULER_COMMANDS = {"simulate": 0, "decompose": 1, "suite moving_kink_jump": 1}
+
+# config -> seed -> command -> sha256 over the command's output files, each
+# file's name and bytes in name order
+EULER_DIGESTS = {
+    "euler_sde": {
+        12345: {
+            "simulate":
+                "12e79713f82fa2de39d25e428cd7e7bb616a8f63d7cf752cecd961dec8aab07e",
+            "decompose":
+                "f3eec79dc113678269b43b7f94abb2cd06fe4c0bbe27e02466ae563aa8e4e6d8",
+            "suite moving_kink_jump":
+                "b1013d4b9de914704bb912ae335ae1dda02eeba03fe647572c84e426501baa4a",
+        },
+        9091: {
+            "simulate":
+                "57ebf74063c187ee838209b9bae0d5ed7caaf6ac4f6cf881c92ee26e7e99b2cc",
+            "decompose":
+                "358ba614966e1109c4a0d0d75fb7c0eaf5f4e00b6cd0fa1c9b2c5c3b66d0c50e",
+            "suite moving_kink_jump":
+                "8296d0ea0e9e7e86a66587c2e40b4224b0983d68e54f8e27b3c9ff6100867d45",
+        },
+    },
+    "jump_diffusion": {
+        12345: {
+            "simulate":
+                "f5b99f7d1904fe7702dc57d2dfb056134220f1db985c4e1daf3c1fa9964e630d",
+            "decompose":
+                "f65b6f766a177bf8d282106f7fe40e137a2a78c5893767ff65f0a5e9a24afd55",
+            "suite moving_kink_jump":
+                "35d267cdceb83b6f94cd37b8fcf0f28fbc775fc1629d481e146b3785d878b860",
+        },
+        9091: {
+            "simulate":
+                "96ff9c8113e2d3fc5a0724cff6e8b2edfdafdc4ffa271ef4d1220a747321e199",
+            "decompose":
+                "1824fa38dfb14615baaaa1817552968669cb85c077edc190eaf163b1ba49355f",
+            "suite moving_kink_jump":
+                "750d119de75c30f89f18c16b6de78bd27c6005e89f06e734c867efe6a3cc121e",
+        },
+    },
+}
+
+
+def _outputs_digest(out):
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("seed", [12345, 9091])
+@pytest.mark.parametrize("config", sorted(EULER_CONFIGS))
+def test_euler_reports_keep_their_bytes(tmp_path, config, seed, workers):
+    cfg = tmp_path / "pinned.json"
+    cfg.write_text(json.dumps(EULER_CONFIGS[config]))
+    got = {}
+    for command, rc in EULER_COMMANDS.items():
+        out = tmp_path / command.replace(" ", "_")
+        args = [*command.split(), "--config", str(cfg), "--seed", str(seed), "--workers", workers]
+        assert main([*args, "--out", str(out)]) == rc, command
+        got[command] = _outputs_digest(out)
+    assert got == EULER_DIGESTS[config][seed]
