@@ -4,8 +4,8 @@ Simulates cadlag semimartingale-type paths on finite grids, measures
 covariation along refining partitions, builds left-point Ito-sum
 decompositions of nondifferentiable functions of the path, and runs the
 call-surface and grid-calculus identity checks.  Every partition sum is
-accumulated by one compensated (Kahan) loop in `qvlab._kernels`, in
-ascending cell order, so results are deterministic bit for bit.
+faithfully rounded by one error-free summation kernel in `qvlab._kernels`,
+from each path's own terms, so results are deterministic bit for bit.
 
 Importing the package loads none of its layers.  Each public name is
 resolved from its submodule on first access (PEP 562), so a `qvlab`

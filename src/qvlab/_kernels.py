@@ -1,68 +1,134 @@
-"""The one compensated (Kahan) summation loop, run across the rows of a block.
+"""Faithfully rounded row sums by error-free extraction.
 
-`kahan_rows` walks the cells of an (n, K) block of terms once, left to
-right, and updates every row's compensated state (s, c) with numpy
-operations across the rows.  Each row goes through exactly the binary64
-operations of the scalar loop
+`row_sums` sums each row of an (n, K) block of terms, or every prefix of
+each row, with AccSum (Rump, Ogita and Oishi, "Accurate floating-point
+summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008,
+Algorithm 4.5).  For a row whose largest |term| is below 2^E and that sums c
+terms, sigma = 2^(m + E) with 2^m >= c + 2.  Then q = (sigma + p) - sigma
+and p - q are exact, and every running sum of the q is exact, so one
+np.cumsum gives them.  A running sum t is final once |t| reaches
+2^(2m+1) eps sigma, or once its remainders are all zero (as they are when
+sigma reaches realmin): it is then t + (tau2 + the running sum of the
+remainders), one of the two doubles next to the exact sum.  The others take
+another extraction from the remainders, with sigma scaled by 2^m eps; on
+real data they are a few short prefixes.
 
-    t1 = term - c;  t2 = s + t1;  c = (t2 - s) - t1;  s = t2
-
-over its own terms in ascending cell order (Kahan, CACM 1965; Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4), so every
-row's sums equal those of summing it alone, bit for bit.  A cell that a
-row's keep mask drops leaves that row's state untouched, exactly as
-skipping the term does.  Callers supply the terms SLAB columns at a time,
-so no full-size block of terms is ever held.
+sigma depends only on the row's own terms and kept-cell count, so a row's
+sums are the same bits in any block, slab or worker count.  A cell the keep
+mask drops is summed as 0.0, so a NaN or inf in it never reaches the sum.
+A row with a NaN or inf among its kept terms sums to NaN in every entry; a
+finite row whose sigma would overflow raises NonFiniteError.  The terms
+come a slab of rows at a time, at most CELLS cells (or one row) each.
 """
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 BACKEND = "python"  # read by the benchmark's provenance record
 
-SLAB = 512
+CELLS = 2**13  # cells per slab: 64 KB temporaries, which keep peak RSS flat
 
 
-def kahan_rows(terms, shape, keep=None, out=None) -> np.ndarray:
-    """Compensated sums along each row of an (n, K) block of terms.
+def row_sums(terms, shape, keep=None, out=None) -> np.ndarray:
+    """Faithfully rounded sums along each row of an (n, K) block of terms.
 
-    terms(a, b) returns the (n, b - a) terms of cells a .. b-1; it is called
-    for consecutive slabs of at most SLAB cells.  keep: optional (n, K) bool
-    mask of the cells each row sums.  out: optional (n, K) array; out[:, k]
-    receives each row's running sum after cell k.  Returns the (n,) totals.
+    terms(a, b) returns the (b - a, K) terms of rows a .. b-1; it is called
+    for consecutive slabs of rows.  keep: optional (n, K) mask of the cells
+    each row sums.  out: optional (n, K) array; out[:, k] receives each
+    row's running sum after cell k.  Returns the (n,) totals.
     """
     n, k = shape
+    totals = np.zeros(n)
+    if k == 0:
+        return totals
     keep = None if keep is None else np.asarray(keep, dtype=bool)
-    s, c = np.zeros(n), np.zeros(n)
-    for a in range(0, k, SLAB):
-        b = min(a + SLAB, k)
-        slab = terms(a, b)
-        kept = None if keep is None else keep[:, a:b]
-        every = [True] * (b - a) if kept is None else kept.all(axis=0).tolist()
-        sums = []
-        for j, col in enumerate(slab.T):
-            t1 = col - c
-            t2 = s + t1
-            if every[j]:
-                c = (t2 - s) - t1
-                s = t2
-            else:
-                # rows that drop this cell keep their (s, c) as they were
-                mask = kept[:, j]
-                c = np.where(mask, (t2 - s) - t1, c)
-                s = np.where(mask, t2, s)
-            sums.append(s)
+    m = np.full(n, np.frexp(k + 1.0)[1])  # 2^m >= count + 2 for a row that sums count cells
+    step = max(1, CELLS // k)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        p = terms(a, b)
+        if keep is not None:
+            p = np.where(keep[a:b], p, 0.0)
+            m[a:b] = np.frexp(np.count_nonzero(keep[a:b], axis=1) + 1.0)[1]
+        sums = _accsum(p, m[a:b], out is not None, a)
         if out is not None:
-            out[:, a:b] = np.array(sums).T
-    return s
+            out[a:b] = sums
+        totals[a:b] = sums[:, -1]
+    return totals
 
 
-def kahan_cumsum(terms: np.ndarray) -> np.ndarray:
-    """Compensated running sums of the 1-D `terms`: a one-row `kahan_rows`.
+def _accsum(p: np.ndarray, m: np.ndarray, every: bool, first: int) -> np.ndarray:
+    """AccSum of the prefixes of each row of p: (n, K) running sums, all of
+    them when `every`, else only the last column (the rest is left unset).
+    Row r, row first + r of the caller's block, holds fewer than 2^m[r] - 1
+    nonzero terms."""
+    top = np.max(np.abs(p), axis=1)
+    bad = ~np.isfinite(top)
+    if bad.any():
+        p = np.where(bad[:, None], 0.0, p)
+        top[bad] = 0.0
+    e = np.frexp(top)[1] + m  # sigma = 2^e >= 2^m max |p|
+    if e.max() > 1023:
+        r = int(np.argmax(e > 1023))
+        raise NonFiniteError(f"terms up to {top[r]!r} in row {first + r} are too large to sum exactly")
+    q, p = _extract(p, e)
+    res = np.cumsum(p, axis=1)
+    if every:
+        t = np.cumsum(q, axis=1)
+        res += t
+        pending = _open_prefixes(t, p, e, m)
+    else:
+        # the q sum exactly in any order, so this is the last running sum
+        total = np.sum(q, axis=1, keepdims=True)
+        res[:, -1:] += total
+        pending = np.zeros(p.shape, dtype=bool)
+        pending[:, -1:] = _open_prefixes(total, np.max(np.abs(p), axis=1, keepdims=True), e, m)
+        t = None
+    rows = np.arange(len(p))
+    while pending.any():
+        # another extraction for the rows and leading cells with open prefixes
+        live, w = _span(pending)
+        rows, e, m = rows[live], e[live] + m[live] - 53, m[live]
+        t = np.cumsum(q[live, :w], axis=1) if t is None else t[live, :w]
+        p, pending = p[live, :w], pending[live, :w]
+        q, p = _extract(p, e)
+        tau = np.cumsum(q, axis=1)
+        t1 = t + tau
+        z = t1 - t
+        tail = (t - (t1 - z)) + (tau - z)  # t + tau - t1, exactly (TwoSum)
+        tail += np.cumsum(p, axis=1)
+        done = pending & ~_open_prefixes(t1, p, e, m)
+        block = res[rows, :w]
+        np.copyto(block, t1 + tail, where=done)
+        res[rows, :w] = block
+        pending &= ~done
+        t = t1
+    if bad.any():
+        res[bad] = np.nan
+    return res
 
-    Returns len(terms) + 1 values: entry 0 is 0.0 and entry k the sum of the
-    first k terms, so the last entry is the compensated total.
-    """
-    terms = np.asarray(terms, dtype=np.float64)
-    out = np.zeros((1, terms.size + 1))
-    kahan_rows(lambda a, b: terms[None, a:b], (1, terms.size), out=out[:, 1:])
-    return out[0]
+
+def _extract(p, e) -> tuple:
+    """ExtractVector: (q, p - q) with q = (sigma + p) - sigma and sigma = 2^e
+    for each row; both parts are exact."""
+    sigma = np.ldexp(1.0, e)[:, None]
+    q = sigma + p
+    q -= sigma
+    return q, p - q
+
+
+def _open_prefixes(t, p, e, m) -> np.ndarray:
+    """The running sums t that AccSum's stopping rule leaves open: |t| is
+    below 2^(2m+1) eps sigma and some remainder p up to that column is not
+    zero.  (Once sigma = 2^e is at most realmin, every remainder is zero.)"""
+    open_ = np.abs(t) < np.ldexp(1.0, e + 2 * m - 52)[:, None]
+    if open_.any():
+        live, w = _span(open_)
+        open_[live, :w] &= np.maximum.accumulate(np.abs(p[live, :w]), axis=1) > 0
+    return open_
+
+
+def _span(mask):
+    """Rows with a True entry, and the columns up to the last one."""
+    return np.flatnonzero(mask.any(axis=1)), 1 + int(np.flatnonzero(mask.any(axis=0))[-1])

@@ -1,12 +1,12 @@
 """Partition sums: covariation approximants, jump sums, the included-cell
 (z.c.q.v.) statistic and left-point Ito sums.
 
-Every compensated sum goes through `_kernels.kahan_rows`, one loop over the
-cells of a block of paths with numpy operations across the rows, so a path
-summed in a block of 64 gets the same bits as a path summed alone.
-`cell_sums` adds dX dY (or |dX dY|) over each row's kept cells and `ito_rows`
-forms each row's left-point Ito running sums; both take (n, K+1) blocks of
-values at the cuts and form their terms a slab of columns at a time.
+Every partition sum goes through `_kernels.row_sums`, which rounds each
+row's sums faithfully from that row's terms alone, so a path summed in a
+block of 64 gets the same bits as a path summed alone.  `cell_sums` adds
+dX dY (or |dX dY|) over each row's kept cells and `ito_rows` forms each
+row's left-point Ito running sums; both take (n, K+1) blocks of values at
+the cuts and form their terms a slab of rows at a time.
 `zcqv_ladder` runs the included-cell statistic of a whole block along every
 ladder level, reading the values at the cuts as a strided view.  The scalar
 functions (qv_partition, zcqv_statistic, cross_statistic, ito_integral,
@@ -21,7 +21,7 @@ that hold a time of S in place and take a second cumulative sum.  S is the
 union of both paths' jump times under the threshold, read off the mark and
 value blocks.  The jump sums come from one kernel pass over each row's jump
 terms in time order: the running sum after the last jump <= t is jump_sum
-at t, bit for bit, because Kahan summation in array order computes prefixes.
+at t, bit for bit, because jump_sum takes the same running sums.
 """
 
 from __future__ import annotations
@@ -58,32 +58,32 @@ def _require_cover(partition: Partition, t: float) -> None:
 
 
 def cell_sums(xv: np.ndarray, yv: np.ndarray, keep=None, absolute: bool = False) -> np.ndarray:
-    """Compensated sum of dX dY (|dX dY| when absolute) over each row's cells.
+    """Faithful sum of dX dY (|dX dY| when absolute) over each row's cells.
 
     xv, yv: (n, K+1) values at the cuts; keep: optional (n, K) mask of the
     cells each row sums.  Returns the (n,) sums.
     """
 
     def terms(a, b):
-        d = xv[:, a + 1 : b + 1] - xv[:, a:b]
-        d *= yv[:, a + 1 : b + 1] - yv[:, a:b]
+        d = xv[a:b, 1:] - xv[a:b, :-1]
+        d *= yv[a:b, 1:] - yv[a:b, :-1]
         return np.abs(d, out=d) if absolute else d
 
-    return _kernels.kahan_rows(terms, (len(xv), xv.shape[1] - 1), keep)
+    return _kernels.row_sums(terms, (len(xv), xv.shape[1] - 1), keep)
 
 
 def ito_rows(yv: np.ndarray, eta) -> np.ndarray:
     """Left-point Ito running sums along each row of the (n, K+1) values yv.
 
-    eta(a, b) gives the integrand at left cuts a .. b-1, as an (n, b - a)
-    block or one row that broadcasts.  Returns (n, K+1): column 0 is 0.0 and
-    column k the sum of eta_{j-1} (Y_j - Y_{j-1}) over j <= k.
+    eta(a, b) gives the integrand of rows a .. b-1 at every left cut, as a
+    (b - a, K) block or one row that broadcasts.  Returns (n, K+1): column 0
+    is 0.0 and column k the sum of eta_{j-1} (Y_j - Y_{j-1}) over j <= k.
     """
     n, width = yv.shape
     out = np.empty((n, width))
     out[:, 0] = 0.0
-    terms = lambda a, b: eta(a, b) * (yv[:, a + 1 : b + 1] - yv[:, a:b])
-    _kernels.kahan_rows(terms, (n, width - 1), out=out[:, 1:])
+    terms = lambda a, b: eta(a, b) * (yv[a:b, 1:] - yv[a:b, :-1])
+    _kernels.row_sums(terms, (n, width - 1), out=out[:, 1:])
     return out
 
 
@@ -134,20 +134,28 @@ def qv_partition(x: SamplePath, y: SamplePath, partition: Partition, t: float) -
 
 
 def jump_sum(x: SamplePath, y: SamplePath, t: float, threshold: float) -> float:
-    """Sum of dX_s dY_s over recorded jump times s <= t of either path."""
+    """Sum of dX_s dY_s over recorded jump times s <= t of either path.
+
+    It is the running sum, in time order, over all the recorded jumps, taken
+    after the last one <= t: the value covariation_ladder reports.
+    """
     _check_pair(x, y)
     times = np.union1d(x.jump_times(threshold), y.jump_times(threshold))
-    times = times[times <= t]
-    if times.size == 0:
-        return 0.0
     dx = x.eval_many(times) - x.eval_left_many(times)
     dy = y.eval_many(times) - y.eval_left_many(times)
-    return kahan_sum(dx * dy)
+    return float(running_sums(dx * dy)[np.searchsorted(times, t, side="right")])
 
 
-def kahan_sum(terms: np.ndarray) -> float:
-    """Compensated sum in array order (the kernels' loop, one row)."""
-    return float(_kernels.kahan_cumsum(terms)[-1])
+def running_sums(terms: np.ndarray) -> np.ndarray:
+    """Faithfully rounded running sums of the 1-D terms in array order.
+
+    Returns len(terms) + 1 values: entry 0 is 0.0 and entry k the sum of the
+    first k terms.
+    """
+    terms = np.asarray(terms, dtype=np.float64)
+    out = np.zeros((1, terms.size + 1))
+    _kernels.row_sums(lambda a, b: terms[None], (1, terms.size), out=out[:, 1:])
+    return out[0]
 
 
 def zcqv_statistic(x: SamplePath, partition: Partition, exclusions: ExclusionSet, t: float) -> float:
@@ -185,7 +193,7 @@ def ito_cumulative(integrand: np.ndarray, y: SamplePath, partition: Partition, t
     if eta.size != partition.n_cells:
         raise ValueError("integrand must supply one value per partition cell")
     yv = _stopped_values(y, partition.cut_times, t)
-    return ito_rows(yv[None], lambda a, b: eta[a:b])[0]
+    return ito_rows(yv[None], lambda a, b: eta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +323,9 @@ def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.nda
     """jump_sum(x_r, y_r, t, threshold) for every row r and t, bit for bit.
 
     Row r's jump terms, in time order, fill the first cells of row r of an
-    (n, J) block, and one kernel pass keeps every row's running sums.  The
-    value at t is the running sum after the last jump <= t, which is the
-    compensated sum of exactly those terms in the same order.
+    (n, J) block, and one kernel pass keeps every row's running sums; the
+    cells past row r's jumps are masked, so they change none of its bits.
+    The value at t is the running sum after the last jump <= t.
     """
     rows, gs = np.nonzero(sel)  # row-major: time order within each row
     left = np.maximum(gs - 1, 0)
@@ -330,7 +338,7 @@ def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.nda
     block[keep] = terms
     # prefix[r, m]: row r's running sum after its first m jumps
     prefix = np.zeros((n, width + 1))
-    _kernels.kahan_rows(lambda a, b: block[:, a:b], (n, width), keep, out=prefix[:, 1:])
+    _kernels.row_sums(lambda a, b: block[a:b], (n, width), keep, out=prefix[:, 1:])
     # row r's jumps at grid times <= t sit at flat positions [first[r], pos)
     flat = rows * n_grid + gs
     first = np.searchsorted(flat, np.arange(n) * n_grid)

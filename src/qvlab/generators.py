@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -215,12 +215,10 @@ class JumpLaw:
 
     @property
     def mean(self) -> float:
-        if self.name == "normal":
+        if self.name in ("normal", "const"):
             return self.params[0]
         if self.name == "uniform":
             return 0.5 * (self.params[0] + self.params[1])
-        if self.name == "const":
-            return self.params[0]
         raise ConfigurationError(f"unknown jump law {self.name!r}")
 
 
@@ -231,10 +229,10 @@ def make_jump_law(spec) -> JumpLaw:
     defaults = {"normal": (0.0, 1.0), "uniform": (-1.0, 1.0), "const": (1.0,)}
     if name not in defaults:
         raise ConfigurationError(f"unknown jump law {name!r}")
-    vals = list(defaults[name])
-    for i, a in enumerate(args):
-        vals[i] = float(a)
-    return JumpLaw(name=name, params=tuple(float(v) for v in vals))
+    vals = defaults[name]
+    if kwargs or len(args) > len(vals) or str in map(type, args):
+        raise ConfigurationError(f"bad jump law {spec!r}")
+    return JumpLaw(name, (*args, *vals[len(args) :]))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,6 @@ class GeneratorSpec:
     sigma_of_x: object = "const(1.0)"
     x_grid_points: int = 10001
     seed: int = 0
-    meta: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -276,6 +273,7 @@ class GeneratorSpec:
         elif self.kind == "lamperti_dirichlet":
             make_coefficient(self.sigma_of_x)
         if self.kind in ("compound_poisson", "jump_diffusion"):
+            make_jump_law(self.jump_law)
             if self.kind == "compound_poisson" and self.jump_rate <= 0:
                 raise ConfigurationError("compound_poisson requires jump_rate > 0")
             dt = self.horizon / self.n_steps

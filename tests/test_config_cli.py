@@ -104,6 +104,19 @@ def test_malformed_coefficient_exits_2_naming_it(tmp_path, capsys, kind, field, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["compound_poisson", "jump_diffusion"])
+@pytest.mark.parametrize("expr", ["normal(mu=5.0, sd=0.1)", "const(1, 2)"])
+def test_malformed_jump_law_exits_2_naming_it(tmp_path, capsys, kind, expr):
+    cfg = tmp_path / "c.json"
+    gen = {"kind": kind, "n_steps": 64, "jump_rate": 2.0, "jump_law": expr}
+    cfg.write_text(json.dumps({"generator": gen, "n_paths": 2}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(expr) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _small_gen_config(tmp_path, **extra):
     d = {"generator": {"kind": "brownian", "n_steps": 64}, "n_paths": 2}
     d.update(extra)

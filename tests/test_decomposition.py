@@ -3,6 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from qvlab import _kernels
 from qvlab.calculus import zcqv_ladder, zcqv_statistic
 from qvlab.decomposition import (
     SuiteConfig,
@@ -233,9 +234,10 @@ BLOCK_SPECS = [
 
 @pytest.mark.parametrize("name", sorted(builtin_library()))
 @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda s: s.kind)
-def test_block_decomposition_rows_equal_one_path_decompose(spec, name):
-    # more steps than one slab of the kernel, so the Kahan state and the
-    # slab-wise f, eta and states cross slab boundaries
+def test_block_decomposition_rows_equal_one_path_decompose(spec, name, monkeypatch):
+    # slabs of 1 row (1100 and 600 steps) or 4 rows (256 steps), so the
+    # row-slab terms, f, eta and states cross slab boundaries
+    monkeypatch.setattr(_kernels, "CELLS", 1024)
     f = make_function(name)
     ens = generate(spec, 5)
     v, kink = decompose_block(f, ens)

@@ -271,6 +271,16 @@ def test_jump_law_means():
     assert make_jump_law("const(4)").mean == 4.0
 
 
+@pytest.mark.parametrize("expr", ["normal(mu=5.0, sd=0.1)", "const(1, 2)", "uniform(0, 1, 2)", "normal(a, b)"])
+def test_jump_law_rejects_keywords_and_extra_arguments(expr):
+    # keywords were dropped silently (N(0, 1) for the first) and extra
+    # arguments died with an IndexError
+    with pytest.raises(ConfigurationError, match=re.escape(repr(expr))):
+        make_jump_law(expr)
+    with pytest.raises(ConfigurationError, match=re.escape(repr(expr))):
+        GeneratorSpec(kind="compound_poisson", jump_rate=2.0, jump_law=expr).validate()
+
+
 def test_mean_drift_variation():
     assert GeneratorSpec(kind="brownian").mean_drift_variation(1.0) == 0.0
     cp = GeneratorSpec(kind="compound_poisson", jump_rate=3.0, jump_law="normal(0.0, 1.0)", n_steps=4096)
