@@ -17,8 +17,9 @@ sigma depends only on the row's own terms and kept-cell count, so a row's
 sums are the same bits in any block, slab or worker count.  A cell the keep
 mask drops is summed as 0.0, so a NaN or inf in it never reaches the sum.
 A row with a NaN or inf among its kept terms sums to NaN in every entry; a
-finite row whose sigma would overflow raises NonFiniteError.  The terms
-come a slab of rows at a time, at most CELLS cells (or one row) each.
+finite row whose sigma would overflow raises NonFiniteError, which carries
+the row.  The terms come a slab of rows at a time, at most CELLS cells (or
+one row) each.
 """
 
 import numpy as np
@@ -71,7 +72,9 @@ def _accsum(p: np.ndarray, m: np.ndarray, every: bool, first: int) -> np.ndarray
     e = np.frexp(top)[1] + m  # sigma = 2^e >= 2^m max |p|
     if e.max() > 1023:
         r = int(np.argmax(e > 1023))
-        raise NonFiniteError(f"terms up to {top[r]!r} in row {first + r} are too large to sum exactly")
+        err = NonFiniteError(f"terms up to {float(top[r])!r} in row {first + r} are too large to sum exactly")
+        err.row = first + r
+        raise err
     q, p = _extract(p, e)
     res = np.cumsum(p, axis=1)
     if every:

@@ -355,7 +355,7 @@ def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_g
     excl_rows, excl_grid = np.nonzero(sel)
     at_t = np.searchsorted(times, t_grid, side="right") - 1
     xt = x.values[:, at_t]
-    yt = y.values[:, at_t]
+    yt = xt if y is x else y.values[:, at_t]
     # one pair of buffers sized for the finest level, reused by every level
     k_max = max(part.n_cells for part in ladder)
     prod_buf = np.empty((n, k_max))
@@ -366,22 +366,29 @@ def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_g
         k = part.n_cells
         idx, cut = _cut_index(times, cut_times)
         xv = x.values[:, cut]
-        yv = y.values[:, cut]
         prod = np.subtract(xv[:, 1:], xv[:, :-1], out=prod_buf[:, :k])
         cum = cum_buf[:, : k + 1]
-        # dY goes through the cumulative-sum buffer before it is filled
-        prod *= np.subtract(yv[:, 1:], yv[:, :-1], out=cum[:, 1:])
-        np.cumsum(prod, axis=1, out=cum[:, 1:])
         j = np.clip(np.searchsorted(cut_times, t_grid, side="right") - 1, 0, k)
-        boundary = (xt - xv[:, j]) * (yt - yv[:, j])
+        if y is x:
+            # the same bits as gathering and differencing y again
+            prod *= prod
+            boundary = xt - xv[:, j]
+            boundary *= boundary
+        else:
+            yv = y.values[:, cut]
+            # dY goes through the cumulative-sum buffer before it is filled
+            prod *= np.subtract(yv[:, 1:], yv[:, :-1], out=cum[:, 1:])
+            boundary = (xt - xv[:, j]) * (yt - yv[:, j])
+        np.cumsum(prod, axis=1, out=cum[:, 1:])
         boundary[:, j == k] = 0.0
         full[:, i] = cum[:, j] + boundary
         # cell c (1-based) = (tau_{c-1}, tau_c] holds grid time g iff c is
         # the 'left' search position of g among the cut indices
         cell = np.searchsorted(idx, excl_grid, side="left")
         hit = (cell >= 1) & (cell <= k)
-        prod[excl_rows[hit], cell[hit] - 1] = 0.0
-        np.cumsum(prod, axis=1, out=cum[:, 1:])
+        if hit.any():  # else prod, and so cum, is unchanged
+            prod[excl_rows[hit], cell[hit] - 1] = 0.0
+            np.cumsum(prod, axis=1, out=cum[:, 1:])
         zc[:, i] = cum[:, np.searchsorted(cut_times[1:], t_grid, side="left")]
     return full, zc
 

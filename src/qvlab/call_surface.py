@@ -10,12 +10,17 @@ run_identity makes one pass over the ensemble: each chunk task generates its
 paths a block at a time and reads the block's X_t on the t-grid once.  The
 identity terms and, when a function is given, the kink-identity LHS are
 computed for the whole block at once; the hinges are added into the surface
-sums a row at a time (see _pass_chunk for why).  The reports are pure
-functions of the pass's arrays, so the surface, the identity and the kink
-check always describe the same paths.  The chunking depends only on n_paths,
-rows are reduced in path order and each row's sums run over a C-contiguous
-row, so the results are bit-identical to a path-by-path pass at any worker
-count.
+sums a row at a time (see _pass_chunk for why).  theta is a box, the only
+test function the pass runs, so the LHS double sum over t-cells and
+x-midpoints telescopes exactly: theta(t_{i+1}, x_j) = 1_I(i) 1_J(j) with I a
+run of consecutive cells, and the sum over I of a midpoint's hinge
+increments is its hinge at the run's end minus its hinge at the run's
+start.  Each path's LHS is one hinge row, not an (n_t x n_x) array.  The
+reports are pure functions of the pass's arrays, so the surface, the
+identity and the kink check always describe the same paths.  The chunking
+depends only on n_paths, rows are reduced in path order and each row's sums
+run over a C-contiguous row, so the results are bit-identical to a
+path-by-path pass at any worker count.
 
 Conventions: d_t C increments over (t_i, t_{i+1}] pair with theta at the
 right endpoint (cadlag measure); model [X]^c cell increments pair with theta
@@ -389,7 +394,11 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_g
     path's kink-identity LHS (else None).  Per path, with x_j the midpoints
     of x_grid:
 
-    lhs: sum_j dx sum_i theta(t_{i+1}, x_j) (hinge(t_{i+1}) - hinge(t_i))
+    lhs: dx sum_{j in J} (hinge_j(t_b) - hinge_j(t_a)), where x_j is in J
+         when x_lo <= x_j <= x_hi and t_{i+1} is in [t0, t1] exactly when
+         a <= i < b.  This is sum_j dx sum_i theta(t_{i+1}, x_j)
+         (hinge_j(t_{i+1}) - hinge_j(t_i)) for the box theta = 1_I(i) 1_J(j):
+         the sum over the run I telescopes, and an empty I gives 0.0
     qv:  1/2 sum_i theta(t_i, X_{t_i}) d[X]^c_i          (model increments)
     drift: sum_i Theta(t_i, X_{t_i}) dA_i                 (pre-jump state)
     jump: sum over marked jumps s <= t of int_{X_{s-}}^{X_s} (X_s-x) theta dx
@@ -397,10 +406,10 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_g
 
     The terms on the t-grid take one numpy call per block for all its rows;
     each row's sums reduce over a C-contiguous row, as a path summed alone
-    does, so the bits do not depend on the block.  The hinges stay per row:
-    a row's hinge arrays are (n_t+1) x (n_x+1), so the work is bound by
-    element count and cache size, and stacking a block's rows would only
-    multiply the memory.  They are written into buffers held for the chunk.
+    does, so the bits do not depend on the block.  The surface hinges stay
+    per row: a row's hinge array is (n_t+1) x (n_x+1), so the work is bound
+    by element count and cache size, and stacking a block's rows would only
+    multiply the memory.  It is written into buffers held for the chunk.
     """
     qv_rate = genspec.qv_rate()
     if qv_rate is None:
@@ -418,7 +427,13 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_g
 
     x_centers = 0.5 * (x_grid[:-1] + x_grid[1:])
     dx = float(x_grid[1] - x_grid[0])
-    theta_right = _gated(theta, t_grid[1:][:, None], x_centers[None, :])
+    # the box's cells I = [a, b) = [first, end) and midpoints J, compared as
+    # _gated compares
+    t0, t1, x_lo, x_hi = theta.box
+    ends = t_grid[1:]
+    run = np.flatnonzero((ends >= t0) & (ends <= t1))
+    first, end = (int(run[0]), int(run[-1]) + 1) if run.size else (0, 0)
+    centers = x_centers[(x_centers >= x_lo) & (x_centers <= x_hi)]
     times = genspec.grid()
     # X_t as SamplePath.eval_many reads it, and the grid times jumps count at
     cols = np.searchsorted(times, t_grid, side="right") - 1
@@ -426,8 +441,6 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_g
     s = np.zeros((t_grid.size, x_grid.size))
     ss = np.zeros_like(s)
     h = np.empty_like(s)
-    hc = np.empty((t_grid.size, x_centers.size))
-    dh = np.empty((dt.size, x_centers.size))
     terms = np.empty((hi - lo, 6))
     kink = np.empty(hi - lo) if on_kink_set else None
     r0 = 0
@@ -437,18 +450,16 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_g
         # would need a copy
         xt = np.take(ens.values, cols, axis=1)
         rows = slice(r0, r0 + xt.shape[0])
-        for r, row in enumerate(xt, start=r0):
+        for row in xt:
             np.subtract(row[:, None], x_grid, out=h)
             np.maximum(h, 0.0, out=h)
             s += h
             h *= h  # now the squares
             ss += h
-            np.subtract(row[:, None], x_centers, out=hc)
-            np.maximum(hc, 0.0, out=hc)
-            np.subtract(hc[1:], hc[:-1], out=dh)
-            dh *= theta_right
-            terms[r, 0] = np.sum(dh) * dx
 
+        lhs = np.maximum(xt[:, end, None] - centers, 0.0)
+        lhs -= np.maximum(xt[:, first, None] - centers, 0.0)
+        terms[rows, 0] = _row_sums(lhs) * dx
         x_left = xt[:, :-1]
         # a coefficient may return a scalar, and drift cells without b are one
         # row for all paths; broadcast both to the block
@@ -514,11 +525,15 @@ def run_identity(
     The surface sits on n_t + 1 times over [0, horizon] and n_x + 1 points
     spanning theta's x-range; the identity integrates over the n_x cells of
     that x-grid.  It needs n_paths >= 2: the identity's standard error, and
-    so its pass rule, is undefined for one path.
+    so its pass rule, is undefined for one path.  theta must be a
+    BoxIndicator (or a box expression): the pass telescopes the LHS for a
+    box.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for the identity's standard error, got {n_paths}")
     theta = make_theta(theta)
+    if not isinstance(theta, BoxIndicator):
+        raise ValueError(f"the identity pass runs a BoxIndicator theta only, got {type(theta).__name__}")
     t_grid = np.linspace(0.0, genspec.horizon, n_t + 1)
     x_grid = np.linspace(theta.box[2], theta.box[3], n_x + 1)
     fexpr = (f.expression or f.name) if f is not None and f.nondiff_indicator is not None else None

@@ -15,6 +15,7 @@ a deterministic worker pool.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -285,6 +286,19 @@ def _require_finite(block: np.ndarray, what: str, spec: GeneratorSpec, start: in
         raise NonFiniteError(f"non-finite {what} at (seed={spec.seed}, path={path})")
 
 
+@contextmanager
+def _naming_paths(spec: GeneratorSpec, start: int):
+    """Re-raise a kernel's NonFiniteError for row r of the block that starts
+    at path `start` as one naming the seed and path start + r, as
+    _require_finite does."""
+    try:
+        yield
+    except NonFiniteError as err:
+        if err.row is None:
+            raise
+        raise NonFiniteError(f"{err} at (seed={spec.seed}, path={start + err.row})") from err
+
+
 def _grid_exclusions(sel: np.ndarray, times: np.ndarray, common=()) -> tuple:
     """S as (rows, times) pairs: each row's selected grid times, then the
     common times on every row."""
@@ -309,10 +323,11 @@ def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteC
     common = np.concatenate([[tj for tj, _ in f.time_jumps], extra_s_times])
     out = []
     for start, ens in _blocks(genspec, lo, hi):
-        v, kink = decompose_block(f, ens)
-        _require_finite(v, "V", genspec, start)
-        s_rows, s_times = _grid_exclusions(ens.marks, ens.times, common)
-        stats = calculus.zcqv_ladder(v, ens.times, ladder, ens.horizon, s_rows, s_times)
+        with _naming_paths(genspec, start):
+            v, kink = decompose_block(f, ens)
+            _require_finite(v, "V", genspec, start)
+            s_rows, s_times = _grid_exclusions(ens.marks, ens.times, common)
+            stats = calculus.zcqv_ladder(v, ens.times, ladder, ens.horizon, s_rows, s_times)
         _require_finite(stats, "statistic", genspec, start)
         out.extend(zip(map(tuple, stats.tolist()), kink.tolist(), v[:, -1].tolist()))
     return out
@@ -325,7 +340,8 @@ def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: SuiteConfig):
     for start, ens in _blocks(genspec, lo, hi):
         sel = calculus.jump_grid(ens, cfg.jump_threshold)
         s_rows, s_times = _grid_exclusions(sel, ens.times)
-        stats = calculus.zcqv_ladder(ens.values, ens.times, ladder, ens.horizon, s_rows, s_times)
+        with _naming_paths(genspec, start):
+            stats = calculus.zcqv_ladder(ens.values, ens.times, ladder, ens.horizon, s_rows, s_times)
         _require_finite(stats, "statistic", genspec, start)
         out.extend(map(tuple, stats.tolist()))
     return out
@@ -338,10 +354,11 @@ def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteC
     for (start, z), (_, y) in zip(_blocks(zspec, lo, hi), _blocks(yspec, lo, hi)):
         sel = calculus.jump_grid(z, cfg.jump_threshold) | calculus.jump_grid(y, cfg.jump_threshold)
         s_rows, s_times = _grid_exclusions(sel, z.times)
-        with_s = calculus.zcqv_ladder(
-            z.values, z.times, ladder, z.horizon, s_rows, s_times, y=y.values, absolute=True
-        )
-        no_s = calculus.zcqv_ladder(z.values, z.times, ladder, z.horizon, y=y.values, absolute=True)
+        with _naming_paths(zspec, start):
+            with_s = calculus.zcqv_ladder(
+                z.values, z.times, ladder, z.horizon, s_rows, s_times, y=y.values, absolute=True
+            )
+            no_s = calculus.zcqv_ladder(z.values, z.times, ladder, z.horizon, y=y.values, absolute=True)
         # with_s adds a subset of the nonnegative terms that no_s adds
         _require_finite(no_s, "statistic", zspec, start)
         out.extend(zip(map(tuple, with_s.tolist()), map(tuple, no_s.tolist())))
@@ -355,7 +372,8 @@ def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: Sui
     for (start, z1), (_, z2) in zip(_blocks(spec1, lo, hi), _blocks(spec2, lo, hi)):
         sel = calculus.jump_grid(z1, cfg.jump_threshold) | calculus.jump_grid(z2, cfg.jump_threshold)
         s_rows, s_times = _grid_exclusions(sel, z1.times)
-        stats = calculus.zcqv_ladder(z1.values + z2.values, z1.times, ladder, z1.horizon, s_rows, s_times)
+        with _naming_paths(spec1, start):
+            stats = calculus.zcqv_ladder(z1.values + z2.values, z1.times, ladder, z1.horizon, s_rows, s_times)
         _require_finite(stats, "statistic", spec1, start)
         out.extend(map(tuple, stats.tolist()))
     return out

@@ -15,4 +15,10 @@ class UnsupportedFunctionError(LookupError):
 
 class NonFiniteError(ValueError):
     """A computed path or statistic is not finite; the message names the
-    seed and path index that replay it."""
+    seed and path index that replay it.
+
+    A kernel, which knows no seed, sets `row` to the row of its block
+    instead, for the caller to name the path.
+    """
+
+    row = None

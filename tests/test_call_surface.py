@@ -1,10 +1,12 @@
 import csv
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from qvlab import call_surface
 from qvlab._parallel import map_chunked
 from qvlab.call_surface import (
     BoxIndicator,
@@ -247,6 +249,31 @@ def test_identity_rejects_bad_path_count(n_paths, tmp_path):
     assert main(["identity", "--paths", str(n_paths), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_identity_rejects_a_theta_that_is_not_a_box(monkeypatch):
+    # the pass telescopes the LHS for a box; anything else fails before a
+    # path is generated
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the pass ran")
+
+    monkeypatch.setattr(call_surface, "_one_pass", no_pass)
+    bare = call_surface.TestFunction(evaluate=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
+                                     box=(0.0, 1.0, -1.0, 1.0), bound=1.0)
+    spec = GeneratorSpec(kind="brownian", n_steps=8, seed=0)
+    with pytest.raises(ValueError, match="BoxIndicator theta only, got TestFunction"):
+        run_identity(spec, bare, 4, n_t=2, n_x=2)
+
+
+def test_box_between_t_grid_points_has_zero_lhs():
+    # no t_{i+1} of the 4-cell grid lies in [0.3, 0.45]: every path's LHS is
+    # the empty sum
+    spec = GeneratorSpec(kind="brownian", n_steps=64, seed=5)
+    theta = BoxIndicator(0.3, 0.45, -1.0, 1.0)
+    t_grid, x_grid = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 1.0, 9)
+    terms = _one_pass(spec, theta, t_grid, x_grid, 20)[2]
+    assert np.all(terms[:, 0] == 0.0)
+    assert run_identity(spec, theta, 20, n_t=4, n_x=8).identity.lhs == 0.0
+
+
 def test_identity_checks_reject_one_row():
     # one row: LHS 5.0 against RHS 1.0 would pass on an infinite stderr, and
     # the kink LHS on a zero budget spread
@@ -295,14 +322,22 @@ def _hinge_sums(lo, hi, genspec, t_grid, x_grid):
     return [(s, ss)]
 
 
+def _box_run(theta, t_grid, x_centers):
+    """(a, b, J): the cells i in [a, b) whose right end is in theta's
+    t-range, and the midpoints in its x-range; (0, 0) when no end is."""
+    t0, t1, lo, hi = theta.box
+    cells = [i for i, t in enumerate(t_grid[1:]) if t0 <= t <= t1]
+    a, b = (cells[0], cells[-1] + 1) if cells else (0, 0)
+    return a, b, np.array([c for c in x_centers if lo <= c <= hi])
+
+
 def _identity_terms(lo, hi, genspec, theta, t_grid, x_centers, dx):
-    theta_right = _gated(theta, t_grid[1:][:, None], x_centers[None, :])
+    a, b, centers = _box_run(theta, t_grid, x_centers)
     out = []
     for path in _oracle_paths(genspec, lo, hi):
         xt, qv_cells, drift_cells = _oracle_model_cells(genspec, path, t_grid)
-        hinges = np.maximum(xt[:, None] - x_centers[None, :], 0.0)
-        dh = np.diff(hinges, axis=0)
-        lhs = float(np.sum(theta_right * dh) * dx)
+        # the box's double sum of hinge increments, telescoped over [a, b)
+        lhs = float(np.sum(np.maximum(xt[b] - centers, 0.0) - np.maximum(xt[a] - centers, 0.0)) * dx)
         th_left = _gated(theta, t_grid[:-1], xt[:-1])
         qv_term = 0.5 * float(np.sum(th_left * qv_cells))
         drift_term = float(np.sum(theta.integral_to(t_grid[:-1], xt[:-1]) * drift_cells))
@@ -376,6 +411,27 @@ def test_one_pass_matches_per_path_loops_bitwise(kind, n_paths, workers):
         assert np.any(got[2][:, 2] != 0.0) or np.any(got[2][:, 3] != 0.0)
     if kind == "grid_past_horizon":
         assert spec.grid()[-1] > spec.horizon and generate(spec, n_paths).marks[:, -1].any()
+
+
+def test_telescoped_lhs_within_4_ulps_of_the_exact_double_sum():
+    # the exact sum over i and j of theta(t_{i+1}, x_j) dx (hinge(t_{i+1}) -
+    # hinge(t_i)), in rationals over the same float hinges, against the pass's
+    # telescoped LHS, on a box with interior t- and x-edges
+    spec = _ORACLE_SPECS["jump_diffusion"]
+    theta = BoxIndicator(0.25, 0.75, -0.5, 1.0)
+    t_grid = np.linspace(0.0, spec.horizon, 33)
+    x_grid = np.linspace(-1.0, 1.5, 21)
+    x_centers = 0.5 * (x_grid[:-1] + x_grid[1:])
+    dx = float(x_grid[1] - x_grid[0])
+    inside = _gated(theta, t_grid[1:, None], x_centers[None, :]) == 1.0
+    assert not inside.all() and inside.any()
+    lhs = _one_pass(spec, theta, t_grid, x_grid, 8)[2][:, 0]
+    for i, got in enumerate(lhs):
+        hinges = np.maximum(make_path(spec, i).eval_many(t_grid)[:, None] - x_centers, 0.0)
+        exact = Fraction(dx) * sum(
+            Fraction(float(hinges[k + 1, j])) - Fraction(float(hinges[k, j])) for k, j in zip(*np.nonzero(inside))
+        )
+        assert abs(Fraction(float(got)) - exact) <= 4 * Fraction(float(np.spacing(abs(float(exact)))))
 
 
 def test_run_identity_reports_are_functions_of_the_pass():

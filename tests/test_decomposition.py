@@ -294,3 +294,20 @@ def test_non_finite_v_names_the_seed_and_path(workers):
     overflow = pytest.warns(RuntimeWarning, match="overflow") if workers == 1 else contextlib.nullcontext()
     with overflow, pytest.raises(NonFiniteError, match=rf"non-finite V at \(seed=7, path={first_bad}\)"):
         run_decompose(cfg)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kernel_overflow_names_the_seed_and_path(workers):
+    # one jump of about 1.7e307 leaves the path finite, but the kernel's
+    # sigma for its Ito term, 2^7 times the term for a 64-cell row, is past
+    # the largest double: the kernel raises for a row of the second block,
+    # and the suite names the path
+    spec = GeneratorSpec(kind="compound_poisson", n_steps=64, jump_rate=0.02,
+                         jump_law="normal(0.0, 1e307)", seed=7)
+    paths = [make_path(spec, i) for i in range(130)]
+    big = [i for i, p in enumerate(paths) if np.max(np.abs(p.values)) >= 2.0 ** (1024 - 7)]
+    assert big and big[0] >= 64 and all(np.isfinite(p.values).all() for p in paths)
+    cfg = SuiteConfig(generator=spec, function="abs", n_paths=130, l_min=2, l_max=5, workers=workers)
+    with pytest.raises(NonFiniteError, match=rf"too large to sum exactly at \(seed=7, path={big[0]}\)") as err:
+        run_decompose(cfg)
+    assert err.value.row is None

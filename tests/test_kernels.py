@@ -348,7 +348,8 @@ def test_terms_whose_sigma_overflows_raise(big):
     # the error names the row of the whole block, past the first slab
     rows = np.ones((3 * _kernels.CELLS // 2, 2))
     rows[-1, 0] = big
-    with pytest.raises(NonFiniteError, match=f"row {len(rows) - 1} "):
+    with pytest.raises(NonFiniteError, match=f"row {len(rows) - 1} ") as err:
         _block(rows)
+    assert err.value.row == len(rows) - 1
     # one cell below the limit sums normally
     assert _block(np.array([[2.0**1019, 2.0**1019]]))[1][0] == 2.0**1020
