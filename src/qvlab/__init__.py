@@ -10,7 +10,11 @@ from each path's own terms, so results are deterministic bit for bit.
 Importing the package loads none of its layers.  Each public name is
 resolved from its submodule on first access (PEP 562), so a `qvlab`
 process loads only the modules its command runs: where bytecode writing is
-off, every imported source line is compiled again on every run.
+off, every imported source line is compiled again on every run.  For the
+same reason no module uses the standard library's data classes (PEP 557),
+whose decorator execs generated methods for each class at import (1.3 to
+2.1 ms a class under Python 3.11); records are typing.NamedTuple classes, or
+plain classes where they check their fields.
 """
 
 import importlib

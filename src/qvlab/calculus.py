@@ -26,10 +26,8 @@ at t, bit for bit, because jump_sum takes the same running sums.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,8 +250,7 @@ def _nan_where_last_is_nan(stat: np.ndarray, part: np.ndarray) -> np.ndarray:
     return stat
 
 
-@dataclass(frozen=True)
-class CovariationReport:
+class CovariationReport(NamedTuple):
     """Per-path, per-level, per-t statistics for an ensemble of (X, Y) pairs.
 
     full, jumps, continuous_part and zcqv are (n_paths, n_levels, n_t);
@@ -283,6 +280,9 @@ class CovariationReport:
     def to_csv(self) -> str:
         if self.full.shape[0] != 1:
             raise ValueError("to_csv needs a one-row report; take the median first")
+        import csv
+        import io
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["level", "mesh", "t", "full_sum", "jump_sum", "continuous_part", "zcqv_stat"])

@@ -32,7 +32,7 @@ independently validates realized against model QV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,26 +41,33 @@ from .functions import PathFunction, make_function
 from .generators import GeneratorSpec, iter_blocks, make_coefficient, make_jump_law
 
 
-@dataclass(frozen=True)
 class TestFunction:
     """Bounded theta(t, x) with declared support box (t0, t1, x_lo, x_hi)."""
 
-    evaluate: object
-    box: tuple
-    bound: float
+    def __init__(self, evaluate, box: tuple, bound: float):
+        self.evaluate = evaluate
+        self.box = box
+        self.bound = bound
 
     def __call__(self, t, x):
         return self.evaluate(t, x)
 
 
-@dataclass(frozen=True)
 class BoxIndicator(TestFunction):
-    """theta = 1 on [t0, t1] x [x_lo, x_hi]."""
+    """theta = 1 on [t0, t1] x [x_lo, x_hi].
+
+    Boxes of one class compare, and hash, by their corners, so a box equals
+    its pickled copy in a worker process.
+    """
 
     def __init__(self, t0, t1, x_lo, x_hi):
-        object.__setattr__(self, "box", (float(t0), float(t1), float(x_lo), float(x_hi)))
-        object.__setattr__(self, "bound", 1.0)
-        object.__setattr__(self, "evaluate", self._eval)
+        super().__init__(self._eval, (float(t0), float(t1), float(x_lo), float(x_hi)), 1.0)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.box == self.box
+
+    def __hash__(self):
+        return hash(self.box)
 
     def _eval(self, t, x):
         t0, t1, lo, hi = self.box
@@ -111,8 +118,7 @@ def make_theta(expr_or_theta) -> TestFunction:
 # surface estimation
 
 
-@dataclass(frozen=True)
-class CallSurface:
+class CallSurface(NamedTuple):
     t_grid: np.ndarray
     x_grid: np.ndarray
     values: np.ndarray
@@ -169,8 +175,7 @@ def _gated(theta: TestFunction, t, x):
     return np.where(inside, np.asarray(theta(t, x), dtype=float), 0.0)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     lhs: float
     rhs_qv_term: float
     rhs_drift_term: float
@@ -265,8 +270,7 @@ def identity_budget(theta: TestFunction, dt: float, dx: float, horizon: float, q
 # surface monotonicity and the kink identity
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     skipped: bool
     violations: int
     worst: float
@@ -299,8 +303,7 @@ def monotonicity_check(surface: CallSurface, genspec: GeneratorSpec, sigma_mult:
     return MonotonicityReport(False, int(np.sum(bad)), worst, f"tolerance {sigma_mult} pooled stderr")
 
 
-@dataclass(frozen=True)
-class KinkIdentityReport:
+class KinkIdentityReport(NamedTuple):
     lhs: float
     rhs: float
     lhs_budget: float
@@ -501,8 +504,7 @@ def _one_pass(genspec: GeneratorSpec, theta: TestFunction, t_grid, x_grid, n_pat
     return s, ss, terms, kink
 
 
-@dataclass(frozen=True)
-class IdentityRun:
+class IdentityRun(NamedTuple):
     """The reports of one pass; kink is None when no function was given."""
 
     surface: CallSurface

@@ -10,17 +10,22 @@ embeds the resolved config in its report for replayability.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_numbers
 from .generators import KINDS, GeneratorSpec
 
+FORMATS = ("csv", "json")
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+# the generator default: ExperimentConfig.__new__ puts a fresh {} in its place,
+# so no two configs share one mutable mapping
+_FRESH_DICT = object()
+
+
+class _Fields(NamedTuple):
     experiment: str = "tanaka"
-    generator: dict = field(default_factory=dict)
+    generator: dict = _FRESH_DICT
     function: str = "abs"
     theta: str = "box(0.0, 1.0, -1.0, 1.0)"
     l_min: int = 6
@@ -34,8 +39,16 @@ class ExperimentConfig:
     n_t: int = 256
     n_x: int = 64
     out_dir: str = "out"
-    formats: tuple = ("csv", "json")
+    formats: tuple = FORMATS
     workers: int = 1
+
+
+class ExperimentConfig(_Fields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        return cfg._replace(generator={}) if cfg.generator is _FRESH_DICT else cfg
 
     def generator_spec(self) -> GeneratorSpec:
         gen = dict(self.generator)
@@ -50,21 +63,33 @@ class ExperimentConfig:
         return spec
 
     def validate(self) -> None:
+        check_numbers(
+            self,
+            ints=("l_min", "l_max", "n_paths", "seed", "n_t", "n_x", "workers"),
+            reals=("jump_threshold", "pass_fraction", "sigma_mult", "ucp_eps"),
+        )
+        for name in ("experiment", "function", "theta", "out_dir"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (name == "function" and value is None)):
+                raise ConfigurationError(f"{name} must be a string, got {value!r}")
+        if not isinstance(self.generator, dict):
+            raise ConfigurationError(f"generator must be a mapping, got {self.generator!r}")
+        if not isinstance(self.formats, tuple) or not all(f in FORMATS for f in self.formats):
+            raise ConfigurationError(f"formats must be a list of {list(FORMATS)}, got {self.formats!r}")
+        if self.l_min < 0:
+            raise ConfigurationError("l_min must be >= 0")
         if self.l_min > self.l_max:
             raise ConfigurationError("l_min must be <= l_max")
-        if self.n_paths < 1:
-            raise ConfigurationError("n_paths must be >= 1")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
+        for name in ("n_paths", "n_t", "n_x", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
         if not (0.0 < self.pass_fraction < 1.0):
             raise ConfigurationError("pass_fraction must lie in (0, 1)")
-        for fmt in self.formats:
-            if fmt not in ("csv", "json"):
-                raise ConfigurationError(f"unknown format {fmt!r}")
         self.generator_spec()
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = self._asdict()
+        d["generator"] = dict(self.generator)
         d["formats"] = list(self.formats)
         return d
 
@@ -78,12 +103,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
-        if "formats" in data:
+        if isinstance(data.get("formats"), list):
             data["formats"] = tuple(data["formats"])
         if "jump_threshold" in data and data["jump_threshold"] is None:
             data["jump_threshold"] = float("inf")
@@ -114,4 +138,4 @@ def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
     changes = {k: v for k, v in overrides.items() if v is not None}
     if not changes:
         return cfg
-    return replace(cfg, **changes)
+    return cfg._replace(**changes)

@@ -16,7 +16,7 @@ a deterministic worker pool.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,13 +29,11 @@ from .partitions import ExclusionSet, Partition, RefinementLadder
 from .paths import PathEnsemble, SamplePath
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     f_path: SamplePath
     integral_path: SamplePath
     v_path: SamplePath
     exclusion_times: np.ndarray
-    assumptions: str
     kink_qv_mass: float
 
 
@@ -61,7 +59,7 @@ def _eta(f: PathFunction, t: np.ndarray, states: np.ndarray) -> np.ndarray:
     if f.dx_exact is not None:
         return np.asarray(f.dx_exact(t, states), dtype=float)
     return np.asarray(
-        [[dx_limsup(f, float(tk), float(sk)).value for tk, sk in zip(t, row)] for row in states]
+        [[dx_limsup(f, float(tk), float(sk)) for tk, sk in zip(t, row)] for row in states]
     )
 
 
@@ -115,20 +113,12 @@ def decompose(f: PathFunction, x: SamplePath, partition: Partition) -> Decomposi
         s_times = np.union1d(s_times, [tj for tj, _ in f.time_jumps])
     marks = np.isin(cuts, s_times)
 
-    if f.time_independent and f.lipschitz_bound is not None:
-        assumptions = "certified: locally Lipschitz, time independent"
-    elif f.dx_left is not None and f.dx_right is not None and f.dt_measure is not None:
-        assumptions = "certified: one-sided derivatives with x-integrable time variation"
-    else:
-        assumptions = "assumed: differentiability conditions not certified by metadata"
-
     mk = lambda vals: SamplePath(times=cuts, values=vals, jump_marks=marks)
     return DecompositionResult(
         f_path=mk(fv),
         integral_path=mk(integral),
         v_path=mk(v),
         exclusion_times=s_times,
-        assumptions=assumptions,
         kink_qv_mass=float(_kink_mass(f, cuts, xv[None])[0]),
     )
 
@@ -137,8 +127,7 @@ def decompose(f: PathFunction, x: SamplePath, partition: Partition) -> Decomposi
 # z.c.q.v. verdict
 
 
-@dataclass(frozen=True)
-class ZcqvVerdict:
+class ZcqvVerdict(NamedTuple):
     levels: tuple
     meshes: tuple
     median_stat: tuple
@@ -232,8 +221,7 @@ def verify_zcqv(
 # named experiment suites
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     generator: GeneratorSpec
     function: str = "abs"
     l_min: int = 6
@@ -244,8 +232,7 @@ class SuiteConfig:
     workers: int = 1
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     verdict: ZcqvVerdict
     expected_pass: bool
@@ -380,19 +367,19 @@ def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: Sui
 
 
 def _brownian_spec(cfg: SuiteConfig) -> GeneratorSpec:
-    return replace(cfg.generator, kind="brownian")
+    return cfg.generator._replace(kind="brownian")
 
 
 def _jump_diffusion_spec(cfg: SuiteConfig) -> GeneratorSpec:
     spec = cfg.generator
     rate = spec.jump_rate if spec.jump_rate > 0 else 3.0
-    return replace(spec, kind="jump_diffusion", jump_rate=rate)
+    return spec._replace(kind="jump_diffusion", jump_rate=rate)
 
 
 def _compound_poisson_spec(cfg: SuiteConfig, seed_offset: int = 0) -> GeneratorSpec:
     spec = cfg.generator
     rate = spec.jump_rate if spec.jump_rate > 0 else 3.0
-    return replace(spec, kind="compound_poisson", jump_rate=rate, seed=spec.seed + seed_offset)
+    return spec._replace(kind="compound_poisson", jump_rate=rate, seed=spec.seed + seed_offset)
 
 
 def _decomposition_suite(
@@ -438,7 +425,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
 
     if name == "cross_variation":
         zspec = _compound_poisson_spec(cfg)
-        yspec = replace(_brownian_spec(cfg), seed=cfg.generator.seed + 104729)
+        yspec = _brownian_spec(cfg)._replace(seed=cfg.generator.seed + 104729)
         rows = map_chunked(_cross_stats, cfg.n_paths, cfg.workers, args=(zspec, yspec, cfg))
         with_s = np.asarray([r[0] for r in rows])
         no_s = np.asarray([r[1] for r in rows])

@@ -1,4 +1,7 @@
-"""Package exception types."""
+"""Package exception types, and the field type checks that raise
+ConfigurationError."""
+
+from numbers import Integral, Real
 
 
 class ConfigurationError(ValueError):
@@ -7,10 +10,6 @@ class ConfigurationError(ValueError):
 
 class GenerationError(RuntimeError):
     """Path generation failed (non-finite coefficient, bad tabulation, ...)."""
-
-
-class UnsupportedFunctionError(LookupError):
-    """A path function lacks the metadata required by the operation."""
 
 
 class NonFiniteError(ValueError):
@@ -22,3 +21,15 @@ class NonFiniteError(ValueError):
     """
 
     row = None
+
+
+def check_numbers(record, ints=(), reals=()) -> None:
+    """Raise ConfigurationError naming the first field of `record` that is
+    not a number of its kind: the fields in `ints` must be integers, those in
+    `reals` integers or floats.  A bool is neither, though Python counts it
+    as an int."""
+    for names, kind, what in ((ints, Integral, "an integer"), (reals, Real, "a number")):
+        for name in names:
+            value = getattr(record, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigurationError(f"{name} must be {what}, got {value!r}")

@@ -10,50 +10,51 @@ exist and the true derivative wherever f is differentiable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedFunctionError
+from .errors import ConfigurationError
 from .generators import parse_expression
 
-DIFFERENTIABLE = "differentiable"
-NOT_DIFFERENTIABLE = "not_differentiable"
-UNKNOWN = "unknown"
 
-
-@dataclass(frozen=True)
 class PathFunction:
     """f(t, x) with optional analytic metadata.
 
     evaluate broadcasts over numpy arrays in x (and t).  dx_exact, when
-    present, is the total limsup-convention derivative.  dt_measure(x, t0, t1)
-    returns (signed, total variation) of d_t f over (t0, t1] at fixed x.
-    nondiff_indicator(t, x) -> bool marks the complement of the
-    differentiability set; None means unknown.
+    present, is the total limsup-convention derivative; dx_left and dx_right
+    are the one-sided x-derivatives.  dt_measure(x, t0, t1) returns (signed,
+    total variation) of d_t f over (t0, t1] at fixed x.  nondiff_indicator(t,
+    x) -> bool marks the complement of the differentiability set; None means
+    unknown.
     """
 
-    name: str
-    evaluate: Callable
-    dx_exact: Callable | None = None
-    dx_left: Callable | None = None
-    dx_right: Callable | None = None
-    lipschitz_bound: Callable | None = None
-    time_jumps: tuple = ()
-    dt_measure: Callable | None = None
-    nondiff_indicator: Callable | None = None
-    time_independent: bool = True
-    x_atoms: tuple = ()
-    expression: str = ""
+    def __init__(
+        self,
+        name: str,
+        evaluate: Callable,
+        dx_exact: Callable | None = None,
+        dx_left: Callable | None = None,
+        dx_right: Callable | None = None,
+        time_jumps: tuple = (),
+        dt_measure: Callable | None = None,
+        nondiff_indicator: Callable | None = None,
+        x_atoms: tuple = (),
+        expression: str = "",
+    ):
+        self.name = name
+        self.evaluate = evaluate
+        self.dx_exact = dx_exact
+        self.dx_left = dx_left
+        self.dx_right = dx_right
+        self.time_jumps = time_jumps
+        self.dt_measure = dt_measure
+        self.nondiff_indicator = nondiff_indicator
+        self.x_atoms = x_atoms
+        self.expression = expression
 
     def __call__(self, t, x):
         return self.evaluate(t, x)
-
-    def nondiff_state(self, t, x) -> str:
-        if self.nondiff_indicator is None:
-            return UNKNOWN
-        return NOT_DIFFERENTIABLE if bool(self.nondiff_indicator(t, x)) else DIFFERENTIABLE
 
 
 def nabla_a(f: PathFunction, a: float, t, x):
@@ -63,50 +64,15 @@ def nabla_a(f: PathFunction, a: float, t, x):
     return (f(t, np.asarray(x) + a) - f(t, x)) / a
 
 
-def nabla_hat(f: PathFunction, a: float, t, x):
-    """Difference of right and left finite differences at width a > 0.
+LIMSUP_WIDTH = 2.0**-20
 
-    Tends to D_x^+ f - D_x^- f as a decreases; identically zero for
-    differentiable f in the limit.
+
+def dx_limsup(f: PathFunction, t, x, a: float = LIMSUP_WIDTH) -> float:
+    """Estimate of the limsup derivative: the larger of the forward and the
+    backward difference quotient at width a.  For f with one-sided
+    derivatives it tends to max(D_x^- f, D_x^+ f) as a decreases.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    return nabla_a(f, a, t, x) - nabla_a(f, -a, t, x)
-
-
-DEFAULT_LADDER = tuple(2.0 ** -j for j in range(4, 21))
-
-
-@dataclass(frozen=True)
-class LimsupDerivative:
-    value: float
-    rungs: tuple
-    trace: tuple
-
-
-def dx_limsup(f: PathFunction, t, x, rungs=DEFAULT_LADDER) -> LimsupDerivative:
-    """Ladder estimate of the limsup derivative.
-
-    Each rung records max over both difference-quotient signs at |a| = rung;
-    the reported value comes from the finest rung.  For f with one-sided
-    derivatives this converges to max(D_x^- f, D_x^+ f).
-    """
-    if not rungs:
-        raise ValueError("empty rung ladder")
-    trace = []
-    for a in rungs:
-        plus = float(nabla_a(f, a, t, x))
-        minus = float(nabla_a(f, -a, t, x))
-        trace.append(max(plus, minus))
-    return LimsupDerivative(value=trace[-1], rungs=tuple(rungs), trace=tuple(trace))
-
-
-def time_variation(f: PathFunction, x, T: float) -> float:
-    """Total variation of t -> f(t, x) over (0, T]."""
-    if f.dt_measure is None:
-        raise UnsupportedFunctionError(f"{f.name}: no d_t measure metadata")
-    signed, tv = f.dt_measure(x, 0.0, T)
-    return tv
+    return max(float(nabla_a(f, a, t, x)), float(nabla_a(f, -a, t, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +96,6 @@ def _make_abs() -> PathFunction:
         dx_exact=lambda t, x: _sign_limsup(x),
         dx_left=lambda t, x: np.where(np.asarray(x) <= 0.0, -1.0, 1.0),
         dx_right=lambda t, x: np.where(np.asarray(x) >= 0.0, 1.0, -1.0),
-        lipschitz_bound=lambda box: 1.0,
         dt_measure=_no_time_measure,
         nondiff_indicator=lambda t, x: np.asarray(x) == 0.0,
     )
@@ -144,7 +109,6 @@ def _make_relu(k=0.0) -> PathFunction:
         dx_exact=lambda t, x: np.where(np.asarray(x) >= k, 1.0, 0.0),
         dx_left=lambda t, x: np.where(np.asarray(x) <= k, 0.0, 1.0),
         dx_right=lambda t, x: np.where(np.asarray(x) >= k, 1.0, 0.0),
-        lipschitz_bound=lambda box: 1.0,
         dt_measure=_no_time_measure,
         nondiff_indicator=lambda t, x: np.asarray(x) == k,
     )
@@ -157,7 +121,6 @@ def _make_square() -> PathFunction:
         dx_exact=lambda t, x: 2.0 * np.asarray(x, dtype=float),
         dx_left=lambda t, x: 2.0 * np.asarray(x, dtype=float),
         dx_right=lambda t, x: 2.0 * np.asarray(x, dtype=float),
-        lipschitz_bound=lambda box: 2.0 * max(abs(box[2]), abs(box[3])),
         dt_measure=_no_time_measure,
         nondiff_indicator=lambda t, x: np.zeros_like(np.asarray(x), dtype=bool),
     )
@@ -186,7 +149,6 @@ def _make_piecewise_linear(k0=-0.5, c0=1.0, k1=0.5, c1=-0.5, slope=0.25) -> Path
         dx_exact=lambda t, x: np.maximum(dleft(t, x), dright(t, x)),
         dx_left=dleft,
         dx_right=dright,
-        lipschitz_bound=lambda box: abs(slope) + abs(c0) + abs(c1),
         dt_measure=_no_time_measure,
         nondiff_indicator=lambda t, x: np.isin(np.asarray(x), kinks),
     )
@@ -217,11 +179,9 @@ def _make_moving_kink(k_jump=0.5, k_size=1.0) -> PathFunction:
         dx_exact=lambda t, x: _sign_limsup(np.asarray(x) - level(t)),
         dx_left=lambda t, x: np.where(np.asarray(x) <= level(t), -1.0, 1.0),
         dx_right=lambda t, x: np.where(np.asarray(x) >= level(t), 1.0, -1.0),
-        lipschitz_bound=lambda box: 1.0,
         time_jumps=((k_jump, profile),),
         dt_measure=dt_measure,
         nondiff_indicator=lambda t, x: np.asarray(x) == level(t),
-        time_independent=False,
     )
 
 
@@ -243,19 +203,17 @@ def _bump_profile(c, w):
         out[m] = np.exp(-1.0 / (1.0 - um**2)) * (-2.0 * um / (1.0 - um**2) ** 2) / w
         return out
 
-    # max |phi'| for the unit bump is ~0.79843/w (attained near |u| = 0.76)
-    return phi, dphi, 0.8 / w
+    return phi, dphi
 
 
 def _make_bump(c=0.0, w=1.0) -> PathFunction:
-    phi, dphi, lip = _bump_profile(c, w)
+    phi, dphi = _bump_profile(c, w)
     return PathFunction(
         name="bump",
         evaluate=lambda t, x: phi(x),
         dx_exact=lambda t, x: dphi(x),
         dx_left=lambda t, x: dphi(x),
         dx_right=lambda t, x: dphi(x),
-        lipschitz_bound=lambda box: lip,
         dt_measure=_no_time_measure,
         nondiff_indicator=lambda t, x: np.zeros_like(np.asarray(x), dtype=bool),
     )
@@ -265,14 +223,13 @@ def _make_scaled_step(t1=0.5, phi="bump", c=0.0, w=1.0) -> PathFunction:
     """phi(x) * 1{t >= t1}: a single time discontinuity."""
     t1 = float(t1)
     if phi == "bump":
-        prof, dprof, lip = _bump_profile(c, w)
+        prof, dprof = _bump_profile(c, w)
         nondiff = lambda t, x: np.zeros_like(np.asarray(x), dtype=bool)
         dl = lambda t, x: np.where(np.asarray(t) >= t1, 1.0, 0.0) * dprof(x)
         dr = dl
         dexact = dl
     elif phi == "abs":
         prof = lambda x: np.abs(np.asarray(x, dtype=float))
-        lip = 1.0
         on = lambda t: np.where(np.asarray(t) >= t1, 1.0, 0.0)
         dl = lambda t, x: on(t) * np.where(np.asarray(x) <= 0.0, -1.0, 1.0)
         dr = lambda t, x: on(t) * np.where(np.asarray(x) >= 0.0, 1.0, -1.0)
@@ -295,17 +252,15 @@ def _make_scaled_step(t1=0.5, phi="bump", c=0.0, w=1.0) -> PathFunction:
         dx_exact=dexact,
         dx_left=dl,
         dx_right=dr,
-        lipschitz_bound=lambda box: lip,
         time_jumps=((t1, prof),),
         dt_measure=dt_measure,
         nondiff_indicator=nondiff,
-        time_independent=False,
     )
 
 
 def _make_ramp_bump(c=0.0, w=1.0, rate=1.0) -> PathFunction:
     """(rate * t) * bump(x): absolutely continuous time variation."""
-    phi, dphi, lip = _bump_profile(c, w)
+    phi, dphi = _bump_profile(c, w)
     rate = float(rate)
 
     def dt_measure(x, t0, t1):
@@ -319,10 +274,8 @@ def _make_ramp_bump(c=0.0, w=1.0, rate=1.0) -> PathFunction:
         dx_exact=lambda t, x: rate * np.asarray(t, dtype=float) * dphi(x),
         dx_left=lambda t, x: rate * np.asarray(t, dtype=float) * dphi(x),
         dx_right=lambda t, x: rate * np.asarray(t, dtype=float) * dphi(x),
-        lipschitz_bound=lambda box: abs(rate) * max(abs(box[0]), abs(box[1])) * lip,
         dt_measure=dt_measure,
         nondiff_indicator=lambda t, x: np.zeros_like(np.asarray(x), dtype=bool),
-        time_independent=False,
     )
 
 
@@ -333,7 +286,6 @@ def _make_identity() -> PathFunction:
         dx_exact=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
         dx_left=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
         dx_right=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
-        lipschitz_bound=lambda box: 1.0,
         dt_measure=_no_time_measure,
         nondiff_indicator=lambda t, x: np.zeros_like(np.asarray(x), dtype=bool),
     )
@@ -363,5 +315,5 @@ def make_function(expr: str) -> PathFunction:
     if name not in _REGISTRY:
         raise ConfigurationError(f"unknown function {name!r}")
     f = _REGISTRY[name](*args, **kwargs)
-    object.__setattr__(f, "expression", expr)
+    f.expression = expr
     return f

@@ -63,13 +63,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._parallel import CHUNK
-from .errors import ConfigurationError, GenerationError
+from .errors import ConfigurationError, GenerationError, check_numbers
 from .paths import PathEnsemble, SamplePath
 
 KINDS = ("brownian", "euler_sde", "compound_poisson", "jump_diffusion", "lamperti_dirichlet")
@@ -139,8 +138,7 @@ def _parse_value(s: str):
         return s.strip("'\"")
 
 
-@dataclass(frozen=True)
-class _Const:
+class _Const(NamedTuple):
     """const(c): c + 0.0 * x, so a non-finite state gives NaN."""
 
     c: float
@@ -197,8 +195,7 @@ def make_coefficient(spec) -> Callable:
 # jump size laws
 
 
-@dataclass(frozen=True)
-class JumpLaw:
+class JumpLaw(NamedTuple):
     name: str
     params: tuple
 
@@ -239,8 +236,7 @@ def make_jump_law(spec) -> JumpLaw:
 # generator spec
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """Everything needed to reproduce an ensemble, including the seed."""
 
     kind: str = "brownian"
@@ -259,6 +255,9 @@ class GeneratorSpec:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown generator kind {self.kind!r}")
+        check_numbers(
+            self, ints=("n_steps", "x_grid_points", "seed"), reals=("horizon", "x0", "jump_rate", "alpha")
+        )
         if self.n_steps < 1:
             raise ConfigurationError("n_steps must be >= 1")
         if not (self.horizon > 0):
@@ -532,8 +531,7 @@ def _euler_steps(spec: GeneratorSpec, work: np.ndarray, events: dict, start: int
 # Lamperti-type transform generator
 
 
-@dataclass(frozen=True)
-class MonotoneTransform:
+class MonotoneTransform(NamedTuple):
     """Tabulated strictly increasing map with interpolated inverse."""
 
     x_tab: np.ndarray
@@ -580,8 +578,7 @@ def build_transform(spec: GeneratorSpec) -> MonotoneTransform:
     )
 
 
-@dataclass(frozen=True)
-class LampertiResult:
+class LampertiResult(NamedTuple):
     x: PathEnsemble
     y: PathEnsemble
     transform: MonotoneTransform
@@ -590,7 +587,7 @@ class LampertiResult:
 def _lamperti_blocks(spec: GeneratorSpec, n: int, start: int, transform: MonotoneTransform) -> tuple:
     """(X values, Y values, marks): Y Brownian from h(x0), X = h^{-1}(Y)."""
     y0 = float(transform.forward(spec.x0))
-    y, marks = _brownian_block(replace(spec, kind="brownian", x0=y0), n, start)
+    y, marks = _brownian_block(spec._replace(kind="brownian", x0=y0), n, start)
     return transform.inverse(y), y, marks
 
 

@@ -11,15 +11,12 @@ time-varying features stop overlapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .call_surface import TestFunction, make_theta
 from .functions import PathFunction
 
 
-@dataclass(frozen=True)
 class GridFunction2D:
     """Samples of f(t, x) on uniform grids.
 
@@ -28,14 +25,10 @@ class GridFunction2D:
     t at row i+1 is row i.
     """
 
-    t_grid: np.ndarray
-    x_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
-        x = np.asarray(self.x_grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, t_grid, x_grid, values):
+        t = np.asarray(t_grid, dtype=float)
+        x = np.asarray(x_grid, dtype=float)
+        v = np.asarray(values, dtype=float)
         if v.shape != (t.size, x.size):
             raise ValueError("values must have shape (n_t, n_x)")
         for g, name in ((t, "t_grid"), (x, "x_grid")):
@@ -44,9 +37,7 @@ class GridFunction2D:
                 raise ValueError(f"{name} must be increasing with at least 2 points")
             if not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
                 raise ValueError(f"{name} must be uniform")
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "x_grid", x)
-        object.__setattr__(self, "values", v)
+        self.t_grid, self.x_grid, self.values = t, x, v
 
     @property
     def dx(self) -> float:

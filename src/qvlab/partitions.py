@@ -10,19 +10,14 @@ increment contains it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .paths import SamplePath
 
 
-@dataclass(frozen=True)
 class Partition:
-    cut_times: np.ndarray
-
-    def __post_init__(self):
-        cuts = np.ascontiguousarray(np.asarray(self.cut_times, dtype=np.float64))
+    def __init__(self, cut_times):
+        cuts = np.ascontiguousarray(np.asarray(cut_times, dtype=np.float64))
         if cuts.ndim != 1 or cuts.size < 2:
             raise ValueError("need at least two cut times")
         if cuts[0] != 0.0:
@@ -30,7 +25,7 @@ class Partition:
         if np.any(np.diff(cuts) < 0):
             raise ValueError("cut times must be nondecreasing")
         cuts.setflags(write=False)
-        object.__setattr__(self, "cut_times", cuts)
+        self.cut_times = cuts
 
     @property
     def mesh(self) -> float:
@@ -79,14 +74,11 @@ def hitting_partition(path: SamplePath, eps: float) -> Partition:
     return Partition(cut_times=np.asarray(cuts))
 
 
-@dataclass(frozen=True)
 class ExclusionSet:
-    times: np.ndarray
-
-    def __post_init__(self):
-        t = np.unique(np.asarray(self.times, dtype=np.float64))
+    def __init__(self, times):
+        t = np.unique(np.asarray(times, dtype=np.float64))
         t.setflags(write=False)
-        object.__setattr__(self, "times", t)
+        self.times = t
 
     @classmethod
     def empty(cls) -> "ExclusionSet":
@@ -125,17 +117,14 @@ def inclusion_mask(partition: Partition, exclusions: ExclusionSet, t: float) -> 
     return inclusion_rows(partition, t, 1, np.zeros(s.size, dtype=np.intp), s)[0]
 
 
-@dataclass(frozen=True)
 class RefinementLadder:
-    levels: tuple
-
-    def __post_init__(self):
-        if not self.levels:
+    def __init__(self, levels):
+        if not levels:
             raise ValueError("ladder must contain at least one level")
-        meshes = [p.mesh for p in self.levels]
+        meshes = [p.mesh for p in levels]
         if any(b >= a for a, b in zip(meshes, meshes[1:])):
             raise ValueError("ladder meshes must be strictly decreasing")
-        object.__setattr__(self, "levels", tuple(self.levels))
+        self.levels = tuple(levels)
 
     def __len__(self) -> int:
         return len(self.levels)

@@ -8,9 +8,6 @@ pure-jump paths without interpolation artifacts.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,23 +22,19 @@ def _check_grid(times: np.ndarray) -> None:
         raise ValueError("times must be strictly increasing")
 
 
-@dataclass(frozen=True)
 class SamplePath:
     """One realized path.
 
     times: strictly increasing grid starting at 0, ending at the horizon.
     values: cadlag value X_t at each grid time.
     jump_marks: True where the generator declared a genuine jump.
+    Each is held as a read-only contiguous array.
     """
 
-    times: np.ndarray
-    values: np.ndarray
-    jump_marks: np.ndarray
-
-    def __post_init__(self):
-        times = np.ascontiguousarray(np.asarray(self.times, dtype=np.float64))
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        marks = np.ascontiguousarray(np.asarray(self.jump_marks, dtype=bool))
+    def __init__(self, times, values, jump_marks):
+        times = np.ascontiguousarray(np.asarray(times, dtype=np.float64))
+        values = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+        marks = np.ascontiguousarray(np.asarray(jump_marks, dtype=bool))
         if times.ndim != 1:
             raise ValueError("times must be a nonempty 1-d array")
         _check_grid(times)
@@ -49,9 +42,9 @@ class SamplePath:
             raise ValueError("times, values and jump_marks must have equal length")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        for name, arr in (("times", times), ("values", values), ("jump_marks", marks)):
+        for arr in (times, values, marks):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self.times, self.values, self.jump_marks = times, values, marks
 
     @property
     def horizon(self) -> float:
@@ -101,6 +94,9 @@ class SamplePath:
         return self.times[sel]
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["t", "x", "jump"])
@@ -116,6 +112,9 @@ def path_from_csv(text: str, jump_threshold: float | None = None) -> SamplePath:
     are re-derived from the threshold rule (ingested data carries no ground
     truth).  Raises ValueError naming the offending row on bad input.
     """
+    import csv
+    import io
+
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:3]] != ["t", "x", "jump"]:
@@ -147,7 +146,6 @@ def path_from_csv(text: str, jump_threshold: float | None = None) -> SamplePath:
     return SamplePath(times=times, values=values, jump_marks=marks)
 
 
-@dataclass(frozen=True)
 class PathEnsemble:
     """Paths on one shared time grid, held as read-only blocks.
 
@@ -159,14 +157,10 @@ class PathEnsemble:
     objects, and a caller that reads only the blocks never builds them.
     """
 
-    times: np.ndarray
-    values: np.ndarray
-    marks: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        marks = np.asarray(self.marks, dtype=bool)
+    def __init__(self, times, values, marks):
+        times = np.asarray(times, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        marks = np.asarray(marks, dtype=bool)
         if values.ndim != 2 or values.shape[0] == 0:
             raise ValueError("ensemble must contain at least one path")
         if marks.shape != values.shape or values.shape[1:] != times.shape:
@@ -174,9 +168,9 @@ class PathEnsemble:
         _check_grid(times)
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        for name, arr in (("times", times), ("values", values), ("marks", marks)):
+        for arr in (times, values, marks):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self.times, self.values, self.marks = times, values, marks
 
     @cached_property
     def paths(self) -> tuple:

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from qvlab import generators
+from qvlab.call_surface import BoxIndicator
 from qvlab.cli import main
 from qvlab.config import ExperimentConfig, apply_overrides, load_config
+from qvlab.decomposition import SuiteConfig
 from qvlab.errors import ConfigurationError
 from qvlab.functions import builtin_library
 from qvlab.generators import GeneratorSpec, generate
@@ -42,6 +45,62 @@ def test_config_validation():
         ExperimentConfig(generator={"kind": "nope"}).validate()
     with pytest.raises(ConfigurationError):
         ExperimentConfig(formats=("xml",)).validate()
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("qv", {"seed": "abc"}, "seed"),
+        ("suite tanaka", {"seed": True}, "seed"),
+        ("simulate", {"n_paths": 2.0}, "n_paths"),
+        ("decompose", {"workers": None}, "workers"),
+        ("identity", {"pass_fraction": "x"}, "pass_fraction"),
+        ("simulate", {"generator": {"n_steps": "64"}}, "n_steps"),
+        ("simulate", {"generator": {"horizon": None}}, "horizon"),
+        ("qv", {"generator": "brownian"}, "generator"),
+        ("identity", {"n_t": 0}, "n_t"),
+        ("identity", {"n_x": 0}, "n_x"),
+        ("identity", {"function": 5}, "function"),
+        ("qv", {"formats": "csv"}, "formats"),
+        ("qv", {"formats": ["csv", "xml"]}, "formats"),
+        ("qv", {"l_min": -2, "l_max": 3}, "l_min"),
+    ],
+)
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
+def test_configs_do_not_share_a_generator_mapping():
+    a, b = ExperimentConfig(), ExperimentConfig()
+    a.generator["kind"] = "compound_poisson"
+    assert b.generator == {} and ExperimentConfig().generator == {}
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        GeneratorSpec(kind="jump_diffusion", n_steps=64, jump_rate=2.0, seed=3),
+        SuiteConfig(generator=GeneratorSpec(seed=9), function="relu", n_paths=7),
+        BoxIndicator(0.0, 0.5, -1.0, 2.0),
+    ],
+    ids=["GeneratorSpec", "SuiteConfig", "BoxIndicator"],
+)
+def test_worker_records_survive_pickling(record):
+    # what a --workers 2 pool sends each chunk task
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record and hash(copy) == hash(record)
+
+
+def test_equal_specs_hash_equal():
+    a = GeneratorSpec(kind="brownian", n_steps=64, seed=1)
+    b = GeneratorSpec(kind="brownian", n_steps=64, seed=1)
+    assert a == b and hash(a) == hash(b) and len({a, b, a._replace(seed=2)}) == 2
 
 
 def test_load_config_json_and_yaml(tmp_path):

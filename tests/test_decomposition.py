@@ -81,14 +81,6 @@ def test_kink_qv_mass_statistically_zero(brownian_200_l12):
     assert np.median(masses) <= 2.0 ** -12 * 4.0
 
 
-def test_assumptions_recorded():
-    p = make_path(GeneratorSpec(kind="brownian", n_steps=64, seed=5), 0)
-    res = decompose(make_function("abs"), p, grid_partition(p))
-    assert res.assumptions.startswith("certified: locally Lipschitz")
-    res2 = decompose(make_function("moving_kink(k_jump=0.5)"), p, grid_partition(p))
-    assert res2.assumptions.startswith("certified: one-sided")
-
-
 def test_exclusion_times_include_function_time_jumps():
     p = make_path(GeneratorSpec(kind="brownian", n_steps=64, seed=5), 0)
     res = decompose(make_function("moving_kink(k_jump=0.5)"), p, grid_partition(p))

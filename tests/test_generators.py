@@ -2,7 +2,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -368,7 +367,7 @@ def _reference_compound_poisson(spec, rng):
 def _reference_lamperti(spec, rng):
     transform = build_transform(spec)
     y0 = float(transform.forward(spec.x0))
-    y, marks = _reference_brownian(replace(spec, x0=y0), rng)
+    y, marks = _reference_brownian(spec._replace(x0=y0), rng)
     return transform.inverse(y), marks
 
 

@@ -30,8 +30,9 @@ LAYERS = {
     "qvlab.paths",
 }
 
-# loaded by no command at --workers 1
-NEVER = {"yaml", "concurrent.futures.process"}
+# loaded by no command at --workers 1; no qvlab record is a dataclass, because
+# each @dataclass execs its generated methods at import, 1.3-2.1 ms a class
+NEVER = {"yaml", "concurrent.futures.process", "dataclasses"}
 
 RUN_CLI = """
 import json, sys
@@ -59,7 +60,7 @@ def test_bare_import_loads_no_layer():
         (["qv"], {"qvlab.decomposition", "qvlab.call_surface", "qvlab.grid_calculus", "numpy.ma"}),
         (["identity"], {"qvlab.decomposition", "qvlab.calculus", "qvlab._kernels"}),
         # numpy's percentile imports numpy.ma through np.unique
-        (["suite", "moving_kink_jump"], {"qvlab.call_surface", "qvlab.grid_calculus", "numpy.ma"}),
+        (["suite", "moving_kink_jump"], {"qvlab.call_surface", "qvlab.grid_calculus", "numpy.ma", "csv"}),
     ],
 )
 def test_command_loads_only_its_modules(tmp_path, command, absent):
@@ -72,6 +73,13 @@ def test_command_loads_only_its_modules(tmp_path, command, absent):
     loaded = set(run["modules"])
     assert not absent & loaded
     assert not NEVER & loaded
+
+
+def test_no_layer_loads_dataclasses():
+    code = f"import json, sys, {', '.join(sorted(LAYERS))}; print(json.dumps({{'modules': sorted(sys.modules)}}))"
+    loaded = set(_modules(code)["modules"])
+    assert LAYERS <= loaded
+    assert "dataclasses" not in loaded
 
 
 def test_every_export_resolves():
