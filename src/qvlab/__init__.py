@@ -3,7 +3,9 @@
 Simulates cadlag semimartingale-type paths on finite grids, measures
 covariation along refining partitions, builds left-point Ito-sum
 decompositions of nondifferentiable functions of the path, and runs the
-call-surface and grid-calculus identity checks.  Every partition sum is
+call-surface and grid-calculus identity checks.  Each quantity has one
+implementation, which works on a block of paths (a PathEnsemble) at once;
+one path is a one-row block.  The included-cell, Ito and jump sums are
 faithfully rounded by one error-free summation kernel in `qvlab._kernels`,
 from each path's own terms, so results are deterministic bit for bit.
 
@@ -30,16 +32,8 @@ _EXPORTS = {
     "generate": "generators",
     "make_path": "generators",
     "Partition": "partitions",
-    "ExclusionSet": "partitions",
     "RefinementLadder": "partitions",
     "dyadic_partition": "partitions",
-    "hitting_partition": "partitions",
-    "qv_partition": "calculus",
-    "jump_sum": "calculus",
-    "zcqv_statistic": "calculus",
-    "ito_integral": "calculus",
-    "decompose": "decomposition",
-    "verify_zcqv": "decomposition",
     "run_suite": "decomposition",
     "builtin_library": "functions",
     "make_function": "functions",

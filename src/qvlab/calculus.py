@@ -1,16 +1,15 @@
-"""Partition sums: covariation approximants, jump sums, the included-cell
-(z.c.q.v.) statistic and left-point Ito sums.
+"""Partition sums on blocks of paths: covariation approximants, jump sums,
+the included-cell (z.c.q.v.) statistic and left-point Ito sums.
 
-Every partition sum goes through `_kernels.row_sums`, which rounds each
-row's sums faithfully from that row's terms alone, so a path summed in a
-block of 64 gets the same bits as a path summed alone.  `cell_sums` adds
-dX dY (or |dX dY|) over each row's kept cells and `ito_rows` forms each
-row's left-point Ito running sums; both take (n, K+1) blocks of values at
-the cuts and form their terms a slab of rows at a time.
-`zcqv_ladder` runs the included-cell statistic of a whole block along every
-ladder level, reading the values at the cuts as a strided view.  The scalar
-functions (qv_partition, zcqv_statistic, cross_statistic, ito_integral,
-ito_cumulative, jump_sum) are one-row calls of the same code.
+The included-cell, Ito and jump sums go through `_kernels.row_sums`, which
+rounds each row's sums faithfully from that row's terms alone, so a path
+summed in a block of 64 gets the same bits as a path summed alone, and a
+one-path sum is a one-row block.  `cell_sums` adds dX dY (or |dX dY|) over
+each row's kept cells and `ito_rows` forms each row's left-point Ito running
+sums; both take (n, K+1) blocks of values at the cuts and form their terms a
+slab of rows at a time.  `zcqv_ladder` runs the included-cell statistic of a
+whole block along every ladder level, reading the values at the cuts as a
+strided view.
 
 covariation_ladder sweeps a whole t-grid for every row pair of two
 ensembles at once, one ladder level at a time.  Each level slices both value
@@ -20,8 +19,8 @@ cell, under the stopped-value semantics; the included sums zero the cells
 that hold a time of S in place and take a second cumulative sum.  S is the
 union of both paths' jump times under the threshold, read off the mark and
 value blocks.  The jump sums come from one kernel pass over each row's jump
-terms in time order: the running sum after the last jump <= t is jump_sum
-at t, bit for bit, because jump_sum takes the same running sums.
+terms in time order: the jump sum at t is the running sum after the last
+jump <= t.
 """
 
 from __future__ import annotations
@@ -32,23 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .partitions import ExclusionSet, Partition, RefinementLadder, inclusion_mask, inclusion_rows
-from .paths import PathEnsemble, SamplePath
-
-
-def _check_pair(x: SamplePath, y: SamplePath) -> None:
-    if x.horizon != y.horizon:
-        raise ValueError("paths must share the horizon")
-
-
-def _stopped_values(path: SamplePath, cuts: np.ndarray, t: float) -> np.ndarray:
-    stopped = np.minimum(np.minimum(cuts, t), path.horizon)
-    return path.eval_many(stopped)
-
-
-def _require_cover(partition: Partition, t: float) -> None:
-    if partition.cut_times[-1] < t:
-        raise ValueError("partition does not cover the evaluation time")
+from .partitions import RefinementLadder, inclusion_rows
+from .paths import PathEnsemble
 
 
 # ---------------------------------------------------------------------------
@@ -112,86 +96,6 @@ def zcqv_ladder(x, times, ladder, t: float, s_rows=(), s_times=(), y=None, absol
         _, cut = grid_index(times, part.cut_times)
         out[:, i] = cell_sums(x[:, cut], y[:, cut], keep, absolute)
     return out
-
-
-# ---------------------------------------------------------------------------
-# one-path sums
-
-
-def qv_partition(x: SamplePath, y: SamplePath, partition: Partition, t: float) -> float:
-    """Covariation along the partition with stopped increments.
-
-    Sum over cells of (X_{tau_k ^ t} - X_{tau_{k-1} ^ t}) (Y_... ); cells at
-    or beyond t contribute exactly zero.
-    """
-    _check_pair(x, y)
-    _require_cover(partition, t)
-    xv = _stopped_values(x, partition.cut_times, t)
-    yv = _stopped_values(y, partition.cut_times, t)
-    return float(cell_sums(xv[None], yv[None])[0])
-
-
-def jump_sum(x: SamplePath, y: SamplePath, t: float, threshold: float) -> float:
-    """Sum of dX_s dY_s over recorded jump times s <= t of either path.
-
-    It is the running sum, in time order, over all the recorded jumps, taken
-    after the last one <= t: the value covariation_ladder reports.
-    """
-    _check_pair(x, y)
-    times = np.union1d(x.jump_times(threshold), y.jump_times(threshold))
-    dx = x.eval_many(times) - x.eval_left_many(times)
-    dy = y.eval_many(times) - y.eval_left_many(times)
-    return float(running_sums(dx * dy)[np.searchsorted(times, t, side="right")])
-
-
-def running_sums(terms: np.ndarray) -> np.ndarray:
-    """Faithfully rounded running sums of the 1-D terms in array order.
-
-    Returns len(terms) + 1 values: entry 0 is 0.0 and entry k the sum of the
-    first k terms.
-    """
-    terms = np.asarray(terms, dtype=np.float64)
-    out = np.zeros((1, terms.size + 1))
-    _kernels.row_sums(lambda a, b: terms[None], (1, terms.size), out=out[:, 1:])
-    return out[0]
-
-
-def zcqv_statistic(x: SamplePath, partition: Partition, exclusions: ExclusionSet, t: float) -> float:
-    """Included-cell sum of squared increments: the zero-continuous-QV
-    diagnostic.  Vanishes across a refining ladder iff the path has no
-    continuous quadratic variation once S absorbs its jumps."""
-    _require_cover(partition, t)
-    mask = inclusion_mask(partition, exclusions, t)
-    xv = x.eval_many(np.minimum(partition.cut_times, x.horizon))
-    return float(cell_sums(xv[None], xv[None], mask[None])[0])
-
-
-def cross_statistic(x: SamplePath, y: SamplePath, partition: Partition, exclusions: ExclusionSet, t: float) -> float:
-    """Included-cell sum of |dX dY| (covariation-existence diagnostic)."""
-    _check_pair(x, y)
-    _require_cover(partition, t)
-    mask = inclusion_mask(partition, exclusions, t)
-    cuts = np.minimum(partition.cut_times, x.horizon)
-    xv = x.eval_many(cuts)
-    yv = y.eval_many(cuts)
-    return float(cell_sums(xv[None], yv[None], mask[None], absolute=True)[0])
-
-
-def ito_integral(integrand: np.ndarray, y: SamplePath, partition: Partition, t: float) -> float:
-    """Left-point (Ito) Riemann sum: sum_k eta_{k-1} (Y_{tau_k ^ t} - Y_{tau_{k-1} ^ t}).
-
-    `integrand` supplies eta at every left cut time (length = number of cells).
-    """
-    return float(ito_cumulative(integrand, y, partition, t)[-1])
-
-
-def ito_cumulative(integrand: np.ndarray, y: SamplePath, partition: Partition, t: float) -> np.ndarray:
-    _require_cover(partition, t)
-    eta = np.asarray(integrand, dtype=np.float64)
-    if eta.size != partition.n_cells:
-        raise ValueError("integrand must supply one value per partition cell")
-    yv = _stopped_values(y, partition.cut_times, t)
-    return ito_rows(yv[None], lambda a, b: eta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +224,8 @@ def _cut_index(times: np.ndarray, cut_times: np.ndarray):
 
 
 def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """jump_sum(x_r, y_r, t, threshold) for every row r and t, bit for bit.
+    """Sum of dX_s dY_s over row r's selected jump times s <= t, for every
+    row r and t.
 
     Row r's jump terms, in time order, fill the first cells of row r of an
     (n, J) block, and one kernel pass keeps every row's running sums; the
@@ -405,10 +310,10 @@ def covariation_ladder(
     along every ladder level at every t in t_grid.
 
     S is the union of both paths' jump times under `threshold`.  Every cut
-    must be a grid time.  Results equal the per-path scalar definitions bit
-    for bit: with tau_j <= t < tau_{j+1} the stopped sum is the cumulative
-    sum through cell j plus the boundary term (X_t - X_{tau_j})(Y_t - Y_{tau_j});
-    the included sum counts only cells with tau_k < t that miss S.
+    must be a grid time.  With tau_j <= t < tau_{j+1} the stopped sum is the
+    cumulative sum through cell j plus the boundary term
+    (X_t - X_{tau_j})(Y_t - Y_{tau_j}); the included sum counts only cells
+    with tau_k < t that miss S.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")

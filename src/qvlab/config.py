@@ -10,6 +10,7 @@ embeds the resolved config in its report for replayability.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -85,6 +86,12 @@ class ExperimentConfig(_Fields):
                 raise ConfigurationError(f"{name} must be >= 1")
         if not (0.0 < self.pass_fraction < 1.0):
             raise ConfigurationError("pass_fraction must lie in (0, 1)")
+        for name in ("sigma_mult", "ucp_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value!r}")
+        if not (self.jump_threshold >= 0.0):  # NaN fails; inf means no threshold
+            raise ConfigurationError(f"jump_threshold must be >= 0, got {self.jump_threshold!r}")
         self.generator_spec()
 
     def to_dict(self) -> dict:

@@ -8,9 +8,10 @@ V = f - integral.  The states, terms and f are formed a slab of rows at a
 time, so V is the only full-size array a block adds.  zcqv_ladder then
 measures the included-cell squared-increment statistic of V at every
 refinement level, one kernel pass per level, and summarize_zcqv turns the
-decay into a pass/fail verdict.  decompose() is a one-row call of the same
-code, and the named suites run it over an ensemble a block at a time, with
-a deterministic worker pool.
+decay into a pass/fail verdict.  Row r of every block depends on path r
+alone, so a path decomposes to the same bits alone or in any block.  The
+named suites run this over an ensemble a block at a time, with a
+deterministic worker pool.
 """
 
 from __future__ import annotations
@@ -25,34 +26,21 @@ from ._parallel import map_chunked
 from .errors import ConfigurationError, NonFiniteError
 from .functions import PathFunction, dx_limsup, make_function
 from .generators import GeneratorSpec, iter_blocks
-from .partitions import ExclusionSet, Partition, RefinementLadder
-from .paths import PathEnsemble, SamplePath
+from .partitions import RefinementLadder
+from .paths import PathEnsemble
 
 
-class DecompositionResult(NamedTuple):
-    f_path: SamplePath
-    integral_path: SamplePath
-    v_path: SamplePath
-    exclusion_times: np.ndarray
-    kink_qv_mass: float
+def _integrand_states(values, marks, a: int, b: int) -> np.ndarray:
+    """The state fed to D_x f at each left grid time, for rows a .. b-1.
 
-
-def _integrand_states(values, marks, times, left_cuts):
-    """states(a, b): the state fed to D_x f at each left cut time, for rows
-    a .. b-1: the pre-jump value.
-
-    At generator-marked jump times the left limit is used; elsewhere the
-    cadlag value itself, since between marks the underlying dynamics are
-    continuous and the grid's piecewise-constant 'left limit' would lag the
-    true state by one cell.  The grid indices are found once, for every slab.
+    At generator-marked jump times the left limit is used (X_{0-} = X_0);
+    elsewhere the cadlag value itself, since between marks the underlying
+    dynamics are continuous and the grid's piecewise-constant 'left limit'
+    would lag the true state by one cell.
     """
-    at = np.searchsorted(times, left_cuts, side="right") - 1
-    before = np.maximum(np.searchsorted(times, left_cuts, side="left") - 1, 0)
-    on_cut = times[at] == left_cuts
-    take = lambda block, idx: np.take(block, idx, axis=1)  # several times faster than block[:, idx]
-    return lambda a, b: np.where(
-        take(marks[a:b], at) & on_cut, take(values[a:b], before), take(values[a:b], at)
-    )
+    states = values[a:b, :-1].copy()
+    np.copyto(states[:, 1:], values[a:b, :-2], where=marks[a:b, 1:-1])
+    return states
 
 
 def _eta(f: PathFunction, t: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -61,14 +49,6 @@ def _eta(f: PathFunction, t: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.asarray(
         [[dx_limsup(f, float(tk), float(sk)) for tk, sk in zip(t, row)] for row in states]
     )
-
-
-def _ito_block(f: PathFunction, values, marks, times, cuts) -> tuple:
-    """(values at the cuts, left-point Ito running sums) for every row."""
-    _, at = calculus.grid_index(times, cuts)
-    xv = values[:, at]
-    states = _integrand_states(values, marks, times, cuts[:-1])
-    return xv, calculus.ito_rows(xv, lambda a, b: _eta(f, cuts[:-1], states(a, b)))
 
 
 def _kink_mass(f: PathFunction, cuts, xv) -> np.ndarray:
@@ -84,43 +64,14 @@ def _kink_mass(f: PathFunction, cuts, xv) -> np.ndarray:
 def decompose_block(f: PathFunction, ens: PathEnsemble) -> tuple:
     """(V, kink masses) for every path of the block, on the path grid.
 
-    V is (n, n_grid); row r equals decompose(f, ens[r], grid).v_path.values
-    bit for bit.
+    V is (n, n_grid); row r has the same bits as a one-row block of path r.
     """
-    times = ens.times
-    _, v = _ito_block(f, ens.values, ens.marks, times, times)
+    times, values = ens.times, ens.values
+    v = calculus.ito_rows(values, lambda a, b: _eta(f, times[:-1], _integrand_states(values, ens.marks, a, b)))
     step = max(1, _kernels.CELLS // times.size)
     for a in range(0, len(v), step):
-        np.subtract(f(times, ens.values[a : a + step]), v[a : a + step], out=v[a : a + step])
-    return v, _kink_mass(f, times, ens.values)
-
-
-def decompose(f: PathFunction, x: SamplePath, partition: Partition) -> DecompositionResult:
-    """Split f(t, X_t) into the left-point Ito sum against X plus V: a
-    one-row call of the block decomposition on any partition."""
-    if partition.cut_times[-1] < x.horizon:
-        raise ValueError("partition must cover the path horizon")
-    cuts = np.minimum(partition.cut_times, x.horizon)
-    cuts = cuts[np.concatenate([[True], np.diff(cuts) > 0])]
-
-    xv, integral = _ito_block(f, x.values[None], x.jump_marks[None], x.times, cuts)
-    xv, integral = xv[0], integral[0]
-    fv = np.asarray(f(cuts, xv), dtype=float)
-    v = fv - integral
-
-    s_times = x.jump_times(np.inf)
-    if f.time_jumps:
-        s_times = np.union1d(s_times, [tj for tj, _ in f.time_jumps])
-    marks = np.isin(cuts, s_times)
-
-    mk = lambda vals: SamplePath(times=cuts, values=vals, jump_marks=marks)
-    return DecompositionResult(
-        f_path=mk(fv),
-        integral_path=mk(integral),
-        v_path=mk(v),
-        exclusion_times=s_times,
-        kink_qv_mass=float(_kink_mass(f, cuts, xv[None])[0]),
-    )
+        np.subtract(f(times, values[a : a + step]), v[a : a + step], out=v[a : a + step])
+    return v, _kink_mass(f, times, values)
 
 
 # ---------------------------------------------------------------------------
@@ -184,37 +135,6 @@ def summarize_zcqv(stats: np.ndarray, levels, meshes, pass_fraction: float) -> Z
         passed=passed,
         status=status,
     )
-
-
-def verify_zcqv(
-    v_paths,
-    ladder: RefinementLadder,
-    exclusions,
-    t: float,
-    pass_fraction: float = 0.1,
-    levels=None,
-) -> ZcqvVerdict:
-    """Per-level included-cell statistic of V across the ensemble.
-
-    v_paths: one SamplePath or a sequence; exclusions: one ExclusionSet,
-    a sequence aligned with v_paths, or None for the empty set.
-    """
-    if isinstance(v_paths, SamplePath):
-        v_paths = [v_paths]
-    n = len(v_paths)
-    if exclusions is None:
-        exclusions = [ExclusionSet.empty()] * n
-    elif isinstance(exclusions, ExclusionSet):
-        exclusions = [exclusions] * n
-    elif len(exclusions) != n:
-        raise ValueError(f"exclusions holds {len(exclusions)} sets for {n} paths")
-    stats = np.empty((n, len(ladder)))
-    for i, (vp, s) in enumerate(zip(v_paths, exclusions)):
-        for j, part in enumerate(ladder):
-            stats[i, j] = calculus.zcqv_statistic(vp, part, s, t)
-    if levels is None:
-        levels = tuple(range(len(ladder)))
-    return summarize_zcqv(stats, levels, ladder.meshes, pass_fraction)
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,8 @@ class GeneratorSpec(NamedTuple):
         )
         if self.n_steps < 1:
             raise ConfigurationError("n_steps must be >= 1")
+        if self.x_grid_points < 2:
+            raise ConfigurationError("x_grid_points must be >= 2")
         if not (self.horizon > 0):
             raise ConfigurationError("horizon must be positive")
         if self.jump_rate < 0:

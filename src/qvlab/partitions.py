@@ -1,9 +1,10 @@
-"""Partitions, exclusion sets and the included-cell index set.
+"""Partitions, refinement ladders and the included-cell masks.
 
 A partition is a nondecreasing sequence of cut times starting at 0 whose
-last cut reaches the path horizon.  An exclusion set S is a finite sorted
-set of times; cell k = (tau_{k-1}, tau_k] is excluded when it contains a
-time of S.  The half-open convention makes "S absorbs the jumps" exact for
+last cut reaches the path horizon.  An exclusion set S is a finite set of
+times, given for a block of paths as (row, time) pairs; cell
+k = (tau_{k-1}, tau_k] of a row is excluded when it contains a time of that
+row's S.  The half-open convention makes "S absorbs the jumps" exact for
 grid paths: a jump realized at a cut time belongs to the cell whose
 increment contains it.
 """
@@ -11,8 +12,6 @@ increment contains it.
 from __future__ import annotations
 
 import numpy as np
-
-from .paths import SamplePath
 
 
 class Partition:
@@ -53,51 +52,6 @@ def dyadic_partition_on_grid(times: np.ndarray, level: int) -> Partition:
     return Partition(cut_times=times[:: n_steps // n])
 
 
-def hitting_partition(path: SamplePath, eps: float) -> Partition:
-    """Level-crossing stopping times: next cut when |X - X_anchor| >= eps.
-
-    tau_0 = 0; tau_{k+1} is the first grid time after tau_k at which the
-    path has moved at least eps from X_{tau_k}; the horizon closes the
-    partition.
-    """
-    if not (eps > 0):
-        raise ValueError("eps must be positive")
-    values = path.values
-    cuts = [0.0]
-    anchor = values[0]
-    for i in range(1, values.size):
-        if abs(values[i] - anchor) >= eps:
-            cuts.append(float(path.times[i]))
-            anchor = values[i]
-    if cuts[-1] < path.horizon:
-        cuts.append(path.horizon)
-    return Partition(cut_times=np.asarray(cuts))
-
-
-class ExclusionSet:
-    def __init__(self, times):
-        t = np.unique(np.asarray(times, dtype=np.float64))
-        t.setflags(write=False)
-        self.times = t
-
-    @classmethod
-    def empty(cls) -> "ExclusionSet":
-        return cls(times=np.empty(0))
-
-    @classmethod
-    def from_jumps(cls, *paths: SamplePath, threshold: float = np.inf) -> "ExclusionSet":
-        """Default S construction: the paths' jump times.
-
-        threshold=inf keeps generator-marked jumps only; a finite threshold
-        also captures large unmarked increments (ingested data).
-        """
-        times = [p.jump_times(threshold) for p in paths]
-        return cls(times=np.concatenate(times) if times else np.empty(0))
-
-    def __len__(self) -> int:
-        return self.times.size
-
-
 def inclusion_rows(partition: Partition, t: float, n: int, s_rows=(), s_times=()) -> np.ndarray:
     """(n, K) inclusion masks: row r keeps cell k = 1..K when tau_k < t and
     (tau_{k-1}, tau_k] misses row r's S, the s_times[j] with s_rows[j] == r."""
@@ -109,12 +63,6 @@ def inclusion_rows(partition: Partition, t: float, n: int, s_rows=(), s_times=()
     hit = (j >= 1) & (j <= partition.n_cells)
     mask[np.asarray(s_rows, dtype=np.intp)[hit], j[hit] - 1] = False
     return mask
-
-
-def inclusion_mask(partition: Partition, exclusions: ExclusionSet, t: float) -> np.ndarray:
-    """Boolean mask over cells k = 1..K: tau_k < t and (tau_{k-1}, tau_k] misses S."""
-    s = exclusions.times
-    return inclusion_rows(partition, t, 1, np.zeros(s.size, dtype=np.intp), s)[0]
 
 
 class RefinementLadder:

@@ -4,226 +4,218 @@ import warnings
 import numpy as np
 import pytest
 
+from qvlab import _kernels
 from qvlab.calculus import (
     path_median,
     path_percentile,
     CovariationReport,
+    cell_sums,
     covariation_ladder,
-    cross_statistic,
-    ito_cumulative,
-    ito_integral,
-    jump_sum,
-    qv_partition,
+    ito_rows,
     ucp_exceedance,
-    zcqv_statistic,
+    zcqv_ladder,
 )
 from qvlab.generators import GeneratorSpec, generate, iter_blocks
 from qvlab.partitions import (
-    ExclusionSet,
     Partition,
     RefinementLadder,
     dyadic_partition,
     dyadic_partition_on_grid,
-    inclusion_mask,
+    inclusion_rows,
 )
-from qvlab.paths import PathEnsemble
 
-from conftest import toy_path
+from conftest import rows_of, toy_ensemble
 
 
-def grid_partition(path):
-    return Partition(cut_times=path.times)
+def ladder_of(*partitions):
+    return RefinementLadder(levels=partitions)
+
+
+def grid_ladder(ens):
+    """The one-level ladder whose cuts are the ensemble's grid."""
+    return ladder_of(Partition(cut_times=ens.times))
+
+
+def covariation(x, y, ladder):
+    """Sum of dX dY over every cell of each level, (n_paths, n_levels): the
+    included-cell statistic with S empty and t past every cut."""
+    return zcqv_ladder(x.values, x.times, ladder, np.inf, y=y.values)
+
+
+def ito(eta, y):
+    """Left-point Ito running sums along one path's values y, as a one-row block."""
+    return ito_rows(np.asarray(y, dtype=float)[None], lambda a, b: eta)[0]
 
 
 def test_qv_constant_path_is_zero():
-    p = toy_path([0, 1, 2], [3, 3, 3])
-    assert qv_partition(p, p, dyadic_partition(2.0, 3), 2.0) == 0.0
+    p = toy_ensemble([0.0, 1.0, 2.0], [3, 3, 3])
+    assert covariation(p, p, ladder_of(dyadic_partition(2.0, 3))).tolist() == [[0.0]]
 
 
 def test_qv_direct_arithmetic():
-    x = toy_path([0, 1, 2], [0, 1, 3])
-    y = toy_path([0, 1, 2], [0, 2, 5])
-    part = Partition(cut_times=np.asarray([0.0, 1.0, 2.0]))
-    assert qv_partition(x, y, part, 2.0) == 1.0 * 2.0 + 2.0 * 3.0
+    x = toy_ensemble([0.0, 1.0, 2.0], [0, 1, 3])
+    y = toy_ensemble([0.0, 1.0, 2.0], [0, 2, 5])
+    assert covariation(x, y, grid_ladder(x)).tolist() == [[1.0 * 2.0 + 2.0 * 3.0]]
 
 
 def test_qv_stopped_semantics():
-    x = toy_path([0, 1, 2], [0, 1, 3])
-    part = Partition(cut_times=np.asarray([0.0, 1.0, 2.0]))
+    x = toy_ensemble([0.0, 1.0, 2.0], [0, 1, 3])
     # at t = 1 the second cell is stopped: increment zero
-    assert qv_partition(x, x, part, 1.0) == 1.0
+    assert covariation_ladder(x, x, grid_ladder(x), np.asarray([1.0])).full.tolist() == [[[1.0]]]
 
 
 def test_qv_brownian_realized_variance(brownian_200_l12):
-    part = dyadic_partition(1.0, 12)
-    vals = np.asarray([qv_partition(p, p, part, 1.0) for p in brownian_200_l12])
+    b = brownian_200_l12
+    vals = covariation(b, b, ladder_of(dyadic_partition(1.0, 12)))[:, 0]
     # sd of realized variance at 4096 cells is sqrt(2/4096) ~ 0.022
     assert np.mean(np.abs(vals - 1.0) <= 0.1) >= 0.95
 
 
 def test_qv_nonnegative_on_diagonal(brownian_200_l12):
-    part = dyadic_partition(1.0, 6)
-    for p in list(brownian_200_l12)[:20]:
-        assert qv_partition(p, p, part, 1.0) >= 0.0
+    b = brownian_200_l12
+    assert np.all(covariation(b, b, ladder_of(dyadic_partition(1.0, 6))) >= 0.0)
 
 
 def test_jump_sum_cases():
+    times = [0.0, 1.0, 2.0]
+
+    def jump_sums(x, y, threshold, t_grid):
+        rep = covariation_ladder(x, y, grid_ladder(x), np.asarray(t_grid), threshold=threshold)
+        return rep.jumps[0, 0].tolist()
+
     # below-threshold increments contribute nothing
-    p = toy_path([0, 1, 2], [0.0, 0.05, 0.1])
-    assert jump_sum(p, p, 2.0, 0.2) == 0.0
-    # single common jump
-    x = toy_path([0, 1, 2], [0, 2, 2], [False, True, False])
-    y = toy_path([0, 1, 2], [0, 3, 3], [False, True, False])
-    assert jump_sum(x, y, 2.0, np.inf) == 6.0
-    assert jump_sum(x, y, 0.5, np.inf) == 0.0  # jump after t
+    p = toy_ensemble(times, [0.0, 0.05, 0.1])
+    assert jump_sums(p, p, 0.2, [2.0]) == [0.0]
+    # single common jump; at t = 0.5 it is still ahead
+    x = toy_ensemble(times, [0, 2, 2], [False, True, False])
+    y = toy_ensemble(times, [0, 3, 3], [False, True, False])
+    assert jump_sums(x, y, np.inf, [2.0, 0.5]) == [6.0, 0.0]
     # disjoint jump times: a zero factor at each
-    x2 = toy_path([0, 1, 2], [0, 2, 2], [False, True, False])
-    y2 = toy_path([0, 1, 2], [0, 0, 3], [False, False, True])
-    assert jump_sum(x2, y2, 2.0, np.inf) == 0.0
+    x2 = toy_ensemble(times, [0, 2, 2], [False, True, False])
+    y2 = toy_ensemble(times, [0, 0, 3], [False, False, True])
+    assert jump_sums(x2, y2, np.inf, [2.0]) == [0.0]
 
 
 def test_zcqv_constant_zero():
-    p = toy_path([0, 1, 2], [4, 4, 4])
-    assert zcqv_statistic(p, dyadic_partition(2.0, 4), ExclusionSet.empty(), 2.0) == 0.0
+    p = toy_ensemble([0.0, 1.0, 2.0], [4, 4, 4])
+    assert zcqv_ladder(p.values, p.times, ladder_of(dyadic_partition(2.0, 4)), 2.0).tolist() == [[0.0]]
 
 
 def test_zcqv_pure_jump_exact_zero(cp_ensemble):
-    for p in list(cp_ensemble)[:10]:
-        s = ExclusionSet.from_jumps(p)
-        for level in (6, 9, 12):
-            part = dyadic_partition(1.0, level)
-            assert zcqv_statistic(p, part, s, 1.0) == 0.0
+    # S holds each path's marked jumps
+    s_rows, s_grid = np.nonzero(cp_ensemble.marks)
+    ladder = ladder_of(*(dyadic_partition(1.0, level) for level in (6, 9, 12)))
+    stats = zcqv_ladder(cp_ensemble.values, cp_ensemble.times, ladder, 1.0, s_rows, cp_ensemble.times[s_grid])
+    assert np.all(stats == 0.0)
 
 
 def test_zcqv_brownian_near_one(brownian_200_l12):
-    part = dyadic_partition(1.0, 12)
-    vals = np.asarray(
-        [zcqv_statistic(p, part, ExclusionSet.empty(), 1.0) for p in brownian_200_l12]
-    )
+    b = brownian_200_l12
+    vals = zcqv_ladder(b.values, b.times, ladder_of(dyadic_partition(1.0, 12)), 1.0)[:, 0]
     assert np.mean(np.abs(vals - 1.0) <= 0.1) >= 0.95
 
 
 def test_ito_constant_integrand_telescopes():
     rng = np.random.default_rng(5)
-    p = toy_path(np.arange(65) / 64.0, rng.standard_normal(65))
-    part = grid_partition(p)
-    got = ito_integral(np.ones(64), p, part, 1.0)
-    assert got == pytest.approx(p.values[-1] - p.values[0], abs=1e-12)
-    got_c = ito_integral(np.full(64, 2.5), p, part, 1.0)
-    assert got_c == pytest.approx(2.5 * (p.values[-1] - p.values[0]), abs=1e-12)
+    y = rng.standard_normal(65)
+    assert ito(np.ones(64), y)[-1] == pytest.approx(y[-1] - y[0], abs=1e-12)
+    assert ito(np.full(64, 2.5), y)[-1] == pytest.approx(2.5 * (y[-1] - y[0]), abs=1e-12)
 
 
 def test_ito_integer_paths_exact():
-    p = toy_path(np.arange(5, dtype=float), [0.0, 2.0, -1.0, 3.0, 5.0])
-    part = grid_partition(p)
     eta = np.asarray([1.0, 2.0, 0.5, -1.0])
     # 1*2 + 2*(-3) + 0.5*4 + (-1)*2
-    assert ito_integral(eta, p, part, 4.0) == 2.0 - 6.0 + 2.0 - 2.0
+    assert ito(eta, [0.0, 2.0, -1.0, 3.0, 5.0])[-1] == 2.0 - 6.0 + 2.0 - 2.0
 
 
 def test_ito_cumulative_path():
-    p = toy_path(np.arange(5, dtype=float), [0.0, 1.0, 1.0, 2.0, 2.0])
-    out = ito_cumulative(np.ones(4), p, grid_partition(p), 4.0)
-    assert list(out) == [0.0, 1.0, 1.0, 2.0, 2.0]
+    assert list(ito(np.ones(4), [0.0, 1.0, 1.0, 2.0, 2.0])) == [0.0, 1.0, 1.0, 2.0, 2.0]
 
 
 def test_ito_closed_form_oracle(brownian_200_l12):
     # int W dW = (W_t^2 - t)/2: check at the ensemble's own resolution
-    hits = 0
-    paths = list(brownian_200_l12)[:50]
-    for p in paths:
-        part = grid_partition(p)
-        eta = p.values[:-1]
-        got = ito_integral(eta, p, part, 1.0)
-        target = (p.values[-1] ** 2 - 1.0) / 2.0
-        hits += abs(got - target) <= 0.1
-    assert hits >= 0.9 * len(paths)
-
-
-def test_ito_length_mismatch():
-    p = toy_path([0, 1], [0, 1])
-    with pytest.raises(ValueError):
-        ito_integral(np.ones(3), p, grid_partition(p), 1.0)
+    w = brownian_200_l12.values
+    got = ito_rows(w, lambda a, b: w[a:b, :-1])[:, -1]
+    target = (w[:, -1] ** 2 - 1.0) / 2.0
+    assert np.count_nonzero(np.abs(got - target) <= 0.1) >= 0.9 * len(w)
 
 
 def test_mismatched_horizons_rejected():
-    x = toy_path([0, 1], [0, 1])
-    y = toy_path([0, 2], [0, 1])
-    with pytest.raises(ValueError):
-        qv_partition(x, y, dyadic_partition(1.0, 1), 1.0)
+    x = toy_ensemble([0.0, 1.0], [0, 1])
+    y = toy_ensemble([0.0, 2.0], [0, 1])
+    with pytest.raises(ValueError, match="one grid"):
+        covariation_ladder(x, y, grid_ladder(x), np.asarray([1.0]))
 
 
 def test_polarization_exact_on_integer_paths():
-    x = toy_path(np.arange(4, dtype=float), [0.0, 2.0, 1.0, 4.0])
-    y = toy_path(np.arange(4, dtype=float), [0.0, -1.0, 3.0, 2.0])
-    s = toy_path(np.arange(4, dtype=float), x.values + y.values)
-    part = grid_partition(x)
-    t = 3.0
-    lhs = qv_partition(s, s, part, t) - qv_partition(x, x, part, t) - qv_partition(y, y, part, t)
-    assert lhs == 2.0 * qv_partition(x, y, part, t)
+    times = np.arange(4, dtype=float)
+    x = toy_ensemble(times, [0.0, 2.0, 1.0, 4.0])
+    y = toy_ensemble(times, [0.0, -1.0, 3.0, 2.0])
+    s = toy_ensemble(times, x.values + y.values)
+    ladder = grid_ladder(x)
+    lhs = covariation(s, s, ladder) - covariation(x, x, ladder) - covariation(y, y, ladder)
+    assert lhs.tolist() == (2.0 * covariation(x, y, ladder)).tolist()
 
 
 def test_polarization_float_paths_8ulp(brownian_200_l12):
-    x = brownian_200_l12[0]
-    y = brownian_200_l12[1]
-    s = toy_path(x.times, x.values + y.values)
-    for level in (6, 9, 12):
-        part = dyadic_partition(1.0, level)
-        lhs = qv_partition(s, s, part, 1.0) - qv_partition(x, x, part, 1.0) - qv_partition(y, y, part, 1.0)
-        rhs = 2.0 * qv_partition(x, y, part, 1.0)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        assert abs(lhs - rhs) <= 8 * np.finfo(float).eps * scale * 64
+    x = rows_of(brownian_200_l12, 0, 1)
+    y = rows_of(brownian_200_l12, 1, 2)
+    s = toy_ensemble(x.times, x.values + y.values)
+    ladder = ladder_of(*(dyadic_partition(1.0, level) for level in (6, 9, 12)))
+    lhs = covariation(s, s, ladder) - covariation(x, x, ladder) - covariation(y, y, ladder)
+    rhs = 2.0 * covariation(x, y, ladder)
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    assert np.all(np.abs(lhs - rhs) <= 8 * np.finfo(float).eps * scale * 64)
 
 
 def test_bilinearity_exact_on_integer_paths():
-    x = toy_path(np.arange(4, dtype=float), [0.0, 2.0, 1.0, 4.0])
-    y = toy_path(np.arange(4, dtype=float), [0.0, -1.0, 3.0, 2.0])
-    ax = toy_path(x.times, 3.0 * x.values)
-    by = toy_path(y.times, -2.0 * y.values)
-    part = grid_partition(x)
-    assert qv_partition(ax, by, part, 3.0) == -6.0 * qv_partition(x, y, part, 3.0)
+    times = np.arange(4, dtype=float)
+    x = toy_ensemble(times, [0.0, 2.0, 1.0, 4.0])
+    y = toy_ensemble(times, [0.0, -1.0, 3.0, 2.0])
+    ax = toy_ensemble(times, 3.0 * x.values)
+    by = toy_ensemble(times, -2.0 * y.values)
+    ladder = grid_ladder(x)
+    assert covariation(ax, by, ladder).tolist() == (-6.0 * covariation(x, y, ladder)).tolist()
 
 
 def test_pure_jump_qv_equals_jump_sum_exactly(cp_ensemble):
-    for p in list(cp_ensemble)[:10]:
+    ens = rows_of(cp_ensemble, 0, 10)
+    ladder = RefinementLadder.dyadic(1.0, 0, 12, grid_times=ens.times)
+    qv = covariation(ens, ens, ladder)
+    js = covariation_ladder(ens, ens, ladder, np.asarray([1.0])).jumps[:, 0, 0]
+    for r, p in enumerate(ens):
         jt = p.jump_times(np.inf)
         gaps = np.diff(np.concatenate([[0.0], jt, [1.0]]))
         min_gap = gaps[gaps > 0].min()
         level = min(12, int(np.ceil(-np.log2(min_gap))) + 1)
-        part = dyadic_partition(1.0, level)
-        qv = qv_partition(p, p, part, 1.0)
-        js = jump_sum(p, p, 1.0, np.inf)
-        assert qv == js
+        assert qv[r, level] == js[r]
         # stable under further refinement
-        assert qv_partition(p, p, dyadic_partition(1.0, 12), 1.0) == js
+        assert qv[r, -1] == js[r]
 
 
 def test_cross_statistic_zero_when_jumps_excluded(cp_ensemble, brownian_200_l12):
-    z = cp_ensemble[0]
-    y = brownian_200_l12[0]
-    s = ExclusionSet.from_jumps(z)
-    for level in (6, 10, 12):
-        part = dyadic_partition(1.0, level)
-        assert cross_statistic(z, y, part, s, 1.0) == 0.0
-
-
-def _rows(ens, lo, hi):
-    return PathEnsemble(times=ens.times, values=ens.values[lo:hi], marks=ens.marks[lo:hi])
+    z = cp_ensemble
+    y = rows_of(brownian_200_l12, 0, len(z))
+    s_rows, s_grid = np.nonzero(z.marks)
+    ladder = ladder_of(*(dyadic_partition(1.0, level) for level in (6, 10, 12)))
+    stats = zcqv_ladder(z.values, z.times, ladder, 1.0, s_rows, z.times[s_grid], y=y.values, absolute=True)
+    assert np.all(stats == 0.0)
 
 
 def test_covariation_ladder_report(brownian_200_l12):
-    x = _rows(brownian_200_l12, 0, 1)
+    x = rows_of(brownian_200_l12, 0, 1)
     ladder = RefinementLadder.dyadic(1.0, 4, 8, grid_times=x.times)
     t_grid = np.linspace(0.0, 1.0, 17)
     rep = covariation_ladder(x, x, ladder, t_grid, levels=tuple(range(4, 9)))
     assert rep.full.shape == (1, 5, 17)
-    # report consistency: sweep full sums at grid times match scalar op
+    # report consistency: the sweep at each t against the stopped values
+    # summed by cell_sums, and against zcqv_ladder
     for i, part in enumerate(ladder):
         for j, t in enumerate(t_grid):
-            direct = qv_partition(x[0], x[0], part, float(t))
-            assert rep.full[0, i, j] == pytest.approx(direct, abs=1e-12)
-            direct_z = zcqv_statistic(x[0], part, ExclusionSet.empty(), float(t))
-            assert rep.zcqv[0, i, j] == pytest.approx(direct_z, abs=1e-12)
+            xv = x[0].eval_many(np.minimum(part.cut_times, t))[None]
+            assert rep.full[0, i, j] == pytest.approx(cell_sums(xv, xv)[0], abs=1e-12)
+    for j, t in enumerate(t_grid):
+        assert rep.zcqv[0, :, j] == pytest.approx(zcqv_ladder(x.values, x.times, ladder, float(t))[0], abs=1e-12)
     assert np.all(rep.continuous_part == rep.full - rep.jumps)
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0] == "level,mesh,t,full_sum,jump_sum,continuous_part,zcqv_stat"
@@ -240,8 +232,7 @@ def test_covariation_ladder_cp_zcqv_column_zero(cp_ensemble):
 def test_independent_brownians_cross_variation_small():
     e1 = generate(GeneratorSpec(kind="brownian", n_steps=4096, seed=31), 64)
     e2 = generate(GeneratorSpec(kind="brownian", n_steps=4096, seed=32), 64)
-    part = dyadic_partition(1.0, 12)
-    vals = np.asarray([qv_partition(a, b, part, 1.0) for a, b in zip(e1, e2)])
+    vals = covariation(e1, e2, ladder_of(dyadic_partition(1.0, 12)))
     # cross-variation of independent BMs: mean 0, variance ~ t * mesh
     bound = 3.0 * np.sqrt(1.0 * 2.0 ** -12) * 4.0
     assert np.all(np.abs(vals) <= bound)
@@ -250,7 +241,7 @@ def test_independent_brownians_cross_variation_small():
 def test_ucp_exceedance_decreases(brownian_200_l12):
     ladder = RefinementLadder.dyadic(1.0, 4, 12, grid_times=brownian_200_l12.times)
     t_grid = np.linspace(0.0, 1.0, 33)
-    ens = _rows(brownian_200_l12, 0, 50)
+    ens = rows_of(brownian_200_l12, 0, 50)
     exc = ucp_exceedance(covariation_ladder(ens, ens, ladder, t_grid).full, eps=0.1)
     assert exc[-1] == 0.0
     assert exc[0] >= exc[-2]
@@ -258,7 +249,7 @@ def test_ucp_exceedance_decreases(brownian_200_l12):
 
 # ---------------------------------------------------------------------------
 # bitwise oracle for the block ladder sweep: the per-path sweep it replaced,
-# with one jump_sum call per t
+# with each path's jump sums run through the kernel as one row
 
 
 def _reference_stopped(x, y, partition, t_grid):
@@ -274,27 +265,36 @@ def _reference_stopped(x, y, partition, t_grid):
     return cum[j] + boundary
 
 
-def _reference_included(x, y, partition, exclusions, t_grid):
+def _reference_included(x, y, partition, s, t_grid):
     cuts = np.minimum(partition.cut_times, x.horizon)
     xv = x.eval_many(cuts)
     yv = y.eval_many(cuts)
     dxdy = np.diff(xv) * np.diff(yv)
-    mask = inclusion_mask(partition, exclusions, np.inf)
+    mask = inclusion_rows(partition, np.inf, 1, np.zeros(s.size, dtype=np.intp), s)[0]
     cum = np.concatenate([[0.0], np.cumsum(np.where(mask, dxdy, 0.0))])
     return cum[np.searchsorted(partition.cut_times[1:], t_grid, side="left")]
 
 
+def _reference_jump_sums(x, y, s, t_grid):
+    """Sum of dX_s dY_s over the times s <= t of the sorted s, for each t: the
+    running sum, in time order, after the last such s."""
+    terms = (x.eval_many(s) - x.eval_left_many(s)) * (y.eval_many(s) - y.eval_left_many(s))
+    run = np.zeros((1, s.size + 1))
+    _kernels.row_sums(lambda a, b: terms[None], (1, s.size), out=run[:, 1:])
+    return run[0, np.searchsorted(s, t_grid, side="right")]
+
+
 def _reference_ladder(x, y, ladder, t_grid, threshold):
     """(full, jumps, continuous_part, zcqv) of one path pair, (n_levels, n_t) each."""
-    exclusions = ExclusionSet.from_jumps(x, y, threshold=threshold)
+    s = np.union1d(x.jump_times(threshold), y.jump_times(threshold))
     n_l, n_t = len(ladder), t_grid.size
     full = np.empty((n_l, n_t))
     zc = np.empty((n_l, n_t))
     jumps = np.empty((n_l, n_t))
-    jump_row = np.asarray([jump_sum(x, y, t, threshold) for t in t_grid])
+    jump_row = _reference_jump_sums(x, y, s, t_grid)
     for i, part in enumerate(ladder):
         full[i] = _reference_stopped(x, y, part, t_grid)
-        zc[i] = _reference_included(x, y, part, exclusions, t_grid)
+        zc[i] = _reference_included(x, y, part, s, t_grid)
         jumps[i] = jump_row
     return full, jumps, full - jumps, zc
 
@@ -356,7 +356,7 @@ def test_covariation_ladder_matches_per_path_reference(name):
 
 
 def test_covariation_ladder_needs_cuts_on_the_grid(brownian_200_l12):
-    ens = _rows(brownian_200_l12, 0, 2)
+    ens = rows_of(brownian_200_l12, 0, 2)
     off_grid = RefinementLadder(levels=(Partition(cut_times=np.asarray([0.0, 0.3, 1.0])),))
     with pytest.raises(ValueError, match="grid"):
         covariation_ladder(ens, ens, off_grid, np.linspace(0.0, 1.0, 5))

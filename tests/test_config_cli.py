@@ -64,13 +64,28 @@ def test_config_validation():
         ("qv", {"formats": "csv"}, "formats"),
         ("qv", {"formats": ["csv", "xml"]}, "formats"),
         ("qv", {"l_min": -2, "l_max": 3}, "l_min"),
+        # bad numbers that would otherwise read as a verdict or an empty report
+        ("identity", {"sigma_mult": -1.0}, "sigma_mult"),
+        ("identity", {"sigma_mult": float("nan")}, "sigma_mult"),
+        ("qv", {"ucp_eps": float("nan")}, "ucp_eps"),
+        ("qv", {"ucp_eps": -1.0}, "ucp_eps"),
+        ("qv", {"jump_threshold": float("nan")}, "jump_threshold"),
+        ("suite negative_control", {"jump_threshold": -1.0}, "jump_threshold"),
+        ("ingest", {"jump_threshold": -1.0}, "jump_threshold"),
+        ("ingest", {"jump_threshold": float("nan")}, "jump_threshold"),
+        ("simulate", {"generator": {"kind": "lamperti_dirichlet", "x_grid_points": 1}}, "x_grid_points"),
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, config, key):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
+    args = command.split()
+    if args[0] == "ingest":
+        data = tmp_path / "path.csv"
+        data.write_text("t,x,jump\n0,0,0\n0.5,1,0\n1,1.05,0\n")
+        args.append(str(data))
+    assert main([*args, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not out.exists()

@@ -4,34 +4,28 @@ import numpy as np
 import pytest
 
 from qvlab import _kernels
-from qvlab.calculus import zcqv_ladder, zcqv_statistic
+from qvlab.calculus import zcqv_ladder
 from qvlab.decomposition import (
     SuiteConfig,
-    decompose,
     decompose_block,
     run_decompose,
     run_suite,
     summarize_zcqv,
-    verify_zcqv,
 )
 from qvlab.errors import NonFiniteError
 from qvlab.functions import builtin_library, make_function
 from qvlab.generators import GeneratorSpec, generate, make_path
-from qvlab.partitions import ExclusionSet, Partition, RefinementLadder, dyadic_partition
+from qvlab.partitions import RefinementLadder
 
-from conftest import toy_path
-
-
-def grid_partition(path):
-    return Partition(cut_times=path.times)
+from conftest import rows_of, toy_ensemble
 
 
 def test_identity_function_gives_constant_v():
     f = make_function("identity")
     rng = np.random.default_rng(1)
-    p = toy_path(np.arange(33) / 32.0, np.cumsum(np.concatenate([[1.5], rng.standard_normal(32) * 0.1])))
-    res = decompose(f, p, grid_partition(p))
-    assert np.allclose(res.v_path.values, 1.5, atol=1e-12)
+    ens = toy_ensemble(np.arange(33) / 32.0, np.cumsum(np.concatenate([[1.5], rng.standard_normal(32) * 0.1])))
+    v, _ = decompose_block(f, ens)
+    assert np.allclose(v, 1.5, atol=1e-12)
 
 
 def test_square_on_drift_path_closed_form():
@@ -40,97 +34,70 @@ def test_square_on_drift_path_closed_form():
     for level in (4, 6, 8):
         n = 2**level
         spec = GeneratorSpec(kind="euler_sde", n_steps=n, sigma="const(0.0)", b="const(1.0)", seed=0)
-        p = make_path(spec, 0)
-        res = decompose(make_function("square"), p, grid_partition(p))
-        assert res.v_path.values[-1] == 2.0 ** -level
+        v, _ = decompose_block(make_function("square"), generate(spec, 1))
+        assert v[0, -1] == 2.0 ** -level
 
 
 def test_tanaka_v_is_nondecreasing_and_mean_matches_oracle(brownian_200_l12):
     # E[V_1] = E|W_1| = sqrt(2/pi) exactly at every resolution (the Ito-sum
     # error has zero mean); V is the discrete local time, nondecreasing
-    f = make_function("abs")
-    finals = []
-    for p in list(brownian_200_l12)[:200]:
-        res = decompose(f, p, grid_partition(p))
-        assert np.all(np.diff(res.v_path.values) >= -1e-15)
-        finals.append(res.v_path.values[-1])
+    v, _ = decompose_block(make_function("abs"), brownian_200_l12)
+    assert np.all(np.diff(v, axis=1) >= -1e-15)
     target = np.sqrt(2.0 / np.pi)
-    tol = 4.0 * 0.7 / np.sqrt(len(finals))
-    assert abs(np.mean(finals) - target) <= tol
+    tol = 4.0 * 0.7 / np.sqrt(len(v))
+    assert abs(np.mean(v[:, -1]) - target) <= tol
 
 
 def test_square_on_brownian_tracks_qv(brownian_200_l12):
     # Ito's lemma: V_1 = realized variance of the path, so its median over
     # the ensemble sits within 0.05 of t = 1 at level 12
-    f = make_function("square")
-    finals = []
-    for p in list(brownian_200_l12)[:200]:
-        res = decompose(f, p, grid_partition(p))
-        finals.append(res.v_path.values[-1])
-    assert abs(np.median(finals) - 1.0) <= 0.05
+    v, _ = decompose_block(make_function("square"), brownian_200_l12)
+    assert abs(np.median(v[:, -1]) - 1.0) <= 0.05
 
 
 def test_kink_qv_mass_statistically_zero(brownian_200_l12):
-    f = make_function("abs")
-    masses = []
-    for p in list(brownian_200_l12)[:50]:
-        res = decompose(f, p, grid_partition(p))
-        masses.append(res.kink_qv_mass)
+    _, masses = decompose_block(make_function("abs"), rows_of(brownian_200_l12, 0, 50))
     # a Brownian grid path almost surely never revisits 0.0 exactly; only the
     # x0 = 0 start can sit on the kink, contributing at most one (dX)^2 cell
     assert np.median(masses) <= 2.0 ** -12 * 4.0
 
 
-def test_exclusion_times_include_function_time_jumps():
-    p = make_path(GeneratorSpec(kind="brownian", n_steps=64, seed=5), 0)
-    res = decompose(make_function("moving_kink(k_jump=0.5)"), p, grid_partition(p))
-    assert 0.5 in res.exclusion_times
-
-
 def test_integrand_uses_left_limit_at_marked_jumps():
     # pure-jump path: eta must see the pre-jump state
-    p = toy_path([0, 0.5, 1.0], [1.0, 4.0, 4.0], [False, True, False])
-    f = make_function("square")
-    res = decompose(f, p, grid_partition(p))
-    # eta at tau_1 = 0.5 is 2 * X_{0.5-} = 2, not 2 * 4
-    integral = res.integral_path.values
-    assert integral[1] == 2.0 * 1.0 * 3.0  # eta_0 * (X_0.5 - X_0)
-    assert integral[2] == integral[1]  # flat afterwards
+    ens = toy_ensemble([0, 0.5, 1.0], [1.0, 4.0, 4.0], [False, True, False])
+    v, _ = decompose_block(make_function("square"), ens)
+    # eta at tau_1 = 0.5 is 2 * X_{0.5-} = 2, not 2 * 4, so the Ito sum is
+    # 2 * 1 * 3 = 6 from then on and V = X^2 - 6 there
+    assert v.tolist() == [[1.0, 10.0, 10.0]]
+
+
+def _verdict(values, times, ladder):
+    """The verdict on the included-cell statistic of every row at t = 1, S empty."""
+    stats = zcqv_ladder(values, times, ladder, 1.0)
+    return summarize_zcqv(stats, tuple(range(len(ladder))), ladder.meshes, 0.1)
 
 
 def test_verify_zcqv_constant_passes():
-    v = toy_path(np.arange(65) / 64.0, np.full(65, 2.0))
-    ladder = RefinementLadder.dyadic(1.0, 2, 6, grid_times=v.times)
-    verdict = verify_zcqv(v, ladder, None, 1.0)
+    times = np.arange(65) / 64.0
+    verdict = _verdict(np.full((1, 65), 2.0), times, RefinementLadder.dyadic(1.0, 2, 6, grid_times=times))
     assert verdict.passed is True
     assert all(m == 0.0 for m in verdict.median_stat)
 
 
 def test_verify_zcqv_brownian_fails(brownian_200_l12):
-    paths = list(brownian_200_l12)[:50]
-    ladder = RefinementLadder.dyadic(1.0, 6, 12, grid_times=paths[0].times)
-    verdict = verify_zcqv(paths, ladder, None, 1.0)
+    times = brownian_200_l12.times
+    ladder = RefinementLadder.dyadic(1.0, 6, 12, grid_times=times)
+    verdict = _verdict(brownian_200_l12.values[:50], times, ladder)
     assert verdict.passed is False
     assert all(m > 0.5 for m in verdict.median_stat)  # flat near t = 1
     assert abs(verdict.slope) < 0.1
 
 
 def test_verify_zcqv_inconclusive_below_three_levels():
-    v = toy_path(np.arange(5) / 4.0, np.zeros(5))
-    ladder = RefinementLadder.dyadic(1.0, 1, 2, grid_times=v.times)
-    verdict = verify_zcqv(v, ladder, None, 1.0)
+    times = np.arange(5) / 4.0
+    verdict = _verdict(np.zeros((1, 5)), times, RefinementLadder.dyadic(1.0, 1, 2, grid_times=times))
     assert verdict.passed is None
     assert "inconclusive" in verdict.status
-
-
-@pytest.mark.parametrize("n_sets", [1, 4])
-def test_verify_zcqv_rejects_misaligned_exclusions(brownian_200_l12, n_sets):
-    # zip would stop at the shorter sequence: paths without a set would leave
-    # their rows of the statistics array unwritten
-    paths = list(brownian_200_l12)[:3]
-    ladder = RefinementLadder.dyadic(1.0, 2, 6, grid_times=paths[0].times)
-    with pytest.raises(ValueError, match="exclusions holds"):
-        verify_zcqv(paths, ladder, [ExclusionSet.empty()] * n_sets, 1.0)
 
 
 def test_summarize_zcqv_nonstrict_zero_rule():
@@ -172,21 +139,6 @@ def test_cross_variation_and_sum_suites_exact_zero():
     assert cross.ok and all(m == 0.0 for m in cross.verdict.median_stat)
     both = run_suite("zcqv_sum", cfg)
     assert both.ok and all(m == 0.0 for m in both.verdict.median_stat)
-
-
-def test_refinement_consistency_of_integral(brownian_200_l12):
-    # restriction of the finer integral to coarser cut times drifts from the
-    # coarser integral by an amount that shrinks with mesh
-    f = make_function("abs")
-    gaps = {8: [], 10: []}
-    for p in list(brownian_200_l12)[:40]:
-        fine = decompose(f, p, grid_partition(p)).integral_path
-        for level in gaps:
-            part = dyadic_partition(1.0, level)
-            coarse = decompose(f, p, part).integral_path
-            at_cuts = fine.eval_many(coarse.times)
-            gaps[level].append(float(np.max(np.abs(at_cuts - coarse.values))))
-    assert np.median(gaps[10]) < np.median(gaps[8])
 
 
 def test_workers_do_not_change_results():
@@ -233,10 +185,10 @@ def test_block_decomposition_rows_equal_one_path_decompose(spec, name, monkeypat
     f = make_function(name)
     ens = generate(spec, 5)
     v, kink = decompose_block(f, ens)
-    for r, path in enumerate(ens):
-        res = decompose(f, path, grid_partition(path))
-        assert _same_bits(v[r], res.v_path.values)
-        assert _same_bits(kink[r], res.kink_qv_mass)
+    for r in range(len(ens)):
+        v_r, kink_r = decompose_block(f, rows_of(ens, r, r + 1))
+        assert _same_bits(v[r], v_r[0])
+        assert _same_bits(kink[r], kink_r[0])
 
 
 @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda s: s.kind)
@@ -244,28 +196,14 @@ def test_zcqv_ladder_rows_equal_one_path_statistic(spec):
     # dyadic cuts off the 1100- and 600-step grids are read as eval_many reads them
     ens = generate(spec, 6)
     ladder = RefinementLadder.dyadic(spec.horizon, 2, 6)
-    sets = [ExclusionSet(times=np.concatenate([p.jump_times(np.inf), [0.5, 0.0]])) for p in ens]
-    rows = np.repeat(np.arange(len(ens)), [len(s) for s in sets])
-    times = np.concatenate([s.times for s in sets])
+    sets = [np.unique(np.concatenate([p.jump_times(np.inf), [0.5, 0.0]])) for p in ens]
+    rows = np.repeat(np.arange(len(ens)), [s.size for s in sets])
+    times = np.concatenate(sets)
     for t in (spec.horizon, 0.7):
         stats = zcqv_ladder(ens.values, ens.times, ladder, t, rows, times)
-        for r, (path, s) in enumerate(zip(ens, sets)):
-            for i, part in enumerate(ladder):
-                assert _same_bits(stats[r, i], zcqv_statistic(path, part, s, t))
-
-
-def test_verify_zcqv_accepts_an_ensemble_and_mixed_grids(brownian_200_l12):
-    paths = list(brownian_200_l12)[:20]
-    ladder = RefinementLadder.dyadic(1.0, 4, 8, grid_times=paths[0].times)
-    assert verify_zcqv(generate(GeneratorSpec(kind="brownian", n_steps=4096, seed=12345), 20),
-                       ladder, None, 1.0) == verify_zcqv(paths, ladder, None, 1.0)
-    # V paths of decompose live on their partitions' cuts, which differ here
-    f = make_function("abs")
-    vs = [decompose(f, paths[0], grid_partition(paths[0])).v_path,
-          decompose(f, paths[1], dyadic_partition(1.0, 6)).v_path]
-    assert len(vs[0].times) != len(vs[1].times)
-    stats = np.array([[zcqv_statistic(v, part, ExclusionSet.empty(), 1.0) for part in ladder] for v in vs])
-    assert verify_zcqv(vs, ladder, None, 1.0) == summarize_zcqv(stats, tuple(range(len(ladder))), ladder.meshes, 0.1)
+        for r, s in enumerate(sets):
+            alone = zcqv_ladder(ens.values[r : r + 1], ens.times, ladder, t, np.zeros(s.size, dtype=np.intp), s)
+            assert _same_bits(stats[r], alone[0])
 
 
 # f = x^2 overflows at workers=1 in this process; at workers=2 in a forked

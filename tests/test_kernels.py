@@ -3,9 +3,8 @@
 The scalar reference runs Algorithm 4.5 of Rump, Ogita and Oishi,
 "Accurate floating-point summation part I: faithful rounding" (2008), on
 every prefix of one row, one Python float at a time; every row of
-`_kernels.row_sums`, and the one-row calls built on it
-(`calculus.cell_sums`, `calculus.ito_rows`, `calculus.running_sums`), must
-match it bit for bit.  Every running sum must also be a faithful rounding of
+`_kernels.row_sums`, and of the block sums built on it (`calculus.cell_sums`
+and `calculus.ito_rows`), must match it bit for bit.  Every running sum must also be a faithful rounding of
 the exact sum (one of the two doubles next to it), checked against math.fsum
 prefix by prefix.
 """
@@ -20,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvlab import _kernels
-from qvlab.calculus import cell_sums, ito_rows, running_sums
+from qvlab.calculus import cell_sums, ito_rows
 from qvlab.errors import NonFiniteError
 
 SIZES = [2, 3, 17, 4096, 2**14 + 1]
@@ -111,7 +110,7 @@ def _block(terms, keep=None):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_qv_sum_backend_parity_bitexact(n):
+def test_cell_sums_match_scalar_accsum(n):
     for scale in SCALES:
         x, y = scale * _rand(n, 1), _rand(n, 2)
         assert same_bits(one_row(x, y), oracle_sum(x, y))
@@ -119,7 +118,7 @@ def test_qv_sum_backend_parity_bitexact(n):
 
 
 @pytest.mark.parametrize("n", sorted({*SIZES, 64, 4097}))
-def test_masked_kernels_backend_parity_bitexact(n):
+def test_masked_cell_sums_match_scalar_accsum(n):
     mask = _mask(n, 5)
     for scale in SCALES:
         x, y = scale * _rand(n, 3), _rand(n, 4)
@@ -130,7 +129,7 @@ def test_masked_kernels_backend_parity_bitexact(n):
         assert same_bits(one_row(x, x, mask, absolute=True), oracle_sum(x, x, mask, absolute=True))
 
 
-def test_ito_cumsum_backend_parity_bitexact():
+def test_ito_rows_match_scalar_accsum():
     for n in SIZES:
         for scale in SCALES:
             eta, y = scale * _rand(n - 1, 6), _rand(n, 7)
@@ -139,8 +138,8 @@ def test_ito_cumsum_backend_parity_bitexact():
 
 def test_running_sums_prefixes():
     terms = 1e6 * _rand(1000, 15)
-    assert same_bits(running_sums(terms), accsum_prefixes(terms.tolist()))
-    assert same_bits(running_sums(np.empty(0)), [0.0])
+    assert same_bits(_block(terms[None])[0][0], accsum_prefixes(terms.tolist())[1:])
+    assert same_bits(_block(np.empty((1, 0)))[0][0], [])
 
 
 def test_qv_sum_matches_fsum():
@@ -166,7 +165,7 @@ def test_masked_all_false_is_zero():
         assert same_bits(one_row(x, y, mask, absolute=True), 0.0)
 
 
-def test_ito_cumsum_constant_integrand_telescopes():
+def test_ito_rows_constant_integrand_telescopes():
     y = _rand(4097, 14)
     out = ito_rows(y[None], lambda a, b: 1.0)[0]
     assert out[0] == 0.0

@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qvlab.calculus import jump_grid
 from qvlab.partitions import (
-    ExclusionSet,
     Partition,
     RefinementLadder,
     dyadic_partition,
     dyadic_partition_on_grid,
-    hitting_partition,
-    inclusion_mask,
+    inclusion_rows,
 )
 
-from conftest import toy_path
+from conftest import toy_ensemble
 
 
-def index_set(partition, exclusions, t):
-    """The paper's included cell indices k (1-based), sorted."""
-    return np.flatnonzero(inclusion_mask(partition, exclusions, t)) + 1
+def index_set(partition, s, t):
+    """The paper's included cell indices k (1-based) for the exclusion times s, sorted."""
+    s = np.asarray(s, dtype=float)
+    return np.flatnonzero(inclusion_rows(partition, t, 1, np.zeros(s.size, dtype=np.intp), s)[0]) + 1
 
 
 def test_dyadic_examples():
@@ -44,64 +44,42 @@ def test_dyadic_on_grid_alignment():
         dyadic_partition_on_grid(np.arange(11) / 10.0, 2)
 
 
-def test_hitting_partition_constant_path():
-    p = toy_path([0, 1, 2], [5, 5, 5])
-    part = hitting_partition(p, 0.5)
-    assert list(part.cut_times) == [0.0, 2.0]
-
-
-def test_hitting_partition_unit_steps():
-    p = toy_path([0, 1, 2], [0, 1, 2])
-    part = hitting_partition(p, 1.0)
-    assert list(part.cut_times) == [0.0, 1.0, 2.0]
-
-
-def test_hitting_partition_increments_reach_eps(brownian_200_l12):
-    path = brownian_200_l12[0]
-    eps = 0.25
-    part = hitting_partition(path, eps)
-    vals = path.eval_many(part.cut_times)
-    incr = np.abs(np.diff(vals))
-    assert np.all(incr[:-1] >= eps)  # all but possibly the final closing cell
-    assert part.cut_times[-1] == path.horizon  # the horizon closes the partition
-
-
 def test_index_set_examples():
     p = dyadic_partition(1.0, 2)
-    assert set(index_set(p, ExclusionSet.empty(), 1.0)) == {1, 2, 3}
-    assert set(index_set(p, ExclusionSet(times=np.asarray([0.5])), 1.0)) == {1, 3}
-    full = ExclusionSet(times=np.asarray([0.2, 0.4, 0.6, 0.9]))
-    assert set(index_set(p, full, 1.0)) == set()
+    assert set(index_set(p, [], 1.0)) == {1, 2, 3}
+    assert set(index_set(p, [0.5], 1.0)) == {1, 3}
+    assert set(index_set(p, [0.2, 0.4, 0.6, 0.9], 1.0)) == set()
 
 
 def test_index_set_no_exclusions_is_all_k_before_t():
     p = dyadic_partition(1.0, 3)
-    assert set(index_set(p, ExclusionSet.empty(), 0.7)) == {1, 2, 3, 4, 5}
+    assert set(index_set(p, [], 0.7)) == {1, 2, 3, 4, 5}
 
 
 def test_excluded_cells_contain_an_exclusion_time():
     p = dyadic_partition(1.0, 3)
-    s = ExclusionSet(times=np.asarray([0.3, 0.625, 0.99]))
+    s = np.asarray([0.3, 0.625, 0.99])
     included = set(index_set(p, s, 1.0))
     cuts = p.cut_times
     for k in range(1, p.n_cells + 1):
         if cuts[k] < 1.0 and k not in included:
-            assert np.any((s.times > cuts[k - 1]) & (s.times <= cuts[k]))
+            assert np.any((s > cuts[k - 1]) & (s <= cuts[k]))
 
 
 @given(st.sets(st.floats(0.01, 0.99), max_size=6), st.sets(st.floats(0.01, 0.99), max_size=6))
 def test_index_set_antitone_in_s(a, b):
     p = dyadic_partition(1.0, 4)
-    small = ExclusionSet(times=np.asarray(sorted(a)))
-    big = ExclusionSet(times=np.asarray(sorted(a | b)))
+    small = sorted(a)
+    big = sorted(a | b)
     assert set(index_set(p, big, 1.0)).issubset(set(index_set(p, small, 1.0)))
 
 
 def test_exclusion_set_from_jumps_union():
-    p1 = toy_path([0, 1, 2], [0, 1, 1], [False, True, False])
-    p2 = toy_path([0, 1, 2], [0, 0, 2], [False, False, True])
-    s = ExclusionSet.from_jumps(p1, p2)
-    assert list(s.times) == [1.0, 2.0]
+    # S of a path pair is the union of both paths' jump times
+    p1 = toy_ensemble([0.0, 1.0, 2.0], [0, 1, 1], [False, True, False])
+    p2 = toy_ensemble([0.0, 1.0, 2.0], [0, 0, 2], [False, False, True])
+    sel = jump_grid(p1, np.inf) | jump_grid(p2, np.inf)
+    assert list(p1.times[sel[0]]) == [1.0, 2.0]
 
 
 def test_ladder_meshes_strictly_decreasing():
