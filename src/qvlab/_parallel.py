@@ -3,8 +3,11 @@
 Work is split into fixed-size chunks that depend only on the task size,
 never on the worker count, and results are concatenated in chunk order, so
 any reduction downstream sees the same sequence whether the map ran on one
-worker or many.  The process-pool machinery is imported only when a pool
-is started, so a one-worker run never loads it.
+worker or many.  A chunk is one pool task, CHUNK path indices by default;
+it is not a block of paths: the task builds its paths through
+generators.iter_blocks, whose blocks are sized by cells, so a 64-path task
+at 2^16 steps holds 8 paths at a time.  The process-pool machinery is
+imported only when a pool is started, so a one-worker run never loads it.
 """
 
 from __future__ import annotations

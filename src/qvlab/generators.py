@@ -45,12 +45,19 @@ coefficient check on; the replay raises the per-path error naming the seed,
 path index, t and x, or warns and returns the overflowed values as a
 per-path loop would.
 
-Chunked callers use iter_blocks, which calls generate for at most CHUNK (64)
-consecutive indices at a time, so a chunk task holds one block of at most
-64 rows and reads it as a block; its row SamplePath views are built only
-when asked for.  Both Euler passes cost a fixed number of numpy calls per
-step or slab whatever the row count: replaying one Euler path with make_path
-is a one-row block, which only matters for one-off replays.
+Chunked callers use iter_blocks, which builds consecutive indices a block
+at a time and sizes each block by cells, not rows: about BLOCK_CELLS = 2^17
+values (1 MB of float64), with at least CHUNK // 8 = 8 and at most
+CHUNK = 64 rows.  So a chunk task's working set stops growing as
+64 x n_steps: 64 rows up to 2048 steps, 31 at 4096, 8 from 2^14 up.  The
+floor stays because below 8 rows each block's row-sized temporaries are
+freed and faulted back in page by page: one-row blocks took 33% (2^16
+steps) and 45% (2^18) more CPU than 8-row ones on a 2-core VM.  The spec check, the grid and the builder's set-up run once
+per call, not once per block.  A task reads each block as a block; its row
+SamplePath views are built only when asked for.  Both Euler passes cost a
+fixed number of numpy calls per step or slab whatever the row count:
+replaying one Euler path with make_path is a one-row block, which only
+matters for one-off replays.
 
 Coefficient callbacks (sigma, b, sigma_of_x) are selected by name from a
 small registry so that specs stay picklable and expressible in config files;
@@ -69,7 +76,7 @@ import numpy as np
 
 from ._parallel import CHUNK
 from .errors import ConfigurationError, GenerationError, check_numbers
-from .paths import PathEnsemble, SamplePath
+from .paths import PathEnsemble, SamplePath, _check_grid
 
 KINDS = ("brownian", "euler_sde", "compound_poisson", "jump_diffusion", "lamperti_dirichlet")
 
@@ -580,34 +587,11 @@ def build_transform(spec: GeneratorSpec) -> MonotoneTransform:
     )
 
 
-class LampertiResult(NamedTuple):
-    x: PathEnsemble
-    y: PathEnsemble
-    transform: MonotoneTransform
-
-
 def _lamperti_blocks(spec: GeneratorSpec, n: int, start: int, transform: MonotoneTransform) -> tuple:
     """(X values, Y values, marks): Y Brownian from h(x0), X = h^{-1}(Y)."""
     y0 = float(transform.forward(spec.x0))
     y, marks = _brownian_block(spec._replace(kind="brownian", x0=y0), n, start)
     return transform.inverse(y), y, marks
-
-
-def _lamperti_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
-    x, _, marks = _lamperti_blocks(spec, n, start, build_transform(spec))
-    return x, marks
-
-
-def gen_lamperti_dirichlet(spec: GeneratorSpec, n_paths: int) -> LampertiResult:
-    """Simulate Y as Brownian motion and return both Y and X = h^{-1}(Y)."""
-    spec.validate()
-    transform = build_transform(spec)
-    x, y, marks = _lamperti_blocks(spec, n_paths, 0, transform)
-    return LampertiResult(
-        x=PathEnsemble(times=spec.grid(), values=x, marks=marks),
-        y=PathEnsemble(times=spec.grid(), values=y, marks=marks),
-        transform=transform,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -618,21 +602,53 @@ _BUILDERS = {
     "euler_sde": _euler_block,
     "compound_poisson": _compound_poisson_block,
     "jump_diffusion": _euler_block,
-    "lamperti_dirichlet": _lamperti_block,
 }
+
+BLOCK_CELLS = 2**17  # value cells in an iter_blocks block: 1 MB of float64
+
+
+class _Source(NamedTuple):
+    """A spec checked once, for all the blocks of one iter_blocks call: its
+    checked grid, and fill(n, start) -> (values, marks) of paths
+    start .. start+n-1, with what the kind needs from the spec alone (the
+    Lamperti table) built once."""
+
+    times: np.ndarray
+    fill: Callable
+
+
+def _source(spec: GeneratorSpec) -> _Source:
+    spec.validate()
+    times = spec.grid()
+    _check_grid(times)
+    if spec.kind == "lamperti_dirichlet":
+        transform = build_transform(spec)
+
+        def fill(n, start):
+            x, _, marks = _lamperti_blocks(spec, n, start, transform)
+            return x, marks
+
+    else:
+        build = _BUILDERS[spec.kind]
+
+        def fill(n, start):
+            return build(spec, n, start)
+
+    return _Source(times, fill)
 
 
 def generate(spec: GeneratorSpec, n_paths: int, start: int = 0) -> PathEnsemble:
     """Paths start .. start+n_paths-1 as row views of one read-only block.
 
     A pure function of (spec, path index): any split of an index range into
-    generate calls yields the same paths.
+    generate calls yields the same paths.  iter_blocks passes the checked
+    _Source it builds once for all its blocks in place of the spec.
     """
-    spec.validate()
     if n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
-    values, marks = _BUILDERS[spec.kind](spec, n_paths, start)
-    return PathEnsemble(times=spec.grid(), values=values, marks=marks)
+    src = spec if isinstance(spec, _Source) else _source(spec)
+    values, marks = src.fill(n_paths, start)
+    return PathEnsemble(times=src.times, values=values, marks=marks, grid_checked=True)
 
 
 def make_path(spec: GeneratorSpec, index: int) -> SamplePath:
@@ -641,6 +657,16 @@ def make_path(spec: GeneratorSpec, index: int) -> SamplePath:
 
 
 def iter_blocks(spec: GeneratorSpec, lo: int, hi: int):
-    """Ensembles of paths lo .. hi-1 in index order, at most CHUNK rows each."""
-    for b in range(lo, hi, CHUNK):
-        yield generate(spec, min(b + CHUNK, hi) - b, start=b)
+    """Ensembles of paths lo .. hi-1 in index order, sized by cells.
+
+    Each block holds rows = max(CHUNK // 8, min(CHUNK, BLOCK_CELLS //
+    (n_steps + 1))) paths: 64 up to 2048 steps, 31 at 4096 and 8 from 2^14
+    steps up.  The split depends on n_steps alone, never on the worker
+    count, and it changes no bits, since each path is a pure function of
+    (seed, index) and every reduction runs per row.  The spec check, the
+    grid and its check, and the builder's set-up run once, not per block.
+    """
+    src = _source(spec)
+    rows = max(CHUNK // 8, min(CHUNK, BLOCK_CELLS // (spec.n_steps + 1)))
+    for b in range(lo, hi, rows):
+        yield generate(src, min(b + rows, hi) - b, start=b)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from qvlab import _kernels
-from qvlab.calculus import zcqv_ladder
+from qvlab.calculus import GridLadder, zcqv_ladder
 from qvlab.decomposition import (
     SuiteConfig,
+    _cross_stats,
+    _sum_zcqv_stats,
     decompose_block,
     run_decompose,
     run_suite,
@@ -73,7 +75,7 @@ def test_integrand_uses_left_limit_at_marked_jumps():
 
 def _verdict(values, times, ladder):
     """The verdict on the included-cell statistic of every row at t = 1, S empty."""
-    stats = zcqv_ladder(values, times, ladder, 1.0)
+    stats = zcqv_ladder(values, GridLadder(times, ladder), 1.0)
     return summarize_zcqv(stats, tuple(range(len(ladder))), ladder.meshes, 0.1)
 
 
@@ -199,10 +201,11 @@ def test_zcqv_ladder_rows_equal_one_path_statistic(spec):
     sets = [np.unique(np.concatenate([p.jump_times(np.inf), [0.5, 0.0]])) for p in ens]
     rows = np.repeat(np.arange(len(ens)), [s.size for s in sets])
     times = np.concatenate(sets)
+    grid = GridLadder(ens.times, ladder)
     for t in (spec.horizon, 0.7):
-        stats = zcqv_ladder(ens.values, ens.times, ladder, t, rows, times)
+        stats = zcqv_ladder(ens.values, grid, t, rows, times)
         for r, s in enumerate(sets):
-            alone = zcqv_ladder(ens.values[r : r + 1], ens.times, ladder, t, np.zeros(s.size, dtype=np.intp), s)
+            alone = zcqv_ladder(ens.values[r : r + 1], grid, t, np.zeros(s.size, dtype=np.intp), s)
             assert _same_bits(stats[r], alone[0])
 
 
@@ -241,3 +244,16 @@ def test_kernel_overflow_names_the_seed_and_path(workers):
     with pytest.raises(NonFiniteError, match=rf"too large to sum exactly at \(seed=7, path={big[0]}\)") as err:
         run_decompose(cfg)
     assert err.value.row is None
+
+
+@pytest.mark.parametrize("task", [_cross_stats, _sum_zcqv_stats])
+def test_paired_ensembles_that_split_differently_are_refused(task):
+    # 1024 steps give 64-row blocks and 4096 steps 31-row ones: zipping the
+    # two block streams would measure path i of one against another path of
+    # the other
+    cfg = SuiteConfig(generator=GeneratorSpec(), l_min=2, l_max=4)
+    one = GeneratorSpec(kind="brownian", n_steps=1024, seed=1)
+    other = GeneratorSpec(kind="brownian", n_steps=4096, seed=2)
+    with pytest.raises(ValueError, match="one grid"):
+        task(0, 64, one, other, cfg)
+    assert len(task(0, 64, one, other._replace(n_steps=1024), cfg)) == 64

@@ -15,8 +15,8 @@ from qvlab.generators import (
     _draw_jump_cells,
     _euler_block,
     _row_streams,
+    _lamperti_blocks,
     build_transform,
-    gen_lamperti_dirichlet,
     generate,
     iter_blocks,
     make_coefficient,
@@ -218,9 +218,8 @@ def test_jump_diffusion_marks_and_validate():
 def test_lamperti_identity_transform():
     spec = GeneratorSpec(kind="lamperti_dirichlet", n_steps=128, sigma_of_x="const(1.0)",
                          alpha=1.0, seed=4)
-    res = gen_lamperti_dirichlet(spec, 2)
-    for xp, yp in zip(res.x, res.y):
-        assert np.allclose(xp.values, yp.values, atol=1e-9)
+    x, y, _ = _lamperti_blocks(spec, 2, 0, build_transform(spec))
+    assert np.allclose(x, y, atol=1e-9)
 
 
 def test_lamperti_linear_transform():
@@ -228,10 +227,8 @@ def test_lamperti_linear_transform():
     c, alpha = 2.0, 0.5
     spec = GeneratorSpec(kind="lamperti_dirichlet", n_steps=128, sigma_of_x=f"const({c})",
                          alpha=alpha, seed=8)
-    res = gen_lamperti_dirichlet(spec, 2)
-    scale = c ** (2 * alpha)
-    for xp, yp in zip(res.x, res.y):
-        assert np.allclose(xp.values, scale * yp.values, atol=1e-7)
+    x, y, _ = _lamperti_blocks(spec, 2, 0, build_transform(spec))
+    assert np.allclose(x, c ** (2 * alpha) * y, atol=1e-7)
 
 
 def test_lamperti_roundtrip_with_step_sigma():
@@ -413,6 +410,17 @@ def test_block_generation_matches_scalar_reference(name):
     assert all(_same_bits(p, r) for p, r in zip(rows, ref, strict=True))
     for i in (0, 63, 64, 129):
         assert _same_bits(make_path(spec, i), ref[i])
+
+
+@pytest.mark.parametrize("n_steps, n_paths, lengths", [(4096, 70, [31, 31, 8]), (2**16, 17, [8, 8, 1])])
+def test_iter_blocks_are_sized_by_cells(n_steps, n_paths, lengths):
+    # 2^17 cells a block, between 8 and 64 rows; 256 steps give 64 rows (above)
+    spec = GeneratorSpec(kind="brownian", n_steps=n_steps, seed=3)
+    blocks = list(iter_blocks(spec, 0, n_paths))
+    assert [len(b) for b in blocks] == lengths
+    assert all(b.times is blocks[0].times for b in blocks)  # one grid for the call
+    for i in (0, n_paths - 1):
+        assert make_path(spec, i).values.tobytes() == blocks[i // lengths[0]].values[i % lengths[0]].tobytes()
 
 
 def test_signed_zero_specs_tell_the_jump_term_apart():
