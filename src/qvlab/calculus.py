@@ -3,15 +3,13 @@ the included-cell (z.c.q.v.) statistic and left-point Ito sums.
 
 The included-cell, Ito and jump sums go through `_kernels.row_sums`, which
 rounds each row's sums faithfully from that row's terms alone, so a path
-summed in a block of any size gets the same bits as a path summed alone,
-and a one-path sum is a one-row block.  `cell_sums` adds dX dY (or
-|dX dY|) over each row's kept cells and `ito_rows` forms each row's
-left-point Ito running sums; both take (n, K+1) blocks of values at the
-cuts and form their terms a slab of rows at a time.  `zcqv_ladder` runs the included-cell statistic of a
+summed in a block of 64 gets the same bits as a path summed alone, and a
+one-path sum is a one-row block.  `cell_sums` adds dX dY (or |dX dY|) over
+each row's kept cells and `ito_rows` forms each row's left-point Ito running
+sums; both take (n, K+1) blocks of values at the cuts and form their terms a
+slab of rows at a time.  `zcqv_ladder` runs the included-cell statistic of a
 whole block along every ladder level, reading the values at the cuts as a
-strided view.  A GridLadder binds a ladder to a path grid (and, for the
-sweep, a t-grid): the cut indices of every level and the t-grid searches
-are found once per task, not once per block.
+strided view.
 
 covariation_ladder sweeps a whole t-grid for every row pair of two
 ensembles at once, one ladder level at a time.  Each level slices both value
@@ -71,53 +69,31 @@ def ito_rows(yv: np.ndarray, eta) -> np.ndarray:
     return out
 
 
-class GridLadder:
-    """A refinement ladder read on one path grid, and optionally the t-grid
-    a covariation sweep reports at: what depends on the grids and not on
-    the paths, found once and shared by every block on that grid.
-
-    Per level, idx holds the grid indices of X at the cuts (clamped to the
-    horizon), as SamplePath.eval_many reads them, and cuts the selector
-    that reads them: a slice when they are evenly strided, so blocks are
-    sliced without a copy, else idx itself.  With t_grid, every cut must be
-    a grid time, and at_t holds the grid index of X_t, stop each level's
-    index of the last cut <= t (at most the level's cell count) and
-    included the number of its cells that end before t.
-    """
-
-    def __init__(self, times, ladder: RefinementLadder, t_grid=None):
-        self.times, self.ladder, self.t_grid = times, ladder, t_grid
-        self.idx, self.cuts = [], []
-        for part in ladder:
-            idx = np.searchsorted(times, np.minimum(part.cut_times, times[-1]), side="right") - 1
-            step = int(idx[1] - idx[0])
-            strided = step > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1, step))
-            self.idx.append(idx)
-            self.cuts.append(slice(int(idx[0]), int(idx[-1]) + 1, step) if strided else idx)
-        if t_grid is None:
-            return
-        if any(np.any(times[i] != np.minimum(p.cut_times, times[-1])) for i, p in zip(self.idx, ladder)):
-            raise ValueError("covariation_ladder needs every cut time on the path grid")
-        t_grid = self.t_grid = np.asarray(t_grid, dtype=float)
-        if np.any(t_grid < 0.0) or np.any(t_grid > times[-1]):
-            raise ValueError(f"time outside [0, {float(times[-1])}]")
-        self.at_t = np.searchsorted(times, t_grid, side="right") - 1
-        self.stop = [np.clip(np.searchsorted(p.cut_times, t_grid, side="right") - 1, 0, p.n_cells) for p in ladder]
-        self.included = [np.searchsorted(p.cut_times[1:], t_grid, side="left") for p in ladder]
+def grid_index(times: np.ndarray, cut_times: np.ndarray):
+    """Grid indices of X at the cuts (clamped to the horizon), as
+    SamplePath.eval_many reads them: a slice when they are evenly strided,
+    so blocks are sliced without a copy."""
+    cuts = np.minimum(cut_times, times[-1])
+    idx = np.searchsorted(times, cuts, side="right") - 1
+    step = int(idx[1] - idx[0])
+    if step > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1, step)):
+        return idx, slice(int(idx[0]), int(idx[-1]) + 1, step)
+    return idx, idx
 
 
-def zcqv_ladder(x, grid: GridLadder, t: float, s_rows=(), s_times=(), y=None, absolute: bool = False) -> np.ndarray:
+def zcqv_ladder(x, times, ladder, t: float, s_rows=(), s_times=(), y=None, absolute: bool = False) -> np.ndarray:
     """Included-cell statistic of every row at every ladder level: (n, n_levels).
 
-    x (and y) are (n, n_grid) value blocks on grid.times.  Row r's S
+    x (and y) are (n, n_grid) value blocks on the grid `times`.  Row r's S
     holds s_times[j] for each j with s_rows[j] == r.  A level's statistic is
     the sum of dX dY (|dX dY| when absolute) over the cells with tau_k < t
     that miss S, one kernel pass per level; without y it is sum (dX)^2.
     """
     y = x if y is None else y
-    out = np.empty((len(x), len(grid.ladder)))
-    for i, (part, cut) in enumerate(zip(grid.ladder, grid.cuts)):
+    out = np.empty((len(x), len(ladder)))
+    for i, part in enumerate(ladder):
         keep = inclusion_rows(part, t, len(x), s_rows, s_times)
+        _, cut = grid_index(times, part.cut_times)
         out[:, i] = cell_sums(x[:, cut], y[:, cut], keep, absolute)
     return out
 
@@ -239,9 +215,17 @@ def jump_grid(ens: PathEnsemble, threshold: float) -> np.ndarray:
     return sel
 
 
-def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, grid: GridLadder) -> np.ndarray:
+def _cut_index(times: np.ndarray, cut_times: np.ndarray):
+    """grid_index for cuts that must all be grid times."""
+    idx, cut = grid_index(times, cut_times)
+    if np.any(times[idx] != np.minimum(cut_times, times[-1])):
+        raise ValueError("covariation_ladder needs every cut time on the path grid")
+    return idx, cut
+
+
+def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """Sum of dX_s dY_s over row r's selected jump times s <= t, for every
-    row r and t of grid.t_grid.
+    row r and t.
 
     Row r's jump terms, in time order, fill the first cells of row r of an
     (n, J) block, and one kernel pass keeps every row's running sums; the
@@ -263,28 +247,33 @@ def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, grid: GridLadd
     # row r's jumps at grid times <= t sit at flat positions [first[r], pos)
     flat = rows * n_grid + gs
     first = np.searchsorted(flat, np.arange(n) * n_grid)
-    pos = np.searchsorted(flat, np.arange(n)[:, None] * n_grid + (grid.at_t + 1)[None, :])
+    upto = np.searchsorted(x.times, t_grid, side="right")
+    pos = np.searchsorted(flat, np.arange(n)[:, None] * n_grid + upto[None, :])
     return np.take_along_axis(prefix, pos - first[:, None], axis=1)
 
 
-def _ladder_sums(x: PathEnsemble, y: PathEnsemble, grid: GridLadder, sel) -> tuple:
+def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_grid, sel) -> tuple:
     """(stopped, included) sums, each (n_paths, n_levels, n_t); S is `sel`."""
-    n = len(x)
-    full = np.empty((n, len(grid.ladder), grid.t_grid.size))
+    n, times = len(x), x.times
+    full = np.empty((n, len(ladder), t_grid.size))
     zc = np.empty_like(full)
     excl_rows, excl_grid = np.nonzero(sel)
-    xt = x.values[:, grid.at_t]
-    yt = xt if y is x else y.values[:, grid.at_t]
+    at_t = np.searchsorted(times, t_grid, side="right") - 1
+    xt = x.values[:, at_t]
+    yt = xt if y is x else y.values[:, at_t]
     # one pair of buffers sized for the finest level, reused by every level
-    k_max = max(part.n_cells for part in grid.ladder)
+    k_max = max(part.n_cells for part in ladder)
     prod_buf = np.empty((n, k_max))
     cum_buf = np.empty((n, k_max + 1))
     cum_buf[:, 0] = 0.0
-    for i, part in enumerate(grid.ladder):
-        k, idx, cut, j = part.n_cells, grid.idx[i], grid.cuts[i], grid.stop[i]
+    for i, part in enumerate(ladder):
+        cut_times = part.cut_times
+        k = part.n_cells
+        idx, cut = _cut_index(times, cut_times)
         xv = x.values[:, cut]
         prod = np.subtract(xv[:, 1:], xv[:, :-1], out=prod_buf[:, :k])
         cum = cum_buf[:, : k + 1]
+        j = np.clip(np.searchsorted(cut_times, t_grid, side="right") - 1, 0, k)
         if y is x:
             # the same bits as gathering and differencing y again
             prod *= prod
@@ -305,39 +294,41 @@ def _ladder_sums(x: PathEnsemble, y: PathEnsemble, grid: GridLadder, sel) -> tup
         if hit.any():  # else prod, and so cum, is unchanged
             prod[excl_rows[hit], cell[hit] - 1] = 0.0
             np.cumsum(prod, axis=1, out=cum[:, 1:])
-        zc[:, i] = cum[:, grid.included[i]]
+        zc[:, i] = cum[:, np.searchsorted(cut_times[1:], t_grid, side="left")]
     return full, zc
 
 
 def covariation_ladder(
     x: PathEnsemble,
     y: PathEnsemble,
-    grid: GridLadder,
+    ladder: RefinementLadder,
+    t_grid: np.ndarray,
     threshold: float = np.inf,
     levels: tuple | None = None,
 ) -> CovariationReport:
     """Stopped and included covariation sums of every (x_r, y_r) row pair
-    along every ladder level at every t in grid.t_grid.
+    along every ladder level at every t in t_grid.
 
-    grid is a GridLadder on the ensembles' time grid, built with the
-    t-grid.  S is the union of both paths' jump times under `threshold`.
-    With tau_j <= t < tau_{j+1} the stopped sum is the cumulative sum
-    through cell j plus the boundary term (X_t - X_{tau_j})(Y_t - Y_{tau_j});
-    the included sum counts only cells with tau_k < t that miss S.
+    S is the union of both paths' jump times under `threshold`.  Every cut
+    must be a grid time.  With tau_j <= t < tau_{j+1} the stopped sum is the
+    cumulative sum through cell j plus the boundary term
+    (X_t - X_{tau_j})(Y_t - Y_{tau_j}); the included sum counts only cells
+    with tau_k < t that miss S.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    if grid.t_grid is None:
-        raise ValueError("covariation_ladder needs a GridLadder built with a t-grid")
-    if x.values.shape != y.values.shape or not all(np.array_equal(e.times, grid.times) for e in (x, y)):
+    if x.values.shape != y.values.shape or not np.array_equal(x.times, y.times):
         raise ValueError("ensembles must hold the same number of paths on one grid")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if np.any(t_grid < 0.0) or np.any(t_grid > x.horizon):
+        raise ValueError(f"time outside [0, {x.horizon}]")
     sel = jump_grid(x, threshold) | jump_grid(y, threshold)
-    full, zc = _ladder_sums(x, y, grid, sel)
-    jumps = np.repeat(_jump_rows(x, y, sel, grid)[:, None, :], len(grid.ladder), axis=1)
+    full, zc = _ladder_sums(x, y, ladder, t_grid, sel)
+    jumps = np.repeat(_jump_rows(x, y, sel, t_grid)[:, None, :], len(ladder), axis=1)
     return CovariationReport(
-        levels=tuple(levels) if levels is not None else tuple(range(len(grid.ladder))),
-        meshes=tuple(grid.ladder.meshes),
-        t_grid=grid.t_grid,
+        levels=tuple(levels) if levels is not None else tuple(range(len(ladder))),
+        meshes=tuple(ladder.meshes),
+        t_grid=t_grid,
         full=full,
         jumps=jumps,
         continuous_part=full - jumps,

@@ -99,7 +99,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_qv(cfg: ExperimentConfig) -> tuple:
-    from .calculus import CovariationReport, GridLadder, covariation_ladder, ucp_exceedance
+    from .calculus import CovariationReport, covariation_ladder, ucp_exceedance
     from .generators import iter_blocks
     from .partitions import RefinementLadder
 
@@ -107,11 +107,11 @@ def cmd_qv(cfg: ExperimentConfig) -> tuple:
     times = spec.grid()
     horizon = float(times[-1])
     ladder = RefinementLadder.dyadic(horizon, cfg.l_min, cfg.l_max, grid_times=times)
-    grid = GridLadder(times, ladder, np.linspace(0.0, horizon, 65))
+    t_grid = np.linspace(0.0, horizon, 65)
     levels = tuple(range(cfg.l_min, cfg.l_max + 1))
     per_path = CovariationReport.concat(
         [
-            covariation_ladder(ens, ens, grid, threshold=cfg.jump_threshold, levels=levels)
+            covariation_ladder(ens, ens, ladder, t_grid, threshold=cfg.jump_threshold, levels=levels)
             for ens in iter_blocks(spec, 0, cfg.n_paths)
         ]
     )

@@ -11,9 +11,8 @@ refinement level, one kernel pass per level, and summarize_zcqv turns the
 decay into a pass/fail verdict.  Row r of every block depends on path r
 alone, so a path decomposes to the same bits alone or in any block.  The
 named suites run this over an ensemble with a deterministic worker pool:
-each pool task of up to 64 paths builds its ladder on the path grid once
-(calculus.GridLadder) and walks its paths in the cell-sized blocks of
-generators.iter_blocks.  The two-ensemble suites pair block i of one
+each pool task of up to 64 paths walks its paths in the cell-sized blocks
+of generators.iter_blocks.  The two-ensemble suites pair block i of one
 ensemble with block i of the other and refuse blocks that differ in shape
 or grid, so path i of one is never measured against another path of the
 other.
@@ -232,9 +231,8 @@ def _paired_blocks(spec1: GeneratorSpec, spec2: GeneratorSpec, lo: int, hi: int)
         yield start, a, b
 
 
-def _ladder(spec: GeneratorSpec, cfg: SuiteConfig) -> calculus.GridLadder:
-    times = spec.grid()
-    return calculus.GridLadder(times, RefinementLadder.dyadic(spec.horizon, cfg.l_min, cfg.l_max, grid_times=times))
+def _ladder(spec: GeneratorSpec, cfg: SuiteConfig) -> RefinementLadder:
+    return RefinementLadder.dyadic(spec.horizon, cfg.l_min, cfg.l_max, grid_times=spec.grid())
 
 
 def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteConfig, extra_s_times):
@@ -252,7 +250,7 @@ def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteC
             v, kink = decompose_block(f, ens)
             _require_finite(v, "V", genspec, start)
             s_rows, s_times = _grid_exclusions(ens.marks, ens.times, common)
-            stats = calculus.zcqv_ladder(v, ladder, ens.horizon, s_rows, s_times)
+            stats = calculus.zcqv_ladder(v, ens.times, ladder, ens.horizon, s_rows, s_times)
         _require_finite(stats, "statistic", genspec, start)
         out.extend(zip(map(tuple, stats.tolist()), kink.tolist(), v[:, -1].tolist()))
     return out
@@ -266,7 +264,7 @@ def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: SuiteConfig):
         sel = calculus.jump_grid(ens, cfg.jump_threshold)
         s_rows, s_times = _grid_exclusions(sel, ens.times)
         with _naming_paths(genspec, start):
-            stats = calculus.zcqv_ladder(ens.values, ladder, ens.horizon, s_rows, s_times)
+            stats = calculus.zcqv_ladder(ens.values, ens.times, ladder, ens.horizon, s_rows, s_times)
         _require_finite(stats, "statistic", genspec, start)
         out.extend(map(tuple, stats.tolist()))
     return out
@@ -280,8 +278,10 @@ def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteC
         sel = calculus.jump_grid(z, cfg.jump_threshold) | calculus.jump_grid(y, cfg.jump_threshold)
         s_rows, s_times = _grid_exclusions(sel, z.times)
         with _naming_paths(zspec, start):
-            with_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, s_rows, s_times, y=y.values, absolute=True)
-            no_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, y=y.values, absolute=True)
+            with_s = calculus.zcqv_ladder(
+                z.values, z.times, ladder, z.horizon, s_rows, s_times, y=y.values, absolute=True
+            )
+            no_s = calculus.zcqv_ladder(z.values, z.times, ladder, z.horizon, y=y.values, absolute=True)
         # with_s adds a subset of the nonnegative terms that no_s adds
         _require_finite(no_s, "statistic", zspec, start)
         out.extend(zip(map(tuple, with_s.tolist()), map(tuple, no_s.tolist())))
@@ -296,7 +296,7 @@ def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: Sui
         sel = calculus.jump_grid(z1, cfg.jump_threshold) | calculus.jump_grid(z2, cfg.jump_threshold)
         s_rows, s_times = _grid_exclusions(sel, z1.times)
         with _naming_paths(spec1, start):
-            stats = calculus.zcqv_ladder(z1.values + z2.values, ladder, z1.horizon, s_rows, s_times)
+            stats = calculus.zcqv_ladder(z1.values + z2.values, z1.times, ladder, z1.horizon, s_rows, s_times)
         _require_finite(stats, "statistic", spec1, start)
         out.extend(map(tuple, stats.tolist()))
     return out

@@ -49,15 +49,22 @@ Chunked callers use iter_blocks, which builds consecutive indices a block
 at a time and sizes each block by cells, not rows: about BLOCK_CELLS = 2^17
 values (1 MB of float64), with at least CHUNK // 8 = 8 and at most
 CHUNK = 64 rows.  So a chunk task's working set stops growing as
-64 x n_steps: 64 rows up to 2048 steps, 31 at 4096, 8 from 2^14 up.  The
-floor stays because below 8 rows each block's row-sized temporaries are
-freed and faulted back in page by page: one-row blocks took 33% (2^16
-steps) and 45% (2^18) more CPU than 8-row ones on a 2-core VM.  The spec check, the grid and the builder's set-up run once
-per call, not once per block.  A task reads each block as a block; its row
-SamplePath views are built only when asked for.  Both Euler passes cost a
-fixed number of numpy calls per step or slab whatever the row count:
-replaying one Euler path with make_path is a one-row block, which only
-matters for one-off replays.
+64 x n_steps: 64 rows below 2048 steps, 63 at 2048, 31 at 4096, 8 from
+2^14 up.  The floor stays because below 8 rows each block's row-sized
+temporaries are freed and faulted back in page by page: one-row blocks
+took about 30% (2^16 steps) and 50% (2^18) more CPU than 8-row ones on a
+2-core VM.  A task reads each block as a block; its row SamplePath views
+are built only when asked for.  Both Euler passes cost a fixed number of
+numpy calls per step or slab whatever the row count: replaying one Euler
+path with make_path is a one-row block, which only matters for one-off
+replays.
+
+The split changes no value, but it does choose which failing path an Euler
+error names: the replay stops at the block's earliest failing step and
+names that step's first failing row, and the blocks of a task run in index
+order.  From 2048 steps on a block is smaller than the 64-path task, so a
+run names the earliest failure of the first block that fails, not of the
+whole task; make_path(spec, i) replays the named path either way.
 
 Coefficient callbacks (sigma, b, sigma_of_x) are selected by name from a
 small registry so that specs stay picklable and expressible in config files;
@@ -76,7 +83,7 @@ import numpy as np
 
 from ._parallel import CHUNK
 from .errors import ConfigurationError, GenerationError, check_numbers
-from .paths import PathEnsemble, SamplePath, _check_grid
+from .paths import PathEnsemble, SamplePath
 
 KINDS = ("brownian", "euler_sde", "compound_poisson", "jump_diffusion", "lamperti_dirichlet")
 
@@ -594,6 +601,11 @@ def _lamperti_blocks(spec: GeneratorSpec, n: int, start: int, transform: Monoton
     return transform.inverse(y), y, marks
 
 
+def _lamperti_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
+    x, _, marks = _lamperti_blocks(spec, n, start, build_transform(spec))
+    return x, marks
+
+
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -602,53 +614,23 @@ _BUILDERS = {
     "euler_sde": _euler_block,
     "compound_poisson": _compound_poisson_block,
     "jump_diffusion": _euler_block,
+    "lamperti_dirichlet": _lamperti_block,
 }
 
 BLOCK_CELLS = 2**17  # value cells in an iter_blocks block: 1 MB of float64
-
-
-class _Source(NamedTuple):
-    """A spec checked once, for all the blocks of one iter_blocks call: its
-    checked grid, and fill(n, start) -> (values, marks) of paths
-    start .. start+n-1, with what the kind needs from the spec alone (the
-    Lamperti table) built once."""
-
-    times: np.ndarray
-    fill: Callable
-
-
-def _source(spec: GeneratorSpec) -> _Source:
-    spec.validate()
-    times = spec.grid()
-    _check_grid(times)
-    if spec.kind == "lamperti_dirichlet":
-        transform = build_transform(spec)
-
-        def fill(n, start):
-            x, _, marks = _lamperti_blocks(spec, n, start, transform)
-            return x, marks
-
-    else:
-        build = _BUILDERS[spec.kind]
-
-        def fill(n, start):
-            return build(spec, n, start)
-
-    return _Source(times, fill)
 
 
 def generate(spec: GeneratorSpec, n_paths: int, start: int = 0) -> PathEnsemble:
     """Paths start .. start+n_paths-1 as row views of one read-only block.
 
     A pure function of (spec, path index): any split of an index range into
-    generate calls yields the same paths.  iter_blocks passes the checked
-    _Source it builds once for all its blocks in place of the spec.
+    generate calls yields the same paths.
     """
+    spec.validate()
     if n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
-    src = spec if isinstance(spec, _Source) else _source(spec)
-    values, marks = src.fill(n_paths, start)
-    return PathEnsemble(times=src.times, values=values, marks=marks, grid_checked=True)
+    values, marks = _BUILDERS[spec.kind](spec, n_paths, start)
+    return PathEnsemble(times=spec.grid(), values=values, marks=marks)
 
 
 def make_path(spec: GeneratorSpec, index: int) -> SamplePath:
@@ -656,17 +638,21 @@ def make_path(spec: GeneratorSpec, index: int) -> SamplePath:
     return generate(spec, 1, start=index)[0]
 
 
+def block_rows(n_steps: int) -> int:
+    """Rows in an iter_blocks block: BLOCK_CELLS // (n_steps + 1), between
+    CHUNK // 8 and CHUNK."""
+    return max(CHUNK // 8, min(CHUNK, BLOCK_CELLS // (n_steps + 1)))
+
+
 def iter_blocks(spec: GeneratorSpec, lo: int, hi: int):
     """Ensembles of paths lo .. hi-1 in index order, sized by cells.
 
-    Each block holds rows = max(CHUNK // 8, min(CHUNK, BLOCK_CELLS //
-    (n_steps + 1))) paths: 64 up to 2048 steps, 31 at 4096 and 8 from 2^14
-    steps up.  The split depends on n_steps alone, never on the worker
-    count, and it changes no bits, since each path is a pure function of
-    (seed, index) and every reduction runs per row.  The spec check, the
-    grid and its check, and the builder's set-up run once, not per block.
+    Each block holds block_rows(n_steps) paths: 64 below 2048 steps, 63 at
+    2048, 31 at 4096 and 8 from 2^14 steps up.  The split depends on
+    n_steps alone, never on the worker count, and it changes no bits, since
+    each path is a pure function of (seed, index) and every reduction runs
+    per row.
     """
-    src = _source(spec)
-    rows = max(CHUNK // 8, min(CHUNK, BLOCK_CELLS // (spec.n_steps + 1)))
+    rows = block_rows(spec.n_steps)
     for b in range(lo, hi, rows):
-        yield generate(src, min(b + rows, hi) - b, start=b)
+        yield generate(spec, min(b + rows, hi) - b, start=b)

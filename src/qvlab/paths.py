@@ -152,14 +152,12 @@ class PathEnsemble:
     times is the (n_steps+1,) grid; values and marks are (n_paths, n_steps+1)
     blocks whose row i is path i.  The block is checked once, as each row
     SamplePath would check itself: the grid starts at 0 and increases
-    strictly, and every value is finite; grid_checked=True skips the grid
-    check, for a grid its caller has checked once for many blocks.  The row
-    views are built on first use and then kept, so iterating or indexing the
-    ensemble yields the same objects, and a caller that reads only the
-    blocks never builds them.
+    strictly, and every value is finite.  The row views are built on first
+    use and then kept, so iterating or indexing the ensemble yields the same
+    objects, and a caller that reads only the blocks never builds them.
     """
 
-    def __init__(self, times, values, marks, grid_checked: bool = False):
+    def __init__(self, times, values, marks):
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
         marks = np.asarray(marks, dtype=bool)
@@ -167,8 +165,7 @@ class PathEnsemble:
             raise ValueError("ensemble must contain at least one path")
         if marks.shape != values.shape or values.shape[1:] != times.shape:
             raise ValueError("values and marks must be (n_paths, len(times)) blocks")
-        if not grid_checked:
-            _check_grid(times)
+        _check_grid(times)
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         for arr in (times, values, marks):

@@ -10,7 +10,6 @@ from qvlab.calculus import (
     path_percentile,
     CovariationReport,
     cell_sums,
-    GridLadder,
     covariation_ladder,
     ito_rows,
     ucp_exceedance,
@@ -40,7 +39,7 @@ def grid_ladder(ens):
 def covariation(x, y, ladder):
     """Sum of dX dY over every cell of each level, (n_paths, n_levels): the
     included-cell statistic with S empty and t past every cut."""
-    return zcqv_ladder(x.values, GridLadder(x.times, ladder), np.inf, y=y.values)
+    return zcqv_ladder(x.values, x.times, ladder, np.inf, y=y.values)
 
 
 def ito(eta, y):
@@ -62,7 +61,7 @@ def test_qv_direct_arithmetic():
 def test_qv_stopped_semantics():
     x = toy_ensemble([0.0, 1.0, 2.0], [0, 1, 3])
     # at t = 1 the second cell is stopped: increment zero
-    assert covariation_ladder(x, x, GridLadder(x.times, grid_ladder(x), [1.0])).full.tolist() == [[[1.0]]]
+    assert covariation_ladder(x, x, grid_ladder(x), np.asarray([1.0])).full.tolist() == [[[1.0]]]
 
 
 def test_qv_brownian_realized_variance(brownian_200_l12):
@@ -81,7 +80,7 @@ def test_jump_sum_cases():
     times = [0.0, 1.0, 2.0]
 
     def jump_sums(x, y, threshold, t_grid):
-        rep = covariation_ladder(x, y, GridLadder(x.times, grid_ladder(x), t_grid), threshold=threshold)
+        rep = covariation_ladder(x, y, grid_ladder(x), np.asarray(t_grid), threshold=threshold)
         return rep.jumps[0, 0].tolist()
 
     # below-threshold increments contribute nothing
@@ -99,20 +98,20 @@ def test_jump_sum_cases():
 
 def test_zcqv_constant_zero():
     p = toy_ensemble([0.0, 1.0, 2.0], [4, 4, 4])
-    assert zcqv_ladder(p.values, GridLadder(p.times, ladder_of(dyadic_partition(2.0, 4))), 2.0).tolist() == [[0.0]]
+    assert zcqv_ladder(p.values, p.times, ladder_of(dyadic_partition(2.0, 4)), 2.0).tolist() == [[0.0]]
 
 
 def test_zcqv_pure_jump_exact_zero(cp_ensemble):
     # S holds each path's marked jumps
     s_rows, s_grid = np.nonzero(cp_ensemble.marks)
     ladder = ladder_of(*(dyadic_partition(1.0, level) for level in (6, 9, 12)))
-    stats = zcqv_ladder(cp_ensemble.values, GridLadder(cp_ensemble.times, ladder), 1.0, s_rows, cp_ensemble.times[s_grid])
+    stats = zcqv_ladder(cp_ensemble.values, cp_ensemble.times, ladder, 1.0, s_rows, cp_ensemble.times[s_grid])
     assert np.all(stats == 0.0)
 
 
 def test_zcqv_brownian_near_one(brownian_200_l12):
     b = brownian_200_l12
-    vals = zcqv_ladder(b.values, GridLadder(b.times, ladder_of(dyadic_partition(1.0, 12))), 1.0)[:, 0]
+    vals = zcqv_ladder(b.values, b.times, ladder_of(dyadic_partition(1.0, 12)), 1.0)[:, 0]
     assert np.mean(np.abs(vals - 1.0) <= 0.1) >= 0.95
 
 
@@ -145,7 +144,7 @@ def test_mismatched_horizons_rejected():
     x = toy_ensemble([0.0, 1.0], [0, 1])
     y = toy_ensemble([0.0, 2.0], [0, 1])
     with pytest.raises(ValueError, match="one grid"):
-        covariation_ladder(x, y, GridLadder(x.times, grid_ladder(x), [1.0]))
+        covariation_ladder(x, y, grid_ladder(x), np.asarray([1.0]))
 
 
 def test_polarization_exact_on_integer_paths():
@@ -183,7 +182,7 @@ def test_pure_jump_qv_equals_jump_sum_exactly(cp_ensemble):
     ens = rows_of(cp_ensemble, 0, 10)
     ladder = RefinementLadder.dyadic(1.0, 0, 12, grid_times=ens.times)
     qv = covariation(ens, ens, ladder)
-    js = covariation_ladder(ens, ens, GridLadder(ens.times, ladder, [1.0])).jumps[:, 0, 0]
+    js = covariation_ladder(ens, ens, ladder, np.asarray([1.0])).jumps[:, 0, 0]
     for r, p in enumerate(ens):
         jt = p.jump_times(np.inf)
         gaps = np.diff(np.concatenate([[0.0], jt, [1.0]]))
@@ -199,7 +198,7 @@ def test_cross_statistic_zero_when_jumps_excluded(cp_ensemble, brownian_200_l12)
     y = rows_of(brownian_200_l12, 0, len(z))
     s_rows, s_grid = np.nonzero(z.marks)
     ladder = ladder_of(*(dyadic_partition(1.0, level) for level in (6, 10, 12)))
-    stats = zcqv_ladder(z.values, GridLadder(z.times, ladder), 1.0, s_rows, z.times[s_grid], y=y.values, absolute=True)
+    stats = zcqv_ladder(z.values, z.times, ladder, 1.0, s_rows, z.times[s_grid], y=y.values, absolute=True)
     assert np.all(stats == 0.0)
 
 
@@ -207,7 +206,7 @@ def test_covariation_ladder_report(brownian_200_l12):
     x = rows_of(brownian_200_l12, 0, 1)
     ladder = RefinementLadder.dyadic(1.0, 4, 8, grid_times=x.times)
     t_grid = np.linspace(0.0, 1.0, 17)
-    rep = covariation_ladder(x, x, GridLadder(x.times, ladder, t_grid), levels=tuple(range(4, 9)))
+    rep = covariation_ladder(x, x, ladder, t_grid, levels=tuple(range(4, 9)))
     assert rep.full.shape == (1, 5, 17)
     # report consistency: the sweep at each t against the stopped values
     # summed by cell_sums, and against zcqv_ladder
@@ -216,8 +215,7 @@ def test_covariation_ladder_report(brownian_200_l12):
             xv = x[0].eval_many(np.minimum(part.cut_times, t))[None]
             assert rep.full[0, i, j] == pytest.approx(cell_sums(xv, xv)[0], abs=1e-12)
     for j, t in enumerate(t_grid):
-        stat = zcqv_ladder(x.values, GridLadder(x.times, ladder), float(t))[0]
-        assert rep.zcqv[0, :, j] == pytest.approx(stat, abs=1e-12)
+        assert rep.zcqv[0, :, j] == pytest.approx(zcqv_ladder(x.values, x.times, ladder, float(t))[0], abs=1e-12)
     assert np.all(rep.continuous_part == rep.full - rep.jumps)
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0] == "level,mesh,t,full_sum,jump_sum,continuous_part,zcqv_stat"
@@ -225,8 +223,7 @@ def test_covariation_ladder_report(brownian_200_l12):
 
 def test_covariation_ladder_cp_zcqv_column_zero(cp_ensemble):
     ladder = RefinementLadder.dyadic(1.0, 8, 12, grid_times=cp_ensemble.times)
-    grid = GridLadder(cp_ensemble.times, ladder, np.linspace(0, 1, 9))
-    rep = covariation_ladder(cp_ensemble, cp_ensemble, grid, threshold=np.inf)
+    rep = covariation_ladder(cp_ensemble, cp_ensemble, ladder, np.linspace(0, 1, 9), threshold=np.inf)
     assert np.all(rep.zcqv == 0.0)
     # continuous part = full - jumps vanishes once every cell isolates a jump
     assert np.allclose(rep.continuous_part[:, -1], 0.0, atol=1e-12)
@@ -245,7 +242,7 @@ def test_ucp_exceedance_decreases(brownian_200_l12):
     ladder = RefinementLadder.dyadic(1.0, 4, 12, grid_times=brownian_200_l12.times)
     t_grid = np.linspace(0.0, 1.0, 33)
     ens = rows_of(brownian_200_l12, 0, 50)
-    exc = ucp_exceedance(covariation_ladder(ens, ens, GridLadder(ens.times, ladder, t_grid)).full, eps=0.1)
+    exc = ucp_exceedance(covariation_ladder(ens, ens, ladder, t_grid).full, eps=0.1)
     assert exc[-1] == 0.0
     assert exc[0] >= exc[-2]
 
@@ -340,11 +337,10 @@ def test_covariation_ladder_matches_per_path_reference(name):
     ladder = _oracle_ladder(times)
     rng = np.random.default_rng(7)
     t_grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, 33), rng.uniform(0.0, 1.0, 16), times[[3, 301]]]))
-    grid = GridLadder(times, ladder, t_grid)
     blocks = []
-    for xb, yb in zip(iter_blocks(xspec, 0, 130), iter_blocks(yspec, 0, 130), strict=True):
+    for xb, yb in zip(iter_blocks(xspec, 0, 130), iter_blocks(yspec, 0, 130)):
         y = xb if ykw is None else yb
-        blocks.append(covariation_ladder(xb, y, grid, threshold=threshold))
+        blocks.append(covariation_ladder(xb, y, ladder, t_grid, threshold=threshold))
     rep = CovariationReport.concat(blocks)
     xs = generate(xspec, 130)
     ys = xs if ykw is None else generate(yspec, 130)
@@ -363,21 +359,21 @@ def test_covariation_ladder_needs_cuts_on_the_grid(brownian_200_l12):
     ens = rows_of(brownian_200_l12, 0, 2)
     off_grid = RefinementLadder(levels=(Partition(cut_times=np.asarray([0.0, 0.3, 1.0])),))
     with pytest.raises(ValueError, match="grid"):
-        covariation_ladder(ens, ens, GridLadder(ens.times, off_grid, np.linspace(0.0, 1.0, 5)))
+        covariation_ladder(ens, ens, off_grid, np.linspace(0.0, 1.0, 5))
 
 
 def test_ladder_sweep_peak_memory_within_four_value_blocks():
     spec = GeneratorSpec(kind="brownian", n_steps=4096, seed=12345)
     times = spec.grid()
     ladder = RefinementLadder.dyadic(1.0, 6, 12, grid_times=times)
-    grid = GridLadder(times, ladder, np.linspace(0.0, 1.0, 65))
+    t_grid = np.linspace(0.0, 1.0, 65)
     # a one-row run first, so lazily built module state is not counted
     warm = generate(spec, 1)
-    covariation_ladder(warm, warm, grid, threshold=0.05)
+    covariation_ladder(warm, warm, ladder, t_grid, threshold=0.05)
     tracemalloc.start()
     try:
         ens = generate(spec, 64)
-        rep = covariation_ladder(ens, ens, grid, threshold=0.05)
+        rep = covariation_ladder(ens, ens, ladder, t_grid, threshold=0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

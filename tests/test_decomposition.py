@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qvlab import _kernels
-from qvlab.calculus import GridLadder, zcqv_ladder
+from qvlab.calculus import zcqv_ladder
 from qvlab.decomposition import (
     SuiteConfig,
     _cross_stats,
@@ -75,7 +75,7 @@ def test_integrand_uses_left_limit_at_marked_jumps():
 
 def _verdict(values, times, ladder):
     """The verdict on the included-cell statistic of every row at t = 1, S empty."""
-    stats = zcqv_ladder(values, GridLadder(times, ladder), 1.0)
+    stats = zcqv_ladder(values, times, ladder, 1.0)
     return summarize_zcqv(stats, tuple(range(len(ladder))), ladder.meshes, 0.1)
 
 
@@ -201,11 +201,10 @@ def test_zcqv_ladder_rows_equal_one_path_statistic(spec):
     sets = [np.unique(np.concatenate([p.jump_times(np.inf), [0.5, 0.0]])) for p in ens]
     rows = np.repeat(np.arange(len(ens)), [s.size for s in sets])
     times = np.concatenate(sets)
-    grid = GridLadder(ens.times, ladder)
     for t in (spec.horizon, 0.7):
-        stats = zcqv_ladder(ens.values, grid, t, rows, times)
+        stats = zcqv_ladder(ens.values, ens.times, ladder, t, rows, times)
         for r, s in enumerate(sets):
-            alone = zcqv_ladder(ens.values[r : r + 1], grid, t, np.zeros(s.size, dtype=np.intp), s)
+            alone = zcqv_ladder(ens.values[r : r + 1], ens.times, ladder, t, np.zeros(s.size, dtype=np.intp), s)
             assert _same_bits(stats[r], alone[0])
 
 

@@ -418,7 +418,6 @@ def test_iter_blocks_are_sized_by_cells(n_steps, n_paths, lengths):
     spec = GeneratorSpec(kind="brownian", n_steps=n_steps, seed=3)
     blocks = list(iter_blocks(spec, 0, n_paths))
     assert [len(b) for b in blocks] == lengths
-    assert all(b.times is blocks[0].times for b in blocks)  # one grid for the call
     for i in (0, n_paths - 1):
         assert make_path(spec, i).values.tobytes() == blocks[i // lengths[0]].values[i % lengths[0]].tobytes()
 
@@ -513,7 +512,8 @@ def _outcome(build):
 
 
 def _same_outcome_as_checked_loop(spec, n_paths):
-    spans = [(lo, min(lo + 64, n_paths)) for lo in range(0, n_paths, 64)]
+    rows = generators.block_rows(spec.n_steps)
+    spans = [(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
     got = _outcome(lambda: list(iter_blocks(spec, 0, n_paths)))
     assert got == _outcome(lambda: [_checked_block(spec, hi - lo, lo) for lo, hi in spans])
     # all rows in one block: the first failing row of the block is named
@@ -538,6 +538,18 @@ def test_non_finite_coefficient_error_equals_the_checked_loop(name):
     path = int(re.search(r"path=(\d+)", message).group(1))
     t = float(re.search(r"t=([^,]+),", message).group(1))
     assert path >= 64 and path % 64 >= 1 and t > 0.0
+
+
+def test_an_euler_error_names_the_earliest_failure_of_the_first_failing_block():
+    # at 4096 steps a block holds 31 rows; at this seed path 34 is the first
+    # of the 64 paths to leave |x| < 2, and path 6 the first of paths 0..30
+    spec = GeneratorSpec(kind="euler_sde", n_steps=4096, seed=5,
+                         sigma=lambda t, x: np.where(np.abs(x) < 2.0, 1.0, np.inf))
+    assert generators.block_rows(spec.n_steps) == 31
+    (kind, message), _ = _same_outcome_as_checked_loop(spec, 64)
+    assert kind is GenerationError and "path=6, " in message
+    (_, one_block), _ = _outcome(lambda: [_checked_block(spec, 64, 0)])
+    assert "path=34, " in one_block
 
 
 @pytest.mark.parametrize("kind", ["euler_sde", "jump_diffusion"])
