@@ -1,7 +1,7 @@
 """Call-surface estimation and the occupation-time identity checks.
 
 The surface C(t, x) = E[(X_t - x)_+] encodes the marginal laws; its time
-increments tested against bounded theta satisfy an identity whose right side
+increments tested against a box theta satisfy an identity whose right side
 splits into a continuous-QV term, a drift term and a jump term.  All three
 are computed per path so the pass test compares paired Monte Carlo samples
 (3 sigma) plus an explicit, separately reported discretization budget.
@@ -41,27 +41,15 @@ from .functions import PathFunction, make_function
 from .generators import GeneratorSpec, iter_blocks, make_coefficient, make_jump_law
 
 
-class TestFunction:
-    """Bounded theta(t, x) with declared support box (t0, t1, x_lo, x_hi)."""
+class BoxIndicator:
+    """theta = 1 on the box (t0, t1, x_lo, x_hi) = [t0, t1] x [x_lo, x_hi].
 
-    def __init__(self, evaluate, box: tuple, bound: float):
-        self.evaluate = evaluate
-        self.box = box
-        self.bound = bound
-
-    def __call__(self, t, x):
-        return self.evaluate(t, x)
-
-
-class BoxIndicator(TestFunction):
-    """theta = 1 on [t0, t1] x [x_lo, x_hi].
-
-    Boxes of one class compare, and hash, by their corners, so a box equals
-    its pickled copy in a worker process.
+    Boxes compare, and hash, by their corners, so a box equals its pickled
+    copy in a worker process.
     """
 
     def __init__(self, t0, t1, x_lo, x_hi):
-        super().__init__(self._eval, (float(t0), float(t1), float(x_lo), float(x_hi)), 1.0)
+        self.box = (float(t0), float(t1), float(x_lo), float(x_hi))
 
     def __eq__(self, other):
         return type(other) is type(self) and other.box == self.box
@@ -69,7 +57,7 @@ class BoxIndicator(TestFunction):
     def __hash__(self):
         return hash(self.box)
 
-    def _eval(self, t, x):
+    def __call__(self, t, x):
         t0, t1, lo, hi = self.box
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -98,8 +86,8 @@ class BoxIndicator(TestFunction):
         return sign * (xt * (b - a) - 0.5 * (b * b - a * a))
 
 
-def make_theta(expr_or_theta) -> TestFunction:
-    if isinstance(expr_or_theta, TestFunction):
+def make_theta(expr_or_theta) -> BoxIndicator:
+    if isinstance(expr_or_theta, BoxIndicator):
         return expr_or_theta
     from .generators import parse_expression
 
@@ -165,16 +153,6 @@ def convexity_defect(surface: CallSurface) -> float:
 # identity machinery
 
 
-def _gated(theta: TestFunction, t, x):
-    """theta clipped to its declared support box: the box is authoritative,
-    so values a test function reports outside it never enter the sums."""
-    t0, t1, lo, hi = theta.box
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    inside = (t >= t0) & (t <= t1) & (x >= lo) & (x <= hi)
-    return np.where(inside, np.asarray(theta(t, x), dtype=float), 0.0)
-
-
 class IdentityReport(NamedTuple):
     lhs: float
     rhs_qv_term: float
@@ -207,7 +185,7 @@ class IdentityReport(NamedTuple):
 
 
 def occupation_identity_check(
-    theta: TestFunction, terms: np.ndarray, t_grid, x_grid, sigma_mult: float = 3.0
+    theta: BoxIndicator, terms: np.ndarray, t_grid, x_grid, sigma_mult: float = 3.0
 ) -> IdentityReport:
     """Monte Carlo check of the theta-weighted surface-increment identity.
 
@@ -247,7 +225,7 @@ def occupation_identity_check(
     )
 
 
-def identity_budget(theta: TestFunction, dt: float, dx: float, horizon: float, qv_total: float, drift_total: float) -> float:
+def identity_budget(theta: BoxIndicator, dt: float, dx: float, horizon: float, qv_total: float, drift_total: float) -> float:
     """Deterministic discretization allowance, reported next to the stderr.
 
     t-part: evaluation-point error of the left-sum Riemann approximations to
@@ -263,7 +241,7 @@ def identity_budget(theta: TestFunction, dt: float, dx: float, horizon: float, q
     straddle = 0.0
     if t0 > 0.0 or t1 < horizon:
         straddle = 2.0 * (x_hi - x_lo) * np.sqrt(max(qv_total, 0.0) / horizon * dt)
-    return float(theta.bound * (t_part + x_part + straddle))
+    return float(t_part + x_part + straddle)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +366,7 @@ def _row_sums(a):
     return np.ascontiguousarray(a).sum(axis=1)
 
 
-def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_grid, fexpr):
+def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_grid, fexpr):
     """Chunk task: paths lo .. hi-1, each generated once.
 
     Returns [(s, ss, terms, kink)]: the chunk's sums of the hinges (X_t - x)_+
@@ -431,7 +409,7 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_g
     x_centers = 0.5 * (x_grid[:-1] + x_grid[1:])
     dx = float(x_grid[1] - x_grid[0])
     # the box's cells I = [a, b) = [first, end) and midpoints J, compared as
-    # _gated compares
+    # theta compares
     t0, t1, x_lo, x_hi = theta.box
     ends = t_grid[1:]
     run = np.flatnonzero((ends >= t0) & (ends <= t1))
@@ -469,7 +447,7 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_g
         qv_cells = np.broadcast_to(np.asarray(qv_rate(t_left, x_left), dtype=float) * dt, x_left.shape)
         drift = drift_cells if b is None else np.asarray(b(t_left, x_left), dtype=float) * dt
         drift = np.broadcast_to(drift, x_left.shape)
-        terms[rows, 1] = 0.5 * _row_sums(_gated(theta, t_left, x_left) * qv_cells)
+        terms[rows, 1] = 0.5 * _row_sums(theta(t_left, x_left) * qv_cells)
         # drift pairs with the pre-jump state: at a marked jump time the
         # inner integral's upper limit is the left limit
         terms[rows, 2] = _row_sums(theta.integral_to(t_left, x_left) * drift)
@@ -487,7 +465,7 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: TestFunction, t_grid, x_g
     return [(s, ss, terms, kink)]
 
 
-def _one_pass(genspec: GeneratorSpec, theta: TestFunction, t_grid, x_grid, n_paths: int, fexpr=None, workers=1):
+def _one_pass(genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_grid, n_paths: int, fexpr=None, workers=1):
     """(s, ss, terms, kink) over all n_paths: the chunk sums added in chunk
     order, the per-path rows stacked in path order."""
     parts = map_chunked(
@@ -527,15 +505,12 @@ def run_identity(
     The surface sits on n_t + 1 times over [0, horizon] and n_x + 1 points
     spanning theta's x-range; the identity integrates over the n_x cells of
     that x-grid.  It needs n_paths >= 2: the identity's standard error, and
-    so its pass rule, is undefined for one path.  theta must be a
-    BoxIndicator (or a box expression): the pass telescopes the LHS for a
-    box.
+    so its pass rule, is undefined for one path.  theta is a BoxIndicator
+    or a box expression.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for the identity's standard error, got {n_paths}")
     theta = make_theta(theta)
-    if not isinstance(theta, BoxIndicator):
-        raise ValueError(f"the identity pass runs a BoxIndicator theta only, got {type(theta).__name__}")
     t_grid = np.linspace(0.0, genspec.horizon, n_t + 1)
     x_grid = np.linspace(theta.box[2], theta.box[3], n_x + 1)
     fexpr = (f.expression or f.name) if f is not None and f.nondiff_indicator is not None else None

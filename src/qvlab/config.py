@@ -56,6 +56,10 @@ class ExperimentConfig(_Fields):
         kind = gen.pop("kind", "brownian")
         if kind not in KINDS:
             raise ConfigurationError(f"unknown generator kind {kind!r}")
+        if "seed" in gen:
+            raise ConfigurationError(
+                "generator.seed is not a config field: set the seed with the top-level seed key"
+            )
         try:
             spec = GeneratorSpec(kind=kind, seed=self.seed, **gen)
         except TypeError as exc:

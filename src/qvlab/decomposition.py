@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels, calculus
 from ._parallel import map_chunked
 from .errors import ConfigurationError, NonFiniteError
-from .functions import PathFunction, dx_limsup, make_function
+from .functions import PathFunction, make_function
 from .generators import GeneratorSpec, iter_blocks
 from .partitions import RefinementLadder
 from .paths import PathEnsemble
@@ -48,11 +48,7 @@ def _integrand_states(values, marks, a: int, b: int) -> np.ndarray:
 
 
 def _eta(f: PathFunction, t: np.ndarray, states: np.ndarray) -> np.ndarray:
-    if f.dx_exact is not None:
-        return np.asarray(f.dx_exact(t, states), dtype=float)
-    return np.asarray(
-        [[dx_limsup(f, float(tk), float(sk)) for tk, sk in zip(t, row)] for row in states]
-    )
+    return np.asarray(f.dx_exact(t, states), dtype=float)
 
 
 def _kink_mass(f: PathFunction, cuts, xv) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Functions f(t, x): locally Lipschitz in x, cadlag in t.
 
-Class membership is declared, not inferred: builtins carry their one-sided
-x-derivatives, the time-increment measure d_t f (signed value and total
-variation over an interval, per x) and their nondifferentiability set as
-analytic metadata.  The derivative convention is the limsup of difference
-quotients, which equals max(left, right) wherever one-sided derivatives
-exist and the true derivative wherever f is differentiable.
+The commands read four facts about f, and each builtin declares them: its
+values, its x-derivative in the limsup convention (dx_exact), its
+nondifferentiability set and the times at which it jumps in t.  The limsup
+of difference quotients equals max(left, right) wherever one-sided
+derivatives exist and the true derivative wherever f is differentiable; the
+one-sided x-derivatives are declared next to it as its oracle.
 """
 
 from __future__ import annotations
@@ -19,27 +19,24 @@ from .generators import parse_expression
 
 
 class PathFunction:
-    """f(t, x) with optional analytic metadata.
+    """f(t, x) with its analytic metadata.
 
-    evaluate broadcasts over numpy arrays in x (and t).  dx_exact, when
-    present, is the total limsup-convention derivative; dx_left and dx_right
-    are the one-sided x-derivatives.  dt_measure(x, t0, t1) returns (signed,
-    total variation) of d_t f over (t0, t1] at fixed x.  nondiff_indicator(t,
-    x) -> bool marks the complement of the differentiability set; None means
-    unknown.
+    evaluate broadcasts over numpy arrays in x (and t).  dx_exact is the
+    total limsup-convention x-derivative, and dx_left and dx_right are the
+    one-sided x-derivatives.  time_jumps holds a (time, profile) pair for
+    each time at which f jumps in t.  nondiff_indicator(t, x) -> bool marks
+    the complement of the differentiability set; None means unknown.
     """
 
     def __init__(
         self,
         name: str,
         evaluate: Callable,
-        dx_exact: Callable | None = None,
+        dx_exact: Callable,
         dx_left: Callable | None = None,
         dx_right: Callable | None = None,
         time_jumps: tuple = (),
-        dt_measure: Callable | None = None,
         nondiff_indicator: Callable | None = None,
-        x_atoms: tuple = (),
         expression: str = "",
     ):
         self.name = name
@@ -48,40 +45,15 @@ class PathFunction:
         self.dx_left = dx_left
         self.dx_right = dx_right
         self.time_jumps = time_jumps
-        self.dt_measure = dt_measure
         self.nondiff_indicator = nondiff_indicator
-        self.x_atoms = x_atoms
         self.expression = expression
 
     def __call__(self, t, x):
         return self.evaluate(t, x)
 
 
-def nabla_a(f: PathFunction, a: float, t, x):
-    """Finite difference (f(t, x+a) - f(t, x)) / a."""
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    return (f(t, np.asarray(x) + a) - f(t, x)) / a
-
-
-LIMSUP_WIDTH = 2.0**-20
-
-
-def dx_limsup(f: PathFunction, t, x, a: float = LIMSUP_WIDTH) -> float:
-    """Estimate of the limsup derivative: the larger of the forward and the
-    backward difference quotient at width a.  For f with one-sided
-    derivatives it tends to max(D_x^- f, D_x^+ f) as a decreases.
-    """
-    return max(float(nabla_a(f, a, t, x)), float(nabla_a(f, -a, t, x)))
-
-
 # ---------------------------------------------------------------------------
 # builtins
-
-
-def _no_time_measure(x, t0, t1):
-    z = 0.0 * np.asarray(x, dtype=float)
-    return z, z
 
 
 def _sign_limsup(u):
@@ -96,7 +68,6 @@ def _make_abs() -> PathFunction:
         dx_exact=lambda t, x: _sign_limsup(x),
         dx_left=lambda t, x: np.where(np.asarray(x) <= 0.0, -1.0, 1.0),
         dx_right=lambda t, x: np.where(np.asarray(x) >= 0.0, 1.0, -1.0),
-        dt_measure=_no_time_measure,
         nondiff_indicator=lambda t, x: np.asarray(x) == 0.0,
     )
 
@@ -109,7 +80,6 @@ def _make_relu(k=0.0) -> PathFunction:
         dx_exact=lambda t, x: np.where(np.asarray(x) >= k, 1.0, 0.0),
         dx_left=lambda t, x: np.where(np.asarray(x) <= k, 0.0, 1.0),
         dx_right=lambda t, x: np.where(np.asarray(x) >= k, 1.0, 0.0),
-        dt_measure=_no_time_measure,
         nondiff_indicator=lambda t, x: np.asarray(x) == k,
     )
 
@@ -121,7 +91,6 @@ def _make_square() -> PathFunction:
         dx_exact=lambda t, x: 2.0 * np.asarray(x, dtype=float),
         dx_left=lambda t, x: 2.0 * np.asarray(x, dtype=float),
         dx_right=lambda t, x: 2.0 * np.asarray(x, dtype=float),
-        dt_measure=_no_time_measure,
         nondiff_indicator=lambda t, x: np.zeros_like(np.asarray(x), dtype=bool),
     )
 
@@ -149,7 +118,6 @@ def _make_piecewise_linear(k0=-0.5, c0=1.0, k1=0.5, c1=-0.5, slope=0.25) -> Path
         dx_exact=lambda t, x: np.maximum(dleft(t, x), dright(t, x)),
         dx_left=dleft,
         dx_right=dright,
-        dt_measure=_no_time_measure,
         nondiff_indicator=lambda t, x: np.isin(np.asarray(x), kinks),
     )
 
@@ -168,11 +136,6 @@ def _make_moving_kink(k_jump=0.5, k_size=1.0) -> PathFunction:
         x = np.asarray(x, dtype=float)
         return np.abs(x - k_size) - np.abs(x)
 
-    def dt_measure(x, t0, t1):
-        hit = 1.0 if (t0 < k_jump <= t1) else 0.0
-        signed = hit * profile(x)
-        return signed, np.abs(signed)
-
     return PathFunction(
         name="moving_kink",
         evaluate=ev,
@@ -180,7 +143,6 @@ def _make_moving_kink(k_jump=0.5, k_size=1.0) -> PathFunction:
         dx_left=lambda t, x: np.where(np.asarray(x) <= level(t), -1.0, 1.0),
         dx_right=lambda t, x: np.where(np.asarray(x) >= level(t), 1.0, -1.0),
         time_jumps=((k_jump, profile),),
-        dt_measure=dt_measure,
         nondiff_indicator=lambda t, x: np.asarray(x) == level(t),
     )
 
@@ -214,7 +176,6 @@ def _make_bump(c=0.0, w=1.0) -> PathFunction:
         dx_exact=lambda t, x: dphi(x),
         dx_left=lambda t, x: dphi(x),
         dx_right=lambda t, x: dphi(x),
-        dt_measure=_no_time_measure,
         nondiff_indicator=lambda t, x: np.zeros_like(np.asarray(x), dtype=bool),
     )
 
@@ -241,11 +202,6 @@ def _make_scaled_step(t1=0.5, phi="bump", c=0.0, w=1.0) -> PathFunction:
     def ev(t, x):
         return np.where(np.asarray(t) >= t1, 1.0, 0.0) * prof(x)
 
-    def dt_measure(x, t0, tend):
-        hit = 1.0 if (t0 < t1 <= tend) else 0.0
-        signed = hit * prof(x)
-        return signed, np.abs(signed)
-
     return PathFunction(
         name="scaled_step",
         evaluate=ev,
@@ -253,7 +209,6 @@ def _make_scaled_step(t1=0.5, phi="bump", c=0.0, w=1.0) -> PathFunction:
         dx_left=dl,
         dx_right=dr,
         time_jumps=((t1, prof),),
-        dt_measure=dt_measure,
         nondiff_indicator=nondiff,
     )
 
@@ -263,18 +218,12 @@ def _make_ramp_bump(c=0.0, w=1.0, rate=1.0) -> PathFunction:
     phi, dphi = _bump_profile(c, w)
     rate = float(rate)
 
-    def dt_measure(x, t0, t1):
-        span = max(t1 - t0, 0.0)
-        signed = rate * span * phi(x)
-        return signed, np.abs(signed)
-
     return PathFunction(
         name="ramp_bump",
         evaluate=lambda t, x: rate * np.asarray(t, dtype=float) * phi(x),
         dx_exact=lambda t, x: rate * np.asarray(t, dtype=float) * dphi(x),
         dx_left=lambda t, x: rate * np.asarray(t, dtype=float) * dphi(x),
         dx_right=lambda t, x: rate * np.asarray(t, dtype=float) * dphi(x),
-        dt_measure=dt_measure,
         nondiff_indicator=lambda t, x: np.zeros_like(np.asarray(x), dtype=bool),
     )
 
@@ -286,7 +235,6 @@ def _make_identity() -> PathFunction:
         dx_exact=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
         dx_left=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
         dx_right=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
-        dt_measure=_no_time_measure,
         nondiff_indicator=lambda t, x: np.zeros_like(np.asarray(x), dtype=bool),
     )
 

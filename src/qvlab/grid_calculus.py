@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .call_surface import TestFunction, make_theta
+from .call_surface import BoxIndicator
 from .functions import PathFunction
 
 
@@ -113,10 +113,10 @@ def ibp_residual(f: GridFunction2D, g: GridFunction2D, a: float) -> float:
     return abs(lhs - rhs)
 
 
-def ibp_tolerance(f: GridFunction2D, scale: float = 1.0) -> float:
+def ibp_tolerance(f: GridFunction2D) -> float:
     """Roundoff envelope: 10^3 ulp times the number of grid cells."""
     n_cells = (f.t_grid.size - 1) * f.x_grid.size
-    return 1e3 * np.finfo(float).eps * n_cells * max(1.0, scale)
+    return 1e3 * np.finfo(float).eps * n_cells
 
 
 def symmetric_difference(values: np.ndarray, m: int, a: float) -> np.ndarray:
@@ -125,7 +125,7 @@ def symmetric_difference(values: np.ndarray, m: int, a: float) -> np.ndarray:
 
 
 def symmetric_difference_trace(
-    f: GridFunction2D, g: GridFunction2D, theta, shifts_cells
+    f: GridFunction2D, g: GridFunction2D, theta: BoxIndicator, shifts_cells
 ) -> np.ndarray:
     """The paired symmetric-difference quantity at each ladder width.
 
@@ -137,7 +137,6 @@ def symmetric_difference_trace(
     """
     if f.values.shape != g.values.shape:
         raise ValueError("f and g must share grids")
-    theta = make_theta(theta) if not isinstance(theta, TestFunction) else theta
     t0, t1, x_lo, x_hi = theta.box
     max_m = max(abs(int(m)) for m in shifts_cells)
     if x_lo - max_m * f.dx < f.x_grid[0] or x_hi + max_m * f.dx > f.x_grid[-1]:
@@ -154,21 +153,3 @@ def symmetric_difference_trace(
         val = f.dx * (float(np.sum(th * sf * dgt)) + float(np.sum(th * sg * dft)))
         out.append(val)
     return np.asarray(out)
-
-
-def kink_mass_check(f: PathFunction, g: PathFunction):
-    """The time-variation mass of g charged on f's nondifferentiability set.
-
-    For the builtin corpus the kink set is a finite union of graphs x = k(t),
-    which carries zero x-Lebesgue measure, and g's time variation enters as
-    an x-density, so the double integral is exactly zero.  A g carrying
-    declared x-atoms (exploratory, outside the representable corpus) can
-    contribute positive mass; returns None when metadata is missing.
-    """
-    if f.nondiff_indicator is None or g.dt_measure is None:
-        return None
-    total = 0.0
-    for t_a, x_a, mass in g.x_atoms:
-        if bool(f.nondiff_indicator(t_a, x_a)):
-            total += abs(mass)
-    return total

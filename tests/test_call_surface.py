@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from qvlab import call_surface
 from qvlab._parallel import map_chunked
 from qvlab.call_surface import (
     BoxIndicator,
     CallSurface,
-    _gated,
     _one_pass,
     _surface_chunk,
     convexity_defect,
@@ -35,17 +33,6 @@ def _surface(spec, n_paths, n_t, x_lo, x_hi, n_x):
 
 def _identity(spec, theta, **kw):
     return run_identity(spec, theta, **kw).identity
-
-
-class NoisyBox(BoxIndicator):
-    """A box that reports junk outside its declared support."""
-
-    def _eval(self, t, x):
-        t0, t1, lo, hi = self.box
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        inside = (t >= t0) & (t <= t1) & (x >= lo) & (x <= hi)
-        return np.where(inside, 1.0, 7.5)
 
 
 def test_deterministic_path_surface_exact():
@@ -181,18 +168,6 @@ def test_theta_linearity():
     assert whole.rhs == pytest.approx(left.rhs + right.rhs, abs=2e-2)
 
 
-def test_theta_outside_support_irrelevant():
-    # a test function that adds junk outside its declared box must produce
-    # the identical report: the machinery only ever queries inside the box
-    spec = GeneratorSpec(kind="brownian", n_steps=128, seed=14)
-    clean = _identity(spec, BoxIndicator(0.0, 1.0, -1.0, 1.0),
-                                      n_paths=300, n_t=64, n_x=32)
-    noisy = _identity(spec, NoisyBox(0.0, 1.0, -1.0, 1.0),
-                                      n_paths=300, n_t=64, n_x=32)
-    assert clean.lhs == noisy.lhs
-    assert clean.rhs_qv_term == noisy.rhs_qv_term
-
-
 def test_identity_refinement_stability():
     spec = GeneratorSpec(kind="brownian", n_steps=512, seed=77)
     coarse = _identity(spec, "box(0.0, 1.0, -1.0, 1.0)",
@@ -216,7 +191,8 @@ def test_kink_identity_abs_and_square(brownian_200_l12):
 def test_kink_identity_skipped_without_metadata():
     from qvlab.functions import PathFunction
 
-    bare = PathFunction(name="bare", evaluate=lambda t, x: 0.0 * np.asarray(x))
+    bare = PathFunction(name="bare", evaluate=lambda t, x: 0.0 * np.asarray(x),
+                        dx_exact=lambda t, x: 0.0 * np.asarray(x))
     spec = GeneratorSpec(kind="brownian", n_steps=64, seed=2)
     rep = run_identity(spec, "box(0.0, 1.0, -1.0, 1.0)", 16, n_t=4, n_x=8, f=bare).kink
     assert rep.skipped
@@ -247,20 +223,6 @@ def test_identity_rejects_bad_path_count(n_paths, tmp_path):
     with pytest.raises(ValueError, match="n_paths must be >= 2"):
         run_identity(spec, "box(0.0, 1.0, -1.0, 1.0)", n_paths, n_t=2, n_x=2, f=make_function("abs"))
     assert main(["identity", "--paths", str(n_paths), "--out", str(tmp_path / "o")]) == 2
-
-
-def test_identity_rejects_a_theta_that_is_not_a_box(monkeypatch):
-    # the pass telescopes the LHS for a box; anything else fails before a
-    # path is generated
-    def no_pass(*args, **kwargs):
-        raise AssertionError("the pass ran")
-
-    monkeypatch.setattr(call_surface, "_one_pass", no_pass)
-    bare = call_surface.TestFunction(evaluate=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
-                                     box=(0.0, 1.0, -1.0, 1.0), bound=1.0)
-    spec = GeneratorSpec(kind="brownian", n_steps=8, seed=0)
-    with pytest.raises(ValueError, match="BoxIndicator theta only, got TestFunction"):
-        run_identity(spec, bare, 4, n_t=2, n_x=2)
 
 
 def test_box_between_t_grid_points_has_zero_lhs():
@@ -338,7 +300,7 @@ def _identity_terms(lo, hi, genspec, theta, t_grid, x_centers, dx):
         xt, qv_cells, drift_cells = _oracle_model_cells(genspec, path, t_grid)
         # the box's double sum of hinge increments, telescoped over [a, b)
         lhs = float(np.sum(np.maximum(xt[b] - centers, 0.0) - np.maximum(xt[a] - centers, 0.0)) * dx)
-        th_left = _gated(theta, t_grid[:-1], xt[:-1])
+        th_left = theta(t_grid[:-1], xt[:-1])
         qv_term = 0.5 * float(np.sum(th_left * qv_cells))
         drift_term = float(np.sum(theta.integral_to(t_grid[:-1], xt[:-1]) * drift_cells))
         jump_term = 0.0
@@ -396,10 +358,9 @@ _ORACLE_SPECS = {
 @pytest.mark.parametrize("n_paths,kind", [(130, k) for k in _ORACLE_SPECS] + [(600, "brownian")])
 def test_one_pass_matches_per_path_loops_bitwise(kind, n_paths, workers):
     # 130 paths split into 16-path chunks; 600 paths into 75-path chunks,
-    # each generated as a 64-row and an 11-row block.  The noisy theta
-    # reports junk outside its box, which only the gate keeps out.
+    # each generated as a 64-row and an 11-row block
     spec = _ORACLE_SPECS[kind]
-    theta = NoisyBox(0.25, 0.75, -0.5, 1.0)
+    theta = BoxIndicator(0.25, 0.75, -0.5, 1.0)
     t_grid = np.linspace(0.0, spec.horizon, 33)
     x_grid = np.linspace(-0.5, 1.0, 17)
     got = _one_pass(spec, theta, t_grid, x_grid, n_paths, "abs", workers=workers)
@@ -423,7 +384,7 @@ def test_telescoped_lhs_within_4_ulps_of_the_exact_double_sum():
     x_grid = np.linspace(-1.0, 1.5, 21)
     x_centers = 0.5 * (x_grid[:-1] + x_grid[1:])
     dx = float(x_grid[1] - x_grid[0])
-    inside = _gated(theta, t_grid[1:, None], x_centers[None, :]) == 1.0
+    inside = theta(t_grid[1:, None], x_centers[None, :]) == 1.0
     assert not inside.all() and inside.any()
     lhs = _one_pass(spec, theta, t_grid, x_grid, 8)[2][:, 0]
     for i, got in enumerate(lhs):

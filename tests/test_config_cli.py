@@ -91,6 +91,16 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, conf
     assert not out.exists()
 
 
+def test_a_generator_seed_exits_2_naming_the_top_level_seed_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"generator": {"seed": 1}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: generator.seed is not a config field: set the seed with the top-level seed key\n"
+    assert not out.exists()
+
+
 def test_configs_do_not_share_a_generator_mapping():
     a, b = ExperimentConfig(), ExperimentConfig()
     a.generator["kind"] = "compound_poisson"

@@ -59,9 +59,22 @@ def test_square_on_brownian_tracks_qv(brownian_200_l12):
 
 def test_kink_qv_mass_statistically_zero(brownian_200_l12):
     _, masses = decompose_block(make_function("abs"), rows_of(brownian_200_l12, 0, 50))
-    # a Brownian grid path almost surely never revisits 0.0 exactly; only the
-    # x0 = 0 start can sit on the kink, contributing at most one (dX)^2 cell
+    # holds by construction: a Brownian grid path almost surely never
+    # revisits 0.0 exactly, and the x0 = 0 start is no cell's right end; the
+    # compound-Poisson test below is the one that can fail
     assert np.median(masses) <= 2.0 ** -12 * 4.0
+
+
+def test_kink_mass_counts_the_jump_onto_the_kink():
+    # unit jumps from x0 = -1: a path sits on |x|'s kink exactly when it has
+    # taken one jump, and the cell that lands there carries (dX)^2 = 1
+    spec = GeneratorSpec(kind="compound_poisson", n_steps=256, x0=-1.0, jump_rate=1.0,
+                         jump_law="const(1.0)", seed=3)
+    ens = generate(spec, 40)
+    _, masses = decompose_block(make_function("abs"), ens)
+    hits = (ens.values == 0.0).any(axis=1)
+    assert masses.tolist() == np.where(hits, 1.0, 0.0).tolist()
+    assert hits.any() and not hits.all()
 
 
 def test_integrand_uses_left_limit_at_marked_jumps():
@@ -79,14 +92,14 @@ def _verdict(values, times, ladder):
     return summarize_zcqv(stats, tuple(range(len(ladder))), ladder.meshes, 0.1)
 
 
-def test_verify_zcqv_constant_passes():
+def test_zcqv_verdict_constant_passes():
     times = np.arange(65) / 64.0
     verdict = _verdict(np.full((1, 65), 2.0), times, RefinementLadder.dyadic(1.0, 2, 6, grid_times=times))
     assert verdict.passed is True
     assert all(m == 0.0 for m in verdict.median_stat)
 
 
-def test_verify_zcqv_brownian_fails(brownian_200_l12):
+def test_zcqv_verdict_brownian_fails(brownian_200_l12):
     times = brownian_200_l12.times
     ladder = RefinementLadder.dyadic(1.0, 6, 12, grid_times=times)
     verdict = _verdict(brownian_200_l12.values[:50], times, ladder)
@@ -95,7 +108,7 @@ def test_verify_zcqv_brownian_fails(brownian_200_l12):
     assert abs(verdict.slope) < 0.1
 
 
-def test_verify_zcqv_inconclusive_below_three_levels():
+def test_zcqv_verdict_inconclusive_below_three_levels():
     times = np.arange(5) / 4.0
     verdict = _verdict(np.zeros((1, 5)), times, RefinementLadder.dyadic(1.0, 1, 2, grid_times=times))
     assert verdict.passed is None

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qvlab.errors import ConfigurationError
-from qvlab.functions import LIMSUP_WIDTH, builtin_library, dx_limsup, make_function, nabla_a
+from qvlab.functions import builtin_library, make_function
 
 ALL_BUILTINS = [
     "abs",
@@ -16,38 +16,45 @@ ALL_BUILTINS = [
     "ramp_bump",
 ]
 
+# (t, x) points on each builtin's kinks, at the edges of a bump's support, or
+# at the origin for a builtin with neither
+KINKS = {
+    "abs": [(0.3, 0.0)],
+    "relu": [(0.3, 0.0)],
+    "square": [(0.3, 0.0)],
+    "identity": [(0.3, 0.0)],
+    "piecewise_linear": [(0.3, -0.5), (0.3, 0.5)],
+    "moving_kink(k_jump=0.5)": [(0.2, 0.0), (0.5, 1.0), (0.7, 1.0), (0.7, 0.0)],
+    "scaled_step(t1=0.5, phi=abs)": [(0.2, 0.0), (0.5, 0.0), (0.7, 0.0)],
+    "bump": [(0.3, -1.0), (0.3, 1.0)],
+    "ramp_bump": [(0.3, -1.0), (0.3, 1.0)],
+}
+
+
+def _quotient(f, a, t, x):
+    """The difference quotient (f(t, x + a) - f(t, x)) / a."""
+    return (f(t, np.asarray(x) + a) - f(t, x)) / a
+
 
 def test_nabla_examples():
     sq = make_function("square")
     for x, a in [(1.0, 0.25), (-2.0, 0.5), (3.0, 0.0625)]:
-        assert nabla_a(sq, a, 0.0, x) == pytest.approx(2 * x + a, rel=1e-12)
+        assert _quotient(sq, a, 0.0, x) == pytest.approx(2 * x + a, rel=1e-12)
     f = make_function("abs")
-    assert nabla_a(f, 0.5, 0.0, 0.0) == 1.0
-    assert nabla_a(f, -0.5, 0.0, 0.0) == -1.0
-    with pytest.raises(ValueError):
-        nabla_a(f, 0.0, 0.0, 0.0)
-
-
-def test_dx_limsup_abs_kink():
-    f = make_function("abs")
-    assert dx_limsup(f, 0.0, 0.0) == 1.0  # limsup convention picks the max one-sided slope
-
-
-def test_dx_limsup_smooth_point():
-    sq = make_function("square")
-    assert abs(dx_limsup(sq, 0.0, 3.0) - 6.0) <= 2 * LIMSUP_WIDTH + 1e-9
+    assert _quotient(f, 0.5, 0.0, 0.0) == 1.0
+    assert _quotient(f, -0.5, 0.0, 0.0) == -1.0
 
 
 @pytest.mark.parametrize("expr", ALL_BUILTINS)
-def test_dx_limsup_matches_one_sided_oracle(expr):
+def test_dx_exact_is_the_max_of_the_one_sided_derivatives(expr):
+    # the limsup convention, bit for bit, at random points and at the kinks
     f = make_function(expr)
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        t = float(rng.uniform(0, 1))
-        x = float(rng.uniform(-1.5, 1.5))
-        want = max(float(f.dx_left(t, x)), float(f.dx_right(t, x)))
-        got = dx_limsup(f, t, x)
-        assert got == pytest.approx(want, abs=5e-4)
+    t = np.concatenate([rng.uniform(0.0, 1.0, 2000), [p[0] for p in KINKS[expr]]])
+    x = np.concatenate([rng.uniform(-1.5, 1.5, 2000), [p[1] for p in KINKS[expr]]])
+    want = np.maximum(f.dx_left(t, x), f.dx_right(t, x))
+    got = np.asarray(f.dx_exact(t, x), dtype=float)
+    assert got.shape == t.shape and got.tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("expr", ALL_BUILTINS)
@@ -56,8 +63,8 @@ def test_one_sided_limits_of_difference_quotients(expr):
     f = make_function(expr)
     pts = [(0.2, 0.0), (0.7, 0.5), (0.7, -0.8), (0.5, 1.0)]
     for t, x in pts:
-        fwd = nabla_a(f, 1e-7, t, x)
-        bwd = nabla_a(f, -1e-7, t, x)
+        fwd = _quotient(f, 1e-7, t, x)
+        bwd = _quotient(f, -1e-7, t, x)
         assert fwd == pytest.approx(float(f.dx_right(t, x)), abs=1e-5)
         assert bwd == pytest.approx(float(f.dx_left(t, x)), abs=1e-5)
 
@@ -68,28 +75,7 @@ def test_nabla_hat_converges_to_derivative_gap(expr):
     f = make_function(expr)
     for t, x in [(0.6, 0.0), (0.6, 0.5), (0.3, -0.7)]:
         gap = float(f.dx_right(t, x)) - float(f.dx_left(t, x))
-        assert nabla_a(f, 1e-7, t, x) - nabla_a(f, -1e-7, t, x) == pytest.approx(gap, abs=1e-5)
-
-
-def test_time_variation_cases():
-    # total variation of t -> f(t, x) over (0, T]
-    time_variation = lambda f, x, T: f.dt_measure(x, 0.0, T)[1]
-    assert time_variation(make_function("abs"), 1.3, 1.0) == 0.0
-    step = make_function("scaled_step(t1=0.25, phi=abs)")
-    assert time_variation(step, -2.0, 1.0) == 2.0  # |g(x)| = |x|
-    assert time_variation(step, -2.0, 0.2) == 0.0  # before the jump
-    ramp = make_function("ramp_bump(c=0.0, w=1.0, rate=1.0)")
-    b = make_function("bump")
-    assert time_variation(ramp, 0.3, 0.8) == pytest.approx(0.8 * float(b(0.0, 0.3)), rel=1e-12)
-
-
-def test_time_variation_additive_over_intervals():
-    f = make_function("moving_kink(k_jump=0.5)")
-    x = 0.7
-    s1, tv1 = f.dt_measure(x, 0.0, 0.4)
-    s2, tv2 = f.dt_measure(x, 0.4, 1.0)
-    s, tv = f.dt_measure(x, 0.0, 1.0)
-    assert tv1 + tv2 == tv and s1 + s2 == s
+        assert _quotient(f, 1e-7, t, x) - _quotient(f, -1e-7, t, x) == pytest.approx(gap, abs=1e-5)
 
 
 def test_registry_metadata():
@@ -112,9 +98,6 @@ def test_moving_kink_metadata():
     assert tj == 0.5
     xs = np.asarray([-1.0, 0.0, 2.0])
     assert np.allclose(profile(xs), np.abs(xs - 1.0) - np.abs(xs))
-    signed, tv = f.dt_measure(0.25, 0.0, 1.0)
-    assert signed == pytest.approx(abs(0.25 - 1.0) - 0.25)
-    assert tv == abs(signed)
 
 
 def test_cadlag_in_t():

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from qvlab.call_surface import BoxIndicator
-from qvlab.functions import PathFunction, make_function
+from qvlab.functions import make_function
 from qvlab.grid_calculus import (
     GridFunction2D,
     ibp_residual,
     ibp_tolerance,
-    kink_mass_check,
     symmetric_difference,
     symmetric_difference_trace,
 )
@@ -154,37 +153,6 @@ def test_trace_support_guard():
     theta = BoxIndicator(0.0, 1.0, -2.0, 2.0)  # touches the border
     with pytest.raises(ValueError, match="border"):
         symmetric_difference_trace(f, f, theta, [8])
-
-
-def test_kink_mass_zero_on_registry_pairs():
-    from qvlab.functions import builtin_library
-
-    lib = builtin_library()
-    fs = ["abs", "relu", "piecewise_linear", "moving_kink", "square"]
-    gs = ["moving_kink", "scaled_step", "ramp_bump", "abs"]
-    for fname in fs:
-        for gname in gs:
-            val = kink_mass_check(lib[fname](), lib[gname]())
-            assert val == 0.0
-
-
-def test_kink_mass_skipped_without_metadata():
-    bare = PathFunction(name="bare", evaluate=lambda t, x: 0.0 * np.asarray(x))
-    assert kink_mass_check(bare, make_function("abs")) is None
-    assert kink_mass_check(make_function("abs"), bare) is None
-
-
-def test_kink_mass_adversarial_atom_positive():
-    # exploratory: time variation concentrated on a vertical segment at the
-    # kink is outside the representable corpus but reportable via x-atoms
-    f = make_function("abs")
-    spiky = PathFunction(
-        name="spiky",
-        evaluate=lambda t, x: 0.0 * np.asarray(x),
-        dt_measure=lambda x, t0, t1: (0.0, 0.0),
-        x_atoms=((0.5, 0.0, 2.5), (0.5, 1.0, 1.0)),
-    )
-    assert kink_mass_check(f, spiky) == 2.5  # only the atom at the kink counts
 
 
 def test_grid_function_validation():

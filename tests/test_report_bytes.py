@@ -1,4 +1,4 @@
-"""Suite, decompose, identity and qv reports pinned byte for byte.
+"""Suite, decompose, identity, qv and appendix reports pinned byte for byte.
 
 The digests are the sha256 of every output file at small configs
 (1024 steps, levels 4-10, 130 paths: blocks of 64, 64 and 2 rows, and
@@ -273,3 +273,21 @@ def test_euler_reports_keep_their_bytes(tmp_path, config, seed, workers):
         assert main([*args, "--out", str(out)]) == rc, command
         got[command] = _outputs_digest(out)
     assert got == EULER_DIGESTS[config][seed]
+
+
+# the appendix on the default config: trace.csv kept its bytes when the
+# kink-mass pairs left appendix.json, which now holds the parts and trace
+# checks only
+APPENDIX_DIGESTS = {
+    "appendix.json": "7f9f73b5a806fc594cd5f78b4229d836eacc20bd4f399c320758924e04de1597",
+    "trace.csv": "33354b5177c74ddb91acaef3e777d50a5c387fb5faf27f9514ab1bfd4bcde7c2",
+}
+
+
+def test_appendix_report_keeps_its_bytes(tmp_path):
+    out = tmp_path / "appendix"
+    assert main(["appendix", "--out", str(out)]) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert got == APPENDIX_DIGESTS
+    report = json.loads((out / "appendix.json").read_text())
+    assert sorted(report) == ["config", "experiment", "ibp_pass", "ibp_residuals", "ibp_tolerance", "trace_pass"]
