@@ -9,8 +9,9 @@ are computed per path so the pass test compares paired Monte Carlo samples
 run_identity makes one pass over the ensemble: each chunk task generates its
 paths a block at a time and reads the block's X_t on the t-grid once.  The
 identity terms and, when a function is given, the kink-identity LHS are
-computed for the whole block at once; the hinges are added into the surface
-sums a row at a time (see _pass_chunk for why).  theta is a box, the only
+computed for the whole block at once; the blocks' X_t rows go back to the
+pass, which sorts the values at each t once and reads the surface sums from
+faithfully rounded prefix sums (see _surface_sums).  theta is a box, the only
 test function the pass runs, so the LHS double sum over t-cells and
 x-midpoints telescopes exactly: theta(t_{i+1}, x_j) = 1_I(i) 1_J(j) with I a
 run of consecutive cells, and the sum over I of a midpoint's hinge
@@ -18,9 +19,11 @@ increments is its hinge at the run's end minus its hinge at the run's
 start.  Each path's LHS is one hinge row, not an (n_t x n_x) array.  The
 reports are pure functions of the pass's arrays, so the surface, the
 identity and the kink check always describe the same paths.  The chunking
-depends only on n_paths, rows are reduced in path order and each row's sums
-run over a C-contiguous row, so the results are bit-identical to a
-path-by-path pass at any worker count.
+depends only on n_paths and each row's identity sums run over a
+C-contiguous row, so the identity terms are bit-identical to a path-by-path
+pass at any worker count.  The surface sums depend only on the multiset of
+X_t values at each t, so they are the same bits for any worker count,
+chunking or path order.
 
 Conventions: d_t C increments over (t_i, t_{i+1}] pair with theta at the
 right endpoint (cadlag measure); model [X]^c cell increments pair with theta
@@ -36,9 +39,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from ._parallel import map_chunked
 from .functions import PathFunction, make_function
-from .generators import GeneratorSpec, iter_blocks, make_coefficient, make_jump_law
+from .generators import GeneratorSpec, iter_blocks, make_coefficient, make_jump_law, parse_box
 
 
 class BoxIndicator:
@@ -87,19 +91,11 @@ class BoxIndicator:
 
 
 def make_theta(expr_or_theta) -> BoxIndicator:
+    """A BoxIndicator as given, or built from a 'box(t0, t1, x_lo, x_hi)'
+    expression (generators.parse_box says which it accepts)."""
     if isinstance(expr_or_theta, BoxIndicator):
         return expr_or_theta
-    from .generators import parse_expression
-
-    name, args, kwargs = parse_expression(expr_or_theta)
-    if name != "box":
-        raise ValueError(f"unknown test function {name!r}")
-    vals = [kwargs.get(k, None) for k in ("t0", "t1", "x_lo", "x_hi")]
-    for i, a in enumerate(args):
-        vals[i] = a
-    if any(v is None for v in vals):
-        raise ValueError("box requires t0, t1, x_lo, x_hi")
-    return BoxIndicator(*[float(v) for v in vals])
+    return BoxIndicator(*parse_box(expr_or_theta))
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +110,19 @@ class CallSurface(NamedTuple):
     n_paths: int
 
     def to_csv(self) -> str:
-        """One `t,x,C,stderr` line per grid cell, each number as its float repr."""
-        ts, xs, cs, es = (np.asarray(a, dtype=float).tolist()
-                          for a in (self.t_grid, self.x_grid, self.values, self.stderr))
+        """One `t,x,C,stderr` line per grid cell, each number as its float
+        repr.  Each t-row is converted and joined into one string, and the
+        rows are joined once, so no list of per-cell lines or numbers is
+        held."""
+        ts, xs = (np.asarray(a, dtype=float).tolist() for a in (self.t_grid, self.x_grid))
+        cs, es = (np.asarray(a, dtype=float) for a in (self.values, self.stderr))
         xs = [repr(x) for x in xs]
-        lines = ["t,x,C,stderr"]
+        rows = ["t,x,C,stderr\n"]
         for t, c_row, e_row in zip(ts, cs, es):
             t = repr(t)
-            lines += [f"{t},{x},{c!r},{e!r}" for x, c, e in zip(xs, c_row, e_row)]
-        return "\n".join(lines) + "\n"
+            cells = zip(xs, c_row.tolist(), e_row.tolist())
+            rows.append("".join([f"{t},{x},{c!r},{e!r}\n" for x, c, e in cells]))
+        return "".join(rows)
 
     @classmethod
     def from_sums(cls, t_grid, x_grid, s, ss, n: int) -> "CallSurface":
@@ -369,11 +369,10 @@ def _row_sums(a):
 def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_grid, fexpr):
     """Chunk task: paths lo .. hi-1, each generated once.
 
-    Returns [(s, ss, terms, kink)]: the chunk's sums of the hinges (X_t - x)_+
-    over the surface grid and of their squares, added in path order; one
-    identity-terms row per path; and, when fexpr names a function, each
-    path's kink-identity LHS (else None).  Per path, with x_j the midpoints
-    of x_grid:
+    Returns [(xt, terms, kink)]: each path's X_t row on the t-grid, which
+    the pass turns into the surface sums; one identity-terms row per path;
+    and, when fexpr names a function, each path's kink-identity LHS (else
+    None).  Per path, with x_j the midpoints of x_grid:
 
     lhs: dx sum_{j in J} (hinge_j(t_b) - hinge_j(t_a)), where x_j is in J
          when x_lo <= x_j <= x_hi and t_{i+1} is in [t0, t1] exactly when
@@ -387,10 +386,9 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_g
 
     The terms on the t-grid take one numpy call per block for all its rows;
     each row's sums reduce over a C-contiguous row, as a path summed alone
-    does, so the bits do not depend on the block.  The surface hinges stay
-    per row: a row's hinge array is (n_t+1) x (n_x+1), so the work is bound
-    by element count and cache size, and stacking a block's rows would only
-    multiply the memory.  It is written into buffers held for the chunk.
+    does, so the bits do not depend on the block.  Each block's X_t is
+    gathered straight into the chunk's rows, allocated before the first
+    block, so the chunk holds no surface-sized buffer and copies no row.
     """
     qv_rate = genspec.qv_rate()
     if qv_rate is None:
@@ -419,24 +417,16 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_g
     # X_t as SamplePath.eval_many reads it, and the grid times jumps count at
     cols = np.searchsorted(times, t_grid, side="right") - 1
     in_range = times <= t_grid[-1]
-    s = np.zeros((t_grid.size, x_grid.size))
-    ss = np.zeros_like(s)
-    h = np.empty_like(s)
+    xt_all = np.empty((hi - lo, t_grid.size))
     terms = np.empty((hi - lo, 6))
     kink = np.empty(hi - lo) if on_kink_set else None
     r0 = 0
     for ens in iter_blocks(genspec, lo, hi):
-        # X_t for the block's rows; np.take returns them C-contiguous, where
-        # values[:, cols] comes back in Fortran order and each row sum below
-        # would need a copy
-        xt = np.take(ens.values, cols, axis=1)
-        rows = slice(r0, r0 + xt.shape[0])
-        for row in xt:
-            np.subtract(row[:, None], x_grid, out=h)
-            np.maximum(h, 0.0, out=h)
-            s += h
-            h *= h  # now the squares
-            ss += h
+        # X_t for the block's rows, gathered straight into the chunk's
+        # C-contiguous rows; values[:, cols] would come back in Fortran
+        # order, and each row sum below would need a copy
+        rows = slice(r0, r0 + len(ens.values))
+        xt = np.take(ens.values, cols, axis=1, out=xt_all[rows])
 
         lhs = np.maximum(xt[:, end, None] - centers, 0.0)
         lhs -= np.maximum(xt[:, first, None] - centers, 0.0)
@@ -460,25 +450,83 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_g
         if on_kink_set is not None:
             on_kink = np.asarray(on_kink_set(t_left, x_left), dtype=bool)
             for r, (q, on) in enumerate(zip(qv_cells, on_kink), start=r0):
-                kink[r] = np.sum(q[on])
+                kink[r] = np.add.reduce(q[on])
         r0 = rows.stop
-    return [(s, ss, terms, kink)]
+    return [(xt_all, terms, kink)]
+
+
+def _surface_sums(xts, x_grid):
+    """(s, ss): the sums over all paths of the hinges (X_t - x)_+ on the
+    surface grid and of their squares, (n_t+1, n_x+1) each.
+
+    xts: arrays of X_t rows, (paths, n_t+1) each, one row per path in all.
+    At each t the P values are sorted once, and k_j = #{X_t > x_j} comes
+    from one searchsorted.  With A_k and B_k the sums of the k largest
+    values and of their squares, the hinge sums are exactly
+
+        s_j = A_k - k x_j        ss_j = B_k - 2 x_j A_k + k x_j^2
+
+    and A_k, B_k for every k are the faithfully rounded prefix sums of
+    _kernels.row_sums over the values in descending order.  So the work is
+    O(P log P) per t, not O(P n_x), and the sums depend only on the
+    multiset of X_t values at each t: the same bits for any chunking,
+    worker count or path order.
+
+    With u = 2^-53 and S, SS the exact sums (in the normal range),
+    |s - S| <= 4u (|A_k| + k |x_j|) and |ss - SS| <= 6u (B_k + 2 |x_j A_k|
+    + k x_j^2): s takes one faithful sum and two roundings, and ss rounds
+    each square, takes one faithful sum and rounds five times.  A faithful
+    A_k is not always the nearest double, so where the exact A_k clears
+    k x_j by less than an ulp, fl(k x_j) can round above it and s come out
+    below 0.  s and ss are clamped at 0.0, which only moves them toward the
+    exact sums, nonnegative as they are.  Where no path exceeds x_j, k = 0
+    and both are exactly 0.0.  The t-rows go a slab of about
+    _kernels.CELLS values at a time.
+    """
+    n = sum(len(xt) for xt in xts)
+    n_t1 = xts[0].shape[1]
+    s = np.empty((n_t1, x_grid.size))
+    ss = np.empty_like(s)
+    step = max(1, _kernels.CELLS // n)
+    buf = np.empty((step, n))
+    # column k holds the running sum of the k largest values; column 0 is
+    # the empty sum
+    top = np.zeros((step, n + 1))
+    top2 = np.zeros_like(top)
+    for a in range(0, n_t1, step):
+        b = min(a + step, n_t1)
+        y = buf[: b - a]
+        r = 0
+        for xt in xts:
+            y[:, r : r + len(xt)] = xt[:, a:b].T
+            r += len(xt)
+        y.sort(axis=1)
+        k = n - np.stack([np.searchsorted(row, x_grid, side="right") for row in y])
+        desc = y[:, ::-1]
+        _kernels.row_sums(lambda c, d: desc[c:d], desc.shape, out=top[: b - a, 1:])
+        _kernels.row_sums(lambda c, d: np.square(desc[c:d]), desc.shape, out=top2[: b - a, 1:])
+        a1 = np.take_along_axis(top[: b - a], k, axis=1)
+        a2 = np.take_along_axis(top2[: b - a], k, axis=1)
+        s[a:b] = np.maximum(a1 - k * x_grid, 0.0)
+        ss[a:b] = np.maximum(a2 - (2.0 * x_grid) * a1 + k * (x_grid * x_grid), 0.0)
+    return s, ss
 
 
 def _one_pass(genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_grid, n_paths: int, fexpr=None, workers=1):
-    """(s, ss, terms, kink) over all n_paths: the chunk sums added in chunk
-    order, the per-path rows stacked in path order."""
+    """(s, ss, terms, kink) over all n_paths: the surface sums from every
+    path's X_t rows, the per-path rows stacked in path order.
+
+    This process holds the P x (n_t+1) float64 values of X_t the chunks
+    return, plus the surface sums' slabs of about _kernels.CELLS values; the
+    rows are read from the chunks' own arrays, never copied into one.
+    """
     parts = map_chunked(
         _pass_chunk, n_paths, workers=workers, chunk=_surface_chunk(n_paths),
         args=(genspec, theta, t_grid, x_grid, fexpr),
     )
-    s = np.zeros((t_grid.size, x_grid.size))
-    ss = np.zeros_like(s)
-    for part_s, part_ss, _, _ in parts:
-        s += part_s
-        ss += part_ss
-    terms = np.concatenate([p[2] for p in parts])
-    kink = np.concatenate([p[3] for p in parts]) if fexpr else None
+    s, ss = _surface_sums([p[0] for p in parts], x_grid)
+    terms = np.concatenate([p[1] for p in parts])
+    kink = np.concatenate([p[2] for p in parts]) if fexpr else None
     return s, ss, terms, kink
 
 

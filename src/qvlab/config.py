@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigurationError, check_numbers
-from .generators import KINDS, GeneratorSpec
+from .generators import KINDS, GeneratorSpec, parse_box
 
 FORMATS = ("csv", "json")
 
@@ -77,6 +77,10 @@ class ExperimentConfig(_Fields):
             value = getattr(self, name)
             if not (isinstance(value, str) or (name == "function" and value is None)):
                 raise ConfigurationError(f"{name} must be a string, got {value!r}")
+        try:
+            parse_box(self.theta)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"theta: {exc}") from None
         if not isinstance(self.generator, dict):
             raise ConfigurationError(f"generator must be a mapping, got {self.generator!r}")
         if not isinstance(self.formats, tuple) or not all(f in FORMATS for f in self.formats):

@@ -239,7 +239,7 @@ def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteC
     """
     f = make_function(fexpr)
     ladder = _ladder(genspec, cfg)
-    common = np.concatenate([[tj for tj, _ in f.time_jumps], extra_s_times])
+    common = np.concatenate([f.time_jumps, extra_s_times])
     out = []
     for start, ens in _blocks(genspec, lo, hi):
         with _naming_paths(genspec, start):

@@ -23,9 +23,9 @@ class PathFunction:
 
     evaluate broadcasts over numpy arrays in x (and t).  dx_exact is the
     total limsup-convention x-derivative, and dx_left and dx_right are the
-    one-sided x-derivatives.  time_jumps holds a (time, profile) pair for
-    each time at which f jumps in t.  nondiff_indicator(t, x) -> bool marks
-    the complement of the differentiability set; None means unknown.
+    one-sided x-derivatives.  time_jumps holds the times at which f jumps
+    in t.  nondiff_indicator(t, x) -> bool marks the complement of the
+    differentiability set; None means unknown.
     """
 
     def __init__(
@@ -132,17 +132,13 @@ def _make_moving_kink(k_jump=0.5, k_size=1.0) -> PathFunction:
     def ev(t, x):
         return np.abs(np.asarray(x, dtype=float) - level(t))
 
-    def profile(x):
-        x = np.asarray(x, dtype=float)
-        return np.abs(x - k_size) - np.abs(x)
-
     return PathFunction(
         name="moving_kink",
         evaluate=ev,
         dx_exact=lambda t, x: _sign_limsup(np.asarray(x) - level(t)),
         dx_left=lambda t, x: np.where(np.asarray(x) <= level(t), -1.0, 1.0),
         dx_right=lambda t, x: np.where(np.asarray(x) >= level(t), 1.0, -1.0),
-        time_jumps=((k_jump, profile),),
+        time_jumps=(k_jump,),
         nondiff_indicator=lambda t, x: np.asarray(x) == level(t),
     )
 
@@ -208,7 +204,7 @@ def _make_scaled_step(t1=0.5, phi="bump", c=0.0, w=1.0) -> PathFunction:
         dx_exact=dexact,
         dx_left=dl,
         dx_right=dr,
-        time_jumps=((t1, prof),),
+        time_jumps=(t1,),
         nondiff_indicator=nondiff,
     )
 

@@ -152,6 +152,37 @@ def _parse_value(s: str):
         return s.strip("'\"")
 
 
+_BOX_CORNERS = ("t0", "t1", "x_lo", "x_hi")
+
+
+def parse_box(expr: str) -> tuple:
+    """The corners (t0, t1, x_lo, x_hi) of 'box(t0, t1, x_lo, x_hi)', each
+    given once, by position or by keyword.  Raises ConfigurationError unless
+    they are four finite numbers with t0 <= t1 and x_lo < x_hi."""
+    name, args, kwargs = parse_expression(expr)
+    if name != "box":
+        raise ConfigurationError(f"unknown test function {name!r}")
+    if len(args) > len(_BOX_CORNERS):
+        raise ConfigurationError(f"box takes 4 corners, got {len(args)}")
+    corners = dict(zip(_BOX_CORNERS, args))
+    for key in kwargs:
+        if key not in _BOX_CORNERS:
+            raise ConfigurationError(f"box has no corner {key!r}")
+        if key in corners:
+            raise ConfigurationError(f"box corner {key!r} is given twice")
+    corners.update(kwargs)
+    if len(corners) < len(_BOX_CORNERS):
+        raise ConfigurationError("box requires t0, t1, x_lo, x_hi")
+    t0, t1, x_lo, x_hi = vals = tuple(corners[k] for k in _BOX_CORNERS)
+    if not all(isinstance(v, float) and math.isfinite(v) for v in vals):
+        raise ConfigurationError(f"box corners must be finite numbers, got {expr!r}")
+    if t0 > t1:
+        raise ConfigurationError(f"box needs t0 <= t1, got {expr!r}")
+    if not x_lo < x_hi:
+        raise ConfigurationError(f"box needs x_lo < x_hi, got {expr!r}")
+    return vals
+
+
 class _Const(NamedTuple):
     """const(c): c + 0.0 * x, so a non-finite state gives NaN."""
 

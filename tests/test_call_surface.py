@@ -12,6 +12,7 @@ from qvlab.call_surface import (
     CallSurface,
     _one_pass,
     _surface_chunk,
+    _surface_sums,
     convexity_defect,
     kink_identity_check,
     make_theta,
@@ -20,6 +21,7 @@ from qvlab.call_surface import (
     run_identity,
 )
 from qvlab.cli import main
+from qvlab.errors import ConfigurationError
 from qvlab.functions import make_function
 from qvlab.generators import GeneratorSpec, generate, make_coefficient, make_jump_law, make_path
 from qvlab.paths import PathEnsemble
@@ -206,6 +208,26 @@ def test_make_theta_validation():
     assert float(th.integral_to(0.5, 0.25)) == 1.25
     with pytest.raises(ValueError):
         make_theta("blob(0, 1)")
+    assert make_theta("box(x_hi=1, x_lo=-1, t0=0, t1=1)").box == th.box
+    assert make_theta("box(0.5, 0.5, -1, 1)").box == (0.5, 0.5, -1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "expr, reason",
+    [
+        ("box(0.0, 1.0, -1.0, 1.0, 2.0)", "takes 4 corners"),
+        ("box(0.0, 1.0, -1.0, 1.0, depth=2.0)", "no corner 'depth'"),
+        ("box(0.0, 1.0, -1.0, x_hi=nan)", "finite"),
+        ("box(1.0, 0.0, -1.0, 1.0)", "t0 <= t1"),
+        ("box(0.0, 1.0, 1.0, -1.0)", "x_lo < x_hi"),
+        ("box(0.0, 1.0, 1.0, 1.0)", "x_lo < x_hi"),
+        ("box(0.0, 1.0, -1.0, t0=0.0)", "given twice"),
+        ("box(0.0, 1.0, -1.0)", "requires"),
+    ],
+)
+def test_make_theta_refuses_malformed_boxes(expr, reason):
+    with pytest.raises(ConfigurationError, match=reason):
+        make_theta(expr)
 
 
 def test_empty_ensemble_rejected():
@@ -273,15 +295,8 @@ def _oracle_model_cells(genspec, path, t_grid):
     return xt, qv_cells, drift_cells
 
 
-def _hinge_sums(lo, hi, genspec, t_grid, x_grid):
-    s = np.zeros((t_grid.size, x_grid.size))
-    ss = np.zeros_like(s)
-    for path in _oracle_paths(genspec, lo, hi):
-        xt = path.eval_many(t_grid)
-        h = np.maximum(xt[:, None] - x_grid[None, :], 0.0)
-        s += h
-        ss += h * h
-    return [(s, ss)]
+def _xt_rows(lo, hi, genspec, t_grid):
+    return [path.eval_many(t_grid) for path in _oracle_paths(genspec, lo, hi)]
 
 
 def _box_run(theta, t_grid, x_centers):
@@ -325,18 +340,42 @@ def _kink_lhs(lo, hi, genspec, fexpr, t_grid):
 
 
 def _oracle_pass(genspec, theta, t_grid, x_grid, n, fexpr):
+    """(xt, terms, kink): each path's X_t row, identity terms and kink LHS."""
     chunk = _surface_chunk(n)
-    s = np.zeros((t_grid.size, x_grid.size))
-    ss = np.zeros_like(s)
-    for part_s, part_ss in map_chunked(_hinge_sums, n, chunk=chunk, args=(genspec, t_grid, x_grid)):
-        s += part_s
-        ss += part_ss
+    xt = np.asarray(map_chunked(_xt_rows, n, chunk=chunk, args=(genspec, t_grid)))
     x_centers = 0.5 * (x_grid[:-1] + x_grid[1:])
     dx = float(x_grid[1] - x_grid[0])
     terms = np.asarray(map_chunked(
         _identity_terms, n, chunk=chunk, args=(genspec, theta, t_grid, x_centers, dx)))
     kink = np.asarray(map_chunked(_kink_lhs, n, chunk=chunk, args=(genspec, fexpr, t_grid)))
-    return s, ss, terms, kink
+    return xt, terms, kink
+
+
+U = Fraction(1, 2**53)  # unit roundoff
+
+
+def _assert_exact_within_bound(s, ss, xt, x_grid):
+    """s and ss against the exact rational sums of the hinges (X_t - x)_+
+    over the rows of xt and of their squares, within the bounds that
+    _surface_sums derives from its roundings: with u the unit roundoff,
+    4u (|A_k| + k |x|) for s and 6u (B_k + 2 |x A_k| + k x^2) for ss, where
+    A_k and B_k are the exact sums of the k values above x and of their
+    squares.  Neither sum is ever negative."""
+    assert s.shape == ss.shape == (xt.shape[1], x_grid.size)
+    assert np.all(s >= 0.0) and np.all(ss >= 0.0)
+    for i, col in enumerate(xt.T):
+        ys = sorted((Fraction(float(v)) for v in col), reverse=True)
+        a, b = [Fraction(0)], [Fraction(0)]  # exact sums of the k largest, and of their squares
+        for y in ys:
+            a.append(a[-1] + y)
+            b.append(b[-1] + y * y)
+        for j, x in enumerate(x_grid.tolist()):
+            x = Fraction(x)
+            k = sum(y > x for y in ys)
+            exact_s = a[k] - k * x
+            exact_ss = b[k] - 2 * x * a[k] + k * x * x
+            assert abs(Fraction(float(s[i, j])) - exact_s) <= 4 * U * (abs(a[k]) + k * abs(x))
+            assert abs(Fraction(float(ss[i, j])) - exact_ss) <= 6 * U * (b[k] + 2 * abs(x * a[k]) + k * x * x)
 
 
 _ORACLE_SPECS = {
@@ -358,18 +397,21 @@ _ORACLE_SPECS = {
 @pytest.mark.parametrize("n_paths,kind", [(130, k) for k in _ORACLE_SPECS] + [(600, "brownian")])
 def test_one_pass_matches_per_path_loops_bitwise(kind, n_paths, workers):
     # 130 paths split into 16-path chunks; 600 paths into 75-path chunks,
-    # each generated as a 64-row and an 11-row block
+    # each generated as a 64-row and an 11-row block.  The identity terms
+    # and kink LHS match the per-path loops bit for bit; the surface sums
+    # are checked against exact rational sums
     spec = _ORACLE_SPECS[kind]
     theta = BoxIndicator(0.25, 0.75, -0.5, 1.0)
     t_grid = np.linspace(0.0, spec.horizon, 33)
     x_grid = np.linspace(-0.5, 1.0, 17)
-    got = _one_pass(spec, theta, t_grid, x_grid, n_paths, "abs", workers=workers)
-    want = _oracle_pass(spec, theta, t_grid, x_grid, n_paths, "abs")
-    assert got[2].shape == (n_paths, 6) and got[3].shape == (n_paths,)
-    for g, w in zip(got, want):
+    s, ss, terms, kink = _one_pass(spec, theta, t_grid, x_grid, n_paths, "abs", workers=workers)
+    xt, want_terms, want_kink = _oracle_pass(spec, theta, t_grid, x_grid, n_paths, "abs")
+    assert terms.shape == (n_paths, 6) and kink.shape == (n_paths,)
+    for g, w in ((terms, want_terms), (kink, want_kink)):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    _assert_exact_within_bound(s, ss, xt, x_grid)
     if kind != "brownian":
-        assert np.any(got[2][:, 2] != 0.0) or np.any(got[2][:, 3] != 0.0)
+        assert np.any(terms[:, 2] != 0.0) or np.any(terms[:, 3] != 0.0)
     if kind == "grid_past_horizon":
         assert spec.grid()[-1] > spec.horizon and generate(spec, n_paths).marks[:, -1].any()
 
@@ -401,12 +443,53 @@ def test_run_identity_reports_are_functions_of_the_pass():
     run = run_identity(spec, theta, 130, n_t=32, n_x=16, f=make_function("abs"), workers=2)
     t_grid = np.linspace(0.0, spec.horizon, 33)
     x_grid = np.linspace(-1.0, 1.0, 17)
-    s, ss, terms, kink = _oracle_pass(spec, theta, t_grid, x_grid, 130, "abs")
-    surface = CallSurface.from_sums(t_grid, x_grid, s, ss, 130)
+    xt, terms, kink = _oracle_pass(spec, theta, t_grid, x_grid, 130, "abs")
+    surface = CallSurface.from_sums(t_grid, x_grid, *_surface_sums([xt], x_grid), 130)
     assert run.surface.to_csv() == surface.to_csv()
     assert run.identity == occupation_identity_check(theta, terms, t_grid, x_grid)
     assert run.kink == kink_identity_check(spec, make_function("abs"), surface, kink)
     assert run.identity.rhs_drift_term != 0.0 and run.identity.rhs_jump_term != 0.0
+
+
+def _xt_blocks(seed, n_paths=90, n_t1=7):
+    rng = np.random.default_rng(seed)
+    xt = rng.standard_normal((n_paths, n_t1))
+    return xt, [xt[:64], xt[64:]]
+
+
+def test_surface_sums_are_zero_where_no_path_exceeds_x():
+    # every t-row's largest value is itself a grid point, with grid points
+    # above all values; there k = 0 and both sums are exactly +0.0
+    xt, blocks = _xt_blocks(1)
+    tops = xt.max(axis=0)
+    x_grid = np.unique(np.concatenate([np.linspace(-3.0, 3.0, 13), tops, [tops.max() + 1.0]]))
+    s, ss = _surface_sums(blocks, x_grid)
+    none_above = x_grid[None, :] >= tops[:, None]
+    assert none_above.sum() >= xt.shape[1] + 1
+    for sums in (s, ss):
+        assert np.all(sums[none_above] == 0.0) and not np.signbit(sums[none_above]).any()
+        assert np.all(sums[~none_above] > 0.0)
+    _assert_exact_within_bound(s, ss, xt, x_grid)
+
+
+def test_surface_sums_are_never_negative_at_near_ties():
+    # grid points at, and one ulp either side of, every value, where the
+    # hinge sums cancel most: k x_j lies within an ulp of the top-k sum
+    xt, blocks = _xt_blocks(2, n_paths=40, n_t1=3)
+    vals = np.unique(xt)
+    x_grid = np.unique(np.concatenate([vals, np.nextafter(vals, -np.inf), np.nextafter(vals, np.inf)]))
+    s, ss = _surface_sums(blocks, x_grid)
+    _assert_exact_within_bound(s, ss, xt, x_grid)
+
+
+def test_surface_sums_depend_only_on_the_values_at_each_t():
+    xt, blocks = _xt_blocks(3)
+    x_grid = np.linspace(-2.0, 2.0, 17)
+    want = _surface_sums(blocks, x_grid)
+    shuffled = xt[np.random.default_rng(4).permutation(len(xt))]
+    for other in ([xt], [shuffled], [shuffled[:1], shuffled[1:30], shuffled[30:]], list(xt[:, None, :])):
+        got = _surface_sums(other, x_grid)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def _csv_writer_oracle(surface):

@@ -74,6 +74,12 @@ def test_config_validation():
         ("ingest", {"jump_threshold": -1.0}, "jump_threshold"),
         ("ingest", {"jump_threshold": float("nan")}, "jump_threshold"),
         ("simulate", {"generator": {"kind": "lamperti_dirichlet", "x_grid_points": 1}}, "x_grid_points"),
+        # malformed boxes, refused before any path is generated
+        ("identity", {"theta": "box(0.0, 1.0, -1.0, 1.0, 2.0)"}, "theta"),
+        ("identity", {"theta": "box(0.0, 1.0, -1.0, 1.0, depth=2.0)"}, "theta"),
+        ("identity", {"theta": "box(0.0, 1.0, -1.0, inf)"}, "theta"),
+        ("identity", {"theta": "box(1.0, 0.0, -1.0, 1.0)"}, "theta"),
+        ("identity", {"theta": "box(0.0, 1.0, 1.0, -1.0)"}, "theta"),
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, config, key):

@@ -94,10 +94,7 @@ def test_moving_kink_metadata():
     # kink tracks the level: x = 0 before the jump, x = 1 after
     assert bool(f.nondiff_indicator(0.2, 0.0)) and not bool(f.nondiff_indicator(0.2, 1.0))
     assert bool(f.nondiff_indicator(0.7, 1.0)) and not bool(f.nondiff_indicator(0.7, 0.0))
-    (tj, profile), = f.time_jumps
-    assert tj == 0.5
-    xs = np.asarray([-1.0, 0.0, 2.0])
-    assert np.allclose(profile(xs), np.abs(xs - 1.0) - np.abs(xs))
+    assert f.time_jumps == (0.5,)
 
 
 def test_cadlag_in_t():

@@ -17,7 +17,11 @@ reports, negative_control at seed 9091, qv on jump-diffusion paths and the
 Euler decompose and suite reports) were recorded again from that kernel.
 The identity reports were recorded again when the pass telescoped the box's
 LHS double sum into one hinge row per path: only the Brownian identity.json
-at seed 9091 changed, its stderr by 2 ulps.
+at seed 9091 changed, its stderr by 2 ulps.  They were recorded again when
+the surface sums moved to faithfully rounded prefix sums over each time's
+sorted values: every surface.csv changed, and in identity.json only the
+fields read from the surface (surface_convexity_defect at all four, and
+kink_identity.rhs by 1 ulp on the Brownian config at seed 12345).
 """
 
 import hashlib
@@ -137,9 +141,9 @@ PASS_DIGESTS = {
     "brownian": {
         12345: {
             "identity identity.json":
-                "aaeeba37d044374cdd489c7dd5b93112efb6e777a891f57244b533ac190295bd",
+                "0ec60f8c655de7e11c2577091e8f5206d4c96795a6bfb09acb81d452bc08c265",
             "identity surface.csv":
-                "94ea74eb0f2e55e2096ab5bf0b2237075a9213ea62892ab8ea5d2972fc978e5b",
+                "68ee638029ee2dff3eaebffacaf7ef45d0b0c8a697b8a0d73aa0058658ed03db",
             "qv covariation.csv":
                 "cdc5b40875968f350f6476356b6cb45601befc3f70fb33e0218bc8289de4f38b",
             "qv summary.json":
@@ -147,9 +151,9 @@ PASS_DIGESTS = {
         },
         9091: {
             "identity identity.json":
-                "38a5b0c24bdbadc62f67235afb253819a318958470475dda81d9caeca5a9d9c9",
+                "6f81752b0e97b43bcee760a3ea41de1a398678b1b2a933f9e12d85a6bfbef177",
             "identity surface.csv":
-                "d78d3ee647ddbb719976428cf9a1a43d7f2773f5a5380a38e98d184b29486634",
+                "7c0c89126c1c07fbba36cca246fcc86501eca45fe2a2fca59cae797a6017eb42",
             "qv covariation.csv":
                 "2931f6b36ac9fd41b4cec21d8ed4036cc41674966cc14de8b66305e5fdba9947",
             "qv summary.json":
@@ -159,9 +163,9 @@ PASS_DIGESTS = {
     "jump_diffusion": {
         12345: {
             "identity identity.json":
-                "3218c8e89421daa37769482db5d05ae7de50b3468b296ed7a1457e056d269d8d",
+                "652f1e4844243e9213f07150c2c37fb76fe454daef93617bf9c8f25a944499bf",
             "identity surface.csv":
-                "939300b6fb920e67bc6931cf853b2be2d20bc13f3087a9ca7d93214b3d3319b1",
+                "c0be83c6a74ce46c5fc263fd759284ce95a37f8eda0f20d1af04ead3906d7892",
             "qv covariation.csv":
                 "9da54171d837d238f3e351261d1e639516722335f6ba385e8e528d0e482e297d",
             "qv summary.json":
@@ -169,9 +173,9 @@ PASS_DIGESTS = {
         },
         9091: {
             "identity identity.json":
-                "f07b0d0ad053fdbfc16f7026631b54466e62bead86395384de65b938f8e0b221",
+                "036da2ecd4c212bca1a27d9b39e3d9883c76cdc467d692f600102ce0a74426df",
             "identity surface.csv":
-                "f68dab3c7ce37e0c2cb0c610337d4be4895382e6192fb7e4c1aecbb7da93526c",
+                "9f8f9771457c29dcd291a5fc6bd0b18ce4f49598b9b91214d46255a97382d13a",
             "qv covariation.csv":
                 "af96c026ce554a65814b9331779cb0f5450ad3d974c7545f6ec8df23d696f88b",
             "qv summary.json":
