@@ -12,15 +12,20 @@ whole block along every ladder level, reading the values at the cuts as a
 strided view.
 
 covariation_ladder sweeps a whole t-grid for every row pair of two
-ensembles at once, one ladder level at a time.  Each level slices both value
-blocks at the cut indices and forms the products of increments once.  The
-stopped sums are one cumulative sum along the path axis plus one boundary
-cell, under the stopped-value semantics; the included sums zero the cells
-that hold a time of S in place and take a second cumulative sum.  S is the
-union of both paths' jump times under the threshold, read off the mark and
-value blocks.  The jump sums come from one kernel pass over each row's jump
-terms in time order: the jump sum at t is the running sum after the last
-jump <= t.
+ensembles at once and writes each row's sums in place, into CovariationSums
+that the caller may hold for a whole ensemble and fill block by block.  The
+rows go a slab at a time, SLAB_CELLS values each, and every ladder level in
+turn slices the slab at the cut indices and forms the products of
+increments once, in one pair of slab-sized buffers.  The stopped sums are
+one cumulative sum along the path axis plus one boundary cell, under the
+stopped-value semantics; the included sums zero the cells that hold a time
+of S in place and take a second cumulative sum.  S is the union of both
+paths' jump times under the threshold, read off the mark and value blocks.
+The jump sums do not depend on the level, so each row holds them once; they
+come from one kernel pass over each row's jump terms in time order: the
+jump sum at t is the running sum after the last jump <= t.  The continuous
+part, full - jumps, is formed only where CovariationSums.median takes its
+medians, a level at a time.
 """
 
 from __future__ import annotations
@@ -102,9 +107,6 @@ def zcqv_ladder(x, times, ladder, t: float, s_rows=(), s_times=(), y=None, absol
 # ladder sweep and report
 
 
-_STATS = ("full", "jumps", "continuous_part", "zcqv")
-
-
 def path_median(a: np.ndarray) -> np.ndarray:
     """np.median(a, axis=0, keepdims=True), bit for bit, without numpy.ma.
 
@@ -154,12 +156,70 @@ def _nan_where_last_is_nan(stat: np.ndarray, part: np.ndarray) -> np.ndarray:
     return stat
 
 
-class CovariationReport(NamedTuple):
-    """Per-path, per-level, per-t statistics for an ensemble of (X, Y) pairs.
+class CovariationSums(NamedTuple):
+    """Per-path covariation sums of an ensemble of (X, Y) pairs.
 
-    full, jumps, continuous_part and zcqv are (n_paths, n_levels, n_t);
-    full = included + excluded by construction; continuous_part = full - jumps.
+    full and zcqv are (n_paths, n_levels, n_t).  jumps is (n_paths, n_t):
+    the jump sums do not depend on the level, so each path holds them once.
+    full = included + excluded by construction, and the continuous part of
+    a path at a level is full - jumps.
     """
+
+    levels: tuple
+    meshes: tuple
+    t_grid: np.ndarray
+    full: np.ndarray
+    jumps: np.ndarray
+    zcqv: np.ndarray
+
+    @classmethod
+    def empty(cls, n_paths: int, ladder: RefinementLadder, t_grid: np.ndarray, levels=None) -> "CovariationSums":
+        """Unfilled sums for n_paths rows, for covariation_ladder to fill."""
+        shape = (n_paths, len(ladder), t_grid.size)
+        return cls(
+            levels=tuple(levels) if levels is not None else tuple(range(len(ladder))),
+            meshes=tuple(ladder.meshes),
+            t_grid=t_grid,
+            full=np.empty(shape),
+            jumps=np.empty((n_paths, t_grid.size)),
+            zcqv=np.empty(shape),
+        )
+
+    def rows(self, a: int, b: int) -> "CovariationSums":
+        """Rows a .. b-1, as views: filling them fills these sums."""
+        return self._replace(full=self.full[a:b], jumps=self.jumps[a:b], zcqv=self.zcqv[a:b])
+
+    def median(self) -> "CovariationReport":
+        """Per-cell medians over paths, one level at a time.
+
+        A cell's median reads that cell's column alone, so taking a level at
+        a time gives the bits of the whole-array median.  The jump sums are
+        the same at every level, so their median is taken once and repeated;
+        the continuous part's is the median of full - jumps, formed a level
+        at a time.
+        """
+        n_levels = self.full.shape[1]
+        full, cont, zcqv = (np.empty((n_levels, self.t_grid.size)) for _ in range(3))
+        diff = np.empty_like(self.jumps)
+        for i in range(n_levels):
+            full[i] = path_median(self.full[:, i])[0]
+            zcqv[i] = path_median(self.zcqv[:, i])[0]
+            cont[i] = path_median(np.subtract(self.full[:, i], self.jumps, out=diff))[0]
+        return CovariationReport(
+            levels=self.levels,
+            meshes=self.meshes,
+            t_grid=self.t_grid,
+            full=full,
+            jumps=np.repeat(path_median(self.jumps), n_levels, axis=0),
+            continuous_part=cont,
+            zcqv=zcqv,
+        )
+
+
+class CovariationReport(NamedTuple):
+    """Per-cell medians over paths of CovariationSums: full, jumps,
+    continuous_part (the median of full - jumps) and zcqv, each
+    (n_levels, n_t)."""
 
     levels: tuple
     meshes: tuple
@@ -169,49 +229,29 @@ class CovariationReport(NamedTuple):
     continuous_part: np.ndarray
     zcqv: np.ndarray
 
-    @classmethod
-    def concat(cls, reports) -> "CovariationReport":
-        """Stack reports on the same ladder and t-grid along the path axis."""
-        first = reports[0]
-        stack = {name: np.concatenate([getattr(r, name) for r in reports]) for name in _STATS}
-        return cls(levels=first.levels, meshes=first.meshes, t_grid=first.t_grid, **stack)
-
-    def median(self) -> "CovariationReport":
-        """One-row report of the per-cell medians over paths."""
-        med = {name: path_median(getattr(self, name)) for name in _STATS}
-        return CovariationReport(levels=self.levels, meshes=self.meshes, t_grid=self.t_grid, **med)
-
     def to_csv(self) -> str:
-        if self.full.shape[0] != 1:
-            raise ValueError("to_csv needs a one-row report; take the median first")
-        import csv
-        import io
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["level", "mesh", "t", "full_sum", "jump_sum", "continuous_part", "zcqv_stat"])
+        """One line per (level, t).  Every field is an int or a float's
+        repr, which holds no comma, quote or newline, so no field is quoted."""
+        lines = ["level,mesh,t,full_sum,jump_sum,continuous_part,zcqv_stat"]
+        ts = [repr(t) for t in self.t_grid.tolist()]
         for i, lev in enumerate(self.levels):
-            for j, t in enumerate(self.t_grid):
-                w.writerow(
-                    [
-                        lev,
-                        repr(float(self.meshes[i])),
-                        repr(float(t)),
-                        repr(float(self.full[0, i, j])),
-                        repr(float(self.jumps[0, i, j])),
-                        repr(float(self.continuous_part[0, i, j])),
-                        repr(float(self.zcqv[0, i, j])),
-                    ]
-                )
-        return buf.getvalue()
+            head = f"{lev},{float(self.meshes[i])!r},"
+            stats = (a[i].tolist() for a in (self.full, self.jumps, self.continuous_part, self.zcqv))
+            lines.extend(head + t + "," + ",".join(map(repr, row)) for t, *row in zip(ts, *stats))
+        return "\n".join(lines) + "\n"
 
 
 def jump_grid(ens: PathEnsemble, threshold: float) -> np.ndarray:
-    """(n_paths, n_grid) mask of SamplePath.jump_times(threshold) on the grid."""
+    """(n_paths, n_grid) mask of SamplePath.jump_times(threshold) on the grid.
+
+    The increments are formed a slab of about _kernels.CELLS cells at a time.
+    """
     sel = ens.marks.copy()
     if threshold < np.inf:  # |dX| > inf never holds for finite values
-        dx = np.diff(ens.values, axis=1)
-        sel[:, 1:] |= np.abs(dx, out=dx) > threshold
+        step = max(1, _kernels.CELLS // ens.times.size)
+        for a in range(0, len(sel), step):
+            dx = np.diff(ens.values[a : a + step], axis=1)
+            sel[a : a + step, 1:] |= np.abs(dx, out=dx) > threshold
     return sel
 
 
@@ -252,50 +292,72 @@ def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.nda
     return np.take_along_axis(prefix, pos - first[:, None], axis=1)
 
 
-def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_grid, sel) -> tuple:
-    """(stopped, included) sums, each (n_paths, n_levels, n_t); S is `sel`."""
+SLAB_CELLS = 4 * _kernels.CELLS  # cells per row slab of the ladder sweep: two 256 KB buffers
+
+
+def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_grid, sel, full, zcqv) -> None:
+    """Write the stopped and included sums of every row into full and zcqv,
+    (n_paths, n_levels, n_t) each; S is `sel`.
+
+    The rows go a slab at a time, every level in turn on each slab, through
+    one pair of buffers sized for the finest level: a slab holds
+    SLAB_CELLS // n_cells rows, 8 at 4096 cells.  Every step runs along
+    the rows, so the bits do not depend on the slab height.  The height is
+    measured (numpy 2.4, 2-core x86-64 VM): on qv at 4096 steps and 200
+    paths, 8-row slabs peak at 39.1 MB RSS and sweep in the time of whole
+    31-row blocks, which hold two 1 MB buffers and peak at 40.1 MB; 2-row
+    slabs (CELLS cells) peak at 38.6 MB but add about 15 ms to the sweep's
+    30 ms.
+    """
     n, times = len(x), x.times
-    full = np.empty((n, len(ladder), t_grid.size))
-    zc = np.empty_like(full)
-    excl_rows, excl_grid = np.nonzero(sel)
     at_t = np.searchsorted(times, t_grid, side="right") - 1
-    xt = x.values[:, at_t]
-    yt = xt if y is x else y.values[:, at_t]
-    # one pair of buffers sized for the finest level, reused by every level
-    k_max = max(part.n_cells for part in ladder)
-    prod_buf = np.empty((n, k_max))
-    cum_buf = np.empty((n, k_max + 1))
-    cum_buf[:, 0] = 0.0
-    for i, part in enumerate(ladder):
-        cut_times = part.cut_times
+    # per level: cut indices, the cell before each t, whether t is past the
+    # last cut (no boundary term), and the included sum's prefix at each t
+    plan = []
+    for part in ladder:
         k = part.n_cells
-        idx, cut = _cut_index(times, cut_times)
-        xv = x.values[:, cut]
-        prod = np.subtract(xv[:, 1:], xv[:, :-1], out=prod_buf[:, :k])
-        cum = cum_buf[:, : k + 1]
-        j = np.clip(np.searchsorted(cut_times, t_grid, side="right") - 1, 0, k)
-        if y is x:
-            # the same bits as gathering and differencing y again
-            prod *= prod
-            boundary = xt - xv[:, j]
-            boundary *= boundary
-        else:
-            yv = y.values[:, cut]
-            # dY goes through the cumulative-sum buffer before it is filled
-            prod *= np.subtract(yv[:, 1:], yv[:, :-1], out=cum[:, 1:])
-            boundary = (xt - xv[:, j]) * (yt - yv[:, j])
-        np.cumsum(prod, axis=1, out=cum[:, 1:])
-        boundary[:, j == k] = 0.0
-        full[:, i] = cum[:, j] + boundary
-        # cell c (1-based) = (tau_{c-1}, tau_c] holds grid time g iff c is
-        # the 'left' search position of g among the cut indices
-        cell = np.searchsorted(idx, excl_grid, side="left")
-        hit = (cell >= 1) & (cell <= k)
-        if hit.any():  # else prod, and so cum, is unchanged
-            prod[excl_rows[hit], cell[hit] - 1] = 0.0
+        idx, cut = _cut_index(times, part.cut_times)
+        j = np.clip(np.searchsorted(part.cut_times, t_grid, side="right") - 1, 0, k)
+        plan.append((k, idx, cut, j, j == k, np.searchsorted(part.cut_times[1:], t_grid, side="left")))
+    k_max = max(p[0] for p in plan)
+    h = min(n, max(1, SLAB_CELLS // k_max))
+    prod_buf = np.empty((h, k_max))
+    cum_buf = np.empty((h, k_max + 1))
+    cum_buf[:, 0] = 0.0
+    excl_rows, excl_grid = np.nonzero(sel)  # row-major: a slab's pairs are one run
+    for a in range(0, n, h):
+        b = min(a + h, n)
+        xs = x.values[a:b]
+        ys = xs if y is x else y.values[a:b]
+        xt = xs[:, at_t]
+        yt = xt if y is x else ys[:, at_t]
+        lo, hi = np.searchsorted(excl_rows, (a, b))
+        s_rows, s_grid = excl_rows[lo:hi] - a, excl_grid[lo:hi]
+        for i, (k, idx, cut, j, past, zc_at) in enumerate(plan):
+            xv = xs[:, cut]
+            prod = np.subtract(xv[:, 1:], xv[:, :-1], out=prod_buf[: b - a, :k])
+            cum = cum_buf[: b - a, : k + 1]
+            if y is x:
+                # the same bits as gathering and differencing y again
+                prod *= prod
+                boundary = xt - xv[:, j]
+                boundary *= boundary
+            else:
+                yv = ys[:, cut]
+                # dY goes through the cumulative-sum buffer before it is filled
+                prod *= np.subtract(yv[:, 1:], yv[:, :-1], out=cum[:, 1:])
+                boundary = (xt - xv[:, j]) * (yt - yv[:, j])
             np.cumsum(prod, axis=1, out=cum[:, 1:])
-        zc[:, i] = cum[:, np.searchsorted(cut_times[1:], t_grid, side="left")]
-    return full, zc
+            boundary[:, past] = 0.0
+            np.add(cum[:, j], boundary, out=full[a:b, i])
+            # cell c (1-based) = (tau_{c-1}, tau_c] holds grid time g iff c is
+            # the 'left' search position of g among the cut indices
+            cell = np.searchsorted(idx, s_grid, side="left")
+            hit = (cell >= 1) & (cell <= k)
+            if hit.any():  # else prod, and so cum, is unchanged
+                prod[s_rows[hit], cell[hit] - 1] = 0.0
+                np.cumsum(prod, axis=1, out=cum[:, 1:])
+            zcqv[a:b, i] = cum[:, zc_at]
 
 
 def covariation_ladder(
@@ -304,8 +366,8 @@ def covariation_ladder(
     ladder: RefinementLadder,
     t_grid: np.ndarray,
     threshold: float = np.inf,
-    levels: tuple | None = None,
-) -> CovariationReport:
+    out: CovariationSums | None = None,
+) -> CovariationSums:
     """Stopped and included covariation sums of every (x_r, y_r) row pair
     along every ladder level at every t in t_grid.
 
@@ -314,6 +376,14 @@ def covariation_ladder(
     cumulative sum through cell j plus the boundary term
     (X_t - X_{tau_j})(Y_t - Y_{tau_j}); the included sum counts only cells
     with tau_k < t that miss S.
+
+    out: optional sums of len(x) rows to fill, such as rows a .. b-1 of a
+    whole ensemble's CovariationSums.rows(a, b); without it the sums are
+    allocated.  Beyond the blocks and out, the working set is the row slabs
+    of _ladder_sums, S as a mask and the jump sums' (n, most jumps in a
+    row) block.  So a caller that fills one ensemble's sums block by block,
+    and frees each block before it generates the next, as qv does, holds
+    one block, the per-path sums and the slabs.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
@@ -322,24 +392,28 @@ def covariation_ladder(
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0.0) or np.any(t_grid > x.horizon):
         raise ValueError(f"time outside [0, {x.horizon}]")
-    sel = jump_grid(x, threshold) | jump_grid(y, threshold)
-    full, zc = _ladder_sums(x, y, ladder, t_grid, sel)
-    jumps = np.repeat(_jump_rows(x, y, sel, t_grid)[:, None, :], len(ladder), axis=1)
-    return CovariationReport(
-        levels=tuple(levels) if levels is not None else tuple(range(len(ladder))),
-        meshes=tuple(ladder.meshes),
-        t_grid=t_grid,
-        full=full,
-        jumps=jumps,
-        continuous_part=full - jumps,
-        zcqv=zc,
-    )
+    if out is None:
+        out = CovariationSums.empty(len(x), ladder, t_grid)
+    elif out.full.shape != (len(x), len(ladder), t_grid.size):
+        raise ValueError(f"out holds {out.full.shape} sums, not {(len(x), len(ladder), t_grid.size)}")
+    sel = jump_grid(x, threshold)
+    if y is not x:
+        sel |= jump_grid(y, threshold)
+    _ladder_sums(x, y, ladder, t_grid, sel, out.full, out.zcqv)
+    out.jumps[:] = _jump_rows(x, y, sel, t_grid)
+    return out
 
 
 def ucp_exceedance(full: np.ndarray, eps: float) -> list:
     """Fraction of paths with sup_t |full_level - full_finest| > eps, per level.
 
-    full is the (n_paths, n_levels, n_t) array of a CovariationReport.
+    full is the (n_paths, n_levels, n_t) array of CovariationSums; the
+    deviations are formed a level at a time, in one (n_paths, n_t) buffer.
     """
-    dev = np.max(np.abs(full - full[:, -1:, :]), axis=2)
-    return (np.count_nonzero(dev > eps, axis=0) / full.shape[0]).tolist()
+    finest = full[:, -1]
+    dev = np.empty_like(finest)
+    out = []
+    for i in range(full.shape[1]):
+        np.abs(np.subtract(full[:, i], finest, out=dev), out=dev)
+        out.append(np.count_nonzero(dev.max(axis=1) > eps) / full.shape[0])
+    return out

@@ -452,6 +452,7 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_g
             for r, (q, on) in enumerate(zip(qv_cells, on_kink), start=r0):
                 kink[r] = np.add.reduce(q[on])
         r0 = rows.stop
+        del ens  # free the block before the next is generated
     return [(xt_all, terms, kink)]
 
 

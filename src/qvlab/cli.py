@@ -99,7 +99,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> tuple:
 
 
 def cmd_qv(cfg: ExperimentConfig) -> tuple:
-    from .calculus import CovariationReport, covariation_ladder, ucp_exceedance
+    """Covariation ladder of each path against itself at 65 times, and the
+    per-cell medians over paths.
+
+    Working set: one block of paths, the per-path sums (full and zcqv,
+    n_paths x n_levels x 65 float64 each, and jumps, n_paths x 65) and
+    covariation_ladder's row slabs.  Each block fills its own rows of the
+    sums and is freed before the next is generated.
+    """
+    from .calculus import CovariationSums, covariation_ladder, ucp_exceedance
     from .generators import iter_blocks
     from .partitions import RefinementLadder
 
@@ -108,15 +116,15 @@ def cmd_qv(cfg: ExperimentConfig) -> tuple:
     horizon = float(times[-1])
     ladder = RefinementLadder.dyadic(horizon, cfg.l_min, cfg.l_max, grid_times=times)
     t_grid = np.linspace(0.0, horizon, 65)
-    levels = tuple(range(cfg.l_min, cfg.l_max + 1))
-    per_path = CovariationReport.concat(
-        [
-            covariation_ladder(ens, ens, ladder, t_grid, threshold=cfg.jump_threshold, levels=levels)
-            for ens in iter_blocks(spec, 0, cfg.n_paths)
-        ]
-    )
-    median = per_path.median()
+    per_path = CovariationSums.empty(cfg.n_paths, ladder, t_grid, range(cfg.l_min, cfg.l_max + 1))
+    lo = 0
+    for ens in iter_blocks(spec, 0, cfg.n_paths):
+        rows = per_path.rows(lo, lo + len(ens))
+        covariation_ladder(ens, ens, ladder, t_grid, threshold=cfg.jump_threshold, out=rows)
+        lo += len(ens)
+        del ens
     exceed = ucp_exceedance(per_path.full, cfg.ucp_eps)
+    median = per_path.median()
     summary = {
         "experiment": "qv",
         "generator": spec.kind,
@@ -125,7 +133,7 @@ def cmd_qv(cfg: ExperimentConfig) -> tuple:
         "levels": list(median.levels),
         "meshes": [float(m) for m in median.meshes],
         "exceedance_fraction": exceed,
-        "final_t_median_full": [float(v) for v in median.full[0, :, -1]],
+        "final_t_median_full": [float(v) for v in median.full[:, -1]],
         "config": cfg.report_dict(),
     }
     files = {"covariation.csv": median.to_csv(), "summary.json": _json_text(summary)}

@@ -178,10 +178,13 @@ def _suite_levels(cfg: SuiteConfig):
 
 
 def _blocks(spec: GeneratorSpec, lo: int, hi: int):
-    """(index of the first path, block) over paths lo .. hi-1."""
+    """(index of the first path, block) over paths lo .. hi-1.  Each block is
+    dropped here before the next is generated, so a task that drops it too
+    holds one block at a time."""
     for ens in iter_blocks(spec, lo, hi):
         yield lo, ens
         lo += len(ens)
+        del ens
 
 
 def _require_finite(block: np.ndarray, what: str, spec: GeneratorSpec, start: int) -> None:
@@ -217,14 +220,20 @@ def _grid_exclusions(sel: np.ndarray, times: np.ndarray, common=()) -> tuple:
 
 def _paired_blocks(spec1: GeneratorSpec, spec2: GeneratorSpec, lo: int, hi: int):
     """(index of the first path, block of spec1, block of spec2) over paths
-    lo .. hi-1: row r of both blocks is path start + r."""
-    for (start, a), (_, b) in zip(_blocks(spec1, lo, hi), _blocks(spec2, lo, hi), strict=True):
+    lo .. hi-1: row r of both blocks is path start + r.  Equal shapes give
+    equal block counts, and each pair is dropped here before the next is
+    generated (zip would hold the last pair while it builds the next).
+    """
+    others = iter_blocks(spec2, lo, hi)
+    for start, a in _blocks(spec1, lo, hi):
+        b = next(others)
         if a.values.shape != b.values.shape or not np.array_equal(a.times, b.times):
             raise ValueError(
                 f"paired blocks at path {start} differ: {a.values.shape} and {b.values.shape} "
                 "values; both ensembles must lie on one grid"
             )
         yield start, a, b
+        del a, b
 
 
 def _ladder(spec: GeneratorSpec, cfg: SuiteConfig) -> RefinementLadder:
@@ -249,6 +258,7 @@ def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteC
             stats = calculus.zcqv_ladder(v, ens.times, ladder, ens.horizon, s_rows, s_times)
         _require_finite(stats, "statistic", genspec, start)
         out.extend(zip(map(tuple, stats.tolist()), kink.tolist(), v[:, -1].tolist()))
+        del ens, v  # free the block and V before the next block is generated
     return out
 
 
@@ -263,6 +273,7 @@ def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: SuiteConfig):
             stats = calculus.zcqv_ladder(ens.values, ens.times, ladder, ens.horizon, s_rows, s_times)
         _require_finite(stats, "statistic", genspec, start)
         out.extend(map(tuple, stats.tolist()))
+        del ens
     return out
 
 
@@ -281,6 +292,7 @@ def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteC
         # with_s adds a subset of the nonnegative terms that no_s adds
         _require_finite(no_s, "statistic", zspec, start)
         out.extend(zip(map(tuple, with_s.tolist()), map(tuple, no_s.tolist())))
+        del z, y
     return out
 
 
@@ -295,6 +307,7 @@ def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: Sui
             stats = calculus.zcqv_ladder(z1.values + z2.values, z1.times, ladder, z1.horizon, s_rows, s_times)
         _require_finite(stats, "statistic", spec1, start)
         out.extend(map(tuple, stats.tolist()))
+        del z1, z2
     return out
 
 

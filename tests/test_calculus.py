@@ -4,18 +4,18 @@ import warnings
 import numpy as np
 import pytest
 
-from qvlab import _kernels
+from qvlab import _kernels, calculus
 from qvlab.calculus import (
     path_median,
     path_percentile,
-    CovariationReport,
+    CovariationSums,
     cell_sums,
     covariation_ladder,
     ito_rows,
     ucp_exceedance,
     zcqv_ladder,
 )
-from qvlab.generators import GeneratorSpec, generate, iter_blocks
+from qvlab.generators import GeneratorSpec, block_rows, generate, iter_blocks
 from qvlab.partitions import (
     Partition,
     RefinementLadder,
@@ -81,7 +81,7 @@ def test_jump_sum_cases():
 
     def jump_sums(x, y, threshold, t_grid):
         rep = covariation_ladder(x, y, grid_ladder(x), np.asarray(t_grid), threshold=threshold)
-        return rep.jumps[0, 0].tolist()
+        return rep.jumps[0].tolist()
 
     # below-threshold increments contribute nothing
     p = toy_ensemble(times, [0.0, 0.05, 0.1])
@@ -182,7 +182,7 @@ def test_pure_jump_qv_equals_jump_sum_exactly(cp_ensemble):
     ens = rows_of(cp_ensemble, 0, 10)
     ladder = RefinementLadder.dyadic(1.0, 0, 12, grid_times=ens.times)
     qv = covariation(ens, ens, ladder)
-    js = covariation_ladder(ens, ens, ladder, np.asarray([1.0])).jumps[:, 0, 0]
+    js = covariation_ladder(ens, ens, ladder, np.asarray([1.0])).jumps[:, 0]
     for r, p in enumerate(ens):
         jt = p.jump_times(np.inf)
         gaps = np.diff(np.concatenate([[0.0], jt, [1.0]]))
@@ -206,7 +206,7 @@ def test_covariation_ladder_report(brownian_200_l12):
     x = rows_of(brownian_200_l12, 0, 1)
     ladder = RefinementLadder.dyadic(1.0, 4, 8, grid_times=x.times)
     t_grid = np.linspace(0.0, 1.0, 17)
-    rep = covariation_ladder(x, x, ladder, t_grid, levels=tuple(range(4, 9)))
+    rep = covariation_ladder(x, x, ladder, t_grid, out=CovariationSums.empty(1, ladder, t_grid, range(4, 9)))
     assert rep.full.shape == (1, 5, 17)
     # report consistency: the sweep at each t against the stopped values
     # summed by cell_sums, and against zcqv_ladder
@@ -216,9 +216,17 @@ def test_covariation_ladder_report(brownian_200_l12):
             assert rep.full[0, i, j] == pytest.approx(cell_sums(xv, xv)[0], abs=1e-12)
     for j, t in enumerate(t_grid):
         assert rep.zcqv[0, :, j] == pytest.approx(zcqv_ladder(x.values, x.times, ladder, float(t))[0], abs=1e-12)
-    assert np.all(rep.continuous_part == rep.full - rep.jumps)
-    csv_text = rep.to_csv()
-    assert csv_text.splitlines()[0] == "level,mesh,t,full_sum,jump_sum,continuous_part,zcqv_stat"
+    assert rep.jumps.shape == (1, 17)
+    med = rep.median()
+    # the median of one path is that path
+    for name in ("full", "jumps", "zcqv"):
+        assert np.array_equal(getattr(med, name), np.broadcast_to(getattr(rep, name), (1, 5, 17))[0]), name
+    assert np.array_equal(med.continuous_part, (rep.full - rep.jumps[:, None])[0])
+    lines = med.to_csv().splitlines()
+    assert lines[0] == "level,mesh,t,full_sum,jump_sum,continuous_part,zcqv_stat"
+    assert len(lines) == 1 + 5 * 17
+    last = (repr(float(getattr(med, name)[-1, -1])) for name in ("full", "jumps", "continuous_part", "zcqv"))
+    assert lines[-1] == ",".join(["8", repr(2.0**-8), "1.0", *last])
 
 
 def test_covariation_ladder_cp_zcqv_column_zero(cp_ensemble):
@@ -226,7 +234,7 @@ def test_covariation_ladder_cp_zcqv_column_zero(cp_ensemble):
     rep = covariation_ladder(cp_ensemble, cp_ensemble, ladder, np.linspace(0, 1, 9), threshold=np.inf)
     assert np.all(rep.zcqv == 0.0)
     # continuous part = full - jumps vanishes once every cell isolates a jump
-    assert np.allclose(rep.continuous_part[:, -1], 0.0, atol=1e-12)
+    assert np.allclose(rep.full[:, -1] - rep.jumps, 0.0, atol=1e-12)
 
 
 def test_independent_brownians_cross_variation_small():
@@ -337,22 +345,32 @@ def test_covariation_ladder_matches_per_path_reference(name):
     ladder = _oracle_ladder(times)
     rng = np.random.default_rng(7)
     t_grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, 33), rng.uniform(0.0, 1.0, 16), times[[3, 301]]]))
-    blocks = []
+    # blocks of 64, 64 and 2 rows; each 64-row block spans two row slabs
+    assert calculus.SLAB_CELLS // 1024 < block_rows(1024) == 64
+    sums = CovariationSums.empty(130, ladder, t_grid)
+    lo = 0
     for xb, yb in zip(iter_blocks(xspec, 0, 130), iter_blocks(yspec, 0, 130)):
         y = xb if ykw is None else yb
-        blocks.append(covariation_ladder(xb, y, ladder, t_grid, threshold=threshold))
-    rep = CovariationReport.concat(blocks)
+        covariation_ladder(xb, y, ladder, t_grid, threshold=threshold, out=sums.rows(lo, lo + len(xb)))
+        lo += len(xb)
     xs = generate(xspec, 130)
     ys = xs if ykw is None else generate(yspec, 130)
     ref = [_reference_ladder(x, y, ladder, t_grid, threshold) for x, y in zip(xs, ys)]
-    for k, name in enumerate(("full", "jumps", "continuous_part", "zcqv")):
-        got = getattr(rep, name)
-        assert got.shape == (130, len(ladder), t_grid.size)
-        assert got.tobytes() == np.stack([r[k] for r in ref]).tobytes(), name
+    shape = (130, len(ladder), t_grid.size)
+    assert sums.full.tobytes() == np.stack([r[0] for r in ref]).tobytes()
+    assert sums.jumps.shape == (130, t_grid.size)
+    assert np.broadcast_to(sums.jumps[:, None], shape).tobytes() == np.stack([r[1] for r in ref]).tobytes()
+    assert sums.zcqv.tobytes() == np.stack([r[3] for r in ref]).tobytes()
+    # the medians, a level at a time and the jumps' once, against numpy's
+    # median of the reference stacks
+    med = sums.median()
+    for k, stat in enumerate(("full", "jumps", "continuous_part", "zcqv")):
+        want = np.median(np.stack([r[k] for r in ref]), axis=0)
+        assert getattr(med, stat).tobytes() == want.tobytes(), stat
     if ykw is not None or threshold < np.inf:
-        assert np.any(rep.jumps != 0.0) and np.any(rep.zcqv != rep.full)
+        assert np.any(sums.jumps != 0.0) and np.any(sums.zcqv != sums.full)
     for eps in (0.01, 0.1):
-        assert ucp_exceedance(rep.full, eps) == _reference_ucp([r[0] for r in ref], eps)
+        assert ucp_exceedance(sums.full, eps) == _reference_ucp([r[0] for r in ref], eps)
 
 
 def test_covariation_ladder_needs_cuts_on_the_grid(brownian_200_l12):
@@ -362,7 +380,16 @@ def test_covariation_ladder_needs_cuts_on_the_grid(brownian_200_l12):
         covariation_ladder(ens, ens, off_grid, np.linspace(0.0, 1.0, 5))
 
 
-def test_ladder_sweep_peak_memory_within_four_value_blocks():
+def test_covariation_ladder_refuses_out_of_another_shape(brownian_200_l12):
+    ens = rows_of(brownian_200_l12, 0, 2)
+    ladder = RefinementLadder.dyadic(1.0, 4, 6, grid_times=ens.times)
+    t_grid = np.linspace(0.0, 1.0, 5)
+    for n, grid in ((3, t_grid), (2, t_grid[:4])):
+        with pytest.raises(ValueError, match="out holds"):
+            covariation_ladder(ens, ens, ladder, t_grid, out=CovariationSums.empty(n, ladder, grid))
+
+
+def test_ladder_sweep_peak_memory_within_three_value_blocks():
     spec = GeneratorSpec(kind="brownian", n_steps=4096, seed=12345)
     times = spec.grid()
     ladder = RefinementLadder.dyadic(1.0, 6, 12, grid_times=times)
@@ -378,7 +405,7 @@ def test_ladder_sweep_peak_memory_within_four_value_blocks():
     finally:
         tracemalloc.stop()
     assert rep.full.shape == (64, 7, 65)
-    assert peak <= 4 * ens.values.nbytes
+    assert peak <= 3 * ens.values.nbytes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])

@@ -1,8 +1,12 @@
-"""Peak memory of a suite on a large grid.
+"""Peak memory of a suite on a large grid, and of qv.
 
 A block of paths is sized by cells, so a task's working set does not grow
 as 64 rows x n_steps: at 2^15 steps a block holds 8 paths.  With 64-row
 blocks the same run peaks at about 38 MB of traced allocations.
+
+qv holds one block, the per-path sums and fixed-size row slabs.  At 200
+paths and 4096 steps that peaks at about 3.6 MB of traced allocations; with
+every block's sums kept and then stacked, it peaked at 5.9 MB.
 """
 
 import json
@@ -31,3 +35,16 @@ def test_suite_tanaka_peak_memory_at_2_to_the_15_steps(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "large" / "suite_tanaka.json").is_file()
     assert peak <= 16 * MB, f"peak {peak / MB:.1f} MB"
+
+
+def test_qv_peak_memory_at_200_paths(tmp_path):
+    argv = ["qv", "--workers", "1", "--out"]
+    main([*argv, str(tmp_path / "warm"), "--paths", "2"])
+    tracemalloc.start()
+    try:
+        rc = main([*argv, str(tmp_path / "qv"), "--paths", "200"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and (tmp_path / "qv" / "covariation.csv").is_file()
+    assert peak <= 4.5 * MB, f"peak {peak / MB:.1f} MB"
