@@ -1,15 +1,17 @@
 """qvlab: a pathwise quadratic-variation laboratory.
 
 Simulates cadlag semimartingale-type paths on finite grids, measures
-covariation along refining partitions, builds left-point Ito-sum
-decompositions of nondifferentiable functions of the path, and runs the
-call-surface and grid-calculus identity checks.  Each quantity has one
-implementation, which works on a block of paths (a PathEnsemble) at once;
-one path is a one-row block.  The included-cell, Ito and jump sums are
-faithfully rounded by one error-free summation kernel in `qvlab._kernels`,
-from each path's own terms, so results are deterministic bit for bit.  The
-call-surface sums come from the same kernel's prefix sums over each time's
-sorted values, so they depend on the set of values, not on the path order.
+covariation along dyadic refinements of the path grid (every level's cuts
+are grid columns, and an exclusion set S is a mask on the grid), builds
+left-point Ito-sum decompositions of nondifferentiable functions of the
+path, and runs the call-surface and grid-calculus identity checks.  Each
+quantity has one implementation, which works on a block of paths (a
+PathEnsemble) at once; one path is a one-row block.  The included-cell, Ito
+and jump sums are faithfully rounded by one error-free summation kernel in
+`qvlab._kernels`, from each path's own terms, so results are deterministic
+bit for bit.  The call-surface sums come from the same kernel's prefix sums
+over each time's sorted values, so they depend on the set of values, not on
+the path order.
 
 Importing the package loads none of its layers.  Each public name is
 resolved from its submodule on first access (PEP 562), so a `qvlab`
@@ -33,9 +35,7 @@ _EXPORTS = {
     "GeneratorSpec": "generators",
     "generate": "generators",
     "make_path": "generators",
-    "Partition": "partitions",
     "RefinementLadder": "partitions",
-    "dyadic_partition": "partitions",
     "run_suite": "decomposition",
     "builtin_library": "functions",
     "make_function": "functions",

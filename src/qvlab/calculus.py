@@ -9,7 +9,9 @@ each row's kept cells and `ito_rows` forms each row's left-point Ito running
 sums; both take (n, K+1) blocks of values at the cuts and form their terms a
 slab of rows at a time.  `zcqv_ladder` runs the included-cell statistic of a
 whole block along every ladder level, reading the values at the cuts as a
-strided view.
+strided view.  S is a (paths, grid) mask throughout, and a ladder is built on
+the grid of the values it is run on: both ladder functions refuse values on
+a grid of another size.
 
 covariation_ladder sweeps a whole t-grid for every row pair of two
 ensembles at once and writes each row's sums in place, into CovariationSums
@@ -18,9 +20,10 @@ rows go a slab at a time, SLAB_CELLS values each, and every ladder level in
 turn slices the slab at the cut indices and forms the products of
 increments once, in one pair of slab-sized buffers.  The stopped sums are
 one cumulative sum along the path axis plus one boundary cell, under the
-stopped-value semantics; the included sums zero the cells that hold a time
-of S in place and take a second cumulative sum.  S is the union of both
-paths' jump times under the threshold, read off the mark and value blocks.
+stopped-value semantics; the included sums zero the cells that hold a grid
+column of S in place and take a second cumulative sum.  S is the union of
+both paths' jump times under the threshold, read off the mark and value
+blocks as one grid mask.
 The jump sums do not depend on the level, so each row holds them once; they
 come from one kernel pass over each row's jump terms in time order: the
 jump sum at t is the running sum after the last jump <= t.  The continuous
@@ -36,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .partitions import RefinementLadder, inclusion_rows
+from .partitions import RefinementLadder
 from .paths import PathEnsemble
 
 
@@ -74,32 +77,22 @@ def ito_rows(yv: np.ndarray, eta) -> np.ndarray:
     return out
 
 
-def grid_index(times: np.ndarray, cut_times: np.ndarray):
-    """Grid indices of X at the cuts (clamped to the horizon), as
-    SamplePath.eval_many reads them: a slice when they are evenly strided,
-    so blocks are sliced without a copy."""
-    cuts = np.minimum(cut_times, times[-1])
-    idx = np.searchsorted(times, cuts, side="right") - 1
-    step = int(idx[1] - idx[0])
-    if step > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1, step)):
-        return idx, slice(int(idx[0]), int(idx[-1]) + 1, step)
-    return idx, idx
-
-
-def zcqv_ladder(x, times, ladder, t: float, s_rows=(), s_times=(), y=None, absolute: bool = False) -> np.ndarray:
+def zcqv_ladder(x, ladder: RefinementLadder, t: float, s=None, y=None, absolute: bool = False) -> np.ndarray:
     """Included-cell statistic of every row at every ladder level: (n, n_levels).
 
-    x (and y) are (n, n_grid) value blocks on the grid `times`.  Row r's S
-    holds s_times[j] for each j with s_rows[j] == r.  A level's statistic is
-    the sum of dX dY (|dX dY| when absolute) over the cells with tau_k < t
-    that miss S, one kernel pass per level; without y it is sum (dX)^2.
+    x (and y) are (n, n_grid) value blocks on the ladder's grid and s, when
+    given, the (n, n_grid) mask of each row's S.  A level's statistic is the
+    sum of dX dY (|dX dY| when absolute) over the cells with tau_k < t that
+    miss S, one kernel pass per level; without y it is sum (dX)^2.
     """
+    ladder.require_grid(x.shape[1])
     y = x if y is None else y
+    rows, cols = np.nonzero(s) if s is not None else (np.empty(0, np.intp),) * 2
     out = np.empty((len(x), len(ladder)))
-    for i, part in enumerate(ladder):
-        keep = inclusion_rows(part, t, len(x), s_rows, s_times)
-        _, cut = grid_index(times, part.cut_times)
-        out[:, i] = cell_sums(x[:, cut], y[:, cut], keep, absolute)
+    for i, lev in enumerate(ladder):
+        keep = np.repeat((lev.cut_times[1:] < t)[None, :], len(x), axis=0)
+        keep[lev.cells(rows, cols)] = False
+        out[:, i] = cell_sums(x[:, lev.cut], y[:, lev.cut], keep, absolute)
     return out
 
 
@@ -173,11 +166,11 @@ class CovariationSums(NamedTuple):
     zcqv: np.ndarray
 
     @classmethod
-    def empty(cls, n_paths: int, ladder: RefinementLadder, t_grid: np.ndarray, levels=None) -> "CovariationSums":
+    def empty(cls, n_paths: int, ladder: RefinementLadder, t_grid: np.ndarray) -> "CovariationSums":
         """Unfilled sums for n_paths rows, for covariation_ladder to fill."""
         shape = (n_paths, len(ladder), t_grid.size)
         return cls(
-            levels=tuple(levels) if levels is not None else tuple(range(len(ladder))),
+            levels=tuple(lev.level for lev in ladder),
             meshes=tuple(ladder.meshes),
             t_grid=t_grid,
             full=np.empty(shape),
@@ -255,14 +248,6 @@ def jump_grid(ens: PathEnsemble, threshold: float) -> np.ndarray:
     return sel
 
 
-def _cut_index(times: np.ndarray, cut_times: np.ndarray):
-    """grid_index for cuts that must all be grid times."""
-    idx, cut = grid_index(times, cut_times)
-    if np.any(times[idx] != np.minimum(cut_times, times[-1])):
-        raise ValueError("covariation_ladder needs every cut time on the path grid")
-    return idx, cut
-
-
 def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """Sum of dX_s dY_s over row r's selected jump times s <= t, for every
     row r and t.
@@ -309,16 +294,15 @@ def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_g
     slabs (CELLS cells) peak at 38.6 MB but add about 15 ms to the sweep's
     30 ms.
     """
-    n, times = len(x), x.times
-    at_t = np.searchsorted(times, t_grid, side="right") - 1
-    # per level: cut indices, the cell before each t, whether t is past the
-    # last cut (no boundary term), and the included sum's prefix at each t
+    n = len(x)
+    at_t = np.searchsorted(x.times, t_grid, side="right") - 1
+    # per level: the cell before each t, whether t is past the last cut (no
+    # boundary term), and the included sum's prefix at each t
     plan = []
-    for part in ladder:
-        k = part.n_cells
-        idx, cut = _cut_index(times, part.cut_times)
-        j = np.clip(np.searchsorted(part.cut_times, t_grid, side="right") - 1, 0, k)
-        plan.append((k, idx, cut, j, j == k, np.searchsorted(part.cut_times[1:], t_grid, side="left")))
+    for lev in ladder:
+        k = lev.n_cells
+        j = np.clip(np.searchsorted(lev.cut_times, t_grid, side="right") - 1, 0, k)
+        plan.append((k, lev, j, j == k, np.searchsorted(lev.cut_times[1:], t_grid, side="left")))
     k_max = max(p[0] for p in plan)
     h = min(n, max(1, SLAB_CELLS // k_max))
     prod_buf = np.empty((h, k_max))
@@ -333,8 +317,8 @@ def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_g
         yt = xt if y is x else ys[:, at_t]
         lo, hi = np.searchsorted(excl_rows, (a, b))
         s_rows, s_grid = excl_rows[lo:hi] - a, excl_grid[lo:hi]
-        for i, (k, idx, cut, j, past, zc_at) in enumerate(plan):
-            xv = xs[:, cut]
+        for i, (k, lev, j, past, zc_at) in enumerate(plan):
+            xv = xs[:, lev.cut]
             prod = np.subtract(xv[:, 1:], xv[:, :-1], out=prod_buf[: b - a, :k])
             cum = cum_buf[: b - a, : k + 1]
             if y is x:
@@ -343,19 +327,16 @@ def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_g
                 boundary = xt - xv[:, j]
                 boundary *= boundary
             else:
-                yv = ys[:, cut]
+                yv = ys[:, lev.cut]
                 # dY goes through the cumulative-sum buffer before it is filled
                 prod *= np.subtract(yv[:, 1:], yv[:, :-1], out=cum[:, 1:])
                 boundary = (xt - xv[:, j]) * (yt - yv[:, j])
             np.cumsum(prod, axis=1, out=cum[:, 1:])
             boundary[:, past] = 0.0
             np.add(cum[:, j], boundary, out=full[a:b, i])
-            # cell c (1-based) = (tau_{c-1}, tau_c] holds grid time g iff c is
-            # the 'left' search position of g among the cut indices
-            cell = np.searchsorted(idx, s_grid, side="left")
-            hit = (cell >= 1) & (cell <= k)
-            if hit.any():  # else prod, and so cum, is unchanged
-                prod[s_rows[hit], cell[hit] - 1] = 0.0
+            hit = lev.cells(s_rows, s_grid)
+            if hit[0].size:  # else prod, and so cum, is unchanged
+                prod[hit] = 0.0
                 np.cumsum(prod, axis=1, out=cum[:, 1:])
             zcqv[a:b, i] = cum[:, zc_at]
 
@@ -371,11 +352,11 @@ def covariation_ladder(
     """Stopped and included covariation sums of every (x_r, y_r) row pair
     along every ladder level at every t in t_grid.
 
-    S is the union of both paths' jump times under `threshold`.  Every cut
-    must be a grid time.  With tau_j <= t < tau_{j+1} the stopped sum is the
-    cumulative sum through cell j plus the boundary term
-    (X_t - X_{tau_j})(Y_t - Y_{tau_j}); the included sum counts only cells
-    with tau_k < t that miss S.
+    S is the union of both paths' jump times under `threshold`, and the
+    ladder must be built on the ensembles' grid.  With tau_j <= t <
+    tau_{j+1} the stopped sum is the cumulative sum through cell j plus the
+    boundary term (X_t - X_{tau_j})(Y_t - Y_{tau_j}); the included sum
+    counts only cells with tau_k < t that miss S.
 
     out: optional sums of len(x) rows to fill, such as rows a .. b-1 of a
     whole ensemble's CovariationSums.rows(a, b); without it the sums are
@@ -389,6 +370,7 @@ def covariation_ladder(
         raise ValueError("threshold must be nonnegative")
     if x.values.shape != y.values.shape or not np.array_equal(x.times, y.times):
         raise ValueError("ensembles must hold the same number of paths on one grid")
+    ladder.require_grid(x.times.size)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0.0) or np.any(t_grid > x.horizon):
         raise ValueError(f"time outside [0, {x.horizon}]")

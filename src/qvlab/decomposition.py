@@ -209,15 +209,6 @@ def _naming_paths(spec: GeneratorSpec, start: int):
         raise NonFiniteError(f"{err} at (seed={spec.seed}, path={start + err.row})") from err
 
 
-def _grid_exclusions(sel: np.ndarray, times: np.ndarray, common=()) -> tuple:
-    """S as (rows, times) pairs: each row's selected grid times, then the
-    common times on every row."""
-    rows, grid = np.nonzero(sel)
-    common = np.asarray(common, dtype=np.float64)
-    every = np.repeat(np.arange(len(sel)), common.size)
-    return np.concatenate([rows, every]), np.concatenate([times[grid], np.tile(common, len(sel))])
-
-
 def _paired_blocks(spec1: GeneratorSpec, spec2: GeneratorSpec, lo: int, hi: int):
     """(index of the first path, block of spec1, block of spec2) over paths
     lo .. hi-1: row r of both blocks is path start + r.  Equal shapes give
@@ -237,7 +228,16 @@ def _paired_blocks(spec1: GeneratorSpec, spec2: GeneratorSpec, lo: int, hi: int)
 
 
 def _ladder(spec: GeneratorSpec, cfg: SuiteConfig) -> RefinementLadder:
-    return RefinementLadder.dyadic(spec.horizon, cfg.l_min, cfg.l_max, grid_times=spec.grid())
+    return RefinementLadder(spec.grid(), cfg.l_min, cfg.l_max)
+
+
+def _common_columns(times: np.ndarray, common) -> np.ndarray:
+    """(n_grid,) mask of the grid columns of the times `common`: each time's
+    first grid time at or after it.  Times past the grid are dropped."""
+    cols = np.searchsorted(times, np.asarray(common, dtype=np.float64), side="left")
+    mask = np.zeros(times.size, dtype=bool)
+    mask[cols[cols < times.size]] = True
+    return mask
 
 
 def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteConfig, extra_s_times):
@@ -248,14 +248,13 @@ def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteC
     """
     f = make_function(fexpr)
     ladder = _ladder(genspec, cfg)
-    common = np.concatenate([f.time_jumps, extra_s_times])
+    common = _common_columns(ladder.times, np.concatenate([f.time_jumps, extra_s_times]))
     out = []
     for start, ens in _blocks(genspec, lo, hi):
         with _naming_paths(genspec, start):
             v, kink = decompose_block(f, ens)
             _require_finite(v, "V", genspec, start)
-            s_rows, s_times = _grid_exclusions(ens.marks, ens.times, common)
-            stats = calculus.zcqv_ladder(v, ens.times, ladder, ens.horizon, s_rows, s_times)
+            stats = calculus.zcqv_ladder(v, ladder, ens.horizon, ens.marks | common)
         _require_finite(stats, "statistic", genspec, start)
         out.extend(zip(map(tuple, stats.tolist()), kink.tolist(), v[:, -1].tolist()))
         del ens, v  # free the block and V before the next block is generated
@@ -268,9 +267,8 @@ def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: SuiteConfig):
     out = []
     for start, ens in _blocks(genspec, lo, hi):
         sel = calculus.jump_grid(ens, cfg.jump_threshold)
-        s_rows, s_times = _grid_exclusions(sel, ens.times)
         with _naming_paths(genspec, start):
-            stats = calculus.zcqv_ladder(ens.values, ens.times, ladder, ens.horizon, s_rows, s_times)
+            stats = calculus.zcqv_ladder(ens.values, ladder, ens.horizon, sel)
         _require_finite(stats, "statistic", genspec, start)
         out.extend(map(tuple, stats.tolist()))
         del ens
@@ -283,12 +281,9 @@ def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteC
     out = []
     for start, z, y in _paired_blocks(zspec, yspec, lo, hi):
         sel = calculus.jump_grid(z, cfg.jump_threshold) | calculus.jump_grid(y, cfg.jump_threshold)
-        s_rows, s_times = _grid_exclusions(sel, z.times)
         with _naming_paths(zspec, start):
-            with_s = calculus.zcqv_ladder(
-                z.values, z.times, ladder, z.horizon, s_rows, s_times, y=y.values, absolute=True
-            )
-            no_s = calculus.zcqv_ladder(z.values, z.times, ladder, z.horizon, y=y.values, absolute=True)
+            with_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, sel, y=y.values, absolute=True)
+            no_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, y=y.values, absolute=True)
         # with_s adds a subset of the nonnegative terms that no_s adds
         _require_finite(no_s, "statistic", zspec, start)
         out.extend(zip(map(tuple, with_s.tolist()), map(tuple, no_s.tolist())))
@@ -302,9 +297,8 @@ def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: Sui
     out = []
     for start, z1, z2 in _paired_blocks(spec1, spec2, lo, hi):
         sel = calculus.jump_grid(z1, cfg.jump_threshold) | calculus.jump_grid(z2, cfg.jump_threshold)
-        s_rows, s_times = _grid_exclusions(sel, z1.times)
         with _naming_paths(spec1, start):
-            stats = calculus.zcqv_ladder(z1.values + z2.values, z1.times, ladder, z1.horizon, s_rows, s_times)
+            stats = calculus.zcqv_ladder(z1.values + z2.values, ladder, z1.horizon, sel)
         _require_finite(stats, "statistic", spec1, start)
         out.extend(map(tuple, stats.tolist()))
         del z1, z2

@@ -1,77 +1,63 @@
-"""Partitions, refinement ladders and the included-cell masks.
+"""Dyadic refinement ladders on a path grid.
 
-A partition is a nondecreasing sequence of cut times starting at 0 whose
-last cut reaches the path horizon.  An exclusion set S is a finite set of
-times, given for a block of paths as (row, time) pairs; cell
-k = (tau_{k-1}, tau_k] of a row is excluded when it contains a time of that
-row's S.  The half-open convention makes "S absorbs the jumps" exact for
-grid paths: a jump realized at a cut time belongs to the cell whose
-increment contains it.
+Level L of a ladder on a grid of n_steps steps cuts the grid into 2^L cells
+of n_steps >> L grid steps each, so its cuts are grid columns and the values
+at the cuts are a strided view of a value block.  An exclusion set S is a
+(paths, grid) bool mask: cell k = (tau_{k-1}, tau_k] of a row is excluded
+when it holds a grid column of that row's S, that is, a column g with
+idx[k-1] < g <= idx[k].  The half-open convention makes "S absorbs the
+jumps" exact for grid paths: a jump realized at a cut belongs to the cell
+whose increment contains it.  A time off the grid is put in S by its column,
+the first grid time at or after it, which puts it in the cell whose
+(tau_{k-1}, tau_k] contains it.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 
-class Partition:
-    def __init__(self, cut_times):
-        cuts = np.ascontiguousarray(np.asarray(cut_times, dtype=np.float64))
-        if cuts.ndim != 1 or cuts.size < 2:
-            raise ValueError("need at least two cut times")
-        if cuts[0] != 0.0:
-            raise ValueError("cut times must start at 0")
-        if np.any(np.diff(cuts) < 0):
-            raise ValueError("cut times must be nondecreasing")
-        cuts.setflags(write=False)
-        self.cut_times = cuts
+class Level(NamedTuple):
+    """One level of a ladder: its cut columns as a slice and as indices, its
+    cut times (a view of the grid) and its mesh, the widest cell."""
 
-    @property
-    def mesh(self) -> float:
-        return float(np.max(np.diff(self.cut_times)))
+    level: int
+    cut: slice
+    idx: np.ndarray
+    cut_times: np.ndarray
+    mesh: float
 
     @property
     def n_cells(self) -> int:
-        return self.cut_times.size - 1
+        return self.idx.size - 1
 
-
-def dyadic_partition(horizon: float, level: int) -> Partition:
-    """Cut times j * horizon * 2^-level, j = 0..2^level."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    n = 1 << level
-    return Partition(cut_times=np.arange(n + 1) * (horizon / n))
-
-
-def dyadic_partition_on_grid(times: np.ndarray, level: int) -> Partition:
-    """Dyadic cuts snapped to an existing uniform grid (exact grid times)."""
-    n_steps = times.size - 1
-    n = 1 << level
-    if n_steps % n != 0:
-        raise ValueError(f"grid with {n_steps} steps is not divisible into 2^{level} cells")
-    return Partition(cut_times=times[:: n_steps // n])
-
-
-def inclusion_rows(partition: Partition, t: float, n: int, s_rows=(), s_times=()) -> np.ndarray:
-    """(n, K) inclusion masks: row r keeps cell k = 1..K when tau_k < t and
-    (tau_{k-1}, tau_k] misses row r's S, the s_times[j] with s_rows[j] == r."""
-    cuts = partition.cut_times
-    mask = np.repeat((cuts[1:] < t)[None, :], n, axis=0)
-    # s lands in cell j iff cuts[j-1] < s <= cuts[j]; 'left' search gives
-    # the smallest j with cuts[j] >= s, which is exactly that cell
-    j = np.searchsorted(cuts, np.asarray(s_times, dtype=np.float64), side="left")
-    hit = (j >= 1) & (j <= partition.n_cells)
-    mask[np.asarray(s_rows, dtype=np.intp)[hit], j[hit] - 1] = False
-    return mask
+    def cells(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
+        """(rows, 0-based cells) of the (row, grid column) pairs that lie in
+        a cell: column g lies in cell k when idx[k] < g <= idx[k+1], so
+        column 0 and columns past the grid lie in none."""
+        k = np.searchsorted(self.idx, cols, side="left")
+        hit = (k >= 1) & (k <= self.n_cells)
+        return rows[hit], k[hit] - 1
 
 
 class RefinementLadder:
-    def __init__(self, levels):
-        if not levels:
-            raise ValueError("ladder must contain at least one level")
-        meshes = [p.mesh for p in levels]
-        if any(b >= a for a, b in zip(meshes, meshes[1:])):
-            raise ValueError("ladder meshes must be strictly decreasing")
+    """Dyadic levels l_min..l_max of the grid `times`."""
+
+    def __init__(self, times: np.ndarray, l_min: int, l_max: int):
+        if l_min > l_max:
+            raise ValueError("l_min must be <= l_max")
+        n_steps = times.size - 1
+        columns = np.arange(n_steps + 1)
+        levels = []
+        for level in range(l_min, l_max + 1):
+            if n_steps % (1 << level) != 0:
+                raise ValueError(f"grid with {n_steps} steps is not divisible into 2^{level} cells")
+            cut = slice(0, n_steps + 1, n_steps >> level)
+            cut_times = times[cut]
+            levels.append(Level(level, cut, columns[cut], cut_times, float(np.max(np.diff(cut_times)))))
+        self.times = times
         self.levels = tuple(levels)
 
     def __len__(self) -> int:
@@ -82,15 +68,9 @@ class RefinementLadder:
 
     @property
     def meshes(self) -> list:
-        return [p.mesh for p in self.levels]
+        return [lev.mesh for lev in self.levels]
 
-    @classmethod
-    def dyadic(cls, horizon: float, l_min: int, l_max: int, grid_times=None) -> "RefinementLadder":
-        """Dyadic levels l_min..l_max, snapped to grid_times when given."""
-        if l_min > l_max:
-            raise ValueError("l_min must be <= l_max")
-        if grid_times is not None:
-            levels = [dyadic_partition_on_grid(grid_times, level) for level in range(l_min, l_max + 1)]
-        else:
-            levels = [dyadic_partition(horizon, level) for level in range(l_min, l_max + 1)]
-        return cls(levels=tuple(levels))
+    def require_grid(self, n_grid: int) -> None:
+        """Refuse values on a grid of another size than the ladder's."""
+        if n_grid != self.times.size:
+            raise ValueError(f"ladder built on a grid of {self.times.size - 1} steps, values on a grid of {n_grid - 1}")

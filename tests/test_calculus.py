@@ -16,30 +16,21 @@ from qvlab.calculus import (
     zcqv_ladder,
 )
 from qvlab.generators import GeneratorSpec, block_rows, generate, iter_blocks
-from qvlab.partitions import (
-    Partition,
-    RefinementLadder,
-    dyadic_partition,
-    dyadic_partition_on_grid,
-    inclusion_rows,
-)
+from qvlab.partitions import RefinementLadder
 
 from conftest import rows_of, toy_ensemble
 
 
-def ladder_of(*partitions):
-    return RefinementLadder(levels=partitions)
-
-
 def grid_ladder(ens):
-    """The one-level ladder whose cuts are the ensemble's grid."""
-    return ladder_of(Partition(cut_times=ens.times))
+    """The one-level ladder whose cuts are the ensemble's grid of 2^k steps."""
+    level = (ens.times.size - 1).bit_length() - 1
+    return RefinementLadder(ens.times, level, level)
 
 
 def covariation(x, y, ladder):
     """Sum of dX dY over every cell of each level, (n_paths, n_levels): the
     included-cell statistic with S empty and t past every cut."""
-    return zcqv_ladder(x.values, x.times, ladder, np.inf, y=y.values)
+    return zcqv_ladder(x.values, ladder, np.inf, y=y.values)
 
 
 def ito(eta, y):
@@ -48,8 +39,8 @@ def ito(eta, y):
 
 
 def test_qv_constant_path_is_zero():
-    p = toy_ensemble([0.0, 1.0, 2.0], [3, 3, 3])
-    assert covariation(p, p, ladder_of(dyadic_partition(2.0, 3))).tolist() == [[0.0]]
+    p = toy_ensemble(np.arange(9) / 4.0, np.full(9, 3.0))
+    assert covariation(p, p, grid_ladder(p)).tolist() == [[0.0]]
 
 
 def test_qv_direct_arithmetic():
@@ -66,14 +57,14 @@ def test_qv_stopped_semantics():
 
 def test_qv_brownian_realized_variance(brownian_200_l12):
     b = brownian_200_l12
-    vals = covariation(b, b, ladder_of(dyadic_partition(1.0, 12)))[:, 0]
+    vals = covariation(b, b, RefinementLadder(b.times, 12, 12))[:, 0]
     # sd of realized variance at 4096 cells is sqrt(2/4096) ~ 0.022
     assert np.mean(np.abs(vals - 1.0) <= 0.1) >= 0.95
 
 
 def test_qv_nonnegative_on_diagonal(brownian_200_l12):
     b = brownian_200_l12
-    assert np.all(covariation(b, b, ladder_of(dyadic_partition(1.0, 6))) >= 0.0)
+    assert np.all(covariation(b, b, RefinementLadder(b.times, 6, 6)) >= 0.0)
 
 
 def test_jump_sum_cases():
@@ -97,21 +88,20 @@ def test_jump_sum_cases():
 
 
 def test_zcqv_constant_zero():
-    p = toy_ensemble([0.0, 1.0, 2.0], [4, 4, 4])
-    assert zcqv_ladder(p.values, p.times, ladder_of(dyadic_partition(2.0, 4)), 2.0).tolist() == [[0.0]]
+    p = toy_ensemble(np.arange(17) / 8.0, np.full(17, 4.0))
+    assert zcqv_ladder(p.values, grid_ladder(p), 2.0).tolist() == [[0.0]]
 
 
 def test_zcqv_pure_jump_exact_zero(cp_ensemble):
     # S holds each path's marked jumps
-    s_rows, s_grid = np.nonzero(cp_ensemble.marks)
-    ladder = ladder_of(*(dyadic_partition(1.0, level) for level in (6, 9, 12)))
-    stats = zcqv_ladder(cp_ensemble.values, cp_ensemble.times, ladder, 1.0, s_rows, cp_ensemble.times[s_grid])
+    ladder = RefinementLadder(cp_ensemble.times, 6, 12)
+    stats = zcqv_ladder(cp_ensemble.values, ladder, 1.0, cp_ensemble.marks)
     assert np.all(stats == 0.0)
 
 
 def test_zcqv_brownian_near_one(brownian_200_l12):
     b = brownian_200_l12
-    vals = zcqv_ladder(b.values, b.times, ladder_of(dyadic_partition(1.0, 12)), 1.0)[:, 0]
+    vals = zcqv_ladder(b.values, RefinementLadder(b.times, 12, 12), 1.0)[:, 0]
     assert np.mean(np.abs(vals - 1.0) <= 0.1) >= 0.95
 
 
@@ -148,9 +138,9 @@ def test_mismatched_horizons_rejected():
 
 
 def test_polarization_exact_on_integer_paths():
-    times = np.arange(4, dtype=float)
-    x = toy_ensemble(times, [0.0, 2.0, 1.0, 4.0])
-    y = toy_ensemble(times, [0.0, -1.0, 3.0, 2.0])
+    times = np.arange(5, dtype=float)
+    x = toy_ensemble(times, [0.0, 2.0, 1.0, 4.0, 3.0])
+    y = toy_ensemble(times, [0.0, -1.0, 3.0, 2.0, 5.0])
     s = toy_ensemble(times, x.values + y.values)
     ladder = grid_ladder(x)
     lhs = covariation(s, s, ladder) - covariation(x, x, ladder) - covariation(y, y, ladder)
@@ -161,7 +151,7 @@ def test_polarization_float_paths_8ulp(brownian_200_l12):
     x = rows_of(brownian_200_l12, 0, 1)
     y = rows_of(brownian_200_l12, 1, 2)
     s = toy_ensemble(x.times, x.values + y.values)
-    ladder = ladder_of(*(dyadic_partition(1.0, level) for level in (6, 9, 12)))
+    ladder = RefinementLadder(x.times, 6, 12)
     lhs = covariation(s, s, ladder) - covariation(x, x, ladder) - covariation(y, y, ladder)
     rhs = 2.0 * covariation(x, y, ladder)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
@@ -169,9 +159,9 @@ def test_polarization_float_paths_8ulp(brownian_200_l12):
 
 
 def test_bilinearity_exact_on_integer_paths():
-    times = np.arange(4, dtype=float)
-    x = toy_ensemble(times, [0.0, 2.0, 1.0, 4.0])
-    y = toy_ensemble(times, [0.0, -1.0, 3.0, 2.0])
+    times = np.arange(5, dtype=float)
+    x = toy_ensemble(times, [0.0, 2.0, 1.0, 4.0, 3.0])
+    y = toy_ensemble(times, [0.0, -1.0, 3.0, 2.0, 5.0])
     ax = toy_ensemble(times, 3.0 * x.values)
     by = toy_ensemble(times, -2.0 * y.values)
     ladder = grid_ladder(x)
@@ -180,7 +170,7 @@ def test_bilinearity_exact_on_integer_paths():
 
 def test_pure_jump_qv_equals_jump_sum_exactly(cp_ensemble):
     ens = rows_of(cp_ensemble, 0, 10)
-    ladder = RefinementLadder.dyadic(1.0, 0, 12, grid_times=ens.times)
+    ladder = RefinementLadder(ens.times, 0, 12)
     qv = covariation(ens, ens, ladder)
     js = covariation_ladder(ens, ens, ladder, np.asarray([1.0])).jumps[:, 0]
     for r, p in enumerate(ens):
@@ -196,17 +186,16 @@ def test_pure_jump_qv_equals_jump_sum_exactly(cp_ensemble):
 def test_cross_statistic_zero_when_jumps_excluded(cp_ensemble, brownian_200_l12):
     z = cp_ensemble
     y = rows_of(brownian_200_l12, 0, len(z))
-    s_rows, s_grid = np.nonzero(z.marks)
-    ladder = ladder_of(*(dyadic_partition(1.0, level) for level in (6, 10, 12)))
-    stats = zcqv_ladder(z.values, z.times, ladder, 1.0, s_rows, z.times[s_grid], y=y.values, absolute=True)
+    ladder = RefinementLadder(z.times, 6, 12)
+    stats = zcqv_ladder(z.values, ladder, 1.0, z.marks, y=y.values, absolute=True)
     assert np.all(stats == 0.0)
 
 
 def test_covariation_ladder_report(brownian_200_l12):
     x = rows_of(brownian_200_l12, 0, 1)
-    ladder = RefinementLadder.dyadic(1.0, 4, 8, grid_times=x.times)
+    ladder = RefinementLadder(x.times, 4, 8)
     t_grid = np.linspace(0.0, 1.0, 17)
-    rep = covariation_ladder(x, x, ladder, t_grid, out=CovariationSums.empty(1, ladder, t_grid, range(4, 9)))
+    rep = covariation_ladder(x, x, ladder, t_grid, out=CovariationSums.empty(1, ladder, t_grid))
     assert rep.full.shape == (1, 5, 17)
     # report consistency: the sweep at each t against the stopped values
     # summed by cell_sums, and against zcqv_ladder
@@ -215,7 +204,7 @@ def test_covariation_ladder_report(brownian_200_l12):
             xv = x[0].eval_many(np.minimum(part.cut_times, t))[None]
             assert rep.full[0, i, j] == pytest.approx(cell_sums(xv, xv)[0], abs=1e-12)
     for j, t in enumerate(t_grid):
-        assert rep.zcqv[0, :, j] == pytest.approx(zcqv_ladder(x.values, x.times, ladder, float(t))[0], abs=1e-12)
+        assert rep.zcqv[0, :, j] == pytest.approx(zcqv_ladder(x.values, ladder, float(t))[0], abs=1e-12)
     assert rep.jumps.shape == (1, 17)
     med = rep.median()
     # the median of one path is that path
@@ -230,7 +219,7 @@ def test_covariation_ladder_report(brownian_200_l12):
 
 
 def test_covariation_ladder_cp_zcqv_column_zero(cp_ensemble):
-    ladder = RefinementLadder.dyadic(1.0, 8, 12, grid_times=cp_ensemble.times)
+    ladder = RefinementLadder(cp_ensemble.times, 8, 12)
     rep = covariation_ladder(cp_ensemble, cp_ensemble, ladder, np.linspace(0, 1, 9), threshold=np.inf)
     assert np.all(rep.zcqv == 0.0)
     # continuous part = full - jumps vanishes once every cell isolates a jump
@@ -240,14 +229,14 @@ def test_covariation_ladder_cp_zcqv_column_zero(cp_ensemble):
 def test_independent_brownians_cross_variation_small():
     e1 = generate(GeneratorSpec(kind="brownian", n_steps=4096, seed=31), 64)
     e2 = generate(GeneratorSpec(kind="brownian", n_steps=4096, seed=32), 64)
-    vals = covariation(e1, e2, ladder_of(dyadic_partition(1.0, 12)))
+    vals = covariation(e1, e2, RefinementLadder(e1.times, 12, 12))
     # cross-variation of independent BMs: mean 0, variance ~ t * mesh
     bound = 3.0 * np.sqrt(1.0 * 2.0 ** -12) * 4.0
     assert np.all(np.abs(vals) <= bound)
 
 
 def test_ucp_exceedance_decreases(brownian_200_l12):
-    ladder = RefinementLadder.dyadic(1.0, 4, 12, grid_times=brownian_200_l12.times)
+    ladder = RefinementLadder(brownian_200_l12.times, 4, 12)
     t_grid = np.linspace(0.0, 1.0, 33)
     ens = rows_of(brownian_200_l12, 0, 50)
     exc = ucp_exceedance(covariation_ladder(ens, ens, ladder, t_grid).full, eps=0.1)
@@ -278,7 +267,10 @@ def _reference_included(x, y, partition, s, t_grid):
     xv = x.eval_many(cuts)
     yv = y.eval_many(cuts)
     dxdy = np.diff(xv) * np.diff(yv)
-    mask = inclusion_rows(partition, np.inf, 1, np.zeros(s.size, dtype=np.intp), s)[0]
+    # S time s excludes cell k (1-based) when tau_{k-1} < s <= tau_k
+    k = np.searchsorted(partition.cut_times, s, side="left")
+    mask = np.ones(partition.n_cells, dtype=bool)
+    mask[k[(k >= 1) & (k <= partition.n_cells)] - 1] = False
     cum = np.concatenate([[0.0], np.cumsum(np.where(mask, dxdy, 0.0))])
     return cum[np.searchsorted(partition.cut_times[1:], t_grid, side="left")]
 
@@ -327,22 +319,13 @@ ORACLE_CASES = {
 }
 
 
-def _oracle_ladder(times):
-    # a partition past the horizon and an uneven one short of it exercise the
-    # gathered (not strided) cut indices; the dyadic levels are strided views
-    uneven = Partition(cut_times=times[[0, 5, 90, 300, 301, 700]])
-    beyond = Partition(cut_times=np.asarray([0.0, 0.5, 1.0, 1.5]))
-    dyadic = [dyadic_partition_on_grid(times, level) for level in range(3, 11)]
-    return RefinementLadder(levels=(beyond, uneven, *dyadic))
-
-
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_covariation_ladder_matches_per_path_reference(name):
     xkw, ykw, threshold = ORACLE_CASES[name]
     xspec = GeneratorSpec(n_steps=1024, seed=2024, **xkw)
     yspec = xspec if ykw is None else GeneratorSpec(n_steps=1024, **ykw)
     times = xspec.grid()
-    ladder = _oracle_ladder(times)
+    ladder = RefinementLadder(times, 0, 10)
     rng = np.random.default_rng(7)
     t_grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, 33), rng.uniform(0.0, 1.0, 16), times[[3, 301]]]))
     # blocks of 64, 64 and 2 rows; each 64-row block spans two row slabs
@@ -373,16 +356,23 @@ def test_covariation_ladder_matches_per_path_reference(name):
         assert ucp_exceedance(sums.full, eps) == _reference_ucp([r[0] for r in ref], eps)
 
 
-def test_covariation_ladder_needs_cuts_on_the_grid(brownian_200_l12):
+def test_covariation_ladder_refuses_a_ladder_of_another_grid(brownian_200_l12):
     ens = rows_of(brownian_200_l12, 0, 2)
-    off_grid = RefinementLadder(levels=(Partition(cut_times=np.asarray([0.0, 0.3, 1.0])),))
-    with pytest.raises(ValueError, match="grid"):
-        covariation_ladder(ens, ens, off_grid, np.linspace(0.0, 1.0, 5))
+    other = RefinementLadder(np.arange(2049) / 2048.0, 4, 6)
+    with pytest.raises(ValueError, match="grid of 2048 steps, values on a grid of 4096"):
+        covariation_ladder(ens, ens, other, np.linspace(0.0, 1.0, 5))
+
+
+def test_zcqv_ladder_refuses_a_ladder_of_another_grid(brownian_200_l12):
+    ens = rows_of(brownian_200_l12, 0, 2)
+    other = RefinementLadder(np.arange(2049) / 2048.0, 4, 6)
+    with pytest.raises(ValueError, match="grid of 2048 steps, values on a grid of 4096"):
+        zcqv_ladder(ens.values, other, 1.0)
 
 
 def test_covariation_ladder_refuses_out_of_another_shape(brownian_200_l12):
     ens = rows_of(brownian_200_l12, 0, 2)
-    ladder = RefinementLadder.dyadic(1.0, 4, 6, grid_times=ens.times)
+    ladder = RefinementLadder(ens.times, 4, 6)
     t_grid = np.linspace(0.0, 1.0, 5)
     for n, grid in ((3, t_grid), (2, t_grid[:4])):
         with pytest.raises(ValueError, match="out holds"):
@@ -392,7 +382,7 @@ def test_covariation_ladder_refuses_out_of_another_shape(brownian_200_l12):
 def test_ladder_sweep_peak_memory_within_three_value_blocks():
     spec = GeneratorSpec(kind="brownian", n_steps=4096, seed=12345)
     times = spec.grid()
-    ladder = RefinementLadder.dyadic(1.0, 6, 12, grid_times=times)
+    ladder = RefinementLadder(times, 6, 12)
     t_grid = np.linspace(0.0, 1.0, 65)
     # a one-row run first, so lazily built module state is not counted
     warm = generate(spec, 1)

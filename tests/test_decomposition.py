@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qvlab import _kernels
-from qvlab.calculus import zcqv_ladder
+from qvlab.calculus import jump_grid, zcqv_ladder
 from qvlab.decomposition import (
     SuiteConfig,
+    _common_columns,
     _cross_stats,
     _sum_zcqv_stats,
     decompose_block,
@@ -88,20 +89,20 @@ def test_integrand_uses_left_limit_at_marked_jumps():
 
 def _verdict(values, times, ladder):
     """The verdict on the included-cell statistic of every row at t = 1, S empty."""
-    stats = zcqv_ladder(values, times, ladder, 1.0)
+    stats = zcqv_ladder(values, ladder, 1.0)
     return summarize_zcqv(stats, tuple(range(len(ladder))), ladder.meshes, 0.1)
 
 
 def test_zcqv_verdict_constant_passes():
     times = np.arange(65) / 64.0
-    verdict = _verdict(np.full((1, 65), 2.0), times, RefinementLadder.dyadic(1.0, 2, 6, grid_times=times))
+    verdict = _verdict(np.full((1, 65), 2.0), times, RefinementLadder(times, 2, 6))
     assert verdict.passed is True
     assert all(m == 0.0 for m in verdict.median_stat)
 
 
 def test_zcqv_verdict_brownian_fails(brownian_200_l12):
     times = brownian_200_l12.times
-    ladder = RefinementLadder.dyadic(1.0, 6, 12, grid_times=times)
+    ladder = RefinementLadder(times, 6, 12)
     verdict = _verdict(brownian_200_l12.values[:50], times, ladder)
     assert verdict.passed is False
     assert all(m > 0.5 for m in verdict.median_stat)  # flat near t = 1
@@ -110,7 +111,7 @@ def test_zcqv_verdict_brownian_fails(brownian_200_l12):
 
 def test_zcqv_verdict_inconclusive_below_three_levels():
     times = np.arange(5) / 4.0
-    verdict = _verdict(np.zeros((1, 5)), times, RefinementLadder.dyadic(1.0, 1, 2, grid_times=times))
+    verdict = _verdict(np.zeros((1, 5)), times, RefinementLadder(times, 1, 2))
     assert verdict.passed is None
     assert "inconclusive" in verdict.status
 
@@ -206,18 +207,19 @@ def test_block_decomposition_rows_equal_one_path_decompose(spec, name, monkeypat
         assert _same_bits(kink[r], kink_r[0])
 
 
-@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda s: s.kind)
+# the block specs on grids that 2^6 divides
+LADDER_SPECS = [spec._replace(n_steps=spec.n_steps // 64 * 64) for spec in BLOCK_SPECS]
+
+
+@pytest.mark.parametrize("spec", LADDER_SPECS, ids=lambda s: s.kind)
 def test_zcqv_ladder_rows_equal_one_path_statistic(spec):
-    # dyadic cuts off the 1100- and 600-step grids are read as eval_many reads them
     ens = generate(spec, 6)
-    ladder = RefinementLadder.dyadic(spec.horizon, 2, 6)
-    sets = [np.unique(np.concatenate([p.jump_times(np.inf), [0.5, 0.0]])) for p in ens]
-    rows = np.repeat(np.arange(len(ens)), [s.size for s in sets])
-    times = np.concatenate(sets)
+    ladder = RefinementLadder(ens.times, 2, 6)
+    s = jump_grid(ens, np.inf) | _common_columns(ens.times, [0.5, 0.0])
     for t in (spec.horizon, 0.7):
-        stats = zcqv_ladder(ens.values, ens.times, ladder, t, rows, times)
-        for r, s in enumerate(sets):
-            alone = zcqv_ladder(ens.values[r : r + 1], ens.times, ladder, t, np.zeros(s.size, dtype=np.intp), s)
+        stats = zcqv_ladder(ens.values, ladder, t, s)
+        for r in range(len(ens)):
+            alone = zcqv_ladder(ens.values[r : r + 1], ladder, t, s[r : r + 1])
             assert _same_bits(stats[r], alone[0])
 
 

@@ -2,62 +2,69 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qvlab.calculus import jump_grid
-from qvlab.partitions import (
-    Partition,
-    RefinementLadder,
-    dyadic_partition,
-    dyadic_partition_on_grid,
-    inclusion_rows,
-)
+from qvlab.calculus import cell_sums, jump_grid
+from qvlab.decomposition import SuiteConfig, _common_columns, _decomposition_stats, decompose_block
+from qvlab.functions import make_function
+from qvlab.generators import GeneratorSpec, generate
+from qvlab.partitions import RefinementLadder
 
 from conftest import toy_ensemble
 
+GRID = np.arange(1025) / 1024.0
 
-def index_set(partition, s, t):
-    """The paper's included cell indices k (1-based) for the exclusion times s, sorted."""
-    s = np.asarray(s, dtype=float)
-    return np.flatnonzero(inclusion_rows(partition, t, 1, np.zeros(s.size, dtype=np.intp), s)[0]) + 1
+
+def level_of(times, level):
+    return RefinementLadder(times, level, level).levels[0]
+
+
+def index_set(level, s, t):
+    """The paper's included cell indices k (1-based) for the exclusion times
+    s, sorted: s goes into the S mask by the suites' column rule."""
+    cols = np.flatnonzero(_common_columns(GRID, s))
+    keep = level.cut_times[1:] < t
+    keep[level.cells(np.zeros(cols.size, dtype=np.intp), cols)[1]] = False
+    return np.flatnonzero(keep) + 1
 
 
 def test_dyadic_examples():
-    p = dyadic_partition(1.0, 0)
+    p = level_of(np.arange(5) / 4.0, 0)
     assert list(p.cut_times) == [0.0, 1.0] and p.mesh == 1.0
-    p = dyadic_partition(1.0, 2)
+    p = level_of(np.arange(5) / 4.0, 2)
     assert list(p.cut_times) == [0.0, 0.25, 0.5, 0.75, 1.0] and p.mesh == 0.25
-    p = dyadic_partition(2.0, 1)
+    p = level_of(np.arange(3) * 1.0, 1)
     assert list(p.cut_times) == [0.0, 1.0, 2.0] and p.mesh == 1.0
 
 
 def test_dyadic_mesh_halves_exactly():
-    for level in range(0, 10):
-        a = dyadic_partition(1.0, level).mesh
-        b = dyadic_partition(1.0, level + 1).mesh
+    ladder = RefinementLadder(GRID, 0, 10)
+    for a, b in zip(ladder.meshes, ladder.meshes[1:]):
         assert a == 2.0 * b
 
 
 def test_dyadic_on_grid_alignment():
     times = np.arange(17) / 16.0
-    p = dyadic_partition_on_grid(times, 2)
+    p = level_of(times, 2)
     assert np.array_equal(p.cut_times, times[::4])
-    with pytest.raises(ValueError):
-        dyadic_partition_on_grid(np.arange(11) / 10.0, 2)
+    assert p.cut == slice(0, 17, 4) and p.idx.tolist() == [0, 4, 8, 12, 16]
+    assert np.shares_memory(p.cut_times, times)
+    with pytest.raises(ValueError, match="grid with 10 steps is not divisible into 2\\^2 cells"):
+        RefinementLadder(np.arange(11) / 10.0, 2, 2)
 
 
 def test_index_set_examples():
-    p = dyadic_partition(1.0, 2)
+    p = level_of(GRID, 2)
     assert set(index_set(p, [], 1.0)) == {1, 2, 3}
     assert set(index_set(p, [0.5], 1.0)) == {1, 3}
     assert set(index_set(p, [0.2, 0.4, 0.6, 0.9], 1.0)) == set()
 
 
 def test_index_set_no_exclusions_is_all_k_before_t():
-    p = dyadic_partition(1.0, 3)
+    p = level_of(GRID, 3)
     assert set(index_set(p, [], 0.7)) == {1, 2, 3, 4, 5}
 
 
 def test_excluded_cells_contain_an_exclusion_time():
-    p = dyadic_partition(1.0, 3)
+    p = level_of(GRID, 3)
     s = np.asarray([0.3, 0.625, 0.99])
     included = set(index_set(p, s, 1.0))
     cuts = p.cut_times
@@ -68,7 +75,7 @@ def test_excluded_cells_contain_an_exclusion_time():
 
 @given(st.sets(st.floats(0.01, 0.99), max_size=6), st.sets(st.floats(0.01, 0.99), max_size=6))
 def test_index_set_antitone_in_s(a, b):
-    p = dyadic_partition(1.0, 4)
+    p = level_of(GRID, 4)
     small = sorted(a)
     big = sorted(a | b)
     assert set(index_set(p, big, 1.0)).issubset(set(index_set(p, small, 1.0)))
@@ -83,15 +90,51 @@ def test_exclusion_set_from_jumps_union():
 
 
 def test_ladder_meshes_strictly_decreasing():
-    ladder = RefinementLadder.dyadic(1.0, 3, 7)
+    ladder = RefinementLadder(GRID, 3, 7)
     meshes = ladder.meshes
     assert all(a > b for a, b in zip(meshes, meshes[1:]))
-    with pytest.raises(ValueError):
-        RefinementLadder(levels=(dyadic_partition(1.0, 3), dyadic_partition(1.0, 3)))
+    assert [lev.level for lev in ladder] == [3, 4, 5, 6, 7]
+    with pytest.raises(ValueError, match="l_min must be <= l_max"):
+        RefinementLadder(GRID, 3, 2)
 
 
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition(cut_times=np.asarray([0.5, 1.0]))
-    with pytest.raises(ValueError):
-        Partition(cut_times=np.asarray([0.0, 0.5, 0.2]))
+def _excluded_by_time(cut_times, n, s_rows, s_times):
+    """Time-based oracle of the S-to-cell rule: the time s of row r's S
+    excludes cell k (1-based) of row r when tau_{k-1} < s <= tau_k."""
+    out = np.zeros((n, cut_times.size - 1), dtype=bool)
+    k = np.searchsorted(cut_times, s_times, side="left")
+    hit = (k >= 1) & (k <= cut_times.size - 1)
+    out[s_rows[hit], k[hit] - 1] = True
+    return out
+
+
+def test_s_mask_cells_match_the_time_rule_on_every_level():
+    # the suites' S for moving_kink(k_jump=0.3): each path's marked jumps
+    # and the common times, which are f's time jump 0.3 (off the 1024-step
+    # grid, and given twice), the grid's first and last times, a time past
+    # the grid, and row 0's first jump time (so it is in row 0's S twice)
+    spec = GeneratorSpec(kind="jump_diffusion", n_steps=1024, jump_rate=20.0, seed=5)
+    ens = generate(spec, 6)
+    times, n = ens.times, len(ens)
+    fexpr = "moving_kink(k_jump=0.3)"
+    first_jump = times[np.flatnonzero(ens.marks[0])[0]]
+    extra = np.asarray([0.3, 0.0, times[-1], 1.5, first_jump])
+    common = np.concatenate([make_function(fexpr).time_jumps, extra])
+    assert 0.3 not in times and 1.5 > times[-1]
+    cols = _common_columns(times, common)
+    assert cols[0] and cols[-1] and cols.sum() == 4
+    rows, grid = np.nonzero(ens.marks | cols)
+    mark_rows, mark_grid = np.nonzero(ens.marks)
+    s_rows = np.concatenate([mark_rows, np.repeat(np.arange(n), common.size)])
+    s_times = np.concatenate([times[mark_grid], np.tile(common, n)])
+    ladder = RefinementLadder(times, 0, 10)
+    cfg = SuiteConfig(generator=spec, l_min=0, l_max=10)
+    stats = np.asarray([r[0] for r in _decomposition_stats(0, n, spec, fexpr, cfg, extra)])
+    v, _ = decompose_block(make_function(fexpr), ens)
+    for i, lev in enumerate(ladder):
+        want = _excluded_by_time(lev.cut_times, n, s_rows, s_times)
+        got = np.zeros_like(want)
+        got[lev.cells(rows, grid)] = True
+        assert np.array_equal(got, want), lev.level
+        keep = ~want & (lev.cut_times[1:] < times[-1])
+        assert stats[:, i].tobytes() == cell_sums(v[:, lev.cut], v[:, lev.cut], keep).tobytes(), lev.level
