@@ -134,11 +134,6 @@ class CallSurface(NamedTuple):
         return cls(t_grid=t_grid, x_grid=x_grid, values=mean, stderr=stderr, n_paths=n)
 
 
-def _surface_chunk(n: int) -> int:
-    # fixed chunking: depends on n only, never on the worker count
-    return max(1, min(256, n // 8 or 1))
-
-
 def convexity_defect(surface: CallSurface) -> float:
     """Most negative second difference across t-slices (>= -ulp noise).
 
@@ -369,7 +364,7 @@ def _row_sums(a):
 def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_grid, fexpr):
     """Chunk task: paths lo .. hi-1, each generated once.
 
-    Returns [(xt, terms, kink)]: each path's X_t row on the t-grid, which
+    Returns (xt, terms, kink): each path's X_t row on the t-grid, which
     the pass turns into the surface sums; one identity-terms row per path;
     and, when fexpr names a function, each path's kink-identity LHS (else
     None).  Per path, with x_j the midpoints of x_grid:
@@ -420,12 +415,11 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_g
     xt_all = np.empty((hi - lo, t_grid.size))
     terms = np.empty((hi - lo, 6))
     kink = np.empty(hi - lo) if on_kink_set else None
-    r0 = 0
-    for ens in iter_blocks(genspec, lo, hi):
+    for start, ens in iter_blocks(genspec, lo, hi):
         # X_t for the block's rows, gathered straight into the chunk's
         # C-contiguous rows; values[:, cols] would come back in Fortran
         # order, and each row sum below would need a copy
-        rows = slice(r0, r0 + len(ens.values))
+        rows = slice(start - lo, start - lo + len(ens))
         xt = np.take(ens.values, cols, axis=1, out=xt_all[rows])
 
         lhs = np.maximum(xt[:, end, None] - centers, 0.0)
@@ -444,16 +438,15 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_g
         terms[rows, 3] = 0.0
         for r, k in zip(*np.divmod(np.flatnonzero(ens.marks & in_range), times.size)):
             before, after = float(ens.values[r, max(k - 1, 0)]), float(ens.values[r, k])
-            terms[r0 + r, 3] += theta.hinge_integral(float(times[k]), before, after, after)
+            terms[rows.start + r, 3] += theta.hinge_integral(float(times[k]), before, after, after)
         terms[rows, 4] = _row_sums(qv_cells)
         terms[rows, 5] = _row_sums(np.abs(drift))
         if on_kink_set is not None:
             on_kink = np.asarray(on_kink_set(t_left, x_left), dtype=bool)
-            for r, (q, on) in enumerate(zip(qv_cells, on_kink), start=r0):
+            for r, (q, on) in enumerate(zip(qv_cells, on_kink), start=rows.start):
                 kink[r] = np.add.reduce(q[on])
-        r0 = rows.stop
         del ens  # free the block before the next is generated
-    return [(xt_all, terms, kink)]
+    return xt_all, terms, kink
 
 
 def _surface_sums(xts, x_grid):
@@ -521,10 +514,7 @@ def _one_pass(genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_grid, n_pat
     return, plus the surface sums' slabs of about _kernels.CELLS values; the
     rows are read from the chunks' own arrays, never copied into one.
     """
-    parts = map_chunked(
-        _pass_chunk, n_paths, workers=workers, chunk=_surface_chunk(n_paths),
-        args=(genspec, theta, t_grid, x_grid, fexpr),
-    )
+    parts = map_chunked(_pass_chunk, n_paths, workers, args=(genspec, theta, t_grid, x_grid, fexpr))
     s, ss = _surface_sums([p[0] for p in parts], x_grid)
     terms = np.concatenate([p[1] for p in parts])
     kink = np.concatenate([p[2] for p in parts]) if fexpr else None

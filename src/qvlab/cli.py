@@ -78,7 +78,7 @@ def _keep(cfg: ExperimentConfig, files: dict) -> dict:
 # subcommands
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> tuple:
+def cmd_simulate(cfg: ExperimentConfig, args) -> tuple:
     from .generators import generate
 
     spec = cfg.generator_spec()
@@ -98,7 +98,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> tuple:
     return files, True
 
 
-def cmd_qv(cfg: ExperimentConfig) -> tuple:
+def cmd_qv(cfg: ExperimentConfig, args) -> tuple:
     """Covariation ladder of each path against itself at 65 times, and the
     per-cell medians over paths.
 
@@ -117,11 +117,9 @@ def cmd_qv(cfg: ExperimentConfig) -> tuple:
     ladder = RefinementLadder(times, cfg.l_min, cfg.l_max)
     t_grid = np.linspace(0.0, horizon, 65)
     per_path = CovariationSums.empty(cfg.n_paths, ladder, t_grid)
-    lo = 0
-    for ens in iter_blocks(spec, 0, cfg.n_paths):
+    for lo, ens in iter_blocks(spec, 0, cfg.n_paths):
         rows = per_path.rows(lo, lo + len(ens))
         covariation_ladder(ens, ens, ladder, t_grid, threshold=cfg.jump_threshold, out=rows)
-        lo += len(ens)
         del ens
     exceed = ucp_exceedance(per_path.full, cfg.ucp_eps)
     median = per_path.median()
@@ -155,14 +153,17 @@ def _suite_config(cfg: ExperimentConfig):
     )
 
 
-def cmd_decompose(cfg: ExperimentConfig) -> tuple:
-    from .decomposition import run_decompose
-
-    result = run_decompose(_suite_config(cfg))
+def _suite_files(cfg: ExperimentConfig, result, report: str, levels: str) -> tuple:
+    """The suite result's report, with the config, and its levels CSV."""
     payload = result.to_dict()
     payload["config"] = cfg.report_dict()
-    files = {"verdict.json": _json_text(payload), "levels.csv": _verdict_csv(result.verdict)}
-    return files, result.ok
+    return {report: _json_text(payload), levels: _verdict_csv(result.verdict)}, result.ok
+
+
+def cmd_decompose(cfg: ExperimentConfig, args) -> tuple:
+    from .decomposition import run_decompose
+
+    return _suite_files(cfg, run_decompose(_suite_config(cfg)), "verdict.json", "levels.csv")
 
 
 def _verdict_csv(verdict) -> str:
@@ -172,7 +173,7 @@ def _verdict_csv(verdict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_identity(cfg: ExperimentConfig) -> tuple:
+def cmd_identity(cfg: ExperimentConfig, args) -> tuple:
     from . import call_surface as cs
     from .functions import make_function
 
@@ -199,7 +200,7 @@ def cmd_identity(cfg: ExperimentConfig) -> tuple:
     return files, bool(ok)
 
 
-def cmd_appendix(cfg: ExperimentConfig) -> tuple:
+def cmd_appendix(cfg: ExperimentConfig, args) -> tuple:
     from .grid_calculus import run_appendix_checks
 
     report, trace_rows, ok = run_appendix_checks()
@@ -211,10 +212,10 @@ def cmd_appendix(cfg: ExperimentConfig) -> tuple:
     return files, ok
 
 
-def cmd_ingest(cfg: ExperimentConfig, input_path: str) -> tuple:
+def cmd_ingest(cfg: ExperimentConfig, args) -> tuple:
     from .paths import path_from_csv
 
-    text = Path(input_path).read_text()
+    text = Path(args.input).read_text()
     thr = cfg.jump_threshold
     path = path_from_csv(text, jump_threshold=None if np.isinf(thr) else thr)
     stats = {
@@ -228,17 +229,11 @@ def cmd_ingest(cfg: ExperimentConfig, input_path: str) -> tuple:
     return files, True
 
 
-def cmd_suite(cfg: ExperimentConfig, name: str) -> tuple:
+def cmd_suite(cfg: ExperimentConfig, args) -> tuple:
     from .decomposition import run_suite
 
-    result = run_suite(name, _suite_config(cfg))
-    payload = result.to_dict()
-    payload["config"] = cfg.report_dict()
-    files = {
-        f"suite_{name}.json": _json_text(payload),
-        f"suite_{name}_levels.csv": _verdict_csv(result.verdict),
-    }
-    return files, result.ok
+    name = args.name
+    return _suite_files(cfg, run_suite(name, _suite_config(cfg)), f"suite_{name}.json", f"suite_{name}_levels.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -248,22 +243,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qvlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    # subcommand -> cmd_*(cfg, args) -> (files, ok), which main runs
+    commands = {
+        "simulate": cmd_simulate,
+        "qv": cmd_qv,
+        "decompose": cmd_decompose,
+        "identity": cmd_identity,
+        "appendix": cmd_appendix,
+        "ingest": cmd_ingest,
+        "suite": cmd_suite,
+    }
+    for name, run in commands.items():
+        p = sub.add_parser(name)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="config file (.json/.yaml)")
         p.add_argument("--seed", type=int)
         p.add_argument("--paths", type=int, dest="paths")
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--workers", type=int)
-
-    for name in ("simulate", "qv", "decompose", "identity", "appendix"):
-        add_common(sub.add_parser(name))
-    p_ingest = sub.add_parser("ingest")
-    add_common(p_ingest)
-    p_ingest.add_argument("input", help="path CSV file (t,x,jump)")
-    p_suite = sub.add_parser("suite")
-    add_common(p_suite)
-    p_suite.add_argument("name", choices=list(SUITES))
+    sub.choices["ingest"].add_argument("input", help="path CSV file (t,x,jump)")
+    sub.choices["suite"].add_argument("name", choices=list(SUITES))
     return parser
 
 
@@ -271,22 +271,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if args.command == "simulate":
-            files, ok = cmd_simulate(cfg)
-        elif args.command == "qv":
-            files, ok = cmd_qv(cfg)
-        elif args.command == "decompose":
-            files, ok = cmd_decompose(cfg)
-        elif args.command == "identity":
-            files, ok = cmd_identity(cfg)
-        elif args.command == "appendix":
-            files, ok = cmd_appendix(cfg)
-        elif args.command == "ingest":
-            files, ok = cmd_ingest(cfg, args.input)
-        elif args.command == "suite":
-            files, ok = cmd_suite(cfg, args.name)
-        else:  # pragma: no cover
-            raise ConfigurationError(f"unknown command {args.command!r}")
+        files, ok = args.run(cfg, args)
         _write_outputs(cfg.out_dir, _keep(cfg, files))
     except (ConfigurationError, GenerationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

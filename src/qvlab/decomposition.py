@@ -12,7 +12,8 @@ decay into a pass/fail verdict.  Row r of every block depends on path r
 alone, so a path decomposes to the same bits alone or in any block.  The
 named suites run this over an ensemble with a deterministic worker pool:
 each pool task of up to 64 paths walks its paths in the cell-sized blocks
-of generators.iter_blocks.  The two-ensemble suites pair block i of one
+of generators.iter_blocks and returns one row per path in arrays, which the
+suite joins in path order.  The two-ensemble suites pair block i of one
 ensemble with block i of the other and refuse blocks that differ in shape
 or grid, so path i of one is never measured against another path of the
 other.
@@ -177,14 +178,12 @@ def _suite_levels(cfg: SuiteConfig):
     return tuple(range(cfg.l_min, cfg.l_max + 1))
 
 
-def _blocks(spec: GeneratorSpec, lo: int, hi: int):
-    """(index of the first path, block) over paths lo .. hi-1.  Each block is
-    dropped here before the next is generated, so a task that drops it too
-    holds one block at a time."""
-    for ens in iter_blocks(spec, lo, hi):
-        yield lo, ens
-        lo += len(ens)
-        del ens
+def _joined(parts: list):
+    """Per-block or per-chunk results joined in order along the path axis:
+    arrays, or tuples of arrays joined field by field."""
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _require_finite(block: np.ndarray, what: str, spec: GeneratorSpec, start: int) -> None:
@@ -216,8 +215,8 @@ def _paired_blocks(spec1: GeneratorSpec, spec2: GeneratorSpec, lo: int, hi: int)
     generated (zip would hold the last pair while it builds the next).
     """
     others = iter_blocks(spec2, lo, hi)
-    for start, a in _blocks(spec1, lo, hi):
-        b = next(others)
+    for start, a in iter_blocks(spec1, lo, hi):
+        b = next(others)[1]
         if a.values.shape != b.values.shape or not np.array_equal(a.times, b.times):
             raise ValueError(
                 f"paired blocks at path {start} differ: {a.values.shape} and {b.values.shape} "
@@ -241,42 +240,45 @@ def _common_columns(times: np.ndarray, common) -> np.ndarray:
 
 
 def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteConfig, extra_s_times):
-    """Block task: generate, decompose on the path grid, statistic per level.
+    """Chunk task: generate, decompose on the path grid, statistic per level.
 
     S holds each path's marked jumps, the function's time jumps and the
-    suite's extra times.
+    suite's extra times.  Returns the chunk's (statistics, kink masses,
+    final V), (paths, n_levels), (paths,) and (paths,).
     """
     f = make_function(fexpr)
     ladder = _ladder(genspec, cfg)
     common = _common_columns(ladder.times, np.concatenate([f.time_jumps, extra_s_times]))
     out = []
-    for start, ens in _blocks(genspec, lo, hi):
+    for start, ens in iter_blocks(genspec, lo, hi):
         with _naming_paths(genspec, start):
             v, kink = decompose_block(f, ens)
             _require_finite(v, "V", genspec, start)
             stats = calculus.zcqv_ladder(v, ladder, ens.horizon, ens.marks | common)
         _require_finite(stats, "statistic", genspec, start)
-        out.extend(zip(map(tuple, stats.tolist()), kink.tolist(), v[:, -1].tolist()))
+        out.append((stats, kink, v[:, -1].copy()))
         del ens, v  # free the block and V before the next block is generated
-    return out
+    return _joined(out)
 
 
 def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: SuiteConfig):
-    """Negative control task: the statistic on X itself, S = its jumps."""
+    """Negative control task: the statistic on X itself, S = its jumps;
+    (paths, n_levels)."""
     ladder = _ladder(genspec, cfg)
     out = []
-    for start, ens in _blocks(genspec, lo, hi):
+    for start, ens in iter_blocks(genspec, lo, hi):
         sel = calculus.jump_grid(ens, cfg.jump_threshold)
         with _naming_paths(genspec, start):
             stats = calculus.zcqv_ladder(ens.values, ladder, ens.horizon, sel)
         _require_finite(stats, "statistic", genspec, start)
-        out.extend(map(tuple, stats.tolist()))
+        out.append(stats)
         del ens
-    return out
+    return _joined(out)
 
 
 def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteConfig):
-    """Included-cell |dZ dY| per level, S = the jumps of Z and Y; plus the S-empty column."""
+    """Included-cell |dZ dY| per level, S = the jumps of Z and Y, and the
+    same with S empty: two (paths, n_levels) arrays."""
     ladder = _ladder(zspec, cfg)
     out = []
     for start, z, y in _paired_blocks(zspec, yspec, lo, hi):
@@ -286,13 +288,14 @@ def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteC
             no_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, y=y.values, absolute=True)
         # with_s adds a subset of the nonnegative terms that no_s adds
         _require_finite(no_s, "statistic", zspec, start)
-        out.extend(zip(map(tuple, with_s.tolist()), map(tuple, no_s.tolist())))
+        out.append((with_s, no_s))
         del z, y
-    return out
+    return _joined(out)
 
 
 def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: SuiteConfig):
-    """Statistic for Z1 + Z2 with S = the union of both jump sets."""
+    """Statistic for Z1 + Z2 with S = the union of both jump sets;
+    (paths, n_levels)."""
     ladder = _ladder(spec1, cfg)
     out = []
     for start, z1, z2 in _paired_blocks(spec1, spec2, lo, hi):
@@ -300,9 +303,9 @@ def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: Sui
         with _naming_paths(spec1, start):
             stats = calculus.zcqv_ladder(z1.values + z2.values, ladder, z1.horizon, sel)
         _require_finite(stats, "statistic", spec1, start)
-        out.extend(map(tuple, stats.tolist()))
+        out.append(stats)
         del z1, z2
-    return out
+    return _joined(out)
 
 
 def _brownian_spec(cfg: SuiteConfig) -> GeneratorSpec:
@@ -325,17 +328,15 @@ def _decomposition_suite(
     name: str, cfg: SuiteConfig, genspec: GeneratorSpec, fexpr: str, extra
 ) -> SuiteResult:
     levels = _suite_levels(cfg)
-    rows = map_chunked(
-        _decomposition_stats, cfg.n_paths, cfg.workers, args=(genspec, fexpr, cfg, extra)
+    stats, kink, final_v = _joined(
+        map_chunked(_decomposition_stats, cfg.n_paths, cfg.workers, args=(genspec, fexpr, cfg, extra))
     )
-    stats = np.asarray([r[0] for r in rows])
     verdict = summarize_zcqv(stats, levels, _meshes(genspec, levels), cfg.pass_fraction)
-    kink = [r[1] for r in rows]
     details = {
         "generator": genspec.kind,
         "function": fexpr,
-        "median_kink_qv_mass": float(calculus.path_median(np.asarray(kink))[0]),
-        "mean_final_v": float(np.mean([r[2] for r in rows])),
+        "median_kink_qv_mass": float(calculus.path_median(kink)[0]),
+        "mean_final_v": float(np.mean(final_v)),
     }
     return SuiteResult(name=name, verdict=verdict, expected_pass=True, details=details)
 
@@ -357,7 +358,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
 
     if name == "negative_control":
         genspec = _brownian_spec(cfg)
-        stats = np.asarray(map_chunked(_raw_zcqv_stats, cfg.n_paths, cfg.workers, args=(genspec, cfg)))
+        stats = _joined(map_chunked(_raw_zcqv_stats, cfg.n_paths, cfg.workers, args=(genspec, cfg)))
         verdict = summarize_zcqv(stats, levels, _meshes(genspec, levels), cfg.pass_fraction)
         details = {"generator": genspec.kind, "function": None, "note": "asserts the failure"}
         return SuiteResult(name=name, verdict=verdict, expected_pass=False, details=details)
@@ -365,9 +366,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
     if name == "cross_variation":
         zspec = _compound_poisson_spec(cfg)
         yspec = _brownian_spec(cfg)._replace(seed=cfg.generator.seed + 104729)
-        rows = map_chunked(_cross_stats, cfg.n_paths, cfg.workers, args=(zspec, yspec, cfg))
-        with_s = np.asarray([r[0] for r in rows])
-        no_s = np.asarray([r[1] for r in rows])
+        with_s, no_s = _joined(map_chunked(_cross_stats, cfg.n_paths, cfg.workers, args=(zspec, yspec, cfg)))
         verdict = summarize_zcqv(with_s, levels, _meshes(zspec, levels), cfg.pass_fraction)
         details = {
             "generator": "compound_poisson x brownian",
@@ -379,9 +378,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
     if name == "zcqv_sum":
         spec1 = _compound_poisson_spec(cfg)
         spec2 = _compound_poisson_spec(cfg, seed_offset=7919)
-        stats = np.asarray(
-            map_chunked(_sum_zcqv_stats, cfg.n_paths, cfg.workers, args=(spec1, spec2, cfg))
-        )
+        stats = _joined(map_chunked(_sum_zcqv_stats, cfg.n_paths, cfg.workers, args=(spec1, spec2, cfg)))
         verdict = summarize_zcqv(stats, levels, _meshes(spec1, levels), cfg.pass_fraction)
         details = {"generator": "compound_poisson + compound_poisson", "function": None}
         return SuiteResult(name=name, verdict=verdict, expected_pass=True, details=details)

@@ -676,14 +676,17 @@ def block_rows(n_steps: int) -> int:
 
 
 def iter_blocks(spec: GeneratorSpec, lo: int, hi: int):
-    """Ensembles of paths lo .. hi-1 in index order, sized by cells.
+    """(index of the first path, ensemble) over paths lo .. hi-1 in index
+    order, the ensembles sized by cells.
 
     Each block holds block_rows(n_steps) paths: 64 below 2048 steps, 63 at
     2048, 31 at 4096 and 8 from 2^14 steps up.  The split depends on
     n_steps alone, never on the worker count, and it changes no bits, since
     each path is a pure function of (seed, index) and every reduction runs
-    per row.
+    per row.  Row r of a block is path start + r.  No block is kept here,
+    so a caller that drops each block before it asks for the next holds one
+    block at a time.
     """
     rows = block_rows(spec.n_steps)
-    for b in range(lo, hi, rows):
-        yield generate(spec, min(b + rows, hi) - b, start=b)
+    for start in range(lo, hi, rows):
+        yield start, generate(spec, min(start + rows, hi) - start, start=start)

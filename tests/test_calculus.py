@@ -331,11 +331,9 @@ def test_covariation_ladder_matches_per_path_reference(name):
     # blocks of 64, 64 and 2 rows; each 64-row block spans two row slabs
     assert calculus.SLAB_CELLS // 1024 < block_rows(1024) == 64
     sums = CovariationSums.empty(130, ladder, t_grid)
-    lo = 0
-    for xb, yb in zip(iter_blocks(xspec, 0, 130), iter_blocks(yspec, 0, 130)):
+    for (lo, xb), (_, yb) in zip(iter_blocks(xspec, 0, 130), iter_blocks(yspec, 0, 130)):
         y = xb if ykw is None else yb
         covariation_ladder(xb, y, ladder, t_grid, threshold=threshold, out=sums.rows(lo, lo + len(xb)))
-        lo += len(xb)
     xs = generate(xspec, 130)
     ys = xs if ykw is None else generate(yspec, 130)
     ref = [_reference_ladder(x, y, ladder, t_grid, threshold) for x, y in zip(xs, ys)]

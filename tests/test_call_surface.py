@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from qvlab._parallel import map_chunked
 from qvlab.call_surface import (
     BoxIndicator,
     CallSurface,
     _one_pass,
-    _surface_chunk,
     _surface_sums,
     convexity_defect,
     kink_identity_check,
@@ -276,10 +274,6 @@ def test_identity_checks_reject_one_row():
 # built on its own with make_path
 
 
-def _oracle_paths(genspec, lo, hi):
-    return (make_path(genspec, i) for i in range(lo, hi))
-
-
 def _oracle_model_cells(genspec, path, t_grid):
     qv_rate = genspec.qv_rate()
     dt = np.diff(t_grid)
@@ -295,10 +289,6 @@ def _oracle_model_cells(genspec, path, t_grid):
     return xt, qv_cells, drift_cells
 
 
-def _xt_rows(lo, hi, genspec, t_grid):
-    return [path.eval_many(t_grid) for path in _oracle_paths(genspec, lo, hi)]
-
-
 def _box_run(theta, t_grid, x_centers):
     """(a, b, J): the cells i in [a, b) whose right end is in theta's
     t-range, and the midpoints in its x-range; (0, 0) when no end is."""
@@ -308,10 +298,10 @@ def _box_run(theta, t_grid, x_centers):
     return a, b, np.array([c for c in x_centers if lo <= c <= hi])
 
 
-def _identity_terms(lo, hi, genspec, theta, t_grid, x_centers, dx):
+def _identity_terms(paths, genspec, theta, t_grid, x_centers, dx):
     a, b, centers = _box_run(theta, t_grid, x_centers)
     out = []
-    for path in _oracle_paths(genspec, lo, hi):
+    for path in paths:
         xt, qv_cells, drift_cells = _oracle_model_cells(genspec, path, t_grid)
         # the box's double sum of hinge increments, telescoped over [a, b)
         lhs = float(np.sum(np.maximum(xt[b] - centers, 0.0) - np.maximum(xt[a] - centers, 0.0)) * dx)
@@ -329,10 +319,10 @@ def _identity_terms(lo, hi, genspec, theta, t_grid, x_centers, dx):
     return out
 
 
-def _kink_lhs(lo, hi, genspec, fexpr, t_grid):
+def _kink_lhs(paths, genspec, fexpr, t_grid):
     f = make_function(fexpr)
     out = []
-    for path in _oracle_paths(genspec, lo, hi):
+    for path in paths:
         xt, qv_cells, _ = _oracle_model_cells(genspec, path, t_grid)
         on_kink = np.asarray(f.nondiff_indicator(t_grid[:-1], xt[:-1]), dtype=bool)
         out.append(float(np.sum(qv_cells[on_kink])))
@@ -341,13 +331,12 @@ def _kink_lhs(lo, hi, genspec, fexpr, t_grid):
 
 def _oracle_pass(genspec, theta, t_grid, x_grid, n, fexpr):
     """(xt, terms, kink): each path's X_t row, identity terms and kink LHS."""
-    chunk = _surface_chunk(n)
-    xt = np.asarray(map_chunked(_xt_rows, n, chunk=chunk, args=(genspec, t_grid)))
+    paths = [make_path(genspec, i) for i in range(n)]
+    xt = np.asarray([path.eval_many(t_grid) for path in paths])
     x_centers = 0.5 * (x_grid[:-1] + x_grid[1:])
     dx = float(x_grid[1] - x_grid[0])
-    terms = np.asarray(map_chunked(
-        _identity_terms, n, chunk=chunk, args=(genspec, theta, t_grid, x_centers, dx)))
-    kink = np.asarray(map_chunked(_kink_lhs, n, chunk=chunk, args=(genspec, fexpr, t_grid)))
+    terms = np.asarray(_identity_terms(paths, genspec, theta, t_grid, x_centers, dx))
+    kink = np.asarray(_kink_lhs(paths, genspec, fexpr, t_grid))
     return xt, terms, kink
 
 
@@ -396,10 +385,10 @@ _ORACLE_SPECS = {
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n_paths,kind", [(130, k) for k in _ORACLE_SPECS] + [(600, "brownian")])
 def test_one_pass_matches_per_path_loops_bitwise(kind, n_paths, workers):
-    # 130 paths split into 16-path chunks; 600 paths into 75-path chunks,
-    # each generated as a 64-row and an 11-row block.  The identity terms
-    # and kink LHS match the per-path loops bit for bit; the surface sums
-    # are checked against exact rational sums
+    # 130 paths split into chunks of 64, 64 and 2 paths, 600 paths into
+    # nine 64-path chunks and a 24-path one, each chunk one block.  The
+    # identity terms and kink LHS match the per-path loops bit for bit; the
+    # surface sums are checked against exact rational sums
     spec = _ORACLE_SPECS[kind]
     theta = BoxIndicator(0.25, 0.75, -0.5, 1.0)
     t_grid = np.linspace(0.0, spec.horizon, 33)

@@ -270,4 +270,5 @@ def test_paired_ensembles_that_split_differently_are_refused(task):
     other = GeneratorSpec(kind="brownian", n_steps=4096, seed=2)
     with pytest.raises(ValueError, match="one grid"):
         task(0, 64, one, other, cfg)
-    assert len(task(0, 64, one, other._replace(n_steps=1024), cfg)) == 64
+    # _cross_stats returns two (paths, n_levels) arrays, _sum_zcqv_stats one
+    assert np.shape(task(0, 64, one, other._replace(n_steps=1024), cfg))[-2:] == (64, 3)

@@ -404,8 +404,8 @@ def test_block_generation_matches_scalar_reference(name):
     ens = generate(spec, 130)
     assert all(_same_bits(p, r) for p, r in zip(ens, ref))
     # iter_blocks splits at 64 and 128; make_path is a one-row block
-    blocks = list(iter_blocks(spec, 0, 130))
-    assert [len(b) for b in blocks] == [64, 64, 2]
+    starts, blocks = zip(*iter_blocks(spec, 0, 130))
+    assert starts == (0, 64, 128) and [len(b) for b in blocks] == [64, 64, 2]
     rows = [p for b in blocks for p in b]
     assert all(_same_bits(p, r) for p, r in zip(rows, ref, strict=True))
     for i in (0, 63, 64, 129):
@@ -416,8 +416,9 @@ def test_block_generation_matches_scalar_reference(name):
 def test_iter_blocks_are_sized_by_cells(n_steps, n_paths, lengths):
     # 2^17 cells a block, between 8 and 64 rows; 256 steps give 64 rows (above)
     spec = GeneratorSpec(kind="brownian", n_steps=n_steps, seed=3)
-    blocks = list(iter_blocks(spec, 0, n_paths))
+    starts, blocks = zip(*iter_blocks(spec, 0, n_paths))
     assert [len(b) for b in blocks] == lengths
+    assert list(starts) == np.cumsum([0, *lengths[:-1]]).tolist()
     for i in (0, n_paths - 1):
         assert make_path(spec, i).values.tobytes() == blocks[i // lengths[0]].values[i % lengths[0]].tobytes()
 
@@ -514,7 +515,7 @@ def _outcome(build):
 def _same_outcome_as_checked_loop(spec, n_paths):
     rows = generators.block_rows(spec.n_steps)
     spans = [(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
-    got = _outcome(lambda: list(iter_blocks(spec, 0, n_paths)))
+    got = _outcome(lambda: [ens for _, ens in iter_blocks(spec, 0, n_paths)])
     assert got == _outcome(lambda: [_checked_block(spec, hi - lo, lo) for lo, hi in spans])
     # all rows in one block: the first failing row of the block is named
     assert _outcome(lambda: [generate(spec, n_paths)]) == _outcome(lambda: [_checked_block(spec, n_paths, 0)])

@@ -129,7 +129,7 @@ def test_s_mask_cells_match_the_time_rule_on_every_level():
     s_times = np.concatenate([times[mark_grid], np.tile(common, n)])
     ladder = RefinementLadder(times, 0, 10)
     cfg = SuiteConfig(generator=spec, l_min=0, l_max=10)
-    stats = np.asarray([r[0] for r in _decomposition_stats(0, n, spec, fexpr, cfg, extra)])
+    stats = _decomposition_stats(0, n, spec, fexpr, cfg, extra)[0]
     v, _ = decompose_block(make_function(fexpr), ens)
     for i, lev in enumerate(ladder):
         want = _excluded_by_time(lev.cut_times, n, s_rows, s_times)
