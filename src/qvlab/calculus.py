@@ -1,10 +1,10 @@
 """Partition sums on blocks of paths: covariation approximants, jump sums,
 the included-cell (z.c.q.v.) statistic and left-point Ito sums.
 
-The included-cell, Ito and jump sums go through `_kernels.row_sums`, which
-rounds each row's sums faithfully from that row's terms alone, so a path
-summed in a block of 64 gets the same bits as a path summed alone, and a
-one-path sum is a one-row block.  `cell_sums` adds dX dY (or |dX dY|) over
+The suites' included-cell and Ito sums go through `_kernels.row_sums`,
+which rounds each row's sums faithfully from that row's terms alone, so a
+path summed in a block of 64 gets the same bits as a path summed alone, and
+a one-path sum is a one-row block.  `cell_sums` adds dX dY (or |dX dY|) over
 each row's kept cells and `ito_rows` forms each row's left-point Ito running
 sums; both take (n, K+1) blocks of values at the cuts and form their terms a
 slab of rows at a time.  `zcqv_ladder` runs the included-cell statistic of a
@@ -25,8 +25,11 @@ column of S in place and take a second cumulative sum.  S is the union of
 both paths' jump times under the threshold, read off the mark and value
 blocks as one grid mask.
 The jump sums do not depend on the level, so each row holds them once; they
-come from one kernel pass over each row's jump terms in time order: the
-jump sum at t is the running sum after the last jump <= t.  The continuous
+are the running sums of each row's jump terms in time order: the jump sum
+at t is the running sum after the last jump <= t.  The stopped, included
+and jump sums of covariation_ladder are all plain left-to-right running
+sums, one rule for all three, so on a pure-jump path at a level where each
+cell holds at most one jump, full - jumps is exactly 0.0.  The continuous
 part, full - jumps, is formed only where CovariationSums.median takes its
 medians, a level at a time.
 """
@@ -253,9 +256,11 @@ def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.nda
     row r and t.
 
     Row r's jump terms, in time order, fill the first cells of row r of an
-    (n, J) block, and one kernel pass keeps every row's running sums; the
-    cells past row r's jumps are masked, so they change none of its bits.
-    The value at t is the running sum after the last jump <= t.
+    (n, J) block, and one cumulative sum keeps every row's running sums: the
+    plain left-to-right rule of the stopped sums, so where each cell holds
+    one jump, full - jumps is exactly 0.0.  The cells past row r's jumps
+    hold 0.0, and adding it changes none of the row's bits.  The value at t
+    is the running sum after the last jump <= t.
     """
     rows, gs = np.nonzero(sel)  # row-major: time order within each row
     left = np.maximum(gs - 1, 0)
@@ -263,12 +268,11 @@ def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.nda
     n, n_grid = sel.shape
     counts = np.bincount(rows, minlength=n)
     width = int(counts.max(initial=0))
-    keep = np.arange(width) < counts[:, None]
     block = np.zeros((n, width))
-    block[keep] = terms
+    block[np.arange(width) < counts[:, None]] = terms
     # prefix[r, m]: row r's running sum after its first m jumps
     prefix = np.zeros((n, width + 1))
-    _kernels.row_sums(lambda a, b: block[a:b], (n, width), keep, out=prefix[:, 1:])
+    np.cumsum(block, axis=1, out=prefix[:, 1:])
     # row r's jumps at grid times <= t sit at flat positions [first[r], pos)
     flat = rows * n_grid + gs
     first = np.searchsorted(flat, np.arange(n) * n_grid)

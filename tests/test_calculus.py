@@ -169,18 +169,24 @@ def test_bilinearity_exact_on_integer_paths():
 
 
 def test_pure_jump_qv_equals_jump_sum_exactly(cp_ensemble):
+    # like with like: the suites' faithfully rounded statistic against the
+    # faithfully rounded sum of the same jump terms, and qv's plain running
+    # sums against its own jump sums
     ens = rows_of(cp_ensemble, 0, 10)
     ladder = RefinementLadder(ens.times, 0, 12)
     qv = covariation(ens, ens, ladder)
-    js = covariation_ladder(ens, ens, ladder, np.asarray([1.0])).jumps[:, 0]
+    sums = covariation_ladder(ens, ens, ladder, np.asarray([1.0]))
     for r, p in enumerate(ens):
         jt = p.jump_times(np.inf)
         gaps = np.diff(np.concatenate([[0.0], jt, [1.0]]))
         min_gap = gaps[gaps > 0].min()
         level = min(12, int(np.ceil(-np.log2(min_gap))) + 1)
-        assert qv[r, level] == js[r]
+        terms = (p.eval_many(jt) - p.eval_left_many(jt))[None] ** 2
+        faithful = _kernels.row_sums(lambda a, b: terms, terms.shape)[0]
+        assert qv[r, level] == faithful
         # stable under further refinement
-        assert qv[r, -1] == js[r]
+        assert qv[r, -1] == faithful
+        assert sums.full[r, level, 0] == sums.full[r, -1, 0] == sums.jumps[r, 0]
 
 
 def test_cross_statistic_zero_when_jumps_excluded(cp_ensemble, brownian_200_l12):
@@ -218,12 +224,29 @@ def test_covariation_ladder_report(brownian_200_l12):
     assert lines[-1] == ",".join(["8", repr(2.0**-8), "1.0", *last])
 
 
-def test_covariation_ladder_cp_zcqv_column_zero(cp_ensemble):
+@pytest.mark.parametrize("n_t", [9, 65])
+def test_covariation_ladder_cp_zcqv_column_zero(cp_ensemble, n_t):
     ladder = RefinementLadder(cp_ensemble.times, 8, 12)
-    rep = covariation_ladder(cp_ensemble, cp_ensemble, ladder, np.linspace(0, 1, 9), threshold=np.inf)
+    rep = covariation_ladder(cp_ensemble, cp_ensemble, ladder, np.linspace(0, 1, n_t), threshold=np.inf)
     assert np.all(rep.zcqv == 0.0)
-    # continuous part = full - jumps vanishes once every cell isolates a jump
-    assert np.allclose(rep.full[:, -1] - rep.jumps, 0.0, atol=1e-12)
+    # continuous part = full - jumps is exactly zero once every cell
+    # isolates a jump: the stopped and jump sums add the same terms in the
+    # same order, and the cells without a jump add 0.0
+    assert np.all(rep.full[:, -1] - rep.jumps == 0.0)
+    assert np.all(rep.median().continuous_part[-1] == 0.0)
+
+
+def test_covariation_ladder_pure_jump_pair_continuous_part_zero(cp_ensemble):
+    # X and Y = X + Z for an independent compound-Poisson Z, so the pair
+    # shares X's jumps; at level 12 each cell is one grid step, so it holds
+    # at most one jump of the pair
+    x = cp_ensemble
+    z = generate(GeneratorSpec(kind="compound_poisson", n_steps=4096, jump_rate=3.0, seed=778), len(x))
+    y = toy_ensemble(x.times, x.values + z.values, x.marks | z.marks)
+    ladder = RefinementLadder(x.times, 10, 12)
+    rep = covariation_ladder(x, y, ladder, np.linspace(0, 1, 65))
+    assert np.count_nonzero(rep.jumps[:, -1]) > len(x) // 2
+    assert np.all(rep.full[:, -1] - rep.jumps == 0.0)
 
 
 def test_independent_brownians_cross_variation_small():
@@ -246,7 +269,7 @@ def test_ucp_exceedance_decreases(brownian_200_l12):
 
 # ---------------------------------------------------------------------------
 # bitwise oracle for the block ladder sweep: the per-path sweep it replaced,
-# with each path's jump sums run through the kernel as one row
+# with each path's jump sums a plain running sum in time order
 
 
 def _reference_stopped(x, y, partition, t_grid):
@@ -277,11 +300,12 @@ def _reference_included(x, y, partition, s, t_grid):
 
 def _reference_jump_sums(x, y, s, t_grid):
     """Sum of dX_s dY_s over the times s <= t of the sorted s, for each t: the
-    running sum, in time order, after the last such s."""
+    plain running sum, in time order, after the last such s."""
     terms = (x.eval_many(s) - x.eval_left_many(s)) * (y.eval_many(s) - y.eval_left_many(s))
-    run = np.zeros((1, s.size + 1))
-    _kernels.row_sums(lambda a, b: terms[None], (1, s.size), out=run[:, 1:])
-    return run[0, np.searchsorted(s, t_grid, side="right")]
+    run = [0.0]
+    for term in terms.tolist():
+        run.append(run[-1] + term)
+    return np.asarray(run)[np.searchsorted(s, t_grid, side="right")]
 
 
 def _reference_ladder(x, y, ladder, t_grid, threshold):

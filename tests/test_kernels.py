@@ -254,8 +254,9 @@ def test_row_sums_masked_are_faithful_and_ignore_dropped_cells():
 
 
 def test_dropped_cells_change_no_bits():
-    # sigma counts the kept cells, so padding a row with dropped cells, as
-    # the jump sums do, keeps its bits; this row's sums change with m
+    # sigma counts the kept cells, so dropping cells, as zcqv_ladder drops
+    # the cells that hold S or end past t, keeps a row's bits; this row's
+    # sums change with m
     row = [float.fromhex(h) for h in ("-0x1.3de158c9799e8p+0", "-0x1.06bbfd0129f47p+0", "0x1.b78d0efa70cd9p-104")]
     padded = np.full((1, 20), np.nan)
     padded[0, :3] = row
