@@ -6,12 +6,15 @@ are grid columns, and an exclusion set S is a mask on the grid), builds
 left-point Ito-sum decompositions of nondifferentiable functions of the
 path, and runs the call-surface and grid-calculus identity checks.  Each
 quantity has one implementation, which works on a block of paths (a
-PathEnsemble) at once; one path is a one-row block.  The included-cell, Ito
-and jump sums are faithfully rounded by one error-free summation kernel in
-`qvlab._kernels`, from each path's own terms, so results are deterministic
-bit for bit.  The call-surface sums come from the same kernel's prefix sums
-over each time's sorted values, so they depend on the set of values, not on
-the path order.
+PathEnsemble) at once; one path is a one-row block.  The suites'
+included-cell and Ito sums are faithfully rounded by one error-free
+summation kernel in `qvlab._kernels`, from each path's own terms, so
+results are deterministic bit for bit.  The call-surface sums come from the
+same kernel's prefix sums over each time's sorted values, so they depend on
+the set of values, not on the path order.  qv's stopped, included and jump
+sums are plain running sums in time order, one rule for all three, so the
+continuous part of a pure-jump path is exactly zero once each cell holds at
+most one jump.
 
 Importing the package loads none of its layers.  Each public name is
 resolved from its submodule on first access (PEP 562), so a `qvlab`
