@@ -676,8 +676,8 @@ def block_rows(n_steps: int) -> int:
 
 
 def iter_blocks(spec: GeneratorSpec, lo: int, hi: int):
-    """(index of the first path, ensemble) over paths lo .. hi-1 in index
-    order, the ensembles sized by cells.
+    """(start, ensemble) over paths lo .. hi-1 in index order, with start
+    the index of the ensemble's first path; the ensembles sized by cells.
 
     Each block holds block_rows(n_steps) paths: 64 below 2048 steps, 63 at
     2048, 31 at 4096 and 8 from 2^14 steps up.  The split depends on

@@ -224,16 +224,16 @@ def test_covariation_ladder_report(brownian_200_l12):
     assert lines[-1] == ",".join(["8", repr(2.0**-8), "1.0", *last])
 
 
-@pytest.mark.parametrize("n_t", [9, 65])
-def test_covariation_ladder_cp_zcqv_column_zero(cp_ensemble, n_t):
+def test_covariation_ladder_cp_zcqv_column_zero(cp_ensemble):
     ladder = RefinementLadder(cp_ensemble.times, 8, 12)
-    rep = covariation_ladder(cp_ensemble, cp_ensemble, ladder, np.linspace(0, 1, n_t), threshold=np.inf)
-    assert np.all(rep.zcqv == 0.0)
-    # continuous part = full - jumps is exactly zero once every cell
-    # isolates a jump: the stopped and jump sums add the same terms in the
-    # same order, and the cells without a jump add 0.0
-    assert np.all(rep.full[:, -1] - rep.jumps == 0.0)
-    assert np.all(rep.median().continuous_part[-1] == 0.0)
+    for n_t in (9, 65):
+        rep = covariation_ladder(cp_ensemble, cp_ensemble, ladder, np.linspace(0, 1, n_t), threshold=np.inf)
+        assert np.all(rep.zcqv == 0.0)
+        # continuous part = full - jumps is exactly zero once every cell
+        # isolates a jump: the stopped and jump sums add the same terms in
+        # the same order, and the cells without a jump add 0.0
+        assert np.all(rep.full[:, -1] - rep.jumps == 0.0), n_t
+        assert np.all(rep.median().continuous_part[-1] == 0.0), n_t
 
 
 def test_covariation_ladder_pure_jump_pair_continuous_part_zero(cp_ensemble):
