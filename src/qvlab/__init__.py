@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
-    "SamplePath": "paths",
     "PathEnsemble": "paths",
     "path_from_csv": "paths",
     "GeneratorSpec": "generators",

@@ -238,7 +238,8 @@ class CovariationReport(NamedTuple):
 
 
 def jump_grid(ens: PathEnsemble, threshold: float) -> np.ndarray:
-    """(n_paths, n_grid) mask of SamplePath.jump_times(threshold) on the grid.
+    """(n_paths, n_grid) mask of each row's jump times: the marked grid
+    times, and each t_i, i >= 1, with |X_{t_i} - X_{t_{i-1}}| > threshold.
 
     The increments are formed a slab of about _kernels.CELLS cells at a time.
     """

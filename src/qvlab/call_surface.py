@@ -409,7 +409,8 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_g
     first, end = (int(run[0]), int(run[-1]) + 1) if run.size else (0, 0)
     centers = x_centers[(x_centers >= x_lo) & (x_centers <= x_hi)]
     times = genspec.grid()
-    # X_t as SamplePath.eval_many reads it, and the grid times jumps count at
+    # X_t = values[i] on [t_i, t_{i+1}), so X_t is read from the column of the
+    # last grid time <= t; and the grid times jumps count at
     cols = np.searchsorted(times, t_grid, side="right") - 1
     in_range = times <= t_grid[-1]
     xt_all = np.empty((hi - lo, t_grid.size))

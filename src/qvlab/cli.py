@@ -83,9 +83,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple:
 
     spec = cfg.generator_spec()
     ens = generate(spec, cfg.n_paths)
-    files = {}
-    for i, path in enumerate(ens):
-        files[f"path_{i:05d}.csv"] = path.to_csv()
+    files = {f"path_{i:05d}.csv": ens.row_csv(i) for i in range(len(ens))}
     manifest = {
         "generator": spec.kind,
         "n_paths": cfg.n_paths,
@@ -222,10 +220,10 @@ def cmd_ingest(cfg: ExperimentConfig, args) -> tuple:
         "experiment": "ingest",
         "n_points": int(path.times.size),
         "horizon": path.horizon,
-        "n_jumps": int(np.sum(path.jump_marks)),
+        "n_jumps": int(np.sum(path.marks)),
         "jump_threshold": None if np.isinf(thr) else thr,
     }
-    files = {"ingested.csv": path.to_csv(), "ingest.json": _json_text(stats)}
+    files = {"ingested.csv": path.row_csv(0), "ingest.json": _json_text(stats)}
     return files, True
 
 

@@ -12,7 +12,7 @@ constructor would first draw OS entropy that the key then overrides.  Rows
 draw strictly one after another.
 
 generate(spec, n, start) is the one way paths are built.  It returns paths
-start .. start+n-1 as row views of one read-only (n, n_steps+1) float64
+start .. start+n-1 as the rows of one read-only (n, n_steps+1) float64
 value block and one bool mark block on a shared time grid.  Each kind has
 one builder that fills the block.  Brownian rows are normals drawn in place
 and one cumulative sum; compound Poisson rows are filled from their sparse
@@ -53,11 +53,10 @@ CHUNK = 64 rows.  So a chunk task's working set stops growing as
 2^14 up.  The floor stays because below 8 rows each block's row-sized
 temporaries are freed and faulted back in page by page: one-row blocks
 took about 30% (2^16 steps) and 50% (2^18) more CPU than 8-row ones on a
-2-core VM.  A task reads each block as a block; its row SamplePath views
-are built only when asked for.  Both Euler passes cost a fixed number of
-numpy calls per step or slab whatever the row count: replaying one Euler
-path with make_path is a one-row block, which only matters for one-off
-replays.
+2-core VM.  A task reads each block as a block.  Both Euler passes cost a
+fixed number of numpy calls per step or slab whatever the row count:
+replaying one Euler path with make_path is a one-row block, which only
+matters for one-off replays.
 
 The split changes no value, but it does choose which failing path an Euler
 error names: the replay stops at the block's earliest failing step and
@@ -83,7 +82,7 @@ import numpy as np
 
 from ._parallel import CHUNK
 from .errors import ConfigurationError, GenerationError, check_numbers
-from .paths import PathEnsemble, SamplePath
+from .paths import PathEnsemble
 
 KINDS = ("brownian", "euler_sde", "compound_poisson", "jump_diffusion", "lamperti_dirichlet")
 
@@ -652,7 +651,7 @@ BLOCK_CELLS = 2**17  # value cells in an iter_blocks block: 1 MB of float64
 
 
 def generate(spec: GeneratorSpec, n_paths: int, start: int = 0) -> PathEnsemble:
-    """Paths start .. start+n_paths-1 as row views of one read-only block.
+    """Paths start .. start+n_paths-1 as the rows of one read-only block.
 
     A pure function of (spec, path index): any split of an index range into
     generate calls yields the same paths.
@@ -664,9 +663,10 @@ def generate(spec: GeneratorSpec, n_paths: int, start: int = 0) -> PathEnsemble:
     return PathEnsemble(times=spec.grid(), values=values, marks=marks)
 
 
-def make_path(spec: GeneratorSpec, index: int) -> SamplePath:
-    """Build path `index` of the ensemble on its own; replay-exact."""
-    return generate(spec, 1, start=index)[0]
+def make_path(spec: GeneratorSpec, index: int) -> PathEnsemble:
+    """Path `index` of the ensemble built on its own, as a one-row ensemble;
+    replay-exact."""
+    return generate(spec, 1, start=index)
 
 
 def block_rows(n_steps: int) -> int:

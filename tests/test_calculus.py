@@ -18,7 +18,7 @@ from qvlab.calculus import (
 from qvlab.generators import GeneratorSpec, block_rows, generate, iter_blocks
 from qvlab.partitions import RefinementLadder
 
-from conftest import rows_of, toy_ensemble
+from conftest import jump_times, left_limit, rows_of, toy_ensemble, value_at
 
 
 def grid_ladder(ens):
@@ -176,12 +176,13 @@ def test_pure_jump_qv_equals_jump_sum_exactly(cp_ensemble):
     ladder = RefinementLadder(ens.times, 0, 12)
     qv = covariation(ens, ens, ladder)
     sums = covariation_ladder(ens, ens, ladder, np.asarray([1.0]))
-    for r, p in enumerate(ens):
-        jt = p.jump_times(np.inf)
+    for r in range(len(ens)):
+        p = rows_of(ens, r, r + 1)
+        jt = jump_times(p, np.inf)
         gaps = np.diff(np.concatenate([[0.0], jt, [1.0]]))
         min_gap = gaps[gaps > 0].min()
         level = min(12, int(np.ceil(-np.log2(min_gap))) + 1)
-        terms = (p.eval_many(jt) - p.eval_left_many(jt))[None] ** 2
+        terms = (value_at(p, jt) - left_limit(p, jt))[None] ** 2
         faithful = _kernels.row_sums(lambda a, b: terms, terms.shape)[0]
         assert qv[r, level] == faithful
         # stable under further refinement
@@ -207,7 +208,7 @@ def test_covariation_ladder_report(brownian_200_l12):
     # summed by cell_sums, and against zcqv_ladder
     for i, part in enumerate(ladder):
         for j, t in enumerate(t_grid):
-            xv = x[0].eval_many(np.minimum(part.cut_times, t))[None]
+            xv = value_at(x, np.minimum(part.cut_times, t))[None]
             assert rep.full[0, i, j] == pytest.approx(cell_sums(xv, xv)[0], abs=1e-12)
     for j, t in enumerate(t_grid):
         assert rep.zcqv[0, :, j] == pytest.approx(zcqv_ladder(x.values, ladder, float(t))[0], abs=1e-12)
@@ -274,21 +275,21 @@ def test_ucp_exceedance_decreases(brownian_200_l12):
 
 def _reference_stopped(x, y, partition, t_grid):
     cuts = np.minimum(partition.cut_times, x.horizon)
-    xv = x.eval_many(cuts)
-    yv = y.eval_many(cuts)
+    xv = value_at(x, cuts)
+    yv = value_at(y, cuts)
     cum = np.concatenate([[0.0], np.cumsum(np.diff(xv) * np.diff(yv))])
     j = np.searchsorted(partition.cut_times, t_grid, side="right") - 1
     j = np.clip(j, 0, partition.n_cells)
-    xt = x.eval_many(t_grid)
-    yt = y.eval_many(t_grid)
+    xt = value_at(x, t_grid)
+    yt = value_at(y, t_grid)
     boundary = np.where(j < partition.n_cells, (xt - xv[j]) * (yt - yv[j]), 0.0)
     return cum[j] + boundary
 
 
 def _reference_included(x, y, partition, s, t_grid):
     cuts = np.minimum(partition.cut_times, x.horizon)
-    xv = x.eval_many(cuts)
-    yv = y.eval_many(cuts)
+    xv = value_at(x, cuts)
+    yv = value_at(y, cuts)
     dxdy = np.diff(xv) * np.diff(yv)
     # S time s excludes cell k (1-based) when tau_{k-1} < s <= tau_k
     k = np.searchsorted(partition.cut_times, s, side="left")
@@ -301,7 +302,7 @@ def _reference_included(x, y, partition, s, t_grid):
 def _reference_jump_sums(x, y, s, t_grid):
     """Sum of dX_s dY_s over the times s <= t of the sorted s, for each t: the
     plain running sum, in time order, after the last such s."""
-    terms = (x.eval_many(s) - x.eval_left_many(s)) * (y.eval_many(s) - y.eval_left_many(s))
+    terms = (value_at(x, s) - left_limit(x, s)) * (value_at(y, s) - left_limit(y, s))
     run = [0.0]
     for term in terms.tolist():
         run.append(run[-1] + term)
@@ -310,7 +311,7 @@ def _reference_jump_sums(x, y, s, t_grid):
 
 def _reference_ladder(x, y, ladder, t_grid, threshold):
     """(full, jumps, continuous_part, zcqv) of one path pair, (n_levels, n_t) each."""
-    s = np.union1d(x.jump_times(threshold), y.jump_times(threshold))
+    s = np.union1d(jump_times(x, threshold), jump_times(y, threshold))
     n_l, n_t = len(ladder), t_grid.size
     full = np.empty((n_l, n_t))
     zc = np.empty((n_l, n_t))
@@ -360,7 +361,8 @@ def test_covariation_ladder_matches_per_path_reference(name):
         covariation_ladder(xb, y, ladder, t_grid, threshold=threshold, out=sums.rows(lo, lo + len(xb)))
     xs = generate(xspec, 130)
     ys = xs if ykw is None else generate(yspec, 130)
-    ref = [_reference_ladder(x, y, ladder, t_grid, threshold) for x, y in zip(xs, ys)]
+    ref = [_reference_ladder(rows_of(xs, r, r + 1), rows_of(ys, r, r + 1), ladder, t_grid, threshold)
+           for r in range(130)]
     shape = (130, len(ladder), t_grid.size)
     assert sums.full.tobytes() == np.stack([r[0] for r in ref]).tobytes()
     assert sums.jumps.shape == (130, t_grid.size)

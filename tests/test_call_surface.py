@@ -24,6 +24,8 @@ from qvlab.functions import make_function
 from qvlab.generators import GeneratorSpec, generate, make_coefficient, make_jump_law, make_path
 from qvlab.paths import PathEnsemble
 
+from conftest import jump_times, left_limit, value_at
+
 
 def _surface(spec, n_paths, n_t, x_lo, x_hi, n_x):
     """Surface on n_t + 1 times over [0, horizon] and n_x + 1 points over [x_lo, x_hi]."""
@@ -277,7 +279,7 @@ def test_identity_checks_reject_one_row():
 def _oracle_model_cells(genspec, path, t_grid):
     qv_rate = genspec.qv_rate()
     dt = np.diff(t_grid)
-    xt = path.eval_many(t_grid)
+    xt = value_at(path, t_grid)
     qv_cells = np.asarray(qv_rate(t_grid[:-1], xt[:-1]), dtype=float) * dt
     if genspec.kind == "brownian":
         drift_cells = np.zeros_like(dt)
@@ -309,10 +311,10 @@ def _identity_terms(paths, genspec, theta, t_grid, x_centers, dx):
         qv_term = 0.5 * float(np.sum(th_left * qv_cells))
         drift_term = float(np.sum(theta.integral_to(t_grid[:-1], xt[:-1]) * drift_cells))
         jump_term = 0.0
-        jt = path.jump_times(np.inf)
+        jt = jump_times(path, np.inf)
         for s in jt[jt <= t_grid[-1]]:
-            before = path.eval_left(s)
-            after = path.eval(s)
+            before = left_limit(path, s)
+            after = value_at(path, s)
             jump_term += theta.hinge_integral(float(s), float(before), float(after), float(after))
         out.append((lhs, qv_term, drift_term, jump_term,
                     float(np.sum(qv_cells)), float(np.sum(np.abs(drift_cells)))))
@@ -332,7 +334,7 @@ def _kink_lhs(paths, genspec, fexpr, t_grid):
 def _oracle_pass(genspec, theta, t_grid, x_grid, n, fexpr):
     """(xt, terms, kink): each path's X_t row, identity terms and kink LHS."""
     paths = [make_path(genspec, i) for i in range(n)]
-    xt = np.asarray([path.eval_many(t_grid) for path in paths])
+    xt = np.asarray([value_at(path, t_grid) for path in paths])
     x_centers = 0.5 * (x_grid[:-1] + x_grid[1:])
     dx = float(x_grid[1] - x_grid[0])
     terms = np.asarray(_identity_terms(paths, genspec, theta, t_grid, x_centers, dx))
@@ -419,7 +421,7 @@ def test_telescoped_lhs_within_4_ulps_of_the_exact_double_sum():
     assert not inside.all() and inside.any()
     lhs = _one_pass(spec, theta, t_grid, x_grid, 8)[2][:, 0]
     for i, got in enumerate(lhs):
-        hinges = np.maximum(make_path(spec, i).eval_many(t_grid)[:, None] - x_centers, 0.0)
+        hinges = np.maximum(value_at(make_path(spec, i), t_grid)[:, None] - x_centers, 0.0)
         exact = Fraction(dx) * sum(
             Fraction(float(hinges[k + 1, j])) - Fraction(float(hinges[k, j])) for k, j in zip(*np.nonzero(inside))
         )

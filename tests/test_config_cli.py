@@ -229,12 +229,16 @@ def test_simulate_and_ingest_round_trip(tmp_path):
     assert stats["n_points"] == 65 and stats["n_jumps"] == 0
 
 
-def test_ingest_parse_error_exit(tmp_path):
+def test_ingest_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("t,x,jump\n0.0,1.0,0\n0.0,2.0,0\n")
     out = tmp_path / "out"
-    rc = main(["ingest", str(bad), "--out", str(out)])
-    assert rc == 2 and not out.exists()
+    # repeated times, and jump fields that are not a 0/1 mark
+    for text in ("t,x,jump\n0.0,1.0,0\n0.0,2.0,0\n",
+                 *(f"t,x,jump\n0,0,0\n0.5,1,{jump}\n" for jump in ("inf", "1e400", "2", "0.5", "-1"))):
+        bad.write_text(text)
+        rc = main(["ingest", str(bad), "--out", str(out)])
+        assert rc == 2 and not out.exists(), text
+        assert "error: row 3: " in capsys.readouterr().err, text
 
 
 def test_output_write_failure_exits_2_without_traceback(tmp_path):
@@ -314,7 +318,7 @@ def test_decompose_square_final_v_is_realized_qv(tmp_path):
     payload = json.loads((out / "verdict.json").read_text())
     assert payload["experiment"] == "tanaka" and payload["function"] == "square"
     ens = generate(GeneratorSpec(kind="brownian", n_steps=1024, seed=77), 8)
-    realized = np.mean([np.sum(np.diff(p.values) ** 2) for p in ens])
+    realized = np.mean(np.sum(np.diff(ens.values, axis=1) ** 2, axis=1))
     assert abs(payload["mean_final_v"] - realized) <= 1e-12
 
 

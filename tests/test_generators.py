@@ -74,23 +74,41 @@ def test_brownian_initial_condition_and_determinism():
     spec = GeneratorSpec(kind="brownian", n_steps=16, x0=2.5, seed=42)
     a = generate(spec, 3)
     b = generate(spec, 3)
-    for p, q in zip(a, b):
-        assert p.values[0] == 2.5
-        assert np.array_equal(p.values, q.values)  # bit-identical replay
-        assert not p.jump_marks.any()
+    assert np.all(a.values[:, 0] == 2.5)
+    assert a.values.tobytes() == b.values.tobytes()  # bit-identical replay
+    assert not a.marks.any()
 
 
 def test_path_replay_matches_ensemble():
-    spec = GeneratorSpec(kind="brownian", n_steps=64, seed=9)
-    ens = generate(spec, 5)
-    assert np.array_equal(make_path(spec, 3).values, ens[3].values)
+    # at 64 steps iter_blocks splits at 64, so paths 63 and 64 sit on
+    # either side of a block boundary
+    for kind in generators.KINDS:
+        spec = GeneratorSpec(kind=kind, n_steps=64, jump_rate=3.0, seed=9)
+        starts, blocks = zip(*iter_blocks(spec, 0, 70))
+        assert starts == (0, 64)
+        for i in (0, 3, 63, 64, 69):
+            path, block, row = make_path(spec, i), blocks[i // 64], i % 64
+            assert isinstance(path, PathEnsemble) and len(path) == 1
+            assert path.values.tobytes() == block.values[row].tobytes(), (kind, i)
+            assert path.marks.tobytes() == block.marks[row].tobytes(), (kind, i)
+
+
+def test_simulate_writes_each_path_as_make_path_replays_it(tmp_path):
+    from qvlab.cli import main
+
+    cfg = tmp_path / "jumps.json"
+    cfg.write_text('{"generator": {"kind": "jump_diffusion", "n_steps": 64, "jump_rate": 3.0}, "n_paths": 70}')
+    assert main(["simulate", "--config", str(cfg), "--seed", "9", "--out", str(tmp_path / "out")]) == 0
+    spec = GeneratorSpec(kind="jump_diffusion", n_steps=64, jump_rate=3.0, seed=9)
+    for i in (0, 63, 64, 69):
+        assert (tmp_path / "out" / f"path_{i:05d}.csv").read_text() == make_path(spec, i).row_csv(0), i
 
 
 def test_brownian_increment_law():
     # law of X_1 - x0 at one step: mean within 4 standard errors, variance 10%
     spec = GeneratorSpec(kind="brownian", n_steps=1, horizon=1.0, x0=1.0, seed=5)
     ens = generate(spec, 10**4)
-    term = np.asarray([p.values[-1] - 1.0 for p in ens])
+    term = ens.values[:, -1] - 1.0
     assert abs(term.mean()) <= 4.0 / np.sqrt(10**4)
     assert abs(term.var() - 1.0) <= 0.1
 
@@ -98,7 +116,7 @@ def test_brownian_increment_law():
 def test_brownian_kurtosis_sanity():
     spec = GeneratorSpec(kind="brownian", n_steps=4096, seed=11)
     ens = generate(spec, 25)
-    incs = np.concatenate([np.diff(p.values) for p in ens]) / np.sqrt(1.0 / 4096)
+    incs = np.diff(ens.values, axis=1).ravel() / np.sqrt(1.0 / 4096)
     kurt = stats.kurtosis(incs, fisher=False)
     assert abs(kurt - 3.0) <= 0.2
 
@@ -118,11 +136,11 @@ def test_compound_poisson_single_event_shape():
                          jump_law="const(2.0)")
     for i in range(20):
         p = make_path(spec, i)
-        jumps = p.times[p.jump_marks]
+        jumps = p.times[p.marks[0]]
         if jumps.size == 1:
             t1 = jumps[0]
             expect = np.where(p.times >= t1, 2.0, 0.0)
-            assert np.array_equal(p.values, expect)
+            assert np.array_equal(p.values[0], expect)
             break
     else:
         pytest.fail("no single-jump path found")
@@ -130,16 +148,15 @@ def test_compound_poisson_single_event_shape():
 
 def test_compound_poisson_mean_count():
     spec = GeneratorSpec(kind="compound_poisson", n_steps=64, jump_rate=3.0, seed=21)
-    counts = [int(make_path(spec, i).jump_marks.sum()) for i in range(10**4)]
+    counts = generate(spec, 10**4).marks.sum(axis=1)
     assert abs(np.mean(counts) - 3.0) <= 4.0 * np.sqrt(3.0 / 10**4)
 
 
 def test_compound_poisson_piecewise_constant_and_marked():
     spec = GeneratorSpec(kind="compound_poisson", n_steps=512, jump_rate=4.0, seed=3)
     p = make_path(spec, 0)
-    dx = np.diff(p.values)
-    moved = np.flatnonzero(dx != 0.0) + 1
-    assert np.all(p.jump_marks[moved])  # every move is a marked jump
+    moved = np.diff(p.values[0]) != 0.0
+    assert np.all(p.marks[0, 1:][moved])  # every move is a marked jump
 
 
 def test_euler_degenerate():
@@ -151,7 +168,7 @@ def test_euler_degenerate():
 def test_euler_pure_drift_exact():
     spec = GeneratorSpec(kind="euler_sde", n_steps=64, x0=2.0, sigma="const(0.0)", b="const(1.0)", seed=0)
     p = make_path(spec, 0)
-    assert p.values[-1] == pytest.approx(3.0, abs=1e-12)
+    assert p.values[0, -1] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_euler_unit_sigma_same_seed_is_bitexact():
@@ -164,8 +181,8 @@ def test_euler_unit_sigma_matches_brownian_law():
     n = 1000
     e1 = generate(GeneratorSpec(kind="euler_sde", n_steps=1024, sigma="const(1.0)", seed=101), n)
     e2 = generate(GeneratorSpec(kind="brownian", n_steps=1024, seed=201), n)
-    a = np.asarray([p.values[-1] for p in e1])
-    b = np.asarray([p.values[-1] for p in e2])
+    a = e1.values[:, -1]
+    b = e2.values[:, -1]
     # two-sample KS at 1e3 paths: threshold ~1.63*sqrt(2/n) at 1% level
     d = stats.ks_2samp(a, b).statistic
     assert d <= 1.63 * np.sqrt(2.0 / n)
@@ -211,7 +228,7 @@ def test_jump_placement_failure_names_path():
 def test_jump_diffusion_marks_and_validate():
     spec = GeneratorSpec(kind="jump_diffusion", n_steps=1024, jump_rate=3.0, seed=17)
     p = make_path(spec, 0)
-    assert p.jump_marks.sum() >= 0
+    assert p.marks.sum() >= 0
     assert np.all(np.isfinite(p.values))
 
 
@@ -392,9 +409,9 @@ ORACLE_SPECS = {
 }
 
 
-def _same_bits(path, ref) -> bool:
+def _same_bits(block, row, ref) -> bool:
     values, marks = ref
-    return path.values.tobytes() == values.tobytes() and np.array_equal(path.jump_marks, marks)
+    return block.values[row].tobytes() == values.tobytes() and np.array_equal(block.marks[row], marks)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
@@ -402,14 +419,13 @@ def test_block_generation_matches_scalar_reference(name):
     spec = GeneratorSpec(n_steps=256, seed=2024, **ORACLE_SPECS[name])
     ref = [_REFERENCE[spec.kind](spec, path_rng(spec.seed, i)) for i in range(130)]
     ens = generate(spec, 130)
-    assert all(_same_bits(p, r) for p, r in zip(ens, ref))
+    assert all(_same_bits(ens, i, r) for i, r in enumerate(ref))
     # iter_blocks splits at 64 and 128; make_path is a one-row block
     starts, blocks = zip(*iter_blocks(spec, 0, 130))
     assert starts == (0, 64, 128) and [len(b) for b in blocks] == [64, 64, 2]
-    rows = [p for b in blocks for p in b]
-    assert all(_same_bits(p, r) for p, r in zip(rows, ref, strict=True))
+    assert all(_same_bits(blocks[i // 64], i % 64, r) for i, r in enumerate(ref))
     for i in (0, 63, 64, 129):
-        assert _same_bits(make_path(spec, i), ref[i])
+        assert _same_bits(make_path(spec, i), 0, ref[i])
 
 
 @pytest.mark.parametrize("n_steps, n_paths, lengths", [(4096, 70, [31, 31, 8]), (2**16, 17, [8, 8, 1])])
@@ -427,7 +443,7 @@ def test_signed_zero_specs_tell_the_jump_term_apart():
     # the oracle comparison is bitwise, so it sees whether + 0.0 ran
     def negative_zeros(name):
         ens = generate(GeneratorSpec(n_steps=8, seed=1, **ORACLE_SPECS[name]), 20)
-        after_start = np.concatenate([p.values[1:] for p in ens])
+        after_start = ens.values[:, 1:]
         return int(np.sum((after_start == 0.0) & np.signbit(after_start)))
 
     assert negative_zeros("euler_signed_zero") > 0
@@ -437,8 +453,8 @@ def test_signed_zero_specs_tell_the_jump_term_apart():
 def test_blocks_are_read_only():
     ens = generate(GeneratorSpec(kind="jump_diffusion", n_steps=64, jump_rate=3.0, seed=2), 3)
     values, marks = ens.values, ens.marks
-    assert values.shape == (3, 65) and ens[2].values.base is values
-    for arr in (values, marks, ens[1].values, ens[1].jump_marks, ens[1].times):
+    assert values.shape == (3, 65)
+    for arr in (values, marks, ens.times, values[1], marks[1]):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
 

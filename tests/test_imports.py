@@ -61,6 +61,8 @@ def test_bare_import_loads_no_layer():
         (["identity"], {"qvlab.decomposition", "qvlab.calculus"}),
         # numpy's percentile imports numpy.ma through np.unique
         (["suite", "moving_kink_jump"], {"qvlab.call_surface", "qvlab.grid_calculus", "numpy.ma", "csv"}),
+        # simulate writes its path files without the csv module
+        (["simulate"], {"csv", "qvlab.calculus", "qvlab.decomposition", "qvlab.call_surface", "qvlab.grid_calculus"}),
     ],
 )
 def test_command_loads_only_its_modules(tmp_path, command, absent):
