@@ -28,6 +28,51 @@ def _check_grid(times: np.ndarray) -> None:
         raise ValueError("times must be strictly increasing")
 
 
+def path_from_csv(text: str, jump_threshold: float | None = None) -> PathEnsemble:
+    """Parse the `t,x,jump` CSV format into a one-row ensemble; times are
+    rebased to start at 0.
+
+    A jump field must equal 0 or 1, as PathEnsemble.row_csv writes it.  When
+    jump_threshold is given the file's jump column is ignored and marks are
+    re-derived from the threshold rule (ingested data carries no ground
+    truth).  Raises ValueError naming the offending row on bad input.
+    """
+    import csv
+    import io
+
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:3]] != ["t", "x", "jump"]:
+        raise ValueError("expected header 't,x,jump'")
+    ts, xs, js = [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            t, x, j = float(row[0]), float(row[1]), float(row[2])
+            if j not in (0.0, 1.0):
+                raise ValueError
+        except (ValueError, IndexError):
+            raise ValueError(f"row {lineno}: malformed record {row!r}") from None
+        if not (np.isfinite(t) and np.isfinite(x)):
+            raise ValueError(f"row {lineno}: non-finite value")
+        if ts and t <= ts[-1]:
+            raise ValueError(f"row {lineno}: times not strictly increasing")
+        ts.append(t)
+        xs.append(x)
+        js.append(bool(j))
+    if not ts:
+        raise ValueError("no data rows")
+    times = np.asarray(ts) - ts[0]
+    values = np.asarray(xs)
+    if jump_threshold is None:
+        marks = np.asarray(js, dtype=bool)
+    else:
+        dx = np.concatenate([[0.0], np.diff(values)])
+        marks = np.abs(dx) > jump_threshold
+    return PathEnsemble(times=times, values=values[None], marks=marks[None])
+
+
 class PathEnsemble:
     """Paths on one shared time grid, held as read-only blocks.
 
@@ -63,48 +108,3 @@ class PathEnsemble:
         mark, which holds no comma, quote or newline, so no field is quoted."""
         rows = zip(self.times.tolist(), self.values[i].tolist(), self.marks[i].tolist())
         return "".join(["t,x,jump\n", *(f"{t!r},{x!r},{int(j)}\n" for t, x, j in rows)])
-
-
-def path_from_csv(text: str, jump_threshold: float | None = None) -> PathEnsemble:
-    """Parse the `t,x,jump` CSV format into a one-row ensemble; times are
-    rebased to start at 0.
-
-    A jump field must equal 0 or 1, as PathEnsemble.row_csv writes it.  When
-    jump_threshold is given the file's jump column is ignored and marks are
-    re-derived from the threshold rule (ingested data carries no ground
-    truth).  Raises ValueError naming the offending row on bad input.
-    """
-    import csv
-    import io
-
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:3]] != ["t", "x", "jump"]:
-        raise ValueError("expected header 't,x,jump'")
-    ts, xs, js = [], [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            t, x, j = float(row[0]), float(row[1]), float(row[2])
-            if j not in (0.0, 1.0):
-                raise ValueError
-        except (ValueError, IndexError):
-            raise ValueError(f"row {lineno}: malformed record {row!r}") from None
-        if not (np.isfinite(t) and np.isfinite(x)):
-            raise ValueError(f"row {lineno}: non-finite value")
-        if ts and t <= ts[-1]:
-            raise ValueError(f"row {lineno}: times not strictly increasing")
-        ts.append(t)
-        xs.append(x)
-        js.append(j == 1.0)
-    if not ts:
-        raise ValueError("no data rows")
-    times = np.asarray(ts) - ts[0]
-    values = np.asarray(xs)
-    if jump_threshold is None:
-        marks = np.asarray(js, dtype=bool)
-    else:
-        dx = np.concatenate([[0.0], np.diff(values)])
-        marks = np.abs(dx) > jump_threshold
-    return PathEnsemble(times=times, values=values[None], marks=marks[None])

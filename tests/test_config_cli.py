@@ -15,7 +15,7 @@ from qvlab.config import ExperimentConfig, apply_overrides, load_config
 from qvlab.decomposition import SuiteConfig
 from qvlab.errors import ConfigurationError
 from qvlab.functions import builtin_library
-from qvlab.generators import GeneratorSpec, generate
+from qvlab.generators import GeneratorSpec, generate, make_path
 
 
 def run_cli(args, env_extra=None):
@@ -227,6 +227,16 @@ def test_simulate_and_ingest_round_trip(tmp_path):
     assert (ing / "ingested.csv").read_text() == src.read_text()
     stats = json.loads((ing / "ingest.json").read_text())
     assert stats["n_points"] == 65 and stats["n_jumps"] == 0
+
+
+def test_simulate_writes_each_path_as_make_path_replays_it(tmp_path):
+    cfg = _small_gen_config(tmp_path, generator={"kind": "jump_diffusion", "n_steps": 64, "jump_rate": 3.0},
+                            n_paths=70)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--seed", "9", "--out", str(out)]) == 0
+    spec = GeneratorSpec(kind="jump_diffusion", n_steps=64, jump_rate=3.0, seed=9)
+    for i in (0, 63, 64, 69):
+        assert (out / f"path_{i:05d}.csv").read_text() == make_path(spec, i).row_csv(0), i
 
 
 def test_ingest_parse_error_exit(tmp_path, capsys):

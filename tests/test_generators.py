@@ -93,17 +93,6 @@ def test_path_replay_matches_ensemble():
             assert path.marks.tobytes() == block.marks[row].tobytes(), (kind, i)
 
 
-def test_simulate_writes_each_path_as_make_path_replays_it(tmp_path):
-    from qvlab.cli import main
-
-    cfg = tmp_path / "jumps.json"
-    cfg.write_text('{"generator": {"kind": "jump_diffusion", "n_steps": 64, "jump_rate": 3.0}, "n_paths": 70}')
-    assert main(["simulate", "--config", str(cfg), "--seed", "9", "--out", str(tmp_path / "out")]) == 0
-    spec = GeneratorSpec(kind="jump_diffusion", n_steps=64, jump_rate=3.0, seed=9)
-    for i in (0, 63, 64, 69):
-        assert (tmp_path / "out" / f"path_{i:05d}.csv").read_text() == make_path(spec, i).row_csv(0), i
-
-
 def test_brownian_increment_law():
     # law of X_1 - x0 at one step: mean within 4 standard errors, variance 10%
     spec = GeneratorSpec(kind="brownian", n_steps=1, horizon=1.0, x0=1.0, seed=5)
