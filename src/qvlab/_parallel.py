@@ -1,24 +1,22 @@
 """Deterministic chunked map over path indices.
 
-Work is split into fixed-size chunks that depend only on the task size,
-never on the worker count.  A chunk is one pool task, CHUNK path indices by
-default: fn(lo, hi, *args) returns that chunk's rows as arrays, one row per
-path lo .. hi-1, and map_chunked returns the tasks' results in chunk order,
-for the caller to concatenate.  So any reduction downstream sees the same
-rows in the same order whether the map ran on one worker or many.  A chunk
-is not a block of paths: the task builds its paths through
-generators.iter_blocks, whose blocks are sized by cells, so a 64-path task
-at 2^16 steps holds 8 paths at a time.  The process-pool machinery is
-imported only when a pool is started, so a one-worker run never loads it.
+The parent process splits 0 .. n-1 into spans of `chunk` consecutive
+indices, which depend only on the task size, never on the worker count.  A
+span is one pool task: fn(lo, hi, *args) returns that span's rows as arrays,
+one row per path lo .. hi-1, and map_chunked returns the tasks' results in
+span order, for the caller to concatenate.  So any reduction downstream sees
+the same rows in the same order whether the map ran on one worker or many.
+Every caller passes generators.block_rows(n_steps) as the chunk, so a task
+is one block of paths, sized in the parent: a pool worker never sizes it
+again from module state of its own.  The process-pool machinery is imported
+only when a pool is started, so a one-worker run never loads it.
 """
 
 from __future__ import annotations
 
-CHUNK = 64
 
-
-def map_chunked(fn, n: int, workers: int = 1, chunk: int = CHUNK, args: tuple = ()) -> list:
-    """[fn(lo, hi, *args) for each chunk lo .. hi-1 of 0 .. n-1], in chunk order."""
+def map_chunked(fn, n: int, chunk: int, workers: int, args: tuple = ()) -> list:
+    """[fn(lo, hi, *args) for each span lo .. hi-1 of 0 .. n-1], in span order."""
     spans = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if workers <= 1 or len(spans) <= 1:
         return [fn(lo, hi, *args) for lo, hi in spans]

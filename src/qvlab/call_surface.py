@@ -6,24 +6,24 @@ splits into a continuous-QV term, a drift term and a jump term.  All three
 are computed per path so the pass test compares paired Monte Carlo samples
 (3 sigma) plus an explicit, separately reported discretization budget.
 
-run_identity makes one pass over the ensemble: each chunk task generates its
-paths a block at a time and reads the block's X_t on the t-grid once.  The
-identity terms and, when a function is given, the kink-identity LHS are
-computed for the whole block at once; the blocks' X_t rows go back to the
-pass, which sorts the values at each t once and reads the surface sums from
-faithfully rounded prefix sums (see _surface_sums).  theta is a box, the only
-test function the pass runs, so the LHS double sum over t-cells and
-x-midpoints telescopes exactly: theta(t_{i+1}, x_j) = 1_I(i) 1_J(j) with I a
-run of consecutive cells, and the sum over I of a midpoint's hinge
-increments is its hinge at the run's end minus its hinge at the run's
-start.  Each path's LHS is one hinge row, not an (n_t x n_x) array.  The
-reports are pure functions of the pass's arrays, so the surface, the
-identity and the kink check always describe the same paths.  The chunking
-depends only on n_paths and each row's identity sums run over a
+run_identity makes one pass over the ensemble: each pool task generates one
+cell-sized block of paths (generators.block_rows) and reads its X_t on the
+t-grid once.  The identity terms and, when a function is given, the
+kink-identity LHS are computed for the whole block at once; the blocks' X_t
+rows go back to the pass, which sorts the values at each t once and reads
+the surface sums from faithfully rounded prefix sums (see _surface_sums).
+theta is a box, the only test function the pass runs, so the LHS double sum
+over t-cells and x-midpoints telescopes exactly: theta(t_{i+1}, x_j) =
+1_I(i) 1_J(j) with I a run of consecutive cells, and the sum over I of a
+midpoint's hinge increments is its hinge at the run's end minus its hinge at
+the run's start.  Each path's LHS is one hinge row, not an (n_t x n_x)
+array.  The reports are pure functions of the pass's arrays, so the surface,
+the identity and the kink check always describe the same paths.  The blocks
+depend only on n_paths and n_steps, and each row's identity sums run over a
 C-contiguous row, so the identity terms are bit-identical to a path-by-path
 pass at any worker count.  The surface sums depend only on the multiset of
-X_t values at each t, so they are the same bits for any worker count,
-chunking or path order.
+X_t values at each t, so they are the same bits for any worker count, block
+split or path order.
 
 Conventions: d_t C increments over (t_i, t_{i+1}] pair with theta at the
 right endpoint (cadlag measure); model [X]^c cell increments pair with theta
@@ -42,7 +42,7 @@ import numpy as np
 from . import _kernels
 from ._parallel import map_chunked
 from .functions import PathFunction, make_function
-from .generators import GeneratorSpec, iter_blocks, make_coefficient, make_jump_law, parse_box
+from .generators import GeneratorSpec, block_rows, generate, make_coefficient, make_jump_law, parse_box
 
 
 class BoxIndicator:
@@ -361,8 +361,8 @@ def _row_sums(a):
     return np.ascontiguousarray(a).sum(axis=1)
 
 
-def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_grid, fexpr):
-    """Chunk task: paths lo .. hi-1, each generated once.
+def _pass_block(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_grid, fexpr):
+    """Block task: paths lo .. hi-1, generated once as one block.
 
     Returns (xt, terms, kink): each path's X_t row on the t-grid, which
     the pass turns into the surface sums; one identity-terms row per path;
@@ -379,11 +379,9 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_g
     jump: sum over marked jumps s <= t of int_{X_{s-}}^{X_s} (X_s-x) theta dx
     kink: sum_i 1{(t_i, X_{t_i}) on the kink set} d[X]^c_i
 
-    The terms on the t-grid take one numpy call per block for all its rows;
+    The terms on the t-grid take one numpy call for all the block's rows;
     each row's sums reduce over a C-contiguous row, as a path summed alone
-    does, so the bits do not depend on the block.  Each block's X_t is
-    gathered straight into the chunk's rows, allocated before the first
-    block, so the chunk holds no surface-sized buffer and copies no row.
+    does, so the bits do not depend on the block.
     """
     qv_rate = genspec.qv_rate()
     if qv_rate is None:
@@ -413,41 +411,35 @@ def _pass_chunk(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_g
     # last grid time <= t; and the grid times jumps count at
     cols = np.searchsorted(times, t_grid, side="right") - 1
     in_range = times <= t_grid[-1]
-    xt_all = np.empty((hi - lo, t_grid.size))
-    terms = np.empty((hi - lo, 6))
-    kink = np.empty(hi - lo) if on_kink_set else None
-    for start, ens in iter_blocks(genspec, lo, hi):
-        # X_t for the block's rows, gathered straight into the chunk's
-        # C-contiguous rows; values[:, cols] would come back in Fortran
-        # order, and each row sum below would need a copy
-        rows = slice(start - lo, start - lo + len(ens))
-        xt = np.take(ens.values, cols, axis=1, out=xt_all[rows])
-
-        lhs = np.maximum(xt[:, end, None] - centers, 0.0)
-        lhs -= np.maximum(xt[:, first, None] - centers, 0.0)
-        terms[rows, 0] = _row_sums(lhs) * dx
-        x_left = xt[:, :-1]
-        # a coefficient may return a scalar, and drift cells without b are one
-        # row for all paths; broadcast both to the block
-        qv_cells = np.broadcast_to(np.asarray(qv_rate(t_left, x_left), dtype=float) * dt, x_left.shape)
-        drift = drift_cells if b is None else np.asarray(b(t_left, x_left), dtype=float) * dt
-        drift = np.broadcast_to(drift, x_left.shape)
-        terms[rows, 1] = 0.5 * _row_sums(theta(t_left, x_left) * qv_cells)
-        # drift pairs with the pre-jump state: at a marked jump time the
-        # inner integral's upper limit is the left limit
-        terms[rows, 2] = _row_sums(theta.integral_to(t_left, x_left) * drift)
-        terms[rows, 3] = 0.0
-        for r, k in zip(*np.divmod(np.flatnonzero(ens.marks & in_range), times.size)):
-            before, after = float(ens.values[r, max(k - 1, 0)]), float(ens.values[r, k])
-            terms[rows.start + r, 3] += theta.hinge_integral(float(times[k]), before, after, after)
-        terms[rows, 4] = _row_sums(qv_cells)
-        terms[rows, 5] = _row_sums(np.abs(drift))
-        if on_kink_set is not None:
-            on_kink = np.asarray(on_kink_set(t_left, x_left), dtype=bool)
-            for r, (q, on) in enumerate(zip(qv_cells, on_kink), start=rows.start):
-                kink[r] = np.add.reduce(q[on])
-        del ens  # free the block before the next is generated
-    return xt_all, terms, kink
+    ens = generate(genspec, hi - lo, lo)
+    # take gathers X_t into C-contiguous rows; values[:, cols] would come
+    # back in Fortran order, and each row sum below would need a copy
+    xt = np.take(ens.values, cols, axis=1)
+    terms = np.empty((len(ens), 6))
+    lhs = np.maximum(xt[:, end, None] - centers, 0.0)
+    lhs -= np.maximum(xt[:, first, None] - centers, 0.0)
+    terms[:, 0] = _row_sums(lhs) * dx
+    x_left = xt[:, :-1]
+    # a coefficient may return a scalar, and drift cells without b are one
+    # row for all paths; broadcast both to the block
+    qv_cells = np.broadcast_to(np.asarray(qv_rate(t_left, x_left), dtype=float) * dt, x_left.shape)
+    drift = drift_cells if b is None else np.asarray(b(t_left, x_left), dtype=float) * dt
+    drift = np.broadcast_to(drift, x_left.shape)
+    terms[:, 1] = 0.5 * _row_sums(theta(t_left, x_left) * qv_cells)
+    # drift pairs with the pre-jump state: at a marked jump time the inner
+    # integral's upper limit is the left limit
+    terms[:, 2] = _row_sums(theta.integral_to(t_left, x_left) * drift)
+    terms[:, 3] = 0.0
+    for r, k in zip(*np.divmod(np.flatnonzero(ens.marks & in_range), times.size)):
+        before, after = float(ens.values[r, max(k - 1, 0)]), float(ens.values[r, k])
+        terms[r, 3] += theta.hinge_integral(float(times[k]), before, after, after)
+    terms[:, 4] = _row_sums(qv_cells)
+    terms[:, 5] = _row_sums(np.abs(drift))
+    kink = None
+    if on_kink_set is not None:
+        on_kink = np.asarray(on_kink_set(t_left, x_left), dtype=bool)
+        kink = np.array([np.add.reduce(q[on]) for q, on in zip(qv_cells, on_kink)])
+    return xt, terms, kink
 
 
 def _surface_sums(xts, x_grid):
@@ -511,11 +503,13 @@ def _one_pass(genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_grid, n_pat
     """(s, ss, terms, kink) over all n_paths: the surface sums from every
     path's X_t rows, the per-path rows stacked in path order.
 
-    This process holds the P x (n_t+1) float64 values of X_t the chunks
+    This process holds the P x (n_t+1) float64 values of X_t the blocks
     return, plus the surface sums' slabs of about _kernels.CELLS values; the
-    rows are read from the chunks' own arrays, never copied into one.
+    rows are read from the blocks' own arrays, never copied into one.
     """
-    parts = map_chunked(_pass_chunk, n_paths, workers, args=(genspec, theta, t_grid, x_grid, fexpr))
+    parts = map_chunked(
+        _pass_block, n_paths, block_rows(genspec.n_steps), workers, (genspec, theta, t_grid, x_grid, fexpr)
+    )
     s, ss = _surface_sums([p[0] for p in parts], x_grid)
     terms = np.concatenate([p[1] for p in parts])
     kink = np.concatenate([p[2] for p in parts]) if fexpr else None

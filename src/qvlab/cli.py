@@ -106,7 +106,7 @@ def cmd_qv(cfg: ExperimentConfig, args) -> tuple:
     sums and is freed before the next is generated.
     """
     from .calculus import CovariationSums, covariation_ladder, ucp_exceedance
-    from .generators import iter_blocks
+    from .generators import block_rows, generate
     from .partitions import RefinementLadder
 
     spec = cfg.generator_spec()
@@ -115,9 +115,11 @@ def cmd_qv(cfg: ExperimentConfig, args) -> tuple:
     ladder = RefinementLadder(times, cfg.l_min, cfg.l_max)
     t_grid = np.linspace(0.0, horizon, 65)
     per_path = CovariationSums.empty(cfg.n_paths, ladder, t_grid)
-    for lo, ens in iter_blocks(spec, 0, cfg.n_paths):
-        rows = per_path.rows(lo, lo + len(ens))
-        covariation_ladder(ens, ens, ladder, t_grid, threshold=cfg.jump_threshold, out=rows)
+    step = block_rows(spec.n_steps)
+    for lo in range(0, cfg.n_paths, step):
+        hi = min(lo + step, cfg.n_paths)
+        ens = generate(spec, hi - lo, lo)
+        covariation_ladder(ens, ens, ladder, t_grid, threshold=cfg.jump_threshold, out=per_path.rows(lo, hi))
         del ens
     exceed = ucp_exceedance(per_path.full, cfg.ucp_eps)
     median = per_path.median()

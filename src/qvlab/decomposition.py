@@ -11,12 +11,11 @@ refinement level, one kernel pass per level, and summarize_zcqv turns the
 decay into a pass/fail verdict.  Row r of every block depends on path r
 alone, so a path decomposes to the same bits alone or in any block.  The
 named suites run this over an ensemble with a deterministic worker pool:
-each pool task of up to 64 paths walks its paths in the cell-sized blocks
-of generators.iter_blocks and returns one row per path in arrays, which the
-suite joins in path order.  The two-ensemble suites pair block i of one
-ensemble with block i of the other and refuse blocks that differ in shape
-or grid, so path i of one is never measured against another path of the
-other.
+each pool task is one cell-sized block of paths (generators.block_rows),
+generated once, and returns one row per path in arrays, which the suite
+joins in path order.  The two-ensemble suites generate the same span of
+both ensembles and refuse blocks that differ in shape or grid, so path i
+of one is never measured against another path of the other.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from . import _kernels, calculus
 from ._parallel import map_chunked
 from .errors import ConfigurationError, NonFiniteError
 from .functions import PathFunction, make_function
-from .generators import GeneratorSpec, iter_blocks
+from .generators import GeneratorSpec, block_rows, generate
 from .partitions import RefinementLadder
 from .paths import PathEnsemble
 
@@ -178,14 +177,6 @@ def _suite_levels(cfg: SuiteConfig):
     return tuple(range(cfg.l_min, cfg.l_max + 1))
 
 
-def _joined(parts: list):
-    """Per-block or per-chunk results joined in order along the path axis:
-    arrays, or tuples of arrays joined field by field."""
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    return np.concatenate(parts)
-
-
 def _require_finite(block: np.ndarray, what: str, spec: GeneratorSpec, start: int) -> None:
     """Name the seed and index of the first path whose row is not finite,
     so make_path(spec, index) replays it."""
@@ -208,22 +199,16 @@ def _naming_paths(spec: GeneratorSpec, start: int):
         raise NonFiniteError(f"{err} at (seed={spec.seed}, path={start + err.row})") from err
 
 
-def _paired_blocks(spec1: GeneratorSpec, spec2: GeneratorSpec, lo: int, hi: int):
-    """(index of the first path, block of spec1, block of spec2) over paths
-    lo .. hi-1: row r of both blocks is path start + r.  Equal shapes give
-    equal block counts, and each pair is dropped here before the next is
-    generated (zip would hold the last pair while it builds the next).
-    """
-    others = iter_blocks(spec2, lo, hi)
-    for start, a in iter_blocks(spec1, lo, hi):
-        b = next(others)[1]
-        if a.values.shape != b.values.shape or not np.array_equal(a.times, b.times):
-            raise ValueError(
-                f"paired blocks at path {start} differ: {a.values.shape} and {b.values.shape} "
-                "values; both ensembles must lie on one grid"
-            )
-        yield start, a, b
-        del a, b
+def _paired(spec1: GeneratorSpec, spec2: GeneratorSpec, lo: int, hi: int) -> tuple:
+    """Paths lo .. hi-1 of both ensembles: row r of both blocks is path
+    lo + r.  Refused unless both blocks lie on one grid."""
+    a, b = generate(spec1, hi - lo, lo), generate(spec2, hi - lo, lo)
+    if a.values.shape != b.values.shape or not np.array_equal(a.times, b.times):
+        raise ValueError(
+            f"paired blocks at path {lo} differ: {a.values.shape} and {b.values.shape} "
+            "values; both ensembles must lie on one grid"
+        )
+    return a, b
 
 
 def _ladder(spec: GeneratorSpec, cfg: SuiteConfig) -> RefinementLadder:
@@ -240,72 +225,68 @@ def _common_columns(times: np.ndarray, common) -> np.ndarray:
 
 
 def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteConfig, extra_s_times):
-    """Chunk task: generate, decompose on the path grid, statistic per level.
+    """Block task: generate paths lo .. hi-1, decompose on the path grid,
+    statistic per level.
 
     S holds each path's marked jumps, the function's time jumps and the
-    suite's extra times.  Returns the chunk's (statistics, kink masses,
+    suite's extra times.  Returns the block's (statistics, kink masses,
     final V), (paths, n_levels), (paths,) and (paths,).
     """
     f = make_function(fexpr)
     ladder = _ladder(genspec, cfg)
     common = _common_columns(ladder.times, np.concatenate([f.time_jumps, extra_s_times]))
-    out = []
-    for start, ens in iter_blocks(genspec, lo, hi):
-        with _naming_paths(genspec, start):
-            v, kink = decompose_block(f, ens)
-            _require_finite(v, "V", genspec, start)
-            stats = calculus.zcqv_ladder(v, ladder, ens.horizon, ens.marks | common)
-        _require_finite(stats, "statistic", genspec, start)
-        out.append((stats, kink, v[:, -1].copy()))
-        del ens, v  # free the block and V before the next block is generated
-    return _joined(out)
+    ens = generate(genspec, hi - lo, lo)
+    with _naming_paths(genspec, lo):
+        v, kink = decompose_block(f, ens)
+        _require_finite(v, "V", genspec, lo)
+        stats = calculus.zcqv_ladder(v, ladder, ens.horizon, ens.marks | common)
+    _require_finite(stats, "statistic", genspec, lo)
+    return stats, kink, v[:, -1].copy()
 
 
 def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: SuiteConfig):
     """Negative control task: the statistic on X itself, S = its jumps;
     (paths, n_levels)."""
-    ladder = _ladder(genspec, cfg)
-    out = []
-    for start, ens in iter_blocks(genspec, lo, hi):
-        sel = calculus.jump_grid(ens, cfg.jump_threshold)
-        with _naming_paths(genspec, start):
-            stats = calculus.zcqv_ladder(ens.values, ladder, ens.horizon, sel)
-        _require_finite(stats, "statistic", genspec, start)
-        out.append(stats)
-        del ens
-    return _joined(out)
+    ens = generate(genspec, hi - lo, lo)
+    sel = calculus.jump_grid(ens, cfg.jump_threshold)
+    with _naming_paths(genspec, lo):
+        stats = calculus.zcqv_ladder(ens.values, _ladder(genspec, cfg), ens.horizon, sel)
+    _require_finite(stats, "statistic", genspec, lo)
+    return stats
 
 
 def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteConfig):
     """Included-cell |dZ dY| per level, S = the jumps of Z and Y, and the
     same with S empty: two (paths, n_levels) arrays."""
     ladder = _ladder(zspec, cfg)
-    out = []
-    for start, z, y in _paired_blocks(zspec, yspec, lo, hi):
-        sel = calculus.jump_grid(z, cfg.jump_threshold) | calculus.jump_grid(y, cfg.jump_threshold)
-        with _naming_paths(zspec, start):
-            with_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, sel, y=y.values, absolute=True)
-            no_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, y=y.values, absolute=True)
-        # with_s adds a subset of the nonnegative terms that no_s adds
-        _require_finite(no_s, "statistic", zspec, start)
-        out.append((with_s, no_s))
-        del z, y
-    return _joined(out)
+    z, y = _paired(zspec, yspec, lo, hi)
+    sel = calculus.jump_grid(z, cfg.jump_threshold) | calculus.jump_grid(y, cfg.jump_threshold)
+    with _naming_paths(zspec, lo):
+        with_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, sel, y=y.values, absolute=True)
+        no_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, y=y.values, absolute=True)
+    # with_s adds a subset of the nonnegative terms that no_s adds
+    _require_finite(no_s, "statistic", zspec, lo)
+    return with_s, no_s
 
 
 def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: SuiteConfig):
     """Statistic for Z1 + Z2 with S = the union of both jump sets;
     (paths, n_levels)."""
-    ladder = _ladder(spec1, cfg)
-    out = []
-    for start, z1, z2 in _paired_blocks(spec1, spec2, lo, hi):
-        sel = calculus.jump_grid(z1, cfg.jump_threshold) | calculus.jump_grid(z2, cfg.jump_threshold)
-        with _naming_paths(spec1, start):
-            stats = calculus.zcqv_ladder(z1.values + z2.values, ladder, z1.horizon, sel)
-        _require_finite(stats, "statistic", spec1, start)
-        out.append(stats)
-        del z1, z2
-    return _joined(out)
+    z1, z2 = _paired(spec1, spec2, lo, hi)
+    sel = calculus.jump_grid(z1, cfg.jump_threshold) | calculus.jump_grid(z2, cfg.jump_threshold)
+    with _naming_paths(spec1, lo):
+        stats = calculus.zcqv_ladder(z1.values + z2.values, _ladder(spec1, cfg), z1.horizon, sel)
+    _require_finite(stats, "statistic", spec1, lo)
+    return stats
+
+
+def _blocks(task, spec: GeneratorSpec, cfg: SuiteConfig, args: tuple):
+    """task over every block of the suite's paths, its results joined in
+    path order: arrays, or tuples of arrays joined field by field."""
+    parts = map_chunked(task, cfg.n_paths, block_rows(spec.n_steps), cfg.workers, args)
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _brownian_spec(cfg: SuiteConfig) -> GeneratorSpec:
@@ -328,9 +309,7 @@ def _decomposition_suite(
     name: str, cfg: SuiteConfig, genspec: GeneratorSpec, fexpr: str, extra
 ) -> SuiteResult:
     levels = _suite_levels(cfg)
-    stats, kink, final_v = _joined(
-        map_chunked(_decomposition_stats, cfg.n_paths, cfg.workers, args=(genspec, fexpr, cfg, extra))
-    )
+    stats, kink, final_v = _blocks(_decomposition_stats, genspec, cfg, (genspec, fexpr, cfg, extra))
     verdict = summarize_zcqv(stats, levels, _meshes(genspec, levels), cfg.pass_fraction)
     details = {
         "generator": genspec.kind,
@@ -358,7 +337,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
 
     if name == "negative_control":
         genspec = _brownian_spec(cfg)
-        stats = _joined(map_chunked(_raw_zcqv_stats, cfg.n_paths, cfg.workers, args=(genspec, cfg)))
+        stats = _blocks(_raw_zcqv_stats, genspec, cfg, (genspec, cfg))
         verdict = summarize_zcqv(stats, levels, _meshes(genspec, levels), cfg.pass_fraction)
         details = {"generator": genspec.kind, "function": None, "note": "asserts the failure"}
         return SuiteResult(name=name, verdict=verdict, expected_pass=False, details=details)
@@ -366,7 +345,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
     if name == "cross_variation":
         zspec = _compound_poisson_spec(cfg)
         yspec = _brownian_spec(cfg)._replace(seed=cfg.generator.seed + 104729)
-        with_s, no_s = _joined(map_chunked(_cross_stats, cfg.n_paths, cfg.workers, args=(zspec, yspec, cfg)))
+        with_s, no_s = _blocks(_cross_stats, zspec, cfg, (zspec, yspec, cfg))
         verdict = summarize_zcqv(with_s, levels, _meshes(zspec, levels), cfg.pass_fraction)
         details = {
             "generator": "compound_poisson x brownian",
@@ -378,7 +357,7 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
     if name == "zcqv_sum":
         spec1 = _compound_poisson_spec(cfg)
         spec2 = _compound_poisson_spec(cfg, seed_offset=7919)
-        stats = _joined(map_chunked(_sum_zcqv_stats, cfg.n_paths, cfg.workers, args=(spec1, spec2, cfg)))
+        stats = _blocks(_sum_zcqv_stats, spec1, cfg, (spec1, spec2, cfg))
         verdict = summarize_zcqv(stats, levels, _meshes(spec1, levels), cfg.pass_fraction)
         details = {"generator": "compound_poisson + compound_poisson", "function": None}
         return SuiteResult(name=name, verdict=verdict, expected_pass=True, details=details)

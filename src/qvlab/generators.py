@@ -45,25 +45,26 @@ coefficient check on; the replay raises the per-path error naming the seed,
 path index, t and x, or warns and returns the overflowed values as a
 per-path loop would.
 
-Chunked callers use iter_blocks, which builds consecutive indices a block
-at a time and sizes each block by cells, not rows: about BLOCK_CELLS = 2^17
-values (1 MB of float64), with at least CHUNK // 8 = 8 and at most
-CHUNK = 64 rows.  So a chunk task's working set stops growing as
+Commands build an ensemble a block at a time, one generate call for each
+span of block_rows(n_steps) consecutive indices: the suites and identity
+hand each span to map_chunked as one task, and qv loops over the spans in
+its own process.  block_rows sizes a block by cells, not rows: about
+BLOCK_CELLS = 2^17 values (1 MB of float64), with at least CHUNK // 8 = 8
+and at most CHUNK = 64 rows.  So a block's working set stops growing as
 64 x n_steps: 64 rows below 2048 steps, 63 at 2048, 31 at 4096, 8 from
 2^14 up.  The floor stays because below 8 rows each block's row-sized
-temporaries are freed and faulted back in page by page: one-row blocks
-took about 30% (2^16 steps) and 50% (2^18) more CPU than 8-row ones on a
-2-core VM.  A task reads each block as a block.  Both Euler passes cost a
-fixed number of numpy calls per step or slab whatever the row count:
-replaying one Euler path with make_path is a one-row block, which only
-matters for one-off replays.
+temporaries are freed and faulted back in page by page: one-row blocks took
+about 30% (2^16 steps) and 50% (2^18) more CPU than 8-row ones on a 2-core
+VM.  Both Euler passes cost a fixed number of numpy calls per step or slab
+whatever the row count: replaying one Euler path with make_path is a
+one-row block, which only matters for one-off replays.
 
 The split changes no value, but it does choose which failing path an Euler
 error names: the replay stops at the block's earliest failing step and
-names that step's first failing row, and the blocks of a task run in index
-order.  From 2048 steps on a block is smaller than the 64-path task, so a
-run names the earliest failure of the first block that fails, not of the
-whole task; make_path(spec, i) replays the named path either way.
+names that step's first failing row, and the blocks' results are read in
+index order.  So a run names the earliest failure of the first block that
+fails, not of the whole ensemble; make_path(spec, i) replays the named path
+either way.
 
 Coefficient callbacks (sigma, b, sigma_of_x) are selected by name from a
 small registry so that specs stay picklable and expressible in config files;
@@ -80,7 +81,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._parallel import CHUNK
 from .errors import ConfigurationError, GenerationError, check_numbers
 from .paths import PathEnsemble
 
@@ -302,6 +302,9 @@ class GeneratorSpec(NamedTuple):
         check_numbers(
             self, ints=("n_steps", "x_grid_points", "seed"), reals=("horizon", "x0", "jump_rate", "alpha")
         )
+        for name in ("horizon", "x0", "jump_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_steps < 1:
             raise ConfigurationError("n_steps must be >= 1")
         if self.x_grid_points < 2:
@@ -647,7 +650,8 @@ _BUILDERS = {
     "lamperti_dirichlet": _lamperti_block,
 }
 
-BLOCK_CELLS = 2**17  # value cells in an iter_blocks block: 1 MB of float64
+CHUNK = 64  # the most rows in a block; the fewest are CHUNK // 8
+BLOCK_CELLS = 2**17  # value cells in a block: 1 MB of float64
 
 
 def generate(spec: GeneratorSpec, n_paths: int, start: int = 0) -> PathEnsemble:
@@ -670,23 +674,12 @@ def make_path(spec: GeneratorSpec, index: int) -> PathEnsemble:
 
 
 def block_rows(n_steps: int) -> int:
-    """Rows in an iter_blocks block: BLOCK_CELLS // (n_steps + 1), between
-    CHUNK // 8 and CHUNK."""
-    return max(CHUNK // 8, min(CHUNK, BLOCK_CELLS // (n_steps + 1)))
+    """Rows in a block of paths, the span one generate call of a command
+    builds: BLOCK_CELLS // (n_steps + 1), between CHUNK // 8 and CHUNK.
 
-
-def iter_blocks(spec: GeneratorSpec, lo: int, hi: int):
-    """(start, ensemble) over paths lo .. hi-1 in index order, with start
-    the index of the ensemble's first path; the ensembles sized by cells.
-
-    Each block holds block_rows(n_steps) paths: 64 below 2048 steps, 63 at
-    2048, 31 at 4096 and 8 from 2^14 steps up.  The split depends on
-    n_steps alone, never on the worker count, and it changes no bits, since
-    each path is a pure function of (seed, index) and every reduction runs
-    per row.  Row r of a block is path start + r.  No block is kept here,
-    so a caller that drops each block before it asks for the next holds one
-    block at a time.
+    64 below 2048 steps, 63 at 2048, 31 at 4096 and 8 from 2^14 steps up.
+    The split depends on n_steps alone, never on the worker count, and it
+    changes no bits, since each path is a pure function of (seed, index)
+    and every reduction runs per row.
     """
-    rows = block_rows(spec.n_steps)
-    for start in range(lo, hi, rows):
-        yield start, generate(spec, min(start + rows, hi) - start, start=start)
+    return max(CHUNK // 8, min(CHUNK, BLOCK_CELLS // (n_steps + 1)))

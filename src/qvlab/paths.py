@@ -32,7 +32,8 @@ def path_from_csv(text: str, jump_threshold: float | None = None) -> PathEnsembl
     """Parse the `t,x,jump` CSV format into a one-row ensemble; times are
     rebased to start at 0.
 
-    A jump field must equal 0 or 1, as PathEnsemble.row_csv writes it.  When
+    The header and every row hold exactly three fields, and a jump field
+    must equal 0 or 1, as PathEnsemble.row_csv writes them.  When
     jump_threshold is given the file's jump column is ignored and marks are
     re-derived from the threshold rule (ingested data carries no ground
     truth).  Raises ValueError naming the offending row on bad input.
@@ -42,17 +43,17 @@ def path_from_csv(text: str, jump_threshold: float | None = None) -> PathEnsembl
 
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
-    if header is None or [h.strip() for h in header[:3]] != ["t", "x", "jump"]:
+    if header is None or [h.strip() for h in header] != ["t", "x", "jump"]:
         raise ValueError("expected header 't,x,jump'")
     ts, xs, js = [], [], []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         try:
-            t, x, j = float(row[0]), float(row[1]), float(row[2])
+            t, x, j = map(float, row)
             if j not in (0.0, 1.0):
                 raise ValueError
-        except (ValueError, IndexError):
+        except ValueError:
             raise ValueError(f"row {lineno}: malformed record {row!r}") from None
         if not (np.isfinite(t) and np.isfinite(x)):
             raise ValueError(f"row {lineno}: non-finite value")

@@ -1,16 +1,21 @@
 """Block size never changes the bits.
 
-iter_blocks sizes its blocks by cells: at these small grids a block holds
-64 rows.  Here every block is made one row, and each command's outputs must
-stay byte for byte those of the default split, at one and two workers.
+A block is the span of paths the parent process hands to one task,
+generators.block_rows(n_steps) paths: at these small grids 64 rows.  Here
+every block is made one row, and each command's outputs must stay byte for
+byte those of the default split, at one worker and at two under every pool
+start method the platform has (ids `2` for fork, `2-<method>` for the
+others).  The block sizes are observed in this process: the spans it
+submits to a pool, and the generate calls it makes itself.
 """
 
 import json
-import os
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from qvlab import generators
+from qvlab import call_surface, decomposition, generators
 from qvlab.cli import main
 
 CONFIG = {"generator": {"kind": "brownian", "n_steps": 256}, "n_paths": 70, "l_min": 3, "l_max": 8}
@@ -22,6 +27,10 @@ COMMANDS = [
     ["suite", "cross_variation"],
 ]
 
+RUNS = [pytest.param(1, None, id="1")] + [
+    pytest.param(2, m, id="2" if m == "fork" else f"2-{m}") for m in multiprocessing.get_all_start_methods()
+]
+
 
 def _outputs(tmp_path, name, argv, workers):
     out = tmp_path / name
@@ -30,27 +39,35 @@ def _outputs(tmp_path, name, argv, workers):
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
-@pytest.mark.parametrize("workers", [1, 2])
-def test_one_row_blocks_give_the_same_bytes(tmp_path, monkeypatch, argv, workers):
+@pytest.mark.parametrize("workers, method", RUNS)
+def test_one_row_blocks_give_the_same_bytes(tmp_path, monkeypatch, request, argv, workers, method):
     (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    if method is not None:
+        saved = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method(method, force=True)
+        request.addfinalizer(lambda: multiprocessing.set_start_method(saved, force=True))
     default = _outputs(tmp_path, "default", argv, workers)
-    # the floor is CHUNK // 8 rows, so both constants go down
+    # the floor is CHUNK // 8 rows, so both constants go down; block_rows
+    # reads them in this process only
     monkeypatch.setattr(generators, "CHUNK", 8)
     monkeypatch.setattr(generators, "BLOCK_CELLS", 1)
-    # each block is logged by the process that builds it: pool workers see
-    # the patched module only if they were forked from this one
-    log = tmp_path / "blocks.log"
-    generate = generators.generate
+    built, submitted = [], []
+    generate, submit = generators.generate, ProcessPoolExecutor.submit
 
     def logged(spec, n_paths, start=0):
-        with open(log, "a") as f:
-            f.write(f"{os.getpid()} {n_paths}\n")
+        built.append(n_paths)
         return generate(spec, n_paths, start)
 
-    monkeypatch.setattr(generators, "generate", logged)
+    def logged_submit(pool, fn, lo, hi, *args):
+        submitted.append(hi - lo)
+        return submit(pool, fn, lo, hi, *args)
+
+    # qv imports generate from generators when it runs
+    for module in (generators, decomposition, call_surface):
+        monkeypatch.setattr(module, "generate", logged)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", logged_submit)
     one_row = _outputs(tmp_path, "one_row", argv, workers)
     assert default[1] and one_row == default
-    pids, rows = zip(*(map(int, line.split()) for line in log.read_text().splitlines()))
-    assert set(rows) == {1}
+    assert set(built + submitted) == {1}
     # qv reads its blocks in this process; the others run pool tasks
-    assert (set(pids) != {os.getpid()}) == (workers > 1 and argv != ["qv"])
+    assert bool(submitted) == (workers > 1 and argv != ["qv"])

@@ -15,7 +15,7 @@ from qvlab.calculus import (
     ucp_exceedance,
     zcqv_ladder,
 )
-from qvlab.generators import GeneratorSpec, block_rows, generate, iter_blocks
+from qvlab.generators import GeneratorSpec, block_rows, generate
 from qvlab.partitions import RefinementLadder
 
 from conftest import jump_times, left_limit, rows_of, toy_ensemble, value_at
@@ -356,9 +356,11 @@ def test_covariation_ladder_matches_per_path_reference(name):
     # blocks of 64, 64 and 2 rows; each 64-row block spans two row slabs
     assert calculus.SLAB_CELLS // 1024 < block_rows(1024) == 64
     sums = CovariationSums.empty(130, ladder, t_grid)
-    for (lo, xb), (_, yb) in zip(iter_blocks(xspec, 0, 130), iter_blocks(yspec, 0, 130)):
-        y = xb if ykw is None else yb
-        covariation_ladder(xb, y, ladder, t_grid, threshold=threshold, out=sums.rows(lo, lo + len(xb)))
+    for lo in range(0, 130, 64):
+        hi = min(lo + 64, 130)
+        xb = generate(xspec, hi - lo, lo)
+        y = xb if ykw is None else generate(yspec, hi - lo, lo)
+        covariation_ladder(xb, y, ladder, t_grid, threshold=threshold, out=sums.rows(lo, hi))
     xs = generate(xspec, 130)
     ys = xs if ykw is None else generate(yspec, 130)
     ref = [_reference_ladder(rows_of(xs, r, r + 1), rows_of(ys, r, r + 1), ladder, t_grid, threshold)

@@ -387,8 +387,8 @@ _ORACLE_SPECS = {
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n_paths,kind", [(130, k) for k in _ORACLE_SPECS] + [(600, "brownian")])
 def test_one_pass_matches_per_path_loops_bitwise(kind, n_paths, workers):
-    # 130 paths split into chunks of 64, 64 and 2 paths, 600 paths into
-    # nine 64-path chunks and a 24-path one, each chunk one block.  The
+    # 130 paths split into blocks of 64, 64 and 2 paths, 600 paths into
+    # nine 64-path blocks and a 24-path one, each block one task.  The
     # identity terms and kink LHS match the per-path loops bit for bit; the
     # surface sums are checked against exact rational sums
     spec = _ORACLE_SPECS[kind]

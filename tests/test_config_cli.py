@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qvlab import generators
+from qvlab import call_surface, decomposition, generators
 from qvlab.call_surface import BoxIndicator
 from qvlab.cli import main
 from qvlab.config import ExperimentConfig, apply_overrides, load_config
@@ -80,6 +80,10 @@ def test_config_validation():
         ("identity", {"theta": "box(0.0, 1.0, -1.0, inf)"}, "theta"),
         ("identity", {"theta": "box(1.0, 0.0, -1.0, 1.0)"}, "theta"),
         ("identity", {"theta": "box(0.0, 1.0, 1.0, -1.0)"}, "theta"),
+        # non-finite generator reals, refused before a numpy call sees them
+        ("simulate", {"generator": {"x0": float("nan")}}, "x0"),
+        ("simulate", {"generator": {"horizon": float("inf")}}, "horizon"),
+        ("simulate", {"generator": {"kind": "compound_poisson", "jump_rate": float("nan")}}, "jump_rate"),
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, config, key):
@@ -123,7 +127,7 @@ def test_configs_do_not_share_a_generator_mapping():
     ids=["GeneratorSpec", "SuiteConfig", "BoxIndicator"],
 )
 def test_worker_records_survive_pickling(record):
-    # what a --workers 2 pool sends each chunk task
+    # what a --workers 2 pool sends each block task
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is type(record) and copy == record and hash(copy) == hash(record)
 
@@ -242,13 +246,16 @@ def test_simulate_writes_each_path_as_make_path_replays_it(tmp_path):
 def test_ingest_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     out = tmp_path / "out"
-    # repeated times, and jump fields that are not a 0/1 mark
-    for text in ("t,x,jump\n0.0,1.0,0\n0.0,2.0,0\n",
+    # repeated times, jump fields that are not a 0/1 mark, and a fourth field
+    for text in ("t,x,jump\n0.0,1.0,0\n0.0,2.0,0\n", "t,x,jump\n0,0,0\n0.5,1,1,junk\n",
                  *(f"t,x,jump\n0,0,0\n0.5,1,{jump}\n" for jump in ("inf", "1e400", "2", "0.5", "-1"))):
         bad.write_text(text)
         rc = main(["ingest", str(bad), "--out", str(out)])
         assert rc == 2 and not out.exists(), text
         assert "error: row 3: " in capsys.readouterr().err, text
+    bad.write_text("t,x,jump,extra\n0,0,0,junk\n1,2,1\n")
+    assert main(["ingest", str(bad), "--out", str(out)]) == 2 and not out.exists()
+    assert "error: expected header 't,x,jump'" in capsys.readouterr().err
 
 
 def test_output_write_failure_exits_2_without_traceback(tmp_path):
@@ -375,18 +382,34 @@ def test_identity_cli_same_bytes_at_any_worker_count(tmp_path):
     assert report["identity"]["n_paths"] == 130 and not report["kink_identity"]["skipped"]
 
 
-def test_identity_generates_each_path_once(tmp_path, monkeypatch):
+# each command's module and the ensembles it generates; qv imports generate
+# from generators when it runs
+ONCE = [
+    pytest.param(["identity"], call_surface, 1, id="identity"),
+    pytest.param(["qv"], generators, 1, id="qv"),
+    pytest.param(["decompose"], decomposition, 1, id="decompose"),
+    pytest.param(["suite", "cross_variation"], decomposition, 2, id="suite cross_variation"),
+]
+
+
+@pytest.mark.parametrize("argv, module, ensembles", ONCE)
+def test_each_command_generates_each_path_once(tmp_path, monkeypatch, argv, module, ensembles):
+    # at 2048 steps a block holds 63 rows: 130 paths are blocks of 63, 63
+    # and 4, one generate call each
+    cfg = _small_gen_config(tmp_path, generator={"kind": "brownian", "n_steps": 2048}, n_paths=130,
+                            n_t=32, n_x=16, function="abs", l_min=4, l_max=10)
     rows = []
-    real = generators.generate
+    real = module.generate
 
     def counting(spec, n_paths, start=0):
         rows.append(n_paths)
         return real(spec, n_paths, start)
 
-    monkeypatch.setattr(generators, "generate", counting)
-    out = tmp_path / "once"
-    assert main(["identity", "--config", _identity_config(tmp_path), "--out", str(out)]) == 0
-    assert sum(rows) == 130
+    monkeypatch.setattr(module, "generate", counting)
+    # the ratio gate may fail at this size (exit 1); 2 would be an error
+    assert main([*argv, "--config", cfg, "--workers", "1", "--out", str(tmp_path / "once")]) in (0, 1)
+    assert sum(rows) == 130 * ensembles
+    assert len(rows) == 3 * ensembles == -(-130 // generators.block_rows(2048)) * ensembles
 
 
 def test_kink_identity_counts_every_t_cell_before_the_first_step(tmp_path):

@@ -168,7 +168,7 @@ def test_workers_do_not_change_results():
 
 
 def test_moving_kink_jump_suite_same_verdict_for_any_worker_count():
-    # 130 paths span three generate blocks (64, 64, 2) and three pool chunks
+    # 130 paths span three blocks (64, 64, 2), one pool task each
     cfgs = [
         SuiteConfig(generator=GeneratorSpec(n_steps=1024, seed=4242), n_paths=130,
                     l_min=4, l_max=10, workers=w)
@@ -262,9 +262,8 @@ def test_kernel_overflow_names_the_seed_and_path(workers):
 
 @pytest.mark.parametrize("task", [_cross_stats, _sum_zcqv_stats])
 def test_paired_ensembles_that_split_differently_are_refused(task):
-    # 1024 steps give 64-row blocks and 4096 steps 31-row ones: zipping the
-    # two block streams would measure path i of one against another path of
-    # the other
+    # the same 64-path span on 1024 and on 4096 steps lies on two grids;
+    # the suite sizes its blocks from one of the two specs
     cfg = SuiteConfig(generator=GeneratorSpec(), l_min=2, l_max=4)
     one = GeneratorSpec(kind="brownian", n_steps=1024, seed=1)
     other = GeneratorSpec(kind="brownian", n_steps=4096, seed=2)

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from qvlab import generators
+from qvlab._parallel import map_chunked
 from qvlab.errors import ConfigurationError, GenerationError
 from qvlab.generators import (
     GeneratorSpec,
@@ -17,8 +18,8 @@ from qvlab.generators import (
     _row_streams,
     _lamperti_blocks,
     build_transform,
+    block_rows,
     generate,
-    iter_blocks,
     make_coefficient,
     make_jump_law,
     make_path,
@@ -79,13 +80,22 @@ def test_brownian_initial_condition_and_determinism():
     assert not a.marks.any()
 
 
+def _block(lo, hi, spec):
+    return generate(spec, hi - lo, lo)
+
+
+def _blocks(spec, n_paths):
+    """The blocks a chunked caller builds: one generate call per span."""
+    return map_chunked(_block, n_paths, block_rows(spec.n_steps), 1, (spec,))
+
+
 def test_path_replay_matches_ensemble():
-    # at 64 steps iter_blocks splits at 64, so paths 63 and 64 sit on
-    # either side of a block boundary
+    # at 64 steps the blocks split at 64, so paths 63 and 64 sit on either
+    # side of a block boundary
     for kind in generators.KINDS:
         spec = GeneratorSpec(kind=kind, n_steps=64, jump_rate=3.0, seed=9)
-        starts, blocks = zip(*iter_blocks(spec, 0, 70))
-        assert starts == (0, 64)
+        blocks = _blocks(spec, 70)
+        assert [len(b) for b in blocks] == [64, 6]
         for i in (0, 3, 63, 64, 69):
             path, block, row = make_path(spec, i), blocks[i // 64], i % 64
             assert isinstance(path, PathEnsemble) and len(path) == 1
@@ -303,6 +313,12 @@ def test_invalid_specs_rejected():
         GeneratorSpec(horizon=-1.0).validate()
     with pytest.raises(ConfigurationError):
         GeneratorSpec(alpha=1.5).validate()
+    # a non-finite real is refused by name, before any numpy call sees it
+    for field in ("horizon", "x0", "jump_rate"):
+        for value in (math.nan, math.inf, -math.inf):
+            spec = GeneratorSpec(kind="compound_poisson", jump_rate=3.0)._replace(**{field: value})
+            with pytest.raises(ConfigurationError, match=rf"^{field} must be finite, got "):
+                spec.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -409,21 +425,23 @@ def test_block_generation_matches_scalar_reference(name):
     ref = [_REFERENCE[spec.kind](spec, path_rng(spec.seed, i)) for i in range(130)]
     ens = generate(spec, 130)
     assert all(_same_bits(ens, i, r) for i, r in enumerate(ref))
-    # iter_blocks splits at 64 and 128; make_path is a one-row block
-    starts, blocks = zip(*iter_blocks(spec, 0, 130))
-    assert starts == (0, 64, 128) and [len(b) for b in blocks] == [64, 64, 2]
+    # the blocks split at 64 and 128; make_path is a one-row block
+    blocks = _blocks(spec, 130)
+    assert [len(b) for b in blocks] == [64, 64, 2]
     assert all(_same_bits(blocks[i // 64], i % 64, r) for i, r in enumerate(ref))
     for i in (0, 63, 64, 129):
         assert _same_bits(make_path(spec, i), 0, ref[i])
 
 
 @pytest.mark.parametrize("n_steps, n_paths, lengths", [(4096, 70, [31, 31, 8]), (2**16, 17, [8, 8, 1])])
-def test_iter_blocks_are_sized_by_cells(n_steps, n_paths, lengths):
+def test_blocks_are_sized_by_cells(n_steps, n_paths, lengths):
     # 2^17 cells a block, between 8 and 64 rows; 256 steps give 64 rows (above)
+    assert [block_rows(n) for n in (2046, 2047, 2048, 4096, 2**14 - 1, 2**14, 2**16)] == [64, 64, 63, 31, 8, 8, 8]
     spec = GeneratorSpec(kind="brownian", n_steps=n_steps, seed=3)
-    starts, blocks = zip(*iter_blocks(spec, 0, n_paths))
-    assert [len(b) for b in blocks] == lengths
-    assert list(starts) == np.cumsum([0, *lengths[:-1]]).tolist()
+    spans = map_chunked(lambda lo, hi: (lo, hi), n_paths, block_rows(n_steps), 1)
+    assert [hi - lo for lo, hi in spans] == lengths
+    assert [lo for lo, _ in spans] == np.cumsum([0, *lengths[:-1]]).tolist()
+    blocks = _blocks(spec, n_paths)
     for i in (0, n_paths - 1):
         assert make_path(spec, i).values.tobytes() == blocks[i // lengths[0]].values[i % lengths[0]].tobytes()
 
@@ -520,7 +538,7 @@ def _outcome(build):
 def _same_outcome_as_checked_loop(spec, n_paths):
     rows = generators.block_rows(spec.n_steps)
     spans = [(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
-    got = _outcome(lambda: [ens for _, ens in iter_blocks(spec, 0, n_paths)])
+    got = _outcome(lambda: [generate(spec, hi - lo, lo) for lo, hi in spans])
     assert got == _outcome(lambda: [_checked_block(spec, hi - lo, lo) for lo, hi in spans])
     # all rows in one block: the first failing row of the block is named
     assert _outcome(lambda: [generate(spec, n_paths)]) == _outcome(lambda: [_checked_block(spec, n_paths, 0)])

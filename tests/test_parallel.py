@@ -1,6 +1,6 @@
 import numpy as np
 
-from qvlab._parallel import CHUNK, map_chunked
+from qvlab._parallel import map_chunked
 
 
 def _rows(lo, hi, scale):
@@ -10,9 +10,8 @@ def _rows(lo, hi, scale):
 def test_map_chunked_returns_each_chunks_result_in_chunk_order():
     # 130 = 64 + 64 + 2: the last chunk is short, and the chunks do not
     # depend on the worker count
-    assert CHUNK == 64
     for workers in (1, 2):
-        parts = map_chunked(_rows, 130, workers, args=(0.5,))
+        parts = map_chunked(_rows, 130, 64, workers, args=(0.5,))
         assert [len(rows) for rows, _ in parts] == [64, 64, 2]
         assert [int(first[0]) for _, first in parts] == [0, 64, 128]
         assert np.concatenate([rows for rows, _ in parts]).tobytes() == (np.arange(130) * 0.5).tobytes()

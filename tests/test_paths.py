@@ -106,6 +106,12 @@ def test_csv_parse_errors_name_the_row():
         path_from_csv("t,x,jump\n0.0,nan,0\n")
     with pytest.raises(ValueError, match="header"):
         path_from_csv("a,b,c\n0,0,0\n")
+    # exactly three fields: a fourth is refused in the header and in a row
+    with pytest.raises(ValueError, match="expected header 't,x,jump'"):
+        path_from_csv("t,x,jump,extra\n0,0,0,junk\n1,2,1\n")
+    for row in ("0.5,1,1,junk", "0.5,1", "0.5,1,1,"):
+        with pytest.raises(ValueError, match="row 3: malformed record"):
+            path_from_csv(f"t,x,jump\n0,0,0\n{row}\n")
     # a jump field is a 0/1 mark, as simulate writes it
     for jump in ("inf", "1e400", "2", "0.5", "-1"):
         with pytest.raises(ValueError, match="row 3: malformed record"):

@@ -1,8 +1,8 @@
 """Suite, decompose, identity, qv, appendix, simulate and ingest outputs pinned byte for byte.
 
 The digests are the sha256 of every output file at small configs
-(1024 steps, levels 4-10, 130 paths: chunks and blocks of 64, 64 and 2
-rows).  The suite and decompose digests were recorded
+(1024 steps, levels 4-10, 130 paths: blocks of 64, 64 and 2 rows, one
+pool task each).  The suite and decompose digests were recorded
 from the per-path implementation before the suites ran on blocks of paths,
 the identity and qv digests from the path-by-path identity pass and numpy's
 median.  They hold at any worker count.  The exit codes are pinned with
