@@ -1,17 +1,16 @@
 """Faithfully rounded row sums by error-free extraction.
 
-`row_sums` sums each row of an (n, K) block of terms, or every prefix of
-each row, with AccSum (Rump, Ogita and Oishi, "Accurate floating-point
-summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008,
-Algorithm 4.5).  For a row whose largest |term| is below 2^E and that sums c
-terms, sigma = 2^(m + E) with 2^m >= c + 2.  Then q = (sigma + p) - sigma
-and p - q are exact, and every running sum of the q is exact, so one
-np.cumsum gives them.  A running sum t is final once |t| reaches
-2^(2m+1) eps sigma, or once its remainders are all zero (as they are when
-sigma reaches realmin): it is then t + (tau2 + the running sum of the
-remainders), one of the two doubles next to the exact sum.  The others take
-another extraction from the remainders, with sigma scaled by 2^m eps; on
-real data they are a few short prefixes.
+`row_sums` sums every prefix of each row of an (n, K) block of terms with
+AccSum (Rump, Ogita and Oishi, "Accurate floating-point summation part I:
+faithful rounding", SIAM J. Sci. Comput. 31(1), 2008, Algorithm 4.5); a
+row's total is its last prefix.  For a row whose largest |term| is below
+2^E and that sums c terms, sigma = 2^(m + E) with 2^m >= c + 2.  Then q = (sigma + p) - sigma and p - q are exact, and every
+running sum of the q is exact, so one np.cumsum gives them.  A running sum
+t is final once |t| reaches 2^(2m+1) eps sigma, or once its remainders are
+all zero (as they are when sigma reaches realmin): it is then t + (tau2 +
+the running sum of the remainders), one of the two doubles next to the
+exact sum.  The others take another extraction from the remainders, with
+sigma scaled by 2^m eps; on real data they are a few short prefixes.
 
 sigma depends only on the row's own terms and kept-cell count, so a row's
 sums are the same bits in any block, slab or worker count.  A cell the keep
@@ -32,7 +31,7 @@ CELLS = 2**13  # cells per slab: 64 KB temporaries, which keep peak RSS flat
 
 
 def row_sums(terms, shape, keep=None, out=None) -> np.ndarray:
-    """Faithfully rounded sums along each row of an (n, K) block of terms.
+    """Faithfully rounded running sums along each row of an (n, K) block.
 
     terms(a, b) returns the (b - a, K) terms of rows a .. b-1; it is called
     for consecutive slabs of rows.  keep: optional (n, K) mask of the cells
@@ -52,16 +51,15 @@ def row_sums(terms, shape, keep=None, out=None) -> np.ndarray:
         if keep is not None:
             p = np.where(keep[a:b], p, 0.0)
             m[a:b] = np.frexp(np.count_nonzero(keep[a:b], axis=1) + 1.0)[1]
-        sums = _accsum(p, m[a:b], out is not None, a)
+        sums = _accsum(p, m[a:b], a)
         if out is not None:
             out[a:b] = sums
         totals[a:b] = sums[:, -1]
     return totals
 
 
-def _accsum(p: np.ndarray, m: np.ndarray, every: bool, first: int) -> np.ndarray:
-    """AccSum of the prefixes of each row of p: (n, K) running sums, all of
-    them when `every`, else only the last column (the rest is left unset).
+def _accsum(p: np.ndarray, m: np.ndarray, first: int) -> np.ndarray:
+    """AccSum of every prefix of each row of p: the (n, K) running sums.
     Row r, row first + r of the caller's block, holds fewer than 2^m[r] - 1
     nonzero terms."""
     top = np.max(np.abs(p), axis=1)
@@ -77,24 +75,15 @@ def _accsum(p: np.ndarray, m: np.ndarray, every: bool, first: int) -> np.ndarray
         raise err
     q, p = _extract(p, e)
     res = np.cumsum(p, axis=1)
-    if every:
-        t = np.cumsum(q, axis=1)
-        res += t
-        pending = _open_prefixes(t, p, e, m)
-    else:
-        # the q sum exactly in any order, so this is the last running sum
-        total = np.sum(q, axis=1, keepdims=True)
-        res[:, -1:] += total
-        pending = np.zeros(p.shape, dtype=bool)
-        pending[:, -1:] = _open_prefixes(total, np.max(np.abs(p), axis=1, keepdims=True), e, m)
-        t = None
+    t = np.cumsum(q, axis=1)
+    res += t
+    pending = _open_prefixes(t, p, e, m)
     rows = np.arange(len(p))
     while pending.any():
         # another extraction for the rows and leading cells with open prefixes
         live, w = _span(pending)
         rows, e, m = rows[live], e[live] + m[live] - 53, m[live]
-        t = np.cumsum(q[live, :w], axis=1) if t is None else t[live, :w]
-        p, pending = p[live, :w], pending[live, :w]
+        t, p, pending = t[live, :w], p[live, :w], pending[live, :w]
         q, p = _extract(p, e)
         tau = np.cumsum(q, axis=1)
         t1 = t + tau

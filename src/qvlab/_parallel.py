@@ -9,7 +9,9 @@ the same rows in the same order whether the map ran on one worker or many.
 Every caller passes generators.block_rows(n_steps) as the chunk, so a task
 is one block of paths, sized in the parent: a pool worker never sizes it
 again from module state of its own.  The process-pool machinery is imported
-only when a pool is started, so a one-worker run never loads it.
+only when a pool is started, so a one-worker run never loads it.  The map
+stops at the first span whose result raises, in span order, and re-raises
+its error; the pool cancels every span it has not started.
 """
 
 from __future__ import annotations
@@ -24,4 +26,8 @@ def map_chunked(fn, n: int, chunk: int, workers: int, args: tuple = ()) -> list:
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, lo, hi, *args) for lo, hi in spans]
-        return [f.result() for f in futures]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise

@@ -13,17 +13,16 @@ strided view.  S is a (paths, grid) mask throughout, and a ladder is built on
 the grid of the values it is run on: both ladder functions refuse values on
 a grid of another size.
 
-covariation_ladder sweeps a whole t-grid for every row pair of two
-ensembles at once and writes each row's sums in place, into CovariationSums
-that the caller may hold for a whole ensemble and fill block by block.  The
-rows go a slab at a time, SLAB_CELLS values each, and every ladder level in
-turn slices the slab at the cut indices and forms the products of
-increments once, in one pair of slab-sized buffers.  The stopped sums are
-one cumulative sum along the path axis plus one boundary cell, under the
-stopped-value semantics; the included sums zero the cells that hold a grid
-column of S in place and take a second cumulative sum.  S is the union of
-both paths' jump times under the threshold, read off the mark and value
-blocks as one grid mask.
+covariation_ladder sweeps a whole t-grid for every row of an ensemble at
+once and writes each row's sums in place, into CovariationSums that the
+caller may hold for a whole ensemble and fill block by block.  The rows go
+a slab at a time, SLAB_CELLS values each, and every ladder level in turn
+slices the slab at the cut indices and forms the squared increments once,
+in one pair of slab-sized buffers.  The stopped sums are one cumulative sum
+along the path axis plus one boundary cell, under the stopped-value
+semantics; the included sums zero the cells that hold a grid column of S in
+place and take a second cumulative sum.  S is each path's jump times under
+the threshold, read off the mark and value blocks as one grid mask.
 The jump sums do not depend on the level, so each row holds them once; they
 are the running sums of each row's jump terms in time order: the jump sum
 at t is the running sum after the last jump <= t.  The stopped, included
@@ -153,7 +152,7 @@ def _nan_where_last_is_nan(stat: np.ndarray, part: np.ndarray) -> np.ndarray:
 
 
 class CovariationSums(NamedTuple):
-    """Per-path covariation sums of an ensemble of (X, Y) pairs.
+    """Per-path quadratic variation sums of an ensemble.
 
     full and zcqv are (n_paths, n_levels, n_t).  jumps is (n_paths, n_t):
     the jump sums do not depend on the level, so each path holds them once.
@@ -252,8 +251,8 @@ def jump_grid(ens: PathEnsemble, threshold: float) -> np.ndarray:
     return sel
 
 
-def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Sum of dX_s dY_s over row r's selected jump times s <= t, for every
+def _jump_rows(x: PathEnsemble, sel: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """Sum of (dX_s)^2 over row r's selected jump times s <= t, for every
     row r and t.
 
     Row r's jump terms, in time order, fill the first cells of row r of an
@@ -265,7 +264,8 @@ def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.nda
     """
     rows, gs = np.nonzero(sel)  # row-major: time order within each row
     left = np.maximum(gs - 1, 0)
-    terms = (x.values[rows, gs] - x.values[rows, left]) * (y.values[rows, gs] - y.values[rows, left])
+    d = x.values[rows, gs] - x.values[rows, left]
+    terms = d * d
     n, n_grid = sel.shape
     counts = np.bincount(rows, minlength=n)
     width = int(counts.max(initial=0))
@@ -285,7 +285,7 @@ def _jump_rows(x: PathEnsemble, y: PathEnsemble, sel: np.ndarray, t_grid: np.nda
 SLAB_CELLS = 4 * _kernels.CELLS  # cells per row slab of the ladder sweep: two 256 KB buffers
 
 
-def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_grid, sel, full, zcqv) -> None:
+def _ladder_sums(x: PathEnsemble, ladder: RefinementLadder, t_grid, sel, full, zcqv) -> None:
     """Write the stopped and included sums of every row into full and zcqv,
     (n_paths, n_levels, n_t) each; S is `sel`.
 
@@ -317,25 +317,16 @@ def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_g
     for a in range(0, n, h):
         b = min(a + h, n)
         xs = x.values[a:b]
-        ys = xs if y is x else y.values[a:b]
         xt = xs[:, at_t]
-        yt = xt if y is x else ys[:, at_t]
         lo, hi = np.searchsorted(excl_rows, (a, b))
         s_rows, s_grid = excl_rows[lo:hi] - a, excl_grid[lo:hi]
         for i, (k, lev, j, past, zc_at) in enumerate(plan):
             xv = xs[:, lev.cut]
             prod = np.subtract(xv[:, 1:], xv[:, :-1], out=prod_buf[: b - a, :k])
             cum = cum_buf[: b - a, : k + 1]
-            if y is x:
-                # the same bits as gathering and differencing y again
-                prod *= prod
-                boundary = xt - xv[:, j]
-                boundary *= boundary
-            else:
-                yv = ys[:, lev.cut]
-                # dY goes through the cumulative-sum buffer before it is filled
-                prod *= np.subtract(yv[:, 1:], yv[:, :-1], out=cum[:, 1:])
-                boundary = (xt - xv[:, j]) * (yt - yv[:, j])
+            prod *= prod
+            boundary = xt - xv[:, j]
+            boundary *= boundary
             np.cumsum(prod, axis=1, out=cum[:, 1:])
             boundary[:, past] = 0.0
             np.add(cum[:, j], boundary, out=full[a:b, i])
@@ -348,20 +339,19 @@ def _ladder_sums(x: PathEnsemble, y: PathEnsemble, ladder: RefinementLadder, t_g
 
 def covariation_ladder(
     x: PathEnsemble,
-    y: PathEnsemble,
     ladder: RefinementLadder,
     t_grid: np.ndarray,
     threshold: float = np.inf,
     out: CovariationSums | None = None,
 ) -> CovariationSums:
-    """Stopped and included covariation sums of every (x_r, y_r) row pair
-    along every ladder level at every t in t_grid.
+    """Stopped and included quadratic variation sums of every row x_r along
+    every ladder level at every t in t_grid.
 
-    S is the union of both paths' jump times under `threshold`, and the
-    ladder must be built on the ensembles' grid.  With tau_j <= t <
-    tau_{j+1} the stopped sum is the cumulative sum through cell j plus the
-    boundary term (X_t - X_{tau_j})(Y_t - Y_{tau_j}); the included sum
-    counts only cells with tau_k < t that miss S.
+    S is each path's jump times under `threshold`, and the ladder must be
+    built on the ensemble's grid.  With tau_j <= t < tau_{j+1} the stopped
+    sum is the cumulative sum of (dX)^2 through cell j plus the boundary
+    term (X_t - X_{tau_j})^2; the included sum counts only cells with
+    tau_k < t that miss S.
 
     out: optional sums of len(x) rows to fill, such as rows a .. b-1 of a
     whole ensemble's CovariationSums.rows(a, b); without it the sums are
@@ -373,8 +363,6 @@ def covariation_ladder(
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    if x.values.shape != y.values.shape or not np.array_equal(x.times, y.times):
-        raise ValueError("ensembles must hold the same number of paths on one grid")
     ladder.require_grid(x.times.size)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0.0) or np.any(t_grid > x.horizon):
@@ -384,10 +372,8 @@ def covariation_ladder(
     elif out.full.shape != (len(x), len(ladder), t_grid.size):
         raise ValueError(f"out holds {out.full.shape} sums, not {(len(x), len(ladder), t_grid.size)}")
     sel = jump_grid(x, threshold)
-    if y is not x:
-        sel |= jump_grid(y, threshold)
-    _ladder_sums(x, y, ladder, t_grid, sel, out.full, out.zcqv)
-    out.jumps[:] = _jump_rows(x, y, sel, t_grid)
+    _ladder_sums(x, ladder, t_grid, sel, out.full, out.zcqv)
+    out.jumps[:] = _jump_rows(x, sel, t_grid)
     return out
 
 

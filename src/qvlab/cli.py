@@ -97,8 +97,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple:
 
 
 def cmd_qv(cfg: ExperimentConfig, args) -> tuple:
-    """Covariation ladder of each path against itself at 65 times, and the
-    per-cell medians over paths.
+    """Quadratic variation ladder of each path at 65 times, and the per-cell
+    medians over paths.
 
     Working set: one block of paths, the per-path sums (full and zcqv,
     n_paths x n_levels x 65 float64 each, and jumps, n_paths x 65) and
@@ -119,7 +119,7 @@ def cmd_qv(cfg: ExperimentConfig, args) -> tuple:
     for lo in range(0, cfg.n_paths, step):
         hi = min(lo + step, cfg.n_paths)
         ens = generate(spec, hi - lo, lo)
-        covariation_ladder(ens, ens, ladder, t_grid, threshold=cfg.jump_threshold, out=per_path.rows(lo, hi))
+        covariation_ladder(ens, ladder, t_grid, threshold=cfg.jump_threshold, out=per_path.rows(lo, hi))
         del ens
     exceed = ucp_exceedance(per_path.full, cfg.ucp_eps)
     median = per_path.median()

@@ -10,6 +10,7 @@ one-sided x-derivatives are declared next to it as its oracle.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -254,10 +255,17 @@ def builtin_library() -> dict:
 
 
 def make_function(expr: str) -> PathFunction:
-    """Instantiate from an expression like 'moving_kink(k_jump=0.5)'."""
+    """Instantiate from an expression like 'moving_kink(k_jump=0.5)'.
+    Raises ConfigurationError naming expr for arguments the builtin does not
+    take and for numeric arguments that are not finite."""
     name, args, kwargs = parse_expression(expr)
     if name not in _REGISTRY:
         raise ConfigurationError(f"unknown function {name!r}")
-    f = _REGISTRY[name](*args, **kwargs)
+    if not all(math.isfinite(v) for v in (*args, *kwargs.values()) if isinstance(v, float)):
+        raise ConfigurationError(f"bad function {expr!r}: arguments must be finite")
+    try:
+        f = _REGISTRY[name](*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad function {expr!r}: {exc}") from None
     f.expression = expr
     return f

@@ -263,16 +263,20 @@ class JumpLaw(NamedTuple):
         raise ConfigurationError(f"unknown jump law {self.name!r}")
 
 
-def make_jump_law(spec) -> JumpLaw:
-    if isinstance(spec, JumpLaw):
-        return spec
+def make_jump_law(spec: str) -> JumpLaw:
+    """The law of 'normal(mu, sd)', 'uniform(a, b)' or 'const(c)': finite
+    numbers by position, defaults for those left out."""
+    if not isinstance(spec, str):
+        raise ConfigurationError(f"jump_law must be an expression, got {spec!r}")
     name, args, kwargs = parse_expression(spec)
     defaults = {"normal": (0.0, 1.0), "uniform": (-1.0, 1.0), "const": (1.0,)}
     if name not in defaults:
         raise ConfigurationError(f"unknown jump law {name!r}")
     vals = defaults[name]
     if kwargs or len(args) > len(vals) or str in map(type, args):
-        raise ConfigurationError(f"bad jump law {spec!r}")
+        raise ConfigurationError(f"bad jump_law {spec!r}")
+    if not all(map(math.isfinite, args)):
+        raise ConfigurationError(f"jump_law parameters must be finite, got {spec!r}")
     return JumpLaw(name, (*args, *vals[len(args) :]))
 
 

@@ -52,7 +52,7 @@ def test_qv_direct_arithmetic():
 def test_qv_stopped_semantics():
     x = toy_ensemble([0.0, 1.0, 2.0], [0, 1, 3])
     # at t = 1 the second cell is stopped: increment zero
-    assert covariation_ladder(x, x, grid_ladder(x), np.asarray([1.0])).full.tolist() == [[[1.0]]]
+    assert covariation_ladder(x, grid_ladder(x), np.asarray([1.0])).full.tolist() == [[[1.0]]]
 
 
 def test_qv_brownian_realized_variance(brownian_200_l12):
@@ -70,21 +70,16 @@ def test_qv_nonnegative_on_diagonal(brownian_200_l12):
 def test_jump_sum_cases():
     times = [0.0, 1.0, 2.0]
 
-    def jump_sums(x, y, threshold, t_grid):
-        rep = covariation_ladder(x, y, grid_ladder(x), np.asarray(t_grid), threshold=threshold)
+    def jump_sums(x, threshold, t_grid):
+        rep = covariation_ladder(x, grid_ladder(x), np.asarray(t_grid), threshold=threshold)
         return rep.jumps[0].tolist()
 
     # below-threshold increments contribute nothing
     p = toy_ensemble(times, [0.0, 0.05, 0.1])
-    assert jump_sums(p, p, 0.2, [2.0]) == [0.0]
-    # single common jump; at t = 0.5 it is still ahead
+    assert jump_sums(p, 0.2, [2.0]) == [0.0]
+    # single jump; at t = 0.5 it is still ahead
     x = toy_ensemble(times, [0, 2, 2], [False, True, False])
-    y = toy_ensemble(times, [0, 3, 3], [False, True, False])
-    assert jump_sums(x, y, np.inf, [2.0, 0.5]) == [6.0, 0.0]
-    # disjoint jump times: a zero factor at each
-    x2 = toy_ensemble(times, [0, 2, 2], [False, True, False])
-    y2 = toy_ensemble(times, [0, 0, 3], [False, False, True])
-    assert jump_sums(x2, y2, np.inf, [2.0]) == [0.0]
+    assert jump_sums(x, np.inf, [2.0, 0.5]) == [4.0, 0.0]
 
 
 def test_zcqv_constant_zero():
@@ -130,13 +125,6 @@ def test_ito_closed_form_oracle(brownian_200_l12):
     assert np.count_nonzero(np.abs(got - target) <= 0.1) >= 0.9 * len(w)
 
 
-def test_mismatched_horizons_rejected():
-    x = toy_ensemble([0.0, 1.0], [0, 1])
-    y = toy_ensemble([0.0, 2.0], [0, 1])
-    with pytest.raises(ValueError, match="one grid"):
-        covariation_ladder(x, y, grid_ladder(x), np.asarray([1.0]))
-
-
 def test_polarization_exact_on_integer_paths():
     times = np.arange(5, dtype=float)
     x = toy_ensemble(times, [0.0, 2.0, 1.0, 4.0, 3.0])
@@ -175,7 +163,7 @@ def test_pure_jump_qv_equals_jump_sum_exactly(cp_ensemble):
     ens = rows_of(cp_ensemble, 0, 10)
     ladder = RefinementLadder(ens.times, 0, 12)
     qv = covariation(ens, ens, ladder)
-    sums = covariation_ladder(ens, ens, ladder, np.asarray([1.0]))
+    sums = covariation_ladder(ens, ladder, np.asarray([1.0]))
     for r in range(len(ens)):
         p = rows_of(ens, r, r + 1)
         jt = jump_times(p, np.inf)
@@ -202,7 +190,7 @@ def test_covariation_ladder_report(brownian_200_l12):
     x = rows_of(brownian_200_l12, 0, 1)
     ladder = RefinementLadder(x.times, 4, 8)
     t_grid = np.linspace(0.0, 1.0, 17)
-    rep = covariation_ladder(x, x, ladder, t_grid, out=CovariationSums.empty(1, ladder, t_grid))
+    rep = covariation_ladder(x, ladder, t_grid, out=CovariationSums.empty(1, ladder, t_grid))
     assert rep.full.shape == (1, 5, 17)
     # report consistency: the sweep at each t against the stopped values
     # summed by cell_sums, and against zcqv_ladder
@@ -228,26 +216,13 @@ def test_covariation_ladder_report(brownian_200_l12):
 def test_covariation_ladder_cp_zcqv_column_zero(cp_ensemble):
     ladder = RefinementLadder(cp_ensemble.times, 8, 12)
     for n_t in (9, 65):
-        rep = covariation_ladder(cp_ensemble, cp_ensemble, ladder, np.linspace(0, 1, n_t), threshold=np.inf)
+        rep = covariation_ladder(cp_ensemble, ladder, np.linspace(0, 1, n_t), threshold=np.inf)
         assert np.all(rep.zcqv == 0.0)
         # continuous part = full - jumps is exactly zero once every cell
         # isolates a jump: the stopped and jump sums add the same terms in
         # the same order, and the cells without a jump add 0.0
         assert np.all(rep.full[:, -1] - rep.jumps == 0.0), n_t
         assert np.all(rep.median().continuous_part[-1] == 0.0), n_t
-
-
-def test_covariation_ladder_pure_jump_pair_continuous_part_zero(cp_ensemble):
-    # X and Y = X + Z for an independent compound-Poisson Z, so the pair
-    # shares X's jumps; at level 12 each cell is one grid step, so it holds
-    # at most one jump of the pair
-    x = cp_ensemble
-    z = generate(GeneratorSpec(kind="compound_poisson", n_steps=4096, jump_rate=3.0, seed=778), len(x))
-    y = toy_ensemble(x.times, x.values + z.values, x.marks | z.marks)
-    ladder = RefinementLadder(x.times, 10, 12)
-    rep = covariation_ladder(x, y, ladder, np.linspace(0, 1, 65))
-    assert np.count_nonzero(rep.jumps[:, -1]) > len(x) // 2
-    assert np.all(rep.full[:, -1] - rep.jumps == 0.0)
 
 
 def test_independent_brownians_cross_variation_small():
@@ -263,7 +238,7 @@ def test_ucp_exceedance_decreases(brownian_200_l12):
     ladder = RefinementLadder(brownian_200_l12.times, 4, 12)
     t_grid = np.linspace(0.0, 1.0, 33)
     ens = rows_of(brownian_200_l12, 0, 50)
-    exc = ucp_exceedance(covariation_ladder(ens, ens, ladder, t_grid).full, eps=0.1)
+    exc = ucp_exceedance(covariation_ladder(ens, ladder, t_grid).full, eps=0.1)
     assert exc[-1] == 0.0
     assert exc[0] >= exc[-2]
 
@@ -273,53 +248,50 @@ def test_ucp_exceedance_decreases(brownian_200_l12):
 # with each path's jump sums a plain running sum in time order
 
 
-def _reference_stopped(x, y, partition, t_grid):
+def _reference_stopped(x, partition, t_grid):
     cuts = np.minimum(partition.cut_times, x.horizon)
     xv = value_at(x, cuts)
-    yv = value_at(y, cuts)
-    cum = np.concatenate([[0.0], np.cumsum(np.diff(xv) * np.diff(yv))])
+    dx = np.diff(xv)
+    cum = np.concatenate([[0.0], np.cumsum(dx * dx)])
     j = np.searchsorted(partition.cut_times, t_grid, side="right") - 1
     j = np.clip(j, 0, partition.n_cells)
     xt = value_at(x, t_grid)
-    yt = value_at(y, t_grid)
-    boundary = np.where(j < partition.n_cells, (xt - xv[j]) * (yt - yv[j]), 0.0)
+    boundary = np.where(j < partition.n_cells, (xt - xv[j]) * (xt - xv[j]), 0.0)
     return cum[j] + boundary
 
 
-def _reference_included(x, y, partition, s, t_grid):
+def _reference_included(x, partition, s, t_grid):
     cuts = np.minimum(partition.cut_times, x.horizon)
-    xv = value_at(x, cuts)
-    yv = value_at(y, cuts)
-    dxdy = np.diff(xv) * np.diff(yv)
+    dx = np.diff(value_at(x, cuts))
     # S time s excludes cell k (1-based) when tau_{k-1} < s <= tau_k
     k = np.searchsorted(partition.cut_times, s, side="left")
     mask = np.ones(partition.n_cells, dtype=bool)
     mask[k[(k >= 1) & (k <= partition.n_cells)] - 1] = False
-    cum = np.concatenate([[0.0], np.cumsum(np.where(mask, dxdy, 0.0))])
+    cum = np.concatenate([[0.0], np.cumsum(np.where(mask, dx * dx, 0.0))])
     return cum[np.searchsorted(partition.cut_times[1:], t_grid, side="left")]
 
 
-def _reference_jump_sums(x, y, s, t_grid):
-    """Sum of dX_s dY_s over the times s <= t of the sorted s, for each t: the
+def _reference_jump_sums(x, s, t_grid):
+    """Sum of (dX_s)^2 over the times s <= t of the sorted s, for each t: the
     plain running sum, in time order, after the last such s."""
-    terms = (value_at(x, s) - left_limit(x, s)) * (value_at(y, s) - left_limit(y, s))
+    d = value_at(x, s) - left_limit(x, s)
     run = [0.0]
-    for term in terms.tolist():
+    for term in (d * d).tolist():
         run.append(run[-1] + term)
     return np.asarray(run)[np.searchsorted(s, t_grid, side="right")]
 
 
-def _reference_ladder(x, y, ladder, t_grid, threshold):
-    """(full, jumps, continuous_part, zcqv) of one path pair, (n_levels, n_t) each."""
-    s = np.union1d(jump_times(x, threshold), jump_times(y, threshold))
+def _reference_ladder(x, ladder, t_grid, threshold):
+    """(full, jumps, continuous_part, zcqv) of one path, (n_levels, n_t) each."""
+    s = jump_times(x, threshold)
     n_l, n_t = len(ladder), t_grid.size
     full = np.empty((n_l, n_t))
     zc = np.empty((n_l, n_t))
     jumps = np.empty((n_l, n_t))
-    jump_row = _reference_jump_sums(x, y, s, t_grid)
+    jump_row = _reference_jump_sums(x, s, t_grid)
     for i, part in enumerate(ladder):
-        full[i] = _reference_stopped(x, y, part, t_grid)
-        zc[i] = _reference_included(x, y, part, s, t_grid)
+        full[i] = _reference_stopped(x, part, t_grid)
+        zc[i] = _reference_included(x, part, s, t_grid)
         jumps[i] = jump_row
     return full, jumps, full - jumps, zc
 
@@ -333,23 +305,17 @@ def _reference_ucp(fulls, eps):
 
 
 ORACLE_CASES = {
-    "brownian": (dict(kind="brownian"), None, np.inf),
-    "jump_diffusion": (dict(kind="jump_diffusion", jump_rate=20.0, sigma="abs_shift(0.5, 0.5)"), None, 0.1),
-    "compound_poisson": (dict(kind="compound_poisson", jump_rate=30.0), None, np.inf),
-    "cross_pair": (
-        dict(kind="brownian"),
-        dict(kind="jump_diffusion", jump_rate=20.0, jump_law="uniform(-1, 3)", seed=99),
-        0.08,
-    ),
+    "brownian": (dict(kind="brownian"), np.inf),
+    "jump_diffusion": (dict(kind="jump_diffusion", jump_rate=20.0, sigma="abs_shift(0.5, 0.5)"), 0.1),
+    "compound_poisson": (dict(kind="compound_poisson", jump_rate=30.0), np.inf),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_covariation_ladder_matches_per_path_reference(name):
-    xkw, ykw, threshold = ORACLE_CASES[name]
-    xspec = GeneratorSpec(n_steps=1024, seed=2024, **xkw)
-    yspec = xspec if ykw is None else GeneratorSpec(n_steps=1024, **ykw)
-    times = xspec.grid()
+    kw, threshold = ORACLE_CASES[name]
+    spec = GeneratorSpec(n_steps=1024, seed=2024, **kw)
+    times = spec.grid()
     ladder = RefinementLadder(times, 0, 10)
     rng = np.random.default_rng(7)
     t_grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, 33), rng.uniform(0.0, 1.0, 16), times[[3, 301]]]))
@@ -358,13 +324,9 @@ def test_covariation_ladder_matches_per_path_reference(name):
     sums = CovariationSums.empty(130, ladder, t_grid)
     for lo in range(0, 130, 64):
         hi = min(lo + 64, 130)
-        xb = generate(xspec, hi - lo, lo)
-        y = xb if ykw is None else generate(yspec, hi - lo, lo)
-        covariation_ladder(xb, y, ladder, t_grid, threshold=threshold, out=sums.rows(lo, hi))
-    xs = generate(xspec, 130)
-    ys = xs if ykw is None else generate(yspec, 130)
-    ref = [_reference_ladder(rows_of(xs, r, r + 1), rows_of(ys, r, r + 1), ladder, t_grid, threshold)
-           for r in range(130)]
+        covariation_ladder(generate(spec, hi - lo, lo), ladder, t_grid, threshold=threshold, out=sums.rows(lo, hi))
+    ens = generate(spec, 130)
+    ref = [_reference_ladder(rows_of(ens, r, r + 1), ladder, t_grid, threshold) for r in range(130)]
     shape = (130, len(ladder), t_grid.size)
     assert sums.full.tobytes() == np.stack([r[0] for r in ref]).tobytes()
     assert sums.jumps.shape == (130, t_grid.size)
@@ -376,7 +338,7 @@ def test_covariation_ladder_matches_per_path_reference(name):
     for k, stat in enumerate(("full", "jumps", "continuous_part", "zcqv")):
         want = np.median(np.stack([r[k] for r in ref]), axis=0)
         assert getattr(med, stat).tobytes() == want.tobytes(), stat
-    if ykw is not None or threshold < np.inf:
+    if threshold < np.inf:
         assert np.any(sums.jumps != 0.0) and np.any(sums.zcqv != sums.full)
     for eps in (0.01, 0.1):
         assert ucp_exceedance(sums.full, eps) == _reference_ucp([r[0] for r in ref], eps)
@@ -386,7 +348,7 @@ def test_covariation_ladder_refuses_a_ladder_of_another_grid(brownian_200_l12):
     ens = rows_of(brownian_200_l12, 0, 2)
     other = RefinementLadder(np.arange(2049) / 2048.0, 4, 6)
     with pytest.raises(ValueError, match="grid of 2048 steps, values on a grid of 4096"):
-        covariation_ladder(ens, ens, other, np.linspace(0.0, 1.0, 5))
+        covariation_ladder(ens, other, np.linspace(0.0, 1.0, 5))
 
 
 def test_zcqv_ladder_refuses_a_ladder_of_another_grid(brownian_200_l12):
@@ -402,7 +364,7 @@ def test_covariation_ladder_refuses_out_of_another_shape(brownian_200_l12):
     t_grid = np.linspace(0.0, 1.0, 5)
     for n, grid in ((3, t_grid), (2, t_grid[:4])):
         with pytest.raises(ValueError, match="out holds"):
-            covariation_ladder(ens, ens, ladder, t_grid, out=CovariationSums.empty(n, ladder, grid))
+            covariation_ladder(ens, ladder, t_grid, out=CovariationSums.empty(n, ladder, grid))
 
 
 def test_ladder_sweep_peak_memory_within_three_value_blocks():
@@ -412,11 +374,11 @@ def test_ladder_sweep_peak_memory_within_three_value_blocks():
     t_grid = np.linspace(0.0, 1.0, 65)
     # a one-row run first, so lazily built module state is not counted
     warm = generate(spec, 1)
-    covariation_ladder(warm, warm, ladder, t_grid, threshold=0.05)
+    covariation_ladder(warm, ladder, t_grid, threshold=0.05)
     tracemalloc.start()
     try:
         ens = generate(spec, 64)
-        rep = covariation_ladder(ens, ens, ladder, t_grid, threshold=0.05)
+        rep = covariation_ladder(ens, ladder, t_grid, threshold=0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -199,7 +199,7 @@ def test_malformed_coefficient_exits_2_naming_it(tmp_path, capsys, kind, field, 
 
 
 @pytest.mark.parametrize("kind", ["compound_poisson", "jump_diffusion"])
-@pytest.mark.parametrize("expr", ["normal(mu=5.0, sd=0.1)", "const(1, 2)"])
+@pytest.mark.parametrize("expr", ["normal(mu=5.0, sd=0.1)", "const(1, 2)", "normal(0, inf)", "uniform(nan, 1)", 3])
 def test_malformed_jump_law_exits_2_naming_it(tmp_path, capsys, kind, expr):
     cfg = tmp_path / "c.json"
     gen = {"kind": kind, "n_steps": 64, "jump_rate": 2.0, "jump_law": expr}
@@ -207,7 +207,22 @@ def test_malformed_jump_law_exits_2_naming_it(tmp_path, capsys, kind, expr):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(expr) in err and "Traceback" not in err
+    assert err.startswith("error: ") and "jump_law" in err and repr(expr) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "identity"])
+@pytest.mark.parametrize("expr", ["abs(3)", "relu(q=1)", "relu(k=nan)"])
+def test_bad_function_expression_exits_2_naming_it(tmp_path, capsys, command, expr):
+    # the first two escaped main as a TypeError (exit 1); relu(k=nan) ran and
+    # blamed a path for its non-finite V
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"generator": {"kind": "brownian", "n_steps": 64}, "n_paths": 4,
+                               "l_min": 2, "l_max": 6, "n_t": 16, "n_x": 8, "function": expr}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad function {expr!r}") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -283,14 +283,23 @@ def test_jump_law_means():
     assert make_jump_law("const(4)").mean == 4.0
 
 
-@pytest.mark.parametrize("expr", ["normal(mu=5.0, sd=0.1)", "const(1, 2)", "uniform(0, 1, 2)", "normal(a, b)"])
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "normal(mu=5.0, sd=0.1)", "const(1, 2)", "uniform(0, 1, 2)", "normal(a, b)",
+        "normal(0, inf)", "uniform(nan, 1)", "const(inf)", 3,
+    ],
+)
 def test_jump_law_rejects_keywords_and_extra_arguments(expr):
-    # keywords were dropped silently (N(0, 1) for the first) and extra
-    # arguments died with an IndexError
-    with pytest.raises(ConfigurationError, match=re.escape(repr(expr))):
+    # keywords were dropped silently (N(0, 1) for the first), extra
+    # arguments died with an IndexError, a non-finite parameter failed later,
+    # in generation, under a message that blamed sigma or b, and a number in
+    # place of the expression died with a TypeError
+    with pytest.raises(ConfigurationError, match=f"jump_law.*{re.escape(repr(expr))}"):
         make_jump_law(expr)
-    with pytest.raises(ConfigurationError, match=re.escape(repr(expr))):
-        GeneratorSpec(kind="compound_poisson", jump_rate=2.0, jump_law=expr).validate()
+    for kind in ("compound_poisson", "jump_diffusion"):
+        with pytest.raises(ConfigurationError, match=f"jump_law.*{re.escape(repr(expr))}"):
+            GeneratorSpec(kind=kind, jump_rate=2.0, jump_law=expr).validate()
 
 
 def test_mean_drift_variation():

@@ -57,7 +57,8 @@ def test_bare_import_loads_no_layer():
     "command, absent",
     [
         # numpy's median imports numpy.ma; qv takes its medians without it
-        (["qv"], {"qvlab.decomposition", "qvlab.call_surface", "qvlab.grid_calculus", "numpy.ma", "csv"}),
+        (["qv"], {"qvlab.decomposition", "qvlab.call_surface", "qvlab.grid_calculus", "qvlab.functions",
+                  "numpy.ma", "csv"}),
         (["identity"], {"qvlab.decomposition", "qvlab.calculus"}),
         # numpy's percentile imports numpy.ma through np.unique
         (["suite", "moving_kink_jump"], {"qvlab.call_surface", "qvlab.grid_calculus", "numpy.ma", "csv"}),

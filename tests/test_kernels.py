@@ -2,11 +2,13 @@
 
 The scalar reference runs Algorithm 4.5 of Rump, Ogita and Oishi,
 "Accurate floating-point summation part I: faithful rounding" (2008), on
-every prefix of one row, one Python float at a time; every row of
-`_kernels.row_sums`, and of the block sums built on it (`calculus.cell_sums`
-and `calculus.ito_rows`), must match it bit for bit.  Every running sum must also be a faithful rounding of
-the exact sum (one of the two doubles next to it), checked against math.fsum
-prefix by prefix.
+every prefix of one row, one Python float at a time.  `_kernels.row_sums`
+has one mode: it forms every prefix, and a row's total is its last one.
+Every row of its prefixes and totals, and of the block sums built on it
+(`calculus.cell_sums`, which reads the totals, and `calculus.ito_rows`,
+which reads every prefix), must match the reference bit for bit.  Every
+running sum must also be a faithful rounding of the exact sum (one of the
+two doubles next to it), checked against math.fsum prefix by prefix.
 """
 
 import itertools
