@@ -8,10 +8,11 @@ are computed per path so the pass test compares paired Monte Carlo samples
 
 run_identity makes one pass over the ensemble: each pool task generates one
 cell-sized block of paths (generators.block_rows) and reads its X_t on the
-t-grid once.  The identity terms and, when a function is given, the
-kink-identity LHS are computed for the whole block at once; the blocks' X_t
-rows go back to the pass, which sorts the values at each t once and reads
-the surface sums from faithfully rounded prefix sums (see _surface_sums).
+t-grid once.  The identity terms and, when a function expression is given,
+the kink-identity LHS are computed for the whole block at once (each task
+builds the function from its expression); the blocks' X_t rows go back to
+the pass, which sorts the values at each t once and reads the surface sums
+from faithfully rounded prefix sums (see _surface_sums).
 theta is a box, the only test function the pass runs, so the LHS double sum
 over t-cells and x-midpoints telescopes exactly: theta(t_{i+1}, x_j) =
 1_I(i) 1_J(j) with I a run of consecutive cells, and the sum over I of a
@@ -30,7 +31,10 @@ right endpoint (cadlag measure); model [X]^c cell increments pair with theta
 at the left endpoint (previsible evaluation).  Model QV comes from the
 generator (sigma^2 dt per diffusive cell, 0 for jump cells), not realized
 squared increments: the identity is in expectation and the calculus module
-independently validates realized against model QV.
+independently validates realized against model QV.  The model drift dA
+comes from the generator too (GeneratorSpec.drift_rate): b dt, plus, for
+the jump kinds, the compensator rate * E[J] dt, the expected dX of the
+jumps; the jump term holds only each jump's hinge correction.
 """
 
 from __future__ import annotations
@@ -42,24 +46,14 @@ import numpy as np
 from . import _kernels
 from ._parallel import map_chunked
 from .functions import PathFunction, make_function
-from .generators import GeneratorSpec, block_rows, generate, make_coefficient, make_jump_law, parse_box
+from .generators import GeneratorSpec, block_rows, generate, parse_box
 
 
 class BoxIndicator:
-    """theta = 1 on the box (t0, t1, x_lo, x_hi) = [t0, t1] x [x_lo, x_hi].
-
-    Boxes compare, and hash, by their corners, so a box equals its pickled
-    copy in a worker process.
-    """
+    """theta = 1 on the box (t0, t1, x_lo, x_hi) = [t0, t1] x [x_lo, x_hi]."""
 
     def __init__(self, t0, t1, x_lo, x_hi):
         self.box = (float(t0), float(t1), float(x_lo), float(x_hi))
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other.box == self.box
-
-    def __hash__(self):
-        return hash(self.box)
 
     def __call__(self, t, x):
         t0, t1, lo, hi = self.box
@@ -107,7 +101,6 @@ class CallSurface(NamedTuple):
     x_grid: np.ndarray
     values: np.ndarray
     stderr: np.ndarray
-    n_paths: int
 
     def to_csv(self) -> str:
         """One `t,x,C,stderr` line per grid cell, each number as its float
@@ -131,7 +124,7 @@ class CallSurface(NamedTuple):
         mean = s / n
         var = np.maximum(ss / n - mean * mean, 0.0)
         stderr = np.sqrt(var / max(n - 1, 1))
-        return cls(t_grid=t_grid, x_grid=x_grid, values=mean, stderr=stderr, n_paths=n)
+        return cls(t_grid=t_grid, x_grid=x_grid, values=mean, stderr=stderr)
 
 
 def convexity_defect(surface: CallSurface) -> float:
@@ -383,18 +376,11 @@ def _pass_block(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_g
     each row's sums reduce over a C-contiguous row, as a path summed alone
     does, so the bits do not depend on the block.
     """
-    qv_rate = genspec.qv_rate()
+    qv_rate, drift_rate = genspec.qv_rate(), genspec.drift_rate()
     if qv_rate is None:
         raise ValueError(f"generator {genspec.kind!r} does not expose model QV")
     t_left = t_grid[:-1]
     dt = np.diff(t_grid)
-    b = None
-    if genspec.kind in ("euler_sde", "jump_diffusion"):
-        b = make_coefficient(genspec.b)
-    elif genspec.kind == "compound_poisson":
-        drift_cells = make_jump_law(genspec.jump_law).mean * genspec.jump_rate * dt
-    else:
-        drift_cells = np.zeros_like(dt)
     on_kink_set = make_function(fexpr).nondiff_indicator if fexpr else None
 
     x_centers = 0.5 * (x_grid[:-1] + x_grid[1:])
@@ -420,11 +406,9 @@ def _pass_block(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_g
     lhs -= np.maximum(xt[:, first, None] - centers, 0.0)
     terms[:, 0] = _row_sums(lhs) * dx
     x_left = xt[:, :-1]
-    # a coefficient may return a scalar, and drift cells without b are one
-    # row for all paths; broadcast both to the block
+    # a rate may return a scalar; broadcast both rates' cells to the block
     qv_cells = np.broadcast_to(np.asarray(qv_rate(t_left, x_left), dtype=float) * dt, x_left.shape)
-    drift = drift_cells if b is None else np.asarray(b(t_left, x_left), dtype=float) * dt
-    drift = np.broadcast_to(drift, x_left.shape)
+    drift = np.broadcast_to(np.asarray(drift_rate(t_left, x_left), dtype=float) * dt, x_left.shape)
     terms[:, 1] = 0.5 * _row_sums(theta(t_left, x_left) * qv_cells)
     # drift pairs with the pre-jump state: at a marked jump time the inner
     # integral's upper limit is the left limit
@@ -530,25 +514,27 @@ def run_identity(
     n_paths: int,
     n_t: int = 256,
     n_x: int = 64,
-    f: PathFunction | None = None,
+    function: str | None = None,
     workers: int = 1,
     sigma_mult: float = 3.0,
 ) -> IdentityRun:
-    """Surface, occupation identity and (given f) kink identity from one pass.
+    """Surface, occupation identity and (given a function) kink identity
+    from one pass.
 
     The surface sits on n_t + 1 times over [0, horizon] and n_x + 1 points
     spanning theta's x-range; the identity integrates over the n_x cells of
     that x-grid.  It needs n_paths >= 2: the identity's standard error, and
     so its pass rule, is undefined for one path.  theta is a BoxIndicator
-    or a box expression.
+    or a box expression; function is a functions.make_function expression,
+    which each pool task builds again for its kink LHS.
     """
+    f = make_function(function) if function else None
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for the identity's standard error, got {n_paths}")
     theta = make_theta(theta)
     t_grid = np.linspace(0.0, genspec.horizon, n_t + 1)
     x_grid = np.linspace(theta.box[2], theta.box[3], n_x + 1)
-    fexpr = (f.expression or f.name) if f is not None and f.nondiff_indicator is not None else None
-    s, ss, terms, kink_lhs = _one_pass(genspec, theta, t_grid, x_grid, n_paths, fexpr, workers)
+    s, ss, terms, kink_lhs = _one_pass(genspec, theta, t_grid, x_grid, n_paths, function, workers)
     surface = CallSurface.from_sums(t_grid, x_grid, s, ss, n_paths)
     identity = occupation_identity_check(theta, terms, t_grid, x_grid, sigma_mult)
     kink = None if f is None else kink_identity_check(genspec, f, surface, kink_lhs, sigma_mult)

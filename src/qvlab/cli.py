@@ -4,9 +4,10 @@ Subcommands: simulate, qv, decompose, identity, appendix, ingest, suite.
 Global flags: --config, --seed, --paths, --out, --format, --workers.  The
 QVLAB_OUT environment variable overrides the output directory.  Reports are
 collected in memory and written together, so a failed run leaves no partial
-outputs; exit status is 0 only when every asserted check passes (expected
-failures count as passing when they fail as expected), 2 on bad input or a
-failed write.
+outputs: a failed write unlinks the files the run has written, though a file
+it overwrote before the failure is not restored.  Exit status is 0 only when
+every asserted check passes (expected failures count as passing when they
+fail as expected), 2 on bad input or a failed write.
 
 Each command imports the layer modules it runs when it runs, and the module
 top imports only what resolving the config needs.  So a process loads only
@@ -40,10 +41,20 @@ def _json_text(obj) -> str:
 
 
 def _write_outputs(out_dir: str, files: dict) -> None:
+    """Write every file, or none: when a write raises, unlink the files this
+    call has opened, then re-raise."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name in sorted(files):
-        (out / name).write_text(files[name])
+    written = []
+    try:
+        for name in sorted(files):
+            with open(out / name, "w") as fh:
+                written.append(out / name)
+                fh.write(files[name])
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -138,21 +149,6 @@ def cmd_qv(cfg: ExperimentConfig, args) -> tuple:
     return files, True
 
 
-def _suite_config(cfg: ExperimentConfig):
-    from .decomposition import SuiteConfig
-
-    return SuiteConfig(
-        generator=cfg.generator_spec(),
-        function=cfg.function,
-        l_min=cfg.l_min,
-        l_max=cfg.l_max,
-        n_paths=cfg.n_paths,
-        pass_fraction=cfg.pass_fraction,
-        jump_threshold=cfg.jump_threshold,
-        workers=cfg.workers,
-    )
-
-
 def _suite_files(cfg: ExperimentConfig, result, report: str, levels: str) -> tuple:
     """The suite result's report, with the config, and its levels CSV."""
     payload = result.to_dict()
@@ -163,7 +159,7 @@ def _suite_files(cfg: ExperimentConfig, result, report: str, levels: str) -> tup
 def cmd_decompose(cfg: ExperimentConfig, args) -> tuple:
     from .decomposition import run_decompose
 
-    return _suite_files(cfg, run_decompose(_suite_config(cfg)), "verdict.json", "levels.csv")
+    return _suite_files(cfg, run_decompose(cfg), "verdict.json", "levels.csv")
 
 
 def _verdict_csv(verdict) -> str:
@@ -175,12 +171,10 @@ def _verdict_csv(verdict) -> str:
 
 def cmd_identity(cfg: ExperimentConfig, args) -> tuple:
     from . import call_surface as cs
-    from .functions import make_function
 
     spec = cfg.generator_spec()
     run = cs.run_identity(
-        spec, cfg.theta, cfg.n_paths, n_t=cfg.n_t, n_x=cfg.n_x,
-        f=make_function(cfg.function) if cfg.function else None,
+        spec, cfg.theta, cfg.n_paths, n_t=cfg.n_t, n_x=cfg.n_x, function=cfg.function,
         workers=cfg.workers, sigma_mult=cfg.sigma_mult,
     )
     mono = cs.monotonicity_check(run.surface, spec, sigma_mult=cfg.sigma_mult)
@@ -233,7 +227,7 @@ def cmd_suite(cfg: ExperimentConfig, args) -> tuple:
     from .decomposition import run_suite
 
     name = args.name
-    return _suite_files(cfg, run_suite(name, _suite_config(cfg)), f"suite_{name}.json", f"suite_{name}_levels.csv")
+    return _suite_files(cfg, run_suite(name, cfg), f"suite_{name}.json", f"suite_{name}_levels.csv")
 
 
 # ---------------------------------------------------------------------------

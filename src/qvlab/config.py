@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigurationError, check_numbers
-from .generators import KINDS, GeneratorSpec, parse_box
+from .generators import GeneratorSpec, parse_box
 
 FORMATS = ("csv", "json")
 
@@ -54,8 +54,6 @@ class ExperimentConfig(_Fields):
     def generator_spec(self) -> GeneratorSpec:
         gen = dict(self.generator)
         kind = gen.pop("kind", "brownian")
-        if kind not in KINDS:
-            raise ConfigurationError(f"unknown generator kind {kind!r}")
         if "seed" in gen:
             raise ConfigurationError(
                 "generator.seed is not a config field: set the seed with the top-level seed key"

@@ -10,18 +10,21 @@ measures the included-cell squared-increment statistic of V at every
 refinement level, one kernel pass per level, and summarize_zcqv turns the
 decay into a pass/fail verdict.  Row r of every block depends on path r
 alone, so a path decomposes to the same bits alone or in any block.  The
-named suites run this over an ensemble with a deterministic worker pool:
-each pool task is one cell-sized block of paths (generators.block_rows),
-generated once, and returns one row per path in arrays, which the suite
-joins in path order.  The two-ensemble suites generate the same span of
-both ensembles and refuse blocks that differ in shape or grid, so path i
-of one is never measured against another path of the other.
+named suites (run_suite, and run_decompose on the configured generator)
+take the ExperimentConfig itself and only read its fields, so this module
+does not import config at run time.  They run over an ensemble with a
+deterministic worker pool: each pool task is one cell-sized block of paths
+(generators.block_rows), generated once, and returns one row per path in
+arrays, which the suite joins in path order.  The two-ensemble suites
+generate the same span of both ensembles and refuse blocks that differ in
+shape or grid, so path i of one is never measured against another path of
+the other.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -32,6 +35,9 @@ from .functions import PathFunction, make_function
 from .generators import GeneratorSpec, block_rows, generate
 from .partitions import RefinementLadder
 from .paths import PathEnsemble
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 
 def _integrand_states(values, marks, a: int, b: int) -> np.ndarray:
@@ -141,17 +147,6 @@ def summarize_zcqv(stats: np.ndarray, levels, meshes, pass_fraction: float) -> Z
 # named experiment suites
 
 
-class SuiteConfig(NamedTuple):
-    generator: GeneratorSpec
-    function: str = "abs"
-    l_min: int = 6
-    l_max: int = 12
-    n_paths: int = 200
-    pass_fraction: float = 0.1
-    jump_threshold: float = float("inf")
-    workers: int = 1
-
-
 class SuiteResult(NamedTuple):
     name: str
     verdict: ZcqvVerdict
@@ -173,7 +168,7 @@ class SuiteResult(NamedTuple):
         return out
 
 
-def _suite_levels(cfg: SuiteConfig):
+def _suite_levels(cfg: ExperimentConfig):
     return tuple(range(cfg.l_min, cfg.l_max + 1))
 
 
@@ -211,7 +206,7 @@ def _paired(spec1: GeneratorSpec, spec2: GeneratorSpec, lo: int, hi: int) -> tup
     return a, b
 
 
-def _ladder(spec: GeneratorSpec, cfg: SuiteConfig) -> RefinementLadder:
+def _ladder(spec: GeneratorSpec, cfg: ExperimentConfig) -> RefinementLadder:
     return RefinementLadder(spec.grid(), cfg.l_min, cfg.l_max)
 
 
@@ -224,7 +219,7 @@ def _common_columns(times: np.ndarray, common) -> np.ndarray:
     return mask
 
 
-def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteConfig, extra_s_times):
+def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: ExperimentConfig, extra_s_times):
     """Block task: generate paths lo .. hi-1, decompose on the path grid,
     statistic per level.
 
@@ -244,7 +239,7 @@ def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: SuiteC
     return stats, kink, v[:, -1].copy()
 
 
-def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: SuiteConfig):
+def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: ExperimentConfig):
     """Negative control task: the statistic on X itself, S = its jumps;
     (paths, n_levels)."""
     ens = generate(genspec, hi - lo, lo)
@@ -255,7 +250,7 @@ def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: SuiteConfig):
     return stats
 
 
-def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteConfig):
+def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: ExperimentConfig):
     """Included-cell |dZ dY| per level, S = the jumps of Z and Y, and the
     same with S empty: two (paths, n_levels) arrays."""
     ladder = _ladder(zspec, cfg)
@@ -269,7 +264,7 @@ def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: SuiteC
     return with_s, no_s
 
 
-def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: SuiteConfig):
+def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: ExperimentConfig):
     """Statistic for Z1 + Z2 with S = the union of both jump sets;
     (paths, n_levels)."""
     z1, z2 = _paired(spec1, spec2, lo, hi)
@@ -280,7 +275,7 @@ def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: Sui
     return stats
 
 
-def _blocks(task, spec: GeneratorSpec, cfg: SuiteConfig, args: tuple):
+def _blocks(task, spec: GeneratorSpec, cfg: ExperimentConfig, args: tuple):
     """task over every block of the suite's paths, its results joined in
     path order: arrays, or tuples of arrays joined field by field."""
     parts = map_chunked(task, cfg.n_paths, block_rows(spec.n_steps), cfg.workers, args)
@@ -289,24 +284,14 @@ def _blocks(task, spec: GeneratorSpec, cfg: SuiteConfig, args: tuple):
     return np.concatenate(parts)
 
 
-def _brownian_spec(cfg: SuiteConfig) -> GeneratorSpec:
-    return cfg.generator._replace(kind="brownian")
-
-
-def _jump_diffusion_spec(cfg: SuiteConfig) -> GeneratorSpec:
-    spec = cfg.generator
+def _jump_spec(spec: GeneratorSpec, kind: str, seed_offset: int = 0) -> GeneratorSpec:
+    """spec as the jump kind `kind`, at jump rate 3.0 unless it sets one."""
     rate = spec.jump_rate if spec.jump_rate > 0 else 3.0
-    return spec._replace(kind="jump_diffusion", jump_rate=rate)
-
-
-def _compound_poisson_spec(cfg: SuiteConfig, seed_offset: int = 0) -> GeneratorSpec:
-    spec = cfg.generator
-    rate = spec.jump_rate if spec.jump_rate > 0 else 3.0
-    return spec._replace(kind="compound_poisson", jump_rate=rate, seed=spec.seed + seed_offset)
+    return spec._replace(kind=kind, jump_rate=rate, seed=spec.seed + seed_offset)
 
 
 def _decomposition_suite(
-    name: str, cfg: SuiteConfig, genspec: GeneratorSpec, fexpr: str, extra
+    name: str, cfg: ExperimentConfig, genspec: GeneratorSpec, fexpr: str, extra
 ) -> SuiteResult:
     levels = _suite_levels(cfg)
     stats, kink, final_v = _blocks(_decomposition_stats, genspec, cfg, (genspec, fexpr, cfg, extra))
@@ -320,31 +305,35 @@ def _decomposition_suite(
     return SuiteResult(name=name, verdict=verdict, expected_pass=True, details=details)
 
 
-def run_decompose(cfg: SuiteConfig) -> SuiteResult:
+def run_decompose(cfg: ExperimentConfig) -> SuiteResult:
     """The tanaka pipeline on the configured generator, not forced Brownian."""
-    return _decomposition_suite("tanaka", cfg, cfg.generator, cfg.function or "abs", np.empty(0))
+    return _decomposition_suite("tanaka", cfg, cfg.generator_spec(), cfg.function or "abs", np.empty(0))
 
 
-def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
+def run_suite(name: str, cfg: ExperimentConfig) -> SuiteResult:
+    """The named suite on cfg's paths, levels, pass rule and workers; each
+    suite sets the generator kind it runs from cfg's generator."""
     levels = _suite_levels(cfg)
+    spec = cfg.generator_spec()
+    brownian = spec._replace(kind="brownian")
 
     if name == "tanaka":
-        return _decomposition_suite(name, cfg, _brownian_spec(cfg), cfg.function or "abs", np.empty(0))
+        return _decomposition_suite(name, cfg, brownian, cfg.function or "abs", np.empty(0))
 
     if name in ("moving_kink", "moving_kink_jump"):
-        genspec = _brownian_spec(cfg) if name == "moving_kink" else _jump_diffusion_spec(cfg)
+        genspec = brownian if name == "moving_kink" else _jump_spec(spec, "jump_diffusion")
         return _decomposition_suite(name, cfg, genspec, "moving_kink(k_jump=0.5)", np.asarray([0.5]))
 
     if name == "negative_control":
-        genspec = _brownian_spec(cfg)
+        genspec = brownian
         stats = _blocks(_raw_zcqv_stats, genspec, cfg, (genspec, cfg))
         verdict = summarize_zcqv(stats, levels, _meshes(genspec, levels), cfg.pass_fraction)
         details = {"generator": genspec.kind, "function": None, "note": "asserts the failure"}
         return SuiteResult(name=name, verdict=verdict, expected_pass=False, details=details)
 
     if name == "cross_variation":
-        zspec = _compound_poisson_spec(cfg)
-        yspec = _brownian_spec(cfg)._replace(seed=cfg.generator.seed + 104729)
+        zspec = _jump_spec(spec, "compound_poisson")
+        yspec = brownian._replace(seed=cfg.seed + 104729)
         with_s, no_s = _blocks(_cross_stats, zspec, cfg, (zspec, yspec, cfg))
         verdict = summarize_zcqv(with_s, levels, _meshes(zspec, levels), cfg.pass_fraction)
         details = {
@@ -355,8 +344,8 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteResult:
         return SuiteResult(name=name, verdict=verdict, expected_pass=True, details=details)
 
     if name == "zcqv_sum":
-        spec1 = _compound_poisson_spec(cfg)
-        spec2 = _compound_poisson_spec(cfg, seed_offset=7919)
+        spec1 = _jump_spec(spec, "compound_poisson")
+        spec2 = _jump_spec(spec, "compound_poisson", seed_offset=7919)
         stats = _blocks(_sum_zcqv_stats, spec1, cfg, (spec1, spec2, cfg))
         verdict = summarize_zcqv(stats, levels, _meshes(spec1, levels), cfg.pass_fraction)
         details = {"generator": "compound_poisson + compound_poisson", "function": None}

@@ -5,7 +5,10 @@ values, its x-derivative in the limsup convention (dx_exact), its
 nondifferentiability set and the times at which it jumps in t.  The limsup
 of difference quotients equals max(left, right) wherever one-sided
 derivatives exist and the true derivative wherever f is differentiable; the
-one-sided x-derivatives are declared next to it as its oracle.
+one-sided x-derivatives are declared next to it as its oracle.  A function
+crosses to a pool worker as its make_function expression (the suites'
+function and call_surface.run_identity's take one), which the worker builds
+again: its callables do not pickle.
 """
 
 from __future__ import annotations
@@ -31,23 +34,19 @@ class PathFunction:
 
     def __init__(
         self,
-        name: str,
         evaluate: Callable,
         dx_exact: Callable,
         dx_left: Callable | None = None,
         dx_right: Callable | None = None,
         time_jumps: tuple = (),
         nondiff_indicator: Callable | None = None,
-        expression: str = "",
     ):
-        self.name = name
         self.evaluate = evaluate
         self.dx_exact = dx_exact
         self.dx_left = dx_left
         self.dx_right = dx_right
         self.time_jumps = time_jumps
         self.nondiff_indicator = nondiff_indicator
-        self.expression = expression
 
     def __call__(self, t, x):
         return self.evaluate(t, x)
@@ -64,7 +63,6 @@ def _sign_limsup(u):
 
 def _make_abs() -> PathFunction:
     return PathFunction(
-        name="abs",
         evaluate=lambda t, x: np.abs(np.asarray(x, dtype=float)),
         dx_exact=lambda t, x: _sign_limsup(x),
         dx_left=lambda t, x: np.where(np.asarray(x) <= 0.0, -1.0, 1.0),
@@ -76,7 +74,6 @@ def _make_abs() -> PathFunction:
 def _make_relu(k=0.0) -> PathFunction:
     k = float(k)
     return PathFunction(
-        name="relu",
         evaluate=lambda t, x: np.maximum(np.asarray(x, dtype=float) - k, 0.0),
         dx_exact=lambda t, x: np.where(np.asarray(x) >= k, 1.0, 0.0),
         dx_left=lambda t, x: np.where(np.asarray(x) <= k, 0.0, 1.0),
@@ -87,7 +84,6 @@ def _make_relu(k=0.0) -> PathFunction:
 
 def _make_square() -> PathFunction:
     return PathFunction(
-        name="square",
         evaluate=lambda t, x: np.asarray(x, dtype=float) ** 2,
         dx_exact=lambda t, x: 2.0 * np.asarray(x, dtype=float),
         dx_left=lambda t, x: 2.0 * np.asarray(x, dtype=float),
@@ -114,7 +110,6 @@ def _make_piecewise_linear(k0=-0.5, c0=1.0, k1=0.5, c1=-0.5, slope=0.25) -> Path
         return slope + c0 * np.where(x >= k0, 1.0, -1.0) + c1 * np.where(x >= k1, 1.0, -1.0)
 
     return PathFunction(
-        name="piecewise_linear",
         evaluate=ev,
         dx_exact=lambda t, x: np.maximum(dleft(t, x), dright(t, x)),
         dx_left=dleft,
@@ -134,7 +129,6 @@ def _make_moving_kink(k_jump=0.5, k_size=1.0) -> PathFunction:
         return np.abs(np.asarray(x, dtype=float) - level(t))
 
     return PathFunction(
-        name="moving_kink",
         evaluate=ev,
         dx_exact=lambda t, x: _sign_limsup(np.asarray(x) - level(t)),
         dx_left=lambda t, x: np.where(np.asarray(x) <= level(t), -1.0, 1.0),
@@ -168,7 +162,6 @@ def _bump_profile(c, w):
 def _make_bump(c=0.0, w=1.0) -> PathFunction:
     phi, dphi = _bump_profile(c, w)
     return PathFunction(
-        name="bump",
         evaluate=lambda t, x: phi(x),
         dx_exact=lambda t, x: dphi(x),
         dx_left=lambda t, x: dphi(x),
@@ -200,7 +193,6 @@ def _make_scaled_step(t1=0.5, phi="bump", c=0.0, w=1.0) -> PathFunction:
         return np.where(np.asarray(t) >= t1, 1.0, 0.0) * prof(x)
 
     return PathFunction(
-        name="scaled_step",
         evaluate=ev,
         dx_exact=dexact,
         dx_left=dl,
@@ -216,7 +208,6 @@ def _make_ramp_bump(c=0.0, w=1.0, rate=1.0) -> PathFunction:
     rate = float(rate)
 
     return PathFunction(
-        name="ramp_bump",
         evaluate=lambda t, x: rate * np.asarray(t, dtype=float) * phi(x),
         dx_exact=lambda t, x: rate * np.asarray(t, dtype=float) * dphi(x),
         dx_left=lambda t, x: rate * np.asarray(t, dtype=float) * dphi(x),
@@ -227,7 +218,6 @@ def _make_ramp_bump(c=0.0, w=1.0, rate=1.0) -> PathFunction:
 
 def _make_identity() -> PathFunction:
     return PathFunction(
-        name="identity",
         evaluate=lambda t, x: np.asarray(x, dtype=float) + 0.0,
         dx_exact=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
         dx_left=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
@@ -264,8 +254,6 @@ def make_function(expr: str) -> PathFunction:
     if not all(math.isfinite(v) for v in (*args, *kwargs.values()) if isinstance(v, float)):
         raise ConfigurationError(f"bad function {expr!r}: arguments must be finite")
     try:
-        f = _REGISTRY[name](*args, **kwargs)
+        return _REGISTRY[name](*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad function {expr!r}: {exc}") from None
-    f.expression = expr
-    return f

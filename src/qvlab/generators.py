@@ -229,6 +229,8 @@ def make_coefficient(spec) -> Callable:
     name, args, kwargs = parse_expression(spec)
     if name not in _COEFFICIENTS:
         raise ConfigurationError(f"unknown coefficient {name!r}")
+    if not all(math.isfinite(v) for v in (*args, *kwargs.values()) if isinstance(v, float)):
+        raise ConfigurationError(f"bad coefficient {spec!r}: arguments must be finite")
     try:
         return _COEFFICIENTS[name](*args, **kwargs)
     except (TypeError, ValueError) as exc:
@@ -319,11 +321,13 @@ class GeneratorSpec(NamedTuple):
             raise ConfigurationError("jump_rate must be nonnegative")
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigurationError("alpha must lie in (0, 1]")
-        if self.kind in ("euler_sde", "jump_diffusion"):
-            make_coefficient(self.sigma)
-            make_coefficient(self.b)
-        elif self.kind == "lamperti_dirichlet":
-            make_coefficient(self.sigma_of_x)
+        euler = ("sigma", "b")
+        coefficients = {"euler_sde": euler, "jump_diffusion": euler, "lamperti_dirichlet": ("sigma_of_x",)}
+        for name in coefficients.get(self.kind, ()):
+            try:
+                make_coefficient(getattr(self, name))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{name}: {exc}") from None
         if self.kind in ("compound_poisson", "jump_diffusion"):
             make_jump_law(self.jump_law)
             if self.kind == "compound_poisson" and self.jump_rate <= 0:
@@ -361,6 +365,21 @@ class GeneratorSpec(NamedTuple):
                 total += abs(make_jump_law(self.jump_law).mean) * self.jump_rate * t
             return total
         return None
+
+    def drift_rate(self):
+        """dA/dt callback for the model's martingale + drift split, or None:
+        b(t, x) for the Euler kinds, plus the compensator rate * E[J] for
+        the jump kinds.  The Brownian rate is the scalar +0.0, so each drift
+        cell is +0.0 at any state."""
+        if self.kind == "lamperti_dirichlet":
+            return None
+        comp = 0.0
+        if self.kind in ("compound_poisson", "jump_diffusion"):
+            comp = make_jump_law(self.jump_law).mean * self.jump_rate
+        if self.kind in ("brownian", "compound_poisson"):
+            return lambda t, x: comp
+        b = make_coefficient(self.b)
+        return lambda t, x: np.asarray(b(t, x), dtype=float) + comp
 
     def qv_rate(self):
         """sigma(t,x)^2 callback for model [X]^c cell increments, or None."""
@@ -631,16 +650,12 @@ def build_transform(spec: GeneratorSpec) -> MonotoneTransform:
     )
 
 
-def _lamperti_blocks(spec: GeneratorSpec, n: int, start: int, transform: MonotoneTransform) -> tuple:
-    """(X values, Y values, marks): Y Brownian from h(x0), X = h^{-1}(Y)."""
+def _lamperti_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
+    """X = h^{-1}(Y) for Y Brownian from h(x0)."""
+    transform = build_transform(spec)
     y0 = float(transform.forward(spec.x0))
     y, marks = _brownian_block(spec._replace(kind="brownian", x0=y0), n, start)
-    return transform.inverse(y), y, marks
-
-
-def _lamperti_block(spec: GeneratorSpec, n: int, start: int) -> tuple:
-    x, _, marks = _lamperti_blocks(spec, n, start, build_transform(spec))
-    return x, marks
+    return transform.inverse(y), marks
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,20 @@ def test_occupation_identity_jump_term():
     assert rep.passed
 
 
+@pytest.mark.parametrize("seed", [12345, 777])
+@pytest.mark.parametrize("law", ["const(0.5)", "normal(0.5, 0.2)", "uniform(-1.0, 0.2)"])
+def test_identity_counts_the_jump_compensator_on_jump_diffusion(tmp_path, law, seed):
+    # jumps with a nonzero mean: their compensator rate * E[J] dt is part of
+    # dA on jump_diffusion as on compound_poisson.  Without it, const(0.5)
+    # at seed 12345 missed by 2.19 against an allowance of 0.24
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"generator": {"kind": "jump_diffusion", "jump_rate": 3.0, "jump_law": law}}))
+    out = tmp_path / "out"
+    assert main(["identity", "--config", str(cfg), "--paths", "1000", "--seed", str(seed), "--out", str(out)]) == 0
+    identity = json.loads((out / "identity.json").read_text())["identity"]
+    assert identity["pass"] and identity["rhs_drift_term"] != 0.0
+
+
 def test_theta_linearity():
     spec = GeneratorSpec(kind="brownian", n_steps=128, seed=14)
     kw = dict(n_paths=500, n_t=64, n_x=64)
@@ -182,23 +197,23 @@ def test_identity_refinement_stability():
 def test_kink_identity_abs_and_square(brownian_200_l12):
     spec = GeneratorSpec(kind="brownian", n_steps=4096, seed=12345)
     theta = "box(0.0, 1.0, -2.0, 2.0)"  # its 65-point x-grid contains the kink column x = 0
-    rep = run_identity(spec, theta, 2000, n_t=64, n_x=64, f=make_function("abs")).kink
+    rep = run_identity(spec, theta, 2000, n_t=64, n_x=64, function="abs").kink
     assert not rep.skipped and rep.passed
     assert rep.lhs <= rep.lhs_budget + 1e-15
 
-    rep2 = run_identity(spec, theta, 500, n_t=64, n_x=64, f=make_function("square")).kink
+    rep2 = run_identity(spec, theta, 500, n_t=64, n_x=64, function="square").kink
     assert rep2.lhs == 0.0 and rep2.rhs == 0.0 and rep2.passed
 
 
 def test_kink_identity_skipped_without_metadata():
     from qvlab.functions import PathFunction
 
-    bare = PathFunction(name="bare", evaluate=lambda t, x: 0.0 * np.asarray(x),
-                        dx_exact=lambda t, x: 0.0 * np.asarray(x))
+    bare = PathFunction(evaluate=lambda t, x: 0.0 * np.asarray(x), dx_exact=lambda t, x: 0.0 * np.asarray(x))
     spec = GeneratorSpec(kind="brownian", n_steps=64, seed=2)
-    rep = run_identity(spec, "box(0.0, 1.0, -1.0, 1.0)", 16, n_t=4, n_x=8, f=bare).kink
+    run = run_identity(spec, "box(0.0, 1.0, -1.0, 1.0)", 16, n_t=4, n_x=8)
+    assert run.kink is None
+    rep = kink_identity_check(spec, bare, run.surface, np.zeros(16))
     assert rep.skipped
-    assert run_identity(spec, "box(0.0, 1.0, -1.0, 1.0)", 16, n_t=4, n_x=8).kink is None
 
 
 def test_make_theta_validation():
@@ -243,7 +258,7 @@ def test_identity_rejects_bad_path_count(n_paths, tmp_path):
     # one path has no standard error: its identity would pass by construction
     spec = GeneratorSpec(kind="brownian", n_steps=8, seed=0)
     with pytest.raises(ValueError, match="n_paths must be >= 2"):
-        run_identity(spec, "box(0.0, 1.0, -1.0, 1.0)", n_paths, n_t=2, n_x=2, f=make_function("abs"))
+        run_identity(spec, "box(0.0, 1.0, -1.0, 1.0)", n_paths, n_t=2, n_x=2, function="abs")
     assert main(["identity", "--paths", str(n_paths), "--out", str(tmp_path / "o")]) == 2
 
 
@@ -281,13 +296,17 @@ def _oracle_model_cells(genspec, path, t_grid):
     dt = np.diff(t_grid)
     xt = value_at(path, t_grid)
     qv_cells = np.asarray(qv_rate(t_grid[:-1], xt[:-1]), dtype=float) * dt
+    # dA: b for the Euler kinds, plus the compensator rate * E[J] for the
+    # jump kinds
     if genspec.kind == "brownian":
         drift_cells = np.zeros_like(dt)
-    elif genspec.kind in ("euler_sde", "jump_diffusion"):
-        b = make_coefficient(genspec.b)
-        drift_cells = np.asarray(b(t_grid[:-1], xt[:-1]), dtype=float) * dt
-    else:
+    elif genspec.kind == "compound_poisson":
         drift_cells = make_jump_law(genspec.jump_law).mean * genspec.jump_rate * dt
+    else:
+        rate = np.asarray(make_coefficient(genspec.b)(t_grid[:-1], xt[:-1]), dtype=float)
+        if genspec.kind == "jump_diffusion":
+            rate = rate + make_jump_law(genspec.jump_law).mean * genspec.jump_rate
+        drift_cells = rate * dt
     return xt, qv_cells, drift_cells
 
 
@@ -375,6 +394,8 @@ _ORACLE_SPECS = {
                                  sigma="abs_shift(0.5, 0.5)", seed=32),
     "jump_diffusion": GeneratorSpec(kind="jump_diffusion", n_steps=64, jump_rate=4.0,
                                     b="const(-0.25)", seed=33),
+    "jump_diffusion_mean": GeneratorSpec(kind="jump_diffusion", n_steps=64, jump_rate=4.0,
+                                         jump_law="uniform(-1.0, 0.2)", b="linear(0.1, -0.5)", seed=36),
     "compound_poisson": GeneratorSpec(kind="compound_poisson", n_steps=64, jump_rate=4.0,
                                       jump_law="normal(0.5, 1.0)", seed=34),
     # 70 * (0.7 / 70) lies past 0.7, so a jump at the last grid time falls
@@ -431,7 +452,7 @@ def test_telescoped_lhs_within_4_ulps_of_the_exact_double_sum():
 def test_run_identity_reports_are_functions_of_the_pass():
     spec = _ORACLE_SPECS["jump_diffusion"]
     theta = BoxIndicator(0.0, 1.0, -1.0, 1.0)
-    run = run_identity(spec, theta, 130, n_t=32, n_x=16, f=make_function("abs"), workers=2)
+    run = run_identity(spec, theta, 130, n_t=32, n_x=16, function="abs", workers=2)
     t_grid = np.linspace(0.0, spec.horizon, 33)
     x_grid = np.linspace(-1.0, 1.0, 17)
     xt, terms, kink = _oracle_pass(spec, theta, t_grid, x_grid, 130, "abs")
@@ -504,7 +525,7 @@ def test_surface_csv_matches_csv_writer_oracle():
                        4.9e-05, 1e22, 1e-07, 0.5])
     values = values.reshape(t_grid.size, x_grid.size)
     stderr = np.abs(values[::-1]) * 1e-3
-    surface = CallSurface(t_grid=t_grid, x_grid=x_grid, values=values, stderr=stderr, n_paths=2)
+    surface = CallSurface(t_grid=t_grid, x_grid=x_grid, values=values, stderr=stderr)
     text = surface.to_csv()
     assert text == _csv_writer_oracle(surface)
     assert text.count("\n") == 1 + t_grid.size * x_grid.size

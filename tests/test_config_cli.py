@@ -12,7 +12,6 @@ from qvlab import call_surface, decomposition, generators
 from qvlab.call_surface import BoxIndicator
 from qvlab.cli import main
 from qvlab.config import ExperimentConfig, apply_overrides, load_config
-from qvlab.decomposition import SuiteConfig
 from qvlab.errors import ConfigurationError
 from qvlab.functions import builtin_library
 from qvlab.generators import GeneratorSpec, generate, make_path
@@ -84,6 +83,14 @@ def test_config_validation():
         ("simulate", {"generator": {"x0": float("nan")}}, "x0"),
         ("simulate", {"generator": {"horizon": float("inf")}}, "horizon"),
         ("simulate", {"generator": {"kind": "compound_poisson", "jump_rate": float("nan")}}, "jump_rate"),
+        # non-finite coefficient parameters, refused naming the field and the
+        # expression rather than a path
+        ("simulate", {"generator": {"kind": "euler_sde", "sigma": "const(nan)"}}, "sigma: bad coefficient 'const(nan)'"),
+        ("simulate", {"generator": {"kind": "euler_sde", "sigma": "linear(inf, 1)"}},
+         "sigma: bad coefficient 'linear(inf, 1)'"),
+        ("simulate", {"generator": {"kind": "jump_diffusion", "b": "const(c=-inf)"}}, "b: bad coefficient 'const(c=-inf)'"),
+        ("simulate", {"generator": {"kind": "lamperti_dirichlet", "sigma_of_x": "abs_shift(0.5, nan)"}},
+         "sigma_of_x: bad coefficient 'abs_shift(0.5, nan)'"),
     ],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, config, key):
@@ -121,15 +128,22 @@ def test_configs_do_not_share_a_generator_mapping():
     "record",
     [
         GeneratorSpec(kind="jump_diffusion", n_steps=64, jump_rate=2.0, seed=3),
-        SuiteConfig(generator=GeneratorSpec(seed=9), function="relu", n_paths=7),
+        ExperimentConfig(generator={"kind": "jump_diffusion", "jump_rate": 2.0}, seed=9, function="relu", n_paths=7),
         BoxIndicator(0.0, 0.5, -1.0, 2.0),
     ],
-    ids=["GeneratorSpec", "SuiteConfig", "BoxIndicator"],
+    ids=["GeneratorSpec", "ExperimentConfig", "BoxIndicator"],
 )
 def test_worker_records_survive_pickling(record):
-    # what a --workers 2 pool sends each block task
+    # what a --workers 2 pool sends each block task.  A config holds a dict,
+    # so it compares by equality only; a box compares by its corners
     copy = pickle.loads(pickle.dumps(record))
-    assert type(copy) is type(record) and copy == record and hash(copy) == hash(record)
+    assert type(copy) is type(record)
+    if isinstance(record, BoxIndicator):
+        assert copy.box == record.box
+    elif isinstance(record, ExperimentConfig):
+        assert copy == record
+    else:
+        assert copy == record and hash(copy) == hash(record)
 
 
 def test_equal_specs_hash_equal():
@@ -281,6 +295,19 @@ def test_output_write_failure_exits_2_without_traceback(tmp_path):
     assert r.returncode == 2
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
     assert taken.read_text() == "not a directory\n"
+
+
+def test_a_failed_write_unlinks_the_files_the_run_wrote(tmp_path, capsys):
+    # qv writes covariation.csv, then summary.json, whose name a directory
+    # holds: the run exits 2 and leaves none of its own files behind
+    cfg = _small_gen_config(tmp_path, l_min=3, l_max=6)
+    out = tmp_path / "out"
+    (out / "summary.json").mkdir(parents=True)
+    (out / "other.txt").write_text("kept\n")
+    assert main(["qv", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in out.iterdir()) == ["other.txt", "summary.json"]
+    assert (out / "other.txt").read_text() == "kept\n"
 
 
 def test_unknown_suite_is_an_invalid_choice():

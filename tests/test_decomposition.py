@@ -5,8 +5,8 @@ import pytest
 
 from qvlab import _kernels
 from qvlab.calculus import jump_grid, zcqv_ladder
+from qvlab.config import ExperimentConfig
 from qvlab.decomposition import (
-    SuiteConfig,
     _common_columns,
     _cross_stats,
     _sum_zcqv_stats,
@@ -129,7 +129,7 @@ def test_tanaka_suite_demonstrates_theorem_decay():
     Brownian negative control.  (The spec's ratio-0.1 acceptance figure over
     levels 6..12 is sharper than the true sqrt decay allows; see the
     acceptance suite where that criterion is asserted literally.)"""
-    cfg = SuiteConfig(generator=GeneratorSpec(n_steps=4096, seed=12345), n_paths=100)
+    cfg = ExperimentConfig(generator={"n_steps": 4096}, seed=12345, n_paths=100)
     tanaka = run_suite("tanaka", cfg)
     assert 0.3 <= tanaka.verdict.slope <= 0.7
     ratio = tanaka.verdict.median_stat[-1] / tanaka.verdict.median_stat[0]
@@ -141,7 +141,7 @@ def test_tanaka_suite_demonstrates_theorem_decay():
 
 
 def test_moving_kink_suite_excludes_time_jump():
-    cfg = SuiteConfig(generator=GeneratorSpec(n_steps=4096, seed=99), n_paths=60)
+    cfg = ExperimentConfig(generator={"n_steps": 4096}, seed=99, n_paths=60)
     res = run_suite("moving_kink", cfg)
     # with the t = 0.5 cell excluded the statistic decays rather than
     # flattening at the O(1) squared jump of V
@@ -150,7 +150,7 @@ def test_moving_kink_suite_excludes_time_jump():
 
 
 def test_cross_variation_and_sum_suites_exact_zero():
-    cfg = SuiteConfig(generator=GeneratorSpec(n_steps=4096, seed=31415), n_paths=40)
+    cfg = ExperimentConfig(generator={"n_steps": 4096}, seed=31415, n_paths=40)
     cross = run_suite("cross_variation", cfg)
     assert cross.ok and all(m == 0.0 for m in cross.verdict.median_stat)
     both = run_suite("zcqv_sum", cfg)
@@ -158,10 +158,10 @@ def test_cross_variation_and_sum_suites_exact_zero():
 
 
 def test_workers_do_not_change_results():
-    cfg1 = SuiteConfig(generator=GeneratorSpec(n_steps=1024, seed=8), n_paths=80,
-                       l_min=4, l_max=10, workers=1)
-    cfg4 = SuiteConfig(generator=GeneratorSpec(n_steps=1024, seed=8), n_paths=80,
-                       l_min=4, l_max=10, workers=4)
+    cfg1 = ExperimentConfig(generator={"n_steps": 1024}, seed=8, n_paths=80,
+                            l_min=4, l_max=10, workers=1)
+    cfg4 = ExperimentConfig(generator={"n_steps": 1024}, seed=8, n_paths=80,
+                            l_min=4, l_max=10, workers=4)
     a = run_suite("tanaka", cfg1)
     b = run_suite("tanaka", cfg4)
     assert a.verdict == b.verdict
@@ -170,8 +170,8 @@ def test_workers_do_not_change_results():
 def test_moving_kink_jump_suite_same_verdict_for_any_worker_count():
     # 130 paths span three blocks (64, 64, 2), one pool task each
     cfgs = [
-        SuiteConfig(generator=GeneratorSpec(n_steps=1024, seed=4242), n_paths=130,
-                    l_min=4, l_max=10, workers=w)
+        ExperimentConfig(generator={"n_steps": 1024}, seed=4242, n_paths=130,
+                         l_min=4, l_max=10, workers=w)
         for w in (1, 2)
     ]
     a, b = (run_suite("moving_kink_jump", cfg) for cfg in cfgs)
@@ -232,12 +232,12 @@ def test_zcqv_ladder_rows_equal_one_path_statistic(spec):
 def test_non_finite_v_names_the_seed_and_path(workers):
     # jumps of size ~1e200 make f = x^2 overflow; with this seed the first
     # such path is in the second block of 64
-    spec = GeneratorSpec(kind="compound_poisson", n_steps=64, jump_rate=0.01,
-                         jump_law="normal(0.0, 1e200)", seed=7)
+    cfg = ExperimentConfig(generator={"kind": "compound_poisson", "n_steps": 64, "jump_rate": 0.01,
+                                      "jump_law": "normal(0.0, 1e200)"},
+                           seed=7, function="square", n_paths=130, l_min=2, l_max=5, workers=workers)
+    spec = cfg.generator_spec()
     first_bad = next(i for i in range(130) if np.max(np.abs(make_path(spec, i).values)) > 1.4e154)
     assert first_bad >= 64
-    cfg = SuiteConfig(generator=spec, function="square", n_paths=130, l_min=2, l_max=5,
-                      workers=workers)
     overflow = pytest.warns(RuntimeWarning, match="overflow") if workers == 1 else contextlib.nullcontext()
     with overflow, pytest.raises(NonFiniteError, match=rf"non-finite V at \(seed=7, path={first_bad}\)"):
         run_decompose(cfg)
@@ -249,12 +249,12 @@ def test_kernel_overflow_names_the_seed_and_path(workers):
     # sigma for its Ito term, 2^7 times the term for a 64-cell row, is past
     # the largest double: the kernel raises for a row of the second block,
     # and the suite names the path
-    spec = GeneratorSpec(kind="compound_poisson", n_steps=64, jump_rate=0.02,
-                         jump_law="normal(0.0, 1e307)", seed=7)
-    paths = [make_path(spec, i) for i in range(130)]
+    cfg = ExperimentConfig(generator={"kind": "compound_poisson", "n_steps": 64, "jump_rate": 0.02,
+                                      "jump_law": "normal(0.0, 1e307)"},
+                           seed=7, function="abs", n_paths=130, l_min=2, l_max=5, workers=workers)
+    paths = [make_path(cfg.generator_spec(), i) for i in range(130)]
     big = [i for i, p in enumerate(paths) if np.max(np.abs(p.values)) >= 2.0 ** (1024 - 7)]
     assert big and big[0] >= 64 and all(np.isfinite(p.values).all() for p in paths)
-    cfg = SuiteConfig(generator=spec, function="abs", n_paths=130, l_min=2, l_max=5, workers=workers)
     with pytest.raises(NonFiniteError, match=rf"too large to sum exactly at \(seed=7, path={big[0]}\)") as err:
         run_decompose(cfg)
     assert err.value.row is None
@@ -264,7 +264,7 @@ def test_kernel_overflow_names_the_seed_and_path(workers):
 def test_paired_ensembles_that_split_differently_are_refused(task):
     # the same 64-path span on 1024 and on 4096 steps lies on two grids;
     # the suite sizes its blocks from one of the two specs
-    cfg = SuiteConfig(generator=GeneratorSpec(), l_min=2, l_max=4)
+    cfg = ExperimentConfig(l_min=2, l_max=4)
     one = GeneratorSpec(kind="brownian", n_steps=1024, seed=1)
     other = GeneratorSpec(kind="brownian", n_steps=4096, seed=2)
     with pytest.raises(ValueError, match="one grid"):

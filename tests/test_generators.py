@@ -16,7 +16,6 @@ from qvlab.generators import (
     _draw_jump_cells,
     _euler_block,
     _row_streams,
-    _lamperti_blocks,
     build_transform,
     block_rows,
     generate,
@@ -231,10 +230,16 @@ def test_jump_diffusion_marks_and_validate():
     assert np.all(np.isfinite(p.values))
 
 
+def _lamperti_y(spec, n):
+    """The Brownian block Y from h(x0) that the Lamperti paths map through h^{-1}."""
+    y0 = float(build_transform(spec).forward(spec.x0))
+    return generate(spec._replace(kind="brownian", x0=y0), n).values
+
+
 def test_lamperti_identity_transform():
     spec = GeneratorSpec(kind="lamperti_dirichlet", n_steps=128, sigma_of_x="const(1.0)",
                          alpha=1.0, seed=4)
-    x, y, _ = _lamperti_blocks(spec, 2, 0, build_transform(spec))
+    x, y = generate(spec, 2).values, _lamperti_y(spec, 2)
     assert np.allclose(x, y, atol=1e-9)
 
 
@@ -243,7 +248,7 @@ def test_lamperti_linear_transform():
     c, alpha = 2.0, 0.5
     spec = GeneratorSpec(kind="lamperti_dirichlet", n_steps=128, sigma_of_x=f"const({c})",
                          alpha=alpha, seed=8)
-    x, y, _ = _lamperti_blocks(spec, 2, 0, build_transform(spec))
+    x, y = generate(spec, 2).values, _lamperti_y(spec, 2)
     assert np.allclose(x, c ** (2 * alpha) * y, atol=1e-7)
 
 
@@ -676,7 +681,9 @@ def test_running_sums_equal_the_checked_loop(monkeypatch, kind, coefs, n_steps):
 STEP_LOOP_OUTCOMES = {
     # -0.0 + 0.0 * x is +0.0, so -0.0 is no constant the sums may take
     "const(-0.0)": dict(x0=-0.0, sigma="const(0.0)", b="const(-0.0)"),
-    "const(nan)": dict(sigma="const(nan)"),
+    # make_coefficient refuses the expression const(nan), so the constant is
+    # passed as its callable
+    "const(nan)": dict(sigma=generators._Const(float("nan"))),
     # x overflows in the first slab, and in the second, after the sums wrote
     # over the first slab's normals
     "overflow": dict(x0=1.7e308, b="const(1e308)"),

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qvlab.calculus import cell_sums, jump_grid
-from qvlab.decomposition import SuiteConfig, _common_columns, _decomposition_stats, decompose_block
+from qvlab.config import ExperimentConfig
+from qvlab.decomposition import _common_columns, _decomposition_stats, decompose_block
 from qvlab.functions import make_function
-from qvlab.generators import GeneratorSpec, generate
+from qvlab.generators import generate
 from qvlab.partitions import RefinementLadder
 
 from conftest import toy_ensemble
@@ -113,7 +114,9 @@ def test_s_mask_cells_match_the_time_rule_on_every_level():
     # and the common times, which are f's time jump 0.3 (off the 1024-step
     # grid, and given twice), the grid's first and last times, a time past
     # the grid, and row 0's first jump time (so it is in row 0's S twice)
-    spec = GeneratorSpec(kind="jump_diffusion", n_steps=1024, jump_rate=20.0, seed=5)
+    cfg = ExperimentConfig(generator={"kind": "jump_diffusion", "n_steps": 1024, "jump_rate": 20.0}, seed=5,
+                           l_min=0, l_max=10)
+    spec = cfg.generator_spec()
     ens = generate(spec, 6)
     times, n = ens.times, len(ens)
     fexpr = "moving_kink(k_jump=0.3)"
@@ -128,7 +131,6 @@ def test_s_mask_cells_match_the_time_rule_on_every_level():
     s_rows = np.concatenate([mark_rows, np.repeat(np.arange(n), common.size)])
     s_times = np.concatenate([times[mark_grid], np.tile(common, n)])
     ladder = RefinementLadder(times, 0, 10)
-    cfg = SuiteConfig(generator=spec, l_min=0, l_max=10)
     stats = _decomposition_stats(0, n, spec, fexpr, cfg, extra)[0]
     v, _ = decompose_block(make_function(fexpr), ens)
     for i, lev in enumerate(ladder):
