@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     "PathEnsemble": "paths",
-    "path_from_csv": "paths",
     "GeneratorSpec": "generators",
     "generate": "generators",
     "make_path": "generators",

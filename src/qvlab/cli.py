@@ -1,13 +1,17 @@
 """Experiment runner.
 
-Subcommands: simulate, qv, decompose, identity, appendix, ingest, suite.
+Subcommands: simulate, qv, decompose, identity, appendix, suite.
 Global flags: --config, --seed, --paths, --out, --format, --workers.  The
-QVLAB_OUT environment variable overrides the output directory.  Reports are
-collected in memory and written together, so a failed run leaves no partial
-outputs: a failed write unlinks the files the run has written, though a file
-it overwrote before the failure is not restored.  Exit status is 0 only when
-every asserted check passes (expected failures count as passing when they
-fail as expected), 2 on bad input or a failed write.
+QVLAB_OUT environment variable overrides the output directory.  Each command
+yields its files as (name, text) pairs, and one writer writes each pair as it
+comes: simulate yields a block of paths' files at a time, so it never holds
+more than one block.  A failed run leaves no partial outputs: when a write
+fails, or a later block raises while files are being written, the writer
+unlinks the files the run has written and removes the output directory if
+the run made it, though a file it overwrote before the failure is not
+restored.  Exit status is 0 only when every asserted check passes (expected
+failures count as passing when they fail as expected), 2 on bad input or a
+failed write.
 
 Each command imports the layer modules it runs when it runs, and the module
 top imports only what resolving the config needs.  So a process loads only
@@ -40,20 +44,24 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
 
 
-def _write_outputs(out_dir: str, files: dict) -> None:
-    """Write every file, or none: when a write raises, unlink the files this
-    call has opened, then re-raise."""
+def _write_outputs(out_dir: str, files) -> None:
+    """Write each (name, text) pair of files as it comes, or none: when a
+    write or the pairs raise, unlink the files this call has opened and
+    remove the directories it made, then re-raise."""
     out = Path(out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     written = []
     try:
-        for name in sorted(files):
+        for name, text in files:
             with open(out / name, "w") as fh:
                 written.append(out / name)
-                fh.write(files[name])
+                fh.write(text)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
         raise
 
 
@@ -74,15 +82,9 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _keep(cfg: ExperimentConfig, files: dict) -> dict:
-    keep = {}
-    for name, text in files.items():
-        if name.endswith(".csv") and "csv" not in cfg.formats:
-            continue
-        if name.endswith(".json") and "json" not in cfg.formats:
-            continue
-        keep[name] = text
-    return keep
+def _keep(cfg: ExperimentConfig, files):
+    """The (name, text) pairs whose suffix, csv or json, cfg.formats keeps."""
+    return ((name, text) for name, text in files if name.rpartition(".")[2] in cfg.formats)
 
 
 # ---------------------------------------------------------------------------
@@ -90,21 +92,31 @@ def _keep(cfg: ExperimentConfig, files: dict) -> dict:
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> tuple:
-    from .generators import generate
+    """Each path's `t,x,jump` file, then manifest.json, yielded a block of
+    paths at a time: one block is generated when the writer reaches it and
+    freed before the next."""
+    from .generators import block_rows, generate
 
     spec = cfg.generator_spec()
-    ens = generate(spec, cfg.n_paths)
-    files = {f"path_{i:05d}.csv": ens.row_csv(i) for i in range(len(ens))}
-    manifest = {
-        "generator": spec.kind,
-        "n_paths": cfg.n_paths,
-        "seed": cfg.seed,
-        "horizon": ens.horizon,
-        "n_steps": spec.n_steps,
-        "config": cfg.report_dict(),
-    }
-    files["manifest.json"] = _json_text(manifest)
-    return files, True
+    step = block_rows(spec.n_steps)
+
+    def files():
+        for lo in range(0, cfg.n_paths, step):
+            ens = generate(spec, min(step, cfg.n_paths - lo), lo)
+            for i in range(len(ens)):
+                yield f"path_{lo + i:05d}.csv", ens.row_csv(i)
+            del ens
+        manifest = {
+            "generator": spec.kind,
+            "n_paths": cfg.n_paths,
+            "seed": cfg.seed,
+            "horizon": float(spec.grid()[-1]),
+            "n_steps": spec.n_steps,
+            "config": cfg.report_dict(),
+        }
+        yield "manifest.json", _json_text(manifest)
+
+    return files(), True
 
 
 def cmd_qv(cfg: ExperimentConfig, args) -> tuple:
@@ -145,15 +157,14 @@ def cmd_qv(cfg: ExperimentConfig, args) -> tuple:
         "final_t_median_full": [float(v) for v in median.full[:, -1]],
         "config": cfg.report_dict(),
     }
-    files = {"covariation.csv": median.to_csv(), "summary.json": _json_text(summary)}
-    return files, True
+    return {"covariation.csv": median.to_csv(), "summary.json": _json_text(summary)}.items(), True
 
 
 def _suite_files(cfg: ExperimentConfig, result, report: str, levels: str) -> tuple:
     """The suite result's report, with the config, and its levels CSV."""
     payload = result.to_dict()
     payload["config"] = cfg.report_dict()
-    return {report: _json_text(payload), levels: _verdict_csv(result.verdict)}, result.ok
+    return {report: _json_text(payload), levels: _verdict_csv(result.verdict)}.items(), result.ok
 
 
 def cmd_decompose(cfg: ExperimentConfig, args) -> tuple:
@@ -190,8 +201,7 @@ def cmd_identity(cfg: ExperimentConfig, args) -> tuple:
     if run.kink is not None:
         report["kink_identity"] = run.kink.to_dict()
         ok = ok and (run.kink.skipped or run.kink.passed)
-    files = {"surface.csv": run.surface.to_csv(), "identity.json": _json_text(report)}
-    return files, bool(ok)
+    return {"surface.csv": run.surface.to_csv(), "identity.json": _json_text(report)}.items(), bool(ok)
 
 
 def cmd_appendix(cfg: ExperimentConfig, args) -> tuple:
@@ -202,25 +212,7 @@ def cmd_appendix(cfg: ExperimentConfig, args) -> tuple:
     lines = ["pair,a,value"]
     for pair, a, v in trace_rows:
         lines.append(f"{pair},{a!r},{v!r}")
-    files = {"appendix.json": _json_text(report), "trace.csv": "\n".join(lines) + "\n"}
-    return files, ok
-
-
-def cmd_ingest(cfg: ExperimentConfig, args) -> tuple:
-    from .paths import path_from_csv
-
-    text = Path(args.input).read_text()
-    thr = cfg.jump_threshold
-    path = path_from_csv(text, jump_threshold=None if np.isinf(thr) else thr)
-    stats = {
-        "experiment": "ingest",
-        "n_points": int(path.times.size),
-        "horizon": path.horizon,
-        "n_jumps": int(np.sum(path.marks)),
-        "jump_threshold": None if np.isinf(thr) else thr,
-    }
-    files = {"ingested.csv": path.row_csv(0), "ingest.json": _json_text(stats)}
-    return files, True
+    return {"appendix.json": _json_text(report), "trace.csv": "\n".join(lines) + "\n"}.items(), ok
 
 
 def cmd_suite(cfg: ExperimentConfig, args) -> tuple:
@@ -237,14 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qvlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # subcommand -> cmd_*(cfg, args) -> (files, ok), which main runs
+    # subcommand -> cmd_*(cfg, args) -> ((name, text) pairs, ok), which main runs
     commands = {
         "simulate": cmd_simulate,
         "qv": cmd_qv,
         "decompose": cmd_decompose,
         "identity": cmd_identity,
         "appendix": cmd_appendix,
-        "ingest": cmd_ingest,
         "suite": cmd_suite,
     }
     for name, run in commands.items():
@@ -256,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--workers", type=int)
-    sub.choices["ingest"].add_argument("input", help="path CSV file (t,x,jump)")
     sub.choices["suite"].add_argument("name", choices=list(SUITES))
     return parser
 

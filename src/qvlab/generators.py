@@ -47,8 +47,8 @@ per-path loop would.
 
 Commands build an ensemble a block at a time, one generate call for each
 span of block_rows(n_steps) consecutive indices: the suites and identity
-hand each span to map_chunked as one task, and qv loops over the spans in
-its own process.  block_rows sizes a block by cells, not rows: about
+hand each span to map_chunked as one task, and qv and simulate loop over the
+spans in their own process.  block_rows sizes a block by cells, not rows: about
 BLOCK_CELLS = 2^17 values (1 MB of float64), with at least CHUNK // 8 = 8
 and at most CHUNK = 64 rows.  So a block's working set stops growing as
 64 x n_steps: 64 rows below 2048 steps, 63 at 2048, 31 at 4096, 8 from

@@ -10,8 +10,8 @@ and at time 0 it is X_{0-} = X_0, so no path has an increment at t_0.  This
 makes left limits, jump sizes and all partition increments exact, and
 represents pure-jump paths without interpolation artifacts.
 
-One path reads and writes as `t,x,jump` CSV: a header, then one line per
-grid time with t, X_t and a 0/1 jump mark.
+PathEnsemble.row_csv writes one path as `t,x,jump` CSV: a header, then one
+line per grid time with t, X_t and a 0/1 jump mark.
 """
 
 from __future__ import annotations
@@ -26,52 +26,6 @@ def _check_grid(times: np.ndarray) -> None:
         raise ValueError("times must start at 0")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
-
-
-def path_from_csv(text: str, jump_threshold: float | None = None) -> PathEnsemble:
-    """Parse the `t,x,jump` CSV format into a one-row ensemble; times are
-    rebased to start at 0.
-
-    The header and every row hold exactly three fields, and a jump field
-    must equal 0 or 1, as PathEnsemble.row_csv writes them.  When
-    jump_threshold is given the file's jump column is ignored and marks are
-    re-derived from the threshold rule (ingested data carries no ground
-    truth).  Raises ValueError naming the offending row on bad input.
-    """
-    import csv
-    import io
-
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["t", "x", "jump"]:
-        raise ValueError("expected header 't,x,jump'")
-    ts, xs, js = [], [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            t, x, j = map(float, row)
-            if j not in (0.0, 1.0):
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"row {lineno}: malformed record {row!r}") from None
-        if not (np.isfinite(t) and np.isfinite(x)):
-            raise ValueError(f"row {lineno}: non-finite value")
-        if ts and t <= ts[-1]:
-            raise ValueError(f"row {lineno}: times not strictly increasing")
-        ts.append(t)
-        xs.append(x)
-        js.append(bool(j))
-    if not ts:
-        raise ValueError("no data rows")
-    times = np.asarray(ts) - ts[0]
-    values = np.asarray(xs)
-    if jump_threshold is None:
-        marks = np.asarray(js, dtype=bool)
-    else:
-        dx = np.concatenate([[0.0], np.diff(values)])
-        marks = np.abs(dx) > jump_threshold
-    return PathEnsemble(times=times, values=values[None], marks=marks[None])
 
 
 class PathEnsemble:

@@ -70,8 +70,8 @@ def test_config_validation():
         ("qv", {"ucp_eps": -1.0}, "ucp_eps"),
         ("qv", {"jump_threshold": float("nan")}, "jump_threshold"),
         ("suite negative_control", {"jump_threshold": -1.0}, "jump_threshold"),
-        ("ingest", {"jump_threshold": -1.0}, "jump_threshold"),
-        ("ingest", {"jump_threshold": float("nan")}, "jump_threshold"),
+        ("qv", {"jump_threshold": -1.0}, "jump_threshold"),
+        ("qv", {"jump_threshold": float("-inf")}, "jump_threshold"),
         ("simulate", {"generator": {"kind": "lamperti_dirichlet", "x_grid_points": 1}}, "x_grid_points"),
         # malformed boxes, refused before any path is generated
         ("identity", {"theta": "box(0.0, 1.0, -1.0, 1.0, 2.0)"}, "theta"),
@@ -97,12 +97,7 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, conf
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    args = command.split()
-    if args[0] == "ingest":
-        data = tmp_path / "path.csv"
-        data.write_text("t,x,jump\n0,0,0\n0.5,1,0\n1,1.05,0\n")
-        args.append(str(data))
-    assert main([*args, "--config", str(cfg), "--out", str(out)]) == 2
+    assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not out.exists()
@@ -248,20 +243,6 @@ def _small_gen_config(tmp_path, **extra):
     return str(p)
 
 
-def test_simulate_and_ingest_round_trip(tmp_path):
-    cfg = _small_gen_config(tmp_path)
-    out = tmp_path / "sim"
-    rc = main(["simulate", "--config", cfg, "--seed", "3", "--out", str(out)])
-    assert rc == 0
-    src = out / "path_00000.csv"
-    ing = tmp_path / "ing"
-    rc = main(["ingest", str(src), "--config", cfg, "--out", str(ing)])
-    assert rc == 0
-    assert (ing / "ingested.csv").read_text() == src.read_text()
-    stats = json.loads((ing / "ingest.json").read_text())
-    assert stats["n_points"] == 65 and stats["n_jumps"] == 0
-
-
 def test_simulate_writes_each_path_as_make_path_replays_it(tmp_path):
     cfg = _small_gen_config(tmp_path, generator={"kind": "jump_diffusion", "n_steps": 64, "jump_rate": 3.0},
                             n_paths=70)
@@ -270,21 +251,6 @@ def test_simulate_writes_each_path_as_make_path_replays_it(tmp_path):
     spec = GeneratorSpec(kind="jump_diffusion", n_steps=64, jump_rate=3.0, seed=9)
     for i in (0, 63, 64, 69):
         assert (out / f"path_{i:05d}.csv").read_text() == make_path(spec, i).row_csv(0), i
-
-
-def test_ingest_parse_error_exit(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    out = tmp_path / "out"
-    # repeated times, jump fields that are not a 0/1 mark, and a fourth field
-    for text in ("t,x,jump\n0.0,1.0,0\n0.0,2.0,0\n", "t,x,jump\n0,0,0\n0.5,1,1,junk\n",
-                 *(f"t,x,jump\n0,0,0\n0.5,1,{jump}\n" for jump in ("inf", "1e400", "2", "0.5", "-1"))):
-        bad.write_text(text)
-        rc = main(["ingest", str(bad), "--out", str(out)])
-        assert rc == 2 and not out.exists(), text
-        assert "error: row 3: " in capsys.readouterr().err, text
-    bad.write_text("t,x,jump,extra\n0,0,0,junk\n1,2,1\n")
-    assert main(["ingest", str(bad), "--out", str(out)]) == 2 and not out.exists()
-    assert "error: expected header 't,x,jump'" in capsys.readouterr().err
 
 
 def test_output_write_failure_exits_2_without_traceback(tmp_path):
@@ -297,17 +263,42 @@ def test_output_write_failure_exits_2_without_traceback(tmp_path):
     assert taken.read_text() == "not a directory\n"
 
 
-def test_a_failed_write_unlinks_the_files_the_run_wrote(tmp_path, capsys):
-    # qv writes covariation.csv, then summary.json, whose name a directory
-    # holds: the run exits 2 and leaves none of its own files behind
-    cfg = _small_gen_config(tmp_path, l_min=3, l_max=6)
+@pytest.mark.parametrize(
+    "command, config, taken",
+    [
+        # qv writes covariation.csv, then summary.json
+        ("qv", {"l_min": 3, "l_max": 6}, "summary.json"),
+        # simulate writes blocks of 64, 64 and 2 paths at 256 steps; path 100
+        # falls in the second block, after the first block's files are written
+        ("simulate", {"generator": {"kind": "brownian", "n_steps": 256}, "n_paths": 130}, "path_00100.csv"),
+    ],
+    ids=["qv", "simulate"],
+)
+def test_a_failed_write_unlinks_the_files_the_run_wrote(tmp_path, capsys, command, config, taken):
+    # a directory holds the name of a file the run writes: the run exits 2
+    # and leaves none of its own files behind
+    cfg = _small_gen_config(tmp_path, **config)
     out = tmp_path / "out"
-    (out / "summary.json").mkdir(parents=True)
+    (out / taken).mkdir(parents=True)
     (out / "other.txt").write_text("kept\n")
-    assert main(["qv", "--config", cfg, "--out", str(out)]) == 2
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert sorted(p.name for p in out.iterdir()) == ["other.txt", "summary.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(["other.txt", taken])
     assert (out / "other.txt").read_text() == "kept\n"
+
+
+def test_a_simulate_block_that_fails_leaves_no_output_directory(tmp_path):
+    # the first block's Euler step overflows once the drift pushes x past
+    # 1.7e308.  The writer has made --out by then, so it removes it again.
+    # A subprocess, because the overflow warnings would fail a pytest run
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"generator": {"kind": "euler_sde", "n_steps": 64, "x0": 1.7e308,
+                                             "b": "step(1e308, 1e308, 0.0)"}, "n_paths": 130}))
+    out = tmp_path / "out"
+    r = run_cli(["simulate", "--config", str(cfg), "--seed", "7", "--workers", "1", "--out", str(out)])
+    assert r.returncode == 2, r.stderr
+    assert "error: non-finite coefficient at (seed=7, path=0, " in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
 
 
 def test_unknown_suite_is_an_invalid_choice():
@@ -424,9 +415,10 @@ def test_identity_cli_same_bytes_at_any_worker_count(tmp_path):
     assert report["identity"]["n_paths"] == 130 and not report["kink_identity"]["skipped"]
 
 
-# each command's module and the ensembles it generates; qv imports generate
-# from generators when it runs
+# each command's module and the ensembles it generates; qv and simulate
+# import generate from generators when they run
 ONCE = [
+    pytest.param(["simulate"], generators, 1, id="simulate"),
     pytest.param(["identity"], call_surface, 1, id="identity"),
     pytest.param(["qv"], generators, 1, id="qv"),
     pytest.param(["decompose"], decomposition, 1, id="decompose"),

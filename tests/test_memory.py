@@ -1,4 +1,4 @@
-"""Peak memory of a suite on a large grid, and of qv.
+"""Peak memory of a suite on a large grid, of qv and of simulate.
 
 A block of paths is sized by cells, so a task's working set does not grow
 as 64 rows x n_steps: at 2^15 steps a block holds 8 paths.  With 64-row
@@ -7,6 +7,10 @@ blocks the same run peaks at about 38 MB of traced allocations.
 qv holds one block, the per-path sums and fixed-size row slabs.  At 200
 paths and 4096 steps that peaks at about 3.6 MB of traced allocations; with
 every block's sums kept and then stacked, it peaked at 5.9 MB.
+
+simulate holds one block and the file being written.  Building all paths as
+one block and holding every file's text until the end, it peaked at 71 MB
+of traced allocations at 400 paths and 4096 steps; a block at a time, 2.0 MB.
 """
 
 import json
@@ -48,3 +52,24 @@ def test_qv_peak_memory_at_200_paths(tmp_path):
         tracemalloc.stop()
     assert rc == 0 and (tmp_path / "qv" / "covariation.csv").is_file()
     assert peak <= 4.5 * MB, f"peak {peak / MB:.1f} MB"
+
+
+def test_simulate_peak_memory_does_not_grow_with_paths(tmp_path):
+    # bound fixed from the block size: at 4096 steps a block is 31 rows of
+    # 4097 float64 values and bool marks.  One file's text is 4097 lines of
+    # under 50 characters (0.2 MB); row_csv builds it from the grid and the
+    # row as Python floats (2 x 0.13 MB) and one string per line (0.4 MB),
+    # while the writer still holds the previous file's text: under 1.5 MB
+    block = 31 * 4097 * (8 + 1)
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"generator": {"kind": "brownian", "n_steps": 4096}}))
+    argv = ["simulate", "--config", str(config), "--workers", "1", "--out"]
+    main([*argv, str(tmp_path / "warm"), "--paths", "2"])
+    tracemalloc.start()
+    try:
+        rc = main([*argv, str(tmp_path / "sim"), "--paths", "400"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and (tmp_path / "sim" / "path_00399.csv").is_file()
+    assert peak <= block + 1.5 * MB, f"peak {peak / MB:.1f} MB"

@@ -1,4 +1,4 @@
-"""Suite, decompose, identity, qv, appendix, simulate and ingest outputs pinned byte for byte.
+"""Suite, decompose, identity, qv, appendix and simulate outputs pinned byte for byte.
 
 The digests are the sha256 of every output file at small configs
 (1024 steps, levels 4-10, 130 paths: blocks of 64, 64 and 2 rows, one
@@ -26,7 +26,9 @@ jump-diffusion qv covariation.csv entries were recorded again when qv's
 jump sums became plain running sums, the rule of its stopped sums: the
 jump_sum column moved by at most 2.1e-16 relative and continuous_part by
 at most 1.4e-15 absolute; full_sum, zcqv_stat and every summary.json kept
-their bytes.
+their bytes.  Every simulate digest, the Euler ones too, kept its bytes when
+simulate went from one block of all its paths to one block of block_rows
+paths at a time.
 """
 
 import hashlib
@@ -208,7 +210,8 @@ def test_identity_and_qv_reports_keep_their_bytes(tmp_path, config, seed, worker
 
 # simulate, decompose and the jump suite on Euler paths with constant
 # coefficients: 1000 steps is not a multiple of any power of two above 8, so
-# the ladder runs levels 1-3; simulate builds all 130 rows as one block
+# the ladder runs levels 1-3.  Every command, simulate too, builds the 130
+# rows as blocks of 64, 64 and 2
 EULER_CONFIGS = {
     kind: {
         "generator": {"kind": kind, "n_steps": 1000, "sigma": "const(0.7)", "b": "const(-1.3)", "x0": 0.25,
@@ -302,10 +305,9 @@ def test_appendix_report_keeps_its_bytes(tmp_path):
     assert sorted(report) == ["config", "experiment", "ibp_pass", "ibp_residuals", "ibp_tolerance", "trace_pass"]
 
 
-# simulate on the three kinds without an Euler step, and ingest of one
-# simulated jump-diffusion path, read once with its own jump column and once
-# with the marks re-derived from jump_threshold; recorded before one path
-# became a one-row PathEnsemble
+# simulate on the three kinds without an Euler step, 130 paths at 256 steps
+# (blocks of 64, 64 and 2 rows); recorded before one path became a one-row
+# PathEnsemble, when simulate built all 130 rows as one block
 SIMULATE_CONFIGS = {
     "brownian": {"generator": {"kind": "brownian", "n_steps": 256, "x0": 0.25}, "n_paths": 130},
     "compound_poisson": {"generator": {"kind": "compound_poisson", "n_steps": 256, "jump_rate": 4.0, "x0": 0.25},
@@ -342,53 +344,3 @@ def test_simulate_files_keep_their_bytes(tmp_path, config, seed, workers):
     assert main([*args, "--out", str(out)]) == 0
     assert len(list(out.iterdir())) == 131
     assert _outputs_digest(out) == SIMULATE_DIGESTS[config][seed]
-
-
-INGEST_SOURCE = {"generator": {"kind": "jump_diffusion", "n_steps": 256, "jump_rate": 4.0, "b": "const(-0.25)"},
-                 "n_paths": 2}
-
-# seed -> jump_threshold -> "<output file>" -> sha256; the input is the
-# seed's simulated path_00001.csv
-INGEST_DIGESTS = {
-    12345: {
-        None: {
-            "ingested.csv": "c659c2464ebe08a66cc2ce9a338440f0953c70e23e5ccbfac994c8c016c0b3dd",
-            "ingest.json": "9a1da1a879c9035a7348ede3231d50307fd1b2feab13669a48033cfc40859757",
-        },
-        0.1: {
-            "ingested.csv": "1e541e1716b6bf1916da031085dbd88ab5fc4dba241647bcf44f0b61d114987e",
-            "ingest.json": "b53b075358d635cd7f873fd3ea6e00871df45daba9ddefd830a46ba78813875f",
-        },
-    },
-    9091: {
-        None: {
-            "ingested.csv": "5fa1f467d5f65a6c58ded0fa4d6e50c9d7f21478259941739252816d5459d022",
-            "ingest.json": "d2c7193254fe9f5d8916d6479016b3c841ab38ced3f3761303683e4ba9522992",
-        },
-        0.1: {
-            "ingested.csv": "b8e53aa06cd18957544b36e3a6e1ef01c5c0b86c1d646b17f84b61fe845e1d4f",
-            "ingest.json": "d2cdfe5a84ae881b0c2ed9f60dafff022463e30b90a7bae0950823302b45b036",
-        },
-    },
-}
-
-
-@pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("seed", sorted(INGEST_DIGESTS))
-def test_ingest_files_keep_their_bytes(tmp_path, seed, workers):
-    cfg = tmp_path / "source.json"
-    cfg.write_text(json.dumps(INGEST_SOURCE))
-    sim = tmp_path / "simulate"
-    assert main(["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(sim)]) == 0
-    source = sim / "path_00001.csv"
-    for threshold, digests in INGEST_DIGESTS[seed].items():
-        ing_cfg = tmp_path / "ingest.json"
-        ing_cfg.write_text(json.dumps({"jump_threshold": threshold}))
-        out = tmp_path / f"ingest_{threshold}"
-        assert main(["ingest", str(source), "--config", str(ing_cfg), "--workers", workers, "--out", str(out)]) == 0
-        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
-        assert got == digests, threshold
-        # the file's own marks round-trip; the threshold marks diffusion steps too
-        same = (out / "ingested.csv").read_bytes() == source.read_bytes()
-        assert same == (threshold is None)
-        assert json.loads((out / "ingest.json").read_text())["n_jumps"] > 0
