@@ -14,10 +14,12 @@ same kernel's prefix sums over each time's sorted values, so they depend on
 the set of values, not on the path order.  qv's stopped, included and jump
 sums are plain running sums in time order, one rule for all three, so the
 continuous part of a pure-jump path is exactly zero once each cell holds at
-most one jump.  The suites run from the experiment config itself:
-`run_suite(name, cfg)` takes a `qvlab.config.ExperimentConfig`, and the
-call-surface pass (`call_surface.run_identity`) takes its function as a
-`make_function` expression.
+most one jump.  Each named suite is one record in one table,
+`decomposition.suites(cfg)`: the generator specs it draws, the measure it
+takes on each block of them and its report keys.  `run_suite(name, cfg)`
+runs a record from a `qvlab.config.ExperimentConfig`, and the call-surface
+pass (`call_surface.run_identity`) takes its function as a `make_function`
+expression.
 
 Importing the package loads none of its layers.  Each public name is
 resolved from its submodule on first access (PEP 562), so a `qvlab`

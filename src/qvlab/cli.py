@@ -1,8 +1,10 @@
 """Experiment runner.
 
-Subcommands: simulate, qv, decompose, identity, appendix, suite.
-Global flags: --config, --seed, --paths, --out, --format, --workers.  The
-QVLAB_OUT environment variable overrides the output directory.  Each command
+Subcommands: simulate, qv, decompose, identity, appendix, suite.  Each
+takes --config, --seed, --paths, --out, --format and --workers.  --workers
+sizes the process pool that decompose, identity and suite start; simulate,
+qv and appendix run in one process and ignore it.  The QVLAB_OUT
+environment variable overrides the output directory.  Each command
 yields its files as (name, text) pairs, and one writer writes each pair as it
 comes: simulate yields a block of paths' files at a time, so it never holds
 more than one block.  A failed run leaves no partial outputs: when a write
@@ -103,8 +105,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple:
     def files():
         for lo in range(0, cfg.n_paths, step):
             ens = generate(spec, min(step, cfg.n_paths - lo), lo)
-            for i in range(len(ens)):
-                yield f"path_{lo + i:05d}.csv", ens.row_csv(i)
+            for i, text in enumerate(ens.csv_rows(), lo):
+                yield f"path_{i:05d}.csv", text
             del ens
         manifest = {
             "generator": spec.kind,
@@ -246,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--paths", type=int, dest="paths")
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--workers", type=int)
+        p.add_argument("--workers", type=int, help="pool size for decompose, identity and suite")
     sub.choices["suite"].add_argument("name", choices=list(SUITES))
     return parser
 

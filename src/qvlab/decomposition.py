@@ -9,22 +9,23 @@ time, so V is the only full-size array a block adds.  zcqv_ladder then
 measures the included-cell squared-increment statistic of V at every
 refinement level, one kernel pass per level, and summarize_zcqv turns the
 decay into a pass/fail verdict.  Row r of every block depends on path r
-alone, so a path decomposes to the same bits alone or in any block.  The
-named suites (run_suite, and run_decompose on the configured generator)
-take the ExperimentConfig itself and only read its fields, so this module
-does not import config at run time.  They run over an ensemble with a
-deterministic worker pool: each pool task is one cell-sized block of paths
-(generators.block_rows), generated once, and returns one row per path in
-arrays, which the suite joins in path order.  The two-ensemble suites
-generate the same span of both ensembles and refuse blocks that differ in
-shape or grid, so path i of one is never measured against another path of
-the other.
+alone, so a path decomposes to the same bits alone or in any block.
+
+Each named suite is a Suite record in one table, suites(cfg): the specs
+it draws, its block measure and its report keys.  run_suite looks a name up
+there; run_decompose runs the tanaka record on the configured generator.
+They only read the ExperimentConfig, so this module does not import config
+at run time.  Every suite has one pool task, _block: it generates one
+cell-sized block of paths (generators.block_rows) of each spec, with row r
+of each block the same path, measures them on the first spec's ladder, and
+returns one row per path in arrays, which the suite joins in path order.
+A record's specs differ only in kind, seed or jump rate: they share a grid.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, NamedTuple
+from functools import partial, reduce
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from . import _kernels, calculus
 from ._parallel import map_chunked
 from .errors import ConfigurationError, NonFiniteError
 from .functions import PathFunction, make_function
-from .generators import GeneratorSpec, block_rows, generate
+from .generators import block_rows, generate
 from .partitions import RefinementLadder
 from .paths import PathEnsemble
 
@@ -168,46 +169,51 @@ class SuiteResult(NamedTuple):
         return out
 
 
-def _suite_levels(cfg: ExperimentConfig):
-    return tuple(range(cfg.l_min, cfg.l_max + 1))
+class Suite(NamedTuple):
+    """One suite: the specs a block draws and what it measures on them.
+
+    measure(blocks, ladder, suite, cfg) returns a block's (paths, n_levels)
+    statistics, then any per-path extras; details(*extras), on the extras of
+    every path, gives the report's own keys.  sep joins the spec kinds into
+    the report's generator.  function and extra_s are the decomposition's f
+    and the times it adds to S.  Every field pickles, for the pool.
+    """
+
+    specs: tuple
+    measure: Callable
+    details: Callable = dict
+    expected_pass: bool = True
+    function: str | None = None
+    extra_s: tuple = ()
+    sep: str = " + "
 
 
-def _require_finite(block: np.ndarray, what: str, spec: GeneratorSpec, start: int) -> None:
-    """Name the seed and index of the first path whose row is not finite,
-    so make_path(spec, index) replays it."""
+def _require_finite(block: np.ndarray, what: str) -> None:
+    """Raise NonFiniteError for the first row of block that is not finite,
+    carrying the row for _block to name the path."""
     bad = ~np.isfinite(block).all(axis=1)
     if bad.any():
-        path = start + int(np.argmax(bad))
-        raise NonFiniteError(f"non-finite {what} at (seed={spec.seed}, path={path})")
+        err = NonFiniteError(f"non-finite {what}")
+        err.row = int(np.argmax(bad))
+        raise err
 
 
-@contextmanager
-def _naming_paths(spec: GeneratorSpec, start: int):
-    """Re-raise a kernel's NonFiniteError for row r of the block that starts
-    at path `start` as one naming the seed and path start + r, as
-    _require_finite does."""
+def _block(lo: int, hi: int, suite: Suite, cfg: ExperimentConfig) -> tuple:
+    """Pool task: paths lo .. hi-1 of every spec, measured on one ladder.
+
+    A NonFiniteError for row r of the block is re-raised naming the seed
+    and path lo + r, so make_path(suite.specs[0], lo + r) replays it.
+    """
+    blocks = [generate(spec, hi - lo, lo) for spec in suite.specs]
+    ladder = RefinementLadder(blocks[0].times, cfg.l_min, cfg.l_max)
     try:
-        yield
+        out = suite.measure(blocks, ladder, suite, cfg)
+        _require_finite(out[0], "statistic")
     except NonFiniteError as err:
         if err.row is None:
             raise
-        raise NonFiniteError(f"{err} at (seed={spec.seed}, path={start + err.row})") from err
-
-
-def _paired(spec1: GeneratorSpec, spec2: GeneratorSpec, lo: int, hi: int) -> tuple:
-    """Paths lo .. hi-1 of both ensembles: row r of both blocks is path
-    lo + r.  Refused unless both blocks lie on one grid."""
-    a, b = generate(spec1, hi - lo, lo), generate(spec2, hi - lo, lo)
-    if a.values.shape != b.values.shape or not np.array_equal(a.times, b.times):
-        raise ValueError(
-            f"paired blocks at path {lo} differ: {a.values.shape} and {b.values.shape} "
-            "values; both ensembles must lie on one grid"
-        )
-    return a, b
-
-
-def _ladder(spec: GeneratorSpec, cfg: ExperimentConfig) -> RefinementLadder:
-    return RefinementLadder(spec.grid(), cfg.l_min, cfg.l_max)
+        raise NonFiniteError(f"{err} at (seed={suite.specs[0].seed}, path={lo + err.row})") from err
+    return out
 
 
 def _common_columns(times: np.ndarray, common) -> np.ndarray:
@@ -219,140 +225,93 @@ def _common_columns(times: np.ndarray, common) -> np.ndarray:
     return mask
 
 
-def _decomposition_stats(lo, hi, genspec: GeneratorSpec, fexpr: str, cfg: ExperimentConfig, extra_s_times):
-    """Block task: generate paths lo .. hi-1, decompose on the path grid,
-    statistic per level.
-
-    S holds each path's marked jumps, the function's time jumps and the
-    suite's extra times.  Returns the block's (statistics, kink masses,
-    final V), (paths, n_levels), (paths,) and (paths,).
-    """
-    f = make_function(fexpr)
-    ladder = _ladder(genspec, cfg)
-    common = _common_columns(ladder.times, np.concatenate([f.time_jumps, extra_s_times]))
-    ens = generate(genspec, hi - lo, lo)
-    with _naming_paths(genspec, lo):
-        v, kink = decompose_block(f, ens)
-        _require_finite(v, "V", genspec, lo)
-        stats = calculus.zcqv_ladder(v, ladder, ens.horizon, ens.marks | common)
-    _require_finite(stats, "statistic", genspec, lo)
-    return stats, kink, v[:, -1].copy()
+def _jumps(blocks, cfg: ExperimentConfig) -> np.ndarray:
+    """The union of the blocks' jump masks under cfg's threshold."""
+    return reduce(np.logical_or, (calculus.jump_grid(b, cfg.jump_threshold) for b in blocks))
 
 
-def _raw_zcqv_stats(lo, hi, genspec: GeneratorSpec, cfg: ExperimentConfig):
-    """Negative control task: the statistic on X itself, S = its jumps;
-    (paths, n_levels)."""
-    ens = generate(genspec, hi - lo, lo)
-    sel = calculus.jump_grid(ens, cfg.jump_threshold)
-    with _naming_paths(genspec, lo):
-        stats = calculus.zcqv_ladder(ens.values, _ladder(genspec, cfg), ens.horizon, sel)
-    _require_finite(stats, "statistic", genspec, lo)
-    return stats
+def _decomposed(blocks, ladder, suite: Suite, cfg: ExperimentConfig) -> tuple:
+    """V's statistic per level, with S = each path's marked jumps, f's time
+    jumps and the suite's extra times; then each path's kink mass and final
+    V: (paths, n_levels), (paths,) and (paths,)."""
+    (ens,) = blocks
+    f = make_function(suite.function)
+    common = _common_columns(ladder.times, f.time_jumps + suite.extra_s)
+    v, kink = decompose_block(f, ens)
+    _require_finite(v, "V")
+    return calculus.zcqv_ladder(v, ladder, ens.horizon, ens.marks | common), kink, v[:, -1].copy()
 
 
-def _cross_stats(lo, hi, zspec: GeneratorSpec, yspec: GeneratorSpec, cfg: ExperimentConfig):
+def _decomposed_details(kink, final_v) -> dict:
+    return {"median_kink_qv_mass": float(calculus.path_median(kink)[0]), "mean_final_v": float(np.mean(final_v))}
+
+
+def _summed(blocks, ladder, suite: Suite, cfg: ExperimentConfig) -> tuple:
+    """The statistic of the sum of the blocks' paths (one block: the path
+    itself), S = the union of their jumps; (paths, n_levels)."""
+    x = reduce(np.add, (b.values for b in blocks))
+    return (calculus.zcqv_ladder(x, ladder, blocks[0].horizon, _jumps(blocks, cfg)),)
+
+
+def _crossed(blocks, ladder, suite: Suite, cfg: ExperimentConfig) -> tuple:
     """Included-cell |dZ dY| per level, S = the jumps of Z and Y, and the
     same with S empty: two (paths, n_levels) arrays."""
-    ladder = _ladder(zspec, cfg)
-    z, y = _paired(zspec, yspec, lo, hi)
-    sel = calculus.jump_grid(z, cfg.jump_threshold) | calculus.jump_grid(y, cfg.jump_threshold)
-    with _naming_paths(zspec, lo):
-        with_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, sel, y=y.values, absolute=True)
-        no_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, y=y.values, absolute=True)
+    z, y = blocks
+    with_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, _jumps(blocks, cfg), y=y.values, absolute=True)
+    no_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, y=y.values, absolute=True)
     # with_s adds a subset of the nonnegative terms that no_s adds
-    _require_finite(no_s, "statistic", zspec, lo)
+    _require_finite(no_s, "statistic")
     return with_s, no_s
 
 
-def _sum_zcqv_stats(lo, hi, spec1: GeneratorSpec, spec2: GeneratorSpec, cfg: ExperimentConfig):
-    """Statistic for Z1 + Z2 with S = the union of both jump sets;
-    (paths, n_levels)."""
-    z1, z2 = _paired(spec1, spec2, lo, hi)
-    sel = calculus.jump_grid(z1, cfg.jump_threshold) | calculus.jump_grid(z2, cfg.jump_threshold)
-    with _naming_paths(spec1, lo):
-        stats = calculus.zcqv_ladder(z1.values + z2.values, _ladder(spec1, cfg), z1.horizon, sel)
-    _require_finite(stats, "statistic", spec1, lo)
-    return stats
+def _crossed_details(no_s) -> dict:
+    return {"exploratory_no_exclusion_median": [float(v) for v in calculus.path_median(no_s)[0]]}
 
 
-def _blocks(task, spec: GeneratorSpec, cfg: ExperimentConfig, args: tuple):
-    """task over every block of the suite's paths, its results joined in
-    path order: arrays, or tuples of arrays joined field by field."""
-    parts = map_chunked(task, cfg.n_paths, block_rows(spec.n_steps), cfg.workers, args)
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    return np.concatenate(parts)
-
-
-def _jump_spec(spec: GeneratorSpec, kind: str, seed_offset: int = 0) -> GeneratorSpec:
-    """spec as the jump kind `kind`, at jump rate 3.0 unless it sets one."""
-    rate = spec.jump_rate if spec.jump_rate > 0 else 3.0
-    return spec._replace(kind=kind, jump_rate=rate, seed=spec.seed + seed_offset)
-
-
-def _decomposition_suite(
-    name: str, cfg: ExperimentConfig, genspec: GeneratorSpec, fexpr: str, extra
-) -> SuiteResult:
-    levels = _suite_levels(cfg)
-    stats, kink, final_v = _blocks(_decomposition_stats, genspec, cfg, (genspec, fexpr, cfg, extra))
-    verdict = summarize_zcqv(stats, levels, _meshes(genspec, levels), cfg.pass_fraction)
-    details = {
-        "generator": genspec.kind,
-        "function": fexpr,
-        "median_kink_qv_mass": float(calculus.path_median(kink)[0]),
-        "mean_final_v": float(np.mean(final_v)),
+def suites(cfg: ExperimentConfig) -> dict:
+    """The named suites on cfg's generator, in the order cli.SUITES lists
+    them.  Each sets the kind of the specs it draws; the jump kinds run at
+    jump rate 3.0 unless cfg's generator sets one."""
+    spec = cfg.generator_spec()
+    brownian = spec._replace(kind="brownian")
+    rated = spec._replace(jump_rate=spec.jump_rate if spec.jump_rate > 0 else 3.0)
+    poisson = rated._replace(kind="compound_poisson")
+    tanaka = Suite((brownian,), _decomposed, _decomposed_details, function=cfg.function or "abs")
+    kink = tanaka._replace(function="moving_kink(k_jump=0.5)", extra_s=(0.5,))
+    return {
+        "tanaka": tanaka,
+        "moving_kink": kink,
+        "moving_kink_jump": kink._replace(specs=(rated._replace(kind="jump_diffusion"),)),
+        "cross_variation": Suite((poisson, brownian._replace(seed=cfg.seed + 104729)), _crossed, _crossed_details,
+                                 sep=" x "),
+        "zcqv_sum": Suite((poisson, poisson._replace(seed=cfg.seed + 7919)), _summed),
+        "negative_control": Suite((brownian,), _summed, partial(dict, note="asserts the failure"),
+                                  expected_pass=False),
     }
-    return SuiteResult(name=name, verdict=verdict, expected_pass=True, details=details)
+
+
+def _run(name: str, suite: Suite, cfg: ExperimentConfig) -> SuiteResult:
+    """suite over cfg's paths, a block per pool task, and its verdict."""
+    spec = suite.specs[0]
+    parts = map_chunked(_block, cfg.n_paths, block_rows(spec.n_steps), cfg.workers, (suite, cfg))
+    stats, *extras = (np.concatenate(p) for p in zip(*parts))
+    levels = tuple(range(cfg.l_min, cfg.l_max + 1))
+    meshes = tuple(spec.horizon * 2.0 ** -float(lv) for lv in levels)
+    verdict = summarize_zcqv(stats, levels, meshes, cfg.pass_fraction)
+    details = {"generator": suite.sep.join(s.kind for s in suite.specs), "function": suite.function}
+    details.update(suite.details(*extras))
+    return SuiteResult(name=name, verdict=verdict, expected_pass=suite.expected_pass, details=details)
 
 
 def run_decompose(cfg: ExperimentConfig) -> SuiteResult:
-    """The tanaka pipeline on the configured generator, not forced Brownian."""
-    return _decomposition_suite("tanaka", cfg, cfg.generator_spec(), cfg.function or "abs", np.empty(0))
+    """The tanaka suite on the configured generator, not forced Brownian."""
+    tanaka = suites(cfg)["tanaka"]
+    return _run("tanaka", tanaka._replace(specs=(cfg.generator_spec(),)), cfg)
 
 
 def run_suite(name: str, cfg: ExperimentConfig) -> SuiteResult:
-    """The named suite on cfg's paths, levels, pass rule and workers; each
-    suite sets the generator kind it runs from cfg's generator."""
-    levels = _suite_levels(cfg)
-    spec = cfg.generator_spec()
-    brownian = spec._replace(kind="brownian")
-
-    if name == "tanaka":
-        return _decomposition_suite(name, cfg, brownian, cfg.function or "abs", np.empty(0))
-
-    if name in ("moving_kink", "moving_kink_jump"):
-        genspec = brownian if name == "moving_kink" else _jump_spec(spec, "jump_diffusion")
-        return _decomposition_suite(name, cfg, genspec, "moving_kink(k_jump=0.5)", np.asarray([0.5]))
-
-    if name == "negative_control":
-        genspec = brownian
-        stats = _blocks(_raw_zcqv_stats, genspec, cfg, (genspec, cfg))
-        verdict = summarize_zcqv(stats, levels, _meshes(genspec, levels), cfg.pass_fraction)
-        details = {"generator": genspec.kind, "function": None, "note": "asserts the failure"}
-        return SuiteResult(name=name, verdict=verdict, expected_pass=False, details=details)
-
-    if name == "cross_variation":
-        zspec = _jump_spec(spec, "compound_poisson")
-        yspec = brownian._replace(seed=cfg.seed + 104729)
-        with_s, no_s = _blocks(_cross_stats, zspec, cfg, (zspec, yspec, cfg))
-        verdict = summarize_zcqv(with_s, levels, _meshes(zspec, levels), cfg.pass_fraction)
-        details = {
-            "generator": "compound_poisson x brownian",
-            "function": None,
-            "exploratory_no_exclusion_median": [float(v) for v in calculus.path_median(no_s)[0]],
-        }
-        return SuiteResult(name=name, verdict=verdict, expected_pass=True, details=details)
-
-    if name == "zcqv_sum":
-        spec1 = _jump_spec(spec, "compound_poisson")
-        spec2 = _jump_spec(spec, "compound_poisson", seed_offset=7919)
-        stats = _blocks(_sum_zcqv_stats, spec1, cfg, (spec1, spec2, cfg))
-        verdict = summarize_zcqv(stats, levels, _meshes(spec1, levels), cfg.pass_fraction)
-        details = {"generator": "compound_poisson + compound_poisson", "function": None}
-        return SuiteResult(name=name, verdict=verdict, expected_pass=True, details=details)
-
-    raise ConfigurationError(f"unknown suite {name!r}")
-
-
-def _meshes(genspec: GeneratorSpec, levels) -> tuple:
-    return tuple(genspec.horizon * 2.0 ** -float(lv) for lv in levels)
+    """The named suite on cfg's paths, levels, pass rule and workers."""
+    table = suites(cfg)
+    if name not in table:
+        raise ConfigurationError(f"unknown suite {name!r}")
+    return _run(name, table[name], cfg)

@@ -10,8 +10,8 @@ and at time 0 it is X_{0-} = X_0, so no path has an increment at t_0.  This
 makes left limits, jump sizes and all partition increments exact, and
 represents pure-jump paths without interpolation artifacts.
 
-PathEnsemble.row_csv writes one path as `t,x,jump` CSV: a header, then one
-line per grid time with t, X_t and a 0/1 jump mark.
+PathEnsemble.csv_rows writes each path as `t,x,jump` CSV: a header, then
+one line per grid time with t, X_t and a 0/1 jump mark.
 """
 
 from __future__ import annotations
@@ -58,8 +58,12 @@ class PathEnsemble:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def row_csv(self, i: int) -> str:
-        """Path i as `t,x,jump` CSV.  Every field is a float's repr or a 0/1
+    def csv_rows(self):
+        """Each path's `t,x,jump` CSV, in row order, with the grid's times
+        formatted once for every row.  Every field is a float's repr or a 0/1
         mark, which holds no comma, quote or newline, so no field is quoted."""
-        rows = zip(self.times.tolist(), self.values[i].tolist(), self.marks[i].tolist())
-        return "".join(["t,x,jump\n", *(f"{t!r},{x!r},{int(j)}\n" for t, x, j in rows)])
+        times = [f"{t!r}," for t in self.times.tolist()]
+        ends = (",0\n", ",1\n")
+        for x, marks in zip(self.values, self.marks):
+            rows = zip(times, x.tolist(), marks.tolist())
+            yield "".join(["t,x,jump\n", *(f"{t}{v!r}{ends[j]}" for t, v, j in rows)])

@@ -1,18 +1,18 @@
 import contextlib
+import pickle
 
 import numpy as np
 import pytest
 
-from qvlab import _kernels
+from qvlab import _kernels, cli
 from qvlab.calculus import jump_grid, zcqv_ladder
 from qvlab.config import ExperimentConfig
 from qvlab.decomposition import (
     _common_columns,
-    _cross_stats,
-    _sum_zcqv_stats,
     decompose_block,
     run_decompose,
     run_suite,
+    suites,
     summarize_zcqv,
 )
 from qvlab.errors import NonFiniteError
@@ -260,14 +260,17 @@ def test_kernel_overflow_names_the_seed_and_path(workers):
     assert err.value.row is None
 
 
-@pytest.mark.parametrize("task", [_cross_stats, _sum_zcqv_stats])
-def test_paired_ensembles_that_split_differently_are_refused(task):
-    # the same 64-path span on 1024 and on 4096 steps lies on two grids;
-    # the suite sizes its blocks from one of the two specs
-    cfg = ExperimentConfig(l_min=2, l_max=4)
-    one = GeneratorSpec(kind="brownian", n_steps=1024, seed=1)
-    other = GeneratorSpec(kind="brownian", n_steps=4096, seed=2)
-    with pytest.raises(ValueError, match="one grid"):
-        task(0, 64, one, other, cfg)
-    # _cross_stats returns two (paths, n_levels) arrays, _sum_zcqv_stats one
-    assert np.shape(task(0, 64, one, other._replace(n_steps=1024), cfg))[-2:] == (64, 3)
+@pytest.mark.parametrize(
+    "generator",
+    [{}, {"kind": "jump_diffusion", "jump_rate": 5.0}, {"n_steps": 1024}, {"horizon": 0.1}],
+    ids=["brownian", "jump_diffusion", "1024 steps", "horizon 0.1"],
+)
+def test_every_suite_draws_its_specs_on_one_grid(generator):
+    # a pool task measures every spec's block on the first spec's ladder,
+    # and the pool pickles each record
+    table = suites(ExperimentConfig(generator=generator))
+    assert tuple(table) == cli.SUITES
+    for name, suite in table.items():
+        first = suite.specs[0]
+        assert all((s.n_steps, s.horizon) == (first.n_steps, first.horizon) for s in suite.specs), name
+        assert pickle.dumps(pickle.loads(pickle.dumps(suite))) == pickle.dumps(suite), name

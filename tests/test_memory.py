@@ -57,9 +57,10 @@ def test_qv_peak_memory_at_200_paths(tmp_path):
 def test_simulate_peak_memory_does_not_grow_with_paths(tmp_path):
     # bound fixed from the block size: at 4096 steps a block is 31 rows of
     # 4097 float64 values and bool marks.  One file's text is 4097 lines of
-    # under 50 characters (0.2 MB); row_csv builds it from the grid and the
-    # row as Python floats (2 x 0.13 MB) and one string per line (0.4 MB),
-    # while the writer still holds the previous file's text: under 1.5 MB
+    # under 50 characters (0.2 MB); csv_rows builds it from the grid's time
+    # fields, formatted once a block (0.3 MB), the row as Python floats
+    # (0.13 MB) and one string per line (0.4 MB), while the writer still
+    # holds the previous file's text: under 1.5 MB
     block = 31 * 4097 * (8 + 1)
     config = tmp_path / "sim.json"
     config.write_text(json.dumps({"generator": {"kind": "brownian", "n_steps": 4096}}))

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from qvlab.calculus import cell_sums, jump_grid
 from qvlab.config import ExperimentConfig
-from qvlab.decomposition import _common_columns, _decomposition_stats, decompose_block
+from qvlab.decomposition import _block, _common_columns, decompose_block, suites
 from qvlab.functions import make_function
 from qvlab.generators import generate
 from qvlab.partitions import RefinementLadder
@@ -131,7 +131,8 @@ def test_s_mask_cells_match_the_time_rule_on_every_level():
     s_rows = np.concatenate([mark_rows, np.repeat(np.arange(n), common.size)])
     s_times = np.concatenate([times[mark_grid], np.tile(common, n)])
     ladder = RefinementLadder(times, 0, 10)
-    stats = _decomposition_stats(0, n, spec, fexpr, cfg, extra)[0]
+    suite = suites(cfg)["moving_kink"]._replace(specs=(spec,), function=fexpr, extra_s=tuple(extra))
+    stats = _block(0, n, suite, cfg)[0]
     v, _ = decompose_block(make_function(fexpr), ens)
     for i, lev in enumerate(ladder):
         want = _excluded_by_time(lev.cut_times, n, s_rows, s_times)

@@ -80,7 +80,8 @@ def test_csv_round_trip_exact():
     rng = np.random.default_rng(3)
     p = toy_ensemble(np.cumsum(np.concatenate([[0], rng.random(20)])), rng.standard_normal(21),
                      rng.random(21) < 0.3)
-    header, *lines = p.row_csv(0).splitlines()
+    (text,) = p.csv_rows()
+    header, *lines = text.splitlines()
     assert header == "t,x,jump"
     t, x, jump = zip(*(line.split(",") for line in lines))
     assert np.array_equal(p.times, [float(v) for v in t])
@@ -91,8 +92,10 @@ def test_csv_round_trip_exact():
 
 def test_row_csv_writes_each_row():
     ens = toy_ensemble([0.0, 0.5, 1.0], [[0.0, -0.0, 1e-300], [0.1, 2.0, -3.5]], [[0, 1, 0], [1, 0, 1]])
-    assert ens.row_csv(0) == "t,x,jump\n0.0,0.0,0\n0.5,-0.0,1\n1.0,1e-300,0\n"
-    assert ens.row_csv(1) == "t,x,jump\n0.0,0.1,1\n0.5,2.0,0\n1.0,-3.5,1\n"
+    assert list(ens.csv_rows()) == [
+        "t,x,jump\n0.0,0.0,0\n0.5,-0.0,1\n1.0,1e-300,0\n",
+        "t,x,jump\n0.0,0.1,1\n0.5,2.0,0\n1.0,-3.5,1\n",
+    ]
 
 
 @pytest.mark.parametrize(
