@@ -351,11 +351,24 @@ def _reference_jump_cells(spec, rng):
                 cells.append(c)
                 break
     cells.sort()
-    law = make_jump_law(spec.jump_law)
     jump_at = np.zeros(n + 1)
     for c in cells:
-        jump_at[c] = law.sample(rng)
+        jump_at[c] = _reference_jump_size(spec.jump_law, rng)
     return jump_at
+
+
+def _reference_jump_size(law, rng):
+    # the three laws' formulas, written out here so the oracle does not
+    # share the generator's sampling code
+    name, args, _ = parse_expression(law)
+    if name == "normal":
+        mu, sd = args
+        return mu + sd * rng.standard_normal()
+    if name == "uniform":
+        a, b = args
+        return a + (b - a) * rng.random()
+    (c,) = args
+    return c
 
 
 def _reference_brownian(spec, rng):
@@ -424,6 +437,9 @@ ORACLE_SPECS = {
     "jump_signed_zero": dict(kind="jump_diffusion", jump_rate=3.0, sigma="const(0.0)",
                              b="const(-0.0)", x0=-0.0),
     "compound_poisson": dict(kind="compound_poisson", jump_rate=40.0, x0=-0.0),
+    "compound_poisson_const": dict(kind="compound_poisson", jump_rate=40.0, jump_law="const(1.5)"),
+    "jump_diffusion_normal": dict(kind="jump_diffusion", jump_rate=20.0, sigma="abs_shift(0.5, 0.5)",
+                                  b="const(0.1)", jump_law="normal(0.5, 2.0)"),
     "lamperti_dirichlet": dict(kind="lamperti_dirichlet", sigma_of_x="abs_shift(0.5, 0.5)", alpha=0.5),
 }
 
