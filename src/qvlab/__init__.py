@@ -43,7 +43,6 @@ _EXPORTS = {
     "make_path": "generators",
     "RefinementLadder": "partitions",
     "run_suite": "decomposition",
-    "builtin_library": "functions",
     "make_function": "functions",
 }
 

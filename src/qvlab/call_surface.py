@@ -86,7 +86,8 @@ class BoxIndicator:
 
 def make_theta(expr_or_theta) -> BoxIndicator:
     """A BoxIndicator as given, or built from a 'box(t0, t1, x_lo, x_hi)'
-    expression (generators.parse_box says which it accepts)."""
+    expression: corners by position or keyword, t0 <= t1 and x_lo < x_hi
+    (generators.build says what it refuses)."""
     if isinstance(expr_or_theta, BoxIndicator):
         return expr_or_theta
     return BoxIndicator(*parse_box(expr_or_theta))
@@ -141,6 +142,14 @@ def convexity_defect(surface: CallSurface) -> float:
 # identity machinery
 
 
+def _report_dict(record, **extra) -> dict:
+    """A report record's fields, `passed` written as "pass", and extra."""
+    fields = record._asdict()
+    if "passed" in fields:
+        fields["pass"] = fields.pop("passed")
+    return {**fields, **extra}
+
+
 class IdentityReport(NamedTuple):
     lhs: float
     rhs_qv_term: float
@@ -157,19 +166,7 @@ class IdentityReport(NamedTuple):
         return self.rhs_qv_term + self.rhs_drift_term + self.rhs_jump_term
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs_qv_term": self.rhs_qv_term,
-            "rhs_drift_term": self.rhs_drift_term,
-            "rhs_jump_term": self.rhs_jump_term,
-            "rhs": self.rhs,
-            "abs_diff": abs(self.lhs - self.rhs),
-            "stderr": self.stderr,
-            "lhs_stderr": self.lhs_stderr,
-            "budget": self.budget,
-            "pass": self.passed,
-            "n_paths": self.n_paths,
-        }
+        return _report_dict(self, rhs=self.rhs, abs_diff=abs(self.lhs - self.rhs))
 
 
 def occupation_identity_check(
@@ -240,15 +237,10 @@ class MonotonicityReport(NamedTuple):
     skipped: bool
     violations: int
     worst: float
-    tolerance_note: str
+    note: str
 
     def to_dict(self) -> dict:
-        return {
-            "skipped": self.skipped,
-            "violations": self.violations,
-            "worst": self.worst,
-            "note": self.tolerance_note,
-        }
+        return _report_dict(self)
 
 
 def monotonicity_check(surface: CallSurface, genspec: GeneratorSpec, sigma_mult: float = 3.0) -> MonotonicityReport:
@@ -278,14 +270,7 @@ class KinkIdentityReport(NamedTuple):
     skipped: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "lhs_budget": self.lhs_budget,
-            "rhs_budget": self.rhs_budget,
-            "pass": self.passed,
-            "skipped": self.skipped,
-        }
+        return _report_dict(self)
 
 
 def kink_identity_check(

@@ -75,10 +75,7 @@ class ExperimentConfig(_Fields):
             value = getattr(self, name)
             if not (isinstance(value, str) or (name == "function" and value is None)):
                 raise ConfigurationError(f"{name} must be a string, got {value!r}")
-        try:
-            parse_box(self.theta)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"theta: {exc}") from None
+        parse_box(self.theta)
         if not isinstance(self.generator, dict):
             raise ConfigurationError(f"generator must be a mapping, got {self.generator!r}")
         if not isinstance(self.formats, tuple) or not all(f in FORMATS for f in self.formats):

@@ -8,18 +8,19 @@ derivatives exist and the true derivative wherever f is differentiable; the
 one-sided x-derivatives are declared next to it as its oracle.  A function
 crosses to a pool worker as its make_function expression (the suites'
 function and call_surface.run_identity's take one), which the worker builds
-again: its callables do not pickle.
+again: its callables do not pickle.  make_function builds an expression
+from the name -> factory table _REGISTRY with generators.build, which says
+what it refuses.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .generators import parse_expression
+from .generators import build
 
 
 class PathFunction:
@@ -239,21 +240,6 @@ _REGISTRY: dict[str, Callable] = {
 }
 
 
-def builtin_library() -> dict:
-    """Name -> factory registry of the builtin function corpus."""
-    return dict(_REGISTRY)
-
-
 def make_function(expr: str) -> PathFunction:
-    """Instantiate from an expression like 'moving_kink(k_jump=0.5)'.
-    Raises ConfigurationError naming expr for arguments the builtin does not
-    take and for numeric arguments that are not finite."""
-    name, args, kwargs = parse_expression(expr)
-    if name not in _REGISTRY:
-        raise ConfigurationError(f"unknown function {name!r}")
-    if not all(math.isfinite(v) for v in (*args, *kwargs.values()) if isinstance(v, float)):
-        raise ConfigurationError(f"bad function {expr!r}: arguments must be finite")
-    try:
-        return _REGISTRY[name](*args, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad function {expr!r}: {exc}") from None
+    """Instantiate from an expression like 'moving_kink(k_jump=0.5)'."""
+    return build(expr, _REGISTRY, "function")

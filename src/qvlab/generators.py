@@ -66,11 +66,12 @@ index order.  So a run names the earliest failure of the first block that
 fails, not of the whole ensemble; make_path(spec, i) replays the named path
 either way.
 
-Coefficient callbacks (sigma, b, sigma_of_x) are selected by name from a
-small registry so that specs stay picklable and expressible in config files;
-plain Python callables are also accepted for library use.  They are called
-with a scalar t and an array x of the block's current states; a scalar
-return is broadcast across the rows.
+Coefficients (sigma, b, sigma_of_x) and jump laws are named by config
+expressions, so specs stay picklable; a plain callable is also accepted as a
+coefficient.  Coefficients are called with a scalar t and an array x of the
+block's current states; a scalar return is broadcast across the rows.  build
+turns every expression, the functions' f and the box theta too, into its
+object, or refuses it with a ConfigurationError naming what it builds.
 """
 
 from __future__ import annotations
@@ -151,35 +152,37 @@ def _parse_value(s: str):
         return s.strip("'\"")
 
 
-_BOX_CORNERS = ("t0", "t1", "x_lo", "x_hi")
+def build(expr, registry: dict, what: str):
+    """registry[name](*args, **kwargs) for expr = 'name(args)'.  A non-string,
+    an unknown name, a non-finite number, or a TypeError or ValueError from
+    the factory is a ConfigurationError that names `what`."""
+    if not isinstance(expr, str):
+        raise ConfigurationError(f"{what} must be an expression, got {expr!r}")
+    name, args, kwargs = parse_expression(expr)
+    if name not in registry:
+        raise ConfigurationError(f"unknown {what} {name!r}")
+    if not all(math.isfinite(v) for v in (*args, *kwargs.values()) if isinstance(v, float)):
+        raise ConfigurationError(f"bad {what} {expr!r}: arguments must be finite")
+    try:
+        return registry[name](*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad {what} {expr!r}: {exc}") from None
+
+
+def box(t0, t1, x_lo, x_hi) -> tuple:
+    """The corners as floats; ValueError unless t0 <= t1 and x_lo < x_hi."""
+    t0, t1, x_lo, x_hi = corners = tuple(map(float, (t0, t1, x_lo, x_hi)))
+    if t0 > t1:
+        raise ValueError("box needs t0 <= t1")
+    if not x_lo < x_hi:
+        raise ValueError("box needs x_lo < x_hi")
+    return corners
 
 
 def parse_box(expr: str) -> tuple:
     """The corners (t0, t1, x_lo, x_hi) of 'box(t0, t1, x_lo, x_hi)', each
-    given once, by position or by keyword.  Raises ConfigurationError unless
-    they are four finite numbers with t0 <= t1 and x_lo < x_hi."""
-    name, args, kwargs = parse_expression(expr)
-    if name != "box":
-        raise ConfigurationError(f"unknown test function {name!r}")
-    if len(args) > len(_BOX_CORNERS):
-        raise ConfigurationError(f"box takes 4 corners, got {len(args)}")
-    corners = dict(zip(_BOX_CORNERS, args))
-    for key in kwargs:
-        if key not in _BOX_CORNERS:
-            raise ConfigurationError(f"box has no corner {key!r}")
-        if key in corners:
-            raise ConfigurationError(f"box corner {key!r} is given twice")
-    corners.update(kwargs)
-    if len(corners) < len(_BOX_CORNERS):
-        raise ConfigurationError("box requires t0, t1, x_lo, x_hi")
-    t0, t1, x_lo, x_hi = vals = tuple(corners[k] for k in _BOX_CORNERS)
-    if not all(isinstance(v, float) and math.isfinite(v) for v in vals):
-        raise ConfigurationError(f"box corners must be finite numbers, got {expr!r}")
-    if t0 > t1:
-        raise ConfigurationError(f"box needs t0 <= t1, got {expr!r}")
-    if not x_lo < x_hi:
-        raise ConfigurationError(f"box needs x_lo < x_hi, got {expr!r}")
-    return vals
+    given once, by position or by keyword; build says what it refuses."""
+    return build(expr, {"box": box}, "theta")
 
 
 class _Const(NamedTuple):
@@ -224,17 +227,7 @@ def make_coefficient(spec) -> Callable:
     """Resolve a coefficient: callable passthrough or registry expression."""
     if callable(spec):
         return spec
-    if not isinstance(spec, str):
-        raise ConfigurationError(f"coefficient must be an expression or a callable, got {spec!r}")
-    name, args, kwargs = parse_expression(spec)
-    if name not in _COEFFICIENTS:
-        raise ConfigurationError(f"unknown coefficient {name!r}")
-    if not all(math.isfinite(v) for v in (*args, *kwargs.values()) if isinstance(v, float)):
-        raise ConfigurationError(f"bad coefficient {spec!r}: arguments must be finite")
-    try:
-        return _COEFFICIENTS[name](*args, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad coefficient {spec!r}: {exc}") from None
+    return build(spec, _COEFFICIENTS, "coefficient")
 
 
 # ---------------------------------------------------------------------------
@@ -242,44 +235,35 @@ def make_coefficient(spec) -> Callable:
 
 
 class JumpLaw(NamedTuple):
-    name: str
-    params: tuple
+    """sample(rng) draws one jump size; mean is its expectation."""
 
-    def sample(self, rng: np.random.Generator) -> float:
-        if self.name == "normal":
-            mu, sd = self.params
-            return mu + sd * rng.standard_normal()
-        if self.name == "uniform":
-            a, b = self.params
-            return a + (b - a) * rng.random()
-        if self.name == "const":
-            return self.params[0]
-        raise ConfigurationError(f"unknown jump law {self.name!r}")
+    sample: Callable
+    mean: float
 
-    @property
-    def mean(self) -> float:
-        if self.name in ("normal", "const"):
-            return self.params[0]
-        if self.name == "uniform":
-            return 0.5 * (self.params[0] + self.params[1])
-        raise ConfigurationError(f"unknown jump law {self.name!r}")
+
+def normal(mu=0.0, sd=1.0, /) -> JumpLaw:
+    mu, sd = float(mu), float(sd)
+    return JumpLaw(lambda rng: mu + sd * rng.standard_normal(), mu)
+
+
+def uniform(a=-1.0, b=1.0, /) -> JumpLaw:
+    a, b = float(a), float(b)
+    return JumpLaw(lambda rng: a + (b - a) * rng.random(), 0.5 * (a + b))
+
+
+def const(c=1.0, /) -> JumpLaw:
+    c = float(c)
+    return JumpLaw(lambda rng: c, c)
+
+
+# positional-only, so normal(mu=5.0, sd=0.1) is refused, not read as N(0, 1)
+_LAWS: dict[str, Callable] = {"normal": normal, "uniform": uniform, "const": const}
 
 
 def make_jump_law(spec: str) -> JumpLaw:
     """The law of 'normal(mu, sd)', 'uniform(a, b)' or 'const(c)': finite
     numbers by position, defaults for those left out."""
-    if not isinstance(spec, str):
-        raise ConfigurationError(f"jump_law must be an expression, got {spec!r}")
-    name, args, kwargs = parse_expression(spec)
-    defaults = {"normal": (0.0, 1.0), "uniform": (-1.0, 1.0), "const": (1.0,)}
-    if name not in defaults:
-        raise ConfigurationError(f"unknown jump law {name!r}")
-    vals = defaults[name]
-    if kwargs or len(args) > len(vals) or str in map(type, args):
-        raise ConfigurationError(f"bad jump_law {spec!r}")
-    if not all(map(math.isfinite, args)):
-        raise ConfigurationError(f"jump_law parameters must be finite, got {spec!r}")
-    return JumpLaw(name, (*args, *vals[len(args) :]))
+    return build(spec, _LAWS, "jump_law")
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +333,18 @@ class GeneratorSpec(NamedTuple):
     def mean_drift_variation(self, t: float):
         """E int_0^t |dA| for the model's martingale + drift split, or None.
 
-        brownian: A = 0.  compound_poisson: A is the compensator rate*E[J]*s.
-        euler/jump_diffusion: only available for constant b.
+        dA/dt is drift_rate's b + rate * E[J], with b = 0 for brownian and
+        compound_poisson; the Euler kinds need b = const(c), else None.
         """
-        if self.kind == "brownian":
-            return 0.0
-        if self.kind == "compound_poisson":
-            return abs(make_jump_law(self.jump_law).mean) * self.jump_rate * t
-        if self.kind in ("euler_sde", "jump_diffusion"):
-            b_const = _constant_value(self.b)
-            if b_const is None:
-                return None
-            total = abs(b_const) * t
-            if self.kind == "jump_diffusion":
-                total += abs(make_jump_law(self.jump_law).mean) * self.jump_rate * t
-            return total
-        return None
+        if self.kind == "lamperti_dirichlet":
+            return None
+        b = 0.0 if self.kind in ("brownian", "compound_poisson") else _constant_value(self.b)
+        if b is None:
+            return None
+        comp = 0.0
+        if self.kind in ("compound_poisson", "jump_diffusion"):
+            comp = make_jump_law(self.jump_law).mean * self.jump_rate
+        return abs(b + comp) * t
 
     def drift_rate(self):
         """dA/dt callback for the model's martingale + drift split, or None:

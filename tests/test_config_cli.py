@@ -13,7 +13,7 @@ from qvlab.call_surface import BoxIndicator
 from qvlab.cli import main
 from qvlab.config import ExperimentConfig, apply_overrides, load_config
 from qvlab.errors import ConfigurationError
-from qvlab.functions import builtin_library
+from qvlab.functions import _REGISTRY
 from qvlab.generators import GeneratorSpec, generate, make_path
 
 
@@ -372,7 +372,7 @@ def test_decompose_square_final_v_is_realized_qv(tmp_path):
     assert abs(payload["mean_final_v"] - realized) <= 1e-12
 
 
-@pytest.mark.parametrize("name", sorted(builtin_library()))
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
 def test_decompose_reports_the_function_it_ran(tmp_path, name):
     cfg = _small_gen_config(tmp_path, generator={"kind": "brownian", "n_steps": 64},
                             function=name, n_paths=2, l_min=2, l_max=6)

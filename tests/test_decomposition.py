@@ -16,7 +16,7 @@ from qvlab.decomposition import (
     summarize_zcqv,
 )
 from qvlab.errors import NonFiniteError
-from qvlab.functions import builtin_library, make_function
+from qvlab.functions import _REGISTRY, make_function
 from qvlab.generators import GeneratorSpec, generate, make_path
 from qvlab.partitions import RefinementLadder
 
@@ -192,7 +192,7 @@ BLOCK_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("name", sorted(builtin_library()))
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
 @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda s: s.kind)
 def test_block_decomposition_rows_equal_one_path_decompose(spec, name, monkeypatch):
     # slabs of 1 row (1100 and 600 steps) or 4 rows (256 steps), so the

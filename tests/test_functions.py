@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qvlab.errors import ConfigurationError
-from qvlab.functions import builtin_library, make_function
+from qvlab.functions import _REGISTRY, make_function
 
 ALL_BUILTINS = [
     "abs",
@@ -79,7 +79,7 @@ def test_nabla_hat_converges_to_derivative_gap(expr):
 
 
 def test_registry_metadata():
-    lib = builtin_library()
+    lib = _REGISTRY
     assert set(lib) >= {"abs", "relu", "square", "piecewise_linear", "moving_kink",
                         "scaled_step", "bump", "ramp_bump"}
     f = lib["abs"]()

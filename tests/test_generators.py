@@ -22,9 +22,11 @@ from qvlab.generators import (
     make_coefficient,
     make_jump_law,
     make_path,
+    parse_box,
     parse_expression,
     path_rng,
 )
+from qvlab.functions import make_function
 from qvlab.paths import PathEnsemble
 
 
@@ -307,6 +309,30 @@ def test_jump_law_rejects_keywords_and_extra_arguments(expr):
             GeneratorSpec(kind=kind, jump_rate=2.0, jump_law=expr).validate()
 
 
+@pytest.mark.parametrize(
+    "make, what, unknown, nan, extra",
+    [
+        (make_coefficient, "coefficient", "nope(1)", "linear(0.0, nan)", "const(1.0, 2.0)"),
+        (make_jump_law, "jump_law", "nope(1)", "normal(0.0, nan)", "const(1.0, 2.0)"),
+        (make_function, "function", "mystery(1.0)", "relu(k=nan)", "abs(1.0)"),
+        (parse_box, "theta", "blob(0, 1)", "box(0, 1, -1, nan)", "box(0, 1, -1, 1, 2)"),
+    ],
+    ids=["coefficient", "jump_law", "function", "theta"],
+)
+def test_every_expression_is_refused_by_one_rule(make, what, unknown, nan, extra):
+    # the message names what was being built; only the factory's own
+    # reason for refusing an extra argument varies
+    cases = [
+        (unknown, re.escape(f"unknown {what} {unknown.split('(')[0]!r}") + "$"),
+        (nan, re.escape(f"bad {what} {nan!r}: arguments must be finite") + "$"),
+        (extra, re.escape(f"bad {what} {extra!r}: ") + r"\S"),
+        (3, re.escape(f"{what} must be an expression, got 3") + "$"),
+    ]
+    for expr, pattern in cases:
+        with pytest.raises(ConfigurationError, match="^" + pattern):
+            make(expr)
+
+
 def test_mean_drift_variation():
     assert GeneratorSpec(kind="brownian").mean_drift_variation(1.0) == 0.0
     cp = GeneratorSpec(kind="compound_poisson", jump_rate=3.0, jump_law="normal(0.0, 1.0)", n_steps=4096)
@@ -316,6 +342,9 @@ def test_mean_drift_variation():
     drift = GeneratorSpec(kind="euler_sde", b="const(-2.0)")
     assert drift.mean_drift_variation(1.0) == pytest.approx(2.0)
     assert GeneratorSpec(kind="euler_sde", b="linear(0,1)").mean_drift_variation(1.0) is None
+    # the drift is b + rate * E[J] = 0.5 + 2 * (-0.25): no drift at all
+    jd = GeneratorSpec(kind="jump_diffusion", b="const(0.5)", jump_rate=2.0, jump_law="const(-0.25)")
+    assert jd.mean_drift_variation(1.0) == 0.0
 
 
 def test_invalid_specs_rejected():
