@@ -256,7 +256,7 @@ def const(c=1.0, /) -> JumpLaw:
     return JumpLaw(lambda rng: c, c)
 
 
-# positional-only, so normal(mu=5.0, sd=0.1) is refused, not read as N(0, 1)
+# positional-only, so a keyword, as in normal(mu=5.0, sd=0.1), is refused
 _LAWS: dict[str, Callable] = {"normal": normal, "uniform": uniform, "const": const}
 
 
