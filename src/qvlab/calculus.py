@@ -30,7 +30,7 @@ and jump sums of covariation_ladder are all plain left-to-right running
 sums, one rule for all three, so on a pure-jump path at a level where each
 cell holds at most one jump, full - jumps is exactly 0.0.  The continuous
 part, full - jumps, is formed only where CovariationSums.median takes its
-medians, a level at a time.
+medians, a level at a time, and CovariationSums.to_csv writes them.
 """
 
 from __future__ import annotations
@@ -151,6 +151,16 @@ def _nan_where_last_is_nan(stat: np.ndarray, part: np.ndarray) -> np.ndarray:
     return stat
 
 
+class Medians(NamedTuple):
+    """Per-cell medians over paths of CovariationSums, each (n_levels, n_t):
+    continuous_part is the median of full - jumps."""
+
+    full: np.ndarray
+    jumps: np.ndarray
+    continuous_part: np.ndarray
+    zcqv: np.ndarray
+
+
 class CovariationSums(NamedTuple):
     """Per-path quadratic variation sums of an ensemble.
 
@@ -184,7 +194,7 @@ class CovariationSums(NamedTuple):
         """Rows a .. b-1, as views: filling them fills these sums."""
         return self._replace(full=self.full[a:b], jumps=self.jumps[a:b], zcqv=self.zcqv[a:b])
 
-    def median(self) -> "CovariationReport":
+    def median(self) -> Medians:
         """Per-cell medians over paths, one level at a time.
 
         A cell's median reads that cell's column alone, so taking a level at
@@ -200,38 +210,17 @@ class CovariationSums(NamedTuple):
             full[i] = path_median(self.full[:, i])[0]
             zcqv[i] = path_median(self.zcqv[:, i])[0]
             cont[i] = path_median(np.subtract(self.full[:, i], self.jumps, out=diff))[0]
-        return CovariationReport(
-            levels=self.levels,
-            meshes=self.meshes,
-            t_grid=self.t_grid,
-            full=full,
-            jumps=np.repeat(path_median(self.jumps), n_levels, axis=0),
-            continuous_part=cont,
-            zcqv=zcqv,
-        )
+        return Medians(full, np.repeat(path_median(self.jumps), n_levels, axis=0), cont, zcqv)
 
-
-class CovariationReport(NamedTuple):
-    """Per-cell medians over paths of CovariationSums: full, jumps,
-    continuous_part (the median of full - jumps) and zcqv, each
-    (n_levels, n_t)."""
-
-    levels: tuple
-    meshes: tuple
-    t_grid: np.ndarray
-    full: np.ndarray
-    jumps: np.ndarray
-    continuous_part: np.ndarray
-    zcqv: np.ndarray
-
-    def to_csv(self) -> str:
-        """One line per (level, t).  Every field is an int or a float's
-        repr, which holds no comma, quote or newline, so no field is quoted."""
+    def to_csv(self, medians: Medians) -> str:
+        """covariation.csv: the medians, one line per (level, t).  Every
+        field is an int or a float's repr, which holds no comma, quote or
+        newline, so no field is quoted."""
         lines = ["level,mesh,t,full_sum,jump_sum,continuous_part,zcqv_stat"]
         ts = [repr(t) for t in self.t_grid.tolist()]
         for i, lev in enumerate(self.levels):
             head = f"{lev},{float(self.meshes[i])!r},"
-            stats = (a[i].tolist() for a in (self.full, self.jumps, self.continuous_part, self.zcqv))
+            stats = (a[i].tolist() for a in medians)
             lines.extend(head + t + "," + ",".join(map(repr, row)) for t, *row in zip(ts, *stats))
         return "\n".join(lines) + "\n"
 

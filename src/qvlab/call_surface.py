@@ -13,18 +13,18 @@ the kink-identity LHS are computed for the whole block at once (each task
 builds the function from its expression); the blocks' X_t rows go back to
 the pass, which sorts the values at each t once and reads the surface sums
 from faithfully rounded prefix sums (see _surface_sums).
-theta is a box, the only test function the pass runs, so the LHS double sum
-over t-cells and x-midpoints telescopes exactly: theta(t_{i+1}, x_j) =
-1_I(i) 1_J(j) with I a run of consecutive cells, and the sum over I of a
-midpoint's hinge increments is its hinge at the run's end minus its hinge at
-the run's start.  Each path's LHS is one hinge row, not an (n_t x n_x)
-array.  The reports are pure functions of the pass's arrays, so the surface,
-the identity and the kink check always describe the same paths.  The blocks
-depend only on n_paths and n_steps, and each row's identity sums run over a
-C-contiguous row, so the identity terms are bit-identical to a path-by-path
-pass at any worker count.  The surface sums depend only on the multiset of
-X_t values at each t, so they are the same bits for any worker count, block
-split or path order.
+theta is a generators.Box, the only test function the pass runs, so the
+LHS double sum over t-cells and x-midpoints telescopes exactly:
+theta(t_{i+1}, x_j) = 1_I(i) 1_J(j) with I a run of consecutive cells, and
+the sum over I of a midpoint's hinge increments is its hinge at the run's
+end minus its hinge at the run's start.  Each path's LHS is one hinge row,
+not an (n_t x n_x) array.  The reports are pure functions of the pass's
+arrays, so the surface, the identity and the kink check always describe the
+same paths.  The blocks depend only on n_paths and n_steps, and each row's
+identity sums run over a C-contiguous row, so the identity terms are
+bit-identical to a path-by-path pass at any worker count.  The surface sums
+depend only on the multiset of X_t values at each t, so they are the same
+bits for any worker count, block split or path order.
 
 Conventions: d_t C increments over (t_i, t_{i+1}] pair with theta at the
 right endpoint (cadlag measure); model [X]^c cell increments pair with theta
@@ -46,51 +46,7 @@ import numpy as np
 from . import _kernels
 from ._parallel import map_chunked
 from .functions import PathFunction, make_function
-from .generators import GeneratorSpec, block_rows, generate, parse_box
-
-
-class BoxIndicator:
-    """theta = 1 on the box (t0, t1, x_lo, x_hi) = [t0, t1] x [x_lo, x_hi]."""
-
-    def __init__(self, t0, t1, x_lo, x_hi):
-        self.box = (float(t0), float(t1), float(x_lo), float(x_hi))
-
-    def __call__(self, t, x):
-        t0, t1, lo, hi = self.box
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        return ((t >= t0) & (t <= t1) & (x >= lo) & (x <= hi)).astype(float)
-
-    def integral_to(self, t, z):
-        t0, t1, lo, hi = self.box
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float)
-        inside = (t >= t0) & (t <= t1)
-        return np.where(inside, np.clip(z, lo, hi) - lo, 0.0)
-
-    def hinge_integral(self, t, a, b, xt):
-        """Oriented int_a^b (xt - x) theta(t, x) dx, exact for the box."""
-        t0, t1, lo, hi = self.box
-        if not (t0 <= t <= t1):
-            return 0.0
-        sign = 1.0
-        if b < a:
-            a, b, sign = b, a, -1.0
-        a = max(a, lo)
-        b = min(b, hi)
-        if b <= a:
-            return 0.0
-        # int_a^b (xt - x) dx
-        return sign * (xt * (b - a) - 0.5 * (b * b - a * a))
-
-
-def make_theta(expr_or_theta) -> BoxIndicator:
-    """A BoxIndicator as given, or built from a 'box(t0, t1, x_lo, x_hi)'
-    expression: corners by position or keyword, t0 <= t1 and x_lo < x_hi
-    (generators.build says what it refuses)."""
-    if isinstance(expr_or_theta, BoxIndicator):
-        return expr_or_theta
-    return BoxIndicator(*parse_box(expr_or_theta))
+from .generators import Box, GeneratorSpec, block_rows, generate
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +126,7 @@ class IdentityReport(NamedTuple):
 
 
 def occupation_identity_check(
-    theta: BoxIndicator, terms: np.ndarray, t_grid, x_grid, sigma_mult: float = 3.0
+    theta: Box, terms: np.ndarray, t_grid, x_grid, sigma_mult: float = 3.0
 ) -> IdentityReport:
     """Monte Carlo check of the theta-weighted surface-increment identity.
 
@@ -210,7 +166,7 @@ def occupation_identity_check(
     )
 
 
-def identity_budget(theta: BoxIndicator, dt: float, dx: float, horizon: float, qv_total: float, drift_total: float) -> float:
+def identity_budget(theta: Box, dt: float, dx: float, horizon: float, qv_total: float, drift_total: float) -> float:
     """Deterministic discretization allowance, reported next to the stderr.
 
     t-part: evaluation-point error of the left-sum Riemann approximations to
@@ -220,7 +176,7 @@ def identity_budget(theta: BoxIndicator, dt: float, dx: float, horizon: float, q
     smooth-curvature term); box-edge part: theta's time discontinuities at
     interior box edges can split two t-cells.
     """
-    t0, t1, x_lo, x_hi = theta.box
+    t0, t1, x_lo, x_hi = theta
     t_part = 2.0 * dt / horizon * (qv_total + drift_total)
     x_part = dx * dx * 1.0
     straddle = 0.0
@@ -249,10 +205,9 @@ def monotonicity_check(surface: CallSurface, genspec: GeneratorSpec, sigma_mult:
     Uses the generator's model drift variation; reports skipped when the
     model does not expose it.
     """
-    a_var = [genspec.mean_drift_variation(float(t)) for t in surface.t_grid]
-    if any(v is None for v in a_var):
+    a_var = genspec.mean_drift_variation(surface.t_grid)
+    if a_var is None:
         return MonotonicityReport(True, 0, 0.0, "drift variation unavailable")
-    a_var = np.asarray(a_var, dtype=float)
     curve = surface.values + a_var[:, None]
     slack = sigma_mult * np.sqrt(surface.stderr[:-1] ** 2 + surface.stderr[1:] ** 2)
     incr = np.diff(curve, axis=0)
@@ -313,9 +268,8 @@ def kink_identity_check(
             lhs_budget += float(np.sum(rate(t_left[early], genspec.x0) * np.diff(t_grid)[early]))
 
     # kink columns: x-grid points on the nondifferentiability set at any t
-    on_kink_cols = np.zeros(surface.x_grid.size, dtype=bool)
-    for i, t in enumerate(t_grid):
-        on_kink_cols |= np.asarray(f.nondiff_indicator(t, surface.x_grid), dtype=bool)
+    on_kink = f.nondiff_indicator(t_grid[:, None], surface.x_grid[None, :])
+    on_kink_cols = np.asarray(on_kink, dtype=bool).any(axis=0)
     dx = float(surface.x_grid[1] - surface.x_grid[0]) if surface.x_grid.size > 1 else 0.0
     dC = np.abs(np.diff(surface.values, axis=0))
     rhs = 2.0 * dx * float(np.sum(dC[:, on_kink_cols]))
@@ -339,7 +293,7 @@ def _row_sums(a):
     return np.ascontiguousarray(a).sum(axis=1)
 
 
-def _pass_block(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_grid, fexpr):
+def _pass_block(lo, hi, genspec: GeneratorSpec, theta: Box, t_grid, x_grid, fexpr):
     """Block task: paths lo .. hi-1, generated once as one block.
 
     Returns (xt, terms, kink): each path's X_t row on the t-grid, which
@@ -372,7 +326,7 @@ def _pass_block(lo, hi, genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_g
     dx = float(x_grid[1] - x_grid[0])
     # the box's cells I = [a, b) = [first, end) and midpoints J, compared as
     # theta compares
-    t0, t1, x_lo, x_hi = theta.box
+    t0, t1, x_lo, x_hi = theta
     ends = t_grid[1:]
     run = np.flatnonzero((ends >= t0) & (ends <= t1))
     first, end = (int(run[0]), int(run[-1]) + 1) if run.size else (0, 0)
@@ -468,7 +422,7 @@ def _surface_sums(xts, x_grid):
     return s, ss
 
 
-def _one_pass(genspec: GeneratorSpec, theta: BoxIndicator, t_grid, x_grid, n_paths: int, fexpr=None, workers=1):
+def _one_pass(genspec: GeneratorSpec, theta: Box, t_grid, x_grid, n_paths: int, fexpr=None, workers=1):
     """(s, ss, terms, kink) over all n_paths: the surface sums from every
     path's X_t rows, the per-path rows stacked in path order.
 
@@ -495,7 +449,7 @@ class IdentityRun(NamedTuple):
 
 def run_identity(
     genspec: GeneratorSpec,
-    theta,
+    theta: Box,
     n_paths: int,
     n_t: int = 256,
     n_x: int = 64,
@@ -509,16 +463,15 @@ def run_identity(
     The surface sits on n_t + 1 times over [0, horizon] and n_x + 1 points
     spanning theta's x-range; the identity integrates over the n_x cells of
     that x-grid.  It needs n_paths >= 2: the identity's standard error, and
-    so its pass rule, is undefined for one path.  theta is a BoxIndicator
-    or a box expression; function is a functions.make_function expression,
-    which each pool task builds again for its kink LHS.
+    so its pass rule, is undefined for one path.  function is a
+    functions.make_function expression, which each pool task builds again
+    for its kink LHS.
     """
     f = make_function(function) if function else None
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for the identity's standard error, got {n_paths}")
-    theta = make_theta(theta)
     t_grid = np.linspace(0.0, genspec.horizon, n_t + 1)
-    x_grid = np.linspace(theta.box[2], theta.box[3], n_x + 1)
+    x_grid = np.linspace(theta.x_lo, theta.x_hi, n_x + 1)
     s, ss, terms, kink_lhs = _one_pass(genspec, theta, t_grid, x_grid, n_paths, function, workers)
     surface = CallSurface.from_sums(t_grid, x_grid, s, ss, n_paths)
     identity = occupation_identity_check(theta, terms, t_grid, x_grid, sigma_mult)

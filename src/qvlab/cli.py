@@ -18,12 +18,7 @@ failed write.
 Each command imports the layer modules it runs when it runs, and the module
 top imports only what resolving the config needs.  So a process loads only
 its own command's modules: where bytecode writing is off, every imported
-source line is compiled again on every run.  No module uses the standard
-library's data classes (PEP 557): their decorator execs generated methods
-for each class when its module is imported, 1.3 to 2.1 ms a class under
-Python 3.11, which cost each command 15 to 24 ms of its start-up.  A record
-is a typing.NamedTuple, or a plain class where it checks or converts its
-fields.
+source line is compiled again on every run.
 """
 
 from __future__ import annotations
@@ -153,13 +148,13 @@ def cmd_qv(cfg: ExperimentConfig, args) -> tuple:
         "generator": spec.kind,
         "n_paths": cfg.n_paths,
         "ucp_eps": cfg.ucp_eps,
-        "levels": list(median.levels),
-        "meshes": [float(m) for m in median.meshes],
+        "levels": list(per_path.levels),
+        "meshes": [float(m) for m in per_path.meshes],
         "exceedance_fraction": exceed,
         "final_t_median_full": [float(v) for v in median.full[:, -1]],
         "config": cfg.report_dict(),
     }
-    return {"covariation.csv": median.to_csv(), "summary.json": _json_text(summary)}.items(), True
+    return {"covariation.csv": per_path.to_csv(median), "summary.json": _json_text(summary)}.items(), True
 
 
 def _suite_files(cfg: ExperimentConfig, result, report: str, levels: str) -> tuple:
@@ -184,10 +179,11 @@ def _verdict_csv(verdict) -> str:
 
 def cmd_identity(cfg: ExperimentConfig, args) -> tuple:
     from . import call_surface as cs
+    from .generators import parse_box
 
     spec = cfg.generator_spec()
     run = cs.run_identity(
-        spec, cfg.theta, cfg.n_paths, n_t=cfg.n_t, n_x=cfg.n_x, function=cfg.function,
+        spec, parse_box(cfg.theta), cfg.n_paths, n_t=cfg.n_t, n_x=cfg.n_x, function=cfg.function,
         workers=cfg.workers, sigma_mult=cfg.sigma_mult,
     )
     mono = cs.monotonicity_check(run.surface, spec, sigma_mult=cfg.sigma_mult)

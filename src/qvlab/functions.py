@@ -8,22 +8,22 @@ derivatives exist and the true derivative wherever f is differentiable; the
 one-sided x-derivatives are declared next to it as its oracle.  A function
 crosses to a pool worker as its make_function expression (the suites'
 function and call_surface.run_identity's take one), which the worker builds
-again: its callables do not pickle.  make_function builds an expression
-from the name -> factory table _REGISTRY with generators.build, which says
-what it refuses.
+again: its callables do not pickle.  The identity's test function theta is
+no PathFunction: it is a generators.Box of its corners, which pickles as it
+is.  make_function builds an expression from the name -> factory table
+_REGISTRY with generators.build, which says what it refuses.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .generators import build
 
 
-class PathFunction:
+class PathFunction(NamedTuple):
     """f(t, x) with its analytic metadata.
 
     evaluate broadcasts over numpy arrays in x (and t).  dx_exact is the
@@ -33,21 +33,12 @@ class PathFunction:
     differentiability set; None means unknown.
     """
 
-    def __init__(
-        self,
-        evaluate: Callable,
-        dx_exact: Callable,
-        dx_left: Callable | None = None,
-        dx_right: Callable | None = None,
-        time_jumps: tuple = (),
-        nondiff_indicator: Callable | None = None,
-    ):
-        self.evaluate = evaluate
-        self.dx_exact = dx_exact
-        self.dx_left = dx_left
-        self.dx_right = dx_right
-        self.time_jumps = time_jumps
-        self.nondiff_indicator = nondiff_indicator
+    evaluate: Callable
+    dx_exact: Callable
+    dx_left: Callable | None = None
+    dx_right: Callable | None = None
+    time_jumps: tuple = ()
+    nondiff_indicator: Callable | None = None
 
     def __call__(self, t, x):
         return self.evaluate(t, x)
@@ -188,7 +179,7 @@ def _make_scaled_step(t1=0.5, phi="bump", c=0.0, w=1.0) -> PathFunction:
         dexact = lambda t, x: on(t) * _sign_limsup(x)
         nondiff = lambda t, x: (np.asarray(t) >= t1) & (np.asarray(x) == 0.0)
     else:
-        raise ConfigurationError(f"scaled_step: unknown profile {phi!r}")
+        raise ValueError(f"unknown profile {phi!r}")
 
     def ev(t, x):
         return np.where(np.asarray(t) >= t1, 1.0, 0.0) * prof(x)

@@ -70,8 +70,9 @@ Coefficients (sigma, b, sigma_of_x) and jump laws are named by config
 expressions, so specs stay picklable; a plain callable is also accepted as a
 coefficient.  Coefficients are called with a scalar t and an array x of the
 block's current states; a scalar return is broadcast across the rows.  build
-turns every expression, the functions' f and the box theta too, into its
-object, or refuses it with a ConfigurationError naming what it builds.
+turns every expression, the functions' f and the identity's theta too, into
+its object, or refuses it with a ConfigurationError naming what it builds:
+theta is a Box, the NamedTuple of its corners.
 """
 
 from __future__ import annotations
@@ -155,7 +156,8 @@ def _parse_value(s: str):
 def build(expr, registry: dict, what: str):
     """registry[name](*args, **kwargs) for expr = 'name(args)'.  A non-string,
     an unknown name, a non-finite number, or a TypeError or ValueError from
-    the factory is a ConfigurationError that names `what`."""
+    the factory is a ConfigurationError that names `what`; a reason that
+    names the factory, as Python's argument errors do, names `name()`."""
     if not isinstance(expr, str):
         raise ConfigurationError(f"{what} must be an expression, got {expr!r}")
     name, args, kwargs = parse_expression(expr)
@@ -163,25 +165,64 @@ def build(expr, registry: dict, what: str):
         raise ConfigurationError(f"unknown {what} {name!r}")
     if not all(math.isfinite(v) for v in (*args, *kwargs.values()) if isinstance(v, float)):
         raise ConfigurationError(f"bad {what} {expr!r}: arguments must be finite")
+    factory = registry[name]
     try:
-        return registry[name](*args, **kwargs)
+        return factory(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad {what} {expr!r}: {exc}") from None
+        reason = str(exc).replace(f"{factory.__qualname__}()", f"{name}()")
+        raise ConfigurationError(f"bad {what} {expr!r}: {reason}") from None
 
 
-def box(t0, t1, x_lo, x_hi) -> tuple:
-    """The corners as floats; ValueError unless t0 <= t1 and x_lo < x_hi."""
-    t0, t1, x_lo, x_hi = corners = tuple(map(float, (t0, t1, x_lo, x_hi)))
-    if t0 > t1:
+class Box(NamedTuple):
+    """theta = 1 on [t0, t1] x [x_lo, x_hi]; box() checks the corners."""
+
+    t0: float
+    t1: float
+    x_lo: float
+    x_hi: float
+
+    def __call__(self, t, x):
+        t0, t1, lo, hi = self
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        return ((t >= t0) & (t <= t1) & (x >= lo) & (x <= hi)).astype(float)
+
+    def integral_to(self, t, z):
+        t0, t1, lo, hi = self
+        t = np.asarray(t, dtype=float)
+        z = np.asarray(z, dtype=float)
+        inside = (t >= t0) & (t <= t1)
+        return np.where(inside, np.clip(z, lo, hi) - lo, 0.0)
+
+    def hinge_integral(self, t, a, b, xt):
+        """Oriented int_a^b (xt - x) theta(t, x) dx, exact for the box."""
+        t0, t1, lo, hi = self
+        if not (t0 <= t <= t1):
+            return 0.0
+        sign = 1.0
+        if b < a:
+            a, b, sign = b, a, -1.0
+        a = max(a, lo)
+        b = min(b, hi)
+        if b <= a:
+            return 0.0
+        # int_a^b (xt - x) dx
+        return sign * (xt * (b - a) - 0.5 * (b * b - a * a))
+
+
+def box(t0, t1, x_lo, x_hi) -> Box:
+    """The Box of float corners; ValueError unless t0 <= t1 and x_lo < x_hi."""
+    theta = Box(*map(float, (t0, t1, x_lo, x_hi)))
+    if theta.t0 > theta.t1:
         raise ValueError("box needs t0 <= t1")
-    if not x_lo < x_hi:
+    if not theta.x_lo < theta.x_hi:
         raise ValueError("box needs x_lo < x_hi")
-    return corners
+    return theta
 
 
-def parse_box(expr: str) -> tuple:
-    """The corners (t0, t1, x_lo, x_hi) of 'box(t0, t1, x_lo, x_hi)', each
-    given once, by position or by keyword; build says what it refuses."""
+def parse_box(expr: str) -> Box:
+    """The Box of 'box(t0, t1, x_lo, x_hi)', each corner given once, by
+    position or by keyword; build says what it refuses."""
     return build(expr, {"box": box}, "theta")
 
 
@@ -330,8 +371,9 @@ class GeneratorSpec(NamedTuple):
     def grid(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
 
-    def mean_drift_variation(self, t: float):
-        """E int_0^t |dA| for the model's martingale + drift split, or None.
+    def mean_drift_variation(self, t):
+        """E int_0^t |dA| for the model's martingale + drift split, at a time
+        or an array of times, or None.
 
         dA/dt is drift_rate's b + rate * E[J], with b = 0 for brownian and
         compound_poisson; the Euler kinds need b = const(c), else None.

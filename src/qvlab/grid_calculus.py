@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .call_surface import BoxIndicator
 from .functions import PathFunction, make_function
+from .generators import Box
 
 
 class GridFunction2D:
@@ -126,7 +126,7 @@ def symmetric_difference(values: np.ndarray, m: int, a: float) -> np.ndarray:
 
 
 def symmetric_difference_trace(
-    f: GridFunction2D, g: GridFunction2D, theta: BoxIndicator, shifts_cells
+    f: GridFunction2D, g: GridFunction2D, theta: Box, shifts_cells
 ) -> np.ndarray:
     """The paired symmetric-difference quantity at each ladder width.
 
@@ -138,7 +138,7 @@ def symmetric_difference_trace(
     """
     if f.values.shape != g.values.shape:
         raise ValueError("f and g must share grids")
-    t0, t1, x_lo, x_hi = theta.box
+    t0, t1, x_lo, x_hi = theta
     max_m = max(abs(int(m)) for m in shifts_cells)
     if x_lo - max_m * f.dx < f.x_grid[0] or x_hi + max_m * f.dx > f.x_grid[-1]:
         raise ValueError("theta support too close to the grid border for the widest shift")
@@ -213,7 +213,7 @@ def _trace_corpus() -> tuple:
     n_x = 32769
     x_grid = np.linspace(-4.0, 4.0, n_x)
     t_grid = np.linspace(0.0, 1.0, 5)
-    theta = BoxIndicator(0.0, 1.0, -2.5, 2.5)
+    theta = Box(0.0, 1.0, -2.5, 2.5)
     shifts = [2 ** k for k in range(11, -1, -1)]
 
     gauss = np.exp(-0.5 * x_grid**2)

@@ -206,7 +206,7 @@ def test_covariation_ladder_report(brownian_200_l12):
     for name in ("full", "jumps", "zcqv"):
         assert np.array_equal(getattr(med, name), np.broadcast_to(getattr(rep, name), (1, 5, 17))[0]), name
     assert np.array_equal(med.continuous_part, (rep.full - rep.jumps[:, None])[0])
-    lines = med.to_csv().splitlines()
+    lines = rep.to_csv(med).splitlines()
     assert lines[0] == "level,mesh,t,full_sum,jump_sum,continuous_part,zcqv_stat"
     assert len(lines) == 1 + 5 * 17
     last = (repr(float(getattr(med, name)[-1, -1])) for name in ("full", "jumps", "continuous_part", "zcqv"))

@@ -8,13 +8,11 @@ import pytest
 from scipy import integrate, stats
 
 from qvlab.call_surface import (
-    BoxIndicator,
     CallSurface,
     _one_pass,
     _surface_sums,
     convexity_defect,
     kink_identity_check,
-    make_theta,
     monotonicity_check,
     occupation_identity_check,
     run_identity,
@@ -22,7 +20,7 @@ from qvlab.call_surface import (
 from qvlab.cli import main
 from qvlab.errors import ConfigurationError
 from qvlab.functions import make_function
-from qvlab.generators import GeneratorSpec, generate, make_coefficient, make_jump_law, make_path
+from qvlab.generators import Box, GeneratorSpec, generate, make_coefficient, make_jump_law, make_path, parse_box
 from qvlab.paths import PathEnsemble
 
 from conftest import jump_times, left_limit, value_at
@@ -30,12 +28,11 @@ from conftest import jump_times, left_limit, value_at
 
 def _surface(spec, n_paths, n_t, x_lo, x_hi, n_x):
     """Surface on n_t + 1 times over [0, horizon] and n_x + 1 points over [x_lo, x_hi]."""
-    theta = f"box(0.0, {spec.horizon!r}, {x_lo!r}, {x_hi!r})"
-    return run_identity(spec, theta, n_paths, n_t=n_t, n_x=n_x).surface
+    return run_identity(spec, Box(0.0, spec.horizon, x_lo, x_hi), n_paths, n_t=n_t, n_x=n_x).surface
 
 
 def _identity(spec, theta, **kw):
-    return run_identity(spec, theta, **kw).identity
+    return run_identity(spec, parse_box(theta), **kw).identity
 
 
 def test_deterministic_path_surface_exact():
@@ -196,7 +193,7 @@ def test_identity_refinement_stability():
 
 def test_kink_identity_abs_and_square(brownian_200_l12):
     spec = GeneratorSpec(kind="brownian", n_steps=4096, seed=12345)
-    theta = "box(0.0, 1.0, -2.0, 2.0)"  # its 65-point x-grid contains the kink column x = 0
+    theta = Box(0.0, 1.0, -2.0, 2.0)  # its 65-point x-grid contains the kink column x = 0
     rep = run_identity(spec, theta, 2000, n_t=64, n_x=64, function="abs").kink
     assert not rep.skipped and rep.passed
     assert rep.lhs <= rep.lhs_budget + 1e-15
@@ -210,21 +207,37 @@ def test_kink_identity_skipped_without_metadata():
 
     bare = PathFunction(evaluate=lambda t, x: 0.0 * np.asarray(x), dx_exact=lambda t, x: 0.0 * np.asarray(x))
     spec = GeneratorSpec(kind="brownian", n_steps=64, seed=2)
-    run = run_identity(spec, "box(0.0, 1.0, -1.0, 1.0)", 16, n_t=4, n_x=8)
+    run = run_identity(spec, Box(0.0, 1.0, -1.0, 1.0), 16, n_t=4, n_x=8)
     assert run.kink is None
     rep = kink_identity_check(spec, bare, run.surface, np.zeros(16))
     assert rep.skipped
 
 
+@pytest.mark.parametrize("fexpr", ["abs", "moving_kink(k_jump=0.5, k_size=0.5)", "scaled_step(t1=0.5, phi=abs)"])
+def test_kink_columns_are_the_kink_set_at_any_t(fexpr):
+    # the RHS sums |dC| over the x-grid columns on the kink set at some t of
+    # the surface grid, found here t by t; the moving kink has two columns
+    spec = GeneratorSpec(kind="brownian", n_steps=64, seed=3)
+    surface = run_identity(spec, Box(0.0, 1.0, -1.0, 1.0), 50, n_t=8, n_x=8).surface
+    f = make_function(fexpr)
+    cols = np.zeros(surface.x_grid.size, dtype=bool)
+    for t in surface.t_grid:
+        cols |= np.asarray(f.nondiff_indicator(t, surface.x_grid), dtype=bool)
+    assert cols.sum() == (2 if fexpr.startswith("moving_kink") else 1)
+    dx = float(surface.x_grid[1] - surface.x_grid[0])
+    want = 2.0 * dx * float(np.sum(np.abs(np.diff(surface.values, axis=0))[:, cols]))
+    assert kink_identity_check(spec, f, surface, np.zeros(50)).rhs == want
+
+
 def test_make_theta_validation():
-    th = make_theta("box(0, 1, -1, 1)")
-    assert th.box == (0.0, 1.0, -1.0, 1.0)
+    th = parse_box("box(0, 1, -1, 1)")
+    assert th == Box(0.0, 1.0, -1.0, 1.0) and all(type(c) is float for c in th)
     assert float(th(0.5, 0.0)) == 1.0 and float(th(0.5, 2.0)) == 0.0
     assert float(th.integral_to(0.5, 0.25)) == 1.25
     with pytest.raises(ValueError):
-        make_theta("blob(0, 1)")
-    assert make_theta("box(x_hi=1, x_lo=-1, t0=0, t1=1)").box == th.box
-    assert make_theta("box(0.5, 0.5, -1, 1)").box == (0.5, 0.5, -1.0, 1.0)
+        parse_box("blob(0, 1)")
+    assert parse_box("box(x_hi=1, x_lo=-1, t0=0, t1=1)") == th
+    assert parse_box("box(0.5, 0.5, -1, 1)") == (0.5, 0.5, -1.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -242,7 +255,7 @@ def test_make_theta_validation():
 )
 def test_make_theta_refuses_malformed_boxes(expr, reason):
     with pytest.raises(ConfigurationError, match=reason):
-        make_theta(expr)
+        parse_box(expr)
 
 
 def test_empty_ensemble_rejected():
@@ -250,7 +263,7 @@ def test_empty_ensemble_rejected():
         PathEnsemble(times=np.linspace(0, 1, 3), values=np.empty((0, 3)), marks=np.empty((0, 3), bool))
     spec = GeneratorSpec(kind="brownian", n_steps=8, seed=0)
     with pytest.raises(ValueError):
-        run_identity(spec, "box(0.0, 1.0, -1.0, 1.0)", 0, n_t=2, n_x=2)
+        run_identity(spec, Box(0.0, 1.0, -1.0, 1.0), 0, n_t=2, n_x=2)
 
 
 @pytest.mark.parametrize("n_paths", [0, -3, 1])
@@ -258,7 +271,7 @@ def test_identity_rejects_bad_path_count(n_paths, tmp_path):
     # one path has no standard error: its identity would pass by construction
     spec = GeneratorSpec(kind="brownian", n_steps=8, seed=0)
     with pytest.raises(ValueError, match="n_paths must be >= 2"):
-        run_identity(spec, "box(0.0, 1.0, -1.0, 1.0)", n_paths, n_t=2, n_x=2, function="abs")
+        run_identity(spec, Box(0.0, 1.0, -1.0, 1.0), n_paths, n_t=2, n_x=2, function="abs")
     assert main(["identity", "--paths", str(n_paths), "--out", str(tmp_path / "o")]) == 2
 
 
@@ -266,7 +279,7 @@ def test_box_between_t_grid_points_has_zero_lhs():
     # no t_{i+1} of the 4-cell grid lies in [0.3, 0.45]: every path's LHS is
     # the empty sum
     spec = GeneratorSpec(kind="brownian", n_steps=64, seed=5)
-    theta = BoxIndicator(0.3, 0.45, -1.0, 1.0)
+    theta = Box(0.3, 0.45, -1.0, 1.0)
     t_grid, x_grid = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 1.0, 9)
     terms = _one_pass(spec, theta, t_grid, x_grid, 20)[2]
     assert np.all(terms[:, 0] == 0.0)
@@ -276,7 +289,7 @@ def test_box_between_t_grid_points_has_zero_lhs():
 def test_identity_checks_reject_one_row():
     # one row: LHS 5.0 against RHS 1.0 would pass on an infinite stderr, and
     # the kink LHS on a zero budget spread
-    theta = make_theta("box(0.0, 1.0, -1.0, 1.0)")
+    theta = Box(0.0, 1.0, -1.0, 1.0)
     t_grid, x_grid = np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 3)
     with pytest.raises(ValueError, match="occupation identity needs >= 2 paths"):
         occupation_identity_check(theta, np.array([[5.0, 1.0, 0.0, 0.0, 1.0, 0.0]]), t_grid, x_grid)
@@ -313,7 +326,7 @@ def _oracle_model_cells(genspec, path, t_grid):
 def _box_run(theta, t_grid, x_centers):
     """(a, b, J): the cells i in [a, b) whose right end is in theta's
     t-range, and the midpoints in its x-range; (0, 0) when no end is."""
-    t0, t1, lo, hi = theta.box
+    t0, t1, lo, hi = theta
     cells = [i for i, t in enumerate(t_grid[1:]) if t0 <= t <= t1]
     a, b = (cells[0], cells[-1] + 1) if cells else (0, 0)
     return a, b, np.array([c for c in x_centers if lo <= c <= hi])
@@ -413,7 +426,7 @@ def test_one_pass_matches_per_path_loops_bitwise(kind, n_paths, workers):
     # identity terms and kink LHS match the per-path loops bit for bit; the
     # surface sums are checked against exact rational sums
     spec = _ORACLE_SPECS[kind]
-    theta = BoxIndicator(0.25, 0.75, -0.5, 1.0)
+    theta = Box(0.25, 0.75, -0.5, 1.0)
     t_grid = np.linspace(0.0, spec.horizon, 33)
     x_grid = np.linspace(-0.5, 1.0, 17)
     s, ss, terms, kink = _one_pass(spec, theta, t_grid, x_grid, n_paths, "abs", workers=workers)
@@ -433,7 +446,7 @@ def test_telescoped_lhs_within_4_ulps_of_the_exact_double_sum():
     # hinge(t_i)), in rationals over the same float hinges, against the pass's
     # telescoped LHS, on a box with interior t- and x-edges
     spec = _ORACLE_SPECS["jump_diffusion"]
-    theta = BoxIndicator(0.25, 0.75, -0.5, 1.0)
+    theta = Box(0.25, 0.75, -0.5, 1.0)
     t_grid = np.linspace(0.0, spec.horizon, 33)
     x_grid = np.linspace(-1.0, 1.5, 21)
     x_centers = 0.5 * (x_grid[:-1] + x_grid[1:])
@@ -451,7 +464,7 @@ def test_telescoped_lhs_within_4_ulps_of_the_exact_double_sum():
 
 def test_run_identity_reports_are_functions_of_the_pass():
     spec = _ORACLE_SPECS["jump_diffusion"]
-    theta = BoxIndicator(0.0, 1.0, -1.0, 1.0)
+    theta = Box(0.0, 1.0, -1.0, 1.0)
     run = run_identity(spec, theta, 130, n_t=32, n_x=16, function="abs", workers=2)
     t_grid = np.linspace(0.0, spec.horizon, 33)
     x_grid = np.linspace(-1.0, 1.0, 17)

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from qvlab import call_surface, decomposition, generators
-from qvlab.call_surface import BoxIndicator
 from qvlab.cli import main
 from qvlab.config import ExperimentConfig, apply_overrides, load_config
 from qvlab.errors import ConfigurationError
 from qvlab.functions import _REGISTRY
-from qvlab.generators import GeneratorSpec, generate, make_path
+from qvlab.generators import Box, GeneratorSpec, generate, make_path
 
 
 def run_cli(args, env_extra=None):
@@ -124,18 +123,18 @@ def test_configs_do_not_share_a_generator_mapping():
     [
         GeneratorSpec(kind="jump_diffusion", n_steps=64, jump_rate=2.0, seed=3),
         ExperimentConfig(generator={"kind": "jump_diffusion", "jump_rate": 2.0}, seed=9, function="relu", n_paths=7),
-        BoxIndicator(0.0, 0.5, -1.0, 2.0),
+        ExperimentConfig(),
+        Box(0.0, 0.5, -1.0, 2.0),
     ],
-    ids=["GeneratorSpec", "ExperimentConfig", "BoxIndicator"],
+    ids=["GeneratorSpec", "ExperimentConfig", "default_ExperimentConfig", "Box"],
 )
 def test_worker_records_survive_pickling(record):
     # what a --workers 2 pool sends each block task.  A config holds a dict,
-    # so it compares by equality only; a box compares by its corners
+    # so it compares by equality only; the default config's dict is the
+    # fresh {} that ExperimentConfig puts in place of its default
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is type(record)
-    if isinstance(record, BoxIndicator):
-        assert copy.box == record.box
-    elif isinstance(record, ExperimentConfig):
+    if isinstance(record, ExperimentConfig):
         assert copy == record
     else:
         assert copy == record and hash(copy) == hash(record)

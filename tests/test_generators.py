@@ -310,22 +310,27 @@ def test_jump_law_rejects_keywords_and_extra_arguments(expr):
 
 
 @pytest.mark.parametrize(
-    "make, what, unknown, nan, extra",
+    "make, what, unknown, nan, refused",
     [
-        (make_coefficient, "coefficient", "nope(1)", "linear(0.0, nan)", "const(1.0, 2.0)"),
-        (make_jump_law, "jump_law", "nope(1)", "normal(0.0, nan)", "const(1.0, 2.0)"),
-        (make_function, "function", "mystery(1.0)", "relu(k=nan)", "abs(1.0)"),
-        (parse_box, "theta", "blob(0, 1)", "box(0, 1, -1, nan)", "box(0, 1, -1, 1, 2)"),
+        (make_coefficient, "coefficient", "nope(1)", "linear(0.0, nan)",
+         {"const(1.0, 2.0)": "const() takes", "step(1.0, 2.0, z=3)": "step() got an unexpected keyword"}),
+        (make_jump_law, "jump_law", "nope(1)", "normal(0.0, nan)",
+         {"const(1.0, 2.0)": "const() takes", "normal(mu=5.0)": "normal() got some positional-only"}),
+        (make_function, "function", "mystery(1.0)", "relu(k=nan)",
+         {"abs(1.0)": "abs() takes", "relu(j=1)": "relu() got an unexpected keyword",
+          "moving_kink(k=1)": "moving_kink() got an unexpected keyword",
+          "scaled_step(phi=foo)": "unknown profile 'foo'"}),
+        (parse_box, "theta", "blob(0, 1)", "box(0, 1, -1, nan)", {"box(0, 1, -1, 1, 2)": "box() takes"}),
     ],
     ids=["coefficient", "jump_law", "function", "theta"],
 )
-def test_every_expression_is_refused_by_one_rule(make, what, unknown, nan, extra):
-    # the message names what was being built; only the factory's own
-    # reason for refusing an extra argument varies
+def test_every_expression_is_refused_by_one_rule(make, what, unknown, nan, refused):
+    # the message names what was being built and, where Python's argument
+    # binding refuses, the expression's name, not its factory's
     cases = [
         (unknown, re.escape(f"unknown {what} {unknown.split('(')[0]!r}") + "$"),
         (nan, re.escape(f"bad {what} {nan!r}: arguments must be finite") + "$"),
-        (extra, re.escape(f"bad {what} {extra!r}: ") + r"\S"),
+        *((expr, re.escape(f"bad {what} {expr!r}: {reason}")) for expr, reason in refused.items()),
         (3, re.escape(f"{what} must be an expression, got 3") + "$"),
     ]
     for expr, pattern in cases:
@@ -345,6 +350,12 @@ def test_mean_drift_variation():
     # the drift is b + rate * E[J] = 0.5 + 2 * (-0.25): no drift at all
     jd = GeneratorSpec(kind="jump_diffusion", b="const(0.5)", jump_rate=2.0, jump_law="const(-0.25)")
     assert jd.mean_drift_variation(1.0) == 0.0
+    # an array of times gives each time's value, bit for bit
+    ts = np.linspace(0.0, 1.0, 257)
+    for spec in (cp2, drift):
+        want = np.array([spec.mean_drift_variation(float(t)) for t in ts])
+        assert spec.mean_drift_variation(ts).tobytes() == want.tobytes()
+    assert GeneratorSpec(kind="euler_sde", b="linear(0,1)").mean_drift_variation(ts) is None
 
 
 def test_invalid_specs_rejected():

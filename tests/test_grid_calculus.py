@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qvlab.call_surface import BoxIndicator
 from qvlab.functions import make_function
+from qvlab.generators import Box
 from qvlab.grid_calculus import (
     GridFunction2D,
     ibp_residual,
@@ -111,7 +111,7 @@ def test_trace_smooth_pair_decays_linearly():
     f = GridFunction2D(t_grid=t, x_grid=x, values=np.tile(np.exp(-0.5 * x**2), (5, 1)))
     g_vals = np.where(t[:, None] >= 0.5, 1.0, 0.0) * np.exp(-0.5 * (x - 0.5) ** 2)[None, :]
     g = GridFunction2D(t_grid=t, x_grid=x, values=g_vals)
-    theta = BoxIndicator(0.0, 1.0, -2.5, 2.5)
+    theta = Box(0.0, 1.0, -2.5, 2.5)
     shifts = [256, 128, 64, 32, 16, 8, 4, 2]
     tr = symmetric_difference_trace(f, g, theta, shifts)
     assert np.all(np.abs(tr[1:]) <= np.abs(tr[:-1]))
@@ -128,7 +128,7 @@ def test_trace_kink_pair_exactly_zero_once_separated():
     off = make_function("bump(c=0.4, w=0.25)")
     g_vals = np.where(t[:, None] >= 0.5, 1.0, 0.0) * np.asarray(off(0.0, x))[None, :]
     g = GridFunction2D(t_grid=t, x_grid=x, values=g_vals)
-    theta = BoxIndicator(0.0, 1.0, -2.0, 2.0)
+    theta = Box(0.0, 1.0, -2.0, 2.0)
     shifts = [512, 256, 128, 64, 32]  # widths 1.0 down to 0.0625
     tr = symmetric_difference_trace(f, g, theta, shifts)
     assert tr[0] > 0.0  # wide difference reaches across the gap
@@ -142,7 +142,7 @@ def test_trace_zero_theta():
     t, x = _grid(5, 129)
     f = GridFunction2D(t_grid=t, x_grid=x, values=np.tile(np.abs(x), (5, 1)))
     g = GridFunction2D(t_grid=t, x_grid=x, values=np.tile(x**2, (5, 1)))
-    theta = BoxIndicator(0.0, 1.0, 0.0, 0.0)  # degenerate box
+    theta = Box(0.0, 1.0, 0.0, 0.0)  # degenerate box
     tr = symmetric_difference_trace(f, g, theta, [4, 2])
     assert np.all(tr == 0.0)
 
@@ -150,7 +150,7 @@ def test_trace_zero_theta():
 def test_trace_support_guard():
     t, x = _grid(3, 65)
     f = GridFunction2D(t_grid=t, x_grid=x, values=np.zeros((3, 65)))
-    theta = BoxIndicator(0.0, 1.0, -2.0, 2.0)  # touches the border
+    theta = Box(0.0, 1.0, -2.0, 2.0)  # touches the border
     with pytest.raises(ValueError, match="border"):
         symmetric_difference_trace(f, f, theta, [8])
 

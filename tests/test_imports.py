@@ -64,6 +64,10 @@ def test_bare_import_loads_no_layer():
         # numpy's percentile imports numpy.ma through np.unique
         (["suite", "moving_kink_jump"], {"qvlab.call_surface", "qvlab.grid_calculus", "numpy.ma"}),
         (["simulate"], {"qvlab.calculus", "qvlab.decomposition", "qvlab.call_surface", "qvlab.grid_calculus"}),
+        # the trace box is a generators.Box, so the appendix loads no pass
+        (["appendix"], {"qvlab.call_surface", "qvlab.calculus", "qvlab.decomposition", "qvlab.partitions",
+                        "qvlab._kernels", "qvlab._parallel"}),
+        (["decompose"], {"qvlab.call_surface", "qvlab.grid_calculus", "numpy.ma"}),
     ],
 )
 def test_command_loads_only_its_modules(tmp_path, command, absent):
