@@ -12,8 +12,12 @@ fails, or a later block raises while files are being written, the writer
 unlinks the files the run has written and removes the output directory if
 the run made it, though a file it overwrote before the failure is not
 restored.  Exit status is 0 only when every asserted check passes (expected
-failures count as passing when they fail as expected), 2 on bad input or a
-failed write.
+failures count as passing when they fail as expected), 1 when one fails, 2 on
+bad input or a failed write.
+
+main() returns that status.  The qvlab command runs entry(), which calls
+main(), flushes stdio and exits with os._exit: the outputs are closed and any
+pool is joined by then, so interpreter teardown is skipped.
 
 Each command imports the layer modules it runs when it runs, and the module
 top imports only what resolving the config needs.  So a process loads only
@@ -264,5 +268,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> None:
+    """The qvlab command: main(), then exit without interpreter teardown."""
+    rc = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(rc)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entry()

@@ -115,7 +115,7 @@ class ExperimentConfig(_Fields):
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         unknown = set(data) - set(cls._fields)
         if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigurationError(f"unknown config keys: {sorted(unknown, key=repr)}")
         data = dict(data)
         if isinstance(data.get("formats"), list):
             data["formats"] = tuple(data["formats"])

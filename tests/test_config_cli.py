@@ -166,6 +166,15 @@ def test_flag_precedence_over_file(tmp_path):
     assert cfg.n_paths == 9 and cfg.seed == 1
 
 
+def test_config_keys_of_mixed_types_exit_2_naming_them(tmp_path, capsys):
+    cfg = tmp_path / "mixed.yaml"
+    cfg.write_text("1: 2\nwat: 3\n")
+    out = tmp_path / "out"
+    assert main(["qv", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: ['wat', 1]\n"
+    assert not out.exists()
+
+
 def test_malformed_config_no_outputs(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
