@@ -293,11 +293,10 @@ def suites(cfg: ExperimentConfig) -> dict:
 def _run(name: str, suite: Suite, cfg: ExperimentConfig) -> SuiteResult:
     """suite over cfg's paths, a block per pool task, and its verdict."""
     spec = suite.specs[0]
+    ladder = RefinementLadder(spec.grid(), cfg.l_min, cfg.l_max)
     parts = map_chunked(_block, cfg.n_paths, block_rows(spec.n_steps), cfg.workers, (suite, cfg))
     stats, *extras = (np.concatenate(p) for p in zip(*parts))
-    levels = tuple(range(cfg.l_min, cfg.l_max + 1))
-    meshes = tuple(spec.horizon * 2.0 ** -float(lv) for lv in levels)
-    verdict = summarize_zcqv(stats, levels, meshes, cfg.pass_fraction)
+    verdict = summarize_zcqv(stats, [lev.level for lev in ladder], ladder.meshes, cfg.pass_fraction)
     details = {"generator": suite.sep.join(s.kind for s in suite.specs), "function": suite.function}
     details.update(suite.details(*extras))
     return SuiteResult(name=name, verdict=verdict, expected_pass=suite.expected_pass, details=details)

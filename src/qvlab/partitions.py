@@ -14,6 +14,7 @@ the first grid time at or after it, which puts it in the cell whose
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 
 class Level(NamedTuple):
     """One level of a ladder: its cut columns as a slice and as indices, its
-    cut times (a view of the grid) and its mesh, the widest cell."""
+    cut times (a view of the grid) and its mesh, horizon * 2^-level."""
 
     level: int
     cut: slice
@@ -56,7 +57,7 @@ class RefinementLadder:
                 raise ValueError(f"grid with {n_steps} steps is not divisible into 2^{level} cells")
             cut = slice(0, n_steps + 1, n_steps >> level)
             cut_times = times[cut]
-            levels.append(Level(level, cut, columns[cut], cut_times, float(np.max(np.diff(cut_times)))))
+            levels.append(Level(level, cut, columns[cut], cut_times, math.ldexp(float(times[-1]), -level)))
         self.times = times
         self.levels = tuple(levels)
 

@@ -1,8 +1,12 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qvlab.calculus import cell_sums, jump_grid
+from qvlab.cli import main
 from qvlab.config import ExperimentConfig
 from qvlab.decomposition import _block, _common_columns, decompose_block, suites
 from qvlab.functions import make_function
@@ -40,6 +44,18 @@ def test_dyadic_mesh_halves_exactly():
     ladder = RefinementLadder(GRID, 0, 10)
     for a, b in zip(ladder.meshes, ladder.meshes[1:]):
         assert a == 2.0 * b
+
+
+def test_qv_and_the_suites_report_one_mesh_per_level(tmp_path):
+    # at horizon 0.1 the widest cell of level 6's cut times is
+    # 0.0015625000000000083; both commands report horizon * 2^-level
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"generator": {"kind": "brownian", "n_steps": 4096, "horizon": 0.1}, "n_paths": 2}))
+    assert main(["qv", "--config", str(cfg), "--out", str(tmp_path / "qv")]) == 0
+    assert main(["suite", "negative_control", "--config", str(cfg), "--out", str(tmp_path / "nc")]) in (0, 1)
+    qv = json.loads((tmp_path / "qv" / "summary.json").read_text())["meshes"]
+    suite = json.loads((tmp_path / "nc" / "suite_negative_control.json").read_text())["verdict"]["levels"]
+    assert qv == [lev["mesh"] for lev in suite] == [math.ldexp(0.1, -lv) for lv in range(6, 13)]
 
 
 def test_dyadic_on_grid_alignment():
