@@ -471,6 +471,8 @@ def run_identity(
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for the identity's standard error, got {n_paths}")
     t_grid = np.linspace(0.0, genspec.horizon, n_t + 1)
+    if not ((t_grid[1:] >= theta.t0) & (t_grid[1:] <= theta.t1)).any():
+        raise ValueError(f"theta's [t0, t1] = [{theta.t0}, {theta.t1}] holds no right end of the {n_t} t-cells")
     x_grid = np.linspace(theta.x_lo, theta.x_hi, n_x + 1)
     s, ss, terms, kink_lhs = _one_pass(genspec, theta, t_grid, x_grid, n_paths, function, workers)
     surface = CallSurface.from_sums(t_grid, x_grid, s, ss, n_paths)

@@ -277,13 +277,26 @@ def test_identity_rejects_bad_path_count(n_paths, tmp_path):
 
 def test_box_between_t_grid_points_has_zero_lhs():
     # no t_{i+1} of the 4-cell grid lies in [0.3, 0.45]: every path's LHS is
-    # the empty sum
+    # the empty sum, so the identity refuses the box
     spec = GeneratorSpec(kind="brownian", n_steps=64, seed=5)
     theta = Box(0.3, 0.45, -1.0, 1.0)
     t_grid, x_grid = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 1.0, 9)
     terms = _one_pass(spec, theta, t_grid, x_grid, 20)[2]
     assert np.all(terms[:, 0] == 0.0)
-    assert run_identity(spec, theta, 20, n_t=4, n_x=8).identity.lhs == 0.0
+    with pytest.raises(ValueError, match=r"theta's \[t0, t1\] = \[0.3, 0.45\] holds no right end of the 4 t-cells"):
+        run_identity(spec, theta, 20, n_t=4, n_x=8)
+
+
+@pytest.mark.parametrize("theta", ["box(2.0, 3.0, -1.0, 1.0)", "box(0.3, 0.3, -1.0, 1.0)"])
+def test_a_box_with_no_t_cell_exits_2_naming_theta(theta, tmp_path, capsys):
+    # past the horizon, or one time between the default grid's 256 cell ends:
+    # both sides of the identity would be empty sums, and pass
+    cfg = tmp_path / "box.json"
+    cfg.write_text(json.dumps({"theta": theta, "n_paths": 2}))
+    out = tmp_path / "o"
+    assert main(["identity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: theta's [t0, t1]")
+    assert not out.exists()
 
 
 def test_identity_checks_reject_one_row():
