@@ -25,7 +25,6 @@ _FRESH_DICT = object()
 
 
 class _Fields(NamedTuple):
-    experiment: str = "tanaka"
     generator: dict = _FRESH_DICT
     function: str = "abs"
     theta: str = "box(0.0, 1.0, -1.0, 1.0)"
@@ -71,7 +70,7 @@ class ExperimentConfig(_Fields):
             ints=("l_min", "l_max", "n_paths", "seed", "n_t", "n_x", "workers"),
             reals=("jump_threshold", "pass_fraction", "sigma_mult", "ucp_eps"),
         )
-        for name in ("experiment", "function", "theta", "out_dir"):
+        for name in ("function", "theta", "out_dir"):
             value = getattr(self, name)
             if not (isinstance(value, str) or (name == "function" and value is None)):
                 raise ConfigurationError(f"{name} must be a string, got {value!r}")

@@ -58,27 +58,15 @@ def _eta(f: PathFunction, t: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.asarray(f.dx_exact(t, states), dtype=float)
 
 
-def _kink_mass(f: PathFunction, cuts, xv) -> np.ndarray:
-    """Per row: sum of (dX)^2 over the cells whose right end is on f's kink set."""
-    if f.nondiff_indicator is None:
-        return np.full(len(xv), np.nan)
-    rows, k = np.nonzero(np.asarray(f.nondiff_indicator(cuts[1:], xv[:, 1:]), dtype=bool))
-    dxsq = (xv[rows, k + 1] - xv[rows, k]) ** 2
-    bounds = np.searchsorted(rows, np.arange(len(xv) + 1))
-    return np.array([float(np.sum(dxsq[a:b])) for a, b in zip(bounds[:-1], bounds[1:])])
-
-
-def decompose_block(f: PathFunction, ens: PathEnsemble) -> tuple:
-    """(V, kink masses) for every path of the block, on the path grid.
-
-    V is (n, n_grid); row r has the same bits as a one-row block of path r.
-    """
+def decompose_block(f: PathFunction, ens: PathEnsemble) -> np.ndarray:
+    """V for every path of the block, on the path grid: (n, n_grid); row r
+    has the same bits as a one-row block of path r."""
     times, values = ens.times, ens.values
     v = calculus.ito_rows(values, lambda a, b: _eta(f, times[:-1], _integrand_states(values, ens.marks, a, b)))
     step = max(1, _kernels.CELLS // times.size)
     for a in range(0, len(v), step):
         np.subtract(f(times, values[a : a + step]), v[a : a + step], out=v[a : a + step])
-    return v, _kink_mass(f, times, values)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +220,18 @@ def _jumps(blocks, cfg: ExperimentConfig) -> np.ndarray:
 
 def _decomposed(blocks, ladder, suite: Suite, cfg: ExperimentConfig) -> tuple:
     """V's statistic per level, with S = each path's marked jumps, f's time
-    jumps and the suite's extra times; then each path's kink mass and final
-    V: (paths, n_levels), (paths,) and (paths,)."""
+    jumps and the suite's extra times, then each path's final V:
+    (paths, n_levels) and (paths,)."""
     (ens,) = blocks
     f = make_function(suite.function)
     common = _common_columns(ladder.times, f.time_jumps + suite.extra_s)
-    v, kink = decompose_block(f, ens)
+    v = decompose_block(f, ens)
     _require_finite(v, "V")
-    return calculus.zcqv_ladder(v, ladder, ens.horizon, ens.marks | common), kink, v[:, -1].copy()
+    return calculus.zcqv_ladder(v, ladder, ens.horizon, ens.marks | common), v[:, -1].copy()
 
 
-def _decomposed_details(kink, final_v) -> dict:
-    return {"median_kink_qv_mass": float(calculus.path_median(kink)[0]), "mean_final_v": float(np.mean(final_v))}
+def _decomposed_details(final_v) -> dict:
+    return {"mean_final_v": float(np.mean(final_v))}
 
 
 def _summed(blocks, ladder, suite: Suite, cfg: ExperimentConfig) -> tuple:
@@ -254,18 +242,10 @@ def _summed(blocks, ladder, suite: Suite, cfg: ExperimentConfig) -> tuple:
 
 
 def _crossed(blocks, ladder, suite: Suite, cfg: ExperimentConfig) -> tuple:
-    """Included-cell |dZ dY| per level, S = the jumps of Z and Y, and the
-    same with S empty: two (paths, n_levels) arrays."""
+    """Included-cell |dZ dY| per level, S = the jumps of Z and Y;
+    (paths, n_levels)."""
     z, y = blocks
-    with_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, _jumps(blocks, cfg), y=y.values, absolute=True)
-    no_s = calculus.zcqv_ladder(z.values, ladder, z.horizon, y=y.values, absolute=True)
-    # with_s adds a subset of the nonnegative terms that no_s adds
-    _require_finite(no_s, "statistic")
-    return with_s, no_s
-
-
-def _crossed_details(no_s) -> dict:
-    return {"exploratory_no_exclusion_median": [float(v) for v in calculus.path_median(no_s)[0]]}
+    return (calculus.zcqv_ladder(z.values, ladder, z.horizon, _jumps(blocks, cfg), y=y.values, absolute=True),)
 
 
 def suites(cfg: ExperimentConfig) -> dict:
@@ -282,8 +262,7 @@ def suites(cfg: ExperimentConfig) -> dict:
         "tanaka": tanaka,
         "moving_kink": kink,
         "moving_kink_jump": kink._replace(specs=(rated._replace(kind="jump_diffusion"),)),
-        "cross_variation": Suite((poisson, brownian._replace(seed=cfg.seed + 104729)), _crossed, _crossed_details,
-                                 sep=" x "),
+        "cross_variation": Suite((poisson, brownian._replace(seed=cfg.seed + 104729)), _crossed, sep=" x "),
         "zcqv_sum": Suite((poisson, poisson._replace(seed=cfg.seed + 7919)), _summed),
         "negative_control": Suite((brownian,), _summed, partial(dict, note="asserts the failure"),
                                   expected_pass=False),

@@ -27,7 +27,7 @@ def run_cli(args, env_extra=None):
 
 
 def test_config_round_trip():
-    cfg = ExperimentConfig(experiment="qv", n_paths=7, generator={"kind": "brownian", "n_steps": 64})
+    cfg = ExperimentConfig(function="square", n_paths=7, generator={"kind": "brownian", "n_steps": 64})
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -147,12 +147,12 @@ def test_equal_specs_hash_equal():
 
 
 def test_load_config_json_and_yaml(tmp_path):
-    d = {"experiment": "qv", "n_paths": 5, "generator": {"kind": "brownian", "n_steps": 32}}
+    d = {"n_paths": 5, "generator": {"kind": "brownian", "n_steps": 32}}
     pj = tmp_path / "c.json"
     pj.write_text(json.dumps(d))
     assert load_config(str(pj)).n_paths == 5
     py = tmp_path / "c.yaml"
-    py.write_text("experiment: qv\nn_paths: 6\ngenerator:\n  kind: brownian\n  n_steps: 32\n")
+    py.write_text("n_paths: 6\ngenerator:\n  kind: brownian\n  n_steps: 32\n")
     assert load_config(str(py)).n_paths == 6
     with pytest.raises(ConfigurationError, match="not found"):
         load_config(str(tmp_path / "missing.json"))
@@ -172,6 +172,16 @@ def test_config_keys_of_mixed_types_exit_2_naming_them(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["qv", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: unknown config keys: ['wat', 1]\n"
+    assert not out.exists()
+
+
+def test_an_experiment_key_exits_2_naming_it(tmp_path, capsys):
+    # the command names the experiment, so the config holds no field for it
+    cfg = tmp_path / "named.json"
+    cfg.write_text(json.dumps({"experiment": "tanaka", "n_paths": 2}))
+    out = tmp_path / "out"
+    assert main(["qv", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: ['experiment']\n"
     assert not out.exists()
 
 
@@ -326,7 +336,7 @@ def test_env_output_override(tmp_path):
 
 
 def test_format_filter(tmp_path):
-    cfg = _small_gen_config(tmp_path, experiment="qv", l_min=3, l_max=6)
+    cfg = _small_gen_config(tmp_path, l_min=3, l_max=6)
     out = tmp_path / "jsononly"
     rc = main(["qv", "--config", cfg, "--out", str(out), "--format", "json"])
     assert rc == 0

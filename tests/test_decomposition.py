@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from qvlab import _kernels, cli
+from qvlab import _kernels, calculus, cli
 from qvlab.calculus import jump_grid, zcqv_ladder
 from qvlab.config import ExperimentConfig
 from qvlab.decomposition import (
@@ -27,7 +27,7 @@ def test_identity_function_gives_constant_v():
     f = make_function("identity")
     rng = np.random.default_rng(1)
     ens = toy_ensemble(np.arange(33) / 32.0, np.cumsum(np.concatenate([[1.5], rng.standard_normal(32) * 0.1])))
-    v, _ = decompose_block(f, ens)
+    v = decompose_block(f, ens)
     assert np.allclose(v, 1.5, atol=1e-12)
 
 
@@ -37,14 +37,14 @@ def test_square_on_drift_path_closed_form():
     for level in (4, 6, 8):
         n = 2**level
         spec = GeneratorSpec(kind="euler_sde", n_steps=n, sigma="const(0.0)", b="const(1.0)", seed=0)
-        v, _ = decompose_block(make_function("square"), generate(spec, 1))
+        v = decompose_block(make_function("square"), generate(spec, 1))
         assert v[0, -1] == 2.0 ** -level
 
 
 def test_tanaka_v_is_nondecreasing_and_mean_matches_oracle(brownian_200_l12):
     # E[V_1] = E|W_1| = sqrt(2/pi) exactly at every resolution (the Ito-sum
     # error has zero mean); V is the discrete local time, nondecreasing
-    v, _ = decompose_block(make_function("abs"), brownian_200_l12)
+    v = decompose_block(make_function("abs"), brownian_200_l12)
     assert np.all(np.diff(v, axis=1) >= -1e-15)
     target = np.sqrt(2.0 / np.pi)
     tol = 4.0 * 0.7 / np.sqrt(len(v))
@@ -54,34 +54,24 @@ def test_tanaka_v_is_nondecreasing_and_mean_matches_oracle(brownian_200_l12):
 def test_square_on_brownian_tracks_qv(brownian_200_l12):
     # Ito's lemma: V_1 = realized variance of the path, so its median over
     # the ensemble sits within 0.05 of t = 1 at level 12
-    v, _ = decompose_block(make_function("square"), brownian_200_l12)
+    v = decompose_block(make_function("square"), brownian_200_l12)
     assert abs(np.median(v[:, -1]) - 1.0) <= 0.05
 
 
-def test_kink_qv_mass_statistically_zero(brownian_200_l12):
-    _, masses = decompose_block(make_function("abs"), rows_of(brownian_200_l12, 0, 50))
-    # holds by construction: a Brownian grid path almost surely never
-    # revisits 0.0 exactly, and the x0 = 0 start is no cell's right end; the
-    # compound-Poisson test below is the one that can fail
-    assert np.median(masses) <= 2.0 ** -12 * 4.0
-
-
-def test_kink_mass_counts_the_jump_onto_the_kink():
-    # unit jumps from x0 = -1: a path sits on |x|'s kink exactly when it has
-    # taken one jump, and the cell that lands there carries (dX)^2 = 1
-    spec = GeneratorSpec(kind="compound_poisson", n_steps=256, x0=-1.0, jump_rate=1.0,
-                         jump_law="const(1.0)", seed=3)
-    ens = generate(spec, 40)
-    _, masses = decompose_block(make_function("abs"), ens)
-    hits = (ens.values == 0.0).any(axis=1)
-    assert masses.tolist() == np.where(hits, 1.0, 0.0).tolist()
-    assert hits.any() and not hits.all()
+@pytest.mark.parametrize("name", cli.SUITES)
+def test_each_suite_block_makes_one_ladder_pass(name, monkeypatch):
+    # 70 paths at 256 steps are two blocks, of 64 and 6 paths
+    rows = []
+    ladder = calculus.zcqv_ladder
+    monkeypatch.setattr(calculus, "zcqv_ladder", lambda x, *a, **kw: rows.append(len(x)) or ladder(x, *a, **kw))
+    run_suite(name, ExperimentConfig(generator={"n_steps": 256}, n_paths=70, l_min=2, l_max=6))
+    assert rows == [64, 6]
 
 
 def test_integrand_uses_left_limit_at_marked_jumps():
     # pure-jump path: eta must see the pre-jump state
     ens = toy_ensemble([0, 0.5, 1.0], [1.0, 4.0, 4.0], [False, True, False])
-    v, _ = decompose_block(make_function("square"), ens)
+    v = decompose_block(make_function("square"), ens)
     # eta at tau_1 = 0.5 is 2 * X_{0.5-} = 2, not 2 * 4, so the Ito sum is
     # 2 * 1 * 3 = 6 from then on and V = X^2 - 6 there
     assert v.tolist() == [[1.0, 10.0, 10.0]]
@@ -200,11 +190,9 @@ def test_block_decomposition_rows_equal_one_path_decompose(spec, name, monkeypat
     monkeypatch.setattr(_kernels, "CELLS", 1024)
     f = make_function(name)
     ens = generate(spec, 5)
-    v, kink = decompose_block(f, ens)
+    v = decompose_block(f, ens)
     for r in range(len(ens)):
-        v_r, kink_r = decompose_block(f, rows_of(ens, r, r + 1))
-        assert _same_bits(v[r], v_r[0])
-        assert _same_bits(kink[r], kink_r[0])
+        assert _same_bits(v[r], decompose_block(f, rows_of(ens, r, r + 1))[0])
 
 
 # the block specs on grids that 2^6 divides

@@ -149,7 +149,7 @@ def test_s_mask_cells_match_the_time_rule_on_every_level():
     ladder = RefinementLadder(times, 0, 10)
     suite = suites(cfg)["moving_kink"]._replace(specs=(spec,), function=fexpr, extra_s=tuple(extra))
     stats = _block(0, n, suite, cfg)[0]
-    v, _ = decompose_block(make_function(fexpr), ens)
+    v = decompose_block(make_function(fexpr), ens)
     for i, lev in enumerate(ladder):
         want = _excluded_by_time(lev.cut_times, n, s_rows, s_times)
         got = np.zeros_like(want)

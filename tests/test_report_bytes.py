@@ -28,7 +28,11 @@ jump_sum column moved by at most 2.1e-16 relative and continuous_part by
 at most 1.4e-15 absolute; full_sum, zcqv_stat and every summary.json kept
 their bytes.  Every simulate digest, the Euler ones too, kept its bytes when
 simulate went from one block of all its paths to one block of block_rows
-paths at a time.
+paths at a time.  Every JSON file, and so every Euler and simulate digest,
+was recorded again when the reports dropped the keys that nothing read
+(median_kink_qv_mass, exploratory_no_exclusion_median and the config's
+experiment): each report equals the earlier one without them, and no CSV
+changed.  REPORT_KEYS pins each report's keys.
 """
 
 import hashlib
@@ -50,67 +54,98 @@ COMMANDS = {
     "decompose": 1,
 }
 
+# each JSON report's top-level keys, by file name, and the config keys that
+# every report echoes: a key enters a report only with its entry here
+SUITE_KEYS = ("config", "expected_pass", "experiment", "function", "generator", "ok", "verdict")
+DECOMPOSED_KEYS = (*SUITE_KEYS, "mean_final_v")
+REPORT_KEYS = {
+    "suite_tanaka.json": DECOMPOSED_KEYS,
+    "suite_moving_kink.json": DECOMPOSED_KEYS,
+    "suite_moving_kink_jump.json": DECOMPOSED_KEYS,
+    "verdict.json": DECOMPOSED_KEYS,
+    "suite_cross_variation.json": SUITE_KEYS,
+    "suite_zcqv_sum.json": SUITE_KEYS,
+    "suite_negative_control.json": (*SUITE_KEYS, "note"),
+    "identity.json": ("config", "experiment", "generator", "identity", "kink_identity", "monotonicity",
+                      "surface_convexity_defect"),
+    "summary.json": ("config", "exceedance_fraction", "experiment", "final_t_median_full", "generator", "levels",
+                     "meshes", "n_paths", "ucp_eps"),
+    "appendix.json": ("config", "experiment", "ibp_pass", "ibp_residuals", "ibp_tolerance", "trace_pass"),
+    "manifest.json": ("config", "generator", "horizon", "n_paths", "n_steps", "seed"),
+}
+CONFIG_KEYS = ("formats", "function", "generator", "jump_threshold", "l_max", "l_min", "n_paths", "n_t", "n_x",
+               "pass_fraction", "seed", "sigma_mult", "theta", "ucp_eps")
+
+
+def _assert_keys(out):
+    """Each JSON report in out holds its REPORT_KEYS entry and CONFIG_KEYS."""
+    for path in out.glob("*.json"):
+        report = json.loads(path.read_text())
+        assert sorted(report) == sorted(REPORT_KEYS[path.name]), path.name
+        assert sorted(report["config"]) == sorted(CONFIG_KEYS), path.name
+
+
 # seed -> "<command> <output file>" -> sha256
 DIGESTS = {
     12345: {
         "suite tanaka suite_tanaka.json":
-            "68f3145d7f133ce06c9b9ffd2d117e70c0345cc0376ad06432e514effa61434f",
+            "b9593d944e1fcd1cd5d7512495d662a81082c9e1dbf2441859cd952b18215b52",
         "suite tanaka suite_tanaka_levels.csv":
             "087dfa26cd89d85dfa15c511ce413ed07af96a4fc8d7438cea126ebbd7c2095b",
         "suite moving_kink suite_moving_kink.json":
-            "9434cafb324ab1b4538aced22646cc8ba06f09a74ad68862ed0b04a507be186b",
+            "5d08752e5cde83b5ebe3083d3fbba5a015ab6e122b582b2139e05cdcd0acddf3",
         "suite moving_kink suite_moving_kink_levels.csv":
             "161d6cd5b46fb2ce0a518647ec818a6cb60bcc00caf3f4e7c402df479ab85372",
         "suite moving_kink_jump suite_moving_kink_jump.json":
-            "9e452bd465ea629eaa3803fef86b7829be63f58a141e6751c02d50bbdbe5a378",
+            "0dce40b287ecad3663a9464fce0a15cfda6618e9e063190f8c86a4f259ff65db",
         "suite moving_kink_jump suite_moving_kink_jump_levels.csv":
             "50712c860d5e82d517fc11998088de0d8eefd6cc56fc2ca5e0e7c505d36243f6",
         "suite cross_variation suite_cross_variation.json":
-            "bb23e39ca0fb4a51f1ea22d83e49cb170c343073766103666d4b74ff1a29847e",
+            "1337531919db79a7a7f82478afb355d46f0a7f7eabe953b5a6ac9bceaa43cd3e",
         "suite cross_variation suite_cross_variation_levels.csv":
             "98652f21d275cd08641612f58b794ab4a7b6ccbd105292526fe8fb2e79d1f6fe",
         "suite zcqv_sum suite_zcqv_sum.json":
-            "16e022d5213e130d9950b4e069bc503c14b30482dd76a3a91c53304985dba9e6",
+            "ae139710d91f238661222f60466ba9c64b3dbbe68b324c991a1899ea7903f9e6",
         "suite zcqv_sum suite_zcqv_sum_levels.csv":
             "98652f21d275cd08641612f58b794ab4a7b6ccbd105292526fe8fb2e79d1f6fe",
         "suite negative_control suite_negative_control.json":
-            "7f6c0f26164e7c5cd7d96e673b3fe24e4717eb8b1e5dbb4262728d86d55bb14c",
+            "37f76f240ecf0efee68501613ddc872255f396f5c545d81c4c5ca88799e4fe57",
         "suite negative_control suite_negative_control_levels.csv":
             "fd89fac9c2f2f2e186f542177d968bbbbebae7043ad147711b037b5ef888f79c",
         "decompose levels.csv":
             "087dfa26cd89d85dfa15c511ce413ed07af96a4fc8d7438cea126ebbd7c2095b",
         "decompose verdict.json":
-            "68f3145d7f133ce06c9b9ffd2d117e70c0345cc0376ad06432e514effa61434f",
+            "b9593d944e1fcd1cd5d7512495d662a81082c9e1dbf2441859cd952b18215b52",
     },
     9091: {
         "suite tanaka suite_tanaka.json":
-            "bf6008cee6d69f4ff72c42bff66e3ae4d98b40a37d75f73a8b2e059263b18448",
+            "db1c7b220622eb5af0cdaacc7c3ffac5f7b382c7d95ba742187dbd0dc6564d6f",
         "suite tanaka suite_tanaka_levels.csv":
             "e8eb2063ae686ca5980fb3085b12ed52c79f96d9699a4cda17d0ed59678830d7",
         "suite moving_kink suite_moving_kink.json":
-            "32879d8b7ebebc92832925c3e1854701df14841a7f77a13fec7af0927cc18907",
+            "9101ecc1f2955c37f6c42c397dd97f860fc9be47458d94862873f0a68ad09393",
         "suite moving_kink suite_moving_kink_levels.csv":
             "aae5736c63cd277d55c6770e851a9dc471122af20a9965a6dcd9482f3cc2d74e",
         "suite moving_kink_jump suite_moving_kink_jump.json":
-            "83a083eca948cb84dbfc2a0573feed13da4c2e79337223e3c2214eadd757d4e3",
+            "6d76513ee114ad3a1046f52f4ca453409075b88f4c4f395d2aabdb7f7052b3dc",
         "suite moving_kink_jump suite_moving_kink_jump_levels.csv":
             "2f704d12e9e9efb3a1d80664b85e020354534e6cea67026e9ed25ba4b62ceab5",
         "suite cross_variation suite_cross_variation.json":
-            "e40dce86df704b742df8f54f27dd5a2a8834fbbb3348dcb942cddcb8d39dc75e",
+            "6b3a4adc5dc3a544cc4f6b135a05fa367ec3561df65e312909bd047a84d6b423",
         "suite cross_variation suite_cross_variation_levels.csv":
             "98652f21d275cd08641612f58b794ab4a7b6ccbd105292526fe8fb2e79d1f6fe",
         "suite zcqv_sum suite_zcqv_sum.json":
-            "82e8920666d18d60bdf07b4067b0e3b70f6709654da25896963da813aeb198db",
+            "7004e22a59e003f2805025f4e1e59e95c859c7b21bdf2fa30cc2a51fdaaaa5e8",
         "suite zcqv_sum suite_zcqv_sum_levels.csv":
             "98652f21d275cd08641612f58b794ab4a7b6ccbd105292526fe8fb2e79d1f6fe",
         "suite negative_control suite_negative_control.json":
-            "f740e2609cd88e3813a426e557549f18f8cfb98ac98a42bfc87703eb7d20a761",
+            "478c4abcdbdefe8f01c7ae43b9536e140263fb5bbd4da700caea3c3797d03792",
         "suite negative_control suite_negative_control_levels.csv":
             "bf0a55c56dd6e021ec515f5ee78129992ebac4efc069af349a11be5e0049f877",
         "decompose levels.csv":
             "e8eb2063ae686ca5980fb3085b12ed52c79f96d9699a4cda17d0ed59678830d7",
         "decompose verdict.json":
-            "bf6008cee6d69f4ff72c42bff66e3ae4d98b40a37d75f73a8b2e059263b18448",
+            "db1c7b220622eb5af0cdaacc7c3ffac5f7b382c7d95ba742187dbd0dc6564d6f",
     },
 }
 
@@ -125,6 +160,7 @@ def test_suite_and_decompose_reports_keep_their_bytes(tmp_path, seed, workers):
         out = tmp_path / command.replace(" ", "_")
         args = [*command.split(), "--config", str(cfg), "--seed", str(seed), "--workers", workers]
         assert main([*args, "--out", str(out)]) == rc, command
+        _assert_keys(out)
         for path in out.iterdir():
             got[f"{command} {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == DIGESTS[seed]
@@ -148,45 +184,45 @@ PASS_DIGESTS = {
     "brownian": {
         12345: {
             "identity identity.json":
-                "0ec60f8c655de7e11c2577091e8f5206d4c96795a6bfb09acb81d452bc08c265",
+                "f9fbac87c96e146d62cd8b018608dfa0f72948e5d6d13da7047996586873b19b",
             "identity surface.csv":
                 "68ee638029ee2dff3eaebffacaf7ef45d0b0c8a697b8a0d73aa0058658ed03db",
             "qv covariation.csv":
                 "cdc5b40875968f350f6476356b6cb45601befc3f70fb33e0218bc8289de4f38b",
             "qv summary.json":
-                "ecac3f76fa30c7ca9c88e805a54bf9dd538f5854664d23f55bebf1204b003ae1",
+                "5acbba79806addb8904bc9e68eb82340fe3f374a1b415e2570ce4f47a5330b5a",
         },
         9091: {
             "identity identity.json":
-                "6f81752b0e97b43bcee760a3ea41de1a398678b1b2a933f9e12d85a6bfbef177",
+                "59af2c40a8aad75d60a5a54eef7ccb3e9c8f9edbe05f53618da639b056a7ba84",
             "identity surface.csv":
                 "7c0c89126c1c07fbba36cca246fcc86501eca45fe2a2fca59cae797a6017eb42",
             "qv covariation.csv":
                 "2931f6b36ac9fd41b4cec21d8ed4036cc41674966cc14de8b66305e5fdba9947",
             "qv summary.json":
-                "106e7fd8947d00a38b28dd89b543070daaf63a4ecd7a6c00e4d328a483148b56",
+                "91a4c7bcb0d7fc9bd1453c22bd7a2de5320a741dc429d3e42c2a4c9334a1c114",
         },
     },
     "jump_diffusion": {
         12345: {
             "identity identity.json":
-                "652f1e4844243e9213f07150c2c37fb76fe454daef93617bf9c8f25a944499bf",
+                "7c34899158ec7fa14e75376d202b60a702dc017843a73e33d98860a16280d75a",
             "identity surface.csv":
                 "c0be83c6a74ce46c5fc263fd759284ce95a37f8eda0f20d1af04ead3906d7892",
             "qv covariation.csv":
                 "7341ea037b4eafa351d4e46856179aba846c4a158a34df611e4ca6a94d2c1eb7",
             "qv summary.json":
-                "8bdf2abef6927af30b34ca4c53e8acf9cad759e985053482eb17db403bffb61e",
+                "b0203e594b73bd7f5d7f86aa23758b3b4e10eb5d545817b3f6f74c904b2b9aac",
         },
         9091: {
             "identity identity.json":
-                "036da2ecd4c212bca1a27d9b39e3d9883c76cdc467d692f600102ce0a74426df",
+                "07baf0113fcc58d7600417d7e97a5faa942ffea55e3d4e70dacd0dbc6a12c75b",
             "identity surface.csv":
                 "9f8f9771457c29dcd291a5fc6bd0b18ce4f49598b9b91214d46255a97382d13a",
             "qv covariation.csv":
                 "ba00f0b1424b7e33d733b67352f00e4bbd383a4397f138f3b7cf2f980ca808a3",
             "qv summary.json":
-                "781b2411a1b8635c579c213fc9e84c0fd01887324c87ef1cf1781d7ed3902b19",
+                "5a0093abd47e7edb33b31df5d514e285877076d3468d540ff5b8f5d3e0df11d9",
         },
     },
 }
@@ -203,6 +239,7 @@ def test_identity_and_qv_reports_keep_their_bytes(tmp_path, config, seed, worker
         out = tmp_path / command
         args = [command, "--config", str(cfg), "--seed", str(seed), "--workers", workers]
         assert main([*args, "--out", str(out)]) == 0, command
+        _assert_keys(out)
         for path in out.iterdir():
             got[f"{command} {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == PASS_DIGESTS[config][seed]
@@ -229,37 +266,37 @@ EULER_DIGESTS = {
     "euler_sde": {
         12345: {
             "simulate":
-                "12e79713f82fa2de39d25e428cd7e7bb616a8f63d7cf752cecd961dec8aab07e",
+                "aefb10817b506fd854fc6d70029b705962bdc6e230c5fb5c91ef8dd089196967",
             "decompose":
-                "43b7db85c23c5401debee460bead9bc1a5f69249d3c6a1bc9c67d42c9fa78596",
+                "376dc1172fde03968691cd4eb4173d4705f9db35e9c9f01f3e0ee29a547aa0b7",
             "suite moving_kink_jump":
-                "a33f7a27e405fb784f1f3ad60164e27106a9e32db5666f1d439277b80cb7c56c",
+                "32a49adedf56a7079a53aba23ab54982c062b540785fb3aa698b038c5c43263e",
         },
         9091: {
             "simulate":
-                "57ebf74063c187ee838209b9bae0d5ed7caaf6ac4f6cf881c92ee26e7e99b2cc",
+                "f7dabbfc0326eabb51709c32e2e16a66464201c57b984697f2240e64e6d6cf44",
             "decompose":
-                "fbe2d83758488b7d8e0d4f19b695ec56e4710cc3de9c0d9f9002d29d5a71b77f",
+                "4ceefa6ea46bc98f4b2c3c68f18024b251357b795f6c40d3f7bc4221827f3e94",
             "suite moving_kink_jump":
-                "8296d0ea0e9e7e86a66587c2e40b4224b0983d68e54f8e27b3c9ff6100867d45",
+                "d06b3b3b975159cdf678640e4f853f87132fe9f24e881e59c3d16a3e058f0476",
         },
     },
     "jump_diffusion": {
         12345: {
             "simulate":
-                "f5b99f7d1904fe7702dc57d2dfb056134220f1db985c4e1daf3c1fa9964e630d",
+                "d5505f383c1a8df52a37c42ced12652d4ae1a708656568e9c9f7d0c2d3a08c0d",
             "decompose":
-                "700ac8f3348aea8bdf35f1398f03ca0b4d053a07e244dba364ddeac56bc9f89b",
+                "5e5a550203719c2e71e2c7adee3a4281035dafe7e7e5cb69b4c2e6e95a6e9bd3",
             "suite moving_kink_jump":
-                "826756d399ee11c1e15fc0a851ebd71f44d4ba9bf1185830bbbe8f6970fe4aeb",
+                "06fe30943182ce99db478b8e282241d3bcb724de1e5886ff6770d1270387ef6c",
         },
         9091: {
             "simulate":
-                "96ff9c8113e2d3fc5a0724cff6e8b2edfdafdc4ffa271ef4d1220a747321e199",
+                "caa2ee5217838fc740894fc5e72aa61a0edeaa9405e0540b48fe70d7424b8e9d",
             "decompose":
-                "fb9dfb25b68689ea92dda71b60edb2bc4d5ab7efc42dda27a6cc649d5807be9a",
+                "bdd2b419fb2284599a7ab077f80cd1b83474b8d3605c4c40d5b4f099521eceff",
             "suite moving_kink_jump":
-                "750d119de75c30f89f18c16b6de78bd27c6005e89f06e734c867efe6a3cc121e",
+                "3a5db3c94888b9cc5f0a2be99dc4eea1e13440d46e65c730758d3221e0df08e7",
         },
     },
 }
@@ -283,6 +320,7 @@ def test_euler_reports_keep_their_bytes(tmp_path, config, seed, workers):
         out = tmp_path / command.replace(" ", "_")
         args = [*command.split(), "--config", str(cfg), "--seed", str(seed), "--workers", workers]
         assert main([*args, "--out", str(out)]) == rc, command
+        _assert_keys(out)
         got[command] = _outputs_digest(out)
     assert got == EULER_DIGESTS[config][seed]
 
@@ -291,7 +329,7 @@ def test_euler_reports_keep_their_bytes(tmp_path, config, seed, workers):
 # kink-mass pairs left appendix.json, which now holds the parts and trace
 # checks only
 APPENDIX_DIGESTS = {
-    "appendix.json": "7f9f73b5a806fc594cd5f78b4229d836eacc20bd4f399c320758924e04de1597",
+    "appendix.json": "a8376321bd75a4c46284bb98a5e544789da933c804a27afc6718721dce558dae",
     "trace.csv": "33354b5177c74ddb91acaef3e777d50a5c387fb5faf27f9514ab1bfd4bcde7c2",
 }
 
@@ -301,8 +339,7 @@ def test_appendix_report_keeps_its_bytes(tmp_path):
     assert main(["appendix", "--out", str(out)]) == 0
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
     assert got == APPENDIX_DIGESTS
-    report = json.loads((out / "appendix.json").read_text())
-    assert sorted(report) == ["config", "experiment", "ibp_pass", "ibp_residuals", "ibp_tolerance", "trace_pass"]
+    _assert_keys(out)
 
 
 # simulate on the three kinds without an Euler step, 130 paths at 256 steps
@@ -319,16 +356,16 @@ SIMULATE_CONFIGS = {
 # config -> seed -> sha256 over simulate's output files, as _outputs_digest
 SIMULATE_DIGESTS = {
     "brownian": {
-        12345: "3247a325026245e09ebdf73ab534bdffe7c5534c7dfd27fb19baaff0e51dec73",
-        9091: "ca92d974cae1b13204a061ee9e1d8b48da7d4da58254100f22ace92d88123297",
+        12345: "1ce5a2500340d8178de401d7070817b513b4d2ce2197aaf61493df3650e1bc6d",
+        9091: "d1d386b03e6486f7e2f7e063d9f6df04bc2723ac3eeebc444e40bb165167914a",
     },
     "compound_poisson": {
-        12345: "1c01236e6ac0624d0212d5547b26c69b98756bd37ba9ebcd88ddaf681cc96409",
-        9091: "1a7faf559ef53a31186d79ca3e497be4c43851ed9537c71dda562d56a10da91f",
+        12345: "dbaf6ffb15789f14a8cd6861b2ad047168c0d34265f64e70cc9e715a5225b063",
+        9091: "d71e43a192a80d1477d11c6766b5d3ed9b9472aa004f8701d131eebf0f7cf8b8",
     },
     "lamperti_dirichlet": {
-        12345: "85e56d0af65c8c9823be349552ea7dda1141cd3a8cb2551d24652cfd32ed1120",
-        9091: "2f4c530f1de573f28589ef07e7405137ac835dc00cabaabc41b82758151928df",
+        12345: "5caa194c79e1051a7dda8c95ba33f641ffe5f28e9d75d7a9b650b4dccd972893",
+        9091: "10e4da9e505e293af0d16bd43b4ffb9c4b136a7aeafc86bb07aa357624836026",
     },
 }
 
@@ -343,4 +380,5 @@ def test_simulate_files_keep_their_bytes(tmp_path, config, seed, workers):
     args = ["simulate", "--config", str(cfg), "--seed", str(seed), "--workers", workers]
     assert main([*args, "--out", str(out)]) == 0
     assert len(list(out.iterdir())) == 131
+    _assert_keys(out)
     assert _outputs_digest(out) == SIMULATE_DIGESTS[config][seed]
