@@ -23,14 +23,16 @@ along the path axis plus one boundary cell, under the stopped-value
 semantics; the included sums zero the cells that hold a grid column of S in
 place and take a second cumulative sum.  S is each path's jump times under
 the threshold, read off the mark and value blocks as one grid mask.
-The jump sums do not depend on the level, so each row holds them once; they
-are the running sums of each row's jump terms in time order: the jump sum
-at t is the running sum after the last jump <= t.  The stopped, included
-and jump sums of covariation_ladder are all plain left-to-right running
-sums, one rule for all three, so on a pure-jump path at a level where each
-cell holds at most one jump, full - jumps is exactly 0.0.  The continuous
-part, full - jumps, is formed only where CovariationSums.median takes its
-medians, a level at a time, and CovariationSums.to_csv writes them.
+The jump sums do not depend on the level, so each row holds them once; the
+same slab loop forms them in the same buffers, as the running sum along the
+grid of (dX)^2 on the cells that end at a time of S and 0.0 elsewhere: the
+jump sum at t is the running sum after the last jump <= t.  The stopped,
+included and jump sums of covariation_ladder are all plain left-to-right
+running sums, one rule for all three, so on a pure-jump path at a level
+where each cell holds at most one jump, full - jumps is exactly 0.0.  The
+continuous part, full - jumps, is formed only where CovariationSums.median
+takes its medians, a level at a time, and CovariationSums.to_csv writes
+them.
 """
 
 from __future__ import annotations
@@ -240,55 +242,29 @@ def jump_grid(ens: PathEnsemble, threshold: float) -> np.ndarray:
     return sel
 
 
-def _jump_rows(x: PathEnsemble, sel: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Sum of (dX_s)^2 over row r's selected jump times s <= t, for every
-    row r and t.
-
-    Row r's jump terms, in time order, fill the first cells of row r of an
-    (n, J) block, and one cumulative sum keeps every row's running sums: the
-    plain left-to-right rule of the stopped sums, so where each cell holds
-    one jump, full - jumps is exactly 0.0.  The cells past row r's jumps
-    hold 0.0, and adding it changes none of the row's bits.  The value at t
-    is the running sum after the last jump <= t.
-    """
-    rows, gs = np.nonzero(sel)  # row-major: time order within each row
-    left = np.maximum(gs - 1, 0)
-    d = x.values[rows, gs] - x.values[rows, left]
-    terms = d * d
-    n, n_grid = sel.shape
-    counts = np.bincount(rows, minlength=n)
-    width = int(counts.max(initial=0))
-    block = np.zeros((n, width))
-    block[np.arange(width) < counts[:, None]] = terms
-    # prefix[r, m]: row r's running sum after its first m jumps
-    prefix = np.zeros((n, width + 1))
-    np.cumsum(block, axis=1, out=prefix[:, 1:])
-    # row r's jumps at grid times <= t sit at flat positions [first[r], pos)
-    flat = rows * n_grid + gs
-    first = np.searchsorted(flat, np.arange(n) * n_grid)
-    upto = np.searchsorted(x.times, t_grid, side="right")
-    pos = np.searchsorted(flat, np.arange(n)[:, None] * n_grid + upto[None, :])
-    return np.take_along_axis(prefix, pos - first[:, None], axis=1)
-
-
 SLAB_CELLS = 4 * _kernels.CELLS  # cells per row slab of the ladder sweep: two 256 KB buffers
 
 
-def _ladder_sums(x: PathEnsemble, ladder: RefinementLadder, t_grid, sel, full, zcqv) -> None:
-    """Write the stopped and included sums of every row into full and zcqv,
-    (n_paths, n_levels, n_t) each; S is `sel`.
+def _ladder_sums(x: PathEnsemble, ladder: RefinementLadder, t_grid, sel, out: CovariationSums) -> None:
+    """Write the stopped, included and jump sums of every row into out; S is
+    `sel`.
 
     The rows go a slab at a time, every level in turn on each slab, through
-    one pair of buffers sized for the finest level: a slab holds
-    SLAB_CELLS // n_cells rows, 8 at 4096 cells.  Every step runs along
-    the rows, so the bits do not depend on the slab height.  The height is
-    measured (numpy 2.4, 2-core x86-64 VM): on qv at 4096 steps and 200
-    paths, 8-row slabs peak at 39.1 MB RSS and sweep in the time of whole
-    31-row blocks, which hold two 1 MB buffers and peak at 40.1 MB; 2-row
-    slabs (CELLS cells) peak at 38.6 MB but add about 15 ms to the sweep's
-    30 ms.
+    one pair of buffers sized for the grid's cells, at least any level's: a
+    slab holds SLAB_CELLS // n_cells rows, 8 at 4096 cells.  The jump sums
+    take the same buffers once a slab: (dX)^2 on the cells that end at a
+    time of S and 0.0 elsewhere, one running sum along the grid, read at the
+    last grid time <= t.  Every term is a square, so every running sum is
+    >= +0.0 and the zeros change no bit: the jump sum at t is the plain
+    running sum of the row's jump terms in time order.  Every step runs
+    along the rows, so the bits do not depend on the slab height.  The
+    height is measured (numpy 2.4, 2-core x86-64 VM): on qv at 4096 steps
+    and 200 paths, 8-row slabs peak at 39.1 MB RSS and sweep in the time of
+    whole 31-row blocks, which hold two 1 MB buffers and peak at 40.1 MB;
+    2-row slabs (CELLS cells) peak at 38.6 MB but add about 15 ms to the
+    sweep's 30 ms.
     """
-    n = len(x)
+    n, n_cells = len(x), x.times.size - 1
     at_t = np.searchsorted(x.times, t_grid, side="right") - 1
     # per level: the cell before each t, whether t is past the last cut (no
     # boundary term), and the included sum's prefix at each t
@@ -297,18 +273,23 @@ def _ladder_sums(x: PathEnsemble, ladder: RefinementLadder, t_grid, sel, full, z
         k = lev.n_cells
         j = np.clip(np.searchsorted(lev.cut_times, t_grid, side="right") - 1, 0, k)
         plan.append((k, lev, j, j == k, np.searchsorted(lev.cut_times[1:], t_grid, side="left")))
-    k_max = max(p[0] for p in plan)
-    h = min(n, max(1, SLAB_CELLS // k_max))
-    prod_buf = np.empty((h, k_max))
-    cum_buf = np.empty((h, k_max + 1))
+    h = min(n, max(1, SLAB_CELLS // n_cells))
+    prod_buf = np.empty((h, n_cells))
+    cum_buf = np.empty((h, n_cells + 1))
     cum_buf[:, 0] = 0.0
-    excl_rows, excl_grid = np.nonzero(sel)  # row-major: a slab's pairs are one run
     for a in range(0, n, h):
         b = min(a + h, n)
         xs = x.values[a:b]
         xt = xs[:, at_t]
-        lo, hi = np.searchsorted(excl_rows, (a, b))
-        s_rows, s_grid = excl_rows[lo:hi] - a, excl_grid[lo:hi]
+        s_rows, s_grid = np.nonzero(sel[a:b])
+        if s_rows.size:
+            prod = np.subtract(xs[:, 1:], xs[:, :-1], out=prod_buf[: b - a])
+            prod *= prod
+            prod[~sel[a:b, 1:]] = 0.0
+            np.cumsum(prod, axis=1, out=cum_buf[: b - a, 1:])
+            out.jumps[a:b] = cum_buf[: b - a, at_t]
+        else:
+            out.jumps[a:b] = 0.0
         for i, (k, lev, j, past, zc_at) in enumerate(plan):
             xv = xs[:, lev.cut]
             prod = np.subtract(xv[:, 1:], xv[:, :-1], out=prod_buf[: b - a, :k])
@@ -318,12 +299,12 @@ def _ladder_sums(x: PathEnsemble, ladder: RefinementLadder, t_grid, sel, full, z
             boundary *= boundary
             np.cumsum(prod, axis=1, out=cum[:, 1:])
             boundary[:, past] = 0.0
-            np.add(cum[:, j], boundary, out=full[a:b, i])
+            np.add(cum[:, j], boundary, out=out.full[a:b, i])
             hit = lev.cells(s_rows, s_grid)
             if hit[0].size:  # else prod, and so cum, is unchanged
                 prod[hit] = 0.0
                 np.cumsum(prod, axis=1, out=cum[:, 1:])
-            zcqv[a:b, i] = cum[:, zc_at]
+            out.zcqv[a:b, i] = cum[:, zc_at]
 
 
 def covariation_ladder(
@@ -333,22 +314,22 @@ def covariation_ladder(
     threshold: float = np.inf,
     out: CovariationSums | None = None,
 ) -> CovariationSums:
-    """Stopped and included quadratic variation sums of every row x_r along
-    every ladder level at every t in t_grid.
+    """Stopped, included and jump quadratic variation sums of every row x_r
+    along every ladder level at every t in t_grid.
 
     S is each path's jump times under `threshold`, and the ladder must be
     built on the ensemble's grid.  With tau_j <= t < tau_{j+1} the stopped
     sum is the cumulative sum of (dX)^2 through cell j plus the boundary
     term (X_t - X_{tau_j})^2; the included sum counts only cells with
-    tau_k < t that miss S.
+    tau_k < t that miss S; the jump sum adds (dX_s)^2 over s in S, s <= t.
 
     out: optional sums of len(x) rows to fill, such as rows a .. b-1 of a
     whole ensemble's CovariationSums.rows(a, b); without it the sums are
-    allocated.  Beyond the blocks and out, the working set is the row slabs
-    of _ladder_sums, S as a mask and the jump sums' (n, most jumps in a
-    row) block.  So a caller that fills one ensemble's sums block by block,
-    and frees each block before it generates the next, as qv does, holds
-    one block, the per-path sums and the slabs.
+    allocated.  Beyond the blocks and out, the working set is S as a mask
+    and the row slabs of _ladder_sums, which the jump sums share.  So a
+    caller that fills one ensemble's sums block by block, and frees each
+    block before it generates the next, as qv does, holds one block, the
+    per-path sums and the slabs.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
@@ -360,9 +341,7 @@ def covariation_ladder(
         out = CovariationSums.empty(len(x), ladder, t_grid)
     elif out.full.shape != (len(x), len(ladder), t_grid.size):
         raise ValueError(f"out holds {out.full.shape} sums, not {(len(x), len(ladder), t_grid.size)}")
-    sel = jump_grid(x, threshold)
-    _ladder_sums(x, ladder, t_grid, sel, out.full, out.zcqv)
-    out.jumps[:] = _jump_rows(x, sel, t_grid)
+    _ladder_sums(x, ladder, t_grid, jump_grid(x, threshold), out)
     return out
 
 

@@ -225,6 +225,19 @@ def test_covariation_ladder_cp_zcqv_column_zero(cp_ensemble):
         assert np.all(rep.median().continuous_part[-1] == 0.0), n_t
 
 
+@pytest.mark.parametrize("kw", [dict(kind="brownian"), dict(kind="jump_diffusion", jump_rate=4.0, b="const(-0.25)")])
+def test_jump_sums_equal_the_grid_level_stopped_sums_with_s_in_most_cells(kw):
+    # threshold 0.0 puts every cell with dX != 0 in S; at the grid's own
+    # level the stopped and jump sums add the same squares in the same order
+    spec = GeneratorSpec(n_steps=1024, seed=2024, **kw)
+    ens = generate(spec, 70)  # row slabs of 32, 32 and 6 rows
+    assert calculus.jump_grid(ens, 0.0)[:, 1:].mean() > 0.99
+    ladder = RefinementLadder(ens.times, 4, 10)
+    t_grid = np.sort(np.concatenate([np.linspace(0.0, 1.0, 65), np.random.default_rng(3).uniform(0.0, 1.0, 16)]))
+    sums = covariation_ladder(ens, ladder, t_grid, threshold=0.0)
+    assert np.all(sums.full[:, -1] - sums.jumps == 0.0)
+
+
 def test_independent_brownians_cross_variation_small():
     e1 = generate(GeneratorSpec(kind="brownian", n_steps=4096, seed=31), 64)
     e2 = generate(GeneratorSpec(kind="brownian", n_steps=4096, seed=32), 64)

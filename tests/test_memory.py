@@ -16,6 +16,8 @@ of traced allocations at 400 paths and 4096 steps; a block at a time, 2.0 MB.
 import json
 import tracemalloc
 
+import pytest
+
 from qvlab.cli import main
 
 MB = 2**20
@@ -41,8 +43,20 @@ def test_suite_tanaka_peak_memory_at_2_to_the_15_steps(tmp_path):
     assert peak <= 16 * MB, f"peak {peak / MB:.1f} MB"
 
 
-def test_qv_peak_memory_at_200_paths(tmp_path):
-    argv = ["qv", "--workers", "1", "--out"]
+QV_CONFIGS = {
+    "brownian": {},
+    "jump_diffusion": {"generator": {"kind": "jump_diffusion", "n_steps": 4096, "jump_rate": 4.0,
+                                     "b": "const(-0.25)"}},
+}
+
+
+@pytest.mark.parametrize("config", sorted(QV_CONFIGS))
+def test_qv_peak_memory_at_200_paths(tmp_path, config):
+    # the default config, whose S is empty, and jump-diffusion paths, whose
+    # S holds the marked jumps
+    cfg = tmp_path / "qv.json"
+    cfg.write_text(json.dumps(QV_CONFIGS[config]))
+    argv = ["qv", "--config", str(cfg), "--workers", "1", "--out"]
     main([*argv, str(tmp_path / "warm"), "--paths", "2"])
     tracemalloc.start()
     try:

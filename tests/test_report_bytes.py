@@ -32,7 +32,9 @@ paths at a time.  Every JSON file, and so every Euler and simulate digest,
 was recorded again when the reports dropped the keys that nothing read
 (median_kink_qv_mass, exploratory_no_exclusion_median and the config's
 experiment): each report equals the earlier one without them, and no CSV
-changed.  REPORT_KEYS pins each report's keys.
+changed.  The qv digests at a finite jump_threshold and levels 4-8 were
+recorded before qv's jump sums moved into the ladder sweep's slab loop.
+REPORT_KEYS pins each report's keys.
 """
 
 import hashlib
@@ -243,6 +245,36 @@ def test_identity_and_qv_reports_keep_their_bytes(tmp_path, config, seed, worker
         for path in out.iterdir():
             got[f"{command} {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == PASS_DIGESTS[config][seed]
+
+
+# qv with S not empty and levels that stop short of the grid: at threshold
+# 0.05 about one Brownian increment in nine on the 1024-step grid is in S,
+# and level 8 is coarser than the grid's level 10
+QV_CONFIG = {**CONFIG, "l_max": 8, "jump_threshold": 0.05}
+
+# seed -> output file -> sha256
+QV_DIGESTS = {
+    12345: {
+        "covariation.csv": "a820f804b1c086287d86f89b512b3a3c7f68745b3c79b74c6eaeadfa367e7db1",
+        "summary.json": "58c993d6d52bd939020996c387cf0c36b223f1c90feafd22bb2e41d35bf80872",
+    },
+    9091: {
+        "covariation.csv": "2e7b719c4e38b0939b9feb2e019aab362352676271a4853fa4b98d89c3ff4254",
+        "summary.json": "3d7e2b1ad69cb6426c2b371aa8102e6659cac0d8f10e7a0fa61e6f8c00e7dc2e",
+    },
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("seed", sorted(QV_DIGESTS))
+def test_qv_with_a_jump_threshold_keeps_its_bytes(tmp_path, seed, workers):
+    cfg = tmp_path / "pinned.json"
+    cfg.write_text(json.dumps(QV_CONFIG))
+    out = tmp_path / "qv"
+    assert main(["qv", "--config", str(cfg), "--seed", str(seed), "--workers", workers, "--out", str(out)]) == 0
+    _assert_keys(out)
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert got == QV_DIGESTS[seed]
 
 
 # simulate, decompose and the jump suite on Euler paths with constant
