@@ -262,7 +262,7 @@ def kink_identity_check(
         # the path holds x0 until its first grid step, so every t-cell that
         # starts before that step reads x0
         t_left = t_grid[:-1]
-        early = t_left < genspec.grid()[1]
+        early = t_left < genspec.dt
         early[early] = np.asarray(f.nondiff_indicator(t_left[early], genspec.x0), dtype=bool)
         if early.any():
             lhs_budget += float(np.sum(rate(t_left[early], genspec.x0) * np.diff(t_grid)[early]))
@@ -333,9 +333,8 @@ def _pass_block(lo, hi, genspec: GeneratorSpec, theta: Box, t_grid, x_grid, fexp
     centers = x_centers[(x_centers >= x_lo) & (x_centers <= x_hi)]
     times = genspec.grid()
     # X_t = values[i] on [t_i, t_{i+1}), so X_t is read from the column of the
-    # last grid time <= t; and the grid times jumps count at
+    # last grid time <= t
     cols = np.searchsorted(times, t_grid, side="right") - 1
-    in_range = times <= t_grid[-1]
     ens = generate(genspec, hi - lo, lo)
     # take gathers X_t into C-contiguous rows; values[:, cols] would come
     # back in Fortran order, and each row sum below would need a copy
@@ -353,7 +352,7 @@ def _pass_block(lo, hi, genspec: GeneratorSpec, theta: Box, t_grid, x_grid, fexp
     # integral's upper limit is the left limit
     terms[:, 2] = _row_sums(theta.integral_to(t_left, x_left) * drift)
     terms[:, 3] = 0.0
-    for r, k in zip(*np.divmod(np.flatnonzero(ens.marks & in_range), times.size)):
+    for r, k in zip(*np.divmod(np.flatnonzero(ens.marks), times.size)):
         before, after = float(ens.values[r, max(k - 1, 0)]), float(ens.values[r, k])
         terms[r, 3] += theta.hinge_integral(float(times[k]), before, after, after)
     terms[:, 4] = _row_sums(qv_cells)

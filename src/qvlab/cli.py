@@ -111,7 +111,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple:
             "generator": spec.kind,
             "n_paths": cfg.n_paths,
             "seed": cfg.seed,
-            "horizon": float(spec.grid()[-1]),
+            "horizon": float(spec.horizon),
             "n_steps": spec.n_steps,
             "config": cfg.report_dict(),
         }
@@ -134,10 +134,8 @@ def cmd_qv(cfg: ExperimentConfig, args) -> tuple:
     from .partitions import RefinementLadder
 
     spec = cfg.generator_spec()
-    times = spec.grid()
-    horizon = float(times[-1])
-    ladder = RefinementLadder(times, cfg.l_min, cfg.l_max)
-    t_grid = np.linspace(0.0, horizon, 65)
+    ladder = RefinementLadder(spec.grid(), cfg.l_min, cfg.l_max)
+    t_grid = np.linspace(0.0, spec.horizon, 65)
     per_path = CovariationSums.empty(cfg.n_paths, ladder, t_grid)
     step = block_rows(spec.n_steps)
     for lo in range(0, cfg.n_paths, step):

@@ -357,7 +357,7 @@ class GeneratorSpec(NamedTuple):
             make_jump_law(self.jump_law)
             if self.kind == "compound_poisson" and self.jump_rate <= 0:
                 raise ConfigurationError("compound_poisson requires jump_rate > 0")
-            dt = self.horizon / self.n_steps
+            dt = self.dt
             if self.jump_rate * dt > 0.5:
                 raise ConfigurationError(
                     f"expected jumps per grid cell = {self.jump_rate * dt:.3g} > 0.5; "
@@ -369,7 +369,7 @@ class GeneratorSpec(NamedTuple):
         return self.horizon / self.n_steps
 
     def grid(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
+        return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
     def mean_drift_variation(self, t):
         """E int_0^t |dA| for the model's martingale + drift split, at a time

@@ -10,6 +10,7 @@ from scipy import integrate, stats
 from qvlab.call_surface import (
     CallSurface,
     _one_pass,
+    _pass_block,
     _surface_sums,
     convexity_defect,
     kink_identity_check,
@@ -424,8 +425,9 @@ _ORACLE_SPECS = {
                                          jump_law="uniform(-1.0, 0.2)", b="linear(0.1, -0.5)", seed=36),
     "compound_poisson": GeneratorSpec(kind="compound_poisson", n_steps=64, jump_rate=4.0,
                                       jump_law="normal(0.5, 1.0)", seed=34),
-    # 70 * (0.7 / 70) lies past 0.7, so a jump at the last grid time falls
-    # after the t-grid's end and must not enter the jump term
+    # arange(71) * (0.7 / 70) ended at 0.7000000000000001, past the
+    # horizon; the grid now ends at 0.7, so a jump at the last grid time
+    # enters the jump term
     "grid_past_horizon": GeneratorSpec(kind="compound_poisson", n_steps=70, horizon=0.7,
                                        jump_rate=4.0, jump_law="normal(0.0, 0.5)", seed=35),
 }
@@ -451,7 +453,27 @@ def test_one_pass_matches_per_path_loops_bitwise(kind, n_paths, workers):
     if kind != "brownian":
         assert np.any(terms[:, 2] != 0.0) or np.any(terms[:, 3] != 0.0)
     if kind == "grid_past_horizon":
-        assert spec.grid()[-1] > spec.horizon and generate(spec, n_paths).marks[:, -1].any()
+        assert spec.grid()[-1] == spec.horizon == t_grid[-1]
+        ens, times = generate(spec, n_paths), spec.grid()
+        last = []
+        for r in np.flatnonzero(ens.marks[:, -1]):
+            # the row's jump term, every marked jump in time order
+            term = 0.0
+            for k in np.flatnonzero(ens.marks[r]):
+                before, after = float(ens.values[r, max(k - 1, 0)]), float(ens.values[r, k])
+                last.append(theta.hinge_integral(float(times[k]), before, after, after))
+                term += last[-1]
+            assert terms[r, 3] == term
+        assert any(v != 0.0 for v in last)
+
+
+def test_the_pass_reads_x_at_the_horizon_from_the_last_grid_column():
+    # at horizon 0.7 and 70 steps the grid ended past 0.7, and X_T came from
+    # column 69
+    spec = GeneratorSpec(kind="brownian", n_steps=70, horizon=0.7, seed=35)
+    t_grid, x_grid = np.linspace(0.0, spec.horizon, 33), np.linspace(-1.0, 1.0, 9)
+    xt = _pass_block(0, 20, spec, Box(0.0, 0.7, -1.0, 1.0), t_grid, x_grid, None)[0]
+    assert np.array_equal(xt[:, -1], generate(spec, 20).values[:, -1])
 
 
 def test_telescoped_lhs_within_4_ulps_of_the_exact_double_sum():
