@@ -305,7 +305,7 @@ def _pass_block(lo, hi, genspec: GeneratorSpec, theta: Box, t_grid, x_grid, fexp
          when x_lo <= x_j <= x_hi and t_{i+1} is in [t0, t1] exactly when
          a <= i < b.  This is sum_j dx sum_i theta(t_{i+1}, x_j)
          (hinge_j(t_{i+1}) - hinge_j(t_i)) for the box theta = 1_I(i) 1_J(j):
-         the sum over the run I telescopes, and an empty I gives 0.0
+         the sum over the run I telescopes
     qv:  1/2 sum_i theta(t_i, X_{t_i}) d[X]^c_i          (model increments)
     drift: sum_i Theta(t_i, X_{t_i}) dA_i                 (pre-jump state)
     jump: sum over marked jumps s <= t of int_{X_{s-}}^{X_s} (X_s-x) theta dx
@@ -329,7 +329,7 @@ def _pass_block(lo, hi, genspec: GeneratorSpec, theta: Box, t_grid, x_grid, fexp
     t0, t1, x_lo, x_hi = theta
     ends = t_grid[1:]
     run = np.flatnonzero((ends >= t0) & (ends <= t1))
-    first, end = (int(run[0]), int(run[-1]) + 1) if run.size else (0, 0)
+    first, end = int(run[0]), int(run[-1]) + 1
     centers = x_centers[(x_centers >= x_lo) & (x_centers <= x_hi)]
     times = genspec.grid()
     # X_t = values[i] on [t_i, t_{i+1}), so X_t is read from the column of the
